@@ -54,7 +54,6 @@ class DnnExperimentConfig:
     learning_rate: float = 0.08
     calibration_samples: int = 128
     max_eval_samples: Optional[int] = None
-    stochastic_multiplier: bool = False
     seed: int = 0
 
     @classmethod

@@ -13,19 +13,43 @@ is computed is delegated to a backend:
   product is perturbed with the corner's mismatch sigma.
 
 Both backends expose one operation, ``matmul(activations, weights)``, which
-computes ``sum_k product(a[m, k], w[k, n])``.  The LUT backend evaluates it
-with a one-hot decomposition over the 16 possible weight values, so the whole
-sum runs as 16 dense matrix products instead of a per-element Python loop —
-this is what keeps the Table II/III experiments tractable.
+computes ``sum_k product(a[m, k], w[k, n])``.  The LUT backend splits the
+product table by activation code instead of by weight value.  Sign-magnitude
+execution makes every product ``sign(w) * P[a, |w|]``, so one gather
+``P[a]`` fetches, for each activation, its code's products with the eight
+weight magnitudes, and a single dense matrix product against the signed
+one-hot encoding of the weight magnitudes adds them up.  This is what keeps
+the Table II/III experiments tractable.
+
+The gather-and-multiply form changes the order of the float32 additions,
+not their result: every corner table's ``mean`` (and
+:meth:`ProductLookupTable.exact`) holds integer ADC codes, the one-hot
+factors are 0 or +-1, and float32 sums of integers below ``2**24`` are exact
+in any order.  An exact table therefore reproduces digital INT4 bit for bit:
+
+>>> import numpy as np
+>>> rng = np.random.default_rng(0)
+>>> activations = rng.integers(0, 16, size=(6, 9))
+>>> weights = rng.integers(-8, 8, size=(9, 4))
+>>> lut = LutBackend(ProductLookupTable.exact())
+>>> exact = ExactBackend().matmul(activations, weights)
+>>> bool(np.array_equal(lut.matmul(activations, weights), exact))
+True
+>>> bool(np.array_equal(lut.matmul(activations, weights, activation_zero_point=3), exact))
+True
 """
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Protocol
+from typing import Dict, Optional, Protocol, Tuple
 
 import numpy as np
 
 from repro.multiplier.lut import ProductLookupTable
+
+#: Magnitudes of the non-zero INT4 weight codes (-8..7); weight 0 stores an
+#: all-zero word, so it never discharges and contributes nothing.
+WEIGHT_MAGNITUDES = np.arange(1, 9)
 
 
 class MultiplierBackend(Protocol):
@@ -106,26 +130,31 @@ class LutBackend:
         self.stochastic = stochastic
         self.rng = rng or np.random.default_rng(0)
         self.name = name or table.name
-        self._signed_product, self._variance = self._build_signed_tables(table)
+        # (product, variance) tables per activation zero point; every zero
+        # point outside the code range shares the key -1.
+        self._code_tables: Dict[int, Tuple[np.ndarray, np.ndarray]] = {}
 
-    @staticmethod
-    def _build_signed_tables(table: ProductLookupTable) -> tuple:
-        """Tables indexed by (weight value + 8, activation code).
+    def code_tables(self, activation_zero_point: int) -> Tuple[np.ndarray, np.ndarray]:
+        """Float32 tables indexed by (activation code, weight magnitude - 1).
 
-        ``signed_product[w + 8, a]`` is the signed mean result of multiplying
-        activation code ``a`` by weight value ``w``; ``variance`` holds the
-        matching mismatch variance.
+        ``product[a, j - 1]`` is the mean result of multiplying activation
+        code ``a`` by weight magnitude ``j``; ``variance`` holds the matching
+        mismatch variance.  Zero-skipping is already applied: the zero-point
+        row holds the exact products ``zero_point * j`` with no variance.
         """
-        max_code = table.max_operand
-        weight_values = np.arange(-8, 8)
-        signed = np.zeros((weight_values.size, max_code + 1))
-        variance = np.zeros_like(signed)
-        for row, weight in enumerate(weight_values):
-            magnitude = min(abs(int(weight)), max_code)
-            sign = np.sign(weight)
-            signed[row] = sign * table.mean[:, magnitude]
-            variance[row] = table.sigma[:, magnitude] ** 2
-        return signed, variance
+        max_code = self.table.max_operand
+        key = activation_zero_point if 0 <= activation_zero_point <= max_code else -1
+        tables = self._code_tables.get(key)
+        if tables is None:
+            columns = np.minimum(WEIGHT_MAGNITUDES, max_code)
+            product = self.table.mean[:, columns]
+            variance = self.table.sigma[:, columns] ** 2
+            if key >= 0:
+                product[key] = float(key) * WEIGHT_MAGNITUDES
+                variance[key] = 0.0
+            tables = (product.astype(np.float32), variance.astype(np.float32))
+            self._code_tables[key] = tables
+        return tables
 
     def matmul(
         self,
@@ -133,7 +162,16 @@ class LutBackend:
         weight_codes: np.ndarray,
         activation_zero_point: int = 0,
     ) -> np.ndarray:
-        """Accumulate in-SRAM products via one-hot weight decomposition.
+        """Accumulate in-SRAM products: one gather by activation code, one GEMM.
+
+        ``gathered[m, k, j - 1] = product[a[m, k], j - 1]`` looks up each
+        activation's products with the weight magnitudes ``j``, and
+        ``selector[k, j - 1, n] = sign(w[k, n]) * (|w[k, n]| == j)`` picks
+        the magnitude (with its sign) of each weight, so the result is
+        ``gathered.reshape(m, 8k) @ selector.reshape(8k, n)``.  Weight 0
+        selects nothing: no discharge, no mismatch.  Because the tables hold
+        integers, the float32 result does not depend on the summation order
+        (see the module docstring).
 
         Activations equal to ``activation_zero_point`` represent an exact
         real value of zero; the accelerator zero-skips them, so their
@@ -154,40 +192,19 @@ class LutBackend:
         if weights.min() < -8 or weights.max() > 7:
             raise ValueError("weight codes out of the 4-bit signed range")
 
-        activation_index = activations.astype(np.intp)
-        weight_rows = (weights.astype(np.intp) + 8)
-
-        signed_product = self._signed_product
-        variance_table = self._variance
-        if 0 <= activation_zero_point <= self.table.max_operand:
-            signed_product = signed_product.copy()
-            variance_table = variance_table.copy()
-            weight_values = np.arange(-8, 8, dtype=float)
-            signed_product[:, activation_zero_point] = (
-                float(activation_zero_point) * weight_values
-            )
-            variance_table[:, activation_zero_point] = 0.0
-
-        accumulated = np.zeros(
-            (activations.shape[0], weights.shape[1]), dtype=np.float32
-        )
-        variance = (
-            np.zeros_like(accumulated) if self.stochastic else None
-        )
-        present_values = np.unique(weight_rows)
-        for value_row in present_values:
-            if value_row == 8:
-                # Weight value 0: the stored word is all zeros, no discharge
-                # occurs and the contribution is exactly zero (including its
-                # mismatch), so the term is skipped entirely.
-                continue
-            indicator = (weight_rows == value_row).astype(np.float32)
-            products = signed_product[value_row][activation_index].astype(np.float32)
-            accumulated += products @ indicator
-            if variance is not None:
-                variances = variance_table[value_row][activation_index].astype(np.float32)
-                variance += variances @ indicator
-        if variance is not None:
+        product_table, variance_table = self.code_tables(activation_zero_point)
+        rows, inner = activations.shape
+        codes = activations.astype(np.intp, copy=False)
+        weights = weights.astype(np.intp)
+        selector = (
+            (np.abs(weights)[:, np.newaxis, :] == WEIGHT_MAGNITUDES[:, np.newaxis])
+            * np.sign(weights)[:, np.newaxis, :]
+        ).astype(np.float32).reshape(inner * WEIGHT_MAGNITUDES.size, -1)
+        gathered = np.take(product_table, codes, axis=0).reshape(rows, -1)
+        accumulated = gathered @ selector
+        if self.stochastic:
+            gathered = np.take(variance_table, codes, axis=0).reshape(rows, -1)
+            variance = gathered @ np.abs(selector)
             noise = self.rng.normal(0.0, 1.0, size=accumulated.shape).astype(np.float32)
             accumulated = accumulated + noise * np.sqrt(np.maximum(variance, 0.0))
         return accumulated

@@ -118,21 +118,35 @@ class Dense(Layer):
 # ----------------------------------------------------------------------
 # Convolution
 # ----------------------------------------------------------------------
+def pad_spatial(inputs: np.ndarray, padding: int, value: float = 0) -> np.ndarray:
+    """Pad the two spatial axes of an NHWC tensor with a constant ``value``.
+
+    Equal to ``np.pad`` with ``constant_values=value`` (same dtype), built by
+    filling a preallocated array and assigning the interior in one slice.
+    A padding of 0 returns ``inputs`` itself.
+    """
+    if padding == 0:
+        return inputs
+    batch, height, width, channels = inputs.shape
+    padded = np.full(
+        (batch, height + 2 * padding, width + 2 * padding, channels),
+        value,
+        dtype=inputs.dtype,
+    )
+    padded[:, padding : padding + height, padding : padding + width, :] = inputs
+    return padded
+
+
 def im2col(
     inputs: np.ndarray, kernel: int, stride: int, padding: int
 ) -> Tuple[np.ndarray, int, int]:
-    """Extract sliding patches as rows.
+    """Extract sliding patches as rows (zero padding, any dtype).
 
     Returns ``(patches, out_h, out_w)`` where ``patches`` has shape
     ``(batch * out_h * out_w, kernel * kernel * channels)``.
     """
     batch, height, width, channels = inputs.shape
-    if padding > 0:
-        inputs = np.pad(
-            inputs,
-            ((0, 0), (padding, padding), (padding, padding), (0, 0)),
-            mode="constant",
-        )
+    inputs = pad_spatial(inputs, padding)
     out_h = (height + 2 * padding - kernel) // stride + 1
     out_w = (width + 2 * padding - kernel) // stride + 1
     strides = inputs.strides
@@ -167,7 +181,11 @@ def col2im(
     padded = np.zeros(
         (batch, height + 2 * padding, width + 2 * padding, channels), dtype=cols.dtype
     )
-    cols = cols.reshape(batch, out_h, out_w, kernel, kernel, channels)
+    # Contiguous per-offset slabs; the additions keep their (ky, kx) order,
+    # so every sum is bit-identical to scattering the strided columns.
+    slabs = np.ascontiguousarray(
+        cols.reshape(batch, out_h, out_w, kernel, kernel, channels).transpose(3, 4, 0, 1, 2, 5)
+    )
     for ky in range(kernel):
         for kx in range(kernel):
             padded[
@@ -175,7 +193,7 @@ def col2im(
                 ky : ky + stride * out_h : stride,
                 kx : kx + stride * out_w : stride,
                 :,
-            ] += cols[:, :, :, ky, kx, :]
+            ] += slabs[ky, kx]
     if padding > 0:
         return padded[:, padding:-padding, padding:-padding, :]
     return padded

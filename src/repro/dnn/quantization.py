@@ -36,9 +36,11 @@ from repro.dnn.layers import (
     GlobalAveragePool,
     Layer,
     MaxPool2D,
+    Parameter,
     ReLU,
     ResidualBlock,
     im2col,
+    pad_spatial,
 )
 from repro.dnn.network import Network
 
@@ -139,13 +141,31 @@ def quantize_weights_symmetric(
 # ----------------------------------------------------------------------
 # Batch-norm folding
 # ----------------------------------------------------------------------
+def _detached(layer: Layer, weight: np.ndarray, bias: np.ndarray) -> Layer:
+    """Shallow copy of a Conv2D / Dense layer with fresh parameters.
+
+    The copy holds new ``Parameter`` objects and no cached training inputs,
+    so it shares no mutable state with ``layer`` (unlike a deep copy, it
+    does not duplicate the last training batch's im2col patches either).
+    """
+    detached = copy.copy(layer)
+    detached.weight = Parameter.create(layer.weight.name, weight)
+    detached.bias = Parameter.create(layer.bias.name, bias)
+    if isinstance(detached, Conv2D):
+        detached._cache = None
+    else:
+        detached._inputs = None
+    return detached
+
+
 def _fold_pair(layer: Layer, bn: BatchNorm) -> Layer:
     """Fold a BatchNorm into the preceding Conv2D or Dense layer (copies)."""
     scale, shift = bn.effective_scale_shift()
-    folded = copy.deepcopy(layer)
-    folded.weight.value = (folded.weight.value * scale).astype(np.float32)
-    folded.bias.value = (folded.bias.value * scale + shift).astype(np.float32)
-    return folded
+    return _detached(
+        layer,
+        (layer.weight.value * scale).astype(np.float32),
+        (layer.bias.value * scale + shift).astype(np.float32),
+    )
 
 
 def fold_batchnorm_layers(layers: Sequence[Layer]) -> List[Layer]:
@@ -169,13 +189,21 @@ def fold_batchnorm_layers(layers: Sequence[Layer]) -> List[Layer]:
 
 def _fold_residual_block(block: ResidualBlock) -> ResidualBlock:
     """Fold the internal batch-norms of a residual block (returns a copy)."""
-    folded = copy.deepcopy(block)
+    folded = copy.copy(block)
     folded.conv1 = _fold_pair(block.conv1, block.bn1)
     folded.conv2 = _fold_pair(block.conv2, block.bn2)
     # Replace the internal BNs with identity-behaving fresh instances: their
     # effect now lives inside the convolution weights.
     folded.bn1 = BatchNorm(block.conv1.out_channels, name=f"{block.name}.bn1_folded")
     folded.bn2 = BatchNorm(block.conv2.out_channels, name=f"{block.name}.bn2_folded")
+    folded.relu1 = ReLU(name=block.relu1.name)
+    folded.relu_out = ReLU(name=block.relu_out.name)
+    projection = block.projection
+    if projection is not None:
+        folded.projection = _detached(
+            projection, projection.weight.value.copy(), projection.bias.value.copy()
+        )
+    folded._skip_input = None
     return folded
 
 
@@ -301,18 +329,10 @@ class QuantizedConv2D:
     def forward(self, inputs: np.ndarray, training: bool = False) -> np.ndarray:
         """Quantise, im2col in code space, accumulate, dequantise."""
         del training
-        codes = self.quantizer.quantize(inputs)
-        if self.padding > 0:
-            codes = np.pad(
-                codes,
-                ((0, 0), (self.padding, self.padding), (self.padding, self.padding), (0, 0)),
-                mode="constant",
-                constant_values=self.quantizer.zero_point,
-            )
-        patches, out_h, out_w = im2col(
-            codes.astype(np.float32), self.kernel, self.stride, padding=0
+        codes = pad_spatial(
+            self.quantizer.quantize(inputs), self.padding, self.quantizer.zero_point
         )
-        patches = patches.astype(np.int32)
+        patches, out_h, out_w = im2col(codes, self.kernel, self.stride, padding=0)
         accumulated = self.backend.matmul(
             patches, self.weight_codes, activation_zero_point=self.quantizer.zero_point
         )

@@ -12,7 +12,9 @@ from repro.dnn.layers import (
     MaxPool2D,
     ReLU,
     ResidualBlock,
+    col2im,
     im2col,
+    pad_spatial,
 )
 
 
@@ -123,6 +125,53 @@ class TestConv2D:
         patches, out_h, out_w = im2col(np.zeros((2, 6, 6, 3), dtype=np.float32), 3, 1, 1)
         assert (out_h, out_w) == (6, 6)
         assert patches.shape == (2 * 36, 27)
+
+    def test_im2col_keeps_integer_codes(self):
+        codes = np.arange(2 * 5 * 5 * 3, dtype=np.int32).reshape(2, 5, 5, 3)
+        patches, _, _ = im2col(codes, 3, 2, 1)
+        reference, _, _ = im2col(codes.astype(np.float32), 3, 2, 1)
+        assert patches.dtype == np.int32
+        assert np.array_equal(patches, reference.astype(np.int32))
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.int32])
+    @pytest.mark.parametrize("padding", [0, 1, 2])
+    @pytest.mark.parametrize("value", [0, 3])
+    def test_pad_spatial_equals_np_pad(self, dtype, padding, value):
+        inputs = np.random.default_rng(12).normal(size=(2, 4, 5, 3)).astype(dtype)
+        width = ((0, 0), (padding, padding), (padding, padding), (0, 0))
+        expected = np.pad(inputs, width, mode="constant", constant_values=value)
+        padded = pad_spatial(inputs, padding, value)
+        assert padded.dtype == expected.dtype
+        assert np.array_equal(padded, expected)
+
+    @pytest.mark.parametrize("kernel", [1, 3])
+    @pytest.mark.parametrize("stride", [1, 2])
+    @pytest.mark.parametrize("padding", [0, 1])
+    def test_col2im_matches_nested_loop_reference(self, kernel, stride, padding):
+        batch, height, width, channels = 2, 6, 5, 3
+        out_h = (height + 2 * padding - kernel) // stride + 1
+        out_w = (width + 2 * padding - kernel) // stride + 1
+        rng = np.random.default_rng(13)
+        cols = rng.normal(size=(batch * out_h * out_w, kernel * kernel * channels))
+        cols = cols.astype(np.float32)
+        # Scatter every patch element on its own, offsets in (ky, kx) order.
+        patches = cols.reshape(batch, out_h, out_w, kernel, kernel, channels)
+        padded = np.zeros(
+            (batch, height + 2 * padding, width + 2 * padding, channels), dtype=np.float32
+        )
+        for ky in range(kernel):
+            for kx in range(kernel):
+                for oy in range(out_h):
+                    for ox in range(out_w):
+                        padded[:, oy * stride + ky, ox * stride + kx, :] += patches[
+                            :, oy, ox, ky, kx, :
+                        ]
+        expected = padded[:, padding : padding + height, padding : padding + width, :]
+        result = col2im(
+            cols, (batch, height, width, channels), kernel, stride, padding, out_h, out_w
+        )
+        assert result.dtype == np.float32
+        assert np.array_equal(result, expected)
 
 
 class TestActivationsAndNorm:

@@ -1,11 +1,21 @@
 """Tests for INT4 quantisation, batch-norm folding and the IMC backends."""
 
+import copy
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.analysis.dnn_tables import (
+    DnnExperimentConfig,
+    model_builders,
+    run_dnn_accuracy_experiment,
+)
+from repro.dnn.datasets import cifar10_like, imagenet_like
 from repro.dnn.imc_injection import ExactBackend, LutBackend, backends_for_corners
-from repro.dnn.layers import BatchNorm, Conv2D, Dense
-from repro.dnn.models import build_vgg16_like
+from repro.dnn.layers import BatchNorm, Conv2D, Dense, ResidualBlock
+from repro.dnn.models import build_resnet50_like, build_vgg16_like
 from repro.dnn.network import Network
 from repro.dnn.quantization import (
     ActivationQuantizer,
@@ -18,6 +28,60 @@ from repro.dnn.quantization import (
 )
 from repro.dnn.training import TrainingConfig, train_network
 from repro.multiplier.lut import ProductLookupTable
+
+
+def _reference_matmul(backend, activation_codes, weight_codes, activation_zero_point=0):
+    """Oracle for ``LutBackend.matmul``: one masked GEMM per weight value.
+
+    This is the straightforward decomposition the backend's gather-and-GEMM
+    form must reproduce: for every non-zero weight value, gather the signed
+    products of each activation code with it and multiply by the 0/1
+    indicator of where that value sits in the weight matrix.
+    """
+    table = backend.table
+    activations = np.asarray(activation_codes)
+    weights = np.asarray(weight_codes)
+    max_code = table.max_operand
+    weight_values = np.arange(-8, 8)
+    signed_product = np.zeros((weight_values.size, max_code + 1))
+    variance_table = np.zeros_like(signed_product)
+    for row, weight in enumerate(weight_values):
+        magnitude = min(abs(int(weight)), max_code)
+        signed_product[row] = np.sign(weight) * table.mean[:, magnitude]
+        variance_table[row] = table.sigma[:, magnitude] ** 2
+    if 0 <= activation_zero_point <= max_code:
+        signed_product[:, activation_zero_point] = float(activation_zero_point) * weight_values
+        variance_table[:, activation_zero_point] = 0.0
+
+    activation_index = activations.astype(np.intp)
+    weight_rows = weights.astype(np.intp) + 8
+    accumulated = np.zeros((activations.shape[0], weights.shape[1]), dtype=np.float32)
+    variance = np.zeros_like(accumulated) if backend.stochastic else None
+    for value_row in np.unique(weight_rows):
+        if value_row == 8:
+            continue  # weight 0: an all-zero word, no discharge, no mismatch
+        indicator = (weight_rows == value_row).astype(np.float32)
+        products = signed_product[value_row][activation_index].astype(np.float32)
+        accumulated += products @ indicator
+        if variance is not None:
+            variances = variance_table[value_row][activation_index].astype(np.float32)
+            variance += variances @ indicator
+    if variance is not None:
+        noise = backend.rng.normal(0.0, 1.0, size=accumulated.shape).astype(np.float32)
+        accumulated = accumulated + noise * np.sqrt(np.maximum(variance, 0.0))
+    return accumulated
+
+
+class _OracleBackend(LutBackend):
+    """A LutBackend whose products run through :func:`_reference_matmul`."""
+
+    def matmul(self, activation_codes, weight_codes, activation_zero_point=0):
+        return _reference_matmul(self, activation_codes, weight_codes, activation_zero_point)
+
+
+@pytest.fixture(scope="module")
+def corner_table(multiplier):
+    return ProductLookupTable.from_multiplier(multiplier)
 
 
 class TestQuantizationPrimitives:
@@ -77,6 +141,83 @@ class TestBatchNormFolding:
         layers = fold_batchnorm_layers([bn, dense])
         assert len(layers) == 2
 
+    @pytest.fixture(scope="class")
+    def trained_resnet(self, tiny_dataset):
+        net = build_resnet50_like((8, 8, 3), classes=tiny_dataset.classes)
+        train_network(net, tiny_dataset, TrainingConfig(epochs=1, learning_rate=0.05, seed=2))
+        return net
+
+    @staticmethod
+    def _deepcopy_fold(layer, bn):
+        """The deep-copy fold the shallow-copy one must reproduce."""
+        scale, shift = bn.effective_scale_shift()
+        folded = copy.deepcopy(layer)
+        folded.weight.value = (folded.weight.value * scale).astype(np.float32)
+        folded.bias.value = (folded.bias.value * scale + shift).astype(np.float32)
+        return folded
+
+    def _pairs(self, source_layers, folded_layers):
+        """(source conv/dense, its BN or None, folded layer) triples."""
+        triples = []
+        index = 0
+        for folded in folded_layers:
+            layer = source_layers[index]
+            if isinstance(layer, ResidualBlock):
+                triples.append((layer.conv1, layer.bn1, folded.conv1))
+                triples.append((layer.conv2, layer.bn2, folded.conv2))
+                if layer.projection is not None:
+                    triples.append((layer.projection, None, folded.projection))
+                index += 1
+            elif isinstance(layer, (Conv2D, Dense)) and isinstance(
+                source_layers[index + 1] if index + 1 < len(source_layers) else None, BatchNorm
+            ):
+                triples.append((layer, source_layers[index + 1], folded))
+                index += 2
+            else:
+                index += 1
+        return triples
+
+    def test_folded_layers_hold_no_cache_and_match_deepcopy_fold(self, trained_resnet):
+        folded_layers = fold_batchnorm_layers(trained_resnet.layers)
+        triples = self._pairs(trained_resnet.layers, folded_layers)
+        assert any(isinstance(source, Conv2D) and bn is None for source, bn, _ in triples)
+        for source, bn, folded in triples:
+            assert getattr(folded, "_cache", None) is None
+            assert getattr(folded, "_inputs", None) is None
+            assert folded.weight is not source.weight
+            assert folded.weight.value is not source.weight.value
+            expected = copy.deepcopy(source) if bn is None else self._deepcopy_fold(source, bn)
+            assert np.array_equal(folded.weight.value, expected.weight.value)
+            assert np.array_equal(folded.bias.value, expected.bias.value)
+            assert folded.weight.value.dtype == expected.weight.value.dtype == np.float32
+        for block in folded_layers:
+            if isinstance(block, ResidualBlock):
+                assert block._skip_input is None
+                assert block.relu1._mask is None and block.relu_out._mask is None
+
+    def test_folding_leaves_source_parameters_untouched(self, trained_resnet, tiny_dataset):
+        before = [p.value.copy() for p in trained_resnet.parameters()]
+        statistics = [
+            (bn.running_mean.copy(), bn.running_var.copy())
+            for bn in _batchnorms(trained_resnet.layers)
+        ]
+        reference = trained_resnet.predict(tiny_dataset.test_images[:8])
+        fold_batchnorm_layers(trained_resnet.layers)
+        quantize_network(trained_resnet, tiny_dataset.train_images[:32])
+        after = [p.value for p in trained_resnet.parameters()]
+        assert all(np.array_equal(x, y) for x, y in zip(before, after))
+        for (mean, var), bn in zip(statistics, _batchnorms(trained_resnet.layers)):
+            assert np.array_equal(mean, bn.running_mean) and np.array_equal(var, bn.running_var)
+        assert np.array_equal(trained_resnet.predict(tiny_dataset.test_images[:8]), reference)
+
+
+def _batchnorms(layers):
+    for layer in layers:
+        if isinstance(layer, ResidualBlock):
+            yield from (sub for sub in layer.sublayers() if isinstance(sub, BatchNorm))
+        elif isinstance(layer, BatchNorm):
+            yield layer
+
 
 class TestBackends:
     def test_exact_backend_matches_matmul(self):
@@ -130,6 +271,84 @@ class TestBackends:
         backends = backends_for_corners({"fom": table}, stochastic=False)
         assert set(backends) == {"fom"}
         assert backends["fom"].name == "fom"
+
+    def test_code_tables_memoised_per_zero_point(self):
+        backend = LutBackend(ProductLookupTable.exact())
+        for zero_point in range(-1, 17):
+            backend.code_tables(zero_point)
+        assert len(backend._code_tables) == 17
+        assert backend.code_tables(-5) is backend.code_tables(16)
+        assert backend.code_tables(3) is backend.code_tables(3)
+
+
+class TestLutBackendOracle:
+    """``LutBackend.matmul`` against the weight-value decomposition."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        rows=st.integers(1, 64),
+        inner=st.integers(1, 64),
+        cols=st.integers(1, 64),
+        zero_point=st.integers(-1, 16),
+        corner=st.booleans(),
+        zero_fraction=st.sampled_from([0.0, 0.6]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_matches_reference(
+        self, corner_table, rows, inner, cols, zero_point, corner, zero_fraction, seed
+    ):
+        table = corner_table if corner else ProductLookupTable.exact()
+        rng = np.random.default_rng(seed)
+        activations = rng.integers(0, 16, size=(rows, inner)).astype(np.int32)
+        activations[rng.random(activations.shape) < zero_fraction] = min(max(zero_point, 0), 15)
+        weights = rng.integers(-8, 8, size=(inner, cols)).astype(np.int32)
+        weights[:, 0] = 0
+
+        deterministic = LutBackend(table).matmul(activations, weights, zero_point)
+        expected = _reference_matmul(LutBackend(table), activations, weights, zero_point)
+        assert deterministic.dtype == expected.dtype == np.float32
+        assert np.array_equal(deterministic, expected)
+
+        noisy = LutBackend(table, stochastic=True, rng=np.random.default_rng(seed))
+        oracle = LutBackend(table, stochastic=True, rng=np.random.default_rng(seed))
+        sampled = noisy.matmul(activations, weights, zero_point)
+        expected = _reference_matmul(oracle, activations, weights, zero_point)
+        assert np.allclose(sampled, expected, rtol=1e-5, atol=1e-3)
+        assert noisy.rng.bit_generator.state == oracle.rng.bit_generator.state
+        assert np.all(sampled[:, 0] == 0.0)
+
+    def test_corner_table_holds_integer_codes(self, corner_table):
+        # The bit-identity argument: integer products sum exactly in float32.
+        assert np.array_equal(corner_table.mean, np.rint(corner_table.mean))
+
+    def test_accuracy_tables_equal_with_oracle_backends(self, corner_table):
+        """Tables II and III, one model: real backends == oracle-backed copies."""
+        config = DnnExperimentConfig(
+            image_size=8,
+            train_per_class=3,
+            test_per_class=2,
+            epochs=1,
+            transfer_epochs=1,
+            calibration_samples=16,
+        )
+        sizes = dict(image_size=8, train_per_class=3, test_per_class=2)
+        imagenet = imagenet_like(**sizes)
+        cifar = cifar10_like(**sizes)
+        models = [model_builders(8, imagenet.classes)[2]]  # ResNet50: residual blocks
+        tables = {"fom": corner_table, "exact-lut": ProductLookupTable.exact()}
+        backends = backends_for_corners(tables)
+        oracles = {
+            name: _OracleBackend(table, name=name) for name, table in tables.items()
+        }
+        for dataset, base in ((imagenet, None), (cifar, imagenet)):
+            real = run_dnn_accuracy_experiment(
+                dataset, backends, config=config, models=models, base_dataset=base
+            )
+            oracle = run_dnn_accuracy_experiment(
+                dataset, oracles, config=config, models=models, base_dataset=base
+            )
+            assert real == oracle
+            assert set(real["ResNet50"]) == {"float32", "int4", "fom", "exact-lut"}
 
 
 class TestQuantizedNetwork:
