@@ -194,6 +194,76 @@ def saturation_voltage(overdrive: ArrayLike, alpha: float) -> np.ndarray:
     return overdrive ** (alpha / 2.0)
 
 
+@dataclasses.dataclass(frozen=True)
+class GateTerms:
+    """The drain-independent half of the I-V equation at one gate voltage.
+
+    :func:`gate_terms` computes it; :func:`drain_current_from_gate` finishes
+    the current for any drain voltage.  A device whose gate voltage stays
+    fixed while its drain voltage varies (the pull-down device of the
+    discharge stack, gate at VDD) computes these once and reuses them.
+
+    Attributes
+    ----------
+    overdrive:
+        Gate overdrive ``V_GS - V_th`` (negative below threshold).
+    subthreshold_current:
+        Sub-threshold current before the drain factor
+        ``1 - exp(-V_DS / V_t)``.
+    saturation_voltage:
+        Drain saturation voltage ``V_dsat``.
+    saturation_current:
+        ``K * V_od ** alpha``, the saturation current before channel-length
+        modulation.
+    """
+
+    overdrive: np.ndarray
+    subthreshold_current: np.ndarray
+    saturation_voltage: np.ndarray
+    saturation_current: np.ndarray
+
+
+def gate_terms(params: MosfetParameters, vgs: ArrayLike) -> GateTerms:
+    """Evaluate the parts of the I-V equation that depend on ``vgs`` only."""
+    overdrive = np.asarray(vgs, dtype=float) - params.threshold_voltage
+    n_factor = params.subthreshold_swing / (np.log(10.0) * params.thermal_voltage)
+    sub_exponent = np.clip(
+        np.minimum(overdrive, 0.0) / (n_factor * params.thermal_voltage), -80.0, 0.0
+    )
+    overdrive_pos = np.maximum(overdrive, 0.0)
+    return GateTerms(
+        overdrive=overdrive,
+        subthreshold_current=params.leak_current * np.exp(sub_exponent),
+        saturation_voltage=saturation_voltage(overdrive_pos, params.alpha),
+        saturation_current=params.gain * overdrive_pos**params.alpha,
+    )
+
+
+def drain_current_from_gate(
+    params: MosfetParameters, gate: GateTerms, vds: ArrayLike
+) -> np.ndarray:
+    """Finish the drain current from precomputed :class:`GateTerms`.
+
+    The three operating regions (sub-threshold, saturation, triode) are
+    those of :meth:`NmosDevice.drain_current`.
+    """
+    vds_clipped = np.maximum(np.asarray(vds, dtype=float), 0.0)
+    i_sub = gate.subthreshold_current * (
+        1.0 - np.exp(-vds_clipped / params.thermal_voltage)
+    )
+    vdsat = gate.saturation_voltage
+    i_sat = gate.saturation_current * (
+        1.0 + params.channel_length_modulation * vds_clipped
+    )
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratio = np.where(vdsat > 0.0, np.minimum(vds_clipped / np.maximum(vdsat, 1e-12), 1.0), 0.0)
+    i_triode = i_sat * (2.0 - ratio) * ratio
+    i_strong = np.where(vds_clipped >= vdsat, i_sat, i_triode)
+
+    current = np.where(gate.overdrive > 0.0, i_strong + i_sub, i_sub)
+    return np.maximum(current, 0.0)
+
+
 def drain_current_from_parameters(
     params: MosfetParameters,
     vgs: ArrayLike,
@@ -202,41 +272,20 @@ def drain_current_from_parameters(
     """Evaluate the alpha-power-law I-V equation for a fixed parameter set.
 
     Split out of :class:`NmosDevice` so the transient solver can hoist the
-    (scalar) parameter extraction out of its inner integration loop.
+    (scalar) parameter extraction out of its inner integration loop.  It is
+    the composition of :func:`gate_terms` and :func:`drain_current_from_gate`:
+
+    >>> from repro.circuits import OperatingConditions, tsmc65_like
+    >>> from repro.circuits.mosfet import access_device
+    >>> technology = tsmc65_like()
+    >>> params = access_device(technology).parameters(
+    ...     OperatingConditions.nominal(technology))
+    >>> vgs, vds = np.array([0.2, 0.5, 0.9]), np.array([0.05, 0.3, 1.0])
+    >>> split = drain_current_from_gate(params, gate_terms(params, vgs), vds)
+    >>> bool(np.array_equal(split, drain_current_from_parameters(params, vgs, vds)))
+    True
     """
-    vgs = np.asarray(vgs, dtype=float)
-    vds = np.asarray(vds, dtype=float)
-    vgs, vds = np.broadcast_arrays(vgs, vds)
-
-    vds_clipped = np.maximum(vds, 0.0)
-    overdrive = vgs - params.threshold_voltage
-
-    # --- sub-threshold component -------------------------------------
-    n_factor = params.subthreshold_swing / (np.log(10.0) * params.thermal_voltage)
-    sub_exponent = np.clip(
-        np.minimum(overdrive, 0.0) / (n_factor * params.thermal_voltage), -80.0, 0.0
-    )
-    i_sub = (
-        params.leak_current
-        * np.exp(sub_exponent)
-        * (1.0 - np.exp(-vds_clipped / params.thermal_voltage))
-    )
-
-    # --- strong-inversion component ----------------------------------
-    overdrive_pos = np.maximum(overdrive, 0.0)
-    vdsat = saturation_voltage(overdrive_pos, params.alpha)
-    i_sat = (
-        params.gain
-        * overdrive_pos**params.alpha
-        * (1.0 + params.channel_length_modulation * vds_clipped)
-    )
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ratio = np.where(vdsat > 0.0, np.minimum(vds_clipped / np.maximum(vdsat, 1e-12), 1.0), 0.0)
-    i_triode = i_sat * (2.0 - ratio) * ratio
-    i_strong = np.where(vds_clipped >= vdsat, i_sat, i_triode)
-
-    current = np.where(overdrive > 0.0, i_strong + i_sub, i_sub)
-    return np.maximum(current, 0.0)
+    return drain_current_from_gate(params, gate_terms(params, vgs), vds)
 
 
 def access_device(technology: TechnologyCard, **mismatch: float) -> NmosDevice:

@@ -19,6 +19,21 @@ thousand-sample Monte-Carlo sweeps of the characterisation flow practical.
 It is still orders of magnitude slower than evaluating the fitted OPTIMA
 polynomials, which is exactly the comparison behind the paper's speed-up
 claim (see :mod:`repro.core.speedup`).
+
+Both halves are arranged for speed without changing a single output bit:
+
+* The table solve (:meth:`DischargeStack.current`) computes the pull-down
+  device's gate terms once, since its gate sits at VDD, and bisects the
+  internal node over flat, cache-sized blocks of the broadcast
+  (trace x grid) array rather than the whole array per step.
+* The RK4 loop keeps one row per trace and interpolates with a flat
+  ``take`` into the table and one into a precomputed slope table
+  (``upper - lower``, the same subtraction the interpolation would do).
+
+Every element still passes through the same float operations in the same
+order; only where and when it is computed changes.  That is why the
+waveforms are bit-identical to the direct whole-array evaluation, which
+``tests/test_transient_oracle.py`` keeps as an oracle.
 """
 
 from __future__ import annotations
@@ -147,46 +162,27 @@ class TransientSolver:
 
         # Vectorised Monte-Carlo: the threshold and gain offsets become
         # arrays inside the parameter set; the MOSFET equations broadcast.
+        # Each offset gets a trailing axis so it broadcasts against the
+        # voltage-grid axis the current table appends to the trace shape.
         base_cell = SramCell(self.technology, CellState.ONE)
         stack = base_cell.discharge_stack(conditions)
+        vth_access = mismatch.vth_access[:, np.newaxis]
+        beta_access = mismatch.beta_access[:, np.newaxis]
+        vth_pulldown = mismatch.vth_pulldown[:, np.newaxis]
+        beta_pulldown = mismatch.beta_pulldown[:, np.newaxis]
         access = dataclasses.replace(
             stack.access,
-            threshold_voltage=stack.access.threshold_voltage + mismatch.vth_access,
-            gain=stack.access.gain * (1.0 + mismatch.beta_access),
-            leak_current=stack.access.leak_current * (1.0 + mismatch.beta_access),
+            threshold_voltage=stack.access.threshold_voltage + vth_access,
+            gain=stack.access.gain * (1.0 + beta_access),
+            leak_current=stack.access.leak_current * (1.0 + beta_access),
         )
         pulldown = dataclasses.replace(
             stack.pulldown,
-            threshold_voltage=stack.pulldown.threshold_voltage + mismatch.vth_pulldown,
-            gain=stack.pulldown.gain * (1.0 + mismatch.beta_pulldown),
-            leak_current=stack.pulldown.leak_current * (1.0 + mismatch.beta_pulldown),
+            threshold_voltage=stack.pulldown.threshold_voltage + vth_pulldown,
+            gain=stack.pulldown.gain * (1.0 + beta_pulldown),
+            leak_current=stack.pulldown.leak_current * (1.0 + beta_pulldown),
         )
         return DischargeStack(access=access, pulldown=pulldown, vdd=conditions.vdd)
-
-    @staticmethod
-    def _expand_stack_for_grid(stack: DischargeStack) -> DischargeStack:
-        """Add a trailing axis to any vectorised stack parameter.
-
-        The current table appends a voltage-grid axis to the trace shape, so
-        per-trace parameter arrays (from Monte-Carlo mismatch) need a
-        trailing singleton dimension to broadcast against it.
-        """
-
-        def expand(params):
-            updates = {}
-            for field in dataclasses.fields(params):
-                value = getattr(params, field.name)
-                if isinstance(value, np.ndarray) and value.ndim > 0:
-                    updates[field.name] = value[..., np.newaxis]
-            if not updates:
-                return params
-            return dataclasses.replace(params, **updates)
-
-        return DischargeStack(
-            access=expand(stack.access),
-            pulldown=expand(stack.pulldown),
-            vdd=stack.vdd,
-        )
 
     def _current_table(
         self,
@@ -204,39 +200,14 @@ class TransientSolver:
         """
         grid = self.voltage_grid_points
         v_grid = np.linspace(start_voltage, 0.0, grid)
-        grid_stack = self._expand_stack_for_grid(stack)
         if stored_bit == 0:
-            table = grid_stack.leakage_current(v_grid)
+            table = stack.leakage_current(v_grid)
             table = np.broadcast_to(table, shape + (grid,)).copy()
         else:
             v_wl = np.broadcast_to(wordline_voltage, shape)[..., np.newaxis]
             v_bl = np.broadcast_to(v_grid, shape + (grid,))
-            table = grid_stack.current(v_bl, v_wl)
+            table = stack.current(v_bl, v_wl)
         return v_grid, np.maximum(table, 0.0)
-
-    @staticmethod
-    def _interpolate_current(
-        voltage: np.ndarray,
-        start_voltage: float,
-        grid_step: float,
-        table: np.ndarray,
-    ) -> np.ndarray:
-        """Linearly interpolate the tabulated current at ``voltage``.
-
-        The grid is uniform and descending, so the cell index is a direct
-        computation rather than a search; this is the hot path of the RK4
-        loop and stays fully vectorised across traces.
-        """
-        grid_points = table.shape[-1]
-        position = (start_voltage - voltage) / grid_step
-        position = np.clip(position, 0.0, grid_points - 1.000001)
-        index = position.astype(int)
-        fraction = position - index
-        lower = np.take_along_axis(table, index[..., np.newaxis], axis=-1)[..., 0]
-        upper = np.take_along_axis(
-            table, np.minimum(index + 1, grid_points - 1)[..., np.newaxis], axis=-1
-        )[..., 0]
-        return lower + fraction * (upper - lower)
 
     # ------------------------------------------------------------------
     # Main entry point
@@ -298,13 +269,32 @@ class TransientSolver:
         grid_step = float(v_grid[0] - v_grid[1])
         capacitance = self.bitline.capacitance
 
-        voltage = np.full(shape, start_voltage)
-        traces = np.empty(shape + (steps + 1,), dtype=float)
-        traces[..., 0] = voltage
+        # One row per trace.  Interpolation is ``lower + fraction * slope``
+        # at a flat index into the row-major table; the slope table holds
+        # the same ``upper - lower`` subtraction, computed once.  Clamping
+        # the position to grid - 1.000001 caps the cell index at grid - 2,
+        # so ``upper`` never leaves the row and the last slope column is
+        # never read.
+        grid = v_grid.size
+        rows = int(np.prod(shape))
+        table = table.reshape(rows, grid)
+        slope = np.zeros_like(table)
+        slope[:, :-1] = table[:, 1:] - table[:, :-1]
+        table, slope = table.ravel(), slope.ravel()
+        row_start = np.arange(rows) * grid
+        top = grid - 1.000001
 
         def derivative(v: np.ndarray) -> np.ndarray:
-            current = self._interpolate_current(v, start_voltage, grid_step, table)
+            position = np.minimum(np.maximum((start_voltage - v) / grid_step, 0.0), top)
+            index = position.astype(int)
+            fraction = position - index
+            flat_index = row_start + index
+            current = table.take(flat_index) + fraction * slope.take(flat_index)
             return -current / capacitance
+
+        voltage = np.full(rows, start_voltage)
+        traces = np.empty((rows, steps + 1), dtype=float)
+        traces[:, 0] = voltage
 
         for step in range(1, steps + 1):
             k1 = derivative(voltage)
@@ -313,11 +303,11 @@ class TransientSolver:
             k4 = derivative(np.maximum(voltage + dt * k3, 0.0))
             voltage = voltage + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
             voltage = np.maximum(voltage, 0.0)
-            traces[..., step] = voltage
+            traces[:, step] = voltage
 
         return DischargeResult(
             times=times,
-            voltages=traces if shape else traces.reshape(steps + 1),
+            voltages=traces.reshape(shape + (steps + 1,)),
             conditions=conditions,
             wordline_voltage=np.broadcast_to(v_wl, shape).copy() if shape else v_wl.copy(),
         )
