@@ -1,4 +1,4 @@
-"""DNN accuracy experiments (paper Tables II and III).
+"""DNN accuracy experiments (paper Tables II and III) as one job graph.
 
 The driver trains the scaled-down model zoo on a synthetic dataset, performs
 INT4 post-training quantisation and evaluates five execution modes per model
@@ -7,34 +7,66 @@ corners selected by the design-space exploration).  Table II uses the
 20-class "imagenet-like" dataset; Table III re-uses the same backbones with a
 replaced 10-class head and brief transfer training on the "cifar10-like"
 dataset, mirroring the paper's transfer-learning setup.
+
+Each model runs through three kinds of job:
+
+* **train** (:func:`train`) — its artifact is the trained
+  :func:`~repro.dnn.network.network_state`.  The key covers the
+  architecture (``Network.summary``), a fingerprint of the initial
+  weights, the dataset and the :class:`TrainingConfig`; never the builder
+  that made the network.
+* **transfer** (:func:`train` with ``base_key``) — trains the network
+  with its classifier head replaced on the target dataset; keyed by its
+  base train job's key plus the target dataset and the transfer
+  :class:`TrainingConfig`.
+* **evaluate** (:func:`evaluate_window`) — quantises the trained network
+  and returns integer top-1 / top-5 hit counts of every mode on one
+  window of the test split, so the counts of disjoint windows add up
+  exactly and the accuracy of the union is bit-identical to one call.
+
+With a :class:`~repro.runtime.SweepEngine`, every job goes through the
+engine and its artifact cache: Table III's base trainings are cache hits
+of Table II's, and a warm re-run trains nothing (and evaluates nothing,
+unless a corner backend is stochastic: its RNG state depends on what ran
+before, so those evaluations are not cached).  Without one, the same
+functions run in process, in order, with no cache and no key hashing.
+The service ``dnn`` workload (:mod:`repro.service.workloads`) runs the
+same train job once and fans :func:`evaluate_window` out over test-set
+windows.
 """
 
 from __future__ import annotations
 
+import copy
 import dataclasses
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.circuits.technology import TechnologyCard, tsmc65_like
 from repro.core.calibration import calibrated_suite
 from repro.core.dse import explore_design_space, select_corners
+from repro.core.metrics import top_k_hits
 from repro.core.model_suite import OptimaModelSuite
-from repro.dnn.datasets import Dataset, cifar10_like, imagenet_like
-from repro.dnn.evaluation import AccuracyReport, evaluate_backends
-from repro.dnn.imc_injection import LutBackend
+from repro.dnn.datasets import Dataset
+from repro.dnn.evaluation import AccuracyReport
+from repro.dnn.imc_injection import LutBackend, MultiplierBackend
 from repro.dnn.models import (
     build_resnet101_like,
     build_resnet50_like,
     build_vgg16_like,
     build_vgg19_like,
 )
-from repro.dnn.network import Network
+from repro.dnn.network import Network, load_network_state, network_state
 from repro.dnn.quantization import QuantizationScheme, quantize_network
 from repro.dnn.training import TrainingConfig, replace_classifier_head, train_network
 from repro.multiplier.config import MultiplierConfig
 from repro.multiplier.imac import InSramMultiplier
 from repro.multiplier.lut import ProductLookupTable
+from repro.runtime import Artifact, Job, SweepEngine, job_key
+
+#: Test-set batch size of every evaluation.
+EVAL_BATCH_SIZE = 64
 
 
 @dataclasses.dataclass
@@ -68,6 +100,31 @@ class DnnExperimentConfig:
             calibration_samples=64,
             max_eval_samples=120,
         )
+
+    def training(self) -> TrainingConfig:
+        """Hyper-parameters of a model's (base) training."""
+        return TrainingConfig(
+            epochs=self.epochs,
+            batch_size=self.batch_size,
+            learning_rate=self.learning_rate,
+            seed=self.seed,
+        )
+
+    def transfer_training(self) -> TrainingConfig:
+        """Hyper-parameters of the Table III transfer training."""
+        return TrainingConfig(
+            epochs=self.transfer_epochs,
+            batch_size=self.batch_size,
+            learning_rate=self.learning_rate / 2.0,
+            seed=self.seed + 1,
+        )
+
+    def evaluation_size(self, dataset: Dataset) -> int:
+        """Test samples evaluated: the test split, capped at ``max_eval_samples``."""
+        total = int(dataset.test_images.shape[0])
+        if self.max_eval_samples is not None:
+            total = min(total, self.max_eval_samples)
+        return total
 
 
 def model_builders(
@@ -108,12 +165,169 @@ def corner_backends(
     return backends
 
 
+# ----------------------------------------------------------------------
+# The job graph
+# ----------------------------------------------------------------------
+def _trained_state(
+    network: Network, dataset: Dataset, training: TrainingConfig
+) -> Dict[str, np.ndarray]:
+    """Train / transfer job body: train a copy of ``network``, return its state.
+
+    Training a copy leaves the caller's network as it was under every
+    executor (in process too); the caller loads the returned state.
+    """
+    network = copy.deepcopy(network)
+    train_network(network, dataset, training)
+    return network_state(network)
+
+
+def _state_artifact(state: Dict[str, np.ndarray]) -> Artifact:
+    # One flat array: a state's dozens of small arrays would each be an
+    # archive member, and reading them dominates a warm request's cost.
+    values = list(state.values())
+    return Artifact(
+        arrays={"flat": np.concatenate([value.ravel() for value in values])},
+        meta={
+            "names": list(state),
+            "shapes": [list(value.shape) for value in values],
+            "dtypes": [value.dtype.str for value in values],
+        },
+    )
+
+
+def _artifact_state(artifact: Artifact) -> Dict[str, np.ndarray]:
+    flat, meta = artifact.arrays["flat"], artifact.meta
+    state: Dict[str, np.ndarray] = {}
+    offset = 0
+    for name, shape, dtype in zip(meta["names"], meta["shapes"], meta["dtypes"]):
+        size = int(np.prod(shape, dtype=np.int64))
+        state[name] = flat[offset : offset + size].reshape(shape).astype(dtype)
+        offset += size
+    return state
+
+
+def train(
+    network: Network,
+    dataset: Dataset,
+    training: TrainingConfig,
+    engine: Optional[SweepEngine] = None,
+    base_key: Optional[str] = None,
+) -> Optional[str]:
+    """Train ``network`` on ``dataset``, in place.
+
+    Without ``engine`` this is a plain
+    :func:`~repro.dnn.training.train_network` call and returns ``None``.
+    With one it runs the cached job and returns the job's key:
+
+    * the **train** job (no ``base_key``) of a freshly built network, keyed
+      by its architecture, its initial weights, the dataset and
+      ``training``;
+    * the **transfer** job of a trained network whose head
+      :func:`~repro.dnn.training.replace_classifier_head` just replaced,
+      keyed by ``base_key`` (what this function returned for the base
+      weights), the new architecture, the dataset and ``training``.
+    """
+    if engine is None:
+        train_network(network, dataset, training)
+        return None
+    if base_key is None:
+        key = job_key("dnn-train", network.summary(), network_state(network), dataset, training)
+    else:
+        key = job_key("dnn-transfer", base_key, network.summary(), dataset, training)
+    job = Job(
+        fn=_trained_state,
+        args=(network, dataset, training),
+        name=f"train[{network.name}]",
+        key=key,
+        encode=_state_artifact,
+        decode=_artifact_state,
+    )
+    load_network_state(network, engine.run_one(job))
+    return key
+
+
+def evaluate_window(
+    network: Network,
+    dataset: Dataset,
+    modes: Sequence[str],
+    config: DnnExperimentConfig,
+    window: Tuple[int, int],
+    backends: Optional[Dict[str, MultiplierBackend]] = None,
+) -> Dict[str, int]:
+    """Quantise the trained ``network``; count hits on ``test[lo:hi]``.
+
+    ``modes`` are ``"float32"``, ``"int4"`` and corner names of
+    ``backends``.  When ``backends`` is ``None`` the corner modes use
+    :func:`corner_backends` (default technology, ``config.seed``).  The
+    INT4 network is calibrated on the first ``config.calibration_samples``
+    training images.  Returns ``{"samples": hi - lo, "<mode>_top1": ...,
+    "<mode>_top5": ...}`` as integers, so window counts add up exactly.
+    """
+    calibration = dataset.train_images[: config.calibration_samples]
+    quantized = quantize_network(network, calibration, QuantizationScheme())
+    if backends is None:
+        corner_modes = [mode for mode in modes if mode not in ("float32", "int4")]
+        backends = corner_backends(seed=config.seed) if corner_modes else {}
+    lo, hi = int(window[0]), int(window[1])
+    images = dataset.test_images[lo:hi]
+    labels = np.asarray(dataset.test_labels)[lo:hi]
+    counts = {"samples": hi - lo}
+    for mode in modes:
+        if mode == "float32":
+            net: Any = network
+        elif mode == "int4":
+            net = quantized
+        else:
+            net = quantized.with_backend(backends[mode], name_suffix=f"-{mode}")
+        scores = net.predict(images, batch_size=EVAL_BATCH_SIZE)
+        counts[f"{mode}_top1"] = top_k_hits(scores, labels, k=1)
+        counts[f"{mode}_top5"] = top_k_hits(scores, labels, k=min(5, scores.shape[1]))
+    return counts
+
+
+def evaluation_job(
+    network: Network,
+    dataset: Dataset,
+    modes: Sequence[str],
+    config: DnnExperimentConfig,
+    window: Tuple[int, int],
+    key: Optional[str],
+    backends: Optional[Dict[str, MultiplierBackend]] = None,
+) -> Job:
+    """:func:`evaluate_window` as an engine job whose artifact is the counts."""
+    return Job(
+        fn=evaluate_window,
+        args=(network, dataset, tuple(modes), config, tuple(window), backends),
+        name=f"evaluate[{network.name}:{window[0]}:{window[1]}]",
+        key=key,
+        encode=lambda counts: Artifact(
+            arrays={name: np.array(value) for name, value in counts.items()}
+        ),
+        decode=lambda artifact: {name: int(value) for name, value in artifact.arrays.items()},
+    )
+
+
+def _lut_tables(backends: Dict[str, MultiplierBackend]) -> Optional[Dict[str, Any]]:
+    """What the corner results depend on, or ``None`` when not cacheable.
+
+    Only deterministic LUT backends qualify: a stochastic backend draws
+    from an RNG whose state depends on everything evaluated before.
+    """
+    if not all(
+        isinstance(backend, LutBackend) and not backend.stochastic
+        for backend in backends.values()
+    ):
+        return None
+    return {name: backend.table for name, backend in backends.items()}
+
+
 def run_dnn_accuracy_experiment(
     dataset: Dataset,
     backends: Dict[str, LutBackend],
     config: Optional[DnnExperimentConfig] = None,
     models: Optional[List[Tuple[str, Callable[[], Network]]]] = None,
     base_dataset: Optional[Dataset] = None,
+    engine: Optional[SweepEngine] = None,
 ) -> Dict[str, Dict[str, AccuracyReport]]:
     """Train, quantise and evaluate every model on ``dataset``.
 
@@ -133,57 +347,47 @@ def run_dnn_accuracy_experiment(
         then transfer-trained on ``dataset`` with a replaced classifier head
         (the paper's CIFAR-10 protocol).  When omitted, models are trained
         directly on ``dataset``.
+    engine:
+        Optional :class:`~repro.runtime.SweepEngine`: the train, transfer
+        and evaluate jobs then run through it and its artifact cache (see
+        the module docstring).  The hit counts are the same either way.
     """
     config = config or DnnExperimentConfig()
     models = models or model_builders(config.image_size, _head_classes(dataset, base_dataset))
+    modes = ("float32", "int4", *backends)
+    window = (0, config.evaluation_size(dataset))
+    tables = _lut_tables(backends) if engine is not None else None
 
     results: Dict[str, Dict[str, AccuracyReport]] = {}
     for model_name, builder in models:
         network = builder()
         if base_dataset is not None:
-            train_network(
-                network,
-                base_dataset,
-                TrainingConfig(
-                    epochs=config.epochs,
-                    batch_size=config.batch_size,
-                    learning_rate=config.learning_rate,
-                    seed=config.seed,
-                ),
-            )
+            key = train(network, base_dataset, config.training(), engine)
             network = replace_classifier_head(network, dataset.classes)
-            train_network(
-                network,
-                dataset,
-                TrainingConfig(
-                    epochs=config.transfer_epochs,
-                    batch_size=config.batch_size,
-                    learning_rate=config.learning_rate / 2.0,
-                    seed=config.seed + 1,
-                ),
-            )
+            key = train(network, dataset, config.transfer_training(), engine, base_key=key)
         else:
-            train_network(
-                network,
-                dataset,
-                TrainingConfig(
-                    epochs=config.epochs,
-                    batch_size=config.batch_size,
-                    learning_rate=config.learning_rate,
-                    seed=config.seed,
-                ),
+            key = train(network, dataset, config.training(), engine)
+        if engine is None:
+            counts = evaluate_window(network, dataset, modes, config, window, backends)
+        else:
+            eval_key = None
+            if tables is not None:
+                eval_key = job_key(
+                    "dnn-evaluate", key, dataset, modes, config.calibration_samples, window, tables
+                )
+            job = evaluation_job(network, dataset, modes, config, window, eval_key, backends)
+            counts = engine.run_one(job)
+        samples = counts["samples"]
+        results[model_name] = {
+            mode: AccuracyReport(
+                model=model_name,
+                mode=mode,
+                top1=counts[f"{mode}_top1"] / samples,
+                top5=counts[f"{mode}_top5"] / samples,
+                samples=samples,
             )
-
-        calibration = dataset.train_images[: config.calibration_samples]
-        quantized = quantize_network(network, calibration, QuantizationScheme())
-        reports = evaluate_backends(
-            network,
-            quantized,
-            backends,
-            dataset,
-            max_samples=config.max_eval_samples,
-        )
-        results[model_name] = reports
+            for mode in modes
+        }
     return results
 
 

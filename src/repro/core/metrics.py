@@ -104,8 +104,12 @@ def figure_of_merit(mean_error_lsb: float, energy_per_op: float) -> float:
     return 1.0 / (mean_error_lsb * energy_per_op)
 
 
-def top_k_accuracy(scores: np.ndarray, labels: np.ndarray, k: int = 1) -> float:
-    """Top-``k`` classification accuracy.
+def top_k_hits(scores: np.ndarray, labels: np.ndarray, k: int = 1) -> int:
+    """Number of samples whose label is among their ``k`` highest scores.
+
+    Integer counts of disjoint sample windows add up exactly, so a sharded
+    evaluation's ``sum(hits) / samples`` equals :func:`top_k_accuracy` of
+    the whole set bit for bit.
 
     Parameters
     ----------
@@ -125,5 +129,9 @@ def top_k_accuracy(scores: np.ndarray, labels: np.ndarray, k: int = 1) -> float:
     if not 1 <= k <= scores.shape[1]:
         raise ValueError("k must lie in [1, number of classes]")
     top_k = np.argpartition(-scores, kth=k - 1, axis=1)[:, :k]
-    hits = np.any(top_k == labels[:, np.newaxis], axis=1)
-    return float(np.mean(hits))
+    return int(np.any(top_k == labels[:, np.newaxis], axis=1).sum())
+
+
+def top_k_accuracy(scores: np.ndarray, labels: np.ndarray, k: int = 1) -> float:
+    """Top-``k`` classification accuracy: :func:`top_k_hits` per sample."""
+    return top_k_hits(scores, labels, k) / np.shape(labels)[0]

@@ -4,15 +4,41 @@ Residual topologies are expressed through the
 :class:`~repro.dnn.layers.ResidualBlock` composite layer, so a plain
 sequential container is sufficient for both the VGG-style and ResNet-style
 models of the paper's application analysis.
+
+A trained network is captured by :func:`network_state`: a copy of every
+parameter plus the BatchNorm running statistics (those inside residual
+blocks included), keyed by name.  :func:`load_network_state` puts such a
+state into a freshly built network of the same architecture, which then
+predicts exactly like the trained one; this is how a cached training
+result is reused.
+
+>>> from repro.dnn.layers import BatchNorm, Dense, Flatten
+>>> def build():
+...     rng = np.random.default_rng(0)
+...     return Network([Flatten(), Dense(4, 3, rng=rng), BatchNorm(3)], (2, 2))
+>>> trained = build()
+>>> trained.layers[1].weight.value += 0.5
+>>> _ = trained.forward(np.ones((2, 2, 2)), training=True)   # updates BN stats
+>>> fresh = build()
+>>> load_network_state(fresh, network_state(trained))
+>>> x = np.arange(8.0).reshape(2, 2, 2)
+>>> bool(np.array_equal(fresh.predict(x), trained.predict(x)))
+True
+>>> other = Network([Flatten(), Dense(4, 2)], (2, 2))   # another architecture
+>>> try:
+...     load_network_state(fresh, network_state(other))
+... except NetworkStateError as error:
+...     print(error)
+state does not match the network: missing bn.beta, bn.gamma, bn.running_mean, bn.running_var
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.dnn.layers import Layer, Parameter
+from repro.dnn.layers import BatchNorm, Layer, Parameter
 
 
 class Network:
@@ -129,3 +155,68 @@ class Network:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging helper
         return f"Network(name={self.name!r}, layers={len(self.layers)})"
+
+
+class NetworkStateError(ValueError):
+    """A state does not fit the network it is loaded into."""
+
+
+def _batch_norms(layers: Sequence[Layer]) -> Iterator[BatchNorm]:
+    """Every BatchNorm of ``layers``, descending into composite layers."""
+    for layer in layers:
+        if isinstance(layer, BatchNorm):
+            yield layer
+        sublayers = getattr(layer, "sublayers", None)
+        if sublayers is not None:
+            yield from _batch_norms(sublayers())
+
+
+def _state_slots(network: Network) -> Dict[str, Tuple[object, str]]:
+    """State name -> (owner, attribute) of every trained array."""
+    slots: Dict[str, Tuple[object, str]] = {}
+    owners: List[Tuple[str, object, str]] = [
+        (parameter.name, parameter, "value") for parameter in network.parameters()
+    ]
+    for norm in _batch_norms(network.layers):
+        owners.append((f"{norm.name}.running_mean", norm, "running_mean"))
+        owners.append((f"{norm.name}.running_var", norm, "running_var"))
+    for name, owner, attribute in owners:
+        if name in slots:
+            raise NetworkStateError(f"two trained arrays share the name {name!r}")
+        slots[name] = (owner, attribute)
+    return slots
+
+
+def network_state(network: Network) -> Dict[str, np.ndarray]:
+    """Copies of ``network``'s parameters and BatchNorm running statistics."""
+    return {
+        name: np.array(getattr(owner, attribute))
+        for name, (owner, attribute) in _state_slots(network).items()
+    }
+
+
+def load_network_state(network: Network, state: Mapping[str, np.ndarray]) -> None:
+    """Overwrite ``network``'s trained arrays with copies of ``state``'s.
+
+    Raises
+    ------
+    NetworkStateError
+        When the names or shapes in ``state`` are not those of
+        ``network`` (a state of another architecture); ``network`` is then
+        left unchanged.
+    """
+    slots = _state_slots(network)
+    missing = sorted(set(slots) - set(state))
+    unknown = sorted(set(state) - set(slots))
+    if missing or unknown:
+        parts = [f"missing {', '.join(missing)}"] if missing else []
+        parts += [f"unknown {', '.join(unknown)}"] if unknown else []
+        raise NetworkStateError(f"state does not match the network: {'; '.join(parts)}")
+    for name, (owner, attribute) in slots.items():
+        expected = getattr(owner, attribute).shape
+        if np.shape(state[name]) != expected:
+            raise NetworkStateError(
+                f"{name} has shape {np.shape(state[name])}, the network needs {expected}"
+            )
+    for name, (owner, attribute) in slots.items():
+        setattr(owner, attribute, np.array(state[name]))

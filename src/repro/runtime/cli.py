@@ -98,6 +98,7 @@ propagation model.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import pathlib
 import sys
@@ -564,7 +565,9 @@ def _cmd_run_tables(args: argparse.Namespace) -> int:
         f"training + evaluating {len(models)} model(s) on {dataset.name} "
         f"({dataset.classes} classes) ..."
     )
-    results = run_dnn_accuracy_experiment(dataset, backends, config=config, models=models)
+    results = run_dnn_accuracy_experiment(
+        dataset, backends, config=config, models=models, engine=engine
+    )
     elapsed = time.perf_counter() - start
 
     print()
@@ -583,6 +586,7 @@ def _cmd_run_tables(args: argparse.Namespace) -> int:
                 }
                 for model, reports in results.items()
             },
+            "engine": dataclasses.asdict(engine.stats),
             "elapsed_seconds": elapsed,
         },
     )

@@ -23,6 +23,7 @@ The registry is open: tests and downstream deployments add workloads with
 
 from __future__ import annotations
 
+import functools
 from typing import Any, Callable, Dict, List, Optional
 
 from repro.runtime import SweepEngine
@@ -239,26 +240,15 @@ def run_eventsim(params: Dict[str, Any], engine: SweepEngine) -> Dict[str, Any]:
 DNN_MODES = ("float32", "int4", "fom", "power", "variation")
 
 
-def _dnn_shard(
-    model: str, modes: tuple, quick: bool, bounds: tuple
-) -> Dict[str, Any]:
-    """Module-level shard body (picklable for the process-pool executor).
+@functools.lru_cache(maxsize=None)
+def _dnn_dataset(quick: bool) -> Any:
+    """The ``dnn`` workload's dataset, generated once per process.
 
-    Trains / quantises the model deterministically (fixed seeds) and
-    evaluates one contiguous ``[lo, hi)`` slice of the effective test set,
-    returning integer top-1 / top-5 hit counts so the merged accuracy is
-    bit-identical to evaluating the whole test set in one call.
+    Generating it takes longer than the rest of a warm (all cached)
+    request; its arrays are made read-only since every request shares them.
     """
-    import numpy as np
-
-    from repro.analysis.dnn_tables import (
-        DnnExperimentConfig,
-        corner_backends,
-        model_builders,
-    )
+    from repro.analysis.dnn_tables import DnnExperimentConfig
     from repro.dnn.datasets import imagenet_like
-    from repro.dnn.quantization import QuantizationScheme, quantize_network
-    from repro.dnn.training import TrainingConfig, train_network
 
     config = DnnExperimentConfig.quick() if quick else DnnExperimentConfig()
     dataset = imagenet_like(
@@ -266,53 +256,9 @@ def _dnn_shard(
         train_per_class=config.train_per_class,
         test_per_class=config.test_per_class,
     )
-    builders = dict(model_builders(config.image_size, dataset.classes))
-    network = builders[model]()
-    train_network(
-        network,
-        dataset,
-        TrainingConfig(
-            epochs=config.epochs,
-            batch_size=config.batch_size,
-            learning_rate=config.learning_rate,
-            seed=config.seed,
-        ),
-    )
-    calibration = dataset.train_images[: config.calibration_samples]
-    quantized = quantize_network(network, calibration, QuantizationScheme())
-    corner_modes = [mode for mode in modes if mode not in ("float32", "int4")]
-    backends = corner_backends(seed=config.seed) if corner_modes else {}
-
-    images = dataset.test_images
-    labels = np.asarray(dataset.test_labels)
-    if config.max_eval_samples is not None and images.shape[0] > config.max_eval_samples:
-        images = images[: config.max_eval_samples]
-        labels = labels[: config.max_eval_samples]
-    lo, hi = int(bounds[0]), int(bounds[1])
-    images, labels = images[lo:hi], labels[lo:hi]
-
-    def hits(scores: np.ndarray, k: int) -> int:
-        # Mirrors repro.core.metrics.top_k_accuracy row by row; returning
-        # the integer hit count (not the mean) keeps the sharded merge an
-        # exact sum, so ``sum(hits) / samples`` is bit-identical to the
-        # unsharded ``np.mean``.
-        top_k = np.argpartition(-scores, kth=k - 1, axis=1)[:, :k]
-        return int(np.any(top_k == labels[:, np.newaxis], axis=1).sum())
-
-    counts: Dict[str, int] = {"samples": hi - lo}
-    for mode in modes:
-        if mode == "float32":
-            net = network
-        elif mode == "int4":
-            net = quantized
-        else:
-            net = quantized.with_backend(backends[mode], name_suffix=f"-{mode}")
-        scores = np.asarray(
-            net.predict(images, batch_size=config.batch_size), dtype=float
-        )
-        counts[f"{mode}_top1"] = hits(scores, 1)
-        counts[f"{mode}_top5"] = hits(scores, min(5, scores.shape[1]))
-    return counts
+    for array in (dataset.train_images, dataset.train_labels, dataset.test_images, dataset.test_labels):
+        array.setflags(write=False)
+    return dataset
 
 
 @register_workload("dnn")
@@ -326,15 +272,24 @@ def run_dnn(params: Dict[str, Any], engine: SweepEngine) -> Dict[str, Any]:
     preset) and ``shards`` (split the test-set evaluation into that many
     contiguous engine jobs).
 
-    Every shard trains the same deterministic network (fixed seeds) and
-    evaluates its slice of the test split, returning integer hit counts;
-    the merged top-1 / top-5 accuracies are bit-identical to calling the
-    evaluation directly on the full test set, for any shard count.
+    The model's train job (:func:`repro.analysis.dnn_tables.train`) runs
+    once through the engine, so N shards cost one training and a later
+    request for the same model, with any modes, loads the cached weights.
+    Each shard is :func:`~repro.analysis.dnn_tables.evaluate_window` on
+    one window of the effective test set, keyed by the request's modes;
+    the merged top-1 / top-5 accuracies are sums of integer hit counts,
+    bit-identical to one evaluation of the full test set for any shard
+    count.
     """
     import numpy as np
 
-    from repro.analysis.dnn_tables import DnnExperimentConfig
-    from repro.runtime import Artifact, Job, SweepSpec, job_key
+    from repro.analysis.dnn_tables import (
+        DnnExperimentConfig,
+        evaluation_job,
+        model_builders,
+        train,
+    )
+    from repro.runtime import SweepSpec, job_key
 
     model = str(params.get("model", "VGG16"))
     if model not in ("VGG16", "VGG19", "ResNet50", "ResNet101"):
@@ -351,28 +306,24 @@ def run_dnn(params: Dict[str, Any], engine: SweepEngine) -> Dict[str, Any]:
         raise ValueError("shards must be at least 1")
 
     config = DnnExperimentConfig.quick() if quick else DnnExperimentConfig()
-    total = 20 * config.test_per_class  # imagenet_like has 20 classes
-    if config.max_eval_samples is not None:
-        total = min(total, config.max_eval_samples)
+    dataset = _dnn_dataset(quick)
+    network = dict(model_builders(config.image_size, dataset.classes))[model]()
+    train(network, dataset, config.training(), engine)
+    total = config.evaluation_size(dataset)
     shards = min(shards, total)
     bounds = np.linspace(0, total, shards + 1, dtype=int)
-    jobs = []
-    for index in range(shards):
-        window = (int(bounds[index]), int(bounds[index + 1]))
-        jobs.append(
-            Job(
-                fn=_dnn_shard,
-                args=(model, modes, quick, window),
-                name=f"dnn[{model}:{window[0]}:{window[1]}]",
-                key=job_key("service-dnn", model, modes, quick, window),
-                encode=lambda result: Artifact(
-                    arrays={name: np.array(value) for name, value in result.items()}
-                ),
-                decode=lambda artifact: {
-                    name: int(value) for name, value in artifact.arrays.items()
-                },
-            )
+    windows = [(int(bounds[index]), int(bounds[index + 1])) for index in range(shards)]
+    jobs = [
+        evaluation_job(
+            network,
+            dataset,
+            modes,
+            config,
+            window,
+            key=job_key("service-dnn", model, modes, quick, window),
         )
+        for window in windows
+    ]
     outputs = engine.run(SweepSpec(f"dnn[{model}x{shards}]", jobs))
     samples = sum(output["samples"] for output in outputs)
     reports = {}

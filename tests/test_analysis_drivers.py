@@ -9,11 +9,14 @@ from repro.analysis.design_space import (
     format_table1,
     paper_table1_reference,
 )
+from repro.analysis import dnn_tables
 from repro.analysis.dnn_tables import (
     DnnExperimentConfig,
     format_accuracy_table,
+    model_builders,
     paper_table2_reference,
     paper_table3_reference,
+    run_dnn_accuracy_experiment,
 )
 from repro.analysis.model_evaluation import format_rms_table, paper_rms_reference
 from repro.analysis.nonidealities import (
@@ -29,7 +32,11 @@ from repro.analysis.pvt_sweeps import (
 )
 from repro.analysis.sota import format_sota_table, sota_design_points
 from repro.core.dse import DesignSpace, explore_design_space
+from repro.dnn.datasets import cifar10_like, imagenet_like
 from repro.dnn.evaluation import AccuracyReport
+from repro.dnn.imc_injection import LutBackend
+from repro.multiplier.lut import ProductLookupTable
+from repro.runtime import ArtifactCache, SweepEngine
 
 
 class TestSota:
@@ -161,6 +168,63 @@ class TestDnnTableDriver:
             assert set(table) == {"VGG16", "VGG19", "ResNet50", "ResNet101"}
         assert table2["VGG16"]["variation"][0] == pytest.approx(38.22)
         assert table3["ResNet50"]["fom"] == pytest.approx(92.83)
+
+    def test_engine_job_graph_is_bit_identical_and_trains_once(self, tmp_path, monkeypatch):
+        """Tables II + III, tiny: no engine == cold cache == warm cache."""
+        trained_on = []
+        train_network = dnn_tables.train_network
+
+        def counting_train_network(network, dataset, config=None):
+            trained_on.append(dataset.name)
+            return train_network(network, dataset, config)
+
+        monkeypatch.setattr(dnn_tables, "train_network", counting_train_network)
+        config = DnnExperimentConfig(
+            image_size=8,
+            train_per_class=3,
+            test_per_class=2,
+            epochs=1,
+            transfer_epochs=1,
+            calibration_samples=16,
+        )
+        sizes = dict(image_size=8, train_per_class=3, test_per_class=2)
+        imagenet = imagenet_like(**sizes)
+        cifar = cifar10_like(**sizes)
+        builders = model_builders(8, imagenet.classes)
+        models = [builders[0], builders[2]]  # VGG16; ResNet50 has residual blocks
+        exact = ProductLookupTable.exact()
+        shifted = ProductLookupTable(exact.mean + 1.0, exact.sigma, name="shifted")
+        backends = {"exact-lut": LutBackend(exact), "shifted": LutBackend(shifted)}
+
+        def both_tables(engine):
+            trained_on.clear()
+            tables = {}
+            trainings = []
+            for table, (dataset, base) in ((2, (imagenet, None)), (3, (cifar, imagenet))):
+                tables[table] = run_dnn_accuracy_experiment(
+                    dataset, backends, config=config, models=models, base_dataset=base,
+                    engine=engine,
+                )
+                trainings.append(list(trained_on))
+                trained_on.clear()
+            return tables, trainings
+
+        plain, plain_trainings = both_tables(None)
+        assert plain_trainings == [["imagenet-like"] * 2, ["imagenet-like", "cifar10-like"] * 2]
+        assert set(plain[3]["ResNet50"]) == {"float32", "int4", "exact-lut", "shifted"}
+
+        cold_engine = SweepEngine(cache=ArtifactCache(tmp_path))
+        cold, cold_trainings = both_tables(cold_engine)
+        assert cold == plain
+        # Table III's base trainings are cache hits of Table II's
+        assert cold_trainings == [["imagenet-like"] * 2, ["cifar10-like"] * 2]
+        assert cold_engine.stats.cache_hits == 2
+
+        warm_engine = SweepEngine(cache=ArtifactCache(tmp_path))
+        warm, warm_trainings = both_tables(warm_engine)
+        assert warm == plain
+        assert warm_trainings == [[], []]
+        assert warm_engine.stats.jobs_executed == 0
 
     def test_format_accuracy_table(self):
         reports = {

@@ -11,7 +11,7 @@ from repro.dnn.models import (
     build_vgg16_like,
     build_vgg19_like,
 )
-from repro.dnn.network import Network
+from repro.dnn.network import Network, NetworkStateError, load_network_state, network_state
 from repro.dnn.training import (
     TrainingConfig,
     classification_accuracy,
@@ -146,3 +146,59 @@ class TestTraining:
             TrainingConfig(learning_rate=-1.0)
         with pytest.raises(ValueError):
             TrainingConfig(momentum=1.5)
+
+
+BACKBONES = {
+    "VGG16": build_vgg16_like,
+    "VGG19": build_vgg19_like,
+    "ResNet50": build_resnet50_like,
+    "ResNet101": build_resnet101_like,
+}
+
+
+class TestNetworkState:
+    @pytest.fixture(scope="class", params=sorted(BACKBONES))
+    def trained(self, request, tiny_dataset):
+        build = BACKBONES[request.param]
+        net = build((8, 8, 3), tiny_dataset.classes)
+        train_network(net, tiny_dataset, TrainingConfig(epochs=1, batch_size=32, seed=0))
+        return request.param, net
+
+    def test_fresh_network_with_trained_state_predicts_identically(self, trained, tiny_dataset):
+        name, net = trained
+        images = tiny_dataset.test_images
+        fresh = BACKBONES[name]((8, 8, 3), tiny_dataset.classes)
+        assert not np.array_equal(fresh.predict(images), net.predict(images))
+        load_network_state(fresh, network_state(net))
+        assert np.array_equal(fresh.predict(images), net.predict(images))
+
+    def test_state_holds_running_statistics_inside_residual_blocks(self, trained, tiny_dataset):
+        name, net = trained
+        state = network_state(net)
+        means = [key for key in state if key.endswith(".running_mean")]
+        assert means and len(state) == len(net.parameters()) + 2 * len(means)
+        if name.startswith("ResNet"):
+            assert any(".bn1.running_mean" in key for key in means)
+        fresh = network_state(BACKBONES[name]((8, 8, 3), tiny_dataset.classes))
+        assert all(not np.array_equal(state[key], fresh[key]) for key in means)
+
+    def test_state_is_a_copy(self, trained):
+        _, net = trained
+        state = network_state(net)
+        first = net.parameters()[0]
+        state[first.name] += 1.0
+        assert not np.array_equal(state[first.name], first.value)
+
+    def test_other_architecture_state_is_rejected(self, trained, tiny_dataset):
+        name, net = trained
+        other = "VGG19" if name == "VGG16" else "VGG16"
+        target = BACKBONES[other]((8, 8, 3), tiny_dataset.classes)
+        before = network_state(target)
+        with pytest.raises(NetworkStateError, match="does not match"):
+            load_network_state(target, network_state(net))
+        # same architecture, other head width: names match, shapes do not
+        wider = BACKBONES[name]((8, 8, 3), tiny_dataset.classes + 1)
+        with pytest.raises(NetworkStateError, match="shape"):
+            load_network_state(wider, network_state(net))
+        after = network_state(target)
+        assert all(np.array_equal(before[key], after[key]) for key in before)

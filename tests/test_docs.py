@@ -45,6 +45,7 @@ DOCTEST_MODULES = [
     "repro.gateway.artifacts",
     "repro.gateway.webhooks",
     "repro.dnn.imc_injection",
+    "repro.dnn.network",
     "repro.circuits.mosfet",
 ]
 

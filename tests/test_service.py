@@ -602,7 +602,13 @@ class TestDnnWorkload:
     def test_sharded_dnn_accuracy_is_bit_identical(self, tmp_path):
         """The sharded DNN evaluation merges integer hit counts, so any
         shard count reproduces the unsharded accuracies bit for bit."""
-        from repro.service.workloads import _dnn_shard
+        from repro.analysis.dnn_tables import (
+            DnnExperimentConfig,
+            evaluate_window,
+            model_builders,
+            train,
+        )
+        from repro.dnn.datasets import imagenet_like
 
         params = {"model": "VGG16", "modes": ["float32", "int4"]}
 
@@ -619,16 +625,61 @@ class TestDnnWorkload:
         assert whole.payload["shards"] == 1 and sharded.payload["shards"] == 3
         assert sharded.payload["samples"] == whole.payload["samples"]
         assert sharded.payload["reports"] == whole.payload["reports"]
-        # a direct single-window evaluation anchors the merge arithmetic:
-        # summed per-shard hit counts over samples IS the full-set mean
-        counts = _dnn_shard(
-            "VGG16", ("float32", "int4"), True, (0, whole.payload["samples"])
+        # a direct single-window evaluation of an in-process training
+        # anchors the merge arithmetic: summed per-shard hit counts over
+        # samples IS the full-set mean
+        config = DnnExperimentConfig.quick()
+        dataset = imagenet_like(
+            image_size=config.image_size,
+            train_per_class=config.train_per_class,
+            test_per_class=config.test_per_class,
         )
-        assert counts["samples"] == whole.payload["samples"]
+        network = dict(model_builders(config.image_size, dataset.classes))["VGG16"]()
+        train(network, dataset, config.training())
+        samples = config.evaluation_size(dataset)
+        counts = evaluate_window(network, dataset, ("float32", "int4"), config, (0, samples))
+        assert counts["samples"] == samples == whole.payload["samples"]
         for mode in ("float32", "int4"):
             report = whole.payload["reports"][mode]
             assert report["top1"] == counts[f"{mode}_top1"] / counts["samples"]
             assert report["top5"] == counts[f"{mode}_top5"] / counts["samples"]
+
+    def test_shards_share_one_cached_training(self, tmp_path, monkeypatch):
+        """N shards cost one training; other modes reuse the cached weights."""
+        from repro.analysis import dnn_tables
+
+        trainings = []
+        train_network = dnn_tables.train_network
+
+        def counting_train_network(network, dataset, config=None):
+            trainings.append(network.name)
+            return train_network(network, dataset, config)
+
+        monkeypatch.setattr(dnn_tables, "train_network", counting_train_network)
+        modes = ["float32", "int4"]
+
+        async def scenario():
+            engine = SweepEngine(cache=ArtifactCache(tmp_path))
+            counters = []
+            async with running_service(engine) as service:
+                host, port = service.address
+                async with ServiceClient(host, port) as client:
+                    for request_modes, shards in ((modes, 3), (modes[::-1], 3), (modes, 1)):
+                        response = await client.submit(
+                            "dnn", {"model": "VGG16", "modes": request_modes, "shards": shards}
+                        )
+                        counters.append(
+                            (response, len(trainings), engine.stats.jobs_executed)
+                        )
+            return counters
+
+        cold, permuted, whole = run(scenario())
+        assert cold[0].payload["shards"] == 3
+        assert cold[1:] == (1, 1 + 3), "one train job + 3 evaluation shards"
+        assert permuted[1:] == (1, 4 + 3), "permuted modes: 3 new shards, no training"
+        assert whole[1] == 1
+        assert permuted[0].payload["reports"] == whole[0].payload["reports"]
+        assert permuted[0].payload["reports"] == cold[0].payload["reports"]
 
     def test_dnn_rejects_unknown_model_and_mode(self, tmp_path):
         async def scenario():
