@@ -8,36 +8,32 @@ corners selected by the design-space exploration).  Table II uses the
 replaced 10-class head and brief transfer training on the "cifar10-like"
 dataset, mirroring the paper's transfer-learning setup.
 
-Each model runs through three kinds of job:
+Each model runs through two kinds of engine job:
 
-* **train** (:func:`train`) — its artifact is the trained
-  :func:`~repro.dnn.network.network_state`.  The key covers the
-  architecture (``Network.summary``), a fingerprint of the initial
-  weights, the dataset and the :class:`TrainingConfig`; never the builder
-  that made the network.
-* **transfer** (:func:`train` with ``base_key``) — trains the network
-  with its classifier head replaced on the target dataset; keyed by its
-  base train job's key plus the target dataset and the transfer
-  :class:`TrainingConfig`.
+* **train** (:func:`train`) — trains the network in place; its artifact
+  is the trained :func:`~repro.dnn.network.network_state`.  The key
+  covers the architecture (``Network.summary``), the state the training
+  starts from, the dataset and the :class:`TrainingConfig`; never the
+  builder that made the network.  A Table III transfer training is the
+  same job on a trained network whose classifier head was just replaced,
+  so its key covers the base weights and the new head.
 * **evaluate** (:func:`evaluate_window`) — quantises the trained network
   and returns integer top-1 / top-5 hit counts of every mode on one
   window of the test split, so the counts of disjoint windows add up
   exactly and the accuracy of the union is bit-identical to one call.
 
-With a :class:`~repro.runtime.SweepEngine`, every job goes through the
-engine and its artifact cache: Table III's base trainings are cache hits
-of Table II's, and a warm re-run trains nothing (and evaluates nothing,
-unless a corner backend is stochastic: its RNG state depends on what ran
-before, so those evaluations are not cached).  Without one, the same
-functions run in process, in order, with no cache and no key hashing.
-The service ``dnn`` workload (:mod:`repro.service.workloads`) runs the
-same train job once and fans :func:`evaluate_window` out over test-set
-windows.
+Every job goes through a :class:`~repro.runtime.SweepEngine`; without
+one, a plain serial engine with no cache runs them in process, in order,
+and no key is hashed.  With a cache, Table III's base trainings are cache
+hits of Table II's, and a warm re-run trains nothing (and evaluates
+nothing, unless a corner backend is stochastic: its RNG state depends on
+what ran before, so those evaluations are not cached).  The service
+``dnn`` workload (:mod:`repro.service.workloads`) runs the same train job
+once and fans :func:`evaluate_window` out over test-set windows.
 """
 
 from __future__ import annotations
 
-import copy
 import dataclasses
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -46,10 +42,9 @@ import numpy as np
 from repro.circuits.technology import TechnologyCard, tsmc65_like
 from repro.core.calibration import calibrated_suite
 from repro.core.dse import explore_design_space, select_corners
-from repro.core.metrics import top_k_hits
 from repro.core.model_suite import OptimaModelSuite
 from repro.dnn.datasets import Dataset
-from repro.dnn.evaluation import AccuracyReport
+from repro.dnn.evaluation import AccuracyReport, evaluate_backends
 from repro.dnn.imc_injection import LutBackend, MultiplierBackend
 from repro.dnn.models import (
     build_resnet101_like,
@@ -171,12 +166,7 @@ def corner_backends(
 def _trained_state(
     network: Network, dataset: Dataset, training: TrainingConfig
 ) -> Dict[str, np.ndarray]:
-    """Train / transfer job body: train a copy of ``network``, return its state.
-
-    Training a copy leaves the caller's network as it was under every
-    executor (in process too); the caller loads the returned state.
-    """
-    network = copy.deepcopy(network)
+    """Train job body: train ``network`` in place, return its state."""
     train_network(network, dataset, training)
     return network_state(network)
 
@@ -211,29 +201,19 @@ def train(
     dataset: Dataset,
     training: TrainingConfig,
     engine: Optional[SweepEngine] = None,
-    base_key: Optional[str] = None,
-) -> Optional[str]:
-    """Train ``network`` on ``dataset``, in place.
+) -> None:
+    """Train ``network`` on ``dataset``, in place, as one engine job.
 
-    Without ``engine`` this is a plain
-    :func:`~repro.dnn.training.train_network` call and returns ``None``.
-    With one it runs the cached job and returns the job's key:
-
-    * the **train** job (no ``base_key``) of a freshly built network, keyed
-      by its architecture, its initial weights, the dataset and
-      ``training``;
-    * the **transfer** job of a trained network whose head
-      :func:`~repro.dnn.training.replace_classifier_head` just replaced,
-      keyed by ``base_key`` (what this function returned for the base
-      weights), the new architecture, the dataset and ``training``.
+    ``engine`` defaults to a serial engine with no cache.  With a cache,
+    the job is keyed by the architecture, the network's current state
+    (the initial weights, or base weights plus a fresh head for a
+    transfer training), the dataset and ``training``; a hit loads the
+    cached weights instead of training.
     """
-    if engine is None:
-        train_network(network, dataset, training)
-        return None
-    if base_key is None:
+    engine = engine or SweepEngine()
+    key = None
+    if engine.cache is not None:
         key = job_key("dnn-train", network.summary(), network_state(network), dataset, training)
-    else:
-        key = job_key("dnn-transfer", base_key, network.summary(), dataset, training)
     job = Job(
         fn=_trained_state,
         args=(network, dataset, training),
@@ -243,7 +223,6 @@ def train(
         decode=_artifact_state,
     )
     load_network_state(network, engine.run_one(job))
-    return key
 
 
 def evaluate_window(
@@ -260,45 +239,44 @@ def evaluate_window(
     ``backends``.  When ``backends`` is ``None`` the corner modes use
     :func:`corner_backends` (default technology, ``config.seed``).  The
     INT4 network is calibrated on the first ``config.calibration_samples``
-    training images.  Returns ``{"samples": hi - lo, "<mode>_top1": ...,
-    "<mode>_top5": ...}`` as integers, so window counts add up exactly.
+    training images, then :func:`~repro.dnn.evaluation.evaluate_backends`
+    evaluates the window.  Returns ``{"samples": hi - lo, "<mode>_top1":
+    ..., "<mode>_top5": ...}`` as integers, so window counts add up
+    exactly.
     """
     calibration = dataset.train_images[: config.calibration_samples]
     quantized = quantize_network(network, calibration, QuantizationScheme())
     if backends is None:
         corner_modes = [mode for mode in modes if mode not in ("float32", "int4")]
         backends = corner_backends(seed=config.seed) if corner_modes else {}
-    lo, hi = int(window[0]), int(window[1])
-    images = dataset.test_images[lo:hi]
-    labels = np.asarray(dataset.test_labels)[lo:hi]
-    counts = {"samples": hi - lo}
-    for mode in modes:
-        if mode == "float32":
-            net: Any = network
-        elif mode == "int4":
-            net = quantized
-        else:
-            net = quantized.with_backend(backends[mode], name_suffix=f"-{mode}")
-        scores = net.predict(images, batch_size=EVAL_BATCH_SIZE)
-        counts[f"{mode}_top1"] = top_k_hits(scores, labels, k=1)
-        counts[f"{mode}_top5"] = top_k_hits(scores, labels, k=min(5, scores.shape[1]))
+    reports = evaluate_backends(
+        network,
+        quantized,
+        backends,
+        dataset,
+        batch_size=EVAL_BATCH_SIZE,
+        modes=modes,
+        window=window,
+    )
+    counts = {"samples": int(window[1]) - int(window[0])}
+    for mode, report in reports.items():
+        counts[f"{mode}_top1"] = report.top1_hits
+        counts[f"{mode}_top5"] = report.top5_hits
     return counts
 
 
 def evaluation_job(
-    network: Network,
-    dataset: Dataset,
-    modes: Sequence[str],
-    config: DnnExperimentConfig,
-    window: Tuple[int, int],
-    key: Optional[str],
-    backends: Optional[Dict[str, MultiplierBackend]] = None,
+    fn: Callable[..., Dict[str, int]], args: Tuple[Any, ...], name: str, key: Optional[str]
 ) -> Job:
-    """:func:`evaluate_window` as an engine job whose artifact is the counts."""
+    """An engine job whose result (and cached artifact) is hit counts.
+
+    ``fn(*args)`` returns :func:`evaluate_window`'s counts, usually by
+    calling it.
+    """
     return Job(
-        fn=evaluate_window,
-        args=(network, dataset, tuple(modes), config, tuple(window), backends),
-        name=f"evaluate[{network.name}:{window[0]}:{window[1]}]",
+        fn=fn,
+        args=args,
+        name=name,
         key=key,
         encode=lambda counts: Artifact(
             arrays={name: np.array(value) for name, value in counts.items()}
@@ -348,35 +326,45 @@ def run_dnn_accuracy_experiment(
         (the paper's CIFAR-10 protocol).  When omitted, models are trained
         directly on ``dataset``.
     engine:
-        Optional :class:`~repro.runtime.SweepEngine`: the train, transfer
-        and evaluate jobs then run through it and its artifact cache (see
-        the module docstring).  The hit counts are the same either way.
+        Optional :class:`~repro.runtime.SweepEngine` the train and evaluate
+        jobs run through (see the module docstring); by default a serial
+        one with no cache.  The hit counts are the same either way.
     """
     config = config or DnnExperimentConfig()
+    engine = engine or SweepEngine()
     models = models or model_builders(config.image_size, _head_classes(dataset, base_dataset))
     modes = ("float32", "int4", *backends)
     window = (0, config.evaluation_size(dataset))
-    tables = _lut_tables(backends) if engine is not None else None
+    tables = _lut_tables(backends) if engine.cache is not None else None
 
     results: Dict[str, Dict[str, AccuracyReport]] = {}
     for model_name, builder in models:
         network = builder()
         if base_dataset is not None:
-            key = train(network, base_dataset, config.training(), engine)
+            train(network, base_dataset, config.training(), engine)
             network = replace_classifier_head(network, dataset.classes)
-            key = train(network, dataset, config.transfer_training(), engine, base_key=key)
+            train(network, dataset, config.transfer_training(), engine)
         else:
-            key = train(network, dataset, config.training(), engine)
-        if engine is None:
-            counts = evaluate_window(network, dataset, modes, config, window, backends)
-        else:
-            eval_key = None
-            if tables is not None:
-                eval_key = job_key(
-                    "dnn-evaluate", key, dataset, modes, config.calibration_samples, window, tables
-                )
-            job = evaluation_job(network, dataset, modes, config, window, eval_key, backends)
-            counts = engine.run_one(job)
+            train(network, dataset, config.training(), engine)
+        key = None
+        if tables is not None:
+            key = job_key(
+                "dnn-evaluate",
+                network.summary(),
+                network_state(network),
+                dataset,
+                modes,
+                config.calibration_samples,
+                window,
+                tables,
+            )
+        job = evaluation_job(
+            evaluate_window,
+            (network, dataset, modes, config, window, backends),
+            f"evaluate[{network.name}]",
+            key,
+        )
+        counts = engine.run_one(job)
         samples = counts["samples"]
         results[model_name] = {
             mode: AccuracyReport(
@@ -385,6 +373,8 @@ def run_dnn_accuracy_experiment(
                 top1=counts[f"{mode}_top1"] / samples,
                 top5=counts[f"{mode}_top5"] / samples,
                 samples=samples,
+                top1_hits=counts[f"{mode}_top1"],
+                top5_hits=counts[f"{mode}_top5"],
             )
             for mode in modes
         }

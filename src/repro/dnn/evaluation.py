@@ -9,11 +9,11 @@ one-call comparison used by the table-reproduction benchmarks.
 from __future__ import annotations
 
 import dataclasses
-from typing import Dict, Optional, Union
+from typing import Dict, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from repro.core.metrics import top_k_accuracy
+from repro.core.metrics import top_k_hits
 from repro.dnn.datasets import Dataset
 from repro.dnn.imc_injection import MultiplierBackend
 from repro.dnn.network import Network
@@ -24,13 +24,20 @@ NetworkLike = Union[Network, QuantizedNetwork]
 
 @dataclasses.dataclass
 class AccuracyReport:
-    """Top-1 / top-5 accuracy of one network under one execution mode."""
+    """Top-1 / top-5 accuracy of one network under one execution mode.
+
+    ``top1_hits`` / ``top5_hits`` are the integer counts behind the rates
+    (``None`` for a report built from rates alone); counts of disjoint
+    test-set windows add up exactly.
+    """
 
     model: str
     mode: str
     top1: float
     top5: float
     samples: int
+    top1_hits: Optional[int] = None
+    top5_hits: Optional[int] = None
 
     def as_row(self) -> Dict[str, object]:
         """Row representation used by the table benchmarks."""
@@ -61,14 +68,17 @@ def evaluate_accuracy(
     """Evaluate top-1 / top-``top_k`` accuracy of ``network``."""
     labels = np.asarray(labels)
     scores = network.predict(images, batch_size=batch_size)
-    classes = scores.shape[1]
-    k = min(top_k, classes)
+    samples = int(labels.shape[0])
+    top1_hits = top_k_hits(scores, labels, k=1)
+    top5_hits = top_k_hits(scores, labels, k=min(top_k, scores.shape[1]))
     return AccuracyReport(
         model=getattr(network, "name", "network"),
         mode=mode,
-        top1=top_k_accuracy(scores, labels, k=1),
-        top5=top_k_accuracy(scores, labels, k=k),
-        samples=int(labels.shape[0]),
+        top1=top1_hits / samples,
+        top5=top5_hits / samples,
+        samples=samples,
+        top1_hits=top1_hits,
+        top5_hits=top5_hits,
     )
 
 
@@ -79,11 +89,13 @@ def evaluate_backends(
     dataset: Dataset,
     max_samples: Optional[int] = None,
     batch_size: int = 64,
+    modes: Optional[Sequence[str]] = None,
+    window: Optional[Tuple[int, int]] = None,
 ) -> Dict[str, AccuracyReport]:
-    """Evaluate every execution mode of the paper's Tables II / III.
+    """Evaluate the execution modes of the paper's Tables II / III.
 
-    Returns a mapping from mode name (``"float32"``, ``"int4"`` and one
-    entry per backend) to its accuracy report.
+    Returns a mapping from mode name (by default ``"float32"``, ``"int4"``
+    and one entry per backend) to its accuracy report.
 
     Parameters
     ----------
@@ -99,24 +111,35 @@ def evaluate_backends(
     max_samples:
         Optional cap on the number of evaluated test samples (the LUT
         backends are slower than plain matrix products).
+    modes:
+        Modes to evaluate, in order: ``"float32"``, ``"int4"`` and
+        backend names.  Defaults to all of them.
+    window:
+        Optional ``(lo, hi)``: evaluate only ``test[lo:hi]`` of the
+        (capped) test split.  The reports' hit counts of disjoint windows
+        add up to those of the union.
     """
     images = dataset.test_images
     labels = dataset.test_labels
     if max_samples is not None and images.shape[0] > max_samples:
         images = images[:max_samples]
         labels = labels[:max_samples]
+    if window is not None:
+        lo, hi = window
+        images, labels = images[lo:hi], labels[lo:hi]
+    if modes is None:
+        modes = ("float32", "int4", *backends)
 
     reports: Dict[str, AccuracyReport] = {}
-    reports["float32"] = evaluate_accuracy(
-        float_network, images, labels, mode="float32", batch_size=batch_size
-    )
-    reports["int4"] = evaluate_accuracy(
-        quantized_network, images, labels, mode="int4", batch_size=batch_size
-    )
-    for name, backend in backends.items():
-        corner_network = quantized_network.with_backend(backend, name_suffix=f"-{name}")
-        reports[name] = evaluate_accuracy(
-            corner_network, images, labels, mode=name, batch_size=batch_size
+    for mode in modes:
+        if mode == "float32":
+            network: NetworkLike = float_network
+        elif mode == "int4":
+            network = quantized_network
+        else:
+            network = quantized_network.with_backend(backends[mode], name_suffix=f"-{mode}")
+        reports[mode] = evaluate_accuracy(
+            network, images, labels, mode=mode, batch_size=batch_size
         )
     return reports
 

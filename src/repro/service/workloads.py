@@ -240,6 +240,13 @@ def run_eventsim(params: Dict[str, Any], engine: SweepEngine) -> Dict[str, Any]:
 DNN_MODES = ("float32", "int4", "fom", "power", "variation")
 
 
+def _dnn_config(quick: bool) -> Any:
+    """The ``dnn`` workload's :class:`DnnExperimentConfig` preset."""
+    from repro.analysis.dnn_tables import DnnExperimentConfig
+
+    return DnnExperimentConfig.quick() if quick else DnnExperimentConfig()
+
+
 @functools.lru_cache(maxsize=None)
 def _dnn_dataset(quick: bool) -> Any:
     """The ``dnn`` workload's dataset, generated once per process.
@@ -247,10 +254,9 @@ def _dnn_dataset(quick: bool) -> Any:
     Generating it takes longer than the rest of a warm (all cached)
     request; its arrays are made read-only since every request shares them.
     """
-    from repro.analysis.dnn_tables import DnnExperimentConfig
     from repro.dnn.datasets import imagenet_like
 
-    config = DnnExperimentConfig.quick() if quick else DnnExperimentConfig()
+    config = _dnn_config(quick)
     dataset = imagenet_like(
         image_size=config.image_size,
         train_per_class=config.train_per_class,
@@ -259,6 +265,29 @@ def _dnn_dataset(quick: bool) -> Any:
     for array in (dataset.train_images, dataset.train_labels, dataset.test_images, dataset.test_labels):
         array.setflags(write=False)
     return dataset
+
+
+def _dnn_network(model: str, quick: bool) -> Any:
+    """A freshly built (untrained) ``model`` for the ``dnn`` workload."""
+    from repro.analysis.dnn_tables import model_builders
+
+    builders = dict(model_builders(_dnn_config(quick).image_size, _dnn_dataset(quick).classes))
+    return builders[model]()
+
+
+def _evaluate_shard(model: str, modes: tuple, quick: bool, window: tuple, state: Any) -> Dict[str, int]:
+    """Module-level shard body: hit counts of the trained model on ``window``.
+
+    Only the trained ``state`` travels with the job; the network and the
+    dataset are rebuilt where the shard runs, so a shard's cluster message
+    stays small at any dataset size.
+    """
+    from repro.analysis.dnn_tables import evaluate_window
+    from repro.dnn.network import load_network_state
+
+    network = _dnn_network(model, quick)
+    load_network_state(network, state)
+    return evaluate_window(network, _dnn_dataset(quick), modes, _dnn_config(quick), window)
 
 
 @register_workload("dnn")
@@ -275,20 +304,26 @@ def run_dnn(params: Dict[str, Any], engine: SweepEngine) -> Dict[str, Any]:
     The model's train job (:func:`repro.analysis.dnn_tables.train`) runs
     once through the engine, so N shards cost one training and a later
     request for the same model, with any modes, loads the cached weights.
-    Each shard is :func:`~repro.analysis.dnn_tables.evaluate_window` on
-    one window of the effective test set, keyed by the request's modes;
-    the merged top-1 / top-5 accuracies are sums of integer hit counts,
-    bit-identical to one evaluation of the full test set for any shard
-    count.
+    Each shard evaluates one window of the effective test set with
+    :func:`~repro.analysis.dnn_tables.evaluate_window`, keyed by the
+    request's modes; the merged top-1 / top-5 accuracies are sums of
+    integer hit counts, bit-identical to one evaluation of the full test
+    set for any shard count.
+
+    Placement, a known cost: the train job is a one-job sweep, which
+    every executor (the distributed one included) runs in the calling
+    process.  A cold request therefore trains in the service process, on
+    the thread serving it, while that process also serves every other
+    request: ~0.3 s for a quick VGG16, ~7 s with ``quick=False`` (2-core
+    host), and the service's peak memory then holds the training (VmHWM
+    46 -> 106 MB for one ``quick=False`` VGG16 request).  Only the
+    evaluation shards, which carry just the trained state, reach cluster
+    workers.
     """
     import numpy as np
 
-    from repro.analysis.dnn_tables import (
-        DnnExperimentConfig,
-        evaluation_job,
-        model_builders,
-        train,
-    )
+    from repro.analysis.dnn_tables import evaluation_job, train
+    from repro.dnn.network import network_state
     from repro.runtime import SweepSpec, job_key
 
     model = str(params.get("model", "VGG16"))
@@ -305,22 +340,21 @@ def run_dnn(params: Dict[str, Any], engine: SweepEngine) -> Dict[str, Any]:
     if shards < 1:
         raise ValueError("shards must be at least 1")
 
-    config = DnnExperimentConfig.quick() if quick else DnnExperimentConfig()
+    config = _dnn_config(quick)
     dataset = _dnn_dataset(quick)
-    network = dict(model_builders(config.image_size, dataset.classes))[model]()
+    network = _dnn_network(model, quick)
     train(network, dataset, config.training(), engine)
+    state = network_state(network)
     total = config.evaluation_size(dataset)
     shards = min(shards, total)
     bounds = np.linspace(0, total, shards + 1, dtype=int)
     windows = [(int(bounds[index]), int(bounds[index + 1])) for index in range(shards)]
     jobs = [
         evaluation_job(
-            network,
-            dataset,
-            modes,
-            config,
-            window,
-            key=job_key("service-dnn", model, modes, quick, window),
+            _evaluate_shard,
+            (model, modes, quick, window, state),
+            f"dnn[{model}:{window[0]}:{window[1]}]",
+            job_key("service-dnn", model, modes, quick, window),
         )
         for window in windows
     ]

@@ -681,6 +681,31 @@ class TestDnnWorkload:
         assert permuted[0].payload["reports"] == whole[0].payload["reports"]
         assert permuted[0].payload["reports"] == cold[0].payload["reports"]
 
+    def test_shard_jobs_carry_only_the_trained_state(self):
+        """A shard ships the trained weights, never the network or the
+        dataset, so its cluster message stays small at any dataset size."""
+        import pickle
+
+        from repro.dnn.network import network_state
+        from repro.runtime import SerialExecutor
+        from repro.service.workloads import _dnn_network, run_dnn
+
+        shard_jobs = []
+
+        class Recording(SerialExecutor):
+            def execute(self, jobs, *args, **kwargs):
+                shard_jobs.extend(job for job in jobs if job.name.startswith("dnn["))
+                return super().execute(jobs, *args, **kwargs)
+
+        run_dnn({"model": "VGG16", "shards": 2}, SweepEngine(executor=Recording()))
+        assert len(shard_jobs) == 2
+        model, modes, quick, window, state = shard_jobs[0].args
+        assert (model, modes, quick, window) == ("VGG16", ("float32", "int4"), True, (0, 60))
+        assert state.keys() == network_state(_dnn_network("VGG16", True)).keys()
+        state_bytes = sum(value.nbytes for value in state.values())
+        for job in shard_jobs:
+            assert len(pickle.dumps(job.args)) < state_bytes + 4096
+
     def test_dnn_rejects_unknown_model_and_mode(self, tmp_path):
         async def scenario():
             engine = SweepEngine(cache=ArtifactCache(tmp_path))
