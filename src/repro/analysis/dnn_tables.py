@@ -60,9 +60,6 @@ from repro.multiplier.imac import InSramMultiplier
 from repro.multiplier.lut import ProductLookupTable
 from repro.runtime import Artifact, Job, SweepEngine, job_key
 
-#: Test-set batch size of every evaluation.
-EVAL_BATCH_SIZE = 64
-
 
 @dataclasses.dataclass
 class DnnExperimentConfig:
@@ -249,15 +246,7 @@ def evaluate_window(
     if backends is None:
         corner_modes = [mode for mode in modes if mode not in ("float32", "int4")]
         backends = corner_backends(seed=config.seed) if corner_modes else {}
-    reports = evaluate_backends(
-        network,
-        quantized,
-        backends,
-        dataset,
-        batch_size=EVAL_BATCH_SIZE,
-        modes=modes,
-        window=window,
-    )
+    reports = evaluate_backends(network, quantized, backends, dataset, modes=modes, window=window)
     counts = {"samples": int(window[1]) - int(window[0])}
     for mode, report in reports.items():
         counts[f"{mode}_top1"] = report.top1_hits

@@ -87,7 +87,6 @@ def evaluate_backends(
     quantized_network: QuantizedNetwork,
     backends: Dict[str, MultiplierBackend],
     dataset: Dataset,
-    max_samples: Optional[int] = None,
     batch_size: int = 64,
     modes: Optional[Sequence[str]] = None,
     window: Optional[Tuple[int, int]] = None,
@@ -108,22 +107,16 @@ def evaluate_backends(
         Mapping from corner name to multiplier backend.
     dataset:
         Dataset whose test split is evaluated.
-    max_samples:
-        Optional cap on the number of evaluated test samples (the LUT
-        backends are slower than plain matrix products).
     modes:
         Modes to evaluate, in order: ``"float32"``, ``"int4"`` and
         backend names.  Defaults to all of them.
     window:
-        Optional ``(lo, hi)``: evaluate only ``test[lo:hi]`` of the
-        (capped) test split.  The reports' hit counts of disjoint windows
-        add up to those of the union.
+        Optional ``(lo, hi)``: evaluate only ``test[lo:hi]`` (the LUT
+        backends are slower than plain matrix products).  The reports'
+        hit counts of disjoint windows add up to those of the union.
     """
     images = dataset.test_images
     labels = dataset.test_labels
-    if max_samples is not None and images.shape[0] > max_samples:
-        images = images[:max_samples]
-        labels = labels[:max_samples]
     if window is not None:
         lo, hi = window
         images, labels = images[lo:hi], labels[lo:hi]
