@@ -20,7 +20,7 @@ dispatch schedule, work stealing or worker deaths along the way.
 
 Layout::
 
-    protocol.py     cluster wire messages + pickled job/result transport
+    protocol.py     cluster wire messages: pickled jobs out, binary results back
     coordinator.py  Coordinator: registration, heartbeats, span queues,
                     adaptive chunk sizing (EWMA telemetry x chunk_window),
                     straggler splits, work stealing, retry-on-worker-death,

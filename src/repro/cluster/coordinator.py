@@ -52,8 +52,11 @@ sweeps; the full design rationale lives in ``docs/scheduling.md``):
   :class:`~repro.runtime.SweepCancelled` at the submitting call site.
 
 A job that *raises* on a worker is a run failure, not a worker failure: the
-original exception travels back pickled and re-raises at the submitting
-call site, exactly as under the serial executor.
+exception's type name and message travel back and re-raise at the
+submitting call site — as the same built-in type where there is one,
+otherwise as ``RuntimeError("Type: message")``.  Results come back as
+pickle-free binary frames: the coordinator never unpickles a worker's
+bytes.
 
 The coordinator never sees the artifact cache: :class:`repro.runtime.SweepEngine`
 resolves cache hits *before* handing jobs to any executor, so warm shards
@@ -64,10 +67,8 @@ from __future__ import annotations
 
 import asyncio
 import dataclasses
-import hashlib
 import itertools
 import time
-from multiprocessing import shared_memory
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro import obs, wire
@@ -119,63 +120,6 @@ _CHUNK_SECONDS = obs.histogram(
     "repro_cluster_chunk_seconds",
     "Dispatch-to-completion wall time of cluster chunks.",
 )
-
-
-def _consume_shm_payload(message: Dict[str, Any]) -> bytes:
-    """Copy a shared-memory completion's payload out and free the segment.
-
-    Attaches the worker-created segment named in the frame, verifies the
-    declared SHA-256 digest over the declared ``size`` bytes, then closes
-    *and unlinks* it — unlink-after-copy is the coordinator's half of the
-    cleanup contract (the worker tolerates the resulting
-    ``FileNotFoundError`` at its own teardown).  Any mismatch raises
-    :class:`ClusterError` after the segment has still been released, so a
-    corrupt handoff cannot leak /dev/shm space.
-    """
-    name = str(message.get("shm"))
-    declared_digest = str(message.get("digest", ""))
-    size = int(message.get("size", -1))
-    if size < 0 or size > wire.MAX_BINARY_BYTES:
-        raise ClusterError(f"shared-memory completion declares bad size {size}")
-    try:
-        segment = shared_memory.SharedMemory(name=name)
-    except (OSError, ValueError) as error:
-        raise ClusterError(f"cannot attach shared memory {name!r}: {error}") from None
-    try:
-        if segment.size < size:
-            raise ClusterError(
-                f"shared memory {name!r} holds {segment.size} bytes, "
-                f"{size} declared"
-            )
-        payload = bytes(segment.buf[:size])
-    finally:
-        segment.close()
-        try:
-            segment.unlink()
-        except FileNotFoundError:  # repro: ignore[REPRO-ERR01] -- the worker already unlinked; nothing left to release
-            pass
-    if hashlib.sha256(payload).hexdigest() != declared_digest:
-        raise ClusterError(f"shared memory {name!r} failed digest verification")
-    return payload
-
-
-def _decode_chunk_results(message: Dict[str, Any]) -> List[Any]:
-    """Decode a ``chunk_done`` frame's results, whatever their transport.
-
-    Protocol v5 binary completions carry ``arrays`` specs plus either an
-    attached socket payload or a shared-memory reference; anything else is
-    the legacy pickled ``results`` field.  Raises :class:`ClusterError` or
-    :class:`repro.wire.ProtocolError` on any inconsistency.
-    """
-    if "arrays" in message:
-        if "shm" in message:
-            payload = _consume_shm_payload(message)
-        else:
-            payload = message.get(wire.PAYLOAD_KEY)
-            if not isinstance(payload, (bytes, bytearray, memoryview)):
-                raise ClusterError("binary completion without an attached payload")
-        return list(wire.unpack_arrays(message["arrays"], bytes(payload)))
-    return protocol.unpack_results(str(message.get("results", "")))
 
 
 class ClusterError(RuntimeError):
@@ -790,24 +734,6 @@ class Coordinator:
         thief.queue.extend(reversed(rest))
         return first
 
-    def _refit_chunk(self, chunk: _Chunk) -> Tuple[_Span, _Span]:
-        """Halve an over-limit chunk (either wire direction).
-
-        The single place refit policy lives: learns the run's frame-size
-        cap, counts the refit, and returns the two replacement spans —
-        callers differ only in where they enqueue them.
-        """
-        middle = (chunk.start + chunk.stop) // 2
-        half = max(1, len(chunk) // 2)
-        run = chunk.run
-        if run.max_chunk_jobs is None or half < run.max_chunk_jobs:
-            run.max_chunk_jobs = half
-        self.stats.inc("chunks_refitted")
-        return (
-            _Span(run, chunk.start, middle, chunk.attempts),
-            _Span(run, middle, chunk.stop, chunk.attempts),
-        )
-
     def _target_chunk_jobs(self, link: _WorkerLink, run: _Run) -> int:
         """Jobs the next chunk for ``link`` should carry.
 
@@ -887,9 +813,13 @@ class Coordinator:
                     # chunks from a span; a static chunksize can be set too
                     # big for fat jobs).  Halve and requeue: O(log) retries
                     # converge on a dispatchable size or on single jobs.
-                    head, tail = self._refit_chunk(chunk)
-                    link.queue.appendleft(tail)
-                    link.queue.appendleft(head)
+                    run, middle = chunk.run, (chunk.start + chunk.stop) // 2
+                    half = len(chunk) // 2
+                    if run.max_chunk_jobs is None or half < run.max_chunk_jobs:
+                        run.max_chunk_jobs = half
+                    self.stats.inc("chunks_refitted")
+                    link.queue.appendleft(_Span(run, middle, chunk.stop, chunk.attempts))
+                    link.queue.appendleft(_Span(run, chunk.start, middle, chunk.attempts))
                     continue
                 # A single job that cannot be dispatched (unpicklable, or
                 # alone over the frame limit): that is the *sweep's*
@@ -1297,12 +1227,22 @@ class Coordinator:
                 ),
             )
             return None
+        slots, pid = message.get("slots"), message.get("pid")
+        if not (type(slots) is int and slots >= 1 and type(pid) is int and pid >= 0):
+            await self._send_raw(
+                writer,
+                protocol.error_event(
+                    f"malformed hello: slots must be an integer >= 1 and pid an "
+                    f"integer >= 0, got slots={slots!r:.40}, pid={pid!r:.40}"
+                ),
+            )
+            return None
         worker_id = f"w{next(self._worker_ids)}"
         link = _WorkerLink(
             worker_id,
             name=str(message.get("name", worker_id)),
-            pid=int(message.get("pid", 0)),
-            slots=int(message.get("slots", 1)),
+            pid=pid,
+            slots=slots,
             writer=writer,
         )
         self._links[worker_id] = link
@@ -1327,20 +1267,9 @@ class Coordinator:
         settled_at = time.monotonic()
         busy_integral = self.telemetry.chunk_settled(link.id, settled_at)
         try:
-            results = _decode_chunk_results(message)
-        except Exception as error:
+            results = protocol.chunk_done_results(message)
+        except wire.ProtocolError as error:
             chunk.run.fail(ClusterError(f"undecodable results for {chunk.id}: {error}"))
-            return
-        count = message.get("count")
-        if count is not None and int(count) != len(results):
-            # The declared count is the spec's partial-ack invariant; a
-            # frame whose payload disagrees with it is corrupt transport.
-            chunk.run.fail(
-                ClusterError(
-                    f"chunk {chunk.id} declared count={count} but carried "
-                    f"{len(results)} results"
-                )
-            )
             return
         if len(results) != len(chunk):
             # A granted split truncated the coordinator-side chunk via the
@@ -1446,24 +1375,7 @@ class Coordinator:
             self.stats.inc("duplicate_results")
             return
         self.telemetry.chunk_settled(link.id, time.monotonic())
-        if (
-            message.get("code") == protocol.RESULTS_OVERFLOW
-            and len(chunk) > 1
-            and not chunk.run.done
-        ):
-            # Transport, not job, failure: the chunk's pickled results do
-            # not fit one frame.  Symmetric to the dispatch-side refit —
-            # halve, learn the run's size cap and requeue; re-running the
-            # (deterministic) jobs at a smaller size reproduces the same
-            # values.  A single job whose results alone overflow falls
-            # through to the failure path below.
-            self._distribute(list(self._refit_chunk(chunk)))
-            self._kick.set()
-            return
-        error = protocol.unpack_exception(
-            message.get("exception"), str(message.get("error", "job failed on worker"))
-        )
-        chunk.run.fail(error)
+        chunk.run.fail(protocol.chunk_failed_error(message))
         self._kick.set()
 
     # ------------------------------------------------------------------

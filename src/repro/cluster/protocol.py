@@ -12,49 +12,35 @@ to a :class:`~repro.cluster.coordinator.Coordinator`:
     Registration.  The coordinator answers ``welcome`` (assigning the
     worker id and the heartbeat interval) or ``error`` (protocol or code
     version mismatch — a worker running different code must never compute
-    shards, the results would not be bit-identical).
+    shards, the results would not be bit-identical — or a ``slots`` that
+    is not an integer >= 1, or a ``pid`` that is not an integer >= 0).
 ``{"op": "heartbeat", "worker": <id>}``
     Periodic liveness beacon; a worker silent for longer than the
     coordinator's heartbeat timeout is declared dead and its chunks are
     reassigned.
-``{"op": "chunk_done", "chunk": <id>, "results": <blob>, "count": N,
-   ["trace": <id>]}``
-    One finished chunk; ``results`` is the pickled result list
-    (:func:`pack_results`) and ``count`` its length.  After a granted
-    ``split`` this is a **partial-completion ack**: ``count`` equals the
-    ``kept`` value of the preceding ``split_ack`` and the results cover
-    only the kept prefix of the chunk's jobs.  ``trace`` echoes the
-    optional observability id the chunk was dispatched with.
-``{"op": "chunk_done", "chunk": <id>, "count": N, "arrays": [...],
-   "binary": B, ...payload...}``
-    Protocol v5 **binary completion**: when every result in the chunk is a
-    NumPy array, the worker ships them as one :mod:`repro.wire` binary
-    frame — ``arrays`` carries the dtype/shape specs
-    (:func:`repro.wire.pack_arrays`) and the ``B`` raw payload bytes
-    follow the header line.  No ``results`` field; the coordinator
-    rebuilds the arrays zero-copy with :func:`repro.wire.unpack_arrays`.
-``{"op": "chunk_done", "chunk": <id>, "count": N, "arrays": [...],
-   "shm": <name>, "digest": <sha256 hex>, "size": B}``
-    Protocol v5 **shared-memory completion** (same-host workers only): the
-    payload bytes live in the named ``multiprocessing.shared_memory``
-    segment instead of crossing the socket.  The coordinator attaches,
-    verifies the SHA-256 ``digest`` over the ``size`` payload bytes,
-    copies the results out and unlinks the segment; the worker keeps its
-    handle until shutdown so a coordinator crash cannot leak the segment.
+``{"op": "chunk_done", "chunk": <id>, "count": N, "values": <skeleton>,
+   "arrays": [...], "binary": B, ["trace": <id>]}``
+    One finished chunk, as one :mod:`repro.wire` binary frame: the
+    result list is packed by :func:`repro.wire.pack_values` — ``values``
+    is its JSON skeleton, ``arrays`` the dtype/shape specs of the ``B``
+    raw payload bytes that follow the header line — and ``count`` is its
+    length.  After a granted ``split`` this is a **partial-completion
+    ack**: ``count`` equals the ``kept`` value of the preceding
+    ``split_ack`` and the results cover only the kept prefix of the
+    chunk's jobs.  ``trace`` echoes the optional observability id the
+    chunk was dispatched with.
 ``{"op": "split_ack", "chunk": <id>, "kept": K}``
     Answer to a coordinator ``split`` event (protocol v3).  ``K`` is the
     number of leading jobs the worker keeps (already started jobs can
     never be handed back, so ``K >= jobs started``); the coordinator
     reassigns the chunk's unstarted tail.  ``kept: null`` declines the
     split — the chunk already finished or was never held.
-``{"op": "chunk_failed", "chunk": <id>, "error": ..., "exception": <blob>,
-   ["code": "results_overflow"]}``
-    A job *raised* on the worker (distinct from the worker dying).  The
-    coordinator fails the whole sweep with the unpickled exception, exactly
-    as the serial executor would have propagated it.  Exception: with
-    ``code: "results_overflow"`` (the chunk's pickled results exceed the
-    frame limit) and more than one job in the chunk, the coordinator
-    *refits* — halves and requeues the chunk — instead of failing.
+``{"op": "chunk_failed", "chunk": <id>, "type": <name>, "message": <text>}``
+    A job *raised* on the worker (distinct from the worker dying), or the
+    chunk's results cannot cross the wire (an unsupported type, or a
+    payload over :data:`repro.wire.MAX_BINARY_BYTES`).  The coordinator
+    fails the whole sweep: a built-in exception type is re-raised by
+    name, anything else as ``RuntimeError("Type: message")``.
 
 **Control clients** (``python -m repro cluster status``):
 
@@ -91,42 +77,39 @@ Coordinator -> worker events:
                 a harmless duplicate and discarded.
 ``shutdown``  — drain and exit; also implied by end-of-stream.
 
-Job chunks (and results that are not plain NumPy arrays) cross the wire as
-base64-wrapped pickles inside the JSON frame.  That keeps the framing
-uniform (and debuggable) while letting arbitrary job arguments —
-technology cards, multiplier objects, NumPy seeds — travel to the
-workers.  All-array chunk results take the protocol-v5 binary frame
-instead: raw dtype/shape-tagged buffers with no base64 inflation and no
-pickling, optionally handed over through shared memory on the same host.
-Pickle implies *trusted peers only*: the
-coordinator binds loopback by default, and deployments that spread workers
-across hosts are expected to run inside one trust domain (the same stance
-``multiprocessing`` takes).  Cache codecs (``encode`` / ``decode``) are
-stripped before pickling: artifact caching is resolved coordinator-side
-(see :class:`repro.runtime.SweepEngine`), so workers only ever see cache
-misses and lambda codecs never break job transport.
+Job chunks cross the wire as base64-wrapped pickles inside the JSON
+frame, which lets arbitrary job arguments — technology cards, multiplier
+objects, NumPy seeds — travel to the workers.  Pickle implies *trusted
+peers only* on the worker side: the coordinator binds loopback by
+default, and deployments that spread workers across hosts are expected
+to run inside one trust domain (the same stance ``multiprocessing``
+takes).  The coordinator itself never unpickles a worker's bytes:
+results and errors come back pickle-free.  Cache codecs (``encode`` /
+``decode``) are stripped before pickling: artifact caching is resolved
+coordinator-side (see :class:`repro.runtime.SweepEngine`), so workers
+only ever see cache misses and lambda codecs never break job transport.
 """
 
 from __future__ import annotations
 
 import base64
+import builtins
 import dataclasses
 import pickle
-from typing import Any, Dict, List, Optional, Sequence
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
+from repro import wire
 from repro.runtime.jobs import Job
 
 #: Bumped on incompatible cluster-wire changes; checked during ``hello``.
 #: Version 2 added the ``cancel`` event (coordinator -> worker chunk
 #: revocation for cancelled runs).  Version 3 added the adaptive-scheduler
 #: frames: the ``split`` event, the ``split_ack`` / partial ``chunk_done``
-#: acks, and the ``count`` field on ``chunk_done``.  Version 5 added the
-#: binary ``chunk_done`` completions (raw array payloads via
-#: :mod:`repro.wire` binary frames) and the same-host shared-memory
-#: handoff (``shm`` / ``digest`` / ``size`` fields); version 4 was skipped
-#: so both wire tiers — this protocol and the service protocol — advertise
-#: the same version for the shared binary-frame substrate.
-CLUSTER_PROTOCOL_VERSION = 5
+#: acks, and the ``count`` field on ``chunk_done``.  Version 5 added binary
+#: ``chunk_done`` completions for all-array results.  Version 6 makes every
+#: ``chunk_done`` one pickle-free binary frame (:func:`repro.wire.pack_values`)
+#: and ``chunk_failed`` a typed ``{type, message}`` error.
+CLUSTER_PROTOCOL_VERSION = 6
 
 #: Worker -> coordinator ``op`` vocabulary.  Like the service tuples in
 #: :mod:`repro.service.protocol`, these are pinned three ways: documented
@@ -154,16 +137,8 @@ COORDINATOR_EVENTS = (
 
 
 # ----------------------------------------------------------------------
-# Pickle transport helpers
+# Job transport (the one pickle on the wire: coordinator -> worker)
 # ----------------------------------------------------------------------
-def _pack(payload: Any) -> str:
-    return base64.b64encode(pickle.dumps(payload, protocol=pickle.HIGHEST_PROTOCOL)).decode("ascii")
-
-
-def _unpack(blob: str) -> Any:
-    return pickle.loads(base64.b64decode(blob.encode("ascii")))
-
-
 def pack_jobs(jobs: Sequence[Job]) -> str:
     """Serialise a chunk of jobs for the wire.
 
@@ -174,42 +149,13 @@ def pack_jobs(jobs: Sequence[Job]) -> str:
     executor imposes.
     """
     stripped = [dataclasses.replace(job, key=None, encode=None, decode=None) for job in jobs]
-    return _pack(stripped)
+    blob = pickle.dumps(stripped, protocol=pickle.HIGHEST_PROTOCOL)
+    return base64.b64encode(blob).decode("ascii")
 
 
 def unpack_jobs(blob: str) -> List[Job]:
     """Deserialise a :func:`pack_jobs` chunk."""
-    return list(_unpack(blob))
-
-
-def pack_results(results: Sequence[Any]) -> str:
-    """Serialise a chunk's result list for the wire."""
-    return _pack(list(results))
-
-
-def unpack_results(blob: str) -> List[Any]:
-    """Deserialise a :func:`pack_results` list."""
-    return list(_unpack(blob))
-
-
-def pack_exception(error: BaseException) -> str:
-    """Serialise a job exception (best effort — falls back to the repr)."""
-    try:
-        return _pack(error)
-    except Exception:
-        return _pack(RuntimeError(f"{type(error).__name__}: {error}"))
-
-
-def unpack_exception(blob: Optional[str], message: str) -> BaseException:
-    """Recover a job exception; a transport failure degrades to RuntimeError."""
-    if blob:
-        try:
-            recovered = _unpack(blob)
-            if isinstance(recovered, BaseException):
-                return recovered
-        except Exception:  # repro: ignore[REPRO-ERR01] -- documented degradation: an undecodable exception blob falls back to the RuntimeError below
-            pass
-    return RuntimeError(message)
+    return list(pickle.loads(base64.b64decode(blob.encode("ascii"))))
 
 
 # ----------------------------------------------------------------------
@@ -248,68 +194,46 @@ def chunk_event(
     return message
 
 
-def chunk_done_request(
+def chunk_done_frame(
     chunk_id: str, results: Sequence[Any], trace: Optional[str] = None
-) -> Dict[str, Any]:
-    """Completion ack; ``count`` < the dispatched job count after a split.
+) -> Tuple[Dict[str, Any], bytes]:
+    """Header and payload of one completion (send with :func:`repro.wire.encode_binary`).
 
-    ``trace`` echoes the optional trace id of the ``chunk`` event that
-    dispatched this work (omitted from the frame when ``None``)."""
-    message = {
-        "op": "chunk_done",
-        "chunk": chunk_id,
-        "results": pack_results(results),
-        "count": len(results),
-    }
-    if trace is not None:
-        message["trace"] = trace
-    return message
-
-
-def chunk_done_binary_header(
-    chunk_id: str,
-    specs: Sequence[Dict[str, Any]],
-    count: int,
-    trace: Optional[str] = None,
-) -> Dict[str, Any]:
-    """Header of a protocol-v5 binary completion.
-
-    The worker encodes this with :func:`repro.wire.encode_binary` around
-    the :func:`repro.wire.pack_arrays` payload; ``specs`` is the codec's
-    dtype/shape list and ``count`` the number of results (== number of
-    arrays).  No ``results`` field rides along — the payload *is* the
-    result list."""
+    ``count`` < the dispatched job count after a split.  ``trace`` echoes
+    the optional trace id of the ``chunk`` event that dispatched this
+    work (omitted from the frame when ``None``).  Raises
+    :class:`repro.wire.ProtocolError` for a result the value codec cannot
+    carry.
+    """
+    skeleton, specs, payload = wire.pack_values(list(results))
     message: Dict[str, Any] = {
         "op": "chunk_done",
         "chunk": chunk_id,
-        "count": int(count),
-        "arrays": list(specs),
+        "count": len(results),
+        "values": skeleton,
+        "arrays": specs,
     }
     if trace is not None:
         message["trace"] = trace
-    return message
+    return message, payload
 
 
-def chunk_done_shm_request(
-    chunk_id: str,
-    specs: Sequence[Dict[str, Any]],
-    count: int,
-    shm_name: str,
-    digest: str,
-    size: int,
-    trace: Optional[str] = None,
-) -> Dict[str, Any]:
-    """Protocol-v5 shared-memory completion (same-host workers only).
+def chunk_done_results(message: Dict[str, Any]) -> List[Any]:
+    """Decode a received ``chunk_done`` frame back into its result list.
 
-    The array payload lives in the named shared-memory segment rather
-    than following the header on the socket; ``digest`` is the SHA-256
-    hex digest over the ``size`` payload bytes, verified by the
-    coordinator before the results are trusted."""
-    message = chunk_done_binary_header(chunk_id, specs, count, trace)
-    message["shm"] = shm_name
-    message["digest"] = digest
-    message["size"] = int(size)
-    return message
+    Raises :class:`repro.wire.ProtocolError` when the frame carries no
+    payload, the codec rejects it, or it disagrees with its ``count``.
+    """
+    payload = message.get(wire.PAYLOAD_KEY)
+    if not isinstance(payload, bytes):
+        raise wire.ProtocolError("chunk_done without a binary payload")
+    results = wire.unpack_values(message.get("values"), message.get("arrays"), payload)
+    if type(results) is not list or message.get("count") != len(results):
+        raise wire.ProtocolError(
+            f"chunk_done declared count={message.get('count')!r} but carried "
+            f"{len(results) if type(results) is list else 'no'} results"
+        )
+    return results
 
 
 def split_event(chunk_id: str, keep: int) -> Dict[str, Any]:
@@ -328,24 +252,40 @@ def split_ack_request(chunk_id: str, kept: Optional[int]) -> Dict[str, Any]:
     return {"op": "split_ack", "chunk": chunk_id, "kept": kept}
 
 
-#: ``chunk_failed`` code marking a *transport* failure (results frame over
-#: the wire limit) rather than a job failure: the coordinator refits the
-#: chunk smaller instead of failing the sweep (unless it is a single job).
-RESULTS_OVERFLOW = "results_overflow"
-
-
-def chunk_failed_request(
-    chunk_id: str, error: BaseException, code: Optional[str] = None
-) -> Dict[str, Any]:
-    message: Dict[str, Any] = {
+def chunk_failed_request(chunk_id: str, error: BaseException) -> Dict[str, Any]:
+    return {
         "op": "chunk_failed",
         "chunk": chunk_id,
-        "error": f"{type(error).__name__}: {error}",
-        "exception": pack_exception(error),
+        "type": type(error).__name__,
+        "message": str(error),
     }
-    if code is not None:
-        message["code"] = code
-    return message
+
+
+def chunk_failed_error(message: Dict[str, Any]) -> Exception:
+    """The exception a ``chunk_failed`` frame re-raises at the call site.
+
+    Built-in exception types come back by name; anything else (or a type
+    that cannot be built from one message) as ``RuntimeError("Type:
+    message")``.  Nothing is unpickled.
+
+    >>> chunk_failed_error(chunk_failed_request("c1", ValueError("bad seed")))
+    ValueError('bad seed')
+    >>> chunk_failed_error({"type": "ClusterError", "message": "lost"})
+    RuntimeError('ClusterError: lost')
+    """
+    name, text = str(message.get("type")), str(message.get("message"))
+    cls = getattr(builtins, name, None)
+    # asyncio futures refuse StopIteration-family exceptions.
+    if (
+        isinstance(cls, type)
+        and issubclass(cls, Exception)
+        and not issubclass(cls, (StopIteration, StopAsyncIteration))
+    ):
+        try:
+            return cls(text)
+        except TypeError:  # e.g. UnicodeDecodeError takes five arguments
+            pass
+    return RuntimeError(f"{name}: {text}")
 
 
 def cancel_event(chunk_id: str) -> Dict[str, Any]:

@@ -8,8 +8,10 @@ its pid, slot count and code version, and then loops:
 * ``chunk`` events are unpacked into :class:`~repro.runtime.jobs.Job`
   lists and executed on a thread pool sized to the worker's ``slots``
   (one chunk per slot in flight; the coordinator never over-commits);
-* results go back as one ``chunk_done`` per chunk, pickled;
-* a job that raises reports ``chunk_failed`` with the pickled exception —
+* results go back as one ``chunk_done`` binary frame per chunk, packed by
+  the pickle-free value codec (:func:`repro.wire.pack_values`);
+* a job that raises reports ``chunk_failed`` with the exception's type
+  name and message —
   the *worker survives* and keeps serving other chunks, the *sweep* fails
   at the submitting call site exactly as it would under the serial
   executor;
@@ -36,58 +38,17 @@ free to live on other hosts.
 from __future__ import annotations
 
 import asyncio
-import hashlib
-import ipaddress
 import os
 import socket
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
-from multiprocessing import shared_memory
 from typing import Any, Dict, List, Optional, Tuple
-
-import numpy as np
 
 from repro import obs, wire
 from repro.cluster import protocol
 from repro.runtime.executors import SweepCancelled
 from repro.runtime.jobs import Job, code_version
-
-#: Array payloads at least this large take the same-host shared-memory
-#: handoff instead of the socket (loopback coordinators only).  Below it
-#: the segment setup costs more than the copy it saves.  Overridable with
-#: the ``REPRO_SHM_MIN_BYTES`` environment variable; a negative value
-#: disables the handoff entirely (useful in tests and constrained
-#: containers without a usable /dev/shm).
-SHM_MIN_BYTES = 1024 * 1024
-
-
-def _shm_min_bytes() -> Optional[int]:
-    """The effective SHM threshold; ``None`` when the handoff is disabled."""
-    raw = os.environ.get("REPRO_SHM_MIN_BYTES")
-    if raw is None:
-        return SHM_MIN_BYTES
-    try:
-        value = int(raw)
-    except ValueError:
-        return SHM_MIN_BYTES
-    return None if value < 0 else value
-
-
-def _is_loopback(host: str) -> bool:
-    """True when the coordinator endpoint is on this host (loopback).
-
-    >>> _is_loopback("127.0.0.1"), _is_loopback("localhost")
-    (True, True)
-    >>> _is_loopback("192.0.2.7"), _is_loopback("coordinator-host")
-    (False, False)
-    """
-    if host == "localhost":
-        return True
-    try:
-        return ipaddress.ip_address(host).is_loopback
-    except ValueError:
-        return False  # a DNS name other than localhost: assume remote
 
 # Worker-process metrics, scraped from the worker's own --metrics-port
 # endpoint (workers are separate processes; the coordinator's registry
@@ -250,94 +211,6 @@ class Worker:
         self.metrics_port = metrics_port
         self.worker_id: Optional[str] = None
         self.chunks_done = 0
-        # Shared-memory handoff: only offered to loopback coordinators
-        # (same host by construction).  Segments this worker created and
-        # has not yet torn down, keyed by name — the worker keeps its
-        # handle until shutdown so a coordinator crash between the
-        # chunk_done and the attach cannot leak the segment.
-        self._shm_enabled = _is_loopback(host)
-        self._shm_segments: Dict[str, shared_memory.SharedMemory] = {}
-
-    def _encode_chunk_done(
-        self, chunk_id: str, results: List[Any], trace: Optional[str]
-    ) -> bytes:
-        """Encode one completion, choosing the richest transport available.
-
-        All-array result lists take the protocol-v5 binary frame — raw
-        dtype/shape-tagged buffers, no base64 and no pickling; payloads of
-        at least :data:`SHM_MIN_BYTES` bound for a loopback coordinator
-        ride the shared-memory handoff instead of the socket.  Anything
-        else keeps the pickled ``results`` field.  Raises
-        :class:`repro.wire.ProtocolError` when the payload exceeds its
-        bound — the caller reports ``results_overflow`` and the
-        coordinator refits the chunk smaller.
-        """
-        if results and all(
-            isinstance(result, np.ndarray) and not result.dtype.hasobject
-            for result in results
-        ):
-            specs, payload = wire.pack_arrays(results)
-            shm_min = _shm_min_bytes()
-            if self._shm_enabled and shm_min is not None and len(payload) >= shm_min:
-                try:
-                    segment = shared_memory.SharedMemory(
-                        create=True, size=max(len(payload), 1)
-                    )
-                except OSError:
-                    pass  # no usable /dev/shm: the socket frame below works
-                else:
-                    segment.buf[: len(payload)] = payload
-                    self._shm_segments[segment.name] = segment
-                    return wire.encode_message(
-                        protocol.chunk_done_shm_request(
-                            chunk_id,
-                            specs,
-                            len(results),
-                            segment.name,
-                            hashlib.sha256(payload).hexdigest(),
-                            len(payload),
-                            trace=trace,
-                        )
-                    )
-            return wire.encode_binary(
-                protocol.chunk_done_binary_header(
-                    chunk_id, specs, len(results), trace=trace
-                ),
-                payload,
-            )
-        return wire.encode_message(
-            protocol.chunk_done_request(chunk_id, results, trace=trace)
-        )
-
-    def _teardown_shm(self) -> None:
-        """Release every shared-memory segment this worker still holds.
-
-        The coordinator unlinks segments it successfully consumed, so the
-        common case here is close-plus-tolerated-FileNotFoundError; a
-        segment the coordinator never attached (it died first) is unlinked
-        here — both death paths leave nothing behind in /dev/shm.
-        """
-        for segment in self._shm_segments.values():
-            try:
-                segment.close()
-            except (OSError, ValueError):  # repro: ignore[REPRO-ERR01] -- teardown must visit every segment; a close failure cannot be acted on
-                pass
-            try:
-                segment.unlink()
-            except FileNotFoundError:
-                # Already unlinked by the coordinator.  CPython only
-                # unregisters a segment from the resource tracker on a
-                # *successful* unlink, so silence the tracker by hand or
-                # the interpreter warns about a leak that is not one.
-                try:
-                    from multiprocessing import resource_tracker
-
-                    resource_tracker.unregister(segment._name, "shared_memory")
-                except Exception:  # repro: ignore[REPRO-ERR01] -- tracker internals vary across 3.10/3.12; failing to silence a spurious warning must not fail shutdown
-                    pass
-            except (OSError, ValueError):  # repro: ignore[REPRO-ERR01] -- teardown must visit every segment; an unlink failure cannot be acted on
-                pass
-        self._shm_segments.clear()
 
     async def run(self) -> None:
         """Serve until the coordinator shuts us down or disappears."""
@@ -416,21 +289,18 @@ class Worker:
                     # the coordinator would discard it as a duplicate anyway.
                     return
                 try:
-                    reply = self._encode_chunk_done(chunk_id, results, trace)
+                    reply = wire.encode_binary(
+                        *protocol.chunk_done_frame(chunk_id, results, trace)
+                    )
                 except wire.ProtocolError as error:
-                    # Results too large for one frame.  Tagged with the
-                    # results_overflow code so the coordinator refits the
-                    # chunk smaller instead of failing the sweep; only a
-                    # single job whose results alone overflow is fatal.
+                    # A result type the codec refuses, or a frame over its
+                    # bound: the run fails, the worker keeps serving.
                     await send(
                         protocol.chunk_failed_request(
                             chunk_id,
-                            RuntimeError(
-                                f"chunk {chunk_id} results exceed the frame "
-                                f"limit ({error}); job results too large for "
-                                f"one frame"
+                            wire.ProtocolError(
+                                f"chunk {chunk_id} results cannot cross the wire: {error}"
                             ),
-                            code=protocol.RESULTS_OVERFLOW,
                         )
                     )
                     return
@@ -500,7 +370,6 @@ class Worker:
                 return_exceptions=True,
             )
             pool.shutdown(wait=False, cancel_futures=True)
-            self._teardown_shm()
             if metrics_server is not None:
                 await metrics_server.stop()
             try:

@@ -32,6 +32,10 @@ small and debuggable while chunked NumPy results ride behind them.
 codec — dtype/shape-tagged contiguous buffers, reconstructed zero-copy
 with ``np.frombuffer`` (this module is the only place outside the cache
 allowed to do that; the ``REPRO-WIRE01`` lint rule enforces it).
+:func:`pack_values` / :func:`unpack_values` build on them to carry nested
+values — dicts, lists, tuples, scalars, NumPy scalars and ``repro``
+dataclasses — as a JSON skeleton in the header over one array payload,
+with no pickle anywhere.
 
 Everything here used to live in :mod:`repro.service.protocol`; it was
 extracted so the service and the cluster share one tested implementation.
@@ -42,7 +46,9 @@ compatibility.
 from __future__ import annotations
 
 import asyncio
+import dataclasses
 import json
+import sys
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -109,7 +115,7 @@ def encode_binary(message: Dict[str, Any], payload: bytes) -> bytes:
     if len(payload) > MAX_BINARY_BYTES:
         raise ProtocolError(
             f"binary payload of {len(payload)} bytes exceeds the "
-            f"{MAX_BINARY_BYTES} byte limit"
+            f"MAX_BINARY_BYTES limit of {MAX_BINARY_BYTES} bytes"
         )
     header = encode_message({**message, BINARY_KEY: len(payload)})
     return header + payload
@@ -174,49 +180,66 @@ async def read_message(reader: asyncio.StreamReader) -> Optional[Dict[str, Any]]
 # ----------------------------------------------------------------------
 # Array payload codec (the canonical binary-frame payload)
 # ----------------------------------------------------------------------
+def _check_dtype(dtype: np.dtype) -> None:
+    """Refuse dtypes whose ``dtype.str`` cannot describe them faithfully.
+
+    Object dtypes would smuggle pickles past the framing's trust boundary;
+    zero-itemsize, structured and subarray dtypes do not survive a
+    ``dtype.str`` round trip (``np.frombuffer`` rejects the first, the
+    others lose their fields or shape).
+    """
+    if dtype.hasobject:
+        raise ProtocolError("object dtypes cannot cross the wire as raw buffers")
+    if dtype.itemsize == 0:
+        raise ProtocolError(f"zero-itemsize dtype {dtype.str!r} cannot cross the wire")
+    if dtype.fields is not None or dtype.subdtype is not None:
+        raise ProtocolError(f"structured dtype {dtype} cannot cross the wire")
+
+
 def pack_arrays(arrays: Sequence[np.ndarray]) -> Tuple[List[Dict[str, Any]], bytes]:
     """Pack NumPy arrays into dtype/shape specs plus one contiguous payload.
 
     Returns ``(specs, payload)`` where ``specs`` is a JSON-safe list of
     ``{"dtype": ..., "shape": [...]}`` entries (rides in the binary-frame
-    header) and ``payload`` is the arrays' raw bytes, concatenated in
-    order.  Object dtypes are rejected — they would smuggle pickles past
-    the framing's trust boundary.
+    header) and ``payload`` is the arrays' raw C-order bytes, concatenated
+    in order.  Object, zero-itemsize and structured dtypes are rejected.
     """
     specs: List[Dict[str, Any]] = []
     buffers: List[bytes] = []
     for array in arrays:
         if not isinstance(array, np.ndarray):
             raise ProtocolError(f"pack_arrays expects ndarrays, got {type(array).__name__}")
-        if array.dtype.hasobject:
-            raise ProtocolError("object dtypes cannot cross the wire as raw buffers")
-        contiguous = np.ascontiguousarray(array)
-        specs.append({"dtype": contiguous.dtype.str, "shape": list(contiguous.shape)})
-        buffers.append(contiguous.tobytes())
+        _check_dtype(array.dtype)
+        specs.append({"dtype": array.dtype.str, "shape": list(array.shape)})
+        buffers.append(array.tobytes())
     return specs, b"".join(buffers)
 
 
 def unpack_arrays(specs: Sequence[Dict[str, Any]], payload: bytes) -> List[np.ndarray]:
     """Reconstruct :func:`pack_arrays` output zero-copy from the payload.
 
-    The returned arrays are read-only views over ``payload``.  Any
-    inconsistency — bad dtype string, negative shape, payload length not
-    matching the specs — raises :class:`ProtocolError`.
+    The returned arrays are views over ``payload`` (read-only for a
+    ``bytes`` payload).  Any inconsistency — bad dtype string, negative or
+    non-integer shape, payload length not matching the specs — raises
+    :class:`ProtocolError`.
     """
+    if not isinstance(specs, (list, tuple)):
+        raise ProtocolError("array specs must be a list")
     arrays: List[np.ndarray] = []
     offset = 0
     for spec in specs:
         if not isinstance(spec, dict):
             raise ProtocolError("array spec must be an object")
+        dtype_text, shape = spec.get("dtype"), spec.get("shape")
+        if not isinstance(dtype_text, str) or not isinstance(shape, list):
+            raise ProtocolError(f"bad array spec {spec!r:.200}")
+        if not all(type(n) is int and n >= 0 for n in shape):
+            raise ProtocolError(f"bad array shape {shape!r:.200}")
         try:
-            dtype = np.dtype(spec["dtype"])
-            shape = tuple(int(n) for n in spec["shape"])
-        except (KeyError, TypeError, ValueError) as error:
-            raise ProtocolError(f"bad array spec {spec!r}: {error}") from None
-        if dtype.hasobject:
-            raise ProtocolError("object dtypes cannot cross the wire as raw buffers")
-        if any(n < 0 for n in shape):
-            raise ProtocolError(f"bad array shape {shape}")
+            dtype = np.dtype(dtype_text)
+        except (TypeError, ValueError) as error:
+            raise ProtocolError(f"bad array dtype {dtype_text!r:.80}: {error}") from None
+        _check_dtype(dtype)
         count = 1
         for n in shape:
             count *= n
@@ -225,15 +248,185 @@ def unpack_arrays(specs: Sequence[Dict[str, Any]], payload: bytes) -> List[np.nd
             raise ProtocolError(
                 f"array payload of {len(payload)} bytes is shorter than its specs declare"
             )
-        arrays.append(
-            np.frombuffer(payload, dtype=dtype, count=count, offset=offset).reshape(shape)
-        )
+        try:
+            array = np.frombuffer(payload, dtype=dtype, count=count, offset=offset)
+            arrays.append(array.reshape(shape))
+        except ValueError as error:  # e.g. more dimensions than NumPy supports
+            raise ProtocolError(f"bad array spec {spec!r:.200}: {error}") from None
         offset += nbytes
     if offset != len(payload):
         raise ProtocolError(
             f"array payload carries {len(payload) - offset} undeclared trailing bytes"
         )
     return arrays
+
+
+# ----------------------------------------------------------------------
+# Value codec (nested values: a JSON skeleton over one array payload)
+# ----------------------------------------------------------------------
+#: Python types a skeleton carries as themselves (JSON scalars).
+_JSON_SCALARS = (bool, int, float, str)
+
+
+def pack_values(value: Any) -> Tuple[Any, List[Dict[str, Any]], bytes]:
+    """Pack a nested value into ``(skeleton, specs, payload)``.
+
+    ``skeleton`` is a JSON-safe tree that mirrors ``value``; its arrays
+    are replaced by references into :func:`pack_arrays` ``(specs,
+    payload)``.  Nodes:
+
+    * ``None``, ``bool``, ``int``, ``float``, ``str`` and ``list`` travel as
+      themselves, except a NaN ``float``: ``{"nan": i}`` keeps its sign and
+      payload bits in a 0-d array, which JSON's ``NaN`` would drop;
+    * ``{"tuple": [...]}``; ``{"dict": [[key, value], ...]}`` (str keys,
+      insertion order kept);
+    * ``{"array": i}`` for a non-object ndarray and ``{"scalar": i}`` for a
+      NumPy scalar (a 0-d array, decoded back to the same scalar type);
+      array references ``i`` count up from 0 in traversal order;
+    * ``{"dataclass": ["module:QualName", {field: value, ...}]}`` for a
+      dataclass defined in a ``repro`` module.
+
+    Types are matched exactly (a subclass such as a namedtuple or an
+    ``OrderedDict`` is not its base), so a value decodes to the types it
+    was packed from.  Anything else raises :class:`ProtocolError`.
+
+    >>> skeleton, specs, payload = pack_values({"n": 3, "x": (np.float64(0.5), None)})
+    >>> skeleton
+    {'dict': [['n', 3], ['x', {'tuple': [{'scalar': 0}, None]}]]}
+    >>> specs, len(payload)
+    ([{'dtype': '<f8', 'shape': []}], 8)
+    >>> unpack_values(skeleton, specs, payload)
+    {'n': 3, 'x': (np.float64(0.5), None)}
+    """
+    arrays: List[np.ndarray] = []
+
+    def skeleton_of(node: Any) -> Any:
+        kind = type(node)
+        if kind is float and node != node:
+            arrays.append(np.array(node))
+            return {"nan": len(arrays) - 1}
+        if node is None or kind in _JSON_SCALARS:
+            return node
+        if kind is list:
+            return [skeleton_of(item) for item in node]
+        if kind is tuple:
+            return {"tuple": [skeleton_of(item) for item in node]}
+        if kind is dict:
+            if not all(type(key) is str for key in node):
+                raise ProtocolError("dict keys must be str to cross the wire")
+            return {"dict": [[key, skeleton_of(item)] for key, item in node.items()]}
+        if kind is np.ndarray or isinstance(node, np.generic):
+            arrays.append(np.asarray(node))
+            return {"array" if kind is np.ndarray else "scalar": len(arrays) - 1}
+        if dataclasses.is_dataclass(node) and not isinstance(node, type):
+            name = f"{kind.__module__}:{kind.__qualname__}"
+            if _repro_dataclass(name) is not kind:
+                raise ProtocolError(f"class {name!r} cannot be found by its name")
+            fields = {
+                field.name: skeleton_of(getattr(node, field.name))
+                for field in dataclasses.fields(node)
+            }
+            return {"dataclass": [name, fields]}
+        raise ProtocolError(f"{kind.__module__}.{kind.__qualname__} values cannot cross the wire")
+
+    try:
+        skeleton = skeleton_of(value)
+    except RecursionError:
+        raise ProtocolError("value nests too deeply to cross the wire") from None
+    specs, payload = pack_arrays(arrays)
+    return skeleton, specs, payload
+
+
+def _repro_dataclass(name: Any) -> type:
+    """Resolve ``"module:QualName"`` to a dataclass of a loaded repro module.
+
+    Looks the module up in ``sys.modules`` and never imports: a peer can
+    only name classes this process already has.
+    """
+    if not isinstance(name, str):
+        raise ProtocolError("dataclass name must be a string")
+    module_name, _, qualname = name.partition(":")
+    if module_name != "repro" and not module_name.startswith("repro."):
+        raise ProtocolError(f"class {name!r:.120} is outside the repro package")
+    target: Any = sys.modules.get(module_name)
+    if target is None:
+        raise ProtocolError(f"module {module_name!r:.120} is not imported")
+    for part in qualname.split("."):
+        target = getattr(target, part, None)
+    if not (
+        isinstance(target, type)
+        and dataclasses.is_dataclass(target)
+        and target.__module__ == module_name
+        and target.__qualname__ == qualname
+    ):
+        raise ProtocolError(f"{name!r:.120} does not name a repro dataclass")
+    return target
+
+
+def unpack_values(skeleton: Any, specs: Sequence[Dict[str, Any]], payload: bytes) -> Any:
+    """Rebuild a :func:`pack_values` value.
+
+    Arrays come back as owned, aligned, writable copies (as a local call
+    would return them), NumPy scalars as their scalar type, dataclasses
+    with their fields set directly (no ``__init__`` or ``__post_init__``
+    runs).  Any malformed skeleton or spec raises :class:`ProtocolError`.
+    """
+    arrays = unpack_arrays(specs, payload)
+    used = 0
+
+    def build(node: Any) -> Any:
+        nonlocal used
+        kind = type(node)
+        if node is None or kind in _JSON_SCALARS:
+            return node
+        if kind is list:
+            return [build(item) for item in node]
+        if kind is not dict or len(node) != 1:
+            raise ProtocolError(f"malformed value node {node!r:.120}")
+        [(tag, body)] = node.items()
+        if tag in ("array", "scalar", "nan"):
+            if type(body) is not int or body != used or used >= len(arrays):
+                raise ProtocolError(f"array reference {body!r:.40} out of order")
+            used += 1
+            if tag == "array":
+                return np.array(arrays[body])
+            if arrays[body].ndim != 0:
+                raise ProtocolError(f"{tag} reference {body} is not 0-d")
+            if tag == "scalar":
+                return arrays[body][()]
+            if arrays[body].dtype != np.float64 or arrays[body] == arrays[body]:
+                raise ProtocolError(f"nan reference {body} is not a float64 NaN")
+            return float(arrays[body][()])
+        if tag == "tuple" and type(body) is list:
+            return tuple(build(item) for item in body)
+        if tag == "dict" and type(body) is list:
+            result: Dict[str, Any] = {}
+            for pair in body:
+                if not (type(pair) is list and len(pair) == 2 and type(pair[0]) is str):
+                    raise ProtocolError(f"malformed dict entry {pair!r:.120}")
+                if pair[0] in result:
+                    raise ProtocolError(f"duplicate dict key {pair[0]!r:.80}")
+                result[pair[0]] = build(pair[1])
+            return result
+        if tag == "dataclass" and type(body) is list and len(body) == 2:
+            cls = _repro_dataclass(body[0])
+            fields = dataclasses.fields(cls)
+            values = body[1]
+            if type(values) is not dict or set(values) != {field.name for field in fields}:
+                raise ProtocolError(f"fields of {body[0]!r:.120} do not match the class")
+            instance = cls.__new__(cls)
+            for field in fields:
+                object.__setattr__(instance, field.name, build(values[field.name]))
+            return instance
+        raise ProtocolError(f"malformed value node {node!r:.120}")
+
+    try:
+        value = build(skeleton)
+    except RecursionError:
+        raise ProtocolError("value skeleton nests too deeply") from None
+    if used != len(arrays):
+        raise ProtocolError(f"{len(arrays) - used} array specs are never referenced")
+    return value
 
 
 async def open_connection(

@@ -4,7 +4,8 @@ Covers the tentpole guarantees:
 
 * the shared NDJSON framing lives in :mod:`repro.wire` and the service
   protocol re-exports it (one tested implementation);
-* job chunks survive the pickle transport with cache codecs stripped;
+* job chunks survive the pickle transport with cache codecs stripped, and
+  job failures come back as typed ``{type, message}`` errors;
 * ``make_executor("distributed")`` produces **bit-identical** results to
   the serial executor, merged in submission order whatever the dispatch
   schedule or work stealing;
@@ -94,15 +95,13 @@ def _huge_array(count: int) -> np.ndarray:
     return np.zeros(count)
 
 
-def _huge_pickled(count: int) -> dict:
-    """A non-array result, so it must take the pickled transport (the
-    protocol-v5 binary frame only covers all-array result lists)."""
-    return {"blob": np.zeros(count)}
+def _seeded_dict(entropy: int, index: int, count: int) -> dict:
+    """A nested (dict-of-array) result, larger than one JSON line allows."""
+    return {"blob": _seeded_array(entropy, index, count), "index": index}
 
 
 def _seeded_array(entropy: int, index: int, count: int) -> np.ndarray:
-    """Deterministic array result large enough to exercise the binary /
-    shared-memory completion transports."""
+    """Deterministic array result large enough to need the binary frame."""
     child = np.random.SeedSequence(entropy).spawn(index + 1)[index]
     return np.random.default_rng(child).standard_normal(count)
 
@@ -163,13 +162,28 @@ class TestJobTransport:
         assert restored.key is None and restored.encode is None and restored.decode is None
 
     def test_exception_transport_preserves_type(self):
-        blob = cluster_protocol.pack_exception(ValueError("deliberate"))
-        recovered = cluster_protocol.unpack_exception(blob, "fallback")
-        assert isinstance(recovered, ValueError)
-        assert "deliberate" in str(recovered)
-        degraded = cluster_protocol.unpack_exception(None, "fallback text")
-        assert isinstance(degraded, RuntimeError)
-        assert "fallback text" in str(degraded)
+        """Built-in exception types come back by name, anything else as a
+        RuntimeError naming the original type — nothing is unpickled."""
+
+        def round_trip(error):
+            message = cluster_protocol.chunk_failed_request("c1", error)
+            assert set(message) == {"op", "chunk", "type", "message"}
+            return cluster_protocol.chunk_failed_error(
+                wire.decode_message(wire.encode_message(message))
+            )
+
+        recovered = round_trip(ValueError("deliberate"))
+        assert type(recovered) is ValueError and str(recovered) == "deliberate"
+        degraded = round_trip(wire.ProtocolError("not builtin"))
+        assert type(degraded) is RuntimeError
+        assert str(degraded) == "ProtocolError: not builtin"
+        # Not re-raisable by name: needs five arguments, or asyncio futures
+        # refuse it, or it is not an Exception at all.
+        unicode_error = UnicodeDecodeError("utf-8", b"\xff", 0, 1, "bad byte")
+        for error in (unicode_error, StopIteration("x"), KeyboardInterrupt("x")):
+            assert type(round_trip(error)) is RuntimeError
+        spoofed = {"op": "chunk_failed", "chunk": "c1", "type": "print", "message": "x"}
+        assert type(cluster_protocol.chunk_failed_error(spoofed)) is RuntimeError
 
     def test_parse_address(self):
         assert parse_address("127.0.0.1:7500") == ("127.0.0.1", 7500)
@@ -245,25 +259,25 @@ class TestDistributedExecution:
         assert cluster.execute(_seeded_jobs(6)) == SerialExecutor().execute(_seeded_jobs(6))
         assert cluster.status()["alive_workers"] == 2
 
-    def test_oversized_pickled_result_fails_instead_of_hanging(self, cluster):
-        """A chunk whose *pickled* results exceed the frame limit must fail
-        the sweep with a diagnosis — never leave it waiting on the chunk
-        forever.  (All-array results escape this limit via the protocol-v5
-        binary frame, so the oversize result here is a dict.)"""
-        count = 2_000_000  # 16 MB of float64 -> > MAX_MESSAGE_BYTES once framed
+    def test_oversized_dict_result_ships_binary(self, cluster):
+        """A 16 MB dict-of-array result overflows any JSON line but rides
+        the binary chunk_done frame: the sweep equals serial byte for byte
+        and no chunk is refitted."""
+        refitted = cluster.status()["stats"]["chunks_refitted"]
         jobs = [
-            Job(fn=_huge_pickled, args=(count,), name="huge"),
+            Job(fn=_seeded_dict, args=(5, 0, 2_000_000), name="huge"),
             Job(fn=_square, args=(2,), name="ok"),
         ]
-        with pytest.raises(Exception, match="frame limit"):
-            cluster.execute(jobs)
-        # the workers survived and keep serving
-        assert cluster.execute(_seeded_jobs(4)) == SerialExecutor().execute(_seeded_jobs(4))
+        expected = SerialExecutor().execute(jobs)
+        results = cluster.execute(jobs)
+        assert results[1] == 4 and list(results[0]) == ["blob", "index"]
+        assert results[0]["index"] == 0
+        assert results[0]["blob"].tobytes() == expected[0]["blob"].tobytes()
+        assert cluster.status()["stats"]["chunks_refitted"] == refitted
 
     def test_oversized_array_results_ship_binary_instead_of_failing(self, cluster):
-        """The same 16 MB array that used to overflow the pickled frame now
-        rides the protocol-v5 binary / shared-memory completion — the sweep
-        succeeds and stays bit-identical to serial."""
+        """Two 16 MB array results ride the binary completion frame — the
+        sweep succeeds and stays bit-identical to serial."""
         jobs = [
             Job(fn=_seeded_array, args=(77, i, 2_000_000), name=f"wide[{i}]")
             for i in range(2)
@@ -306,45 +320,60 @@ class TestDistributedExecution:
         finally:
             executor.close()
 
-    def test_oversized_results_refit_instead_of_failing(self):
-        """The symmetric case: job *inputs* are tiny but a multi-job
-        chunk's pickled results overflow the frame — the worker tags the
-        failure results_overflow and the coordinator refits.  (Dict
-        results, so the v5 binary frame cannot rescue them.)"""
+    def test_multi_job_dict_results_ship_without_refit(self):
+        """A multi-job chunk of large dict results ships as one binary
+        frame: equal to serial, and nothing is refitted."""
         executor = DistributedExecutor(workers=1, chunksize=2, start_timeout=START_TIMEOUT)
         executor.start()
         if executor._fallback is not None:
             pytest.skip("cluster cannot start in this environment")
+        jobs = [Job(fn=_seeded_dict, args=(8, i, 500_000), name=f"out[{i}]") for i in range(4)]
         try:
-            jobs = [Job(fn=_huge_pickled, args=(500_000,), name=f"out[{i}]") for i in range(4)]
             results = executor.execute(jobs)
-            assert len(results) == 4
-            assert all(r["blob"].shape == (500_000,) for r in results)
-            assert executor.status()["stats"]["chunks_refitted"] >= 1
+            assert executor.status()["stats"]["chunks_refitted"] == 0
         finally:
             executor.close()
+        expected = SerialExecutor().execute(jobs)
+        assert [r["index"] for r in results] == [0, 1, 2, 3]
+        assert [r["blob"].tobytes() for r in results] == [
+            e["blob"].tobytes() for e in expected
+        ]
 
-    def test_shm_disabled_worker_falls_back_to_socket_binary(self, monkeypatch):
-        """REPRO_SHM_MIN_BYTES=-1 disables the shared-memory handoff: large
-        array results then cross the socket as binary frames, bit-identical
-        to the SHM path and to serial."""
-        monkeypatch.setenv("REPRO_SHM_MIN_BYTES", "-1")
-        executor = DistributedExecutor(workers=1, chunksize=1, start_timeout=START_TIMEOUT)
-        executor.start()
-        if executor._fallback is not None:
-            pytest.skip("cluster cannot start in this environment")
-        try:
-            jobs = [
-                Job(fn=_seeded_array, args=(99, i, 400_000), name=f"sock[{i}]")
-                for i in range(3)
-            ]
-            results = executor.execute(jobs)
-        finally:
-            executor.close()
-        expected = SerialExecutor().execute(
-            [Job(fn=_seeded_array, args=(99, i, 400_000), name=f"sock[{i}]") for i in range(3)]
-        )
-        assert [r.tobytes() for r in results] == [e.tobytes() for e in expected]
+    def test_results_over_the_payload_bound_fail_their_run(self, monkeypatch):
+        """A chunk whose payload exceeds MAX_BINARY_BYTES cannot ship: the
+        worker's encode path refuses it, and the run fails through
+        chunk_failed with a message naming the bound.  Worker and
+        coordinator run in-process, with the bound shrunk instead of
+        shipping 256 MiB."""
+        import asyncio
+
+        from repro.cluster import worker as cluster_worker
+        from repro.cluster.coordinator import Coordinator
+
+        monkeypatch.setattr(wire, "MAX_BINARY_BYTES", 1024)
+
+        async def scenario():
+            coordinator = Coordinator(worker_wait_timeout=START_TIMEOUT)
+            host, port = await coordinator.start()
+            worker = asyncio.ensure_future(cluster_worker.Worker(host, port).run())
+            try:
+                small = await coordinator.run(
+                    [Job(fn=_seeded_array, args=(3, i, 8), name=f"s[{i}]") for i in range(2)],
+                    chunksize=2,
+                )
+                with pytest.raises(RuntimeError, match="MAX_BINARY_BYTES"):
+                    await coordinator.run(
+                        [Job(fn=_seeded_array, args=(3, i, 129), name=f"b[{i}]") for i in range(2)],
+                        chunksize=2,
+                    )
+                return small, coordinator.stats.get("chunks_refitted")
+            finally:
+                await coordinator.stop()
+                await asyncio.wait_for(worker, START_TIMEOUT)
+
+        small, refitted = asyncio.run(scenario())
+        assert [a.tobytes() for a in small] == [_seeded_array(3, i, 8).tobytes() for i in range(2)]
+        assert refitted == 0
 
     def test_single_job_runs_inline(self, cluster):
         before = cluster.status()["stats"]["chunks_dispatched"]
@@ -514,6 +543,62 @@ def _spawn_throttled_worker(address, throttle: float, name: str = "throttled"):
 
 def _await_workers(executor: DistributedExecutor, count: int) -> None:
     executor.wait_for_workers(count, timeout=START_TIMEOUT)
+
+
+class TestHelloValidation:
+    """A live coordinator answers a malformed or out-of-date ``hello``
+    with an ``error`` event and registers nothing."""
+
+    def _hello_replies(self, hellos):
+        import asyncio
+
+        from repro.cluster.coordinator import Coordinator
+        from repro.runtime.jobs import code_version
+
+        async def scenario():
+            coordinator = Coordinator()
+            host, port = await coordinator.start()
+            replies = []
+            try:
+                for fields in hellos:
+                    reader, writer = await wire.open_connection(host, port)
+                    hello = cluster_protocol.hello_request("probe", 42, 1, code_version())
+                    writer.write(wire.encode_message({**hello, **fields}))
+                    await writer.drain()
+                    reply = await asyncio.wait_for(wire.read_message(reader), 10)
+                    # Registration precedes the welcome, so the count is
+                    # settled once the reply is read.
+                    replies.append((reply, coordinator.worker_count()))
+                    writer.close()
+                return replies
+            finally:
+                await coordinator.stop()
+
+        return asyncio.run(scenario())
+
+    def test_malformed_hellos_get_error_and_no_registration(self):
+        bad = [
+            {"slots": "x"},
+            {"slots": 0},
+            {"slots": -3},
+            {"slots": 1.5},
+            {"slots": True},
+            {"slots": None},
+            {"pid": "12"},
+            {"pid": 3.0},
+            {"pid": -1},
+            {"pid": [1]},
+        ]
+        replies = self._hello_replies(bad)
+        assert [reply["event"] for reply, _ in replies] == ["error"] * len(bad)
+        assert all("malformed hello" in reply["error"] for reply, _ in replies)
+        assert [alive for _, alive in replies] == [0] * len(bad)
+
+    def test_v5_worker_rejected_at_hello(self):
+        (old, old_alive), (current, alive) = self._hello_replies([{"protocol": 5}, {}])
+        assert old["event"] == "error" and "protocol mismatch" in old["error"]
+        assert old_alive == 0
+        assert current["event"] == "welcome" and alive == 1  # the same hello at v6
 
 
 class TestChunkProgress:

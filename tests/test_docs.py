@@ -139,19 +139,20 @@ class TestDocsTree:
         assert split["event"] == "split" and split["keep"] == 0
         ack = cluster_protocol.split_ack_request("c1", kept=3)
         assert ack["op"] == "split_ack" and ack["kept"] == 3
-        done = cluster_protocol.chunk_done_request("c1", [1, 2])
+        done, _ = cluster_protocol.chunk_done_frame("c1", [1, 2])
         assert done["count"] == 2
         assert '"kept"' in spec or "`kept`" in spec, "split_ack kept field undocumented"
         assert "`count`" in spec or '"count"' in spec, "chunk_done count field undocumented"
 
-    def test_docs_describe_binary_frames_and_shm_handoff(self):
-        """Protocol v5: the binary-frame substrate, the cluster's binary /
-        shared-memory completions and the service's binary result frame
-        must be specified with the shipped constants, and the spec's
+    def test_docs_describe_binary_chunk_done_frame(self):
+        """The binary-frame substrate, the cluster's one ``chunk_done``
+        frame, its typed ``chunk_failed`` and the service's binary result
+        frame must be specified with the shipped constants, and the spec's
         frames must build with the real constructors."""
+        import numpy as np
+
         from repro import wire
         from repro.cluster import protocol as cluster_protocol
-        from repro.cluster import worker as cluster_worker
         from repro.service import protocol as service_protocol
 
         spec = (REPO_ROOT / "docs" / "protocol.md").read_text(encoding="utf-8")
@@ -161,30 +162,28 @@ class TestDocsTree:
         assert wire.MAX_BINARY_BYTES == 256 * 1024 * 1024
         assert "MAX_BINARY_BYTES" in spec, "binary payload bound undocumented"
         assert "MAX_MESSAGE_BYTES" in spec
-        # Cluster v5: binary + shared-memory completions.
-        for field in ('"arrays"', '"shm"', '"digest"', '"size"'):
-            assert field in spec, f"cluster v5 field {field} undocumented"
-        assert "SHM_MIN_BYTES" in spec, "SHM size floor undocumented"
-        assert cluster_worker.SHM_MIN_BYTES == 1024 * 1024
-        assert "REPRO_SHM_MIN_BYTES" in spec, "SHM env override undocumented"
-        header = cluster_protocol.chunk_done_binary_header(
-            "c1", [{"dtype": "<f8", "shape": [2]}], count=1
+        # Cluster v6: one chunk_done frame, built by the real constructor
+        # from a nested result list, carrying exactly the documented fields.
+        header, payload = cluster_protocol.chunk_done_frame(
+            "c1", [np.zeros(2), {"k": 1}], trace="t-1"
         )
-        assert header["op"] == "chunk_done" and header["count"] == 1
+        assert set(header) == {"op", "chunk", "count", "values", "arrays", "trace"}
+        for field in header:
+            assert f'"{field}"' in spec, f"chunk_done field {field} undocumented"
+        assert header["count"] == 2 and len(payload) == 16
         assert header["arrays"] == [{"dtype": "<f8", "shape": [2]}]
-        assert "results" not in header
-        shm = cluster_protocol.chunk_done_shm_request(
-            "c1", [{"dtype": "<f8", "shape": [2]}], 1, "seg", "ab" * 32, 16
-        )
-        assert shm["shm"] == "seg" and shm["digest"] == "ab" * 32 and shm["size"] == 16
+        for tag in ("tuple", "dict", "array", "scalar", "nan", "dataclass"):
+            assert f'"{tag}"' in spec, f"value skeleton tag {tag} undocumented"
+        frame = wire.encode_binary(header, payload)
+        assert frame.split(b"\n", 1)[1] == payload
+        failed = cluster_protocol.chunk_failed_request("c1", ValueError("x"))
+        assert failed == {"op": "chunk_failed", "chunk": "c1", "type": "ValueError", "message": "x"}
+        assert '"type"' in spec and '"message"' in spec, "typed chunk_failed undocumented"
         # Service v5: the binary result frame and its switch-over threshold.
         assert "RESULT_BINARY_BYTES" in spec, "result switch-over undocumented"
         assert service_protocol.RESULT_BINARY_BYTES == 256 * 1024
         result_header = service_protocol.result_header("r1", 0.5)
         assert result_header["event"] == "result" and "payload" not in result_header
-        # The spec's round-trip promise: a binary frame survives the wire.
-        frame = wire.encode_binary({"op": "chunk_done", "chunk": "c1"}, b"\x01\x02")
-        assert frame.split(b"\n", 1)[1] == b"\x01\x02"
 
     def test_protocol_vocabulary_constants_cover_the_spec(self):
         """The frame-vocabulary tuples (which pin the REPRO-PROTO01 lint

@@ -165,6 +165,50 @@ def _diff_vector(seed: int, size: int) -> np.ndarray:
     return rng.standard_normal(size).cumsum()
 
 
+def _diff_dict_of_array(seed: int, size: int) -> dict:
+    """Nested result: arrays plus a NumPy scalar and a Python int."""
+    vector = _diff_vector(seed, size)
+    return {"vector": vector, "mask": vector > 0, "last": vector[-1], "size": size}
+
+
+def _diff_dict_of_int(seed: int, size: int) -> dict:
+    """Nested result without any array: Python ints in a dict and a list."""
+    counts = np.random.default_rng(seed).integers(0, 100, size)
+    return {"seed": seed, "total": int(counts.sum()), "counts": [int(c) for c in counts]}
+
+
+def _diff_design_point(seed: int, size: int):
+    """A DSE result: a dataclass nesting a frozen dataclass and arrays."""
+    from repro.core.dse import DesignPoint
+    from repro.multiplier.config import MultiplierConfig
+    from repro.multiplier.error_analysis import InputSpaceAnalysis
+
+    rng = np.random.default_rng(seed)
+    config = MultiplierConfig(tau0=float(rng.uniform(1e-10, 3e-10)), name=f"p{seed}")
+    expected = rng.integers(0, 225, (size, size)).astype(float)
+    results = expected + rng.integers(-2, 3, (size, size))
+    analysis = InputSpaceAnalysis(
+        config=config,
+        expected=expected,
+        results=results,
+        errors=np.abs(results - expected),
+        analog_sigma=rng.standard_normal((size, size)) * 1e-3,
+        energy_per_multiplication=float(rng.uniform(1e-14, 1e-13)),
+        energy_per_operation=np.float64(rng.uniform(1e-14, 1e-13)),
+        adc_lsb=1e-3,
+    )
+    return DesignPoint(config=config, analysis=analysis)
+
+
+#: Job bodies of the differential suite, by result shape.
+_DIFF_BODIES = {
+    "array": _diff_vector,
+    "dict_of_array": _diff_dict_of_array,
+    "dict_of_int": _diff_dict_of_int,
+    "design_point": _diff_design_point,
+}
+
+
 def _diff_batch(jobs) -> list:
     """Whole-group evaluator: one stacked NumPy pass over the batch.
 
@@ -179,14 +223,16 @@ def _diff_batch(jobs) -> list:
     return list(np.cumsum(stacked, axis=1))
 
 
-def _diff_jobs(entropy: int, count: int, size: int, keyed: bool = False) -> list:
+def _diff_jobs(
+    entropy: int, count: int, size: int, keyed: bool = False, shape: str = "array"
+) -> list:
     from repro.runtime import Artifact, Job, job_key
 
     encode = (lambda value: Artifact(arrays={"v": value})) if keyed else None
     decode = (lambda artifact: artifact.arrays["v"]) if keyed else None
     return [
         Job(
-            fn=_diff_vector,
+            fn=_DIFF_BODIES[shape],
             args=(entropy + index, size),
             name=f"diff[{index}]",
             key=job_key("prop-diff", entropy, index, size) if keyed else None,
@@ -200,11 +246,33 @@ def _diff_jobs(entropy: int, count: int, size: int, keyed: bool = False) -> list
 def _assert_byte_identical(reference: list, candidate: list) -> None:
     assert len(reference) == len(candidate)
     for index, (expected, actual) in enumerate(zip(reference, candidate)):
-        expected = np.asarray(expected)
-        actual = np.asarray(actual)
-        assert actual.dtype == expected.dtype, f"dtype drift at index {index}"
-        assert actual.shape == expected.shape, f"shape drift at index {index}"
-        assert actual.tobytes() == expected.tobytes(), f"byte drift at index {index}"
+        _assert_same_value(expected, actual, f"[{index}]")
+
+
+def _assert_same_value(expected, actual, where: str) -> None:
+    """Same Python type, and same dtype / shape / bytes for every array."""
+    import dataclasses
+
+    assert type(actual) is type(expected), f"type drift at {where}"
+    if isinstance(expected, (np.ndarray, np.generic)):
+        assert actual.dtype == expected.dtype, f"dtype drift at {where}"
+        assert np.shape(actual) == np.shape(expected), f"shape drift at {where}"
+        assert actual.tobytes() == expected.tobytes(), f"byte drift at {where}"
+    elif isinstance(expected, dict):
+        assert list(actual) == list(expected), f"key drift at {where}"
+        for key in expected:
+            _assert_same_value(expected[key], actual[key], f"{where}[{key!r}]")
+    elif isinstance(expected, (list, tuple)):
+        assert len(actual) == len(expected), f"length drift at {where}"
+        for position, (want, got) in enumerate(zip(expected, actual)):
+            _assert_same_value(want, got, f"{where}[{position}]")
+    elif dataclasses.is_dataclass(expected):
+        for field in dataclasses.fields(expected):
+            _assert_same_value(
+                getattr(expected, field.name), getattr(actual, field.name), f"{where}.{field.name}"
+            )
+    else:
+        assert actual == expected, f"value drift at {where}"
 
 
 @pytest.fixture(scope="module")
@@ -308,16 +376,19 @@ class TestExecutorDifferential:
     def test_distributed_matches_serial_byte_identical(
         self, diff_cluster, entropy, count, size, use_batch_fn
     ):
+        """Every result shape the cluster ships — plain arrays, dicts of
+        arrays and NumPy scalars, dicts of ints, DSE ``DesignPoint``
+        dataclasses — comes back byte-identical to serial."""
         from repro.runtime import SweepEngine, SweepSpec, make_executor
 
-        batch_fn = _diff_batch if use_batch_fn else None
-        reference = SweepEngine(make_executor("serial")).run(
-            SweepSpec("diff", _diff_jobs(entropy, count, size), batch_fn=batch_fn)
-        )
-        distributed = SweepEngine(diff_cluster).run(
-            SweepSpec("diff", _diff_jobs(entropy, count, size), batch_fn=batch_fn)
-        )
-        _assert_byte_identical(reference, distributed)
+        for shape in _DIFF_BODIES:
+            batch_fn = _diff_batch if use_batch_fn and shape == "array" else None
+
+            def run(executor):
+                jobs = _diff_jobs(entropy, count, size, shape=shape)
+                return SweepEngine(executor).run(SweepSpec("diff", jobs, batch_fn=batch_fn))
+
+            _assert_byte_identical(run(make_executor("serial")), run(diff_cluster))
 
 
 class TestSchedulerProperties:

@@ -10,18 +10,28 @@ The binary-frame rules under test:
   keys inside the JSON line — raises :class:`ProtocolError` promptly
   instead of hanging the reader or growing its buffer;
 * :func:`pack_arrays` / :func:`unpack_arrays` round-trip NumPy arrays
-  bit-exactly and reject inconsistent specs.
+  bit-exactly and reject inconsistent specs;
+* :func:`pack_values` / :func:`unpack_values` round-trip nested values
+  with their exact Python and NumPy types, and every malformed skeleton
+  or spec raises :class:`ProtocolError`.
 """
 
 import asyncio
+import collections
+import dataclasses
 import json
+import math
+import struct
+import sys
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from repro import wire
+from repro.multiplier.config import MultiplierConfig
 
 #: Every read in this file is wrapped in a timeout: a reader that blocks on
 #: malformed input is exactly the bug the suite exists to catch.
@@ -204,6 +214,9 @@ class TestArrayCodec:
             {"dtype": "no-such-dtype", "shape": [1]},
             {"dtype": "<f8", "shape": [-1]},
             {"dtype": "<f8", "shape": "oops"},
+            {"dtype": "|V0", "shape": [1]},
+            {"dtype": "|S0", "shape": [1]},
+            {"dtype": "<U0", "shape": [1]},
         ):
             with pytest.raises(wire.ProtocolError):
                 wire.unpack_arrays([spec], b"\x00" * 8)
@@ -229,3 +242,224 @@ class TestArrayCodec:
             assert copy.dtype == original.dtype
             assert copy.shape == original.shape
             assert copy.tobytes() == original.tobytes()
+
+
+# ----------------------------------------------------------------------
+# Value codec
+# ----------------------------------------------------------------------
+#: Dtypes the round trip draws arrays and NumPy scalars from.
+_DTYPES = [
+    np.dtype(text)
+    for text in ("<f8", "<f4", ">f8", "<i8", "<i2", "|u1", "|b1", "<c16", "|S3", "<U2", "<M8[ns]")
+]
+
+_leaves = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(),
+    st.floats(),
+    st.text(max_size=8),
+    st.sampled_from(_DTYPES).flatmap(
+        lambda dtype: hnp.arrays(dtype, hnp.array_shapes(min_dims=0, max_dims=3, max_side=3))
+    ),
+    st.sampled_from(_DTYPES).flatmap(hnp.from_dtype),
+    st.builds(MultiplierConfig, tau0=st.floats(1e-12, 1e-9), name=st.text(max_size=4)),
+)
+
+_values = st.recursive(
+    _leaves,
+    lambda children: st.one_of(
+        st.lists(children, max_size=4),
+        st.lists(children, max_size=4).map(tuple),
+        st.dictionaries(st.text(max_size=4), children, max_size=4),
+    ),
+    max_leaves=12,
+)
+
+
+def _assert_same(expected, actual):
+    """Equal with the same Python type, dtype, shape and bytes throughout."""
+    assert type(actual) is type(expected)
+    if isinstance(expected, (np.ndarray, np.generic)):
+        assert actual.dtype == expected.dtype
+        assert np.shape(actual) == np.shape(expected)
+        assert np.asarray(actual).tobytes() == np.asarray(expected).tobytes()
+    elif isinstance(expected, float):
+        assert struct.pack("<d", actual) == struct.pack("<d", expected)
+    elif isinstance(expected, (list, tuple)):
+        assert len(actual) == len(expected)
+        for want, got in zip(expected, actual):
+            _assert_same(want, got)
+    elif isinstance(expected, dict):
+        assert list(actual) == list(expected)  # insertion order kept
+        for key in expected:
+            _assert_same(expected[key], actual[key])
+    elif dataclasses.is_dataclass(expected):
+        for field in dataclasses.fields(expected):
+            _assert_same(getattr(expected, field.name), getattr(actual, field.name))
+    else:
+        assert actual == expected
+
+
+def _wire_trip(value):
+    """Pack, ship through a real binary frame, unpack."""
+    skeleton, specs, payload = wire.pack_values(value)
+    message = _read_one(
+        wire.encode_binary({"op": "values", "values": skeleton, "arrays": specs}, payload)
+    )
+    return wire.unpack_values(message["values"], message["arrays"], message[wire.PAYLOAD_KEY])
+
+
+@dataclasses.dataclass
+class _LocalRecord:
+    """A dataclass outside the repro package: never crosses the wire."""
+
+    value: int = 0
+
+
+class TestValueCodec:
+    @given(value=_values)
+    @settings(max_examples=150, deadline=None)
+    def test_round_trip_preserves_types_and_bytes(self, value):
+        _assert_same(value, _wire_trip(value))
+
+    def test_exact_types_survive(self):
+        signed_nan = struct.unpack("<d", struct.pack("<Q", 0xFFF8000000000123))[0]
+        value = {
+            "f64": np.float64(0.1),
+            "i8": np.int8(-3),
+            "pair": (1, 2.5),
+            "floats": [signed_nan, math.inf, -0.0],
+            "big": 2**100,
+            "config": MultiplierConfig(name="fom"),
+            "empty": (np.zeros((0, 3)), [], {}, ()),
+        }
+        restored = _wire_trip(value)
+        _assert_same(value, restored)
+        assert type(restored["f64"]) is np.float64 and type(restored["pair"]) is tuple
+
+    def test_decoded_arrays_are_owned_and_writable(self):
+        restored = _wire_trip({"a": np.arange(3, dtype="|u1"), "b": np.arange(3.0)})
+        for array in restored.values():
+            assert array.flags.owndata and array.flags.writeable and array.flags.aligned
+
+    @pytest.mark.parametrize(
+        "value",
+        [
+            {1: "int key"},
+            {1.5, 2.5},
+            b"bytes",
+            1j,
+            np.array([object()]),
+            np.zeros(2, dtype=[("a", "<f8")]),
+            _LocalRecord(),
+            collections.OrderedDict(a=1),
+            MultiplierConfig,
+        ],
+    )
+    def test_unsupported_values_refused(self, value):
+        with pytest.raises(wire.ProtocolError):
+            wire.pack_values(value)
+
+    @pytest.mark.parametrize(
+        "name",
+        [
+            "collections:OrderedDict",
+            "tests.test_wire:_LocalRecord",
+            "repro_evil:Thing",
+            "repro.no_such_module:Thing",
+            "repro.wire:ProtocolError",
+            "repro.multiplier.config:MultiplierConfig.__class__",
+            "repro.multiplier.config:dataclasses",
+            17,
+        ],
+    )
+    def test_non_repro_or_unknown_class_names_refused(self, name):
+        with pytest.raises(wire.ProtocolError):
+            wire.unpack_values({"dataclass": [name, {}]}, [], b"")
+        assert "repro.no_such_module" not in sys.modules  # never imported
+
+    @pytest.mark.parametrize(
+        "skeleton, specs, payload",
+        [
+            ({"array": 0}, [], b""),
+            ({"array": 1}, [{"dtype": "<f8", "shape": []}], b"\x00" * 8),
+            ({"array": True}, [{"dtype": "<f8", "shape": []}], b"\x00" * 8),
+            ([{"array": 0}, {"array": 0}], [{"dtype": "<f8", "shape": []}], b"\x00" * 8),
+            (None, [{"dtype": "<f8", "shape": []}], b"\x00" * 8),
+            ({"scalar": 0}, [{"dtype": "<f8", "shape": [1]}], b"\x00" * 8),
+            ({"nan": 0}, [{"dtype": "<f8", "shape": []}], b"\x00" * 8),
+            ({"nan": 0}, [{"dtype": "<f4", "shape": []}], b"\x00\x00\xc0\x7f"),
+            ({"tuple": {}}, [], b""),
+            ({"dict": [["a", 1], ["a", 2]]}, [], b""),
+            ({"dict": [[1, 2]]}, [], b""),
+            ({"dict": [["a"]]}, [], b""),
+            ({"dict": {"a": 1}}, [], b""),
+            ({"set": [1]}, [], b""),
+            ({"tuple": [], "dict": []}, [], b""),
+            ({}, [], b""),
+            ({"dataclass": ["repro.multiplier.config:MultiplierConfig", {}]}, [], b""),
+            ({"dataclass": ["repro.multiplier.config:MultiplierConfig"]}, [], b""),
+            (1, "specs", b""),
+            (1, None, b""),
+        ],
+    )
+    def test_malformed_skeletons_and_specs_raise_protocol_error(self, skeleton, specs, payload):
+        with pytest.raises(wire.ProtocolError):
+            wire.unpack_values(skeleton, specs, payload)
+
+    def test_deep_nesting_raises_protocol_error(self):
+        deep = []
+        for _ in range(100_000):
+            deep = [deep]
+        with pytest.raises(wire.ProtocolError):
+            wire.pack_values(deep)
+        with pytest.raises(wire.ProtocolError):
+            wire.unpack_values(deep, [], b"")
+
+    @given(
+        skeleton=st.recursive(
+            st.one_of(st.none(), st.booleans(), st.integers(-2, 3), st.floats(), st.text(max_size=4)),
+            lambda children: st.one_of(
+                st.lists(children, max_size=3),
+                st.dictionaries(
+                    st.sampled_from(["array", "scalar", "nan", "tuple", "dict", "dataclass", "x"]),
+                    children,
+                    max_size=2,
+                ),
+            ),
+            max_leaves=10,
+        ),
+        specs=st.one_of(
+            st.lists(
+                st.fixed_dictionaries(
+                    {},
+                    optional={
+                        "dtype": st.one_of(
+                            st.sampled_from(
+                                ["<f8", "|u1", "|V0", "|S0", "<U0", "(2,)f8", "|O", "V8", "bogus"]
+                            ),
+                            st.integers(),
+                        ),
+                        "shape": st.one_of(
+                            st.lists(st.integers(-1, 3), max_size=3), st.text(max_size=2)
+                        ),
+                    },
+                ),
+                max_size=3,
+            ),
+            st.none(),
+            st.integers(),
+        ),
+        payload=st.binary(max_size=32),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_fuzzed_skeletons_and_specs_never_escape_protocol_error(
+        self, skeleton, specs, payload
+    ):
+        """Whatever a peer sends, decoding returns a value or raises
+        ProtocolError — never another exception type."""
+        try:
+            wire.unpack_values(skeleton, specs, payload)
+        except wire.ProtocolError:
+            pass
