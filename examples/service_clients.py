@@ -25,7 +25,7 @@ import tempfile
 
 import numpy as np
 
-from repro.runtime import Artifact, ArtifactCache, SweepEngine, job_key
+from repro.runtime import ArtifactCache, SweepEngine, job_key
 from repro.service import ServiceClient, SweepService
 
 
@@ -74,7 +74,7 @@ def _lru_eviction_demo(cache_dir: str) -> None:
     cache = ArtifactCache(cache_dir, max_bytes=1)  # absurdly small: always evicts
     keys = [job_key("lru-demo", index) for index in range(3)]
     for age, key in zip((300, 200, 100), keys):
-        path = cache.put(key, Artifact(arrays={"x": np.zeros(512)}))
+        path = cache.put(key, np.zeros(512))
         stamp = time.time() - age
         os.utime(path, (stamp, stamp))
     survivors = [key[:12] for key in cache.keys()]

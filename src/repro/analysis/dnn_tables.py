@@ -58,7 +58,7 @@ from repro.dnn.training import TrainingConfig, replace_classifier_head, train_ne
 from repro.multiplier.config import MultiplierConfig
 from repro.multiplier.imac import InSramMultiplier
 from repro.multiplier.lut import ProductLookupTable
-from repro.runtime import Artifact, Job, SweepEngine, job_key
+from repro.runtime import Job, SweepEngine, job_key
 
 
 @dataclasses.dataclass
@@ -168,31 +168,6 @@ def _trained_state(
     return network_state(network)
 
 
-def _state_artifact(state: Dict[str, np.ndarray]) -> Artifact:
-    # One flat array: a state's dozens of small arrays would each be an
-    # archive member, and reading them dominates a warm request's cost.
-    values = list(state.values())
-    return Artifact(
-        arrays={"flat": np.concatenate([value.ravel() for value in values])},
-        meta={
-            "names": list(state),
-            "shapes": [list(value.shape) for value in values],
-            "dtypes": [value.dtype.str for value in values],
-        },
-    )
-
-
-def _artifact_state(artifact: Artifact) -> Dict[str, np.ndarray]:
-    flat, meta = artifact.arrays["flat"], artifact.meta
-    state: Dict[str, np.ndarray] = {}
-    offset = 0
-    for name, shape, dtype in zip(meta["names"], meta["shapes"], meta["dtypes"]):
-        size = int(np.prod(shape, dtype=np.int64))
-        state[name] = flat[offset : offset + size].reshape(shape).astype(dtype)
-        offset += size
-    return state
-
-
 def train(
     network: Network,
     dataset: Dataset,
@@ -216,8 +191,6 @@ def train(
         args=(network, dataset, training),
         name=f"train[{network.name}]",
         key=key,
-        encode=_state_artifact,
-        decode=_artifact_state,
     )
     load_network_state(network, engine.run_one(job))
 
@@ -252,26 +225,6 @@ def evaluate_window(
         counts[f"{mode}_top1"] = report.top1_hits
         counts[f"{mode}_top5"] = report.top5_hits
     return counts
-
-
-def evaluation_job(
-    fn: Callable[..., Dict[str, int]], args: Tuple[Any, ...], name: str, key: Optional[str]
-) -> Job:
-    """An engine job whose result (and cached artifact) is hit counts.
-
-    ``fn(*args)`` returns :func:`evaluate_window`'s counts, usually by
-    calling it.
-    """
-    return Job(
-        fn=fn,
-        args=args,
-        name=name,
-        key=key,
-        encode=lambda counts: Artifact(
-            arrays={name: np.array(value) for name, value in counts.items()}
-        ),
-        decode=lambda artifact: {name: int(value) for name, value in artifact.arrays.items()},
-    )
 
 
 def _lut_tables(backends: Dict[str, MultiplierBackend]) -> Optional[Dict[str, Any]]:
@@ -347,11 +300,11 @@ def run_dnn_accuracy_experiment(
                 window,
                 tables,
             )
-        job = evaluation_job(
-            evaluate_window,
-            (network, dataset, modes, config, window, backends),
-            f"evaluate[{network.name}]",
-            key,
+        job = Job(
+            fn=evaluate_window,
+            args=(network, dataset, modes, config, window, backends),
+            name=f"evaluate[{network.name}]",
+            key=key,
         )
         counts = engine.run_one(job)
         samples = counts["samples"]

@@ -21,7 +21,7 @@ from repro.circuits.conditions import OperatingConditions, celsius_to_kelvin
 from repro.circuits.mismatch import MismatchArrays, MismatchParameters, MismatchSampler
 from repro.circuits.technology import ProcessCorner, TechnologyCard
 from repro.circuits.transient import TransientSolver
-from repro.runtime import Artifact, Job, SweepEngine, SweepSpec, job_key
+from repro.runtime import Job, SweepEngine, SweepSpec, job_key
 
 
 def _discharge_trace(
@@ -209,14 +209,6 @@ def _mismatch_monte_carlo_shard(
     }
 
 
-def _shard_encode(result: Dict[str, np.ndarray]) -> Artifact:
-    return Artifact(arrays=dict(result))
-
-
-def _shard_decode(artifact: Artifact) -> Dict[str, np.ndarray]:
-    return dict(artifact.arrays)
-
-
 def mismatch_monte_carlo_sharded(
     technology: TechnologyCard,
     wordline_voltage: float = 0.9,
@@ -276,8 +268,6 @@ def mismatch_monte_carlo_sharded(
                     stop,
                     tuple(float(t) for t in sampling_times),
                 ),
-                encode=_shard_encode,
-                decode=_shard_decode,
             )
         )
     outputs = engine.run(SweepSpec(f"montecarlo[{samples}x{shards}]", jobs))

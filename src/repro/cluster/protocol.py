@@ -84,17 +84,15 @@ peers only* on the worker side: the coordinator binds loopback by
 default, and deployments that spread workers across hosts are expected
 to run inside one trust domain (the same stance ``multiprocessing``
 takes).  The coordinator itself never unpickles a worker's bytes:
-results and errors come back pickle-free.  Cache codecs (``encode`` /
-``decode``) are stripped before pickling: artifact caching is resolved
+results and errors come back pickle-free.  Artifact caching is resolved
 coordinator-side (see :class:`repro.runtime.SweepEngine`), so workers
-only ever see cache misses and lambda codecs never break job transport.
+only ever see cache misses.
 """
 
 from __future__ import annotations
 
 import base64
 import builtins
-import dataclasses
 import pickle
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
@@ -142,14 +140,10 @@ COORDINATOR_EVENTS = (
 def pack_jobs(jobs: Sequence[Job]) -> str:
     """Serialise a chunk of jobs for the wire.
 
-    Cache codecs are stripped (workers never touch the artifact cache), so
-    jobs whose ``encode`` / ``decode`` are closures or lambdas — legal for
-    every in-process executor — remain transportable.  ``fn`` itself must
-    be a module-level callable, the same constraint the process-pool
-    executor imposes.
+    ``fn`` must be a module-level callable, the same constraint the
+    process-pool executor imposes.
     """
-    stripped = [dataclasses.replace(job, key=None, encode=None, decode=None) for job in jobs]
-    blob = pickle.dumps(stripped, protocol=pickle.HIGHEST_PROTOCOL)
+    blob = pickle.dumps(list(jobs), protocol=pickle.HIGHEST_PROTOCOL)
     return base64.b64encode(blob).decode("ascii")
 
 

@@ -34,7 +34,7 @@ from repro.circuits.energy import EnergyModelReference
 from repro.circuits.mismatch import MismatchParameters, MismatchSampler
 from repro.circuits.technology import TechnologyCard
 from repro.circuits.transient import TransientSolver
-from repro.runtime import Artifact, Job, SweepEngine, SweepSpec, job_key
+from repro.runtime import Job, SweepEngine, SweepSpec, job_key
 
 
 @dataclasses.dataclass(frozen=True)
@@ -339,16 +339,6 @@ def _characterization_batch(jobs: Sequence[Job]) -> List[np.ndarray]:
     return results
 
 
-def _encode_rows(rows: np.ndarray) -> Artifact:
-    """Cache codec: one sweep table as a single-array artifact."""
-    return Artifact(arrays={"rows": np.asarray(rows, dtype=float)})
-
-
-def _decode_rows(artifact: Artifact) -> np.ndarray:
-    """Inverse of :func:`_encode_rows`."""
-    return np.asarray(artifact.arrays["rows"], dtype=float)
-
-
 def _discharge_sweep_from_rows(table: np.ndarray) -> DischargeSweep:
     return DischargeSweep(
         time=table[:, 0],
@@ -402,8 +392,6 @@ def characterize(
             kwargs=kwargs,
             name=f"characterize:{tag}",
             key=job_key(f"char-{tag}", technology, plan, conditions) if cacheable else None,
-            encode=_encode_rows,
-            decode=_decode_rows,
         )
 
     nominal = OperatingConditions.nominal(technology)
@@ -464,8 +452,6 @@ def characterize(
         kwargs={"energy_reference": energy_reference, "sources": sources},
         name="characterize:discharge-energy",
         key=job_key("char-discharge-energy", technology, plan) if cacheable else None,
-        encode=_encode_rows,
-        decode=_decode_rows,
     )
     energy_table = engine.run(
         SweepSpec(

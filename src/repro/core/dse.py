@@ -26,7 +26,7 @@ from repro.core.model_suite import OptimaModelSuite
 from repro.multiplier.config import MultiplierConfig
 from repro.multiplier.error_analysis import InputSpaceAnalysis, analyze_input_space
 from repro.multiplier.imac import InSramMultiplier
-from repro.runtime import Artifact, Job, SweepEngine, SweepSpec, job_key
+from repro.runtime import Job, SweepEngine, SweepSpec, job_key
 
 
 @dataclasses.dataclass(frozen=True)
@@ -298,41 +298,6 @@ def _evaluate_corner_batch(jobs: Sequence[Job]) -> List[DesignPoint]:
     return [_evaluate_corner(*job.args) for job in jobs]
 
 
-def _encode_design_point(point: DesignPoint) -> Artifact:
-    """Cache codec: one evaluated corner as arrays + config metadata."""
-    analysis = point.analysis
-    return Artifact(
-        arrays={
-            "expected": analysis.expected,
-            "results": analysis.results,
-            "errors": analysis.errors,
-            "analog_sigma": analysis.analog_sigma,
-        },
-        meta={
-            "config": point.config.to_dict(),
-            "energy_per_multiplication": analysis.energy_per_multiplication,
-            "energy_per_operation": analysis.energy_per_operation,
-            "adc_lsb": analysis.adc_lsb,
-        },
-    )
-
-
-def _decode_design_point(artifact: Artifact) -> DesignPoint:
-    """Inverse of :func:`_encode_design_point`."""
-    config = MultiplierConfig.from_dict(artifact.meta["config"])
-    analysis = InputSpaceAnalysis(
-        config=config,
-        expected=artifact.arrays["expected"],
-        results=artifact.arrays["results"],
-        errors=artifact.arrays["errors"],
-        analog_sigma=artifact.arrays["analog_sigma"],
-        energy_per_multiplication=float(artifact.meta["energy_per_multiplication"]),
-        energy_per_operation=float(artifact.meta["energy_per_operation"]),
-        adc_lsb=float(artifact.meta["adc_lsb"]),
-    )
-    return DesignPoint(config=config, analysis=analysis)
-
-
 def explore_design_space(
     suite: OptimaModelSuite,
     space: Optional[DesignSpace] = None,
@@ -365,8 +330,6 @@ def explore_design_space(
                 if suite_dict is not None
                 else None
             ),
-            encode=_encode_design_point,
-            decode=_decode_design_point,
         )
         for config in space.configurations()
     ]

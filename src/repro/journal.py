@@ -78,8 +78,9 @@ def default_journal_path(cache_dir: Optional[PathLike] = None) -> pathlib.Path:
 
     The journal lives *inside* the cache directory — the artifacts it
     refers to and the record of how they came to be travel together, and
-    ``cache clear`` keeps its hands off it (the cache only removes ``.npz``
-    files).
+    ``cache clear`` keeps its hands off it (the cache only removes the
+    artifact, tmp and legacy ``.npz`` files in its key-prefix
+    subdirectories).
     """
     from repro.runtime.cache import default_cache_dir
 

@@ -9,16 +9,15 @@ trusted-peers-only stance.  This rule fails any new
 ``pickle.loads/dumps/load/dump`` (and friends) anywhere else, so the
 surface that must migrate can never silently grow.
 
-Also flagged: ``np.load(..., allow_pickle=True)`` — the artifact cache
-deliberately reads with ``allow_pickle=False`` so a poisoned ``.npz``
-cannot execute code, and nothing else may weaken that.
+Also flagged: ``np.load(..., allow_pickle=True)``, which executes any
+pickle a poisoned ``.npy`` / ``.npz`` file carries.
 
 Raw-buffer decoding is confined the same way: ``np.frombuffer`` turns
 attacker-supplied bytes into arrays with no validation of its own, so
 every call must live behind the length/dtype/shape checks in
-``repro/wire.py`` (``unpack_arrays``) or the artifact cache's metadata
-round-trip (``repro/runtime/cache.py``) — the ``FROMBUFFER_ALLOWLIST``.
-Anywhere else, decode through :func:`repro.wire.unpack_arrays`.
+``repro/wire.py`` (``unpack_arrays``) — the ``FROMBUFFER_ALLOWLIST``.
+Anywhere else, decode through :func:`repro.wire.unpack_arrays`; the
+artifact cache does.
 """
 
 from __future__ import annotations
@@ -36,10 +35,9 @@ __all__ = ["WireSafetyChecker", "PICKLE_ALLOWLIST", "FROMBUFFER_ALLOWLIST"]
 PICKLE_ALLOWLIST = ("repro/cluster/protocol.py",)
 
 #: POSIX path suffixes allowed to call ``np.frombuffer``: the wire array
-#: codec (which validates length/dtype/shape before viewing) and the
-#: artifact cache's metadata round-trip.  Everything else must decode
-#: through ``repro.wire.unpack_arrays``.
-FROMBUFFER_ALLOWLIST = ("repro/wire.py", "repro/runtime/cache.py")
+#: codec, which validates length/dtype/shape before viewing.  Everything
+#: else must decode through ``repro.wire.unpack_arrays``.
+FROMBUFFER_ALLOWLIST = ("repro/wire.py",)
 
 #: Raw-buffer decoders (module.function) confined to the allowlist above.
 _FROMBUFFER_CALLS = {
@@ -72,7 +70,7 @@ class WireSafetyChecker(Checker):
     description = (
         "pickle/marshal call outside the allowlisted repro/cluster/protocol.py "
         "shim, np.load with allow_pickle=True, or np.frombuffer outside the "
-        "validated repro.wire / cache codecs"
+        "validated repro.wire codec"
     )
 
     def applies_to(self, path: pathlib.PurePath) -> bool:
@@ -111,9 +109,9 @@ class WireSafetyChecker(Checker):
                     (
                         node.lineno,
                         node.col_offset,
-                        "raw-buffer decoding outside the validated codecs "
-                        "(repro/wire.py, repro/runtime/cache.py); decode "
-                        "through repro.wire.unpack_arrays instead",
+                        "raw-buffer decoding outside the validated codec "
+                        "(repro/wire.py); decode through "
+                        "repro.wire.unpack_arrays instead",
                     )
                 )
                 continue

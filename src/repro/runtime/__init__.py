@@ -11,9 +11,10 @@ evaluations) submits its work to one front door, the :class:`SweepEngine`:
   or the cluster-backed ``distributed`` strategy (:mod:`repro.cluster`,
   long-lived worker processes on any host) — and every strategy produces
   bit-identical results,
-* results of cache-enabled jobs are persisted as content-addressed ``.npz``
-  artifacts (:mod:`repro.runtime.cache`); ``ArtifactCache(max_bytes=...)``
-  additionally LRU-evicts cold artifacts so the cache stays size-bounded,
+* results of keyed jobs are persisted as content-addressed artifacts, one
+  :mod:`repro.wire` value frame each (:mod:`repro.runtime.cache`);
+  ``ArtifactCache(max_bytes=...)`` additionally LRU-evicts cold artifacts
+  so the cache stays size-bounded,
 * the unified CLI (``python -m repro run dse|pvt|characterize|tables``)
   routes every paper figure / table through the engine
   (:mod:`repro.runtime.cli`), and ``python -m repro serve`` exposes the
@@ -53,7 +54,7 @@ import time
 from typing import Any, Callable, Iterable, List, Optional, Sequence, Tuple, Union
 
 from repro import obs
-from repro.runtime.cache import Artifact, ArtifactCache, CacheStats, default_cache_dir
+from repro.runtime.cache import ArtifactCache, CacheStats, default_cache_dir
 from repro.runtime.executors import (
     BatchExecutor,
     CancelEvent,
@@ -66,7 +67,6 @@ from repro.runtime.executors import (
 from repro.runtime.jobs import Job, SweepSpec, code_version, fingerprint, job_key
 
 __all__ = [
-    "Artifact",
     "ArtifactCache",
     "BatchExecutor",
     "CacheStats",
@@ -137,9 +137,9 @@ class SweepEngine:
         is bit-identical by contract.  An explicitly passed executor always
         wins: the engine then never second-guesses the caller's strategy.
     cache:
-        Optional :class:`ArtifactCache`.  Jobs that carry a content hash and
-        codecs are served from the cache when possible and stored after
-        execution; jobs without them always execute.
+        Optional :class:`ArtifactCache`.  Jobs that carry a content hash
+        (``key``) are served from the cache when possible and their results
+        stored after execution; jobs without one always execute.
     progress:
         Default progress callback used by :meth:`run` when the caller does
         not pass one (the CLI installs its progress line here).
@@ -242,10 +242,10 @@ class SweepEngine:
         for index, job in enumerate(spec.jobs):
             if cancel is not None and cancel.is_set():
                 raise SweepCancelled(f"sweep {spec.name!r} cancelled during cache resolution")
-            if self.cache is not None and job.cacheable:
-                artifact = self.cache.get(job.key)
-                if artifact is not None:
-                    results[index] = job.decode(artifact)
+            if self.cache is not None and job.key is not None:
+                value = self.cache.get(job.key)
+                if value is not None:
+                    results[index] = value
                     with self._stats_lock:
                         self.stats.cache_hits += 1
                     _CACHE_HITS.inc()
@@ -296,8 +296,8 @@ class SweepEngine:
             _JOBS_EXECUTED.inc(len(pending_jobs))
             for (index, job), value in zip(pending, executed):
                 results[index] = value
-                if self.cache is not None and job.cacheable:
-                    self.cache.put(job.key, job.encode(value))
+                if self.cache is not None and job.key is not None:
+                    self.cache.put(job.key, value)
         elapsed = time.monotonic() - started
         _RUN_SECONDS.observe(elapsed)
         obs.EVENTS.emit(

@@ -1,12 +1,19 @@
 """Content-addressed on-disk artifact cache.
 
 Expensive sweep results (reference-simulator characterisation tables,
-design-space corner evaluations) are stored as ``.npz`` artifacts addressed
-by the SHA-256 content hash of everything that determines them: the sweep
-plan, the technology card, the operating conditions and the code version
-(see :func:`repro.runtime.jobs.job_key`).  A warm re-run of a sweep
-therefore never touches the reference solver — it deserialises the artifact
-and returns.
+design-space corner evaluations, trained DNN states) are stored as
+artifacts addressed by the SHA-256 content hash of everything that
+determines them: the sweep plan, the technology card, the operating
+conditions and the code version (see :func:`repro.runtime.jobs.job_key`).
+A warm re-run of a sweep therefore never touches the reference solver — it
+decodes the artifact and returns.
+
+An artifact file is one :mod:`repro.wire` binary frame: a JSON header line
+``{"values": skeleton, "arrays": specs, "binary": N}`` followed by ``N``
+payload bytes, written by :func:`repro.wire.pack_values` and read back by
+:func:`repro.wire.unpack_values` — the frame a cluster ``chunk_done``
+carries, minus its op fields.  Any value that codec carries can be cached
+as it is, with no per-job encoder.
 
 Robustness properties the tests assert:
 
@@ -15,14 +22,15 @@ Robustness properties the tests assert:
 * **invalidation** — any change to the technology card, the plan, the
   operating conditions or :data:`repro.__version__` changes the key, so
   stale artifacts are never served;
-* **corrupt-artifact recovery** — an unreadable artifact is treated as a
-  miss and deleted, never as an error;
+* **corrupt-artifact recovery** — an unreadable or undecodable artifact
+  is treated as a miss and deleted, never as an error;
 * **atomic writes** — artifacts are written to a temporary file and
   ``os.replace``-d into place, so a crashed run cannot leave a truncated
   artifact under a live key.  Temporary files orphaned by a crashed
   ``put`` still occupy disk, so :meth:`ArtifactCache.size_bytes` counts
   them and :meth:`ArtifactCache.clear` / :meth:`ArtifactCache.evict`
-  sweep them;
+  sweep them.  So do the ``.npz`` artifacts (and their tmp files) that
+  older builds wrote: they are never read again;
 * **size-bounded LRU eviction** — a cache built with ``max_bytes`` evicts
   least-recently-used artifacts whenever a ``put`` pushes it over the
   limit (never the artifact just written).  Recency is tracked through
@@ -34,20 +42,14 @@ Robustness properties the tests assert:
 from __future__ import annotations
 
 import dataclasses
-import json
 import os
 import pathlib
 import tempfile
 import threading
 import time
-import zipfile
-from typing import Dict, Iterator, List, Optional, Sequence, Union
+from typing import Any, Iterator, List, Optional, Sequence, Union
 
-import numpy as np
-
-from repro import obs
-
-_META_KEY = "__meta__"
+from repro import obs, wire
 
 # Process-wide mirrors of the per-instance CacheStats counters (one label
 # per accounting event), plus the footprint gauge: `status`, `cache info`
@@ -62,6 +64,13 @@ _CACHE_SIZE = obs.gauge(
     "Last measured on-disk footprint of the artifact cache.",
 )
 
+#: Artifact file suffix; a write goes to a ``.frame.tmp`` file first.
+_SUFFIX = ".frame"
+
+#: Files of the ``.npz`` format older builds wrote: never read, but
+#: counted by size_bytes() and removed by clear() and evict().
+_LEGACY_PATTERNS = ("*/*.npz", "*/*.npz.tmp")
+
 # A tmp file this old cannot belong to an in-flight put(); evict() treats it
 # as garbage from a crashed writer.  clear() sweeps tmp files regardless.
 _STALE_TMP_SECONDS = 3600.0
@@ -75,18 +84,6 @@ def default_cache_dir() -> pathlib.Path:
     if override:
         return pathlib.Path(override)
     return pathlib.Path.home() / ".cache" / "repro-optima"
-
-
-@dataclasses.dataclass
-class Artifact:
-    """One cached sweep result: named arrays plus JSON-serialisable metadata."""
-
-    arrays: Dict[str, np.ndarray] = dataclasses.field(default_factory=dict)
-    meta: Dict[str, object] = dataclasses.field(default_factory=dict)
-
-    def __post_init__(self) -> None:
-        if _META_KEY in self.arrays:
-            raise ValueError(f"array name {_META_KEY!r} is reserved")
 
 
 @dataclasses.dataclass
@@ -109,7 +106,7 @@ class CacheStats:
 
 
 class ArtifactCache:
-    """Content-addressed ``.npz`` artifact store.
+    """Content-addressed artifact store.
 
     Parameters
     ----------
@@ -128,7 +125,11 @@ class ArtifactCache:
     ValueError
         For a negative ``max_bytes``, or (from :meth:`path_for` /
         :meth:`get` / :meth:`put`) for keys that are not lowercase hex
-        digests.
+        digests, or (from :meth:`put`) for a ``None`` value, which
+        :meth:`get` could not tell from a miss.
+    repro.wire.ProtocolError
+        From :meth:`put`, for a value :func:`repro.wire.pack_values`
+        cannot carry.
 
     Examples
     --------
@@ -136,9 +137,10 @@ class ArtifactCache:
     >>> import numpy as np
     >>> cache = ArtifactCache(tempfile.mkdtemp())
     >>> key = "ab" * 32                       # content hash from job_key()
-    >>> path = cache.put(key, Artifact(arrays={"x": np.arange(3)}))
-    >>> cache.get(key).arrays["x"].tolist()
-    [0, 1, 2]
+    >>> path = cache.put(key, {"x": np.arange(3), "label": "toy"})
+    >>> value = cache.get(key)
+    >>> value["x"].tolist(), value["label"]
+    ([0, 1, 2], 'toy')
     >>> len(cache), cache.stats.hits
     (1, 1)
     >>> cache.get("cd" * 32) is None          # miss
@@ -167,7 +169,7 @@ class ArtifactCache:
         """On-disk location of the artifact for ``key``."""
         if not key or any(c not in "0123456789abcdef" for c in key):
             raise ValueError(f"cache keys must be lowercase hex digests, got {key!r}")
-        return self.root / key[:2] / f"{key}.npz"
+        return self.root / key[:2] / f"{key}{_SUFFIX}"
 
     def has(self, key: str) -> bool:
         """Whether an artifact (possibly corrupt) exists for ``key``."""
@@ -176,11 +178,13 @@ class ArtifactCache:
     # ------------------------------------------------------------------
     # Read / write
     # ------------------------------------------------------------------
-    def get(self, key: str) -> Optional[Artifact]:
-        """Load the artifact for ``key``; a corrupt artifact counts as a miss.
+    def get(self, key: str) -> Any:
+        """Load the value stored under ``key``; ``None`` on a miss.
 
-        Corrupt or unreadable files are deleted so the next ``put`` rebuilds
-        them from scratch.
+        A file that cannot be read or decoded — bad header JSON, a payload
+        shorter or longer than declared, a malformed skeleton or array spec,
+        a class the codec refuses — counts as a corrupt miss and is deleted
+        so the next ``put`` rebuilds it from scratch; it never raises.
         """
         path = self.path_for(key)
         if not path.exists():
@@ -190,13 +194,13 @@ class ArtifactCache:
             obs.EVENTS.emit("cache_miss", key=key)
             return None
         try:
-            with np.load(path, allow_pickle=False) as archive:
-                meta_bytes = bytes(bytearray(archive[_META_KEY]))
-                meta = json.loads(meta_bytes.decode("utf-8"))
-                arrays = {
-                    name: archive[name] for name in archive.files if name != _META_KEY
-                }
-        except (OSError, ValueError, KeyError, zipfile.BadZipFile, json.JSONDecodeError):
+            frame = wire.decode_binary(path.read_bytes())
+            value = wire.unpack_values(
+                frame.get("values"), frame.get("arrays"), frame[wire.PAYLOAD_KEY]
+            )
+            if value is None:
+                raise wire.ProtocolError("artifact holds no value")
+        except (OSError, wire.ProtocolError):
             with self._lock:
                 self.stats.corrupt_dropped += 1
                 self.stats.misses += 1
@@ -218,24 +222,25 @@ class ArtifactCache:
             os.utime(path)
         except OSError:
             pass
-        return Artifact(arrays=arrays, meta=meta)
+        return value
 
-    def put(self, key: str, artifact: Artifact) -> pathlib.Path:
-        """Atomically store ``artifact`` under ``key`` and return its path.
+    def put(self, key: str, value: Any) -> pathlib.Path:
+        """Atomically store ``value`` under ``key`` and return its path.
 
         With ``max_bytes`` configured, a write that pushes the cache over
         the limit triggers LRU eviction; the artifact just written is
         always protected from it.
         """
         path = self.path_for(key)
+        if value is None:
+            raise ValueError("None cannot be cached: get() returns None for a miss")
+        skeleton, specs, payload = wire.pack_values(value)
+        frame = wire.encode_binary({"values": skeleton, "arrays": specs}, payload)
         path.parent.mkdir(parents=True, exist_ok=True)
-        meta_bytes = json.dumps(artifact.meta, sort_keys=True).encode("utf-8")
-        payload = dict(artifact.arrays)
-        payload[_META_KEY] = np.frombuffer(meta_bytes, dtype=np.uint8)
-        fd, tmp_name = tempfile.mkstemp(dir=path.parent, suffix=".npz.tmp")
+        fd, tmp_name = tempfile.mkstemp(dir=path.parent, suffix=f"{_SUFFIX}.tmp")
         try:
             with os.fdopen(fd, "wb") as handle:
-                np.savez(handle, **payload)
+                handle.write(frame)
             os.replace(tmp_name, path)
         except BaseException:
             try:
@@ -266,16 +271,21 @@ class ArtifactCache:
     # ------------------------------------------------------------------
     # Maintenance
     # ------------------------------------------------------------------
-    def _artifact_paths(self) -> List[pathlib.Path]:
+    def _paths(self, *patterns: str) -> List[pathlib.Path]:
         if not self.root.exists():
             return []
-        return sorted(self.root.glob("*/*.npz"))
+        return sorted(path for pattern in patterns for path in self.root.glob(pattern))
+
+    def _artifact_paths(self) -> List[pathlib.Path]:
+        return self._paths(f"*/*{_SUFFIX}")
 
     def _tmp_paths(self) -> List[pathlib.Path]:
         """Temporary files orphaned by a ``put`` that crashed mid-write."""
-        if not self.root.exists():
-            return []
-        return sorted(self.root.glob("*/*.npz.tmp"))
+        return self._paths(f"*/*{_SUFFIX}.tmp")
+
+    def _legacy_paths(self) -> List[pathlib.Path]:
+        """``.npz`` artifacts and tmp files an older build left behind."""
+        return self._paths(*_LEGACY_PATTERNS)
 
     def keys(self) -> Iterator[str]:
         """Iterate over every stored artifact key."""
@@ -286,9 +296,9 @@ class ArtifactCache:
         return sum(1 for _ in self.keys())
 
     def size_bytes(self) -> int:
-        """Total on-disk footprint in bytes, stray tmp files included."""
+        """Total on-disk footprint in bytes, stray tmp and legacy files included."""
         total = 0
-        for path in self._artifact_paths() + self._tmp_paths():
+        for path in self._artifact_paths() + self._tmp_paths() + self._legacy_paths():
             try:
                 total += path.stat().st_size
             except OSError:
@@ -296,9 +306,9 @@ class ArtifactCache:
         return total
 
     def clear(self) -> int:
-        """Delete every artifact and stray tmp file; returns files removed."""
+        """Delete every artifact, stray tmp and legacy file; returns files removed."""
         removed = 0
-        for path in self._artifact_paths() + self._tmp_paths():
+        for path in self._artifact_paths() + self._tmp_paths() + self._legacy_paths():
             try:
                 path.unlink()
                 removed += 1
@@ -326,9 +336,10 @@ class ArtifactCache:
             ``put`` uses it so eviction never drops the artifact just
             written.
 
-        Returns the number of files removed.  Stale tmp files (older than
-        one hour, i.e. certainly not an in-flight write) are swept first;
-        artifacts are then removed oldest-first, where age is the newest of
+        Returns the number of files removed.  Legacy ``.npz`` files (and
+        their tmp files) and stale tmp files (older than one hour, i.e.
+        certainly not an in-flight write) are swept first; artifacts are
+        then removed oldest-first, where age is the newest of
         ``st_atime`` / ``st_mtime`` (every cache hit bumps both).
         """
         limit = self.max_bytes if max_bytes is None else max_bytes
@@ -336,10 +347,13 @@ class ArtifactCache:
             raise ValueError("evict() needs max_bytes (argument or constructor)")
         removed = 0
         stale_before = time.time() - _STALE_TMP_SECONDS
-        for tmp in self._tmp_paths():
+        legacy = set(self._legacy_paths())
+        for stray in sorted(legacy) + self._tmp_paths():
             try:
-                if tmp.stat().st_mtime < stale_before:
-                    tmp.unlink()
+                # Legacy files are never read again; a fresh tmp file may
+                # belong to an in-flight put().
+                if stray in legacy or stray.stat().st_mtime < stale_before:
+                    stray.unlink()
                     removed += 1
             except OSError:
                 pass

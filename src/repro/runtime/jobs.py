@@ -139,11 +139,9 @@ class Job:
         Display name surfaced through progress callbacks.
     key:
         Content-address of the job (from :func:`job_key`); ``None`` marks
-        the job as uncacheable.
-    encode, decode:
-        Optional codecs translating the job result to / from a cacheable
-        :class:`repro.runtime.cache.Artifact`.  Both must be set for the
-        engine to cache the result.
+        the job as uncacheable.  A keyed job's result is stored in the
+        artifact cache as it is, so it must be a value
+        :func:`repro.wire.pack_values` carries, and not ``None``.
     """
 
     fn: Callable[..., Any]
@@ -151,17 +149,10 @@ class Job:
     kwargs: Dict[str, Any] = dataclasses.field(default_factory=dict)
     name: str = ""
     key: Optional[str] = None
-    encode: Optional[Callable[[Any], Any]] = None
-    decode: Optional[Callable[[Any], Any]] = None
 
     def run(self) -> Any:
         """Execute the job in the current process."""
         return self.fn(*self.args, **self.kwargs)
-
-    @property
-    def cacheable(self) -> bool:
-        """Whether the engine may serve / store this job from the cache."""
-        return self.key is not None and self.encode is not None and self.decode is not None
 
 
 @dataclasses.dataclass

@@ -173,7 +173,7 @@ def run_eventsim(params: Dict[str, Any], engine: SweepEngine) -> Dict[str, Any]:
     import numpy as np
 
     from repro.circuits.technology import tsmc65_like
-    from repro.runtime import Artifact, Job, SweepSpec, job_key
+    from repro.runtime import Job, SweepSpec, job_key
 
     fast = bool(params.get("fast", False))
     shards = int(params.get("shards", 1))
@@ -204,8 +204,6 @@ def run_eventsim(params: Dict[str, Any], engine: SweepEngine) -> Dict[str, Any]:
                 args=(shard, fast),
                 name=f"eventsim[{len(shard)}]",
                 key=job_key("service-eventsim", tsmc65_like(), shard, fast),
-                encode=lambda result: Artifact(arrays=dict(result)),
-                decode=lambda artifact: dict(artifact.arrays),
             )
         )
     outputs = engine.run(SweepSpec(f"eventsim[{len(pairs)}x{shards}]", jobs))
@@ -322,9 +320,9 @@ def run_dnn(params: Dict[str, Any], engine: SweepEngine) -> Dict[str, Any]:
     """
     import numpy as np
 
-    from repro.analysis.dnn_tables import evaluation_job, train
+    from repro.analysis.dnn_tables import train
     from repro.dnn.network import network_state
-    from repro.runtime import SweepSpec, job_key
+    from repro.runtime import Job, SweepSpec, job_key
 
     model = str(params.get("model", "VGG16"))
     if model not in ("VGG16", "VGG19", "ResNet50", "ResNet101"):
@@ -350,11 +348,11 @@ def run_dnn(params: Dict[str, Any], engine: SweepEngine) -> Dict[str, Any]:
     bounds = np.linspace(0, total, shards + 1, dtype=int)
     windows = [(int(bounds[index]), int(bounds[index + 1])) for index in range(shards)]
     jobs = [
-        evaluation_job(
-            _evaluate_shard,
-            (model, modes, quick, window, state),
-            f"dnn[{model}:{window[0]}:{window[1]}]",
-            job_key("service-dnn", model, modes, quick, window),
+        Job(
+            fn=_evaluate_shard,
+            args=(model, modes, quick, window, state),
+            name=f"dnn[{model}:{window[0]}:{window[1]}]",
+            key=job_key("service-dnn", model, modes, quick, window),
         )
         for window in windows
     ]
@@ -408,7 +406,7 @@ def run_montecarlo(params: Dict[str, Any], engine: SweepEngine) -> Dict[str, Any
     a single cacheable job, exactly as before.
     """
     from repro.circuits.technology import tsmc65_like
-    from repro.runtime import Artifact, Job, job_key
+    from repro.runtime import Job, job_key
 
     samples = int(params.get("samples", 200))
     seed = int(params.get("seed", 2024))
@@ -429,8 +427,6 @@ def run_montecarlo(params: Dict[str, Any], engine: SweepEngine) -> Dict[str, Any
             args=(samples, seed),
             name=f"montecarlo[{samples}]",
             key=job_key("service-montecarlo", tsmc65_like(), samples, seed),
-            encode=lambda result: Artifact(arrays=dict(result)),
-            decode=lambda artifact: dict(artifact.arrays),
         )
         result = engine.run_one(job)
     sigmas = {

@@ -30,12 +30,14 @@ bound is deliberately separate from :data:`MAX_MESSAGE_BYTES`: headers stay
 small and debuggable while chunked NumPy results ride behind them.
 :func:`pack_arrays` / :func:`unpack_arrays` are the canonical payload
 codec — dtype/shape-tagged contiguous buffers, reconstructed zero-copy
-with ``np.frombuffer`` (this module is the only place outside the cache
-allowed to do that; the ``REPRO-WIRE01`` lint rule enforces it).
+with ``np.frombuffer`` (this module is the only one allowed to do that;
+the ``REPRO-WIRE01`` lint rule enforces it).
 :func:`pack_values` / :func:`unpack_values` build on them to carry nested
 values — dicts, lists, tuples, scalars, NumPy scalars and ``repro``
 dataclasses — as a JSON skeleton in the header over one array payload,
-with no pickle anywhere.
+with no pickle anywhere.  The same frame, read back whole with
+:func:`decode_binary`, is the artifact cache's file format
+(:mod:`repro.runtime.cache`).
 
 Everything here used to live in :mod:`repro.service.protocol`; it was
 extracted so the service and the cluster share one tested implementation.
@@ -92,7 +94,7 @@ def decode_message(line: bytes) -> Dict[str, Any]:
     """Parse one wire line back into a message dict."""
     try:
         message = json.loads(line.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as error:
+    except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as error:
         raise ProtocolError(f"message is not valid JSON: {error}") from None
     if not isinstance(message, dict):
         raise ProtocolError("message must be a JSON object")
@@ -119,6 +121,30 @@ def encode_binary(message: Dict[str, Any], payload: bytes) -> bytes:
         )
     header = encode_message({**message, BINARY_KEY: len(payload)})
     return header + payload
+
+
+def decode_binary(frame: bytes) -> Dict[str, Any]:
+    """Parse one :func:`encode_binary` frame held whole in memory.
+
+    Returns the header with the payload attached under
+    :data:`PAYLOAD_KEY`, as :func:`read_message` does for a stream.  A
+    frame with no header line, a header that declares no payload, or a
+    payload whose length differs from the declared one raises
+    :class:`ProtocolError`.
+    """
+    line, newline, payload = frame.partition(b"\n")
+    if not newline:
+        raise ProtocolError("frame has no header line")
+    message = decode_message(line)
+    declared = _declared_payload_length(message)
+    if declared is None:
+        raise ProtocolError("frame header declares no binary payload")
+    if len(payload) != declared:
+        raise ProtocolError(
+            f"frame carries {len(payload)} payload bytes, its header declares {declared}"
+        )
+    message[PAYLOAD_KEY] = payload
+    return message
 
 
 def _declared_payload_length(message: Dict[str, Any]) -> Optional[int]:
@@ -237,7 +263,8 @@ def unpack_arrays(specs: Sequence[Dict[str, Any]], payload: bytes) -> List[np.nd
             raise ProtocolError(f"bad array shape {shape!r:.200}")
         try:
             dtype = np.dtype(dtype_text)
-        except (TypeError, ValueError) as error:
+        # SyntaxError: NumPy parses a "(repeats)type" string with literal_eval.
+        except (TypeError, ValueError, SyntaxError) as error:
             raise ProtocolError(f"bad array dtype {dtype_text!r:.80}: {error}") from None
         _check_dtype(dtype)
         count = 1

@@ -47,7 +47,6 @@ from repro.circuits.technology import tsmc65_like
 from repro.cluster import DistributedExecutor, fetch_status, parse_address
 from repro.cluster import protocol as cluster_protocol
 from repro.runtime import (
-    Artifact,
     ArtifactCache,
     Job,
     SerialExecutor,
@@ -148,18 +147,11 @@ class TestSharedWire:
 
 
 class TestJobTransport:
-    def test_pack_strips_cache_codecs(self):
-        job = Job(
-            fn=_square,
-            args=(3,),
-            name="sq",
-            key=job_key("transport-test", 3),
-            encode=lambda result: Artifact(arrays={"x": np.asarray([result])}),
-            decode=lambda artifact: int(artifact.arrays["x"][0]),
-        )
+    def test_pack_round_trips_a_keyed_job(self):
+        job = Job(fn=_square, args=(3,), name="sq", key=job_key("transport-test", 3))
         [restored] = cluster_protocol.unpack_jobs(cluster_protocol.pack_jobs([job]))
         assert restored.run() == 9
-        assert restored.key is None and restored.encode is None and restored.decode is None
+        assert (restored.name, restored.key) == (job.name, job.key)
 
     def test_exception_transport_preserves_type(self):
         """Built-in exception types come back by name, anything else as a
@@ -389,8 +381,6 @@ class TestDistributedExecution:
                 args=(value,),
                 name=f"sq[{value}]",
                 key=job_key("cluster-cache-test", value),
-                encode=lambda result: Artifact(arrays={"x": np.asarray([result])}),
-                decode=lambda artifact: int(artifact.arrays["x"][0]),
             )
 
         cold = engine.run(SweepSpec("cache-test", [build(i) for i in range(8)]))
@@ -877,7 +867,7 @@ class TestCacheInfoJson:
     def test_cache_info_json_document(self, tmp_path, capsys):
         cache = ArtifactCache(tmp_path / "cache")
         key = job_key("cache-info-json-test", 1)
-        cache.put(key, Artifact(arrays={"x": np.arange(4.0)}, meta={"k": 1}))
+        cache.put(key, {"x": np.arange(4.0), "k": 1})
 
         code = cli_main(["cache", "info", "--cache-dir", str(tmp_path / "cache"), "--json"])
         assert code == 0

@@ -145,7 +145,7 @@ class TestDefaults:
 
     def test_cache_clear_spares_the_journal(self, tmp_path):
         """The journal lives inside the cache dir; `cache clear` must not
-        eat it (it only removes .npz artifacts)."""
+        eat it (it only removes artifact files)."""
         from repro.runtime import ArtifactCache
 
         cache = ArtifactCache(tmp_path)

@@ -318,27 +318,29 @@ class TestWireSafety:
         )
         assert rules_of(result) == ["REPRO-WIRE01"]
 
-    @pytest.mark.parametrize(
-        "name, subdir", [("wire.py", "repro"), ("cache.py", "repro/runtime")]
-    )
-    def test_the_validated_codecs_are_exempt(self, tmp_path, name, subdir):
-        result = lint_source(
-            tmp_path,
-            """
-            import numpy as np
+    _FROMBUFFER_SOURCE = """
+        import numpy as np
 
-            def decode(blob):
-                return np.frombuffer(blob, dtype=np.uint8)
-            """,
-            name=name,
-            subdir=subdir,
-        )
+        def decode(blob):
+            return np.frombuffer(blob, dtype=np.uint8)
+        """
+
+    @pytest.mark.parametrize("name, subdir", [("wire.py", "repro")])
+    def test_the_validated_codecs_are_exempt(self, tmp_path, name, subdir):
+        result = lint_source(tmp_path, self._FROMBUFFER_SOURCE, name=name, subdir=subdir)
         assert result.findings == []
+
+    def test_the_artifact_cache_is_not_exempt(self, tmp_path):
+        """The artifact cache decodes through repro.wire like everything else."""
+        result = lint_source(
+            tmp_path, self._FROMBUFFER_SOURCE, name="cache.py", subdir="repro/runtime"
+        )
+        assert rules_of(result) == ["REPRO-WIRE01"]
 
     def test_shipped_shim_really_is_the_only_pickle_surface(self):
         """The allowlist is not aspirational: linting src finds no
         pickle call outside the shim — and no raw-buffer decoding
-        outside the validated codecs (WIRE01 never appears over src)."""
+        outside the validated codec (WIRE01 never appears over src)."""
         result = run_lint([SRC])
         assert "REPRO-WIRE01" not in rules_of(result)
 

@@ -226,18 +226,14 @@ def _diff_batch(jobs) -> list:
 def _diff_jobs(
     entropy: int, count: int, size: int, keyed: bool = False, shape: str = "array"
 ) -> list:
-    from repro.runtime import Artifact, Job, job_key
+    from repro.runtime import Job, job_key
 
-    encode = (lambda value: Artifact(arrays={"v": value})) if keyed else None
-    decode = (lambda artifact: artifact.arrays["v"]) if keyed else None
     return [
         Job(
             fn=_DIFF_BODIES[shape],
             args=(entropy + index, size),
             name=f"diff[{index}]",
-            key=job_key("prop-diff", entropy, index, size) if keyed else None,
-            encode=encode,
-            decode=decode,
+            key=job_key("prop-diff", shape, entropy, index, size) if keyed else None,
         )
         for index in range(count)
     ]
@@ -337,34 +333,35 @@ class TestExecutorDifferential:
     ):
         """A partially warm artifact cache must not perturb a single byte:
         whichever subset of jobs is served from disk, every executor still
-        returns the serial cold-run results."""
+        returns the serial cold-run results, for every result shape."""
         from repro.runtime import ArtifactCache, SweepEngine, SweepSpec, make_executor
 
-        batch_fn = _diff_batch if use_batch_fn else None
-        reference = SweepEngine(make_executor("serial")).run(
-            SweepSpec("diff", _diff_jobs(entropy, count, size), batch_fn=batch_fn)
-        )
         warm_indices = sorted({index for index in warm if index < count})
-        for executor in (None, make_executor("batch", batch_size=4)):
-            with tempfile.TemporaryDirectory() as root:
-                engine = SweepEngine(executor, cache=ArtifactCache(root))
-                if warm_indices:
-                    jobs = _diff_jobs(entropy, count, size, keyed=True)
-                    engine.run(
+        for shape in _DIFF_BODIES:
+            batch_fn = _diff_batch if use_batch_fn and shape == "array" else None
+            reference = SweepEngine(make_executor("serial")).run(
+                SweepSpec("diff", _diff_jobs(entropy, count, size, shape=shape), batch_fn=batch_fn)
+            )
+            for executor in (None, make_executor("batch", batch_size=4)):
+                with tempfile.TemporaryDirectory() as root:
+                    engine = SweepEngine(executor, cache=ArtifactCache(root))
+                    if warm_indices:
+                        jobs = _diff_jobs(entropy, count, size, keyed=True, shape=shape)
+                        engine.run(
+                            SweepSpec(
+                                "warmup",
+                                [jobs[index] for index in warm_indices],
+                                batch_fn=batch_fn,
+                            )
+                        )
+                    mixed = engine.run(
                         SweepSpec(
-                            "warmup",
-                            [jobs[index] for index in warm_indices],
+                            "diff",
+                            _diff_jobs(entropy, count, size, keyed=True, shape=shape),
                             batch_fn=batch_fn,
                         )
                     )
-                mixed = engine.run(
-                    SweepSpec(
-                        "diff",
-                        _diff_jobs(entropy, count, size, keyed=True),
-                        batch_fn=batch_fn,
-                    )
-                )
-                _assert_byte_identical(reference, mixed)
+                    _assert_byte_identical(reference, mixed)
 
     @given(
         entropy=st.integers(min_value=0, max_value=2**16),

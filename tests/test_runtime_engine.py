@@ -22,7 +22,6 @@ from repro.core.characterization import CharacterizationPlan, characterize
 from repro.core.dse import DesignSpace, explore_design_space
 from repro.core.pvt import monte_carlo_error_distribution
 from repro.runtime import (
-    Artifact,
     ArtifactCache,
     BatchExecutor,
     Job,
@@ -200,8 +199,6 @@ class TestSweepEngine:
                 args=(value,),
                 name=f"produce[{value}]",
                 key=job_key("toy-producer", value),
-                encode=lambda result: Artifact(arrays={"data": result}),
-                decode=lambda artifact: artifact.arrays["data"],
             )
 
         engine = SweepEngine(cache=cache)
@@ -388,8 +385,6 @@ class TestEngineProgressTotals:
             args=(value,),
             name=f"square[{value}]",
             key=job_key("progress-totals", value),
-            encode=lambda result: Artifact(arrays={"x": np.asarray([result])}),
-            decode=lambda artifact: int(artifact.arrays["x"][0]),
         )
 
     def test_fully_cached_sweep_still_reports_progress(self, tmp_path):

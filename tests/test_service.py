@@ -31,7 +31,7 @@ import numpy as np
 import pytest
 
 import repro
-from repro.runtime import Artifact, ArtifactCache, Job, SweepEngine, SweepSpec, job_key
+from repro.runtime import ArtifactCache, Job, SweepEngine, SweepSpec, job_key
 from repro.service import (
     ProtocolError,
     ServiceClient,
@@ -101,8 +101,6 @@ def _cacheable_workload(params, engine):
             args=(value,),
             name=f"sq[{value}]",
             key=job_key("service-test-square", value),
-            encode=lambda result: Artifact(arrays={"x": np.asarray([result])}),
-            decode=lambda artifact: int(artifact.arrays["x"][0]),
         )
 
     return {"sum": sum(engine.run(SweepSpec("toy", [build(i) for i in range(count)])))}

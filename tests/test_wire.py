@@ -212,6 +212,7 @@ class TestArrayCodec:
             {},
             {"dtype": "<f8"},
             {"dtype": "no-such-dtype", "shape": [1]},
+            {"dtype": "0)", "shape": [1]},
             {"dtype": "<f8", "shape": [-1]},
             {"dtype": "<f8", "shape": "oops"},
             {"dtype": "|V0", "shape": [1]},
