@@ -8,7 +8,7 @@ with the worker-pool size.  The same sharded sweep runs through
   no parallelism), and
 * a 4-worker cluster,
 
-and both must reproduce the *serial, unsharded* panel bit-for-bit — the
+and both must reproduce the *serial, one-shard* panel bit-for-bit — the
 executor contract that makes the cluster a drop-in backend.  On hosts with
 >= 4 cores the 4-worker pool must be at least 2x faster than the 1-worker
 pool; on smaller hosts (the usual 1-2 core CI box) the assertion relaxes to
@@ -27,7 +27,7 @@ import time
 import numpy as np
 from conftest import RESULTS_DIR
 
-from repro.analysis.pvt_sweeps import mismatch_monte_carlo, mismatch_monte_carlo_sharded
+from repro.analysis.pvt_sweeps import mismatch_monte_carlo
 from repro.circuits.technology import tsmc65_like
 from repro.cluster import DistributedExecutor
 from repro.runtime import SweepEngine
@@ -46,7 +46,7 @@ def _sharded_cold_run(workers: int, technology) -> tuple:
             raise RuntimeError("cluster cannot start in this environment")
         engine = SweepEngine(executor)  # no cache: every shard crosses the wire
         start = time.perf_counter()
-        result = mismatch_monte_carlo_sharded(
+        result = mismatch_monte_carlo(
             technology,
             samples=_SAMPLES,
             seed=_SEED,
@@ -66,7 +66,7 @@ def test_cluster_scaling_monte_carlo(benchmark):
 
     start = time.perf_counter()
     reference = benchmark.pedantic(
-        lambda: mismatch_monte_carlo(technology, samples=_SAMPLES, seed=_SEED),
+        lambda: mismatch_monte_carlo(technology, samples=_SAMPLES, seed=_SEED, shards=1),
         rounds=1,
         iterations=1,
     )
@@ -76,7 +76,7 @@ def test_cluster_scaling_monte_carlo(benchmark):
     pooled, pooled_seconds, pooled_stats = _sharded_cold_run(4, technology)
 
     # Whatever the pool size or dispatch schedule, the panel is bit-identical
-    # to the serial, unsharded reference.
+    # to the serial, one-shard reference.
     for candidate in (single, pooled):
         np.testing.assert_array_equal(
             reference["sigma_at_sampling_times"], candidate["sigma_at_sampling_times"]
@@ -91,7 +91,7 @@ def test_cluster_scaling_monte_carlo(benchmark):
         "cluster scaling: cold Monte-Carlo PVT sweep "
         f"({_SAMPLES} samples, {_SHARDS} shards)",
         f"  cores={cores}",
-        f"  serial (unsharded) : {serial_seconds:.3f} s",
+        f"  serial (1 shard)   : {serial_seconds:.3f} s",
         f"  1 worker           : {single_seconds:.3f} s "
         f"({single_stats['chunks_dispatched']} chunks)",
         f"  4 workers          : {pooled_seconds:.3f} s "

@@ -10,7 +10,7 @@ one machine:
 2. run the Fig. 5d Monte-Carlo mismatch panel as a *sharded* sweep —
    contiguous ``SeedSequence``-stable sample ranges dispatched as chunks
    across the pool — and verify the merged result is **bit-identical** to
-   the serial, unsharded reference;
+   the serial, one-shard reference;
 3. re-run the sharded sweep against a content-addressed artifact cache:
    every shard is a cache hit resolved engine-side, so nothing crosses the
    wire at all;
@@ -28,7 +28,7 @@ import tempfile
 
 import numpy as np
 
-from repro.analysis.pvt_sweeps import mismatch_monte_carlo, mismatch_monte_carlo_sharded
+from repro.analysis.pvt_sweeps import mismatch_monte_carlo
 from repro.circuits.technology import tsmc65_like
 from repro.cluster import DistributedExecutor
 from repro.runtime import ArtifactCache, SweepEngine
@@ -40,8 +40,8 @@ SHARDS = 8
 def main() -> None:
     technology = tsmc65_like()
 
-    print("serial, unsharded reference panel ...")
-    reference = mismatch_monte_carlo(technology, samples=SAMPLES, seed=7)
+    print("serial, one-shard reference panel ...")
+    reference = mismatch_monte_carlo(technology, samples=SAMPLES, seed=7, shards=1)
 
     with tempfile.TemporaryDirectory() as cache_dir:
         with DistributedExecutor(workers=2, chunksize=1) as executor:
@@ -58,7 +58,7 @@ def main() -> None:
             engine = SweepEngine(executor, cache=ArtifactCache(cache_dir))
 
             print(f"sharded sweep: {SAMPLES} samples in {SHARDS} chunks across the pool ...")
-            sharded = mismatch_monte_carlo_sharded(
+            sharded = mismatch_monte_carlo(
                 technology, samples=SAMPLES, seed=7, shards=SHARDS, engine=engine
             )
             identical = np.array_equal(
@@ -72,7 +72,7 @@ def main() -> None:
 
             print("warm re-run: every shard resolves from the artifact cache ...")
             jobs_done_before = executor.status().get("stats", {}).get("jobs_done", 0)
-            mismatch_monte_carlo_sharded(
+            mismatch_monte_carlo(
                 technology, samples=SAMPLES, seed=7, shards=SHARDS, engine=engine
             )
             jobs_done_after = executor.status().get("stats", {}).get("jobs_done", 0)

@@ -5,15 +5,19 @@ local transistor mismatch move the bit-line discharge.  Each function below
 reproduces one panel and returns flat arrays ready for assertion or
 plotting.
 
-Every panel submits its per-condition transients as independent jobs through
-a :class:`repro.runtime.SweepEngine`, so the reference simulations of one
-panel run concurrently under a parallel executor.  The default engine is
-serial and reproduces the historical inline loops exactly.
+Every panel submits its reference transients as independent jobs through a
+:class:`repro.runtime.SweepEngine`, so they run concurrently under a
+parallel executor; the default engine is serial with no cache.  Every job is
+cached when the engine has an artifact cache: one ``fig5-trace`` artifact per
+operating point of panels a-c (the three panels share the tag, so their
+common nominal point is simulated once) and one ``pvt-montecarlo-shard``
+artifact per sample range of panel d.  A warm re-run of the four panels
+executes nothing.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Sequence
+from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
@@ -21,7 +25,7 @@ from repro.circuits.conditions import OperatingConditions, celsius_to_kelvin
 from repro.circuits.mismatch import MismatchArrays, MismatchParameters, MismatchSampler
 from repro.circuits.technology import ProcessCorner, TechnologyCard
 from repro.circuits.transient import TransientSolver
-from repro.runtime import Job, SweepEngine, SweepSpec, job_key
+from repro.runtime import Job, SweepEngine, SweepSpec, fingerprint, job_key
 
 
 def _discharge_trace(
@@ -36,6 +40,38 @@ def _discharge_trace(
     return {"times": result.times, "voltages": np.atleast_1d(result.voltages)}
 
 
+def _trace_sweep(
+    technology: TechnologyCard,
+    wordline_voltage: float,
+    duration: float,
+    conditions: Sequence[OperatingConditions],
+    name: str,
+    engine: Optional[SweepEngine],
+) -> List[Dict[str, np.ndarray]]:
+    """One :func:`_discharge_trace` job per operating point, as one sweep.
+
+    With a cache each job is keyed by ``fig5-trace``, the technology, the
+    word-line voltage, the duration and its operating point; the shared
+    part of the key is hashed once per sweep.
+    """
+    engine = engine or SweepEngine()
+    digest = (
+        fingerprint(technology, wordline_voltage, duration)
+        if engine.cache is not None
+        else None
+    )
+    jobs = [
+        Job(
+            fn=_discharge_trace,
+            args=(technology, wordline_voltage, duration, point),
+            name=f"{name}[{index}]",
+            key=job_key("fig5-trace", digest, point) if digest is not None else None,
+        )
+        for index, point in enumerate(conditions)
+    ]
+    return engine.run(SweepSpec(name, jobs))
+
+
 def supply_sweep(
     technology: TechnologyCard,
     wordline_voltage: float = 0.9,
@@ -48,15 +84,12 @@ def supply_sweep(
     Returns a mapping from supply voltage to the voltage trace; the shared
     time axis is stored under the key ``-1.0``.
     """
-    engine = engine or SweepEngine()
     conditions = [
         OperatingConditions(vdd=float(vdd), temperature=technology.temperature_nominal)
         for vdd in supply_voltages
     ]
-    outputs = engine.map(
-        _discharge_trace,
-        [(technology, wordline_voltage, duration, point) for point in conditions],
-        name="fig5a-supply",
+    outputs = _trace_sweep(
+        technology, wordline_voltage, duration, conditions, "fig5a-supply", engine
     )
     traces: Dict[float, np.ndarray] = {
         float(vdd): output["voltages"] for vdd, output in zip(supply_voltages, outputs)
@@ -73,7 +106,6 @@ def temperature_sweep(
     engine: Optional[SweepEngine] = None,
 ) -> Dict[float, np.ndarray]:
     """Fig. 5b: V_BLB(t) for several junction temperatures."""
-    engine = engine or SweepEngine()
     conditions = [
         OperatingConditions(
             vdd=technology.vdd_nominal,
@@ -81,10 +113,8 @@ def temperature_sweep(
         )
         for temperature_c in temperatures_celsius
     ]
-    outputs = engine.map(
-        _discharge_trace,
-        [(technology, wordline_voltage, duration, point) for point in conditions],
-        name="fig5b-temperature",
+    outputs = _trace_sweep(
+        technology, wordline_voltage, duration, conditions, "fig5b-temperature", engine
     )
     traces: Dict[float, np.ndarray] = {
         float(temperature_c): output["voltages"]
@@ -101,7 +131,6 @@ def corner_sweep(
     engine: Optional[SweepEngine] = None,
 ) -> Dict[str, np.ndarray]:
     """Fig. 5c: V_BLB(t) for the fast / typical / slow process corners."""
-    engine = engine or SweepEngine()
     corners = (ProcessCorner.FAST, ProcessCorner.TYPICAL, ProcessCorner.SLOW)
     conditions = [
         OperatingConditions(
@@ -111,10 +140,8 @@ def corner_sweep(
         )
         for corner in corners
     ]
-    outputs = engine.map(
-        _discharge_trace,
-        [(technology, wordline_voltage, duration, point) for point in conditions],
-        name="fig5c-corners",
+    outputs = _trace_sweep(
+        technology, wordline_voltage, duration, conditions, "fig5c-corners", engine
     )
     traces: Dict[str, np.ndarray] = {
         corner.value: output["voltages"] for corner, output in zip(corners, outputs)
@@ -123,46 +150,6 @@ def corner_sweep(
     return traces
 
 
-def mismatch_monte_carlo(
-    technology: TechnologyCard,
-    wordline_voltage: float = 0.9,
-    duration: float = 2.0e-9,
-    samples: int = 1000,
-    seed: int = 2024,
-    sampling_times: Sequence[float] = (0.5e-9, 1.0e-9, 1.5e-9, 2.0e-9),
-) -> Dict[str, np.ndarray]:
-    """Fig. 5d: Monte-Carlo mismatch spread of the discharge.
-
-    Returns the per-sample final voltages plus the standard deviation of the
-    discharge at several sampling instants (the sigma-versus-time behaviour
-    that Eq. 6 models).
-
-    The panel is one vectorised solver call (all samples integrate in a
-    single batch), so it runs as a single job rather than a fan-out.
-    """
-    if samples <= 0:
-        raise ValueError("samples must be positive")
-    solver = TransientSolver(technology)
-    conditions = OperatingConditions.nominal(technology)
-    sampler = MismatchSampler(MismatchParameters.from_technology(technology), seed=seed)
-    arrays = sampler.sample_arrays(samples)
-    result = solver.simulate_discharge(
-        wordline_voltage, duration, conditions, mismatch=arrays
-    )
-    sigma_at = np.array(
-        [float(np.std(result.voltage_at(float(t)))) for t in sampling_times]
-    )
-    return {
-        "times": result.times,
-        "final_voltages": np.atleast_1d(result.final_voltage),
-        "sampling_times": np.asarray(sampling_times, dtype=float),
-        "sigma_at_sampling_times": sigma_at,
-    }
-
-
-# ----------------------------------------------------------------------
-# Sharded Monte-Carlo (cluster-ready fan-out of Fig. 5d)
-# ----------------------------------------------------------------------
 def _mismatch_monte_carlo_shard(
     technology: TechnologyCard,
     wordline_voltage: float,
@@ -209,29 +196,33 @@ def _mismatch_monte_carlo_shard(
     }
 
 
-def mismatch_monte_carlo_sharded(
+def mismatch_monte_carlo(
     technology: TechnologyCard,
     wordline_voltage: float = 0.9,
     duration: float = 2.0e-9,
     samples: int = 1000,
     seed: int = 2024,
     sampling_times: Sequence[float] = (0.5e-9, 1.0e-9, 1.5e-9, 2.0e-9),
-    shards: int = 8,
+    shards: int = 1,
     engine: Optional[SweepEngine] = None,
 ) -> Dict[str, np.ndarray]:
-    """Fig. 5d as a sharded sweep: bit-identical to :func:`mismatch_monte_carlo`.
+    """Fig. 5d: Monte-Carlo mismatch spread of the discharge.
+
+    Returns the per-sample final voltages plus the standard deviation of the
+    discharge at several sampling instants (the sigma-versus-time behaviour
+    that Eq. 6 models).
 
     The sample range is split into ``shards`` contiguous jobs submitted
-    through ``engine`` — this is how the service and the distributed
-    executor spread one large Monte-Carlo batch across cluster workers.
-    Each shard is content-addressed (technology + panel parameters + sample
-    range + code version), so repeat runs are artifact-cache hits resolved
-    engine-side and warm shards never reach a worker.
+    through ``engine``; each job integrates its samples in one vectorised
+    solver call.  This is how the service and the distributed executor
+    spread one large Monte-Carlo batch across cluster workers.  With a
+    cache each shard is keyed by its technology, panel parameters and
+    sample range, so repeat runs are cache hits resolved engine-side and
+    warm shards never reach a worker.
 
     The merge concatenates per-sample voltages in sample order and computes
-    the sigma over the merged set, which reproduces the unsharded panel
-    bit-for-bit whatever ``shards`` or the executor (asserted in
-    ``tests/test_cluster.py``).
+    the sigma over the merged set, so the panel is bit-identical whatever
+    ``shards`` or the executor (asserted in ``tests/test_cluster.py``).
     """
     if samples <= 0:
         raise ValueError("samples must be positive")
@@ -239,6 +230,9 @@ def mismatch_monte_carlo_sharded(
         raise ValueError("shards must be at least 1")
     engine = engine or SweepEngine()
     shards = min(shards, samples)
+    times = tuple(float(t) for t in sampling_times)
+    panel = (technology, float(wordline_voltage), float(duration), int(samples), int(seed))
+    digest = fingerprint(*panel, times) if engine.cache is not None else None
     bounds = np.linspace(0, samples, shards + 1, dtype=int)
     jobs = []
     for index in range(shards):
@@ -246,27 +240,12 @@ def mismatch_monte_carlo_sharded(
         jobs.append(
             Job(
                 fn=_mismatch_monte_carlo_shard,
-                args=(
-                    technology,
-                    float(wordline_voltage),
-                    float(duration),
-                    int(samples),
-                    int(seed),
-                    start,
-                    stop,
-                    tuple(float(t) for t in sampling_times),
-                ),
+                args=(*panel, start, stop, times),
                 name=f"montecarlo[{start}:{stop}]",
-                key=job_key(
-                    "pvt-montecarlo-shard",
-                    technology,
-                    float(wordline_voltage),
-                    float(duration),
-                    int(samples),
-                    int(seed),
-                    start,
-                    stop,
-                    tuple(float(t) for t in sampling_times),
+                key=(
+                    job_key("pvt-montecarlo-shard", digest, start, stop)
+                    if digest is not None
+                    else None
                 ),
             )
         )

@@ -26,7 +26,7 @@ from repro.core.model_suite import OptimaModelSuite
 from repro.multiplier.config import MultiplierConfig
 from repro.multiplier.error_analysis import InputSpaceAnalysis, analyze_input_space
 from repro.multiplier.imac import InSramMultiplier
-from repro.runtime import Job, SweepEngine, SweepSpec, job_key
+from repro.runtime import Job, SweepEngine, SweepSpec, fingerprint, job_key
 
 
 @dataclasses.dataclass(frozen=True)
@@ -318,16 +318,16 @@ def explore_design_space(
     )
     engine = engine or SweepEngine()
     # Content hashes are only worth computing when a cache can use them;
-    # hoist the suite serialisation out of the per-corner loop either way.
-    suite_dict = suite.to_dict() if engine.cache is not None else None
+    # the suite is hashed once per sweep, not once per corner.
+    digest = fingerprint(suite.to_dict()) if engine.cache is not None else None
     jobs = [
         Job(
             fn=_evaluate_corner,
             args=(suite, config, conditions),
             name=f"dse:{config.name}",
             key=(
-                job_key("dse-corner", suite_dict, config, conditions)
-                if suite_dict is not None
+                job_key("dse-corner", digest, config, conditions)
+                if digest is not None
                 else None
             ),
         )

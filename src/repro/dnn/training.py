@@ -66,16 +66,13 @@ class TrainingConfig:
 
 @dataclasses.dataclass
 class TrainingHistory:
-    """Loss / accuracy trajectory of one training run."""
+    """Loss trajectory of one training run (mean minibatch loss per epoch).
+
+    Accuracy is not tracked: call :func:`classification_accuracy` on the
+    trained network when it is needed.
+    """
 
     losses: List[float]
-    train_accuracies: List[float]
-    test_accuracies: List[float]
-
-    @property
-    def final_test_accuracy(self) -> float:
-        """Test accuracy after the last epoch."""
-        return self.test_accuracies[-1] if self.test_accuracies else 0.0
 
     @property
     def final_loss(self) -> float:
@@ -128,7 +125,7 @@ def train_network(
 ) -> TrainingHistory:
     """Train ``network`` on ``dataset`` with SGD + momentum.
 
-    Returns the loss / accuracy history; the network is modified in place.
+    Returns the per-epoch loss history; the network is modified in place.
     """
     config = config or TrainingConfig()
     rng = np.random.default_rng(config.seed)
@@ -140,8 +137,6 @@ def train_network(
     )
 
     losses: List[float] = []
-    train_accuracies: List[float] = []
-    test_accuracies: List[float] = []
     sample_count = dataset.train_size
 
     for epoch in range(config.epochs):
@@ -161,23 +156,10 @@ def train_network(
 
         optimizer.learning_rate *= config.learning_rate_decay
         losses.append(float(np.mean(epoch_losses)))
-        train_accuracies.append(
-            classification_accuracy(network, dataset.train_images, dataset.train_labels)
-        )
-        test_accuracies.append(
-            classification_accuracy(network, dataset.test_images, dataset.test_labels)
-        )
         if config.verbose:  # pragma: no cover - console convenience
-            print(
-                f"epoch {epoch + 1:3d}/{config.epochs}: loss={losses[-1]:.4f} "
-                f"train_acc={train_accuracies[-1]:.3f} test_acc={test_accuracies[-1]:.3f}"
-            )
+            print(f"epoch {epoch + 1:3d}/{config.epochs}: loss={losses[-1]:.4f}")
 
-    return TrainingHistory(
-        losses=losses,
-        train_accuracies=train_accuracies,
-        test_accuracies=test_accuracies,
-    )
+    return TrainingHistory(losses=losses)
 
 
 def replace_classifier_head(

@@ -51,7 +51,7 @@ from __future__ import annotations
 import dataclasses
 import threading
 import time
-from typing import Any, Callable, Iterable, List, Optional, Sequence, Tuple, Union
+from typing import Any, List, Optional, Sequence, Tuple, Union
 
 from repro import obs
 from repro.runtime.cache import ArtifactCache, CacheStats, default_cache_dir
@@ -155,14 +155,15 @@ class SweepEngine:
     Raises
     ------
     SweepCancelled
-        From :meth:`run` / :meth:`run_one` / :meth:`map` when the effective
+        From :meth:`run` / :meth:`run_one` when the effective
         cancel event is set before the sweep completes.  No partial results
         are returned and nothing is written to the cache.
 
     Examples
     --------
     >>> engine = SweepEngine()
-    >>> engine.map(lambda a, b: a + b, [(1, 2), (3, 4)])
+    >>> jobs = [Job(fn=lambda a, b: a + b, args=pair) for pair in [(1, 2), (3, 4)]]
+    >>> engine.run(SweepSpec("add", jobs))
     [3, 7]
     >>> engine.stats.sweeps, engine.stats.jobs_executed
     (1, 2)
@@ -313,28 +314,6 @@ class SweepEngine:
     def run_one(self, job: Job) -> Any:
         """Execute a single job through the engine (cache included)."""
         return self.run(SweepSpec(job.name or "job", [job]))[0]
-
-    def map(
-        self,
-        fn: Callable[..., Any],
-        argument_tuples: Iterable[Tuple[Any, ...]],
-        name: str = "map",
-        progress: Optional[ProgressCallback] = None,
-        batch_fn: Optional[Callable[[Sequence[Job]], List[Any]]] = None,
-    ) -> List[Any]:
-        """Convenience: run ``fn(*args)`` for every tuple as one sweep.
-
-        ``batch_fn`` (optional) registers a vectorised whole-group
-        evaluator on the spec, exactly as constructing the
-        :class:`~repro.runtime.jobs.SweepSpec` by hand would — an
-        auto-mode engine (and the batch strategy) then evaluates grouped
-        jobs in single NumPy passes.
-        """
-        jobs = [
-            Job(fn=fn, args=tuple(args), name=f"{name}[{index}]")
-            for index, args in enumerate(argument_tuples)
-        ]
-        return self.run(SweepSpec(name, jobs, batch_fn=batch_fn), progress=progress)
 
     def describe(self) -> str:
         """Human-readable engine summary (executor, cache, counters)."""

@@ -447,7 +447,7 @@ def _cmd_run_pvt(args: argparse.Namespace) -> int:
     corners = corner_sweep(technology, engine=engine)
     for name in ("fast", "typical", "slow"):
         print(f"  corner {name:<8}: final V_BLB = {corners[name][-1]:.3f} V")
-    monte_carlo = mismatch_monte_carlo(technology, samples=samples)
+    monte_carlo = mismatch_monte_carlo(technology, samples=samples, engine=engine)
     sigmas = {
         float(t): float(s)
         for t, s in zip(

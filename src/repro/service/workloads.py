@@ -381,54 +381,28 @@ def run_dnn(params: Dict[str, Any], engine: SweepEngine) -> Dict[str, Any]:
     }
 
 
-def _montecarlo_job(samples: int, seed: int) -> Dict[str, Any]:
-    """Module-level job body (picklable for the process-pool executor)."""
-    from repro.analysis.pvt_sweeps import mismatch_monte_carlo
-    from repro.circuits.technology import tsmc65_like
-
-    return mismatch_monte_carlo(tsmc65_like(), samples=samples, seed=seed)
-
-
 @register_workload("montecarlo")
 def run_montecarlo(params: Dict[str, Any], engine: SweepEngine) -> Dict[str, Any]:
     """Fig. 5d Monte-Carlo mismatch spread; ``samples`` / ``seed`` / ``shards``.
 
-    With ``shards`` (default 1) the per-sample workload splits into that
-    many contiguous :func:`numpy.random.SeedSequence`-stable sample ranges
-    submitted through the engine — under a ``distributed`` executor the
-    shards spread across cluster workers, their progress ticks merge into
-    the request's single progress stream, and the merged panel is
-    bit-identical to the unsharded one.  Each shard is content-addressed,
-    so repeat requests resolve engine-side from the artifact cache and warm
-    shards never reach a worker.
-
-    Unsharded, the panel is one vectorised solver call riding the engine as
-    a single cacheable job, exactly as before.
+    The per-sample workload splits into ``shards`` (default 1) contiguous
+    :func:`numpy.random.SeedSequence`-stable sample ranges submitted through
+    the engine.  Under a ``distributed`` executor the shards spread across
+    cluster workers, their progress ticks merge into the request's single
+    progress stream, and the merged panel is bit-identical to the one-shard
+    one.  Each shard is content-addressed, so repeat requests resolve
+    engine-side from the artifact cache and warm shards never reach a
+    worker.
     """
+    from repro.analysis.pvt_sweeps import mismatch_monte_carlo
     from repro.circuits.technology import tsmc65_like
-    from repro.runtime import Job, job_key
 
     samples = int(params.get("samples", 200))
     seed = int(params.get("seed", 2024))
     shards = int(params.get("shards", 1))
-    if samples < 1:
-        raise ValueError("samples must be at least 1")
-    if shards < 1:
-        raise ValueError("shards must be at least 1")
-    if shards > 1:
-        from repro.analysis.pvt_sweeps import mismatch_monte_carlo_sharded
-
-        result = mismatch_monte_carlo_sharded(
-            tsmc65_like(), samples=samples, seed=seed, shards=shards, engine=engine
-        )
-    else:
-        job = Job(
-            fn=_montecarlo_job,
-            args=(samples, seed),
-            name=f"montecarlo[{samples}]",
-            key=job_key("service-montecarlo", tsmc65_like(), samples, seed),
-        )
-        result = engine.run_one(job)
+    result = mismatch_monte_carlo(
+        tsmc65_like(), samples=samples, seed=seed, shards=shards, engine=engine
+    )
     sigmas = {
         f"{float(t) * 1e9:.1f}ns": float(s)
         for t, s in zip(result["sampling_times"], result["sigma_at_sampling_times"])

@@ -15,7 +15,7 @@ Covers the tentpole guarantees:
   survives);
 * engine-side cache hits are resolved before dispatch — warm shards never
   reach a worker;
-* the sharded Monte-Carlo panel equals the unsharded one bit-for-bit,
+* the sharded Monte-Carlo panel equals the one-shard panel bit-for-bit,
   serial or distributed, directly and through the service workload;
 * the adaptive scheduler (protocol v3): ``chunk_window`` sizing from EWMA
   telemetry, straggler splits with partial-completion acks, and — the
@@ -42,7 +42,7 @@ import pytest
 
 import repro
 from repro import wire
-from repro.analysis.pvt_sweeps import mismatch_monte_carlo, mismatch_monte_carlo_sharded
+from repro.analysis.pvt_sweeps import mismatch_monte_carlo
 from repro.circuits.technology import tsmc65_like
 from repro.cluster import DistributedExecutor, fetch_status, parse_address
 from repro.cluster import protocol as cluster_protocol
@@ -811,8 +811,8 @@ class TestAdaptiveScheduling:
 class TestShardedMonteCarlo:
     def test_sharded_equals_unsharded_serial(self):
         technology = tsmc65_like()
-        reference = mismatch_monte_carlo(technology, samples=24, seed=11)
-        sharded = mismatch_monte_carlo_sharded(technology, samples=24, seed=11, shards=3)
+        reference = mismatch_monte_carlo(technology, samples=24, seed=11, shards=1)
+        sharded = mismatch_monte_carlo(technology, samples=24, seed=11, shards=3)
         np.testing.assert_array_equal(
             reference["sigma_at_sampling_times"], sharded["sigma_at_sampling_times"]
         )
@@ -823,8 +823,8 @@ class TestShardedMonteCarlo:
 
     def test_sharded_equals_unsharded_distributed(self, cluster):
         technology = tsmc65_like()
-        reference = mismatch_monte_carlo(technology, samples=30, seed=5)
-        distributed = mismatch_monte_carlo_sharded(
+        reference = mismatch_monte_carlo(technology, samples=30, seed=5, shards=1)
+        distributed = mismatch_monte_carlo(
             technology, samples=30, seed=5, shards=5, engine=SweepEngine(cluster)
         )
         np.testing.assert_array_equal(
@@ -838,10 +838,10 @@ class TestShardedMonteCarlo:
     def test_shard_jobs_are_cacheable(self, tmp_path):
         technology = tsmc65_like()
         engine = SweepEngine(cache=ArtifactCache(tmp_path / "cache"))
-        cold = mismatch_monte_carlo_sharded(
+        cold = mismatch_monte_carlo(
             technology, samples=16, seed=3, shards=4, engine=engine
         )
-        warm = mismatch_monte_carlo_sharded(
+        warm = mismatch_monte_carlo(
             technology, samples=16, seed=3, shards=4, engine=engine
         )
         np.testing.assert_array_equal(
@@ -858,6 +858,39 @@ class TestShardedMonteCarlo:
         assert sharded["shards"] == 3
         with pytest.raises(ValueError):
             run_montecarlo({"samples": 8, "shards": 0}, engine)
+
+
+class TestKeyedRobustness:
+    def test_executors_agree_byte_for_byte_cold_and_warm(
+        self, cluster, tmp_path, quick_suite, fom_config
+    ):
+        """The keyed Fig. 8 sweep: serial, batch and distributed return the
+        same bytes, and so do their warm (all-hit) re-runs."""
+        from repro.core.pvt import analyze_corner_robustness
+
+        def errors(engine):
+            report = analyze_corner_robustness(
+                quick_suite,
+                fom_config,
+                supply_voltages=(0.9, 1.0, 1.1),
+                temperatures_celsius=(0.0, 70.0),
+                engine=engine,
+            )
+            return (
+                report.supply_sweep.mean_error_lsb.tobytes()
+                + report.temperature_sweep.mean_error_lsb.tobytes()
+            )
+
+        outputs = []
+        for name, executor in (
+            ("serial", SerialExecutor()),
+            ("batch", make_executor("batch", batch_size=2)),
+            ("distributed", cluster),
+        ):
+            engine = SweepEngine(executor, cache=ArtifactCache(tmp_path / name))
+            outputs += [errors(engine), errors(engine)]
+            assert engine.stats.jobs_executed == 5 and engine.stats.cache_hits == 5
+        assert len(set(outputs)) == 1
 
 
 # ----------------------------------------------------------------------

@@ -119,10 +119,8 @@ class TestTraining:
             TrainingConfig(epochs=8, batch_size=32, learning_rate=0.1, seed=0),
         )
         assert history.losses[-1] < history.losses[0]
-        assert history.final_test_accuracy > 0.6
-        assert classification_accuracy(net, tiny_dataset.test_images, tiny_dataset.test_labels) == pytest.approx(
-            history.final_test_accuracy
-        )
+        assert len(history.losses) == 8
+        assert classification_accuracy(net, tiny_dataset.test_images, tiny_dataset.test_labels) > 0.6
 
     def test_replace_classifier_head(self, tiny_dataset):
         net = build_mlp(8 * 8 * 3, tiny_dataset.classes)

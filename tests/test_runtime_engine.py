@@ -169,9 +169,12 @@ class TestSweepEngine:
         results = engine.run(SweepSpec("toy", _toy_jobs(8)))
         assert results == [i * i for i in range(8)]
 
-    def test_map_convenience(self):
+    def test_run_accepts_spec_or_job_list(self):
         engine = SweepEngine()
-        assert engine.map(_square, [(i,) for i in range(4)]) == [0, 1, 4, 9]
+        jobs = [Job(fn=_square, args=(i,)) for i in range(4)]
+        assert engine.run(SweepSpec("squares", jobs)) == [0, 1, 4, 9]
+        assert engine.run(jobs) == [0, 1, 4, 9]
+        assert engine.stats.sweeps == 2
 
     def test_run_one(self):
         assert SweepEngine().run_one(Job(fn=_square, args=(7,))) == 49
