@@ -168,7 +168,10 @@ def _mismatch_monte_carlo_shard(
     elementwise across traces (fixed time grid, per-row current tables), so
     the shard's per-sample voltages are bit-identical to the corresponding
     rows of an unsharded run — which is what makes the merged panel
-    independent of shard count, executor and dispatch schedule.
+    independent of shard count, executor and dispatch schedule.  That holds
+    with reach-bounded tables too: a shard solves a different set of cells
+    (and may cross the one-block cut-over where the whole run does not), but
+    each cell's value does not depend on which other cells are solved.
 
     Module-level (and arguments picklable) so process-pool and cluster
     executors can ship it.

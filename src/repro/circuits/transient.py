@@ -13,26 +13,46 @@ dependence) shows up in the produced waveforms.
 Because the word-line voltage is constant during one discharge window, the
 node equation is autonomous in the bit-line voltage.  The solver therefore
 tabulates the stack current over a dense bit-line-voltage grid once per run
-(one vectorised series-stack solve) and interpolates that table inside the
-RK4 loop.  This keeps the reference simulator accurate while making the
-thousand-sample Monte-Carlo sweeps of the characterisation flow practical.
-It is still orders of magnitude slower than evaluating the fitted OPTIMA
-polynomials, which is exactly the comparison behind the paper's speed-up
-claim (see :mod:`repro.core.speedup`).
+and interpolates that table inside the RK4 loop.  This keeps the reference
+simulator accurate while making the thousand-sample Monte-Carlo sweeps of
+the characterisation flow practical.  It is still orders of magnitude slower
+than evaluating the fitted OPTIMA polynomials, which is exactly the
+comparison behind the paper's speed-up claim (see :mod:`repro.core.speedup`).
+
+**Reach-bounded tables.**  A trace reads only the cells its voltage passes
+through, and a short window leaves most of the grid unvisited.  So the
+table is solved only where each trace can reach:
+
+1. Column 0 (the start voltage) is bisected for every trace, giving ``I0``.
+2. Every RK4 stage slope is at most the largest table current the stage
+   reads.  If every solved cell of a row is at most ``I0 * (1 + slack)``,
+   then by induction over the steps the trace falls by at most
+   ``I0 * (1 + slack) * steps * dt / C`` and never leaves its solved cells.
+3. The cells within that reach, plus the next cell the interpolation reads
+   and one cell of margin, are bisected in one flat
+   :meth:`DischargeStack.current` call.
+4. A row with a solved cell above ``I0 * (1 + slack)`` breaks the induction
+   and is solved whole in one more call.  The slack is set above the ~1e-6
+   bisection noise of sub-threshold rows, so this stays rare.
+
+Unsolved cells hold NaN, so a read past the bound would poison its trace
+visibly instead of silently.  A table that fits in one
+:data:`~repro.circuits.sram_cell.BISECTION_BLOCK` is solved whole in one
+pass: a second pass would cost more in fixed overhead than it saves.
 
 Both halves are arranged for speed without changing a single output bit:
 
-* The table solve (:meth:`DischargeStack.current`) computes the pull-down
-  device's gate terms once, since its gate sits at VDD, and bisects the
-  internal node over flat, cache-sized blocks of the broadcast
-  (trace x grid) array rather than the whole array per step.
+* The table solve computes the pull-down device's gate terms once, since its
+  gate sits at VDD, and bisects the internal node over flat, cache-sized
+  blocks of cells.  Each cell is solved independently of every other, so
+  which cells are solved, and in which call, does not change any value.
 * The RK4 loop keeps one row per trace and interpolates with a flat
   ``take`` into the table and one into a precomputed slope table
   (``upper - lower``, the same subtraction the interpolation would do).
 
-Every element still passes through the same float operations in the same
-order; only where and when it is computed changes.  That is why the
-waveforms are bit-identical to the direct whole-array evaluation, which
+Every cell that is read still passes through the same float operations in
+the same order; only where and when it is computed changes.  That is why
+the waveforms are bit-identical to the direct whole-table evaluation, which
 ``tests/test_transient_oracle.py`` keeps as an oracle.
 """
 
@@ -47,11 +67,37 @@ from repro.circuits.bitline import BitLine
 from repro.circuits.conditions import OperatingConditions
 from repro.circuits.mismatch import MismatchArrays, MismatchSample
 from repro.circuits.mosfet import NmosDevice
-from repro.circuits.sram_cell import CellState, DischargeStack, SramCell
+from repro.circuits.sram_cell import BISECTION_BLOCK, CellState, DischargeStack, SramCell
 from repro.circuits.technology import TechnologyCard
 from repro.circuits.waveform import Waveform
 
 ArrayLike = Union[float, np.ndarray]
+
+#: Relative headroom over a trace's start-voltage current in the reach
+#: bound.  It covers the ~1e-6 bisection noise of sub-threshold rows, whose
+#: current is flat in the bit-line voltage; a row with a solved cell above
+#: it is solved whole.
+_REACH_SLACK = 1e-4
+
+
+def _stack_at_rows(stack: DischargeStack, shape: tuple, rows: np.ndarray) -> DischargeStack:
+    """``stack`` with every array parameter taken at the given trace rows.
+
+    Array parameters (Monte-Carlo mismatch) broadcast against ``shape +
+    (grid,)`` with a trailing unit axis.  Flattened to one entry per trace
+    and gathered at ``rows``, they give one parameter set per table cell;
+    scalar parameters stay scalars.
+    """
+
+    def gather(record):
+        arrays = {
+            field.name: np.broadcast_to(getattr(record, field.name), shape + (1,)).ravel()[rows]
+            for field in dataclasses.fields(record)
+            if np.ndim(getattr(record, field.name)) > 0
+        }
+        return dataclasses.replace(record, **arrays)
+
+    return dataclasses.replace(stack, access=gather(stack.access), pulldown=gather(stack.pulldown))
 
 
 @dataclasses.dataclass
@@ -83,14 +129,34 @@ class DischargeResult:
         return self.voltages[..., -1]
 
     def voltage_at(self, time: float) -> np.ndarray:
-        """Linearly interpolated bit-line voltage at ``time`` seconds."""
-        if time < self.times[0] or time > self.times[-1]:
+        """Linearly interpolated bit-line voltage at ``time`` seconds.
+
+        Every trace shares the time grid, so the bracketing interval is
+        found once and ``np.interp``'s formula is applied to all rows at
+        once, branches included: an exact grid point or the last point
+        returns the sample itself, and a NaN from the lower end retries from
+        the upper end.  The result is bit-identical to ``np.interp`` per row.
+        """
+        times = self.times
+        if not times[0] <= time <= times[-1]:
             raise ValueError(
                 f"time {time:.3e} s outside simulated span "
-                f"[{self.times[0]:.3e}, {self.times[-1]:.3e}] s"
+                f"[{times[0]:.3e}, {times[-1]:.3e}] s"
             )
-        flat = self.voltages.reshape(-1, self.times.shape[0])
-        sampled = np.array([np.interp(time, self.times, row) for row in flat])
+        flat = self.voltages.reshape(-1, times.shape[0])
+        j = int(np.searchsorted(times, time, side="right")) - 1
+        if j == times.shape[0] - 1 or times[j] == time:
+            sampled = flat[:, j].copy()
+        else:
+            lower, upper = flat[:, j], flat[:, j + 1]
+            with np.errstate(invalid="ignore"):  # np.interp is quiet on inf - inf
+                slope = (upper - lower) / (times[j + 1] - times[j])
+                sampled = slope * (time - times[j]) + lower
+                retry = np.isnan(sampled)
+                if retry.any():
+                    sampled[retry] = slope[retry] * (time - times[j + 1]) + upper[retry]
+                    flat_line = np.isnan(sampled) & (lower == upper)
+                    sampled[flat_line] = lower[flat_line]
         if self.voltages.ndim == 1:
             return sampled[0]
         return sampled.reshape(self.voltages.shape[:-1])
@@ -191,23 +257,56 @@ class TransientSolver:
         stored_bit: int,
         start_voltage: float,
         shape: tuple,
+        fall_per_amp: float,
     ) -> tuple:
         """Tabulate the discharge current over a bit-line voltage grid.
 
-        Returns ``(v_grid, currents)`` where ``v_grid`` descends from the
-        pre-charge voltage to 0 V and ``currents`` has shape
-        ``shape + (grid,)``.
+        Returns ``(v_grid, table)`` where ``v_grid`` descends from the
+        pre-charge voltage to 0 V and ``table`` has one row per trace.  A
+        trace whose start current is ``I0`` falls by at most
+        ``I0 * fall_per_amp`` volts, so only the cells within that reach are
+        solved; the others stay NaN (see the module docstring).
         """
         grid = self.voltage_grid_points
         v_grid = np.linspace(start_voltage, 0.0, grid)
+        rows = int(np.prod(shape))
         if stored_bit == 0:
-            table = stack.leakage_current(v_grid)
-            table = np.broadcast_to(table, shape + (grid,)).copy()
-        else:
-            v_wl = np.broadcast_to(wordline_voltage, shape)[..., np.newaxis]
-            v_bl = np.broadcast_to(v_grid, shape + (grid,))
-            table = stack.current(v_bl, v_wl)
-        return v_grid, np.maximum(table, 0.0)
+            leakage = np.broadcast_to(stack.leakage_current(v_grid), shape + (grid,))
+            return v_grid, np.maximum(leakage, 0.0).reshape(rows, grid)
+
+        v_wl = np.broadcast_to(wordline_voltage, shape)
+        # Within one bisection block a single call over the whole table
+        # costs less than the fixed cost of a second, partial one.
+        if rows * grid <= BISECTION_BLOCK:
+            table = stack.current(np.broadcast_to(v_grid, shape + (grid,)), v_wl[..., np.newaxis])
+            return v_grid, np.maximum(table, 0.0).reshape(rows, grid)
+
+        v_wl = v_wl.reshape(rows)
+        table = np.full((rows, grid), np.nan)
+
+        def solve(cell_rows: np.ndarray, first: ArrayLike, stop: ArrayLike) -> None:
+            """Solve columns ``[first, stop)`` of each row, in one flat call."""
+            first = np.broadcast_to(first, cell_rows.shape)
+            counts = np.broadcast_to(stop, cell_rows.shape) - first
+            offsets = first - (np.cumsum(counts) - counts)
+            cell_rows = np.repeat(cell_rows, counts)
+            columns = np.arange(counts.sum()) + np.repeat(offsets, counts)
+            cells = _stack_at_rows(stack, shape, cell_rows)
+            currents = cells.current(v_grid[columns], v_wl[cell_rows])
+            table[cell_rows, columns] = np.maximum(currents, 0.0)
+
+        every = np.arange(rows)
+        solve(every, 0, 1)
+        cap = table[:, 0] * (1.0 + _REACH_SLACK)
+        reach = cap * fall_per_amp / float(v_grid[0] - v_grid[1])
+        # RK4 reads the cell under the deepest stage point and the one after
+        # it; one more cell absorbs rounding in the voltage updates.
+        last = np.minimum(np.ceil(reach) + 2.0, grid - 1).astype(int)
+        solve(every, 1, last + 1)
+        over = np.fmax.reduce(table, axis=1) > cap
+        if over.any():
+            solve(every[over], last[over] + 1, grid)
+        return v_grid, table
 
     # ------------------------------------------------------------------
     # Main entry point
@@ -262,12 +361,12 @@ class TransientSolver:
         if start_voltage <= 0.0:
             raise ValueError("initial_voltage must be positive")
 
+        capacitance = self.bitline.capacitance
         stack = self._build_stack(conditions, mismatch)
         v_grid, table = self._current_table(
-            stack, v_wl, stored_bit, start_voltage, shape
+            stack, v_wl, stored_bit, start_voltage, shape, steps * dt / capacitance
         )
         grid_step = float(v_grid[0] - v_grid[1])
-        capacitance = self.bitline.capacitance
 
         # One row per trace.  Interpolation is ``lower + fraction * slope``
         # at a flat index into the row-major table; the slope table holds
@@ -275,9 +374,7 @@ class TransientSolver:
         # the position to grid - 1.000001 caps the cell index at grid - 2,
         # so ``upper`` never leaves the row and the last slope column is
         # never read.
-        grid = v_grid.size
-        rows = int(np.prod(shape))
-        table = table.reshape(rows, grid)
+        rows, grid = table.shape
         slope = np.zeros_like(table)
         slope[:, :-1] = table[:, 1:] - table[:, :-1]
         table, slope = table.ravel(), slope.ravel()

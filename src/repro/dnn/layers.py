@@ -307,8 +307,11 @@ class BatchNorm(Layer):
             )
         axes = tuple(range(inputs.ndim - 1))
         if training:
+            # ``var`` is ``inputs.var`` spelled out, so the mean is taken
+            # once: the same sums, subtraction and squares, bit for bit.
             mean = inputs.mean(axis=axes)
-            var = inputs.var(axis=axes)
+            centered = inputs - mean
+            var = np.square(centered).mean(axis=axes)
             self.running_mean = (
                 self.momentum * self.running_mean + (1.0 - self.momentum) * mean
             ).astype(np.float32)
@@ -316,19 +319,19 @@ class BatchNorm(Layer):
                 self.momentum * self.running_var + (1.0 - self.momentum) * var
             ).astype(np.float32)
         else:
-            mean = self.running_mean
+            centered = inputs - self.running_mean
             var = self.running_var
         inv_std = 1.0 / np.sqrt(var + self.epsilon)
-        normalised = (inputs - mean) * inv_std
+        normalised = centered
+        normalised *= inv_std
         if training:
-            self._cache = (normalised, inv_std, axes, inputs.shape)
+            self._cache = (normalised, inv_std, axes)
         return self.gamma.value * normalised + self.beta.value
 
     def backward(self, grad_output: np.ndarray) -> np.ndarray:
         if self._cache is None:
             raise RuntimeError(f"{self.name}: backward() before forward(training=True)")
-        normalised, inv_std, axes, shape = self._cache
-        count = int(np.prod([shape[a] for a in axes]))
+        normalised, inv_std, axes = self._cache
         self.gamma.grad += (grad_output * normalised).sum(axis=axes)
         self.beta.grad += grad_output.sum(axis=axes)
         grad_norm = grad_output * self.gamma.value
@@ -337,9 +340,6 @@ class BatchNorm(Layer):
             - grad_norm.mean(axis=axes)
             - normalised * (grad_norm * normalised).mean(axis=axes)
         ) * inv_std
-        # The mean subtraction above already divides by the element count via
-        # .mean(); multiplying back by count/count keeps the expression exact.
-        del count
         return grad_input
 
     def parameters(self) -> List[Parameter]:

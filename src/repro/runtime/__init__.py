@@ -51,7 +51,7 @@ from __future__ import annotations
 import dataclasses
 import threading
 import time
-from typing import Any, List, Optional, Sequence, Tuple, Union
+from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro import obs
 from repro.runtime.cache import ArtifactCache, CacheStats, default_cache_dir
@@ -211,8 +211,9 @@ class SweepEngine:
         """Execute a sweep and return the job results in submission order.
 
         Cacheable jobs are resolved against the artifact cache first; only
-        the misses are handed to the executor, and their results are stored
-        back so the next run of the same sweep is near-instant.
+        the misses are handed to the executor, each distinct key once, and
+        their results are stored back so the next run of the same sweep is
+        near-instant.
 
         ``cancel_event`` (or the engine-level :attr:`cancel_event` default)
         enables cooperative cancellation: once set, the run raises
@@ -236,14 +237,22 @@ class SweepEngine:
         # Progress is always reported against the true sweep size: cache
         # hits count as completed work, so a warm run still emits events
         # and a mixed run never jumps from a smaller executed-only total.
+        # A repeated missing key is executed once; each repeat
+        # (``duplicates``: index -> index of its executed twin) takes the
+        # twin's result after the executor returns.
         total = len(spec.jobs)
         results: List[Any] = [None] * len(spec.jobs)
         pending: List[Tuple[int, Job]] = []
+        first_miss: Dict[str, int] = {}
+        duplicates: Dict[int, int] = {}
         hits = 0
         for index, job in enumerate(spec.jobs):
             if cancel is not None and cancel.is_set():
                 raise SweepCancelled(f"sweep {spec.name!r} cancelled during cache resolution")
             if self.cache is not None and job.key is not None:
+                if job.key in first_miss:
+                    duplicates[index] = first_miss[job.key]
+                    continue
                 value = self.cache.get(job.key)
                 if value is not None:
                     results[index] = value
@@ -254,6 +263,7 @@ class SweepEngine:
                     if progress is not None:
                         progress(hits, total, f"{job.name or 'job'} (cached)")
                     continue
+                first_miss[job.key] = index
             pending.append((index, job))
 
         obs.EVENTS.emit(
@@ -299,6 +309,10 @@ class SweepEngine:
                 results[index] = value
                 if self.cache is not None and job.key is not None:
                     self.cache.put(job.key, value)
+        for done, (index, twin) in enumerate(duplicates.items(), start=hits + len(pending) + 1):
+            results[index] = results[twin]
+            if progress is not None:
+                progress(done, total, f"{spec.jobs[index].name or 'job'} (duplicate)")
         elapsed = time.monotonic() - started
         _RUN_SECONDS.observe(elapsed)
         obs.EVENTS.emit(

@@ -34,6 +34,42 @@ def numerical_gradient(function, values, epsilon=1e-3):
     return gradient
 
 
+class _TwoPassBatchNorm(BatchNorm):
+    """The BatchNorm forward / backward as first written: ``var`` takes the mean again."""
+
+    def forward(self, inputs, training=False):
+        inputs = np.asarray(inputs, dtype=np.float32)
+        axes = tuple(range(inputs.ndim - 1))
+        if training:
+            mean = inputs.mean(axis=axes)
+            var = inputs.var(axis=axes)
+            self.running_mean = (
+                self.momentum * self.running_mean + (1.0 - self.momentum) * mean
+            ).astype(np.float32)
+            self.running_var = (
+                self.momentum * self.running_var + (1.0 - self.momentum) * var
+            ).astype(np.float32)
+        else:
+            mean = self.running_mean
+            var = self.running_var
+        inv_std = 1.0 / np.sqrt(var + self.epsilon)
+        normalised = (inputs - mean) * inv_std
+        if training:
+            self._cache = (normalised, inv_std, axes)
+        return self.gamma.value * normalised + self.beta.value
+
+    def backward(self, grad_output):
+        normalised, inv_std, axes = self._cache
+        self.gamma.grad += (grad_output * normalised).sum(axis=axes)
+        self.beta.grad += grad_output.sum(axis=axes)
+        grad_norm = grad_output * self.gamma.value
+        return (
+            grad_norm
+            - grad_norm.mean(axis=axes)
+            - normalised * (grad_norm * normalised).mean(axis=axes)
+        ) * inv_std
+
+
 class TestDense:
     def test_forward_shape(self):
         layer = Dense(8, 3)
@@ -210,6 +246,29 @@ class TestActivationsAndNorm:
         analytic = layer.backward(grad_out)
         numeric = numerical_gradient(loss, inputs.astype(np.float64).copy())
         assert np.allclose(analytic, numeric, atol=2e-2)
+
+    @pytest.mark.parametrize("shape", [(8, 3), (4, 5, 5, 6), (2, 7, 3, 16)])
+    def test_batchnorm_matches_two_pass_oracle(self, shape):
+        """Forward, running statistics and backward equal the two-pass form bit for bit."""
+        rng = np.random.default_rng(sum(shape))
+        layer = BatchNorm(shape[-1], momentum=0.8)
+        oracle = _TwoPassBatchNorm(shape[-1], momentum=0.8)
+        for step in range(3):
+            inputs = rng.normal(1.5, 2.0, size=shape).astype(np.float32)
+            grad_out = rng.normal(size=shape).astype(np.float32)
+            assert np.array_equal(
+                layer.forward(inputs, training=True), oracle.forward(inputs, training=True)
+            )
+            assert np.array_equal(layer.running_mean, oracle.running_mean)
+            assert np.array_equal(layer.running_var, oracle.running_var)
+            assert np.array_equal(layer.backward(grad_out), oracle.backward(grad_out))
+            assert np.array_equal(layer.gamma.grad, oracle.gamma.grad)
+            assert np.array_equal(layer.beta.grad, oracle.beta.grad)
+            layer.gamma.value -= 0.1 * layer.gamma.grad
+            oracle.gamma.value -= 0.1 * oracle.gamma.grad
+        assert np.array_equal(
+            layer.forward(inputs, training=False), oracle.forward(inputs, training=False)
+        )
 
     def test_effective_scale_shift(self):
         layer = BatchNorm(2)

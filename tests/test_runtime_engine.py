@@ -418,6 +418,23 @@ class TestEngineProgressTotals:
         assert dones[-1] == 5
         assert len(seen) == 5, "every job (hit or executed) reports one tick"
 
+    def test_repeated_keys_execute_once_and_still_tick(self, tmp_path):
+        cache = ArtifactCache(tmp_path)
+        engine = SweepEngine(cache=cache)
+        seen = []
+        results = engine.run(
+            SweepSpec("repeats", [self._cacheable_job(i) for i in (0, 1, 0, 2, 1)]),
+            progress=lambda d, t, label: seen.append((d, t, label)),
+        )
+        assert results == [0, 1, 0, 4, 1]
+        assert engine.stats.jobs_executed == 3
+        assert len(list(cache.keys())) == 3
+        assert [(d, t) for d, t, _ in seen] == [(i + 1, 5) for i in range(5)]
+        assert [label for _, _, label in seen[-2:]] == [
+            "square[0] (duplicate)",
+            "square[1] (duplicate)",
+        ]
+
     def test_engine_default_progress_callback_is_used(self, tmp_path):
         seen = []
         engine = SweepEngine(progress=lambda d, t, label: seen.append((d, t)))

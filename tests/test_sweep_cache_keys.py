@@ -145,3 +145,17 @@ def test_robustness_and_dse_keys_change_with_config_and_suite(
         return keys_of(tmp_path, lambda engine: explore_design_space(suite, space, engine=engine))
 
     assert set(corners(quick_suite)).isdisjoint(corners(perturbed))
+
+
+def test_robustness_runs_each_distinct_key_once(tmp_path, quick_suite, fom_config):
+    # The default axes hold the nominal point twice (1.00 V and 27 degC):
+    # eleven jobs, ten distinct keys, ten executions.
+    cache = ArtifactCache(tmp_path)
+    engine = SweepEngine(cache=cache)
+    report = analyze_corner_robustness(quick_suite, fom_config, engine=engine)
+    assert engine.stats.jobs_submitted == 11
+    assert engine.stats.jobs_executed == 10
+    assert len(list(cache.keys())) == 10
+    uncached = analyze_corner_robustness(quick_suite, fom_config, engine=SweepEngine())
+    for got, expected in zip(arrays_of(report), arrays_of(uncached)):
+        assert np.array_equal(got, expected)

@@ -2,11 +2,14 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from repro.circuits.conditions import OperatingConditions
 from repro.circuits.mismatch import MismatchParameters, MismatchSampler
 from repro.circuits.technology import ProcessCorner, tsmc65_like
-from repro.circuits.transient import TransientSolver
+from repro.circuits.transient import DischargeResult, TransientSolver
 
 
 class TestBasicDischarge:
@@ -122,6 +125,40 @@ class TestResultContainer:
         result = solver.simulate_discharge(0.9, 1.0e-9, nominal_conditions)
         with pytest.raises(ValueError):
             result.voltage_at(2.0e-9)
+
+    @given(
+        data=st.data(),
+        lead=st.sampled_from([(), (1,), (3,), (2, 4)]),
+        steps=st.integers(min_value=2, max_value=40),
+        where=st.sampled_from(["grid", "interior", "start", "end"]),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_voltage_at_equals_np_interp_per_row(self, data, lead, steps, where):
+        times = np.linspace(0.0, 1.7e-9, steps + 1)
+        elements = st.floats(min_value=-2.0, max_value=2.0) | st.sampled_from(
+            [np.nan, np.inf, -np.inf]
+        )
+        voltages = data.draw(hnp.arrays(float, lead + (steps + 1,), elements=elements))
+        index = data.draw(st.integers(min_value=0, max_value=steps - 1))
+        fraction = data.draw(st.floats(min_value=0.0, max_value=1.0, exclude_max=True))
+        time = {
+            "grid": times[index],
+            "interior": times[index] + fraction * (times[index + 1] - times[index]),
+            "start": times[0],
+            "end": times[-1],
+        }[where]
+        result = DischargeResult(times, voltages, OperatingConditions(), np.array(0.9))
+        sampled = result.voltage_at(float(time))
+        rows = voltages.reshape(-1, steps + 1)
+        expected = np.array([np.interp(float(time), times, row) for row in rows])
+        expected = expected[0] if voltages.ndim == 1 else expected.reshape(lead)
+        assert np.shape(sampled) == np.shape(expected)
+        assert np.array_equal(sampled, expected, equal_nan=True)
+
+    def test_voltage_at_rejects_nan_time(self, solver, nominal_conditions):
+        result = solver.simulate_discharge(0.9, 1.0e-9, nominal_conditions)
+        with pytest.raises(ValueError):
+            result.voltage_at(float("nan"))
 
     def test_waveform_extraction(self, solver, nominal_conditions):
         result = solver.simulate_discharge(np.array([0.6, 0.9]), 1.0e-9, nominal_conditions)

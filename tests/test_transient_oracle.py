@@ -28,9 +28,11 @@ from repro.circuits.mosfet import (
     gate_terms,
     pulldown_device,
 )
-from repro.circuits.sram_cell import BISECTION_BLOCK
+from repro.circuits import transient
+from repro.circuits.sram_cell import BISECTION_BLOCK, DischargeStack
 from repro.circuits.technology import ProcessCorner, tsmc65_like
 from repro.circuits.transient import TransientSolver
+from repro.core.characterization import CharacterizationPlan, _mismatch_rows_job
 
 TECHNOLOGY = tsmc65_like()
 NOMINAL = OperatingConditions.nominal(TECHNOLOGY)
@@ -262,6 +264,107 @@ class TestSolverMatchesOracle:
         _assert_same_traces(
             solver, 0.9, 0.3e-9, conditions, mismatch=_mismatch_arrays(traces, 7)
         )
+
+
+# ----------------------------------------------------------------------
+# Reach-bounded current tables vs oracle
+# ----------------------------------------------------------------------
+#: Traces of the widest table that is still solved whole in one block.
+ONE_BLOCK_TRACES = BISECTION_BLOCK // 129
+
+
+class TestReachBoundedTable:
+    @given(
+        conditions=conditions_strategy,
+        v_wl=st.lists(st.floats(min_value=0.2, max_value=1.1), min_size=1, max_size=2),
+        samples=st.integers(min_value=1, max_value=300),
+        seed=st.integers(min_value=0, max_value=2**16),
+        duration=st.floats(min_value=0.05e-9, max_value=4.0e-9),
+        grid_points=st.integers(min_value=16, max_value=257),
+        stored_bit=st.sampled_from([0, 1, 1]),
+        start_fraction=st.one_of(st.none(), st.floats(min_value=0.3, max_value=1.0)),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_mismatch_traces_match_the_oracle(
+        self, conditions, v_wl, samples, seed, duration, grid_points, stored_bit, start_fraction
+    ):
+        initial = None if start_fraction is None else start_fraction * conditions.vdd
+        solver = TransientSolver(TECHNOLOGY, voltage_grid_points=grid_points)
+        v_wl = np.array(v_wl)[:, np.newaxis]
+        kwargs = dict(
+            stored_bit=stored_bit, mismatch=_mismatch_arrays(samples, seed), initial_voltage=initial
+        )
+        result = solver.simulate_discharge(v_wl, duration, conditions, **kwargs)
+        expected = _reference_voltages(solver, v_wl, duration, conditions, **kwargs)
+        assert np.all(np.isfinite(result.voltages))
+        assert np.array_equal(result.voltages, expected)
+
+    @pytest.mark.parametrize("samples, passes", [(ONE_BLOCK_TRACES, 1), (ONE_BLOCK_TRACES + 1, 2)])
+    @pytest.mark.parametrize("duration", [0.3e-9, 4.0e-9])
+    @pytest.mark.parametrize("v_wl", [0.25, 0.7, 1.1])
+    def test_both_sides_of_the_one_block_cut_over(
+        self, monkeypatch, samples, passes, duration, v_wl
+    ):
+        # 4 ns discharges the fast corner to the bottom of the grid, so the
+        # reach covers every cell.
+        calls = _count_stack_cells(monkeypatch)
+        _assert_same_traces(
+            TransientSolver(TECHNOLOGY), v_wl, duration, NOMINAL.with_corner(ProcessCorner.FAST),
+            mismatch=_mismatch_arrays(samples, 11),
+        )
+        assert len(calls) == passes
+
+    def test_rows_above_the_start_current_are_solved_whole(self, monkeypatch):
+        # With no slack, the sub-threshold rows' bisection noise lifts some
+        # solved cells above the start current; those rows take the
+        # whole-row pass, and the traces still match the oracle.
+        monkeypatch.setattr(transient, "_REACH_SLACK", 0.0)
+        calls = _count_stack_cells(monkeypatch)
+        _assert_same_traces(
+            TransientSolver(TECHNOLOGY), 0.25, 2.0e-9, NOMINAL,
+            mismatch=_mismatch_arrays(250, 2024),
+        )
+        assert len(calls) == 3
+
+    def test_unreached_cells_stay_nan(self):
+        solver = TransientSolver(TECHNOLOGY)
+        mismatch = _mismatch_arrays(100, 5)
+        stack = solver._build_stack(NOMINAL, mismatch)
+        v_wl = np.array([[0.4], [1.0]])
+        fall_per_amp = 0.5e-9 / solver.bitline.capacitance
+        _, table = solver._current_table(stack, v_wl, 1, NOMINAL.vdd, (2, 100), fall_per_amp)
+        solved = ~np.isnan(table)
+        assert solved[:, 0].all() and not solved.all()
+        # Solved cells are a prefix of each row and match the full table.
+        assert np.array_equal(np.sort(solved, axis=1)[:, ::-1], solved)
+        full = np.maximum(_reference_stack_current(
+            stack, np.linspace(NOMINAL.vdd, 0.0, 129), v_wl[..., np.newaxis]
+        ), 0.0).reshape(200, 129)
+        assert np.array_equal(table[solved], full[solved])
+
+    def test_characterize_mismatch_job_solves_under_60_percent_of_the_table(
+        self, monkeypatch
+    ):
+        plan = CharacterizationPlan()
+        calls = _count_stack_cells(monkeypatch)
+        sigma_rows = _mismatch_rows_job(TECHNOLOGY, plan, NOMINAL)
+        assert np.all(np.isfinite(sigma_rows))
+        full = len(plan.mismatch_wordline_voltages) * plan.mismatch_samples * 129
+        assert sum(calls) < 0.6 * full
+
+
+def _count_stack_cells(monkeypatch):
+    """Record the cell count of every ``DischargeStack.current`` call."""
+    calls = []
+    current = DischargeStack.current
+
+    def counting(stack, v_bl, v_wl):
+        currents = current(stack, v_bl, v_wl)
+        calls.append(np.size(currents))
+        return currents
+
+    monkeypatch.setattr(DischargeStack, "current", counting)
+    return calls
 
 
 # ----------------------------------------------------------------------
