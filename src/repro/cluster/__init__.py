@@ -22,9 +22,8 @@ Layout::
 
     protocol.py     cluster wire messages: pickled jobs out, binary results back
     coordinator.py  Coordinator: registration, heartbeats, span queues,
-                    adaptive chunk sizing (EWMA telemetry x chunk_window),
-                    straggler splits, work stealing, retry-on-worker-death,
-                    index merge
+                    static chunks, work stealing, priority preemption,
+                    retry-on-worker-death, index merge
     worker.py       Worker: long-lived job runner (python -m repro worker)
     executor.py     DistributedExecutor: the make_executor("distributed")
                     strategy owning the coordinator + local worker pool
@@ -32,8 +31,7 @@ Layout::
                     status [--watch]); ClusterWatchView folds the live
                     repro.obs event stream into the per-worker table
 
-Per-worker throughput accounting lives in :mod:`repro.telemetry`; the
-scheduling policy it drives is documented in ``docs/scheduling.md``.
+The scheduling policy is documented in ``docs/scheduling.md``.
 
 Quickstart — a local four-worker pool behind the CLI::
 

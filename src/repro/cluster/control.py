@@ -72,13 +72,9 @@ def format_status(status: Dict[str, Any]) -> str:
     """Render a status document as the human-readable ``cluster status`` text."""
     host, port = status.get("address", ["?", "?"])
     stats = status.get("stats", {})
-    window = status.get("chunk_window")
-    scheduling = (
-        f"adaptive (window {window:g} s)" if window is not None else "static chunks"
-    )
     lines = [
         f"cluster at {host}:{port} — protocol {status.get('protocol')}, "
-        f"repro {status.get('version')}, scheduling {scheduling}",
+        f"repro {status.get('version')}",
         f"  workers: {status.get('alive_workers', 0)} alive, "
         f"{status.get('total_slots', 0)} slots, "
         f"{status.get('runs_in_flight', 0)} runs in flight, "
@@ -86,8 +82,6 @@ def format_status(status: Dict[str, Any]) -> str:
         f"  totals : {stats.get('jobs_done', 0)} jobs done, "
         f"{stats.get('chunks_completed', 0)}/{stats.get('chunks_dispatched', 0)} chunks, "
         f"{stats.get('chunks_stolen', 0)} stolen, "
-        f"{stats.get('chunks_split', 0)} split "
-        f"({stats.get('splits_requested', 0)} requested), "
         f"{stats.get('chunks_retried', 0)} retried, "
         f"{stats.get('workers_lost', 0)} workers lost",
     ]
@@ -106,14 +100,8 @@ def format_status(status: Dict[str, Any]) -> str:
             f"{sched_stats.get('resumes', 0)} resumed, "
             f"{sched_stats.get('jobs_requeued', 0)} jobs requeued"
         )
-    stragglers = set(status.get("stragglers") or [])
     for worker in status.get("workers", []):
         state = "alive" if worker.get("alive") else "dead"
-        throughput = worker.get("throughput_jobs_per_s")
-        speed = (
-            f", ~{throughput:.2f} jobs/s" if isinstance(throughput, float) else ""
-        )
-        lag = " (straggler)" if worker.get("id") in stragglers else ""
         # Queue depth is reported in *jobs*: since protocol v3 the queues
         # hold spans (arbitrarily large reservoirs), so a span count would
         # say nothing about load.
@@ -122,7 +110,7 @@ def format_status(status: Dict[str, Any]) -> str:
             f"{state}, {worker.get('slots')} slot(s), "
             f"{worker.get('jobs_done', 0)} jobs done, "
             f"{worker.get('inflight_jobs', 0)} in flight, "
-            f"{worker.get('queued_jobs', 0)} queued{speed}{lag}"
+            f"{worker.get('queued_jobs', 0)} queued"
         )
     return "\n".join(lines)
 
@@ -157,7 +145,7 @@ class ClusterWatchView:
     3
     >>> print(view.render())  # doctest: +ELLIPSIS
     cluster at 127.0.0.1:7465 — live (3 events, last: cache_hit)
-      totals : 4 jobs done, 1 chunks, 0 split, 0 stolen spans, 0 workers lost
+      totals : 4 jobs done, 1 chunks, 0 stolen spans, 0 workers lost
       worker w1 (local-0): alive, 2 slot(s), 4 jobs done, 0 chunks in flight...
     """
 
@@ -176,7 +164,6 @@ class ClusterWatchView:
         stats = status.get("stats", {})
         self.jobs_done = int(stats.get("jobs_done", 0))
         self.chunks_done = int(stats.get("chunks_completed", 0))
-        self.splits = int(stats.get("chunks_split", 0))
         self.stolen = int(stats.get("chunks_stolen", 0))
         self.workers_lost = int(stats.get("workers_lost", 0))
         self.events_seen = 0
@@ -222,9 +209,6 @@ class ClusterWatchView:
             self.jobs_done += int(event.get("jobs", 0))
             self.chunks_done += 1
             return True
-        if kind == "chunk_split":
-            self.splits += 1
-            return True
         if kind == "chunk_stolen":
             self.stolen += int(event.get("spans", 1))
             return True
@@ -236,7 +220,7 @@ class ClusterWatchView:
             f"cluster at {self.address} — live ({self.events_seen} events, "
             f"last: {self.last_type})",
             f"  totals : {self.jobs_done} jobs done, {self.chunks_done} chunks, "
-            f"{self.splits} split, {self.stolen} stolen spans, "
+            f"{self.stolen} stolen spans, "
             f"{self.workers_lost} workers lost",
         ]
         for worker_id, worker in sorted(self.workers.items()):

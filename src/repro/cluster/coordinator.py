@@ -11,39 +11,28 @@ Scheduling model (the ARTIQ-style long-lived-worker pattern, adapted to
 sweeps; the full design rationale lives in ``docs/scheduling.md``):
 
 * every :meth:`run` splits its job list into contiguous **spans** of
-  undispatched work, dealt into per-worker queues; chunks are cut from a
-  span's front only *at dispatch time*, which is what lets the adaptive
-  policy size them per worker;
-* with a ``chunk_window`` configured, each worker's next chunk is sized to
-  ``EWMA throughput x window`` (:mod:`repro.telemetry`) — a fast worker
-  gets big chunks, a slow one small chunks, and both come back for more on
-  the same wall-time cadence.  Without a window, chunks are the static
-  ``chunksize`` the run was submitted with (the pre-v3 behaviour);
+  undispatched work, dealt into per-worker queues; chunks of the run's
+  static ``chunksize`` are cut from a span's front at dispatch time;
 * each worker holds at most ``slots`` chunks in flight; the scheduler tops
   it up from its own queue first and otherwise **steals half of the
   longest backlog** (by job count) in the cluster, so a fast (or
   late-joining) worker drains the queue of a slow one;
-* a **straggler** — a worker whose in-flight chunk has aged past the split
-  threshold while other workers sit idle — is sent a ``split`` frame
-  (protocol v3): it keeps the jobs it already started, acks the kept count
-  (``split_ack``), and the coordinator reassigns the unstarted tail to the
-  idle workers.  The straggler's eventual ``chunk_done`` is a
-  partial-completion ack covering only the kept prefix;
 * every run carries a :class:`repro.sched.SchedPolicy` (job class +
   integer priority, larger wins): backlogs are priority queues, dispatch
   is globally highest-priority-first, and when a higher-priority sweep
   arrives while every slot is busy the coordinator **preempts** — the
-  lowest-priority in-flight chunks receive the same ``split``/``keep=0``
-  frame as a straggler, their unstarted tails are requeued (``preempted``
-  event), and the paused run is ``resumed`` once its spans dispatch
-  again.  Preempted partial completions are telemetry-exempt, so a
-  healthy worker is never mistaken for a straggler;
+  lowest-priority in-flight chunks receive a ``split`` frame with
+  ``keep=0`` (protocol v3): the worker keeps the jobs it already started,
+  acks the kept count (``split_ack``), its eventual ``chunk_done`` is a
+  partial-completion ack covering only that prefix, and the unstarted
+  tail is requeued (``preempted`` event).  The paused run is ``resumed``
+  once its spans dispatch again;
 * a worker that dies — its connection drops or its heartbeat goes silent —
   has its queued *and* in-flight work reassigned to the survivors, with a
   bounded retry count so a chunk that kills every worker cannot loop
   forever;
 * results are merged **by global job index**, so whatever the dispatch
-  schedule, chunk sizing, split or steal history, the returned list is
+  schedule, chunk sizing, preemption or steal history, the returned list is
   bit-identical to a serial run (the same guarantee every in-process
   executor gives);
 * a run whose ``cancel_event`` fires is **revoked**: queued spans are
@@ -76,12 +65,6 @@ from repro.cluster import protocol
 from repro.runtime.executors import CancelEvent, ProgressCallback, SweepCancelled
 from repro.runtime.jobs import Job, code_version
 from repro.sched import JOB_CLASSES, PriorityQueue, SchedPolicy
-from repro.telemetry import TelemetryBook, WorkerStats
-
-#: Age multiplier before an in-flight chunk is split: a chunk sized to the
-#: window that is still running after ``SPLIT_AGE_FACTOR x window`` seconds
-#: while other workers idle marks its worker as a straggler.
-SPLIT_AGE_FACTOR = 1.5
 
 #: Help strings of the coordinator counters; each backs a registry metric
 #: ``repro_cluster_<key>_total`` *and* the per-instance ``stats`` view the
@@ -94,8 +77,6 @@ _STAT_HELP = {
     "chunks_stolen": "Spans moved by work stealing.",
     "chunks_retried": "Spans reassigned after a worker death.",
     "chunks_cancelled": "In-flight chunks revoked by run cancellation.",
-    "chunks_split": "Granted straggler splits (tail reassigned).",
-    "splits_requested": "Straggler split requests sent.",
     "chunks_refitted": "Chunks halved to fit the wire frame limit.",
     "jobs_done": "Jobs completed across all runs.",
     "workers_lost": "Workers declared dead.",
@@ -207,7 +188,7 @@ class _Run:
         self.remaining -= len(results)
         if results and self.progress is not None:
             # Label by index, not chunk.jobs[-1]: the property would copy
-            # the whole (possibly huge, window-sized) job slice per tick.
+            # the whole job slice per tick.
             self.progress(
                 self.total - self.remaining, self.total, self.jobs[chunk.stop - 1].name
             )
@@ -219,8 +200,8 @@ class _Span:
     """A contiguous, undispatched slice ``[start, stop)`` of one run's jobs.
 
     Queues hold spans, not chunks: the chunk a worker actually receives is
-    cut from a span's front at dispatch time, sized by the scheduling
-    policy in force at that moment.
+    cut from a span's front at dispatch time, so stealing and preemption
+    can move work at job granularity.
     """
 
     __slots__ = ("run", "start", "stop", "attempts")
@@ -250,9 +231,7 @@ class _Chunk:
         "stop",
         "attempts",
         "dispatched_at",
-        "split_requested",
         "preempt_requested",
-        "busy_marker",
     )
 
     def __init__(self, run: _Run, chunk_id: str, start: int, stop: int, attempts: int):
@@ -262,16 +241,9 @@ class _Chunk:
         self.stop = stop
         self.attempts = attempts
         self.dispatched_at = 0.0
-        self.split_requested = False
-        # A preemption is a split with different bookkeeping: the flag
-        # routes the eventual split_ack to the sched counters and keeps
-        # the partial chunk_done out of the straggler telemetry.
+        # One preemption request per chunk: set when the split frame goes
+        # out, cleared if the worker declines (the chunk finished first).
         self.preempt_requested = False
-        # Busy-integral marker taken at dispatch; the settle-time delta
-        # over wall time is this chunk's mean worker occupancy (how many
-        # chunks ran concurrently), which de-biases EWMA throughput on
-        # multi-slot workers.
-        self.busy_marker = 0.0
 
     def __len__(self) -> int:
         return self.stop - self.start
@@ -381,14 +353,6 @@ class Coordinator:
         How long dispatched work may sit orphaned with *no* connected
         worker before the owning runs fail (covers workers that never
         start, e.g. a typo'd ``--connect`` address).
-    chunk_window:
-        Target wall-time per dispatched chunk, in seconds — enabling the
-        **adaptive scheduler**: each worker's next chunk is sized to its
-        measured EWMA throughput times this window, and in-flight chunks
-        of detected stragglers are split so idle workers pick up the
-        unstarted tail.  ``None`` (default) keeps static per-run
-        chunksizes and disables splitting (pre-v3 behaviour).  See
-        ``docs/scheduling.md`` for tuning guidance.
     """
 
     def __init__(
@@ -399,22 +363,17 @@ class Coordinator:
         heartbeat_timeout: float = 5.0,
         max_chunk_retries: int = 3,
         worker_wait_timeout: float = 30.0,
-        chunk_window: Optional[float] = None,
     ):
         if heartbeat_interval <= 0 or heartbeat_timeout <= 0:
             raise ValueError("heartbeat interval/timeout must be positive")
         if heartbeat_timeout <= heartbeat_interval:
             raise ValueError("heartbeat_timeout must exceed heartbeat_interval")
-        if chunk_window is not None and chunk_window <= 0:
-            raise ValueError("chunk_window must be positive (or None for static chunks)")
         self._host = host
         self._port = port
         self.heartbeat_interval = heartbeat_interval
         self.heartbeat_timeout = heartbeat_timeout
         self.max_chunk_retries = max_chunk_retries
         self.worker_wait_timeout = worker_wait_timeout
-        self.chunk_window = chunk_window
-        self.telemetry = TelemetryBook()
         self._links: Dict[str, _WorkerLink] = {}
         self._orphans: PriorityQueue = PriorityQueue(key=_span_priority)
         self._orphaned_since: Optional[float] = None
@@ -521,9 +480,7 @@ class Coordinator:
     ) -> List[Any]:
         """Execute ``jobs`` across the cluster; results in submission order.
 
-        ``chunksize`` is the static chunk size — and, under an adaptive
-        ``chunk_window``, the probe size used for a worker whose
-        throughput has not been measured yet.
+        ``chunksize`` is the number of jobs per dispatched chunk.
 
         ``progress`` fires on the coordinator's event loop as chunks
         complete, reporting ``(jobs done, jobs total, last job label)`` —
@@ -616,33 +573,20 @@ class Coordinator:
             ]
             for chunk_id in doomed:
                 link.inflight.pop(chunk_id, None)
-                # Settle the occupancy bracket opened at dispatch; the
-                # revoked chunk contributes no throughput sample.
-                self.telemetry.chunk_settled(link.id, time.monotonic())
                 self.stats.inc("chunks_cancelled")
                 await link.send(protocol.cancel_event(chunk_id))
         run.fail(SweepCancelled(f"run {run.id} cancelled"))
         self._kick.set()
 
     # ------------------------------------------------------------------
-    # Scheduling: per-worker span queues + work stealing + adaptive cuts
+    # Scheduling: per-worker span queues + work stealing + preemption
     # ------------------------------------------------------------------
     def _alive_links(self) -> List[_WorkerLink]:
         return [link for link in self._links.values() if link.alive]
 
-    def _distribute(
-        self, spans: Sequence[_Span], exclude: Optional[_WorkerLink] = None
-    ) -> None:
-        """Deal spans onto the least-loaded workers (by job count).
-
-        ``exclude`` (when other workers exist) keeps a span away from one
-        worker — a split's reclaimed tail must not land straight back on
-        the straggler that just handed it over, whose zero-length head
-        chunk would otherwise tie for least-loaded.
-        """
+    def _distribute(self, spans: Sequence[_Span]) -> None:
+        """Deal spans onto the least-loaded workers (by job count)."""
         links = self._alive_links()
-        if exclude is not None and len(links) > 1:
-            links = [link for link in links if link is not exclude]
         if not links:
             self._orphans.extend(span for span in spans if len(span))
             if self._orphans and self._orphaned_since is None:
@@ -734,29 +678,6 @@ class Coordinator:
         thief.queue.extend(reversed(rest))
         return first
 
-    def _target_chunk_jobs(self, link: _WorkerLink, run: _Run) -> int:
-        """Jobs the next chunk for ``link`` should carry.
-
-        Static policy: the run's ``chunksize``.  Adaptive policy
-        (``chunk_window`` set): the worker's measured EWMA throughput
-        times the window — falling back to the run's chunksize as the
-        probe size until the first completion measures the worker.
-        """
-        if self.chunk_window is None:
-            return run.chunksize
-        stats = self.telemetry.get(link.id)
-        # Per-slot sizing: EWMA throughput measures the whole worker, but
-        # a chunk occupies one slot — a 2-slot worker gets window-sized
-        # chunks per slot, not double-window chunks.
-        expected = (
-            stats.expected_jobs(self.chunk_window, slots=link.slots)
-            if stats is not None
-            else None
-        )
-        if expected is None:
-            return run.chunksize
-        return expected
-
     def _next_chunk(self, link: _WorkerLink) -> Optional[_Chunk]:
         while True:
             top = self._waiting_priority()
@@ -778,7 +699,7 @@ class Coordinator:
                 return None
             if span.run.done or not len(span):
                 continue  # run already failed/finished; drop silently
-            take = min(len(span), self._target_chunk_jobs(link, span.run))
+            take = min(len(span), span.run.chunksize)
             if span.run.max_chunk_jobs is not None:
                 # Frame-limit cap learned from a previous refit: never
                 # re-cut (and re-pay the over-limit encode for) a chunk
@@ -809,10 +730,9 @@ class Coordinator:
             except Exception as error:
                 if len(chunk) > 1:
                     # The chunk — not any single job — overflows the frame
-                    # limit (the adaptive sizer can cut arbitrarily large
-                    # chunks from a span; a static chunksize can be set too
-                    # big for fat jobs).  Halve and requeue: O(log) retries
-                    # converge on a dispatchable size or on single jobs.
+                    # limit (a chunksize can be set too big for fat jobs).
+                    # Halve and requeue: O(log) retries converge on a
+                    # dispatchable size or on single jobs.
                     run, middle = chunk.run, (chunk.start + chunk.stop) // 2
                     half = len(chunk) // 2
                     if run.max_chunk_jobs is None or half < run.max_chunk_jobs:
@@ -832,11 +752,7 @@ class Coordinator:
                     )
                 )
                 continue
-            now = time.monotonic()
-            chunk.dispatched_at = now
-            # Open the occupancy bracket: the matching chunk_settled at
-            # completion yields this chunk's mean concurrent-chunk count.
-            chunk.busy_marker = self.telemetry.chunk_dispatched(link.id, now)
+            chunk.dispatched_at = time.monotonic()
             link.inflight[chunk.id] = chunk
             self.stats.inc("chunks_dispatched")
             obs.EVENTS.emit(
@@ -870,7 +786,6 @@ class Coordinator:
                 for link in self._alive_links():
                     await self._pump(link)
                 await self._maybe_preempt()
-                await self._maybe_split()
             except asyncio.CancelledError:
                 raise
             except Exception:
@@ -883,14 +798,11 @@ class Coordinator:
     async def _maybe_preempt(self) -> None:
         """Revoke low-priority in-flight tails when urgent work waits.
 
-        Runs after every pump pass (any scheduling policy — unlike
-        straggler splits, preemption needs no ``chunk_window``).  The
-        trigger: a span outranking some in-flight chunk is queued while
-        no slot in the cluster is free.  Each fully-busy worker is then
-        asked to hand back the unstarted tail of its lowest-priority
-        in-flight chunk (``split`` with ``keep=0``) — the same frame a
-        straggler gets, but acked into the sched counters and exempted
-        from straggler telemetry.  One request per chunk; declines (the
+        Runs after every pump pass and on every reaper tick.  The trigger:
+        a span outranking some in-flight chunk is queued while no slot in
+        the cluster is free.  Each fully-busy worker is then asked to hand
+        back the unstarted tail of its lowest-priority in-flight chunk
+        (``split`` with ``keep=0``).  One request per chunk; declines (the
         chunk finished first) simply clear the mark.
         """
         links = self._alive_links()
@@ -907,8 +819,7 @@ class Coordinator:
             victims = [
                 chunk
                 for chunk in link.inflight.values()
-                if not chunk.split_requested
-                and not chunk.preempt_requested
+                if not chunk.preempt_requested
                 and not chunk.run.done
                 and len(chunk) >= 2
                 and chunk.run.policy.priority < top
@@ -922,67 +833,6 @@ class Coordinator:
             self.sched_stats.inc("preempt_requests")
             await link.send(protocol.split_event(victim.id, keep=0))
 
-    async def _maybe_split(self) -> None:
-        """Split aged in-flight chunks of stragglers while workers idle.
-
-        Adaptive policy only (``chunk_window`` set).  The trigger is
-        precise starvation: some worker is idle with nothing left to steal
-        while another worker's in-flight chunk has aged past the split
-        threshold — at that point the only parallelism left to win is
-        inside that chunk, so the coordinator asks its worker to hand the
-        unstarted tail back (``split`` with ``keep=0``).  One split
-        request per chunk: once granted, the head holds only
-        already-started jobs and re-splitting it could never free more.
-        """
-        if self.chunk_window is None:
-            return
-        links = self._alive_links()
-        if len(links) < 2:
-            return
-        if not any(not link.inflight and not link.queue for link in links):
-            return
-        now = time.monotonic()
-        for link in links:
-            for chunk in list(link.inflight.values()):
-                if (
-                    chunk.split_requested
-                    or chunk.preempt_requested
-                    or len(chunk) < 2
-                    or chunk.run.done
-                ):
-                    continue
-                if now - chunk.dispatched_at < self._split_threshold(link, chunk):
-                    continue
-                if chunk.id not in link.inflight:
-                    # Completed (or was reassigned) while an earlier send
-                    # in this sweep awaited: a split now would be a dead
-                    # frame and would skew splits_requested.
-                    continue
-                chunk.split_requested = True
-                self.stats.inc("splits_requested")
-                await link.send(protocol.split_event(chunk.id, keep=0))
-
-    def _split_threshold(self, link: _WorkerLink, chunk: _Chunk) -> float:
-        """Age after which an in-flight chunk counts as straggling.
-
-        A chunk sized to the window should complete in about one window;
-        ``SPLIT_AGE_FACTOR`` windows of patience absorbs estimation noise.
-        When telemetry already predicts a longer runtime (a probe chunk on
-        a slow worker), half the predicted time is allowed before
-        splitting — enough signal to act on, early enough to matter.
-        """
-        assert self.chunk_window is not None
-        base = SPLIT_AGE_FACTOR * self.chunk_window
-        stats = self.telemetry.get(link.id)
-        expected = (
-            stats.expected_seconds(len(chunk), slots=link.slots)
-            if stats is not None
-            else None
-        )
-        if expected is None:
-            return base
-        return min(max(base, 0.5 * expected), 4.0 * base)
-
     async def _reaper_loop(self) -> None:
         """Declare silent workers dead; time out permanently orphaned work."""
         while True:
@@ -995,13 +845,12 @@ class Coordinator:
                     except (ConnectionError, OSError):
                         pass
                     self._on_worker_death(link)
-            # Periodic straggler check: splits must fire even when no
+            # Periodic preemption check: it must fire even when no
             # completion event has kicked the scheduler for a while.
-            # Guarded like the scheduler loop: a splitting bug must never
+            # Guarded like the scheduler loop: a preemption bug must never
             # kill the reaper, or dead-worker detection silently stops.
             try:
                 await self._maybe_preempt()
-                await self._maybe_split()
             except asyncio.CancelledError:
                 raise
             except Exception:
@@ -1036,9 +885,6 @@ class Coordinator:
             name=link.name,
             stranded_chunks=len(link.inflight),
         )
-        # Dead workers never return under the same id, so their speed
-        # estimates must not pollute the pool median / straggler view.
-        self.telemetry.forget(link.id)
         stranded = [chunk.to_span() for chunk in link.inflight.values()]
         stranded.extend(link.queue)
         link.inflight.clear()
@@ -1096,11 +942,8 @@ class Coordinator:
                     if link is None:
                         break
                 elif op == "heartbeat":
-                    # Frames buffered by a worker already declared dead must
-                    # not resurrect its forgotten telemetry entry.
                     if link is not None and link.alive:
                         link.last_seen = time.time()
-                        self.telemetry.observe_heartbeat(link.id, time.monotonic())
                 elif op == "chunk_done" and link is not None:
                     link.last_seen = time.time()
                     self._handle_chunk_done(link, message)
@@ -1262,19 +1105,16 @@ class Coordinator:
             # deterministic, so dropping the duplicate is safe.
             self.stats.inc("duplicate_results")
             return
-        # Close the occupancy bracket opened at dispatch, whatever the
-        # frame's fate below: the chunk has left the worker either way.
-        settled_at = time.monotonic()
-        busy_integral = self.telemetry.chunk_settled(link.id, settled_at)
+        seconds = time.monotonic() - chunk.dispatched_at
         try:
             results = protocol.chunk_done_results(message)
         except wire.ProtocolError as error:
             chunk.run.fail(ClusterError(f"undecodable results for {chunk.id}: {error}"))
             return
         if len(results) != len(chunk):
-            # A granted split truncated the coordinator-side chunk via the
-            # (stream-ordered) split_ack before this frame, so even partial
-            # completions must match exactly.
+            # A granted preemption truncated the coordinator-side chunk
+            # via the (stream-ordered) split_ack before this frame, so even
+            # partial completions must match exactly.
             chunk.run.fail(
                 ClusterError(
                     f"chunk {chunk.id} returned {len(results)} results "
@@ -1282,22 +1122,6 @@ class Coordinator:
                 )
             )
             return
-        seconds = settled_at - chunk.dispatched_at
-        # Mean concurrent chunks on this worker over the chunk's lifetime:
-        # throughput samples on multi-slot workers are scaled back to the
-        # whole-worker rate, fixing the under-estimate that made the
-        # adaptive sizer cut starvation-sized chunks for parallel workers.
-        occupancy = (busy_integral - chunk.busy_marker) / seconds if seconds > 0 else 1.0
-        # A preempted chunk's completion covers only the kept prefix of a
-        # revocation the *coordinator* chose — exempt it from the EWMA so
-        # a healthy worker is not mistaken for a straggler.
-        self.telemetry.observe_chunk(
-            link.id,
-            len(results),
-            seconds,
-            occupancy=occupancy,
-            preempted=chunk.preempt_requested,
-        )
         _CHUNK_SECONDS.observe(seconds)
         link.chunks_done += 1
         link.jobs_done += len(results)
@@ -1317,14 +1141,14 @@ class Coordinator:
         self._kick.set()
 
     def _handle_split_ack(self, link: _WorkerLink, message: Dict[str, Any]) -> None:
-        """Reassign the tail a worker handed back in answer to ``split``."""
+        """Requeue the tail a worker handed back in answer to ``split``."""
         chunk = link.inflight.get(str(message.get("chunk")))
         if chunk is None:
             return  # raced with chunk_done / reassignment: nothing to take
         kept = message.get("kept")
         if kept is None:
             # Split declined (chunk finished first): the full completion
-            # is on its way, a healthy sample — drop the preempt mark.
+            # is on its way — drop the preempt mark.
             chunk.preempt_requested = False
             return
         kept = int(kept)
@@ -1338,35 +1162,21 @@ class Coordinator:
             return
         tail = _Span(chunk.run, chunk.start + kept, chunk.stop, chunk.attempts)
         chunk.stop = chunk.start + kept
-        if chunk.preempt_requested:
-            # Preemption granted: the run is paused until its spans next
-            # dispatch.  The mark stays on the chunk so the pending
-            # partial chunk_done skips the straggler EWMA.  No exclusion:
-            # the priority queues already order the requeued tail behind
-            # the urgent work that triggered the revoke.
-            chunk.run.paused = True
-            self.sched_stats.inc("preemptions")
-            self.sched_stats.inc("jobs_requeued", len(tail))
-            obs.EVENTS.emit(
-                "preempted",
-                trace=chunk.run.trace,
-                worker=link.id,
-                chunk=chunk.id,
-                kept=kept,
-                requeued=len(tail),
-            )
-            self._distribute([tail])
-        else:
-            self.stats.inc("chunks_split")
-            obs.EVENTS.emit(
-                "chunk_split",
-                trace=chunk.run.trace,
-                worker=link.id,
-                chunk=chunk.id,
-                kept=kept,
-                reassigned=len(tail),
-            )
-            self._distribute([tail], exclude=link)
+        # Preemption granted: the run is paused until its spans next
+        # dispatch.  The priority queues order the requeued tail behind
+        # the urgent work that triggered the revoke.
+        chunk.run.paused = True
+        self.sched_stats.inc("preemptions")
+        self.sched_stats.inc("jobs_requeued", len(tail))
+        obs.EVENTS.emit(
+            "preempted",
+            trace=chunk.run.trace,
+            worker=link.id,
+            chunk=chunk.id,
+            kept=kept,
+            requeued=len(tail),
+        )
+        self._distribute([tail])
         self._kick.set()
 
     def _handle_chunk_failed(self, link: _WorkerLink, message: Dict[str, Any]) -> None:
@@ -1374,26 +1184,12 @@ class Coordinator:
         if chunk is None:
             self.stats.inc("duplicate_results")
             return
-        self.telemetry.chunk_settled(link.id, time.monotonic())
         chunk.run.fail(protocol.chunk_failed_error(message))
         self._kick.set()
 
     # ------------------------------------------------------------------
     # Introspection
     # ------------------------------------------------------------------
-    def _worker_info(self, link: _WorkerLink) -> Dict[str, Any]:
-        """One worker's status document: link state + telemetry snapshot.
-
-        The telemetry keys come from :meth:`WorkerStats.to_dict` — the
-        single source of truth for their names — and are present (as
-        ``None`` / zero) even for a worker with no observations yet, so
-        consumers never need existence checks.
-        """
-        info = link.info().to_dict()
-        stats = self.telemetry.get(link.id) or WorkerStats(link.id)
-        info.update(stats.to_dict())
-        return info
-
     def status_event(self, request_id: Any = None) -> Dict[str, Any]:
         """The ``status`` reply document (also used by ``cluster status``)."""
         import repro
@@ -1405,7 +1201,7 @@ class Coordinator:
             "version": repro.__version__,
             "code_version": self._code_version,
             "address": list(self.address),
-            "workers": [self._worker_info(link) for link in self._links.values()],
+            "workers": [link.info().to_dict() for link in self._links.values()],
             "alive_workers": self.worker_count(),
             "total_slots": self.total_slots(),
             "runs_in_flight": len(self._runs),
@@ -1413,10 +1209,6 @@ class Coordinator:
             "stats": dict(self.stats),
             "heartbeat_interval": self.heartbeat_interval,
             "heartbeat_timeout": self.heartbeat_timeout,
-            "chunk_window": self.chunk_window,
-            "scheduling": "adaptive" if self.chunk_window is not None else "static",
-            "pool_median_throughput": self.telemetry.pool_median_throughput(),
-            "stragglers": list(self.telemetry.stragglers()),
             "sched": {
                 "queued_jobs_by_class": self._queued_jobs_by_class(),
                 "paused_runs": sum(1 for run in self._runs.values() if run.paused),
@@ -1442,6 +1234,5 @@ class Coordinator:
             f"Coordinator[{host}:{port}] — {self.worker_count()} workers, "
             f"{self.stats['jobs_done']} jobs done, "
             f"{self.stats['chunks_stolen']} chunks stolen, "
-            f"{self.stats['chunks_split']} split, "
             f"{self.stats['chunks_retried']} retried"
         )

@@ -87,8 +87,8 @@ def spawn_worker_process(
     """Spawn one ``python -m repro worker`` subprocess joining ``connect``.
 
     The single place the worker command line is assembled: the executor
-    uses it for its local pool, and the straggler-pool benchmark / tests
-    use it (with ``throttle``) to join deliberately slowed workers — so
+    uses it for its local pool, and the chaos tests use it (with
+    ``throttle``) to join deliberately slowed workers — so
     every spawner inherits the same flags and :func:`_worker_environment`.
     """
     command = [
@@ -132,17 +132,7 @@ class DistributedExecutor:
         Jobs per dispatched chunk.  The default splits a sweep into about
         four chunks per worker slot — small enough for work stealing and
         death-retry to matter, large enough to amortise the pickle+frame
-        overhead.  Under an adaptive ``chunk_window`` this is only the
-        *probe* size used until a worker's throughput has been measured
-        (default: 1, so the scheduler learns each worker's speed from the
-        very first completion).
-    chunk_window:
-        Target wall-time per dispatched chunk, in seconds — switches the
-        coordinator to the **adaptive scheduler**: chunk sizes track each
-        worker's measured EWMA throughput, and stragglers' in-flight
-        chunks are split so idle workers take over the unstarted tail
-        (see ``docs/scheduling.md``).  ``None`` (default) keeps static
-        chunk sizing.  CLI: ``--chunk-window``.
+        overhead (see ``docs/scheduling.md``).
     min_workers:
         How many registered workers :meth:`execute` waits for before
         dispatching (default: the spawned count, or 1 when only external
@@ -162,7 +152,6 @@ class DistributedExecutor:
         workers: Optional[int] = None,
         connect: Optional[str] = None,
         chunksize: Optional[int] = None,
-        chunk_window: Optional[float] = None,
         min_workers: Optional[int] = None,
         heartbeat_interval: float = 1.0,
         heartbeat_timeout: float = 5.0,
@@ -172,8 +161,6 @@ class DistributedExecutor:
             raise ValueError("workers must be non-negative")
         if chunksize is not None and chunksize < 1:
             raise ValueError("chunksize must be at least 1")
-        if chunk_window is not None and chunk_window <= 0:
-            raise ValueError("chunk_window must be positive (seconds)")
         if min_workers is not None and min_workers < 1:
             raise ValueError("min_workers must be at least 1")
         if connect is not None:
@@ -183,7 +170,6 @@ class DistributedExecutor:
             raise ValueError("workers=0 needs connect= so external workers can join")
         self.connect = connect
         self.chunksize = chunksize
-        self.chunk_window = chunk_window
         self.min_workers = min_workers if min_workers is not None else max(1, self.workers)
         self.heartbeat_interval = heartbeat_interval
         self.heartbeat_timeout = heartbeat_timeout
@@ -250,7 +236,6 @@ class DistributedExecutor:
             port=port,
             heartbeat_interval=self.heartbeat_interval,
             heartbeat_timeout=self.heartbeat_timeout,
-            chunk_window=self.chunk_window,
         )
         asyncio.run_coroutine_threadsafe(coordinator.start(), loop).result(self.start_timeout)
         self.coordinator = coordinator
@@ -352,11 +337,6 @@ class DistributedExecutor:
     # Execution
     # ------------------------------------------------------------------
     def _default_chunksize(self, job_count: int) -> int:
-        if self.chunk_window is not None:
-            # Adaptive scheduling: the static size only seeds the probe
-            # chunks, so keep them minimal — the first completion measures
-            # the worker and the window takes over.
-            return 1
         slots = self.coordinator.total_slots() if self.coordinator is not None else 1
         return max(1, job_count // (4 * max(1, slots)))
 

@@ -66,9 +66,9 @@ Coordinator -> worker events:
                 workers simply never see the field, so v3 stays
                 wire-compatible).
 ``split``     — give back the unstarted tail of one in-flight chunk
-                (``chunk`` id, ``keep`` floor): the adaptive scheduler
-                detected a straggler and wants to reassign the tail to an
-                idle worker.  Always answered with ``split_ack``; the
+                (``chunk`` id, ``keep`` floor): the scheduler preempts it
+                for higher-priority work and requeues the tail.  Always
+                answered with ``split_ack``; the
                 worker then finishes only the kept prefix and reports it
                 via a partial ``chunk_done``.
 ``cancel``    — drop one in-flight chunk (``chunk`` id): its run was
@@ -101,8 +101,8 @@ from repro.runtime.jobs import Job
 
 #: Bumped on incompatible cluster-wire changes; checked during ``hello``.
 #: Version 2 added the ``cancel`` event (coordinator -> worker chunk
-#: revocation for cancelled runs).  Version 3 added the adaptive-scheduler
-#: frames: the ``split`` event, the ``split_ack`` / partial ``chunk_done``
+#: revocation for cancelled runs).  Version 3 added the chunk-split
+#: frames (today driven by preemption): the ``split`` event, the ``split_ack`` / partial ``chunk_done``
 #: acks, and the ``count`` field on ``chunk_done``.  Version 5 added binary
 #: ``chunk_done`` completions for all-array results.  Version 6 makes every
 #: ``chunk_done`` one pickle-free binary frame (:func:`repro.wire.pack_values`)
@@ -233,9 +233,8 @@ def chunk_done_results(message: Dict[str, Any]) -> List[Any]:
 def split_event(chunk_id: str, keep: int) -> Dict[str, Any]:
     """Ask a worker to hand back the unstarted tail of an in-flight chunk.
 
-    ``keep`` is the floor on how many leading jobs the worker keeps; the
-    scheduler's straggler split passes ``keep=0`` ("keep only what you
-    already started").
+    ``keep`` is the floor on how many leading jobs the worker keeps; a
+    preemption passes ``keep=0`` ("keep only what you already started").
     """
     return {"event": "split", "chunk": chunk_id, "keep": int(keep)}
 

@@ -15,11 +15,11 @@ its pid, slot count and code version, and then loops:
   the *worker survives* and keeps serving other chunks, the *sweep* fails
   at the submitting call site exactly as it would under the serial
   executor;
-* a ``split`` event (protocol v3, the adaptive scheduler reclaiming a
-  straggler's backlog) truncates one in-flight chunk to the jobs already
+* a ``split`` event (protocol v3, the scheduler preempting a chunk for
+  higher-priority work) truncates one in-flight chunk to the jobs already
   started: the worker answers ``split_ack`` with the kept count, finishes
   only that prefix and reports it as a partial ``chunk_done`` — the
-  coordinator reassigns the tail to an idle worker;
+  coordinator requeues the tail;
 * a ``cancel`` event revokes one in-flight chunk (its run was cancelled):
   the chunk body stops at its next job boundary and reports nothing —
   the worker stays registered and keeps serving other chunks;
@@ -175,12 +175,11 @@ class Worker:
     connect_timeout:
         Retry-with-backoff budget while the coordinator is still binding.
     throttle:
-        Artificial per-job delay in seconds (default 0: none).  A chaos /
-        benchmarking knob: a throttled worker is a reproducible straggler
-        for exercising the adaptive scheduler (see
-        ``benchmarks/bench_adaptive_scheduling.py`` and the heterogeneous
-        pool runbook in ``docs/operations.md``).  Never set it in
-        production pools.
+        Artificial per-job delay in seconds (default 0: none).  A chaos
+        knob: a throttled worker is a reproducible straggler for
+        exercising work stealing and preemption (see the chaos tests and
+        the mixed-speed pool runbook in ``docs/operations.md``).  Never
+        set it in production pools.
     metrics_port:
         When set, serve this worker process's Prometheus metrics
         (``repro_worker_*``) on ``127.0.0.1:metrics_port`` for the
@@ -336,9 +335,9 @@ class Worker:
                     chunk_tasks.add(task)
                     task.add_done_callback(reap_chunk_task)
                 elif message.get("event") == "split":
-                    # Straggler split: truncate the chunk to the jobs this
+                    # Preemption split: truncate the chunk to the jobs this
                     # worker already started and ack the kept count — the
-                    # coordinator reassigns the tail.  A chunk that already
+                    # coordinator requeues the tail.  A chunk that already
                     # finished (or was never ours) declines with kept=null.
                     chunk_id = str(message.get("chunk"))
                     state = chunk_states.get(chunk_id)

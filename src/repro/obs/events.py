@@ -67,7 +67,6 @@ EVENT_TYPES = (
     # cluster tier
     "chunk_dispatched",
     "chunk_done",
-    "chunk_split",
     "chunk_stolen",
     "worker_joined",
     "worker_lost",

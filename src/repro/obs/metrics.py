@@ -3,8 +3,7 @@
 The observability layer's accounting core: counters, gauges and
 histograms — optionally labelled — registered process-wide and rendered
 in the Prometheus text exposition format 0.0.4 by
-:meth:`MetricsRegistry.render`.  Like :mod:`repro.telemetry`, this module
-is pure bookkeeping: no sockets, no threads of its own (every mutation is
+:meth:`MetricsRegistry.render`.  This module is pure bookkeeping: no sockets, no threads of its own (every mutation is
 guarded by a per-metric lock, so any tier may increment from any thread),
 no third-party dependencies.  The HTTP endpoint that serves the rendered
 text lives in :mod:`repro.obs.http`; the structured event stream in

@@ -36,17 +36,14 @@ The engine options apply to every ``run`` subcommand:
   bind the cluster endpoint on a routable address so additional
   ``python -m repro worker --connect H:P`` processes (any host) join the
   pool mid-run; ``python -m repro cluster status --connect H:P`` shows
-  live worker / dispatch / steal / retry statistics plus each worker's
-  measured EWMA throughput.
-* ``--chunk-window SECONDS`` (distributed only) switches the coordinator
-  to the adaptive scheduler: each worker's next chunk is sized to its
-  measured throughput times the window, and stragglers' in-flight chunks
-  are split so idle workers take over the unstarted tail — the knob that
-  keeps heterogeneous pools saturated (see ``docs/scheduling.md``).
-* ``--chunksize K`` tunes how many jobs ride in one pool task (default:
-  about four chunks per worker), trading scheduling overhead against load
-  balance; ``--executor batch --batch-size K`` instead evaluates grouped
-  corner batches in-process through the sweep's vectorised batch function.
+  live worker / dispatch / steal / retry statistics.
+* ``--chunksize K`` tunes how many jobs ride in one pool task or cluster
+  chunk (default: about four chunks per worker), trading scheduling
+  overhead against load balance — on the cluster, idle workers steal
+  queued work, so a slow worker never holds more than its in-flight
+  chunks (see ``docs/scheduling.md``); ``--executor batch --batch-size
+  K`` instead evaluates grouped corner batches in-process through the
+  sweep's vectorised batch function.
 * Artifact caching is on by default (``--cache-dir`` overrides the location,
   ``--no-cache`` disables it).  Artifacts are content-addressed by the sweep
   plan, technology card, operating conditions and code version, so a warm
@@ -116,9 +113,6 @@ running sweeps at scale:
   --executor distributed --workers 8  shard over long-lived cluster workers
   --executor batch --batch-size 16  vectorised corner-grid batches
   --chunksize 4                     jobs per pool task / cluster chunk
-  --chunk-window 0.5                adaptive scheduling: size each worker's
-                                    chunks to a 0.5 s wall-time window and
-                                    split stragglers (distributed only)
   --connect 0.0.0.0:7500            cluster endpoint (external workers join)
   --no-cache / --cache-dir DIR      control the content-addressed artifact cache
   --max-bytes 500M                  LRU-bound the cache (also: cache evict)
@@ -132,8 +126,8 @@ exposes the same engine to many concurrent clients over TCP (see
 
 Full documentation lives in docs/: docs/architecture.md (the three-tier
 execution architecture and its data flows), docs/protocol.md (the NDJSON
-wire protocols of both listeners), docs/scheduling.md (the adaptive
-telemetry-driven cluster scheduler and its tuning), docs/operations.md
+wire protocols of both listeners), docs/scheduling.md (cluster chunking,
+work stealing, retries, priorities and preemption), docs/operations.md
 (deployment, cache sizing, backpressure tuning, slow/mixed worker pools
 and the journal recovery runbook).
 """
@@ -196,7 +190,6 @@ def build_engine(args: argparse.Namespace) -> SweepEngine:
             ("--chunksize", args.chunksize),
             ("--batch-size", args.batch_size),
             ("--connect", args.connect),
-            ("--chunk-window", args.chunk_window),
         ):
             if value is not None:
                 raise EngineOptionError(f"{flag} requires an explicit --executor")
@@ -211,7 +204,6 @@ def build_engine(args: argparse.Namespace) -> SweepEngine:
         options = {
             "workers": args.workers,
             "chunksize": args.chunksize,
-            "chunk_window": args.chunk_window,
             "connect": args.connect,
         }
     else:
@@ -223,11 +215,6 @@ def build_engine(args: argparse.Namespace) -> SweepEngine:
         if args.connect is not None:
             raise EngineOptionError(
                 f"--connect only applies to --executor distributed, not {args.executor!r}"
-            )
-        if args.chunk_window is not None:
-            raise EngineOptionError(
-                f"--chunk-window only applies to --executor distributed, "
-                f"not {args.executor!r}"
             )
     if args.executor is not None:
         try:
@@ -287,15 +274,6 @@ def _add_engine_options(parser: argparse.ArgumentParser, run_options: bool = Tru
         type=int,
         default=None,
         help="jobs per pool task (parallel) or dispatched chunk (distributed)",
-    )
-    group.add_argument(
-        "--chunk-window",
-        type=float,
-        default=None,
-        metavar="SECONDS",
-        help="adaptive scheduling: target wall-time per dispatched chunk; "
-        "sizes chunks to each worker's measured throughput and splits "
-        "stragglers (distributed executor only)",
     )
     group.add_argument(
         "--connect",
@@ -1020,7 +998,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=0.0,
         metavar="SECONDS",
         help="artificial per-job delay: a reproducible straggler for "
-        "exercising the adaptive scheduler (benchmarks/chaos only)",
+        "exercising work stealing and preemption (chaos tests only)",
     )
     worker_parser.add_argument(
         "--metrics-port",

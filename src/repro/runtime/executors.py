@@ -281,7 +281,6 @@ _EXECUTOR_SPECS = {
                 "workers",
                 "connect",
                 "chunksize",
-                "chunk_window",
                 "min_workers",
                 "heartbeat_interval",
                 "heartbeat_timeout",
@@ -301,10 +300,9 @@ def make_executor(name: str, **kwargs: Any):
         Registered strategy name.  ``serial`` takes no options; ``parallel``
         accepts ``max_workers`` / ``chunksize``; ``batch`` accepts
         ``batch_size``; ``distributed`` accepts ``workers`` / ``connect`` /
-        ``chunksize`` / ``chunk_window`` / ``min_workers`` /
-        ``heartbeat_interval`` / ``heartbeat_timeout`` / ``start_timeout``
-        (see :class:`repro.cluster.DistributedExecutor`; ``chunk_window``
-        enables the adaptive telemetry-driven scheduler).
+        ``chunksize`` / ``min_workers`` / ``heartbeat_interval`` /
+        ``heartbeat_timeout`` / ``start_timeout`` (see
+        :class:`repro.cluster.DistributedExecutor`).
     **kwargs:
         Options forwarded to the strategy's constructor.  ``None``-valued
         options mean "not set" (so CLI defaults can always be forwarded).

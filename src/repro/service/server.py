@@ -776,9 +776,9 @@ class SweepService:
     async def _cluster_status(self) -> Optional[Dict[str, Any]]:
         """Scheduler statistics of a distributed engine executor, or None.
 
-        Surfaces the coordinator's status document — per-worker EWMA
-        throughput, chunk split / steal / retry counters, the configured
-        ``chunk_window`` — through the service's own ``status`` op, so an
+        Surfaces the coordinator's status document — per-worker load,
+        dispatch / steal / retry counters, the ``sched`` block — through
+        the service's own ``status`` op, so an
         operator watching the front door sees the scheduling tier without
         opening a second connection to the cluster endpoint.
         """

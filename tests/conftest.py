@@ -9,7 +9,6 @@ the reference sweeps.
 from __future__ import annotations
 
 import dataclasses
-from typing import Optional
 
 import numpy as np
 import pytest
@@ -104,18 +103,16 @@ class ChaosSchedule:
     """One seeded adversarial scheduling regime for the cluster tests.
 
     Drawn deterministically from a seed, so every trial is reproducible
-    from its parametrized id alone.  The base regime (window / probe /
+    from its parametrized id alone.  The base regime (chunk size /
     straggler throttle / worker kill / job count) drives the randomized
-    split-steal-death schedules of ``test_cluster``; the multi-tenant
+    steal-death schedules of ``test_cluster``; the multi-tenant
     fields (drawn strictly *after* the base regime, so legacy seeds keep
     their historical draws) add concurrent mixed-priority sweeps, a
     mid-run pool resize and preemption pressure for ``test_sched_chaos``.
     """
 
     seed: int
-    #: Adaptive chunk window in seconds, or ``None`` for static chunks.
-    window: Optional[float]
-    #: Probe / static chunk size.
+    #: Static chunk size.
     probe: int
     #: Straggler worker's per-job sleep.
     throttle: float
@@ -144,14 +141,16 @@ class ChaosSchedule:
     @classmethod
     def draw(cls, seed: int) -> "ChaosSchedule":
         rng = np.random.default_rng(1000 + seed)
-        window = float(rng.uniform(0.02, 0.08)) if rng.random() < 0.75 else None
+        # The retired adaptive-window draw, consumed and discarded so every
+        # seed keeps the rest of its historical regime.
+        if rng.random() < 0.75:
+            rng.uniform(0.02, 0.08)
         probe = int(rng.integers(1, 6))
         throttle = float(rng.uniform(0.03, 0.12))
         kill_one = bool(rng.random() < 0.5)
         count = int(rng.integers(16, 28))
         return cls(
             seed=seed,
-            window=window,
             probe=probe,
             throttle=throttle,
             kill_one=kill_one,

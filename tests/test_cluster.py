@@ -17,10 +17,10 @@ Covers the tentpole guarantees:
   reach a worker;
 * the sharded Monte-Carlo panel equals the one-shard panel bit-for-bit,
   serial or distributed, directly and through the service workload;
-* the adaptive scheduler (protocol v3): ``chunk_window`` sizing from EWMA
-  telemetry, straggler splits with partial-completion acks, and — the
-  determinism tentpole — randomized resize/split/steal/death schedules on
-  heterogeneous (throttled) pools still merging bit-identically to serial;
+* the worker's split bookkeeping behind preemption's partial-completion
+  acks, and — the determinism tentpole — randomized steal/death schedules
+  on heterogeneous (throttled) pools still merging bit-identically to
+  serial;
 * the ``cluster status`` / ``cache info --json`` CLI surfaces work.
 
 Worker subprocesses unpickle job functions by module name; the executor
@@ -199,6 +199,9 @@ class TestRegistry:
             make_executor("distributed", batch_size=4)
         with pytest.raises(ValueError, match="does not accept"):
             make_executor("serial", connect="127.0.0.1:7500")
+        # static chunks are the only dispatch policy
+        with pytest.raises(ValueError, match="does not accept"):
+            make_executor("distributed", chunk_window=0.5)
 
     def test_invalid_values_rejected(self):
         with pytest.raises(ValueError):
@@ -219,6 +222,10 @@ class TestRegistry:
         )
         assert code == 2
         assert "--connect" in capsys.readouterr().err
+        with pytest.raises(SystemExit) as exit_info:
+            cli_main(["run", "dse", "--fast", "--chunk-window", "0.5"])
+        assert exit_info.value.code == 2
+        assert "unrecognized arguments: --chunk-window" in capsys.readouterr().err
 
 
 # ----------------------------------------------------------------------
@@ -401,6 +408,16 @@ class TestDistributedExecution:
         assert {w["pid"] for w in status["workers"] if w["alive"]} == set(
             cluster.worker_pids
         )
+        # static chunks are the only dispatch policy: no scheduler telemetry
+        for key in ("chunk_window", "scheduling", "pool_median_throughput", "stragglers"):
+            assert key not in status
+        for key in ("chunks_split", "splits_requested"):
+            assert key not in status["stats"]
+        for worker in status["workers"]:
+            for key in ("inflight_chunks", "chunks_done", "jobs_done", "queued_jobs", "last_seen"):
+                assert key in worker
+            for key in ("throughput_jobs_per_s", "ewma_chunk_seconds", "ewma_heartbeat_gap"):
+                assert key not in worker
 
         assert cli_main(["cluster", "status", "--connect", f"{host}:{port}", "--json"]) == 0
         document = json.loads(capsys.readouterr().out)
@@ -519,7 +536,7 @@ class TestWorkerFailure:
 
 
 # ----------------------------------------------------------------------
-# Adaptive scheduling (protocol v3): windows, splits, telemetry
+# Heterogeneous pools: throttled workers, splits, chaos schedules
 # ----------------------------------------------------------------------
 def _spawn_throttled_worker(address, throttle: float, name: str = "throttled"):
     """Join one deliberately slowed worker to a live cluster endpoint."""
@@ -650,113 +667,16 @@ class TestOrphanAccounting:
 
 
 class TestAdaptiveScheduling:
-    def test_chunk_window_validation(self):
-        with pytest.raises(ValueError):
-            DistributedExecutor(workers=1, chunk_window=0.0)
-        with pytest.raises(ValueError):
-            make_executor("distributed", workers=1, chunk_window=-1.0)
-        with pytest.raises(ValueError, match="does not accept"):
-            make_executor("parallel", chunk_window=0.5)
-        executor = make_executor("distributed", workers=1, chunk_window=0.5)
-        assert executor.chunk_window == 0.5
-        executor.close()  # never started: a no-op
-
-    def test_cli_rejects_chunk_window_on_non_distributed(self, capsys):
-        code = cli_main(
-            ["run", "dse", "--fast", "--quiet", "--chunk-window", "0.5"]
-        )
-        assert code == 2
-        assert "--chunk-window" in capsys.readouterr().err
-
-    def test_adaptive_bit_identical_with_telemetry(self):
-        executor = DistributedExecutor(
-            workers=2,
-            chunk_window=0.05,
-            heartbeat_interval=0.05,
-            heartbeat_timeout=5.0,
-            start_timeout=START_TIMEOUT,
-        )
-        executor.start()
-        if executor._fallback is not None:
-            pytest.skip("cluster cannot start in this environment")
-        try:
-            jobs = [
-                Job(fn=_slow_seeded, args=(77, i, 0.004), name=f"adapt[{i}]")
-                for i in range(24)
-            ]
-            serial = SerialExecutor().execute(
-                [Job(fn=_slow_seeded, args=(77, i, 0.0), name=f"adapt[{i}]") for i in range(24)]
-            )
-            assert executor.execute(jobs) == serial
-            status = executor.status()
-            assert status["scheduling"] == "adaptive"
-            assert status["chunk_window"] == 0.05
-            for key in ("chunks_split", "splits_requested"):
-                assert key in status["stats"]
-            measured = [
-                w for w in status["workers"]
-                if w["alive"] and w["throughput_jobs_per_s"] is not None
-            ]
-            assert measured, "no worker accumulated EWMA throughput telemetry"
-            for worker in measured:
-                assert worker["throughput_jobs_per_s"] > 0
-                assert worker["ewma_chunk_seconds"] > 0
-        finally:
-            executor.close()
-
-    def test_straggler_split_reassigns_tail(self):
-        """A big probe chunk on a slow worker is split: the fast worker
-        takes the unstarted tail, the partial ack merges bit-identically."""
-        executor = DistributedExecutor(
-            workers=1,
-            chunksize=6,  # oversized probe: lands whole on some worker
-            chunk_window=0.05,
-            heartbeat_interval=0.05,
-            heartbeat_timeout=5.0,
-            start_timeout=START_TIMEOUT,
-        )
-        executor.start()
-        if executor._fallback is not None:
-            pytest.skip("cluster cannot start in this environment")
-        straggler = None
-        try:
-            straggler = _spawn_throttled_worker(executor.address, throttle=0.25)
-            _await_workers(executor, 2)
-            jobs = [
-                Job(fn=_slow_seeded, args=(31, i, 0.004), name=f"split[{i}]")
-                for i in range(12)
-            ]
-            serial = SerialExecutor().execute(
-                [Job(fn=_slow_seeded, args=(31, i, 0.0), name=f"split[{i}]") for i in range(12)]
-            )
-            assert executor.execute(jobs) == serial
-            status = executor.status()
-            stats = status["stats"]
-            # The straggler's 6-job chunk must have been split; the
-            # counters are the proof (a wall-clock bound would flake on
-            # loaded CI runners — the suite's timeout guards cover hangs).
-            assert stats["splits_requested"] >= 1
-            assert stats["chunks_split"] >= 1
-            # Pool-level telemetry flags the throttled worker (once it has
-            # a measured throughput to compare against the pool median).
-            assert "pool_median_throughput" in status
-            slow = [w for w in status["workers"] if w["name"] == "throttled"]
-            assert slow
-            if slow[0]["throughput_jobs_per_s"] is not None:
-                assert slow[0]["id"] in status["stragglers"]
-        finally:
-            executor.close()
-            if straggler is not None and straggler.poll() is None:
-                straggler.terminate()
-                straggler.wait(timeout=10)
+    """The cluster adapting to hostile pools with static chunks alone:
+    work stealing around throttled stragglers and death-retry."""
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_adversarial_schedules_merge_bit_identical(self, seed, chaos_schedule):
-        """Randomized resize/split/steal/death sequences vs serial.
+        """Randomized steal/death sequences on a throttled pool vs serial.
 
         Each trial draws a scheduling regime (:class:`ChaosSchedule` from
-        ``conftest``) — window or static, probe size, straggler slowness,
-        and whether a worker is killed mid-run — and the merged result
+        ``conftest``) — chunk size, straggler slowness, and whether a
+        worker is killed mid-run — and the merged result
         must equal the serial one exactly.  ``test_sched_chaos`` runs the
         same regimes with concurrent mixed-priority sweeps on top.
         """
@@ -764,7 +684,6 @@ class TestAdaptiveScheduling:
         executor = DistributedExecutor(
             workers=2,
             chunksize=plan.probe,
-            chunk_window=plan.window,
             heartbeat_interval=0.05,
             heartbeat_timeout=2.0,
             start_timeout=START_TIMEOUT,
@@ -934,97 +853,8 @@ class TestCacheInfoJson:
 
 
 # ----------------------------------------------------------------------
-# Observability: slot occupancy, trace ids, cluster status --watch
+# Observability: trace ids, cluster status --watch
 # ----------------------------------------------------------------------
-class TestSlotOccupancy:
-    """The PR 5 telemetry gap: multi-slot workers' EWMA throughput."""
-
-    def test_overlapping_chunks_scale_to_worker_capacity(self):
-        """Deterministic replay of the bug: two chunks sharing a 2-slot
-        worker must measure whole-worker capacity, not per-chunk speed."""
-        from repro.telemetry import WorkerStats
-
-        stats = WorkerStats("w2")
-        mark_a = stats.chunk_dispatched(now=0.0)
-        mark_b = stats.chunk_dispatched(now=0.0)
-        done_a = stats.chunk_settled(now=10.0)
-        stats.observe_chunk(jobs=5, seconds=10.0, occupancy=(done_a - mark_a) / 10.0)
-        done_b = stats.chunk_settled(now=10.0)
-        stats.observe_chunk(jobs=5, seconds=10.0, occupancy=(done_b - mark_b) / 10.0)
-        # 10 jobs were delivered in 10 s; the pre-fix accounting (raw
-        # jobs/seconds per chunk) halved this to 0.5
-        assert stats.throughput == pytest.approx(1.0)
-        assert stats.inflight_chunks == 0
-
-    def test_preempted_chunk_leaves_ewma_untouched(self):
-        """Regression: a preemption-truncated completion (few jobs over a
-        wall time that includes the revoke round-trip) must not decay the
-        worker's EWMA — the revoke was the scheduler's choice, not the
-        worker slowing down.  Volume totals still count the kept jobs."""
-        from repro.telemetry import TelemetryBook, WorkerStats
-
-        stats = WorkerStats("w1")
-        stats.observe_chunk(jobs=10, seconds=1.0)  # healthy: 10 jobs/s
-        healthy_throughput = stats.ewma_throughput
-        healthy_seconds = stats.ewma_chunk_seconds
-        stats.observe_chunk(jobs=1, seconds=8.0, preempted=True)
-        assert stats.ewma_throughput == healthy_throughput
-        assert stats.ewma_chunk_seconds == healthy_seconds
-        assert stats.chunks_observed == 2
-        assert stats.jobs_observed == 11
-        # and through the book-level API the coordinator actually calls
-        book = TelemetryBook()
-        book.observe_chunk("w2", jobs=4, seconds=1.0)
-        before = book.get("w2").ewma_throughput
-        book.observe_chunk("w2", jobs=1, seconds=9.0, preempted=True)
-        assert book.get("w2").ewma_throughput == before
-
-    def test_two_slot_worker_measures_parallel_capacity(self):
-        """Regression with a real ``--slots 2`` worker: measured EWMA
-        throughput must exceed the single-slot ceiling."""
-        import socket
-
-        from repro.cluster.executor import spawn_worker_process
-
-        probe = socket.socket()
-        probe.bind(("127.0.0.1", 0))
-        port = probe.getsockname()[1]
-        probe.close()
-        executor = DistributedExecutor(
-            workers=0,
-            connect=f"127.0.0.1:{port}",
-            min_workers=1,
-            chunksize=2,
-            start_timeout=START_TIMEOUT,
-        )
-        worker = spawn_worker_process(
-            f"127.0.0.1:{port}", name="twoslot", slots=2, connect_timeout=START_TIMEOUT
-        )
-        try:
-            executor.start()
-            if executor._fallback is not None:
-                pytest.skip("cluster cannot start in this environment")
-            naptime = 0.05
-            jobs = [Job(fn=_nap, args=(naptime, i), name=f"slot[{i}]") for i in range(16)]
-            assert executor.execute(jobs) == list(range(16))
-            [worker_view] = [w for w in executor.status()["workers"] if w["alive"]]
-            assert worker_view["slots"] == 2
-            measured = worker_view["throughput_jobs_per_s"]
-            assert measured is not None
-            # a 1-slot worker is physically capped at 1/naptime jobs/s;
-            # the old per-chunk accounting measured at or below that cap
-            # however many slots ran.  Both slots filled, the occupancy-
-            # corrected estimate must clear the cap with margin.
-            assert measured > 1.2 / naptime, (
-                f"throughput {measured:.1f} jobs/s does not reflect 2 slots"
-            )
-        finally:
-            executor.close()
-            if worker.poll() is None:
-                worker.terminate()
-                worker.wait(timeout=10)
-
-
 class TestTraceAcrossCluster:
     def test_bit_identity_with_trace_and_round_trip(self, cluster):
         """Tracing is free: results stay bit-identical with a trace id set,

@@ -27,7 +27,6 @@ DOC_FILES = sorted(
 DOCTEST_MODULES = [
     "repro.journal",
     "repro.sched",
-    "repro.telemetry",
     "repro.runtime",
     "repro.runtime.cache",
     "repro.runtime.cli",
@@ -128,7 +127,7 @@ class TestDocsTree:
         assert accepted["trace"] == "t-1"
         assert service_protocol.watch_request("r")["op"] == "watch"
         assert service_protocol.obs_event("r", {"seq": 1})["data"] == {"seq": 1}
-        # Cluster protocol v3 (adaptive scheduling): frame names must match
+        # Cluster protocol v3 (chunk splits): frame names must match
         # the constructors in repro.cluster.protocol.
         for op in ("chunk_done", "split_ack", "chunk_failed", "heartbeat"):
             assert f'"op": "{op}"' in spec, f"cluster op {op} undocumented"
@@ -265,13 +264,14 @@ class TestDocsTree:
         assert METRIC_NAME_RE.pattern.strip("^$") in text
 
     def test_scheduling_doc_names_the_shipped_knobs(self):
-        """The scheduler guide must reference the real flags and telemetry
+        """The scheduler guide must reference the real flags and status
         fields, so it cannot silently rot as the code moves."""
         text = (REPO_ROOT / "docs" / "scheduling.md").read_text(encoding="utf-8")
         for needle in (
-            "--chunk-window",
-            "chunk_window",
-            "throughput_jobs_per_s",
+            "--chunksize",
+            "chunks_stolen",
+            "chunks_retried",
+            "chunks_refitted",
             "split",
             "--throttle",
             # multi-tenant scheduling (repro.sched)
@@ -281,9 +281,6 @@ class TestDocsTree:
             "bench_priority_scheduling.py",
         ):
             assert needle in text, f"scheduling.md does not mention {needle}"
-        from repro.cluster.coordinator import SPLIT_AGE_FACTOR
-
-        assert f"SPLIT_AGE_FACTOR = {SPLIT_AGE_FACTOR}" in text
         # the documented class vocabulary and default priorities are the
         # shipped ones
         from repro.sched import DEFAULT_PRIORITIES, JOB_CLASSES
@@ -292,6 +289,17 @@ class TestDocsTree:
             assert f"`{job_class}`" in text, f"job class {job_class} undocumented"
         assert JOB_CLASSES == ("interactive", "batch")
         assert DEFAULT_PRIORITIES == {"interactive": 10, "batch": 0}
+
+    def test_docs_do_not_mention_the_retired_chunk_window(self):
+        """Static chunks are the cluster's only dispatch policy; no doc may
+        still advertise the removed adaptive window option."""
+        stale = [
+            f"{path.name}: {needle}"
+            for path in DOC_FILES
+            for needle in ("--chunk-window", "chunk_window")
+            if needle in path.read_text(encoding="utf-8")
+        ]
+        assert not stale, f"docs still mention the removed option: {stale}"
 
     def test_observability_doc_matches_the_registry(self):
         """docs/observability.md is a *reference*: every metric any tier

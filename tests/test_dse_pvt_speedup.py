@@ -182,6 +182,18 @@ class TestSpeedup:
         assert report.input_space_speedup > 1.0
         assert report.monte_carlo_speedup > 1.0
         assert "x" in report.describe()
+        assert report.describe().count(" ms") == 4
+
+    def test_model_side_is_timed_over_the_minimum_duration(self, monkeypatch):
+        from repro.core import speedup
+
+        calls = []
+        clock = iter(float(tick) for tick in range(100))
+        monkeypatch.setattr(speedup.time, "perf_counter", lambda: next(clock))
+        monkeypatch.setattr(speedup, "MIN_MODEL_SECONDS", 4.0)
+        # start at t=0, one call per tick: the fourth call ends at t=4
+        assert speedup._seconds_per_call(lambda: calls.append(1)) == 1.0
+        assert len(calls) == 4
 
     def test_invalid_arguments_rejected(self, technology, suite):
         with pytest.raises(ValueError):

@@ -2,8 +2,8 @@
 
 Runs concurrent mixed-priority sweeps against one live cluster while a
 seeded :class:`ChaosSchedule` (``tests/conftest.py``) interleaves the full
-event zoo — preemptions, resumes, steals, straggler splits, a mid-run pool
-resize and a SIGKILLed worker — and asserts the two invariants that make
+event zoo — preemptions, resumes, steals, throttled stragglers, a mid-run
+pool resize and a SIGKILLed worker — and asserts the two invariants that make
 the scheduler safe to ship:
 
 * **bit-identity** — every sweep's merged result equals its serial
@@ -76,7 +76,6 @@ class TestChaosSchedules:
         executor = DistributedExecutor(
             workers=2,
             chunksize=plan.probe,
-            chunk_window=plan.window,
             heartbeat_interval=0.05,
             heartbeat_timeout=2.0,
             start_timeout=START_TIMEOUT,
