@@ -199,9 +199,6 @@ class TestRegistry:
             make_executor("distributed", batch_size=4)
         with pytest.raises(ValueError, match="does not accept"):
             make_executor("serial", connect="127.0.0.1:7500")
-        # static chunks are the only dispatch policy
-        with pytest.raises(ValueError, match="does not accept"):
-            make_executor("distributed", chunk_window=0.5)
 
     def test_invalid_values_rejected(self):
         with pytest.raises(ValueError):
@@ -222,10 +219,6 @@ class TestRegistry:
         )
         assert code == 2
         assert "--connect" in capsys.readouterr().err
-        with pytest.raises(SystemExit) as exit_info:
-            cli_main(["run", "dse", "--fast", "--chunk-window", "0.5"])
-        assert exit_info.value.code == 2
-        assert "unrecognized arguments: --chunk-window" in capsys.readouterr().err
 
 
 # ----------------------------------------------------------------------
@@ -669,6 +662,28 @@ class TestOrphanAccounting:
 class TestAdaptiveScheduling:
     """The cluster adapting to hostile pools with static chunks alone:
     work stealing around throttled stragglers and death-retry."""
+
+    def test_chunk_window_validation(self):
+        """Static chunks are the only dispatch policy: no engine takes a
+        ``chunk_window``."""
+        with pytest.raises(TypeError):
+            DistributedExecutor(workers=1, chunk_window=0.5)
+        for engine in ("distributed", "parallel", "serial"):
+            with pytest.raises(ValueError, match="does not accept"):
+                make_executor(engine, chunk_window=0.5)
+        executor = make_executor("distributed", workers=1)
+        assert not hasattr(executor, "chunk_window")
+        executor.close()  # never started: a no-op
+
+    def test_cli_rejects_chunk_window_on_non_distributed(self, capsys):
+        for engine in ("serial", "distributed"):
+            with pytest.raises(SystemExit) as exit_info:
+                cli_main(
+                    ["run", "dse", "--fast", "--quiet", "--executor", engine,
+                     "--chunk-window", "0.5"]
+                )
+            assert exit_info.value.code == 2
+            assert "unrecognized arguments: --chunk-window" in capsys.readouterr().err
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_adversarial_schedules_merge_bit_identical(self, seed, chaos_schedule):
