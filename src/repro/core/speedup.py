@@ -11,7 +11,9 @@ the measured factor alongside the paper's.
 One model-side call takes about a millisecond, so a single timing of it is
 mostly clock and scheduler noise.  The model side is therefore timed over
 repeated calls lasting at least :data:`MIN_MODEL_SECONDS` and scaled back to
-the workload one reference run covers.
+the workload one reference run covers.  Each reference side is run
+:data:`REFERENCE_RUNS` times and its median time is reported, so one
+disturbed run does not move the recorded factor.
 """
 
 from __future__ import annotations
@@ -33,6 +35,10 @@ from repro.multiplier.reference import ReferenceMultiplier
 #: Shortest wall time, in seconds, over which one model-side call is
 #: repeated before its per-call time is taken.
 MIN_MODEL_SECONDS = 0.2
+
+#: Runs of each reference-side workload; the median time is reported.  The
+#: reference path memoises nothing, so every run repeats the full work.
+REFERENCE_RUNS = 3
 
 
 @dataclasses.dataclass
@@ -87,6 +93,16 @@ def _seconds_per_call(call: Callable[[], object]) -> float:
             return elapsed / calls
 
 
+def _median_seconds(call: Callable[[], object]) -> float:
+    """Median wall time of :data:`REFERENCE_RUNS` runs of ``call``."""
+    durations = []
+    for _ in range(REFERENCE_RUNS):
+        start = time.perf_counter()
+        call()
+        durations.append(time.perf_counter() - start)
+    return float(np.median(durations))
+
+
 def measure_speedup(
     technology: TechnologyCard,
     suite: OptimaModelSuite,
@@ -98,7 +114,8 @@ def measure_speedup(
 ) -> SpeedupReport:
     """Time the reference and OPTIMA evaluations of the same workload.
 
-    The reference side runs the workload once.  The model side repeats one
+    The reference side runs the workload :data:`REFERENCE_RUNS` times and
+    reports the median.  The model side repeats one
     evaluation for at least :data:`MIN_MODEL_SECONDS` and reports the mean
     time scaled to the same workload: ``input_space_repetitions`` input-space
     evaluations, one Monte-Carlo batch.
@@ -130,21 +147,22 @@ def measure_speedup(
     x_grid, d_grid = fast.input_space()
 
     # --- input-space iteration ----------------------------------------
-    start = time.perf_counter()
-    for _ in range(input_space_repetitions):
-        reference.characterize_input_space(conditions)
-    reference_input_space = time.perf_counter() - start
+    def reference_input_space_pass() -> None:
+        for _ in range(input_space_repetitions):
+            reference.characterize_input_space(conditions)
+
+    reference_input_space = _median_seconds(reference_input_space_pass)
 
     optima_input_space = input_space_repetitions * _seconds_per_call(
         lambda: fast.multiply(x_grid, d_grid, conditions=conditions)
     )
 
     # --- mismatch Monte-Carlo ------------------------------------------
-    start = time.perf_counter()
-    reference.characterize_monte_carlo(
-        monte_carlo_samples, conditions=conditions, seed=seed
+    reference_monte_carlo = _median_seconds(
+        lambda: reference.characterize_monte_carlo(
+            monte_carlo_samples, conditions=conditions, seed=seed
+        )
     )
-    reference_monte_carlo = time.perf_counter() - start
 
     rng = np.random.default_rng(seed)
     wordline_voltage = fast.wordline_voltage(config.max_operand)

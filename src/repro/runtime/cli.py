@@ -1,7 +1,11 @@
 """Unified command-line front door: ``python -m repro``.
 
 Every paper figure / table driver is reachable through one entry point and
-runs through the :class:`repro.runtime.SweepEngine`::
+runs through the :class:`repro.runtime.SweepEngine`.  ``run`` and ``serve``
+share one workload registry (:mod:`repro.service.workloads`): ``run NAME``
+calls the registered workload with ``{"fast": ...}`` on a local engine,
+prints its document as text, and ``--json`` writes the served document
+plus ``elapsed_seconds``::
 
     python -m repro run dse          # 48-corner design-space exploration
     python -m repro run pvt          # Fig. 5 sweeps + Fig. 8 robustness
@@ -50,7 +54,7 @@ The engine options apply to every ``run`` subcommand:
   re-run of a characterisation never touches the reference solver and a
   repeated exploration is served from disk in milliseconds.
 * ``--fast`` switches every workload to its reduced test-scale preset;
-  ``--json PATH`` additionally writes the regenerated rows as JSON.
+  ``--json PATH`` additionally writes the workload's document as JSON.
 * ``--max-bytes N`` (accepts ``K``/``M``/``G`` suffixes) bounds the cache:
   least-recently-used artifacts are evicted whenever a write pushes the
   cache over the limit.  ``python -m repro cache evict --max-bytes N``
@@ -60,8 +64,9 @@ Serving sweeps to many clients
 ------------------------------
 ``python -m repro serve --host H --port P`` starts the long-lived
 :mod:`repro.service` front door on top of the same engine: concurrent
-clients submit DSE / PVT / characterisation sweeps over a
-newline-delimited-JSON TCP protocol, identical in-flight requests are
+clients submit the ``run`` workloads (and the service-only ``dnn``,
+``eventsim`` and ``montecarlo``) over a newline-delimited-JSON TCP
+protocol, identical in-flight requests are
 deduplicated (single-flight), and per-job progress events stream back to
 every client (see :mod:`repro.service` for the client API).
 
@@ -332,251 +337,95 @@ def _add_engine_options(parser: argparse.ArgumentParser, run_options: bool = Tru
     )
 
 
-def _emit_json(args: argparse.Namespace, payload: Dict[str, Any]) -> None:
-    if args.json is None:
-        return
-    args.json.parent.mkdir(parents=True, exist_ok=True)
-    args.json.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
-    print(f"wrote {args.json}")
-
-
-def _finish(engine: SweepEngine, elapsed: float) -> None:
-    print(f"\n{engine.describe()}")
-    print(f"total wall time: {elapsed:.2f} s")
-    close = getattr(engine.executor, "close", None)
-    if callable(close):  # distributed executor: stop spawned workers
-        close()
-
-
 # ----------------------------------------------------------------------
-# run subcommands
+# run subcommand: a client of the service workload registry
 # ----------------------------------------------------------------------
-def _cmd_run_dse(args: argparse.Namespace) -> int:
-    from repro.analysis.design_space import (
-        corner_summary_rows,
-        format_table1,
-        run_design_space_exploration,
+def _dse_text(document: Dict[str, Any]) -> str:
+    from repro.analysis.design_space import format_table1
+
+    return (
+        f"design-space exploration: {document['corner_count']} corners evaluated\n\n"
+        f"Table I reproduction (measured vs paper):\n{format_table1(document['selected'])}"
     )
-    from repro.circuits.technology import tsmc65_like
-    from repro.core.calibration import calibrated_suite
-    from repro.core.characterization import CharacterizationPlan
-    from repro.core.dse import DesignSpace
-
-    engine = build_engine(args)
-    start = time.perf_counter()
-
-    technology = tsmc65_like()
-    plan = CharacterizationPlan.quick() if args.fast else None
-    space = DesignSpace.quick() if args.fast else None
-    print("calibrating OPTIMA models (characterisation via SweepEngine) ...")
-    suite = calibrated_suite(technology, plan=plan, engine=engine).suite
-    print(f"exploring the {(space or DesignSpace()).corner_count}-corner design space ...")
-    result = run_design_space_exploration(
-        technology, suite=suite, space=space, engine=engine
-    )
-    elapsed = time.perf_counter() - start
-
-    print()
-    print(result.describe())
-    print()
-    rows = corner_summary_rows(result)
-    print("Table I reproduction (measured vs paper):")
-    print(format_table1(rows))
-    _finish(engine, elapsed)
-    _emit_json(
-        args,
-        {
-            "command": "dse",
-            "fast": args.fast,
-            "corner_count": len(result.points),
-            "corners": result.table(),
-            "selected": rows,
-            "elapsed_seconds": elapsed,
-        },
-    )
-    return 0
 
 
-def _cmd_run_pvt(args: argparse.Namespace) -> int:
-    from repro.analysis.pvt_sweeps import (
-        corner_sweep,
-        mismatch_monte_carlo,
-        supply_sweep,
-        temperature_sweep,
-    )
-    from repro.circuits.technology import tsmc65_like
-    from repro.core.calibration import calibrated_suite
-    from repro.core.characterization import CharacterizationPlan
-    from repro.core.dse import DesignSpace, explore_design_space
-    from repro.core.pvt import analyze_corner_robustness
+def _pvt_text(document: Dict[str, Any]) -> str:
+    final = document["final_v_blb"]
+    lines = ["Fig. 5: PVT influence on the bit-line discharge (reference simulator)"]
+    for vdd, volts in final["supply"].items():
+        lines.append(f"  VDD={float(vdd):.1f} V: final V_BLB = {volts:.3f} V")
+    for celsius, volts in final["temperature"].items():
+        lines.append(f"  T={float(celsius):5.1f} degC: final V_BLB = {volts:.3f} V")
+    for name, volts in final["corner"].items():
+        lines.append(f"  corner {name:<8}: final V_BLB = {volts:.3f} V")
+    for sample_time, sigma_mv in document["mismatch_sigma_mv"].items():
+        lines.append(f"  sigma(V_BLB) at {float(sample_time) * 1e9:.1f} ns = {sigma_mv:5.2f} mV")
+    report = document["fom_robustness"]
+    supply, temperature = report["worst_supply"], report["worst_temperature"]
+    lines += [
+        "",
+        "Fig. 8: robustness of the fom corner (OPTIMA models via SweepEngine)",
+        f"  {document['fom_corner']['name']}: nominal eps={report['nominal_error_lsb']:.2f} LSB, "
+        f"sigma_max={report['worst_sigma_lsb']:.2f} LSB, "
+        f"worst VDD error {supply['error_lsb']:.2f} LSB @ {supply['vdd']:.2f} V, "
+        f"worst T error {temperature['error_lsb']:.2f} LSB @ {temperature['celsius']:.0f} degC",
+    ]
+    return "\n".join(lines)
 
-    engine = build_engine(args)
-    start = time.perf_counter()
-    technology = tsmc65_like()
-    samples = 200 if args.fast else 1000
 
-    print("Fig. 5: PVT influence on the bit-line discharge (reference simulator)")
-    supply = supply_sweep(technology, engine=engine)
-    for vdd, trace in sorted(item for item in supply.items() if item[0] > 0):
-        print(f"  VDD={vdd:.1f} V: final V_BLB = {trace[-1]:.3f} V")
-    temperature = temperature_sweep(technology, engine=engine)
-    for temp_c, trace in sorted(item for item in temperature.items() if item[0] >= 0):
-        print(f"  T={temp_c:5.1f} degC: final V_BLB = {trace[-1]:.3f} V")
-    corners = corner_sweep(technology, engine=engine)
-    for name in ("fast", "typical", "slow"):
-        print(f"  corner {name:<8}: final V_BLB = {corners[name][-1]:.3f} V")
-    monte_carlo = mismatch_monte_carlo(technology, samples=samples, engine=engine)
-    sigmas = {
-        float(t): float(s)
-        for t, s in zip(
-            monte_carlo["sampling_times"], monte_carlo["sigma_at_sampling_times"]
-        )
+def _characterize_text(document: Dict[str, Any]) -> str:
+    lines = [f"  {sweep:<17} {count:6d} records" for sweep, count in document["records"].items()]
+    lines.append(f"  {'total':<17} {document['total_records']:6d} records")
+    return "\n".join(lines)
+
+
+def _tables_text(document: Dict[str, Any]) -> str:
+    from types import SimpleNamespace
+
+    from repro.analysis.dnn_tables import format_accuracy_table, paper_table2_reference
+
+    # format_accuracy_table reads only the top1 / top5 of each report.
+    results = {
+        model: {mode: SimpleNamespace(**cell) for mode, cell in reports.items()}
+        for model, reports in document["accuracy"].items()
     }
-    for sample_time, sigma in sigmas.items():
-        print(f"  sigma(V_BLB) at {sample_time * 1e9:.1f} ns = {sigma * 1e3:5.2f} mV")
-
-    print("\nFig. 8: robustness of the fom corner (OPTIMA models via SweepEngine)")
-    plan = CharacterizationPlan.quick() if args.fast else None
-    space = DesignSpace.quick() if args.fast else None
-    suite = calibrated_suite(technology, plan=plan, engine=engine).suite
-    exploration = explore_design_space(suite, space=space, engine=engine)
-    fom = exploration.best_fom().config.renamed("fom")
-    report = analyze_corner_robustness(suite, fom, engine=engine)
-    print("  " + report.describe())
-    elapsed = time.perf_counter() - start
-    _finish(engine, elapsed)
-    _emit_json(
-        args,
-        {
-            "command": "pvt",
-            "fast": args.fast,
-            "mismatch_sigma_mv": {str(k): v * 1e3 for k, v in sigmas.items()},
-            "fom_corner": fom.to_dict(),
-            "supply_sweep_error_lsb": [float(v) for v in report.supply_sweep.mean_error_lsb],
-            "temperature_sweep_error_lsb": [
-                float(v) for v in report.temperature_sweep.mean_error_lsb
-            ],
-            "elapsed_seconds": elapsed,
-        },
+    return (
+        "Table II protocol (measured vs paper):\n"
+        + format_accuracy_table(results, paper_table2_reference())
     )
-    return 0
 
 
-def _cmd_run_characterize(args: argparse.Namespace) -> int:
-    from repro.circuits.technology import tsmc65_like
-    from repro.core.characterization import CharacterizationPlan, characterize
-
-    engine = build_engine(args)
-    start = time.perf_counter()
-    technology = tsmc65_like()
-    plan = CharacterizationPlan.quick() if args.fast else CharacterizationPlan()
-    print(
-        f"characterising {technology.name} "
-        f"({len(plan.times)} times x {len(plan.wordline_voltages)} V_WL, "
-        f"{len(plan.supply_voltages)} supplies, "
-        f"{len(plan.temperatures_celsius)} temperatures) ..."
-    )
-    data = characterize(technology, plan, engine=engine)
-    elapsed = time.perf_counter() - start
-
-    counts = {
-        "base": len(data.base),
-        "supply": len(data.supply),
-        "temperature": len(data.temperature),
-        "mismatch": len(data.mismatch),
-        "write_energy": len(data.write_energy),
-        "discharge_energy": len(data.discharge_energy),
-    }
-    for sweep, count in counts.items():
-        print(f"  {sweep:<17} {count:6d} records")
-    print(f"  {'total':<17} {data.record_count():6d} records")
-    _finish(engine, elapsed)
-    _emit_json(
-        args,
-        {
-            "command": "characterize",
-            "fast": args.fast,
-            "records": counts,
-            "total_records": data.record_count(),
-            "elapsed_seconds": elapsed,
-        },
-    )
-    return 0
-
-
-def _cmd_run_tables(args: argparse.Namespace) -> int:
-    from repro.analysis.dnn_tables import (
-        DnnExperimentConfig,
-        corner_backends,
-        format_accuracy_table,
-        model_builders,
-        paper_table2_reference,
-        run_dnn_accuracy_experiment,
-    )
-    from repro.circuits.technology import tsmc65_like
-    from repro.core.calibration import calibrated_suite
-    from repro.core.characterization import CharacterizationPlan
-    from repro.core.dse import DesignSpace, explore_design_space, select_corners
-    from repro.dnn.datasets import imagenet_like
-
-    engine = build_engine(args)
-    start = time.perf_counter()
-    technology = tsmc65_like()
-    plan = CharacterizationPlan.quick() if args.fast else None
-    space = DesignSpace.quick() if args.fast else None
-
-    print("selecting multiplier corners (calibration + DSE via SweepEngine) ...")
-    suite = calibrated_suite(technology, plan=plan, engine=engine).suite
-    corners = select_corners(explore_design_space(suite, space=space, engine=engine))
-    backends = corner_backends(technology, suite=suite, corners=corners)
-
-    config = DnnExperimentConfig.quick() if args.fast else DnnExperimentConfig()
-    dataset = imagenet_like(
-        image_size=config.image_size,
-        train_per_class=config.train_per_class,
-        test_per_class=config.test_per_class,
-    )
-    models = model_builders(config.image_size, dataset.classes)
-    if args.fast:
-        models = models[:1]
-    print(
-        f"training + evaluating {len(models)} model(s) on {dataset.name} "
-        f"({dataset.classes} classes) ..."
-    )
-    results = run_dnn_accuracy_experiment(
-        dataset, backends, config=config, models=models, engine=engine
-    )
-    elapsed = time.perf_counter() - start
-
-    print()
-    print("Table II protocol (measured vs paper):")
-    print(format_accuracy_table(results, paper_table2_reference()))
-    _finish(engine, elapsed)
-    _emit_json(
-        args,
-        {
-            "command": "tables",
-            "fast": args.fast,
-            "accuracy": {
-                model: {
-                    mode: {"top1": report.top1, "top5": report.top5}
-                    for mode, report in reports.items()
-                }
-                for model, reports in results.items()
-            },
-            "engine": dataclasses.asdict(engine.stats),
-            "elapsed_seconds": elapsed,
-        },
-    )
-    return 0
-
-
-_RUN_COMMANDS = {
-    "dse": _cmd_run_dse,
-    "pvt": _cmd_run_pvt,
-    "characterize": _cmd_run_characterize,
-    "tables": _cmd_run_tables,
+#: Workloads ``run`` offers, each with the text rendering of its document.
+_RUN_FORMATTERS = {
+    "dse": _dse_text,
+    "pvt": _pvt_text,
+    "characterize": _characterize_text,
+    "tables": _tables_text,
 }
+
+
+def _cmd_run(args: argparse.Namespace) -> int:
+    """Run one registered workload on a local engine and print its document."""
+    from repro.service.workloads import get_workload
+
+    engine = build_engine(args)
+    try:
+        start = time.perf_counter()
+        document = get_workload(args.workload)({"fast": args.fast}, engine)
+        elapsed = time.perf_counter() - start
+        print(_RUN_FORMATTERS[args.workload](document))
+        print(f"\n{engine.describe()}")
+        print(f"total wall time: {elapsed:.2f} s")
+    finally:
+        close = getattr(engine.executor, "close", None)
+        if callable(close):  # distributed executor: stop spawned workers
+            close()
+    if args.json is not None:
+        args.json.parent.mkdir(parents=True, exist_ok=True)
+        document = {**document, "elapsed_seconds": elapsed}
+        args.json.write_text(json.dumps(document, indent=2, sort_keys=True) + "\n")
+        print(f"wrote {args.json}")
+    return 0
 
 
 # ----------------------------------------------------------------------
@@ -777,8 +626,6 @@ def _cmd_cache(args: argparse.Namespace) -> int:
         # for cluster status tooling and CI assertions.  Counters are this
         # process's view (a fresh CLI run starts at zero); count/bytes are
         # measured on disk.
-        import dataclasses as _dataclasses
-
         print(
             json.dumps(
                 {
@@ -786,7 +633,7 @@ def _cmd_cache(args: argparse.Namespace) -> int:
                     "count": len(cache),
                     "bytes": cache.size_bytes(),
                     "max_bytes": cache.max_bytes,
-                    "stats": _dataclasses.asdict(cache.stats),
+                    "stats": dataclasses.asdict(cache.stats),
                 },
                 indent=2,
                 sort_keys=True,
@@ -827,7 +674,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     run_parser.add_argument(
         "workload",
-        choices=sorted(_RUN_COMMANDS),
+        choices=sorted(_RUN_FORMATTERS),
         help="dse: 48-corner exploration; pvt: Fig. 5/8 sweeps; "
         "characterize: reference sweeps; tables: DNN accuracy tables",
     )
@@ -837,10 +684,12 @@ def build_parser() -> argparse.ArgumentParser:
         "serve",
         help="serve sweep requests to many clients (repro.service)",
         description=(
-            "Long-lived sweep service: accepts DSE / PVT / characterisation "
-            "requests from concurrent clients over newline-delimited JSON, "
-            "single-flights identical in-flight requests and streams per-job "
-            "progress events back to every client."
+            "Long-lived sweep service: accepts workload requests from "
+            "concurrent clients over newline-delimited JSON, single-flights "
+            "identical in-flight requests and streams per-job progress "
+            "events back to every client.  It serves the workload registry "
+            "`run` uses: a served document equals `run NAME --json` minus "
+            "elapsed_seconds."
         ),
     )
     serve_parser.add_argument("--host", default="127.0.0.1", help="bind address")
@@ -1106,10 +955,10 @@ def main(argv: Optional[List[str]] = None) -> int:
                 flush=True,
             )
             try:
-                return _RUN_COMMANDS[args.workload](args)
+                return _cmd_run(args)
             finally:
                 metrics_server.stop_in_thread()
-        return _RUN_COMMANDS[args.workload](args)
+        return _cmd_run(args)
     except EngineOptionError as error:
         # Bad engine options (e.g. --workers 0) surface as a clean CLI
         # error; genuine workload failures keep their traceback.

@@ -13,9 +13,10 @@ A workload is a plain function ``fn(params, engine) -> payload``:
 
 Workload functions run on a worker thread (the service wraps them in
 ``loop.run_in_executor``), so they may block; they must not touch the event
-loop.  The built-ins mirror the ``python -m repro run`` subcommands'
-``--json`` payloads, so a service client and a batch CLI run produce
-comparable documents.
+loop.  ``python -m repro run NAME`` and ``python -m repro serve`` share this
+one registry: ``run`` calls the same function with ``{"fast": ...}`` on its
+own engine, and its ``--json`` document is the served document plus
+``elapsed_seconds``.
 
 The registry is open: tests and downstream deployments add workloads with
 :func:`register_workload` (used as a decorator or called directly).
@@ -69,21 +70,29 @@ def workload_names() -> List[str]:
 # Built-in paper workloads (imports deferred so the service layer stays
 # importable without pulling the whole modelling stack upfront)
 # ----------------------------------------------------------------------
-@register_workload("dse")
-def run_dse(params: Dict[str, Any], engine: SweepEngine) -> Dict[str, Any]:
-    """48-corner design-space exploration; ``{"fast": true}`` for the quick grid."""
-    from repro.analysis.design_space import corner_summary_rows, run_design_space_exploration
-    from repro.circuits.technology import tsmc65_like
+def _calibrated_exploration(technology: Any, fast: bool, engine: SweepEngine) -> tuple:
+    """The calibrated model suite and its design-space exploration.
+
+    ``fast`` selects the quick characterisation plan and design space.
+    """
     from repro.core.calibration import calibrated_suite
     from repro.core.characterization import CharacterizationPlan
-    from repro.core.dse import DesignSpace
+    from repro.core.dse import DesignSpace, explore_design_space
 
-    fast = bool(params.get("fast", False))
-    technology = tsmc65_like()
     plan = CharacterizationPlan.quick() if fast else None
     space = DesignSpace.quick() if fast else None
     suite = calibrated_suite(technology, plan=plan, engine=engine).suite
-    result = run_design_space_exploration(technology, suite=suite, space=space, engine=engine)
+    return suite, explore_design_space(suite, space=space, engine=engine)
+
+
+@register_workload("dse")
+def run_dse(params: Dict[str, Any], engine: SweepEngine) -> Dict[str, Any]:
+    """48-corner design-space exploration; ``{"fast": true}`` for the quick grid."""
+    from repro.analysis.design_space import corner_summary_rows
+    from repro.circuits.technology import tsmc65_like
+
+    fast = bool(params.get("fast", False))
+    _, result = _calibrated_exploration(tsmc65_like(), fast, engine)
     return {
         "command": "dse",
         "fast": fast,
@@ -115,6 +124,62 @@ def run_characterize(params: Dict[str, Any], engine: SweepEngine) -> Dict[str, A
             "discharge_energy": len(data.discharge_energy),
         },
         "total_records": data.record_count(),
+    }
+
+
+@register_workload("pvt")
+def run_pvt(params: Dict[str, Any], engine: SweepEngine) -> Dict[str, Any]:
+    """Fig. 5 PVT sweeps and Fig. 8 robustness of the fom corner.
+
+    ``{"fast": true}`` takes 200 instead of 1000 Monte-Carlo samples and
+    the quick calibration / design space.  ``final_v_blb`` holds the last
+    Fig. 5 trace sample per supply (V), temperature (degC) and process
+    corner; ``fom_robustness`` the Fig. 8 summary of the fom corner.
+    """
+    from repro.analysis.pvt_sweeps import (
+        corner_sweep,
+        mismatch_monte_carlo,
+        supply_sweep,
+        temperature_sweep,
+    )
+    from repro.circuits.technology import tsmc65_like
+    from repro.core.pvt import analyze_corner_robustness
+
+    fast = bool(params.get("fast", False))
+    technology = tsmc65_like()
+    # The sweeps store their shared time axis under the key -1.0 / "time".
+    supply = supply_sweep(technology, engine=engine)
+    temperature = temperature_sweep(technology, engine=engine)
+    corners = corner_sweep(technology, engine=engine)
+    monte_carlo = mismatch_monte_carlo(technology, samples=200 if fast else 1000, engine=engine)
+    suite, exploration = _calibrated_exploration(technology, fast, engine)
+    fom = exploration.best_fom().config.renamed("fom")
+    report = analyze_corner_robustness(suite, fom, engine=engine)
+    worst_vdd, worst_vdd_error = report.supply_sweep.worst_case()
+    worst_celsius, worst_celsius_error = report.temperature_sweep.worst_case()
+    return {
+        "command": "pvt",
+        "fast": fast,
+        "final_v_blb": {
+            "supply": {str(vdd): float(trace[-1]) for vdd, trace in supply.items() if vdd > 0},
+            "temperature": {
+                str(celsius): float(trace[-1]) for celsius, trace in temperature.items() if celsius >= 0
+            },
+            "corner": {name: float(corners[name][-1]) for name in ("fast", "typical", "slow")},
+        },
+        "mismatch_sigma_mv": {
+            str(float(t)): float(s) * 1e3
+            for t, s in zip(monte_carlo["sampling_times"], monte_carlo["sigma_at_sampling_times"])
+        },
+        "fom_corner": fom.to_dict(),
+        "fom_robustness": {
+            "nominal_error_lsb": float(report.nominal_error_lsb),
+            "worst_sigma_lsb": report.transfer.worst_sigma_lsb(),
+            "worst_supply": {"vdd": worst_vdd, "error_lsb": worst_vdd_error},
+            "worst_temperature": {"celsius": worst_celsius, "error_lsb": worst_celsius_error},
+        },
+        "supply_sweep_error_lsb": [float(v) for v in report.supply_sweep.mean_error_lsb],
+        "temperature_sweep_error_lsb": [float(v) for v in report.temperature_sweep.mean_error_lsb],
     }
 
 
@@ -239,7 +304,7 @@ DNN_MODES = ("float32", "int4", "fom", "power", "variation")
 
 
 def _dnn_config(quick: bool) -> Any:
-    """The ``dnn`` workload's :class:`DnnExperimentConfig` preset."""
+    """The ``dnn`` / ``tables`` workloads' :class:`DnnExperimentConfig` preset."""
     from repro.analysis.dnn_tables import DnnExperimentConfig
 
     return DnnExperimentConfig.quick() if quick else DnnExperimentConfig()
@@ -247,7 +312,7 @@ def _dnn_config(quick: bool) -> Any:
 
 @functools.lru_cache(maxsize=None)
 def _dnn_dataset(quick: bool) -> Any:
-    """The ``dnn`` workload's dataset, generated once per process.
+    """The ``dnn`` / ``tables`` workloads' dataset, generated once per process.
 
     Generating it takes longer than the rest of a warm (all cached)
     request; its arrays are made read-only since every request shares them.
@@ -378,6 +443,43 @@ def run_dnn(params: Dict[str, Any], engine: SweepEngine) -> Dict[str, Any]:
         "shards": shards,
         "samples": samples,
         "reports": reports,
+    }
+
+
+@register_workload("tables")
+def run_tables(params: Dict[str, Any], engine: SweepEngine) -> Dict[str, Any]:
+    """DNN accuracy table (paper Table II protocol) over every execution mode.
+
+    Trains, quantises and evaluates the Table II backbones on the ``dnn``
+    workload's dataset in FLOAT32, exact INT4 and the fom / power /
+    variation corners the design-space exploration selects.
+    ``{"fast": true}`` runs VGG16 alone on the quick presets.
+    """
+    from repro.analysis.dnn_tables import (
+        corner_backends,
+        model_builders,
+        run_dnn_accuracy_experiment,
+    )
+    from repro.circuits.technology import tsmc65_like
+    from repro.core.dse import select_corners
+
+    fast = bool(params.get("fast", False))
+    technology = tsmc65_like()
+    suite, exploration = _calibrated_exploration(technology, fast, engine)
+    backends = corner_backends(technology, suite=suite, corners=select_corners(exploration))
+    config = _dnn_config(fast)
+    dataset = _dnn_dataset(fast)
+    models = model_builders(config.image_size, dataset.classes)
+    results = run_dnn_accuracy_experiment(
+        dataset, backends, config=config, models=models[:1] if fast else models, engine=engine
+    )
+    return {
+        "command": "tables",
+        "fast": fast,
+        "accuracy": {
+            model: {mode: {"top1": report.top1, "top5": report.top5} for mode, report in reports.items()}
+            for model, reports in results.items()
+        },
     }
 
 

@@ -226,6 +226,10 @@ class TestDocsTree:
             assert f"`{route}`" in text, f"route {route} undocumented"
         for event in SSE_EVENTS:
             assert f"`{event}`" in text, f"SSE event {event} undocumented"
+        from repro.service import workload_names
+
+        for name in workload_names():
+            assert f"`{name}`" in text, f"workload {name} missing from the registry list"
         for needle in (
             "python -m repro gateway",
             "--spill-bytes",
@@ -300,6 +304,33 @@ class TestDocsTree:
             if needle in path.read_text(encoding="utf-8")
         ]
         assert not stale, f"docs still mention the removed option: {stale}"
+
+    def test_documented_run_commands_name_run_workloads(self):
+        """Every ``python -m repro run <name>`` in the docs names a workload
+        the ``run`` parser offers (upper-case placeholders such as ``NAME``
+        aside); ``a|b`` alternatives are checked one by one."""
+        import argparse
+
+        from repro.runtime.cli import build_parser
+
+        subparsers = next(
+            action
+            for action in build_parser()._actions
+            if isinstance(action, argparse._SubParsersAction)
+        )
+        run_parser = subparsers.choices["run"]
+        choices = next(action.choices for action in run_parser._actions if action.dest == "workload")
+        named = [
+            (path.name, name)
+            for path in DOC_FILES
+            for match in re.finditer(
+                r"python -m repro run\s+([a-z][\w|-]*)", path.read_text(encoding="utf-8")
+            )
+            for name in match.group(1).split("|")
+        ]
+        assert named, "no `python -m repro run <name>` found in the docs"
+        stale = [f"{doc}: run {name}" for doc, name in named if name not in choices]
+        assert not stale, f"docs name workloads `run` does not offer: {stale}"
 
     def test_observability_doc_matches_the_registry(self):
         """docs/observability.md is a *reference*: every metric any tier

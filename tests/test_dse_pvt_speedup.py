@@ -195,6 +195,18 @@ class TestSpeedup:
         assert speedup._seconds_per_call(lambda: calls.append(1)) == 1.0
         assert len(calls) == 4
 
+    def test_reference_side_reports_the_median_run(self, monkeypatch):
+        from repro.core import speedup
+
+        calls = []
+        # three runs lasting 1, 2 and 9 ticks: the median (2) differs from
+        # the mean (4), the minimum, and the first and last runs
+        clock = iter([0.0, 1.0, 10.0, 12.0, 20.0, 29.0])
+        monkeypatch.setattr(speedup.time, "perf_counter", lambda: next(clock))
+        assert speedup.REFERENCE_RUNS == 3
+        assert speedup._median_seconds(lambda: calls.append(1)) == 2.0
+        assert len(calls) == 3
+
     def test_invalid_arguments_rejected(self, technology, suite):
         with pytest.raises(ValueError):
             measure_speedup(technology, suite, input_space_repetitions=0)

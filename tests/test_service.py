@@ -29,8 +29,11 @@ import threading
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import repro
+from repro import wire
 from repro.runtime import ArtifactCache, Job, SweepEngine, SweepSpec, job_key
 from repro.service import (
     ProtocolError,
@@ -39,6 +42,7 @@ from repro.service import (
     SweepService,
     register_workload,
     unregister_workload,
+    workload_names,
 )
 from repro.service import progress as progress_mod
 from repro.service import protocol
@@ -718,3 +722,220 @@ class TestDnnWorkload:
                         await client.submit("dnn", {"shards": 0})
 
         run(scenario())
+
+
+# ----------------------------------------------------------------------
+# `run` and `serve` share one workload registry
+# ----------------------------------------------------------------------
+def _run_choices():
+    """The workload choices of the ``python -m repro run`` parser."""
+    import argparse
+
+    from repro.runtime.cli import build_parser
+
+    subparsers = next(
+        action
+        for action in build_parser()._actions
+        if isinstance(action, argparse._SubParsersAction)
+    )
+    run_parser = subparsers.choices["run"]
+    return next(action.choices for action in run_parser._actions if action.dest == "workload")
+
+
+class TestRunMatchesServe:
+    """A ``run NAME --json`` document is the served document of NAME plus
+    ``elapsed_seconds``; the text output renders that same document."""
+
+    #: Lines the text rendering of each document must contain.
+    TEXT = {
+        "dse": ("Table I reproduction",),
+        "pvt": ("Fig. 5", "Fig. 8"),
+        "characterize": ("records",),
+        "tables": ("Table II protocol",),
+    }
+
+    def test_every_run_choice_is_a_registered_workload(self):
+        assert set(_run_choices()) == set(self.TEXT)
+        assert set(_run_choices()) <= set(workload_names())
+
+    @pytest.mark.parametrize("name", ["dse", "pvt", "characterize", "tables"])
+    def test_run_document_equals_served_document(self, name, tmp_path, capsys):
+        from repro.runtime.cli import main as cli_main
+
+        cache_dir = tmp_path / "cache"
+        json_path = tmp_path / f"{name}.json"
+        argv = ["run", name, "--fast", "--quiet", "--cache-dir", str(cache_dir)]
+        assert cli_main([*argv, "--json", str(json_path)]) == 0
+        output = capsys.readouterr().out
+        document = json.loads(json_path.read_text())
+        assert document.pop("elapsed_seconds") >= 0.0
+
+        async def scenario():
+            engine = SweepEngine(cache=ArtifactCache(cache_dir))
+            async with running_service(engine) as service:
+                host, port = service.address
+                async with ServiceClient(host, port) as client:
+                    return await client.submit(name, {"fast": True})
+
+        served = run(scenario())
+        assert json.dumps(document, sort_keys=True) == json.dumps(served.payload, sort_keys=True)
+        for needle in (*self.TEXT[name], "SweepEngine", "total wall time"):
+            assert needle in output, f"run {name}: {needle!r} missing from the text output"
+
+
+# ----------------------------------------------------------------------
+# Fuzzing the NDJSON ops
+# ----------------------------------------------------------------------
+#: Every read of the fuzz test is bounded: a request the service never
+#: answers is exactly the defect the test exists to catch.
+READ_TIMEOUT = 10.0
+
+#: Frames that end a request: each request gets exactly one (an accepted
+#: submit first gets ``accepted``, then progress, then one of these).
+_CLOSING_EVENTS = ("pong", "status", "watching", "error", "result")
+
+_FUZZ_WORKLOADS = ("fuzz-echo", "fuzz-failing")
+
+
+def _echo_workload(params, engine):
+    return {"keys": sorted(params)}
+
+
+_json_values = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.floats(allow_nan=False, allow_infinity=False)
+    | st.text(max_size=8),
+    lambda children: st.lists(children, max_size=3)
+    | st.dictionaries(st.text(max_size=6), children, max_size=3),
+    max_leaves=8,
+)
+# The reserved framing keys announce or carry a binary payload; the framing
+# layer's own fuzz tests (tests/test_wire.py) cover them.
+_keys = st.text(max_size=8).filter(lambda key: key not in (wire.BINARY_KEY, wire.PAYLOAD_KEY))
+_messages = st.fixed_dictionaries(
+    {},
+    optional={
+        "op": st.sampled_from(("submit", "ping", "status", "cancel", "watch", "frobnicate"))
+        | _json_values,
+        "id": st.text(max_size=4) | _json_values,
+        "workload": st.sampled_from(_FUZZ_WORKLOADS) | st.text(max_size=12) | _json_values,
+        "params": st.dictionaries(_keys, _json_values, max_size=3) | _json_values,
+        "sched": st.sampled_from(("interactive", "batch"))
+        | st.fixed_dictionaries(
+            {}, optional={"class": _json_values, "priority": st.integers() | _json_values}
+        )
+        | _json_values,
+        "trace": _json_values,
+    },
+).filter(
+    # unknown names and the toy workloads only: never a real sweep
+    lambda message: not isinstance(message.get("workload"), str)
+    or message["workload"] in _FUZZ_WORKLOADS
+    or message["workload"] not in workload_names()
+)
+_lines = st.binary(max_size=48).map(lambda data: data.replace(b"\n", b"") + b"\n")
+
+
+def _is_frame(line: bytes) -> bool:
+    try:
+        protocol.decode_message(line)
+    except ProtocolError:
+        return False
+    return True
+
+
+async def _fuzz_session(items):
+    """Send each item on one connection; returns every frame received.
+
+    A JSON object travels with a sentinel ping, and the exchange waits for
+    both closing frames before the next item.  A line that is not a frame
+    must get one ``bad-request`` error and end the connection; the session
+    then reconnects.  Finally a ping and a status go out.
+    """
+    frames = []
+
+    async def read(reader):
+        message = await asyncio.wait_for(protocol.read_message(reader), READ_TIMEOUT)
+        if message is not None:
+            frames.append(message)
+        return message
+
+    async with running_service(SweepEngine()) as service:
+        host, port = service.address
+
+        async def connect():
+            return await asyncio.open_connection(host, port, limit=protocol.MAX_MESSAGE_BYTES)
+
+        reader, writer = await connect()
+        for index, item in enumerate(items):
+            line = item if isinstance(item, bytes) else protocol.encode_message(item)
+            if not _is_frame(line):
+                writer.write(line)
+                await writer.drain()
+                # Until the end of the stream: one connection-level error,
+                # plus the obs frames and the terminal `cancelled` error of
+                # a watch the closing connection ends.
+                before = len(frames)
+                while await read(reader) is not None:
+                    pass
+                complaints = [
+                    frame for frame in frames[before:] if frame["event"] == "error" and frame["id"] is None
+                ]
+                assert [frame["code"] for frame in complaints] == ["bad-request"], frames[before:]
+                writer.close()
+                with contextlib.suppress(ConnectionError, OSError):
+                    await writer.wait_closed()
+                reader, writer = await connect()
+                continue
+            sentinel = f"fuzz-sentinel-{index}"
+            writer.write(line + protocol.encode_message({"op": "ping", "id": sentinel}))
+            await writer.drain()
+            closing, ponged = 0, False
+            while closing < 2 or not ponged:
+                message = await read(reader)
+                assert message is not None, f"connection dropped after {item!r}"
+                if message["event"] in _CLOSING_EVENTS:
+                    closing += 1
+                ponged = ponged or message == {"event": "pong", "id": sentinel}
+            assert closing == 2, f"{item!r} got more than one closing frame"
+        writer.write(
+            protocol.encode_message({"op": "ping", "id": "last"})
+            + protocol.encode_message({"op": "status", "id": "last-status"})
+        )
+        await writer.drain()
+        replies = {}
+        while len(replies) < 2:
+            message = await read(reader)
+            assert message is not None
+            if message.get("id") in ("last", "last-status"):
+                replies[message["id"]] = message
+        writer.close()
+        with contextlib.suppress(ConnectionError, OSError):
+            await writer.wait_closed()
+    return frames, replies
+
+
+class TestNdjsonFuzz:
+    @settings(max_examples=60, deadline=None)
+    @given(items=st.lists(_messages | _lines, min_size=1, max_size=6))
+    @example(items=[{"op": "submit", "id": "a", "workload": "fuzz-echo", "params": {"x": 1}}])
+    @example(items=[{"op": "submit", "id": "a", "workload": "dse", "params": []}])
+    @example(items=[{"op": ["submit"], "id": "x"}, {"id": {}}, b"\xff\n", {"op": "watch", "id": "w"}])
+    @example(items=[{"op": "watch", "id": ""}, b"\n", {"op": "ping"}])
+    def test_any_message_gets_a_typed_reply(self, items):
+        register_workload("fuzz-echo", _echo_workload)
+        register_workload("fuzz-failing", _failing_workload)
+        try:
+            frames, replies = run(_fuzz_session(items))
+        finally:
+            for name in _FUZZ_WORKLOADS:
+                unregister_workload(name)
+        for frame in frames:
+            assert frame["event"] in protocol.SERVICE_EVENTS, frame
+            if frame["event"] == "error":
+                assert frame["code"] in protocol.ERROR_CODES, frame
+                assert "Traceback" not in frame["error"], frame
+        assert replies["last"] == {"event": "pong", "id": "last"}
+        assert replies["last-status"]["in_flight"] == 0
