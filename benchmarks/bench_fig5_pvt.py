@@ -33,12 +33,12 @@ def test_fig5_pvt_influence(benchmark, technology):
 
     # (a) supply: higher VDD discharges further below its own rail.
     supply = results["supply"]
-    swing = {vdd: trace[0] - trace[-1] for vdd, trace in supply.items() if vdd > 0}
+    swing = {vdd: trace[0] - trace[-1] for vdd, trace in supply.items() if vdd != "time"}
     assert swing[1.1] > swing[1.0] > swing[0.9]
 
     # (b) temperature: minor effect, hot is slower.
     temperature = results["temperature"]
-    temp_swing = {t: trace[0] - trace[-1] for t, trace in temperature.items() if t >= 0}
+    temp_swing = {t: trace[0] - trace[-1] for t, trace in temperature.items() if t != "time"}
     assert temp_swing[0.0] > temp_swing[70.0]
     temperature_span = temp_swing[0.0] - temp_swing[70.0]
 

@@ -44,12 +44,12 @@ def main() -> None:
 
     print("Fig. 5a: supply-voltage influence on the discharge (V_WL = 0.9 V, 2 ns)")
     supply = supply_sweep(technology, engine=engine)
-    for vdd, trace in sorted(item for item in supply.items() if item[0] > 0):
+    for vdd, trace in sorted(item for item in supply.items() if item[0] != "time"):
         print(f"  VDD={vdd:.1f} V: final V_BLB = {trace[-1]:.3f} V")
 
     print("Fig. 5b: temperature influence")
     temperature = temperature_sweep(technology, engine=engine)
-    for temp_c, trace in sorted(item for item in temperature.items() if item[0] >= 0):
+    for temp_c, trace in sorted(item for item in temperature.items() if item[0] != "time"):
         print(f"  T={temp_c:5.1f} degC: final V_BLB = {trace[-1]:.3f} V")
 
     print("Fig. 5c: process corners")

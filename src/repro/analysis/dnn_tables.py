@@ -43,6 +43,7 @@ from repro.circuits.technology import TechnologyCard, tsmc65_like
 from repro.core.calibration import calibrated_suite
 from repro.core.dse import explore_design_space, select_corners
 from repro.core.model_suite import OptimaModelSuite
+from repro.dnn.blas import one_blas_thread
 from repro.dnn.datasets import Dataset
 from repro.dnn.evaluation import AccuracyReport, evaluate_backends
 from repro.dnn.imc_injection import LutBackend, MultiplierBackend
@@ -163,8 +164,12 @@ def corner_backends(
 def _trained_state(
     network: Network, dataset: Dataset, training: TrainingConfig
 ) -> Dict[str, np.ndarray]:
-    """Train job body: train ``network`` in place, return its state."""
-    train_network(network, dataset, training)
+    """Train job body: train ``network`` in place, return its state.
+
+    Runs on one BLAS thread (:func:`~repro.dnn.blas.one_blas_thread`).
+    """
+    with one_blas_thread():
+        train_network(network, dataset, training)
     return network_state(network)
 
 
@@ -212,14 +217,17 @@ def evaluate_window(
     training images, then :func:`~repro.dnn.evaluation.evaluate_backends`
     evaluates the window.  Returns ``{"samples": hi - lo, "<mode>_top1":
     ..., "<mode>_top5": ...}`` as integers, so window counts add up
-    exactly.
+    exactly.  Runs on one BLAS thread (:func:`~repro.dnn.blas.one_blas_thread`).
     """
-    calibration = dataset.train_images[: config.calibration_samples]
-    quantized = quantize_network(network, calibration, QuantizationScheme())
-    if backends is None:
-        corner_modes = [mode for mode in modes if mode not in ("float32", "int4")]
-        backends = corner_backends(seed=config.seed) if corner_modes else {}
-    reports = evaluate_backends(network, quantized, backends, dataset, modes=modes, window=window)
+    with one_blas_thread():
+        calibration = dataset.train_images[: config.calibration_samples]
+        quantized = quantize_network(network, calibration, QuantizationScheme())
+        if backends is None:
+            corner_modes = [mode for mode in modes if mode not in ("float32", "int4")]
+            backends = corner_backends(seed=config.seed) if corner_modes else {}
+        reports = evaluate_backends(
+            network, quantized, backends, dataset, modes=modes, window=window
+        )
     counts = {"samples": int(window[1]) - int(window[0])}
     for mode, report in reports.items():
         counts[f"{mode}_top1"] = report.top1_hits

@@ -17,7 +17,7 @@ executes nothing.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Union
 
 import numpy as np
 
@@ -78,11 +78,11 @@ def supply_sweep(
     duration: float = 2.0e-9,
     supply_voltages: Sequence[float] = (0.9, 1.0, 1.1),
     engine: Optional[SweepEngine] = None,
-) -> Dict[float, np.ndarray]:
+) -> Dict[Union[float, str], np.ndarray]:
     """Fig. 5a: V_BLB(t) for several supply voltages.
 
     Returns a mapping from supply voltage to the voltage trace; the shared
-    time axis is stored under the key ``-1.0``.
+    time axis is stored under the key ``"time"``.
     """
     conditions = [
         OperatingConditions(vdd=float(vdd), temperature=technology.temperature_nominal)
@@ -91,10 +91,10 @@ def supply_sweep(
     outputs = _trace_sweep(
         technology, wordline_voltage, duration, conditions, "fig5a-supply", engine
     )
-    traces: Dict[float, np.ndarray] = {
+    traces: Dict[Union[float, str], np.ndarray] = {
         float(vdd): output["voltages"] for vdd, output in zip(supply_voltages, outputs)
     }
-    traces[-1.0] = outputs[-1]["times"] if outputs else np.array([])
+    traces["time"] = outputs[-1]["times"] if outputs else np.array([])
     return traces
 
 
@@ -104,8 +104,12 @@ def temperature_sweep(
     duration: float = 2.0e-9,
     temperatures_celsius: Sequence[float] = (0.0, 27.0, 70.0),
     engine: Optional[SweepEngine] = None,
-) -> Dict[float, np.ndarray]:
-    """Fig. 5b: V_BLB(t) for several junction temperatures."""
+) -> Dict[Union[float, str], np.ndarray]:
+    """Fig. 5b: V_BLB(t) for several junction temperatures.
+
+    Returns a mapping from temperature in degC to the voltage trace; the
+    shared time axis is stored under the key ``"time"``.
+    """
     conditions = [
         OperatingConditions(
             vdd=technology.vdd_nominal,
@@ -116,11 +120,11 @@ def temperature_sweep(
     outputs = _trace_sweep(
         technology, wordline_voltage, duration, conditions, "fig5b-temperature", engine
     )
-    traces: Dict[float, np.ndarray] = {
+    traces: Dict[Union[float, str], np.ndarray] = {
         float(temperature_c): output["voltages"]
         for temperature_c, output in zip(temperatures_celsius, outputs)
     }
-    traces[-1.0] = outputs[-1]["times"] if outputs else np.array([])
+    traces["time"] = outputs[-1]["times"] if outputs else np.array([])
     return traces
 
 

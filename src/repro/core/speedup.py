@@ -11,16 +11,18 @@ the measured factor alongside the paper's.
 One model-side call takes about a millisecond, so a single timing of it is
 mostly clock and scheduler noise.  The model side is therefore timed over
 repeated calls lasting at least :data:`MIN_MODEL_SECONDS` and scaled back to
-the workload one reference run covers.  Each reference side is run
-:data:`REFERENCE_RUNS` times and its median time is reported, so one
-disturbed run does not move the recorded factor.
+the workload one reference run covers.  Each workload is timed in
+:data:`REFERENCE_RUNS` rounds of one reference run followed by one model-side
+timing, so both sides of a round see the same host speed, and the median of
+each side is reported: one disturbed run does not move the recorded factor,
+and a host whose speed drifts between processes slows both sides alike.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import time
-from typing import Callable, Optional
+from typing import Callable, Optional, Tuple
 
 import numpy as np
 
@@ -36,8 +38,9 @@ from repro.multiplier.reference import ReferenceMultiplier
 #: repeated before its per-call time is taken.
 MIN_MODEL_SECONDS = 0.2
 
-#: Runs of each reference-side workload; the median time is reported.  The
-#: reference path memoises nothing, so every run repeats the full work.
+#: Rounds per workload, each one reference run and one model-side timing;
+#: each side's median is reported.  The reference path memoises nothing,
+#: so every run repeats the full work.
 REFERENCE_RUNS = 3
 
 
@@ -93,14 +96,22 @@ def _seconds_per_call(call: Callable[[], object]) -> float:
             return elapsed / calls
 
 
-def _median_seconds(call: Callable[[], object]) -> float:
-    """Median wall time of :data:`REFERENCE_RUNS` runs of ``call``."""
-    durations = []
+def _interleaved_medians(
+    reference: Callable[[], object], model: Callable[[], object], scale: float
+) -> Tuple[float, float]:
+    """Median reference and model times over :data:`REFERENCE_RUNS` rounds.
+
+    A round times one run of ``reference``, then ``model`` per call (see
+    :func:`_seconds_per_call`) times ``scale``, the model calls one
+    reference run covers.
+    """
+    reference_times, model_times = [], []
     for _ in range(REFERENCE_RUNS):
         start = time.perf_counter()
-        call()
-        durations.append(time.perf_counter() - start)
-    return float(np.median(durations))
+        reference()
+        reference_times.append(time.perf_counter() - start)
+        model_times.append(scale * _seconds_per_call(model))
+    return float(np.median(reference_times)), float(np.median(model_times))
 
 
 def measure_speedup(
@@ -114,11 +125,11 @@ def measure_speedup(
 ) -> SpeedupReport:
     """Time the reference and OPTIMA evaluations of the same workload.
 
-    The reference side runs the workload :data:`REFERENCE_RUNS` times and
-    reports the median.  The model side repeats one
-    evaluation for at least :data:`MIN_MODEL_SECONDS` and reports the mean
-    time scaled to the same workload: ``input_space_repetitions`` input-space
-    evaluations, one Monte-Carlo batch.
+    Each workload runs :data:`REFERENCE_RUNS` rounds; a round times one
+    reference run, then repeats one model evaluation for at least
+    :data:`MIN_MODEL_SECONDS` and scales its mean time to the same
+    workload: ``input_space_repetitions`` input-space evaluations, one
+    Monte-Carlo batch.  Each side reports its median round.
 
     Parameters
     ----------
@@ -151,27 +162,25 @@ def measure_speedup(
         for _ in range(input_space_repetitions):
             reference.characterize_input_space(conditions)
 
-    reference_input_space = _median_seconds(reference_input_space_pass)
-
-    optima_input_space = input_space_repetitions * _seconds_per_call(
-        lambda: fast.multiply(x_grid, d_grid, conditions=conditions)
+    reference_input_space, optima_input_space = _interleaved_medians(
+        reference_input_space_pass,
+        lambda: fast.multiply(x_grid, d_grid, conditions=conditions),
+        scale=input_space_repetitions,
     )
 
     # --- mismatch Monte-Carlo ------------------------------------------
-    reference_monte_carlo = _median_seconds(
-        lambda: reference.characterize_monte_carlo(
-            monte_carlo_samples, conditions=conditions, seed=seed
-        )
-    )
-
     rng = np.random.default_rng(seed)
     wordline_voltage = fast.wordline_voltage(config.max_operand)
     discharge_times = np.full(monte_carlo_samples, config.max_discharge_time)
     wordline_voltages = np.full(monte_carlo_samples, float(np.asarray(wordline_voltage)))
-    optima_monte_carlo = _seconds_per_call(
+    reference_monte_carlo, optima_monte_carlo = _interleaved_medians(
+        lambda: reference.characterize_monte_carlo(
+            monte_carlo_samples, conditions=conditions, seed=seed
+        ),
         lambda: suite.sample_discharge_voltage(
             discharge_times, wordline_voltages, rng, conditions=conditions
-        )
+        ),
+        scale=1,
     )
 
     # Guard against zero-duration timings on very fast machines.

@@ -176,7 +176,13 @@ def col2im(
     out_h: int,
     out_w: int,
 ) -> np.ndarray:
-    """Scatter patch-gradients back onto the (padded) input tensor."""
+    """Scatter patch-gradients back onto the (padded) input tensor.
+
+    ``cols`` is the whole layer's ``grad_output @ weight.T``.  One smaller
+    GEMM per kernel offset would make the slabs without the transposing
+    copy below, but its bits differ: OpenBLAS rounds some of the smaller
+    products differently (e.g. batch 1-5 with 32 output channels).
+    """
     batch, height, width, channels = input_shape
     padded = np.zeros(
         (batch, height + 2 * padding, width + 2 * padding, channels), dtype=cols.dtype

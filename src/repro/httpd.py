@@ -102,8 +102,22 @@ class HttpRequest:
         """
         try:
             return json.loads(self.body.decode("utf-8"))
-        except (UnicodeDecodeError, json.JSONDecodeError) as error:
+        except (ValueError, RecursionError) as error:
+            # ValueError covers bad UTF-8, bad JSON and integers past
+            # Python's digit limit; RecursionError, arrays nested too deep.
             raise HttpError(400, f"request body is not valid JSON: {error}") from None
+
+
+async def _read_line(reader: asyncio.StreamReader, timeout: float) -> bytes:
+    """One line off ``reader``; :class:`HttpError` 400 past its buffer limit.
+
+    ``StreamReader.readline`` raises ``ValueError`` for a line longer than
+    the reader's limit (64 KiB by default).
+    """
+    try:
+        return await asyncio.wait_for(reader.readline(), timeout=timeout)
+    except ValueError:
+        raise HttpError(400, "request line or header line too long") from None
 
 
 async def read_request(
@@ -118,7 +132,7 @@ async def read_request(
     single body byte is read) and :class:`asyncio.TimeoutError` when the
     peer stalls longer than ``timeout`` between lines.
     """
-    request_line = await asyncio.wait_for(reader.readline(), timeout=timeout)
+    request_line = await _read_line(reader, timeout)
     if request_line == b"":
         return None
     if len(request_line) > MAX_REQUEST_LINE_BYTES:
@@ -129,7 +143,7 @@ async def read_request(
     method, target, version = parts
     headers: Dict[str, str] = {}
     while True:
-        line = await asyncio.wait_for(reader.readline(), timeout=timeout)
+        line = await _read_line(reader, timeout)
         if line in (b"\r\n", b"\n"):
             break
         if line == b"":
@@ -145,12 +159,11 @@ async def read_request(
     if headers.get("transfer-encoding"):
         raise HttpError(400, "chunked transfer encoding is not supported")
     if length_text is not None:
-        try:
-            length = int(length_text)
-        except ValueError:
-            raise HttpError(400, f"bad Content-Length {length_text!r}") from None
-        if length < 0:
+        # ASCII digits only (int() would also take "+4", "1_0" and " 4"),
+        # and few enough for int() to convert.
+        if not (length_text.isascii() and length_text.isdigit()) or len(length_text) > 18:
             raise HttpError(400, f"bad Content-Length {length_text!r}")
+        length = int(length_text)
         if length > max_body_bytes:
             raise HttpError(
                 413,

@@ -147,7 +147,7 @@ def run_pvt(params: Dict[str, Any], engine: SweepEngine) -> Dict[str, Any]:
 
     fast = bool(params.get("fast", False))
     technology = tsmc65_like()
-    # The sweeps store their shared time axis under the key -1.0 / "time".
+    # The sweeps store their shared time axis under the key "time".
     supply = supply_sweep(technology, engine=engine)
     temperature = temperature_sweep(technology, engine=engine)
     corners = corner_sweep(technology, engine=engine)
@@ -161,9 +161,9 @@ def run_pvt(params: Dict[str, Any], engine: SweepEngine) -> Dict[str, Any]:
         "command": "pvt",
         "fast": fast,
         "final_v_blb": {
-            "supply": {str(vdd): float(trace[-1]) for vdd, trace in supply.items() if vdd > 0},
+            "supply": {str(vdd): float(trace[-1]) for vdd, trace in supply.items() if vdd != "time"},
             "temperature": {
-                str(celsius): float(trace[-1]) for celsius, trace in temperature.items() if celsius >= 0
+                str(celsius): float(trace[-1]) for celsius, trace in temperature.items() if celsius != "time"
             },
             "corner": {name: float(corners[name][-1]) for name in ("fast", "typical", "slow")},
         },

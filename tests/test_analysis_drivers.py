@@ -98,6 +98,14 @@ class TestPvtSweeps:
         discharge_hot = traces[70.0][0] - traces[70.0][-1]
         assert discharge_cold > discharge_hot
 
+    def test_negative_temperature_keeps_its_trace(self, technology):
+        traces = temperature_sweep(technology, temperatures_celsius=(-1.0, 27.0))
+        assert list(traces) == [-1.0, 27.0, "time"]
+        assert traces[-1.0].shape == traces[27.0].shape == traces["time"].shape
+        assert traces["time"][0] == 0.0 and traces["time"][-1] == pytest.approx(2.0e-9)
+        # the -1 degC trace is a voltage, starting at the precharged rail
+        assert traces[-1.0][0] == pytest.approx(technology.vdd_nominal)
+
     def test_corner_sweep_ordering(self, technology):
         traces = corner_sweep(technology)
         assert traces["fast"][-1] < traces["typical"][-1] < traces["slow"][-1]

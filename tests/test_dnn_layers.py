@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.dnn.layers import (
     BatchNorm,
@@ -180,6 +182,23 @@ class TestConv2D:
         assert padded.dtype == expected.dtype
         assert np.array_equal(padded, expected)
 
+    @staticmethod
+    def nested_loop_col2im(cols, input_shape, kernel, stride, padding, out_h, out_w):
+        """Scatter every patch element on its own, offsets in (ky, kx) order."""
+        batch, height, width, channels = input_shape
+        patches = cols.reshape(batch, out_h, out_w, kernel, kernel, channels)
+        padded = np.zeros(
+            (batch, height + 2 * padding, width + 2 * padding, channels), dtype=cols.dtype
+        )
+        for ky in range(kernel):
+            for kx in range(kernel):
+                for oy in range(out_h):
+                    for ox in range(out_w):
+                        padded[:, oy * stride + ky, ox * stride + kx, :] += patches[
+                            :, oy, ox, ky, kx, :
+                        ]
+        return padded[:, padding : padding + height, padding : padding + width, :]
+
     @pytest.mark.parametrize("kernel", [1, 3])
     @pytest.mark.parametrize("stride", [1, 2])
     @pytest.mark.parametrize("padding", [0, 1])
@@ -190,23 +209,34 @@ class TestConv2D:
         rng = np.random.default_rng(13)
         cols = rng.normal(size=(batch * out_h * out_w, kernel * kernel * channels))
         cols = cols.astype(np.float32)
-        # Scatter every patch element on its own, offsets in (ky, kx) order.
-        patches = cols.reshape(batch, out_h, out_w, kernel, kernel, channels)
-        padded = np.zeros(
-            (batch, height + 2 * padding, width + 2 * padding, channels), dtype=np.float32
-        )
-        for ky in range(kernel):
-            for kx in range(kernel):
-                for oy in range(out_h):
-                    for ox in range(out_w):
-                        padded[:, oy * stride + ky, ox * stride + kx, :] += patches[
-                            :, oy, ox, ky, kx, :
-                        ]
-        expected = padded[:, padding : padding + height, padding : padding + width, :]
-        result = col2im(
-            cols, (batch, height, width, channels), kernel, stride, padding, out_h, out_w
-        )
+        shape = (batch, height, width, channels)
+        expected = self.nested_loop_col2im(cols, shape, kernel, stride, padding, out_h, out_w)
+        result = col2im(cols, shape, kernel, stride, padding, out_h, out_w)
         assert result.dtype == np.float32
+        assert np.array_equal(result, expected)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        kernel=st.sampled_from([1, 3]),
+        stride=st.sampled_from([1, 2]),
+        padding=st.sampled_from([0, 1]),
+        batch=st.integers(1, 6),
+        size=st.integers(3, 7),
+        channels=st.integers(1, 9),
+        seed=st.integers(0, 2**16),
+    )
+    def test_col2im_matches_nested_loop_reference_on_any_shape(
+        self, kernel, stride, padding, batch, size, channels, seed
+    ):
+        out_size = (size + 2 * padding - kernel) // stride + 1
+        rng = np.random.default_rng(seed)
+        cols = rng.normal(size=(batch * out_size**2, kernel * kernel * channels))
+        cols = cols.astype(np.float32)
+        shape = (batch, size, size, channels)
+        expected = self.nested_loop_col2im(
+            cols, shape, kernel, stride, padding, out_size, out_size
+        )
+        result = col2im(cols, shape, kernel, stride, padding, out_size, out_size)
         assert np.array_equal(result, expected)
 
 

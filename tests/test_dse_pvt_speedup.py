@@ -195,17 +195,47 @@ class TestSpeedup:
         assert speedup._seconds_per_call(lambda: calls.append(1)) == 1.0
         assert len(calls) == 4
 
+    @staticmethod
+    def fake_rounds(monkeypatch, reference_ticks, model_ticks):
+        """Drive ``_interleaved_medians`` with calls that advance a fake clock.
+
+        Each reference / model call advances the clock by its next entry
+        of ticks; a model-side timing is one call (the minimum duration is
+        one tick).  Returns the log of calls, in order.
+        """
+        from repro.core import speedup
+
+        now = [0.0]
+        log = []
+
+        def advance(name, ticks):
+            def call():
+                log.append(name)
+                now[0] += ticks.pop(0)
+
+            return call
+
+        monkeypatch.setattr(speedup.time, "perf_counter", lambda: now[0])
+        monkeypatch.setattr(speedup, "MIN_MODEL_SECONDS", 0.5)
+        reference = advance("reference", list(reference_ticks))
+        model = advance("model", list(model_ticks))
+        return log, lambda scale: speedup._interleaved_medians(reference, model, scale)
+
     def test_reference_side_reports_the_median_run(self, monkeypatch):
         from repro.core import speedup
 
-        calls = []
         # three runs lasting 1, 2 and 9 ticks: the median (2) differs from
         # the mean (4), the minimum, and the first and last runs
-        clock = iter([0.0, 1.0, 10.0, 12.0, 20.0, 29.0])
-        monkeypatch.setattr(speedup.time, "perf_counter", lambda: next(clock))
+        log, medians = self.fake_rounds(monkeypatch, [1.0, 2.0, 9.0], [1.0, 1.0, 1.0])
         assert speedup.REFERENCE_RUNS == 3
-        assert speedup._median_seconds(lambda: calls.append(1)) == 2.0
-        assert len(calls) == 3
+        assert medians(1)[0] == 2.0
+        assert log.count("reference") == 3
+
+    def test_rounds_interleave_reference_and_model(self, monkeypatch):
+        # model calls of 0.5, 3 and 1 ticks: median 1, scaled by 3 calls
+        log, medians = self.fake_rounds(monkeypatch, [1.0, 2.0, 9.0], [0.5, 3.0, 1.0])
+        assert medians(3) == (2.0, 3.0)
+        assert log == ["reference", "model"] * 3
 
     def test_invalid_arguments_rejected(self, technology, suite):
         with pytest.raises(ValueError):

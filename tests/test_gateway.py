@@ -37,6 +37,8 @@ import sys
 import threading
 
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 import repro
 from repro import httpd, obs
@@ -284,6 +286,158 @@ class TestHttpd:
 
     def test_responses_close_the_connection(self):
         assert b"Connection: close" in httpd.render_response(200, b"x")
+
+    @pytest.mark.parametrize("length", ["+4", "1_0", "-0", "0x10", "4.0", "\xb2"])
+    def test_content_length_must_be_digits(self, length):
+        with pytest.raises(httpd.HttpError) as info:
+            self._parse(f"POST / HTTP/1.1\r\nContent-Length: {length}\r\n\r\n".encode("latin-1"))
+        assert info.value.status == 400
+
+    # -- fuzz: every input parses, is None, or is a typed 4xx ------------
+    @staticmethod
+    def _outcome(wire, **kwargs):
+        """What ``read_request`` makes of ``wire``: a request, ``None`` or
+        a typed 4xx ``HttpError``.  Anything else raises, failing the test;
+        a read that does not finish within 5 s raises ``TimeoutError``."""
+
+        async def scenario():
+            reader = asyncio.StreamReader()
+            reader.feed_data(wire)
+            reader.feed_eof()
+            return await asyncio.wait_for(httpd.read_request(reader, **kwargs), 5.0)
+
+        try:
+            request = asyncio.run(scenario())
+        except httpd.HttpError as error:
+            assert 400 <= error.status < 500, error
+            assert "Traceback" not in str(error)
+            return error
+        if request is not None:
+            assert isinstance(request, httpd.HttpRequest)
+            try:
+                request.json()
+            except httpd.HttpError as error:
+                assert error.status == 400
+        return request
+
+    @settings(max_examples=150, deadline=None)
+    @given(wire=st.binary(max_size=600))
+    @example(wire=b"GET /" + b"x" * 70_000 + b" HTTP/1.1\r\n\r\n")
+    @example(wire=b"GET / HTTP/1.1\r\nX: " + b"y" * 70_000 + b"\r\n\r\n")
+    @example(wire=b"GET / HTTP/1.1")
+    @example(wire=b"\r\n")
+    def test_arbitrary_bytes_get_a_typed_answer(self, wire):
+        self._outcome(wire)
+
+    _methods = st.sampled_from(["GET", "POST", "DELETE", "PUT", "", "G\x00T"]) | st.text(max_size=8)
+    _targets = st.sampled_from(["/", "/v1/sweeps", "/healthz?x=1", "*", ""]) | st.text(max_size=30)
+    _versions = st.sampled_from(["HTTP/1.1", "HTTP/1.0", "HTTP/", "HTTPS/1.1", ""])
+    _header_text = st.text(
+        st.characters(codec="latin-1", exclude_characters="\r\n"), max_size=20
+    )
+    _lengths = (
+        st.integers(-3, 3000).map(str)
+        | st.sampled_from(["", " ", "+4", "1_0", "0x10", "4.0", "9" * 5000, "-0"])
+        | _header_text
+    )
+    _json = st.recursive(
+        st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=10),
+        lambda children: st.lists(children, max_size=4)
+        | st.dictionaries(st.text(max_size=6), children, max_size=4),
+        max_leaves=12,
+    ).map(lambda value: json.dumps(value).encode())
+    _bodies = _json | st.binary(max_size=60) | st.sampled_from(
+        [b"[" * 100_000, b"1" * 5000, b'{"a": ' + b"9" * 5000 + b"}", b"\xff\xfe", b"NaN"]
+    )
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        method=_methods,
+        target=_targets,
+        version=_versions,
+        headers=st.lists(st.tuples(_header_text, _header_text), max_size=4),
+        length=st.none() | _lengths,
+        body=_bodies,
+        cut=st.none() | st.integers(0, 200),
+        separator=st.sampled_from(["\r\n", "\n"]),
+    )
+    @example(
+        method="POST", target="/v1/sweeps", version="HTTP/1.1", headers=[],
+        length="100000", body=b"[" * 100_000, cut=None, separator="\r\n",
+    )
+    @example(
+        method="POST", target="/v1/sweeps", version="HTTP/1.1", headers=[],
+        length="5000", body=b"1" * 5000, cut=None, separator="\r\n",
+    )
+    @example(
+        method="GET", target="/", version="HTTP/1.1", headers=[],
+        length="9" * 5000, body=b"", cut=None, separator="\r\n",
+    )
+    def test_malformed_requests_get_a_typed_answer(
+        self, method, target, version, headers, length, body, cut, separator
+    ):
+        lines = [f"{method} {target} {version}"]
+        lines += [f"{name}: {value}" for name, value in headers]
+        if length is not None:
+            lines.append(f"Content-Length: {length}")
+        wire = (separator.join(lines) + separator * 2).encode("latin-1", "replace") + body
+        if cut is not None:
+            wire = wire[:cut]
+        outcome = self._outcome(wire, max_body_bytes=200_000)
+        if isinstance(outcome, httpd.HttpRequest) and length is not None:
+            assert outcome.body == body[: int(length)]
+
+    @settings(
+        max_examples=25,
+        deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    @given(
+        payloads=st.lists(
+            st.binary(max_size=200)
+            | _bodies.map(
+                lambda body: b"POST /v1/sweeps HTTP/1.1\r\nContent-Length: "
+                + str(len(body)).encode()
+                + b"\r\n\r\n"
+                + body
+            ),
+            min_size=1,
+            max_size=4,
+        )
+    )
+    @example(payloads=[b"GET /" + b"x" * 70_000 + b" HTTP/1.1\r\n\r\n"])
+    @example(payloads=[b"POST /v1/sweeps HTTP/1.1\r\nContent-Length: 100000\r\n\r\n" + b"[" * 100_000])
+    def test_gateway_answers_junk_with_a_typed_error(self, tmp_path, payloads):
+        """A live gateway answers every payload with one structured
+        response (or closes on an empty one) and logs no exception."""
+
+        async def scenario():
+            loop = asyncio.get_running_loop()
+            unhandled = []
+            loop.set_exception_handler(lambda _, context: unhandled.append(context))
+            answers = []
+            async with running_stack(tmp_path, max_body_bytes=200_000) as (_, gateway):
+                for payload in payloads:
+                    reader, writer = await asyncio.open_connection("127.0.0.1", gateway.port)
+                    writer.write(payload)
+                    writer.write_eof()
+                    answers.append((payload, await reader.read()))
+                    writer.close()
+            return answers, unhandled
+
+        answers, unhandled = run(scenario())
+        assert unhandled == []
+        for payload, answer in answers:
+            if not answer:
+                assert payload == b""
+                continue
+            head, _, body = answer.partition(b"\r\n\r\n")
+            status = int(head.split(b" ", 2)[1])
+            assert status in httpd.REASONS and status != 500, answer
+            document = json.loads(body)
+            if status >= 400:
+                assert document["status"] == status
+                assert "Traceback" not in document["error"]
 
 
 # ----------------------------------------------------------------------

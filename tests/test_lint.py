@@ -868,9 +868,9 @@ class TestShippedTree:
         flips = {
             "REPRO-ASYNC01": (
                 SRC / "repro/httpd.py",
-                "    request_line = await asyncio.wait_for(reader.readline(), timeout=timeout)",
+                "    request_line = await _read_line(reader, timeout)",
                 "    import time; time.sleep(0.5)\n"
-                "    request_line = await asyncio.wait_for(reader.readline(), timeout=timeout)",
+                "    request_line = await _read_line(reader, timeout)",
             ),
             "REPRO-DET01": (
                 SRC / "repro/circuits/mismatch.py",
