@@ -51,7 +51,7 @@ def _noop_workload(params, engine):
 
 async def _measure(tmp_path) -> dict:
     engine = SweepEngine(cache=ArtifactCache(tmp_path / "cache"))
-    service = SweepService(engine, max_workers=_FAN_OUT_CLIENTS)
+    service = SweepService(engine)
     host, port = await service.start()
     try:
         # --- round-trip overhead on a no-op workload --------------------

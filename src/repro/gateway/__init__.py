@@ -1,13 +1,11 @@
 """repro.gateway — the HTTP/SSE front door of the serving stack.
 
-The fifth layer of the repository: browsers, curl and load balancers
-speak HTTP, the sweep service speaks NDJSON-TCP, and this package is the
-stateless translation tier between them.  One :class:`Gateway` replica
-fronts one :class:`~repro.service.server.SweepService`; N replicas over
-one service (and its engine + cluster) is the horizontal-scale story —
-the service's single-flight dedup makes the replicas safely
-interchangeable, and a shared artifact store lets any replica serve any
-result.
+The fifth layer of the repository: browsers and curl speak HTTP, the
+sweep service speaks NDJSON-TCP, and this package is the translation
+tier between them.  One :class:`Gateway` fronts one
+:class:`~repro.service.server.SweepService`; the service's single-flight
+dedup and engine cache stay the source of truth, the gateway only keeps
+per-sweep stream state in memory.
 
 The moving parts, one module each:
 
@@ -15,11 +13,9 @@ The moving parts, one module each:
   vocabulary (``REPRO-PROTO01``-linted like the TCP protocols);
 * :mod:`~repro.gateway.sse` — Server-Sent-Events framing;
 * :mod:`~repro.gateway.artifacts` — content-addressed result spill-out
-  (:class:`ArtifactStore` interface + local filesystem backend);
-* :mod:`~repro.gateway.webhooks` — HMAC-signed completion callbacks
-  with bounded retry;
+  to a local filesystem store;
 * :mod:`~repro.gateway.config` / :mod:`~repro.gateway.server` — the
-  replica itself, shipped as ``python -m repro gateway``.
+  gateway itself, shipped as ``python -m repro gateway``.
 
 ``docs/gateway.md`` is the wire-facing specification; shared HTTP/1.1
 plumbing lives in :mod:`repro.httpd` (also used by the metrics
@@ -29,7 +25,6 @@ endpoint).
 from __future__ import annotations
 
 from repro.gateway.artifacts import (
-    ArtifactStore,
     ArtifactStoreError,
     LocalArtifactStore,
     digest_of,
@@ -38,27 +33,16 @@ from repro.gateway.artifacts import (
 from repro.gateway.config import GatewayConfig
 from repro.gateway.routes import ROUTES, SSE_EVENTS, match_route
 from repro.gateway.server import SWEEP_STATES, Gateway
-from repro.gateway.webhooks import (
-    SIGNATURE_HEADER,
-    WebhookDeliverer,
-    sign_payload,
-    verify_signature,
-)
 
 __all__ = [
-    "ArtifactStore",
     "ArtifactStoreError",
     "Gateway",
     "GatewayConfig",
     "LocalArtifactStore",
     "ROUTES",
-    "SIGNATURE_HEADER",
     "SSE_EVENTS",
     "SWEEP_STATES",
-    "WebhookDeliverer",
     "digest_of",
     "encode_result",
     "match_route",
-    "sign_payload",
-    "verify_signature",
 ]

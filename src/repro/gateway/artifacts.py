@@ -2,17 +2,12 @@
 
 A sweep result above the gateway's ``--spill-bytes`` threshold does not
 travel inline in the HTTP response; its canonical JSON encoding is
-written to an :class:`ArtifactStore` and the REST API answers with a
-content-addressed URL (``GET /v1/artifacts/{digest}``) instead.  The
-digest is the SHA-256 of the stored bytes, so artifacts are immutable,
-deduplicate across identical results, and any replica of a shared store
-can serve any other replica's spill — the object store is the only
-state the "stateless" gateway tier leans on.
-
-:class:`LocalArtifactStore` is the filesystem backend (two-level fan-out
-directories, atomic tmp-then-rename writes, exactly the layout of the
-engine's :class:`~repro.runtime.cache.ArtifactCache`).  An S3-alike
-would implement the same three methods.
+written to a :class:`LocalArtifactStore` and the REST API answers with
+a content-addressed URL (``GET /v1/artifacts/{digest}``) instead.  The
+digest is the SHA-256 of the stored bytes, so artifacts are immutable
+and deduplicate across identical results.  The store uses two-level
+fan-out directories and atomic tmp-then-rename writes, exactly the
+layout of the engine's :class:`~repro.runtime.cache.ArtifactCache`.
 
 >>> encode_result({"b": 1, "a": [2, 3]})
 b'{"a": [2, 3], "b": 1}\\n'
@@ -31,7 +26,6 @@ import tempfile
 from typing import Any
 
 __all__ = [
-    "ArtifactStore",
     "ArtifactStoreError",
     "DIGEST_RE",
     "LocalArtifactStore",
@@ -63,28 +57,12 @@ def digest_of(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
-class ArtifactStore:
-    """Interface every artifact backend implements."""
-
-    def put(self, data: bytes) -> str:
-        """Persist ``data``; return its content digest.  Idempotent."""
-        raise NotImplementedError
-
-    def get(self, digest: str) -> bytes:
-        """The stored bytes; :class:`KeyError` when absent."""
-        raise NotImplementedError
-
-    def stats(self) -> dict:
-        """Backend counters for the status document."""
-        raise NotImplementedError
-
-
-class LocalArtifactStore(ArtifactStore):
-    """Filesystem backend: ``root/<digest[:2]>/<digest>.bin``.
+class LocalArtifactStore:
+    """Filesystem artifact store: ``root/<digest[:2]>/<digest>.bin``.
 
     Writes go through a temp file and :func:`os.replace` in the final
     directory, so a crashed gateway never leaves a torn artifact and
-    concurrent replicas writing the same content race harmlessly.
+    concurrent writers of the same content race harmlessly.
     Directories are created lazily on first :meth:`put`; any OS-level
     failure surfaces as :class:`ArtifactStoreError` (which the gateway
     turns into a structured 500, never a stack trace on the wire).
@@ -99,6 +77,7 @@ class LocalArtifactStore(ArtifactStore):
         return os.path.join(self.root, digest[:2], digest + ".bin")
 
     def put(self, data: bytes) -> str:
+        """Persist ``data``; return its content digest.  Idempotent."""
         digest = digest_of(data)
         path = self._path(digest)
         try:
@@ -127,6 +106,7 @@ class LocalArtifactStore(ArtifactStore):
         return digest
 
     def get(self, digest: str) -> bytes:
+        """The stored bytes; :class:`KeyError` when absent."""
         if not DIGEST_RE.match(digest):
             raise KeyError(digest)
         try:
@@ -142,5 +122,6 @@ class LocalArtifactStore(ArtifactStore):
         return data
 
     def stats(self) -> dict:
+        """Store counters for the ``/healthz`` document."""
         return {"backend": "local", "root": self.root,
                 "puts": self._puts, "gets": self._gets}

@@ -1,16 +1,11 @@
 """Gateway configuration: one dataclass, CLI flags map onto its fields.
 
 Every knob of the HTTP front door lives here so the server, the CLI and
-the tests agree on defaults.  The gateway itself is stateless — N
-replicas with the same configuration in front of one service are
-interchangeable (see ``docs/gateway.md``) — so the configuration is the
-*whole* of a replica's identity.
+the tests agree on defaults.
 
 >>> config = GatewayConfig(service_host="127.0.0.1", service_port=7463)
 >>> config.spill_bytes
 65536
->>> config.webhook_attempts
-3
 """
 
 from __future__ import annotations
@@ -22,12 +17,12 @@ __all__ = ["GatewayConfig"]
 
 @dataclasses.dataclass
 class GatewayConfig:
-    """Everything a gateway replica needs to know.
+    """Everything a gateway needs to know.
 
     Attributes
     ----------
     service_host, service_port:
-        The ``repro.service`` endpoint this replica fronts.
+        The ``repro.service`` endpoint this gateway fronts.
     host, port:
         Where the gateway itself listens (``port=0`` binds ephemeral).
     artifact_root:
@@ -38,14 +33,6 @@ class GatewayConfig:
         Inline-result size threshold in bytes.
     max_body_bytes:
         Hard bound on any request body; larger submits are refused 413.
-    webhook_secret:
-        HMAC-SHA256 key for the ``X-Repro-Signature`` header on
-        completion webhooks.
-    webhook_attempts:
-        Total delivery attempts per webhook (first try + retries).
-    webhook_backoff_seconds:
-        Base of the exponential backoff between webhook attempts
-        (``base * 2**attempt``, capped at ``webhook_backoff_cap_seconds``).
     sse_keepalive_seconds:
         Idle interval after which an SSE stream writes a ``:`` comment so
         intermediaries do not reap the connection.
@@ -65,10 +52,6 @@ class GatewayConfig:
     artifact_root: str = "gateway-artifacts"
     spill_bytes: int = 65536
     max_body_bytes: int = 1_000_000
-    webhook_secret: str = "repro-gateway"
-    webhook_attempts: int = 3
-    webhook_backoff_seconds: float = 0.25
-    webhook_backoff_cap_seconds: float = 5.0
     sse_keepalive_seconds: float = 15.0
     sse_history_frames: int = 256
     watch_backoff_seconds: float = 0.5
@@ -86,10 +69,6 @@ class GatewayConfig:
             raise ValueError("spill_bytes must be >= 0")
         if self.max_body_bytes <= 0:
             raise ValueError("max_body_bytes must be > 0")
-        if self.webhook_attempts < 1:
-            raise ValueError("webhook_attempts must be >= 1")
-        if self.webhook_backoff_seconds < 0:
-            raise ValueError("webhook_backoff_seconds must be >= 0")
         if self.sse_history_frames < 1:
             raise ValueError("sse_history_frames must be >= 1")
         return self

@@ -1,27 +1,24 @@
 """The gateway server: REST + SSE front door over one ``repro.service``.
 
-One :class:`Gateway` instance is one stateless replica.  Every request
-arrives over plain HTTP/1.1 (:mod:`repro.httpd`), resolves against the
-route table (:mod:`repro.gateway.routes`) and is served from three kinds
-of machinery:
+Every request arrives over plain HTTP/1.1 (:mod:`repro.httpd`), resolves
+against the route table (:mod:`repro.gateway.routes`) and is served from
+three kinds of machinery:
 
 * **submits** open a dedicated :class:`~repro.service.client.ServiceClient`
   connection per sweep and run it as an asyncio task; the service's
-  single-flight dedup means N replicas submitting the same work still
-  compute it once;
+  single-flight dedup computes identical work once;
 * **event streams** fan frames out to per-subscriber queues with a
   per-sweep monotonic ``seq`` (the SSE ``id:``), replayable across
   reconnects via ``Last-Event-ID``; a dedicated ``watch`` connection
   bridges the service's :mod:`repro.obs` events into the streams of the
   sweeps they belong to, keyed by trace id;
 * **results** above the spill threshold land in the
-  :class:`~repro.gateway.artifacts.ArtifactStore` and are served
-  content-addressed; completion webhooks go out signed with bounded
-  retry (:mod:`repro.gateway.webhooks`).
+  :class:`~repro.gateway.artifacts.LocalArtifactStore` and are served
+  content-addressed.
 
-The replica holds no durable state of its own — sweeps live in memory
-for the lifetime of the process, artifacts in the (shareable) store,
-truth in the service.  ``docs/gateway.md`` is the wire-facing spec.
+The gateway holds no durable state of its own — sweeps live in memory
+for the lifetime of the process, artifacts in the store, truth in the
+service.  ``docs/gateway.md`` is the wire-facing spec.
 """
 
 from __future__ import annotations
@@ -37,14 +34,12 @@ from repro import httpd, obs
 from repro.gateway import sse
 from repro.gateway.artifacts import (
     DIGEST_RE,
-    ArtifactStore,
     ArtifactStoreError,
     LocalArtifactStore,
     encode_result,
 )
 from repro.gateway.config import GatewayConfig
 from repro.gateway.routes import allowed_methods, match_route
-from repro.gateway.webhooks import WebhookDeliverer
 from repro.sched import SchedPolicy
 from repro.service.client import (
     ServiceCancelledError,
@@ -56,6 +51,9 @@ __all__ = ["Gateway", "SWEEP_STATES"]
 
 #: Every lifecycle state a gateway-tracked sweep can be in.
 SWEEP_STATES = ("running", "completed", "failed", "cancelled")
+
+#: Every field a ``POST /v1/sweeps`` body may carry; any other is a 400.
+SUBMIT_FIELDS = ("workload", "params", "trace", "sched")
 
 _REQUESTS_TOTAL = obs.counter(
     "repro_gateway_requests_total",
@@ -74,7 +72,7 @@ _SWEEPS_TOTAL = obs.counter(
 )
 _SWEEPS_INFLIGHT = obs.gauge(
     "repro_gateway_sweeps_inflight_total",
-    "Sweeps currently running through this replica.",
+    "Sweeps currently running through this gateway.",
 )
 _SSE_STREAMS_TOTAL = obs.counter(
     "repro_gateway_sse_streams_total",
@@ -107,12 +105,11 @@ _WATCH_EVENTS_TOTAL = obs.counter(
 
 @dataclasses.dataclass
 class SweepRecord:
-    """Everything this replica knows about one submitted sweep."""
+    """Everything this gateway knows about one submitted sweep."""
 
     sweep_id: str
     workload: str
     params: Dict[str, Any]
-    webhook_url: str = ""
     #: Scheduling tag (wire shape, ``{"class": ..., "priority": ...}``)
     #: the sweep was submitted with; ``None`` = untagged batch default.
     sched: Optional[Dict[str, Any]] = None
@@ -131,7 +128,6 @@ class SweepRecord:
     payload_inline: bool = False
     artifact_digest: str = ""
     result_bytes: int = 0
-    webhook_delivered: Optional[bool] = None
     seq: int = 0
     history: Deque[Tuple[int, str, Any]] = dataclasses.field(
         default_factory=deque
@@ -145,19 +141,11 @@ class SweepRecord:
 
 
 class Gateway:
-    """One stateless HTTP/SSE replica in front of one sweep service."""
+    """The HTTP/SSE front door in front of one sweep service."""
 
-    def __init__(self, config: GatewayConfig, store: Optional[ArtifactStore] = None):
+    def __init__(self, config: GatewayConfig):
         self.config = config.validate()
-        self.store: ArtifactStore = (
-            store if store is not None else LocalArtifactStore(config.artifact_root)
-        )
-        self.webhooks = WebhookDeliverer(
-            secret=config.webhook_secret,
-            attempts=config.webhook_attempts,
-            backoff_seconds=config.webhook_backoff_seconds,
-            backoff_cap_seconds=config.webhook_backoff_cap_seconds,
-        )
+        self.store = LocalArtifactStore(config.artifact_root)
         self._sweeps: Dict[str, SweepRecord] = {}
         self._by_trace: Dict[str, SweepRecord] = {}
         self._server: Optional[asyncio.AbstractServer] = None
@@ -282,15 +270,6 @@ class Gateway:
             _SWEEPS_TOTAL.inc(outcome=record.state)
             self._publish(record, "done", self._terminal_document(record))
             record.finished.set()
-            if record.webhook_url:
-                task = asyncio.ensure_future(self._deliver_webhook(record))
-                self._track(task)
-
-    async def _deliver_webhook(self, record: SweepRecord) -> None:
-        body = encode_result(self._terminal_document(record))
-        record.webhook_delivered = await self.webhooks.deliver(
-            record.webhook_url, body
-        )
 
     async def _watch_loop(self) -> None:
         """Bridge the service's obs event stream into SSE subscribers."""
@@ -455,31 +434,13 @@ class Gateway:
 
     def _submit(self, request: httpd.HttpRequest) -> Tuple[int, bytes]:
         document = request.json()  # HttpError(400) propagates to _handle
-        if not isinstance(document, dict):
-            raise httpd.HttpError(400, "submit body must be a JSON object")
-        workload = document.get("workload")
-        if not isinstance(workload, str) or not workload:
-            raise httpd.HttpError(400, "submit requires a non-empty 'workload'")
-        params = document.get("params") or {}
-        if not isinstance(params, dict):
-            raise httpd.HttpError(400, "'params' must be a JSON object")
-        webhook_url = document.get("webhook_url") or ""
-        if not isinstance(webhook_url, str):
-            raise httpd.HttpError(400, "'webhook_url' must be a string")
-        trace = document.get("trace")
-        if trace is not None and not isinstance(trace, str):
-            raise httpd.HttpError(400, "'trace' must be a string")
         try:
-            sched_policy = SchedPolicy.parse(document.get("sched"))
+            workload, params, trace, sched = _parse_submit(document)
         except ValueError as error:
-            raise httpd.HttpError(400, f"'sched' invalid: {error}")
+            return 400, httpd.error_response(400, str(error), code="bad-request")
         sweep_id = f"sw-{uuid.uuid4().hex[:12]}"
         record = SweepRecord(
-            sweep_id=sweep_id,
-            workload=workload,
-            params=params,
-            webhook_url=webhook_url,
-            sched=sched_policy.to_dict() if document.get("sched") is not None else None,
+            sweep_id=sweep_id, workload=workload, params=params, sched=sched
         )
         self._sweeps[sweep_id] = record
         record.task = asyncio.ensure_future(self._run_sweep(record, trace))
@@ -586,6 +547,9 @@ class Gateway:
                     if seq > cursor:
                         writer.write(sse.format_sse(seq, event, data))
                         terminal_sent = terminal_sent or event == "done"
+            # A finished sweep's last frame is its `done`: a cursor at or
+            # past it has nothing left to wait for.
+            terminal_sent = terminal_sent or record.finished.is_set()
             await writer.drain()
             while not terminal_sent:
                 getter = asyncio.ensure_future(queue.get())
@@ -634,3 +598,38 @@ class Gateway:
         if cursor < oldest - 1:
             return None  # the window has moved past the cursor: resync
         return cursor
+
+
+def _parse_submit(
+    document: Any,
+) -> Tuple[str, Dict[str, Any], Optional[str], Optional[Dict[str, Any]]]:
+    """``(workload, params, trace, sched)`` of a submit body.
+
+    ``ValueError`` names the first problem: a non-object body, a field
+    outside :data:`SUBMIT_FIELDS`, or a field of the wrong type.  An
+    absent ``params`` means ``{}``; a present one must be an object.
+    """
+    if not isinstance(document, dict):
+        raise ValueError("submit body must be a JSON object")
+    unknown = sorted(set(document) - set(SUBMIT_FIELDS))
+    if unknown:
+        raise ValueError(
+            f"unknown submit field(s): {', '.join(unknown)} "
+            f"(allowed: {', '.join(SUBMIT_FIELDS)})"
+        )
+    workload = document.get("workload")
+    if not isinstance(workload, str) or not workload:
+        raise ValueError("submit requires a non-empty 'workload'")
+    params = document.get("params", {})
+    if not isinstance(params, dict):
+        raise ValueError("'params' must be a JSON object")
+    trace = document.get("trace")
+    if trace is not None and not isinstance(trace, str):
+        raise ValueError("'trace' must be a string")
+    sched = document.get("sched")
+    if sched is not None:
+        try:
+            sched = SchedPolicy.parse(sched).to_dict()
+        except ValueError as error:
+            raise ValueError(f"'sched' invalid: {error}") from None
+    return workload, params, trace, sched

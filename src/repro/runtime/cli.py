@@ -71,8 +71,8 @@ deduplicated (single-flight), and per-job progress events stream back to
 every client (see :mod:`repro.service` for the client API).
 
 The serve command also owns the resilience knobs: per-client backpressure
-(``--max-inflight``, ``--max-queued-bytes``, ``--rate``/``--burst`` —
-over-budget submits are answered with a structured ``busy`` error), and
+(``--max-inflight``, ``--max-queued-bytes`` — over-budget submits are
+answered with a structured ``busy`` error), and
 the persistent job journal (``--journal PATH``, ``--no-journal``) with
 ``--resume`` to re-enqueue whatever a killed server left interrupted.
 See ``docs/operations.md`` for deployment guidance and the recovery
@@ -80,10 +80,8 @@ runbook, and ``docs/protocol.md`` for the wire protocol.
 
 ``python -m repro gateway --service H:P`` puts the HTTP/SSE front door
 (:mod:`repro.gateway`) in front of a running service: REST submits,
-Server-Sent-Events progress streams, content-addressed artifact spill
-(``--artifact-root``, ``--spill-bytes``) and HMAC-signed completion
-webhooks.  Gateway replicas are stateless — run several behind a load
-balancer against one service.  See ``docs/gateway.md``.
+Server-Sent-Events progress streams and content-addressed artifact spill
+(``--artifact-root``, ``--spill-bytes``).  See ``docs/gateway.md``.
 
 Observability
 -------------
@@ -445,18 +443,12 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     elif args.resume:
         print("error: --resume requires the journal (drop --no-journal)", file=sys.stderr)
         return 2
-    if args.burst is not None and args.rate is None:
-        print("error: --burst only applies together with --rate", file=sys.stderr)
-        return 2
     service = SweepService(
         engine,
         host=args.host,
         port=args.port,
-        max_workers=args.service_workers,
         max_inflight=args.max_inflight,
         max_queued_bytes=args.max_queued_bytes,
-        rate=args.rate,
-        burst=args.burst,
         journal=journal,
     )
 
@@ -515,8 +507,6 @@ def _cmd_gateway(args: argparse.Namespace) -> int:
             artifact_root=str(args.artifact_root),
             spill_bytes=args.spill_bytes,
             max_body_bytes=args.max_body_bytes,
-            webhook_secret=args.webhook_secret,
-            webhook_attempts=args.webhook_attempts,
         ).validate()
     except ValueError as error:
         print(f"error: {error}", file=sys.stderr)
@@ -696,12 +686,6 @@ def build_parser() -> argparse.ArgumentParser:
     serve_parser.add_argument(
         "--port", type=int, default=7463, help="TCP port (0 picks a free port)"
     )
-    serve_parser.add_argument(
-        "--service-workers",
-        type=int,
-        default=4,
-        help="worker threads running blocking sweeps (distinct sweeps in flight)",
-    )
     backpressure = serve_parser.add_argument_group(
         "backpressure (per-client; over-budget submits are answered `busy`)"
     )
@@ -717,19 +701,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         metavar="SIZE",
         help="max summed request bytes in flight per connection (K/M/G suffixes)",
-    )
-    backpressure.add_argument(
-        "--rate",
-        type=float,
-        default=None,
-        help="token-bucket submit rate limit per connection (submits/second)",
-    )
-    backpressure.add_argument(
-        "--burst",
-        type=int,
-        default=None,
-        help="token-bucket burst size; only applies with --rate "
-        "(default: max(1, --rate))",
     )
     journal_group = serve_parser.add_argument_group(
         "job journal (crash recovery; see docs/operations.md)"
@@ -757,11 +728,8 @@ def build_parser() -> argparse.ArgumentParser:
         description=(
             "Serve the REST + Server-Sent-Events API in front of a running "
             "`python -m repro serve` instance: submit sweeps over HTTP, "
-            "stream progress as SSE, fetch spilled results from the "
-            "content-addressed artifact store, and receive HMAC-signed "
-            "completion webhooks.  Replicas are stateless: run several "
-            "behind a load balancer against one service.  See "
-            "docs/gateway.md."
+            "stream progress as SSE and fetch spilled results from the "
+            "content-addressed artifact store.  See docs/gateway.md."
         ),
     )
     gateway_parser.add_argument(
@@ -793,19 +761,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=1_000_000,
         metavar="SIZE",
         help="reject request bodies over SIZE with 413 (default: 1M)",
-    )
-    gateway_parser.add_argument(
-        "--webhook-secret",
-        default="repro-gateway",
-        metavar="SECRET",
-        help="HMAC-SHA256 key for the X-Repro-Signature webhook header",
-    )
-    gateway_parser.add_argument(
-        "--webhook-attempts",
-        type=int,
-        default=3,
-        metavar="N",
-        help="webhook delivery attempts before giving up (default: 3)",
     )
     gateway_parser.add_argument(
         "--metrics-port",

@@ -57,8 +57,8 @@ The service is hardened for flaky / untrusted-ish traffic (see
   submitted sweep at the next job/chunk boundary once its *last*
   subscribed client is gone (single-flighted sweeps keep running while
   anyone still waits);
-* per-client backpressure (``--max-inflight``, ``--max-queued-bytes``,
-  ``--rate``) answers over-budget submits with a structured ``busy``
+* per-client backpressure (``--max-inflight``, ``--max-queued-bytes``)
+  answers over-budget submits with a structured ``busy``
   error (typed client-side as :class:`ServiceBusyError`) instead of
   accepting unbounded work;
 * a persistent job journal (:mod:`repro.journal`) records every accepted

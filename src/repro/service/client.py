@@ -20,7 +20,7 @@ Server-side failures surface as **typed exceptions** keyed by the stable
 so callers can distinguish a transport problem (``ConnectionError``) from
 
 * :class:`ServiceBusyError` — per-client backpressure rejected the
-  request (``retry_after`` hints how long to back off);
+  request;
 * :class:`ServiceCancelledError` — the request (or its underlying
   single-flighted sweep) was cancelled;
 * :class:`ServiceBadRequestError` — the request itself was invalid;
@@ -52,15 +52,9 @@ class ServiceError(RuntimeError):
     code:
         The stable error class from the wire (``failed`` for workload
         failures; subclasses carry their own).
-    retry_after:
-        Backoff hint in seconds (rate-limit rejections only), else None.
     """
 
     code = "failed"
-
-    def __init__(self, message: str, retry_after: Optional[float] = None):
-        super().__init__(message)
-        self.retry_after = retry_after
 
 
 class ServiceBusyError(ServiceError):
@@ -90,12 +84,7 @@ _ERROR_TYPES: Dict[str, Type[ServiceError]] = {
 def error_from_event(message: Dict[str, Any]) -> ServiceError:
     """Build the typed exception for one terminal ``error`` event."""
     code = str(message.get("code", "failed"))
-    retry_after = message.get("retry_after_seconds")
-    exc_type = _ERROR_TYPES.get(code, ServiceError)
-    return exc_type(
-        str(message.get("error")),
-        retry_after=float(retry_after) if retry_after is not None else None,
-    )
+    return _ERROR_TYPES.get(code, ServiceError)(str(message.get("error")))
 
 
 @dataclasses.dataclass
@@ -268,8 +257,7 @@ class ServiceClient:
         Raises
         ------
         ServiceBusyError
-            The server's per-client backpressure rejected the submit
-            (check :attr:`~ServiceError.retry_after`).
+            The server's per-client backpressure rejected the submit.
         ServiceCancelledError
             The request was cancelled — via :meth:`cancel`, or because the
             single-flighted sweep was cancelled server-side.

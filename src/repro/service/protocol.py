@@ -55,8 +55,7 @@ Server → client messages carry an ``event`` and the originating ``id``:
                    (unknown workload, malformed fields, cancel of an
                    unknown id);
                  * ``busy``       — rejected by per-client backpressure
-                   (in-flight cap, queued-bytes cap or the token-bucket
-                   rate limit); may carry ``retry_after_seconds``;
+                   (in-flight cap or queued-bytes cap);
                  * ``cancelled``  — the sweep was cancelled (by this
                    client, the last subscriber, or server shutdown);
                  * ``failed``     — the workload raised or its result
@@ -239,17 +238,6 @@ def error_event(
     return {"event": "error", "id": request_id, "error": message, "code": code}
 
 
-def busy_event(
-    request_id: Optional[str],
-    message: str,
-    retry_after_seconds: Optional[float] = None,
-) -> Dict[str, Any]:
-    """Backpressure rejection: the per-client budget is exhausted.
-
-    ``retry_after_seconds`` (when the limit is the token-bucket rate) tells
-    a well-behaved client how long to back off before resubmitting.
-    """
-    event = error_event(request_id, message, code="busy")
-    if retry_after_seconds is not None:
-        event["retry_after_seconds"] = retry_after_seconds
-    return event
+def busy_event(request_id: Optional[str], message: str) -> Dict[str, Any]:
+    """Backpressure rejection: the per-client budget is exhausted."""
+    return error_event(request_id, message, code="busy")

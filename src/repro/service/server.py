@@ -29,9 +29,8 @@ for the full data flow):
   through the coordinator.  Single-flighted requests keep running while
   anyone still waits.
 * **per-client backpressure** — each connection has an in-flight-submit
-  cap, a queued-bytes cap and a token-bucket rate limit; a request over
-  budget is answered with a structured ``busy`` error instead of being
-  queued unboundedly.  Admission happens synchronously in the read loop,
+  cap and a queued-bytes cap; a request over budget is answered with a
+  structured ``busy`` error instead of being queued unboundedly.  Admission happens synchronously in the read loop,
   so a pipelined burst cannot overshoot the limits.
 * **job journal** — accepted jobs are recorded in a persistent NDJSON
   journal (:mod:`repro.journal`); :meth:`SweepService.resume` re-enqueues
@@ -74,6 +73,10 @@ _REQUESTS_TOTAL = obs.counter(
     "repro_service_requests_total", "Service requests served, by op.", labels=("op",)
 )
 _KNOWN_OPS = ("ping", "status", "submit", "cancel", "watch")
+
+#: Worker threads running blocking sweeps: how many *distinct* sweeps make
+#: progress concurrently (identical ones single-flight onto one thread).
+SWEEP_THREADS = 4
 
 #: Help strings of the service counters; each backs a registry metric and
 #: the per-instance view ``status`` reports (:class:`repro.obs.CounterGroup`).
@@ -125,31 +128,6 @@ def _put_drop_oldest(queue: "asyncio.Queue", item: Any) -> int:
                 dropped += 1
             except asyncio.QueueEmpty:
                 pass
-
-
-class _TokenBucket:
-    """Classic token bucket: ``rate`` tokens/second, ``burst`` capacity."""
-
-    def __init__(self, rate: float, burst: float):
-        self.rate = rate
-        self.capacity = max(1.0, float(burst))
-        self.tokens = self.capacity
-        self.updated = time.monotonic()
-
-    def try_acquire(self) -> bool:
-        """Take one token; ``False`` when the bucket is empty."""
-        now = time.monotonic()
-        self.tokens = min(self.capacity, self.tokens + (now - self.updated) * self.rate)
-        self.updated = now
-        if self.tokens >= 1.0:
-            self.tokens -= 1.0
-            return True
-        return False
-
-    def retry_after(self) -> float:
-        """Seconds until the next token becomes available."""
-        missing = max(0.0, 1.0 - self.tokens)
-        return missing / self.rate if self.rate > 0 else 1.0
 
 
 class _PendingRequest:
@@ -205,7 +183,6 @@ class _Connection:
         # Backpressure state, mutated synchronously on the event loop.
         self.pending: Dict[str, _PendingRequest] = {}
         self.queued_bytes = 0
-        self.bucket: Optional[_TokenBucket] = None
 
     async def send(self, message: Dict[str, Any]) -> bool:
         """Write one message; returns ``False`` once the peer is gone."""
@@ -269,10 +246,6 @@ class SweepService:
     host, port:
         Bind address; ``port=0`` picks a free port (see :attr:`address`
         after :meth:`start`).
-    max_workers:
-        Worker threads running blocking sweeps; this bounds how many
-        *distinct* sweeps make progress concurrently (identical ones
-        single-flight onto one thread).
     max_inflight:
         Per-connection cap on concurrently in-flight submits; the cap-th
         + 1 submit is answered ``busy``.  ``None`` disables the cap.
@@ -280,11 +253,6 @@ class SweepService:
         Per-connection cap on the summed wire size of in-flight submit
         requests (a rough proxy for queued work); over-budget submits are
         answered ``busy``.  ``None`` disables the cap.
-    rate, burst:
-        Token-bucket submit rate limit per connection: sustained ``rate``
-        submits/second with bursts up to ``burst`` (default:
-        ``max(1, rate)``).  Over-rate submits are answered ``busy`` with a
-        ``retry_after_seconds`` hint.  ``rate=None`` disables the limiter.
     journal:
         Optional :class:`repro.journal.JobJournal`.  Accepted jobs are
         recorded ``submitted`` and finished ones ``completed`` /
@@ -294,7 +262,7 @@ class SweepService:
     Raises
     ------
     ValueError
-        For non-positive ``max_workers`` or non-positive limit values.
+        For non-positive limit values.
     """
 
     def __init__(
@@ -302,32 +270,21 @@ class SweepService:
         engine: Optional[SweepEngine] = None,
         host: str = "127.0.0.1",
         port: int = 0,
-        max_workers: int = 4,
         max_inflight: Optional[int] = 8,
         max_queued_bytes: Optional[int] = None,
-        rate: Optional[float] = None,
-        burst: Optional[int] = None,
         journal: Optional[JobJournal] = None,
     ):
-        if max_workers < 1:
-            raise ValueError("max_workers must be at least 1")
         if max_inflight is not None and max_inflight < 1:
             raise ValueError("max_inflight must be at least 1 (or None to disable)")
         if max_queued_bytes is not None and max_queued_bytes < 1:
             raise ValueError("max_queued_bytes must be positive (or None to disable)")
-        if rate is not None and rate <= 0:
-            raise ValueError("rate must be positive (or None to disable)")
-        if burst is not None and burst < 1:
-            raise ValueError("burst must be at least 1")
         self.engine = engine if engine is not None else SweepEngine(cache=ArtifactCache())
         self.max_inflight = max_inflight
         self.max_queued_bytes = max_queued_bytes
-        self.rate = rate
-        self.burst = burst
         self.journal = journal
         self._host = host
         self._port = port
-        self._pool = ThreadPoolExecutor(max_workers=max_workers, thread_name_prefix="sweep")
+        self._pool = ThreadPoolExecutor(max_workers=SWEEP_THREADS, thread_name_prefix="sweep")
         self._flights: Dict[str, _Flight] = {}
         self._connections: Set[_Connection] = set()
         self._handler_tasks: Set["asyncio.Task"] = set()
@@ -509,10 +466,6 @@ class SweepService:
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> None:
         connection = _Connection(reader, writer)
-        if self.rate is not None:
-            connection.bucket = _TokenBucket(
-                self.rate, self.burst if self.burst is not None else max(1.0, self.rate)
-            )
         self._connections.add(connection)
         task = asyncio.current_task()
         if task is not None:
@@ -622,13 +575,6 @@ class SweepService:
                     f"queued request bytes over budget "
                     f"({connection.queued_bytes + cost} > {self.max_queued_bytes})",
                 )
-        if connection.bucket is not None and not connection.bucket.try_acquire():
-            self._counters.inc("busy_rejections")
-            return protocol.busy_event(
-                request_id,
-                f"submit rate limit exceeded ({self.rate:g}/s)",
-                retry_after_seconds=round(connection.bucket.retry_after(), 3),
-            )
         connection.pending[request_id] = _PendingRequest(cost)
         connection.queued_bytes += cost
         return None
@@ -836,8 +782,6 @@ class SweepService:
             "limits": {
                 "max_inflight": self.max_inflight,
                 "max_queued_bytes": self.max_queued_bytes,
-                "rate": self.rate,
-                "burst": self.burst,
             },
             "busy_rejections": self.busy_rejections,
             "jobs_cancelled": self.jobs_cancelled,

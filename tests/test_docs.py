@@ -42,7 +42,6 @@ DOCTEST_MODULES = [
     "repro.gateway.routes",
     "repro.gateway.sse",
     "repro.gateway.artifacts",
-    "repro.gateway.webhooks",
     "repro.dnn.imc_injection",
     "repro.dnn.network",
     "repro.circuits.mosfet",
@@ -234,12 +233,9 @@ class TestDocsTree:
             "python -m repro gateway",
             "--spill-bytes",
             "--artifact-root",
-            "X-Repro-Signature",
-            "X-Repro-Delivery-Attempt",
             "X-Repro-Digest",
             "Last-Event-ID",
-            "verify_signature",
-            "webhook_url",
+            "bad-request",
             "error_code",
             "sched",
         ):
@@ -305,6 +301,19 @@ class TestDocsTree:
         ]
         assert not stale, f"docs still mention the removed option: {stale}"
 
+    def test_docs_do_not_mention_the_removed_serving_options(self):
+        """Completion callbacks, the submit rate limiter and the service
+        thread option are gone; no doc may still advertise them."""
+        stale = [
+            f"{path.name}: {needle}"
+            for path in DOC_FILES
+            for needle in (
+                "webhook", "--rate", "--burst", "retry_after", "--service-workers"
+            )
+            if needle in path.read_text(encoding="utf-8").lower()
+        ]
+        assert not stale, f"docs still mention removed options: {stale}"
+
     def test_documented_run_commands_name_run_workloads(self):
         """Every ``python -m repro run <name>`` in the docs names a workload
         the ``run`` parser offers (upper-case placeholders such as ``NAME``
@@ -342,7 +351,6 @@ class TestDocsTree:
         import repro.cluster.worker  # noqa: F401
         import repro.obs.http  # noqa: F401
         import repro.gateway.server  # noqa: F401
-        import repro.gateway.webhooks  # noqa: F401
         from repro import obs
         from repro.cluster.coordinator import Coordinator
 

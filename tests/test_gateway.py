@@ -10,14 +10,12 @@ Covers the tentpole guarantees:
   when the client disconnects mid-stream;
 * content-addressed artifact spill above the ``spill_bytes`` threshold,
   served back via ``GET /v1/artifacts/{digest}``;
-* HMAC-signed completion webhooks with bounded retry/backoff, including
-  the exhausted-retries failure counter;
 * structured errors for every failure path: oversized bodies (413),
-  malformed submits (400), unknown sweeps/routes (404), method
+  malformed submits and unknown submit fields (400), unknown sweeps/routes (404), method
   mismatches (405), artifact-store write failures (500), cancelled
   sweeps (409);
 * the subprocess end-to-end path: ``python -m repro serve`` + ``python
-  -m repro gateway`` + REST + SSE + artifact fetch + webhook + metrics.
+  -m repro gateway`` + REST + SSE + artifact fetch + metrics.
 
 Every async scenario runs under ``asyncio.wait_for`` so a hung server
 fails the test quickly (the CI job adds an outer ``timeout`` on top).
@@ -28,7 +26,6 @@ from __future__ import annotations
 import asyncio
 import contextlib
 import hashlib
-import http.server
 import json
 import os
 import re
@@ -41,6 +38,7 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import repro
+import repro.gateway
 from repro import httpd, obs
 from repro.gateway import (
     Gateway,
@@ -50,12 +48,10 @@ from repro.gateway import (
     digest_of,
     encode_result,
     match_route,
-    sign_payload,
-    verify_signature,
-    WebhookDeliverer,
 )
 from repro.gateway.routes import ROUTES, SSE_EVENTS, allowed_methods
 from repro.runtime import Job, SweepEngine, SweepSpec
+from repro.runtime.cli import main as cli_main
 from repro.service import (
     ServiceClient,
     SweepService,
@@ -130,14 +126,11 @@ async def running_stack(tmp_path, **overrides):
         service_port=port,
         artifact_root=str(tmp_path / "artifacts"),
         spill_bytes=512,
-        webhook_backoff_seconds=0.01,
-        webhook_backoff_cap_seconds=0.05,
         sse_keepalive_seconds=0.2,
         watch_backoff_seconds=0.05,
     )
     settings.update(overrides)
-    store = settings.pop("store", None)
-    gateway = Gateway(GatewayConfig(**settings), store=store)
+    gateway = Gateway(GatewayConfig(**settings))
     await gateway.start()
     try:
         yield service, gateway
@@ -490,110 +483,10 @@ class TestArtifactStore:
     def test_encoding_is_deterministic(self):
         assert encode_result({"b": 1, "a": 2}) == encode_result({"a": 2, "b": 1})
 
-
-# ----------------------------------------------------------------------
-# Webhooks
-# ----------------------------------------------------------------------
-class _WebhookReceiver:
-    """In-loop asyncio receiver capturing deliveries; scriptable statuses."""
-
-    def __init__(self, statuses=(200,)):
-        self.statuses = list(statuses)
-        self.deliveries = []
-        self._server = None
-        self.port = 0
-
-    async def __aenter__(self):
-        self._server = await asyncio.start_server(self._handle, "127.0.0.1", 0)
-        self.port = self._server.sockets[0].getsockname()[1]
-        return self
-
-    async def __aexit__(self, *exc_info):
-        self._server.close()
-        await self._server.wait_closed()
-
-    async def _handle(self, reader, writer):
-        request = await httpd.read_request(reader)
-        if request is not None:
-            self.deliveries.append(request)
-        status = self.statuses.pop(0) if len(self.statuses) > 1 else self.statuses[0]
-        writer.write(httpd.json_response(status, {"ok": status < 300}))
-        await writer.drain()
-        writer.close()
-
-
-class TestWebhooks:
-    def test_sign_and_verify(self):
-        body = b'{"state": "completed"}'
-        signature = sign_payload(body, "secret")
-        assert verify_signature(body, "secret", signature)
-        assert not verify_signature(b'{"state": "failed"}', "secret", signature)
-        assert not verify_signature(body, "other-secret", signature)
-
-    def test_delivery_carries_valid_signature(self):
-        async def scenario():
-            async with _WebhookReceiver() as receiver:
-                deliverer = WebhookDeliverer("s3cret", attempts=2,
-                                             backoff_seconds=0.01)
-                body = encode_result({"state": "completed"})
-                assert await deliverer.deliver(
-                    f"http://127.0.0.1:{receiver.port}/hook", body
-                )
-                (request,) = receiver.deliveries
-                assert request.body == body
-                assert verify_signature(
-                    request.body, "s3cret", request.headers["x-repro-signature"]
-                )
-                assert request.headers["x-repro-delivery-attempt"] == "1"
-
-        run(scenario())
-
-    def test_retry_then_success_counts_attempts(self):
-        async def scenario():
-            async with _WebhookReceiver(statuses=[500, 200]) as receiver:
-                deliverer = WebhookDeliverer("k", attempts=3, backoff_seconds=0.01)
-                assert await deliverer.deliver(
-                    f"http://127.0.0.1:{receiver.port}/hook", b"{}"
-                )
-                attempts = [
-                    request.headers["x-repro-delivery-attempt"]
-                    for request in receiver.deliveries
-                ]
-                assert attempts == ["1", "2"]
-
-        run(scenario())
-
-    def test_down_endpoint_exhausts_retries_and_counts_failure(self):
-        deliveries = obs.counter(
-            "repro_gateway_webhook_deliveries_total", labels=("outcome",)
-        )
-        attempts_counter = obs.counter("repro_gateway_webhook_attempts_total")
-        exhausted_before = deliveries.value(outcome="exhausted")
-        attempts_before = attempts_counter.value()
-
-        async def scenario():
-            # Bind-then-close: the port is now reliably refused.
-            probe = await asyncio.start_server(
-                lambda r, w: None, "127.0.0.1", 0
-            )
-            port = probe.sockets[0].getsockname()[1]
-            probe.close()
-            await probe.wait_closed()
-            deliverer = WebhookDeliverer("k", attempts=3, backoff_seconds=0.01)
-            assert not await deliverer.deliver(
-                f"http://127.0.0.1:{port}/hook", b"{}"
-            )
-
-        run(scenario())
-        assert deliveries.value(outcome="exhausted") == exhausted_before + 1
-        assert attempts_counter.value() == attempts_before + 3
-
-    def test_non_http_url_is_rejected_without_dialling(self):
-        async def scenario():
-            deliverer = WebhookDeliverer("k", attempts=3)
-            return await deliverer.deliver("ftp://example/hook", b"{}")
-
-        assert run(scenario()) is False
+    def test_local_store_is_the_only_store(self):
+        assert not hasattr(repro.gateway, "ArtifactStore")
+        with pytest.raises(TypeError):
+            Gateway(GatewayConfig(), store=None)
 
 
 # ----------------------------------------------------------------------
@@ -719,6 +612,70 @@ class TestGatewayRest:
                 assert json.loads(body)["status"] == "ok"
 
         run(scenario())
+
+    @pytest.mark.parametrize(
+        "params", [[], 0, "", False, None],
+        ids=["list", "zero", "empty-string", "false", "null"],
+    )
+    def test_non_object_params_is_a_typed_400(self, tmp_path, toy_workloads, params):
+        async def scenario():
+            async with running_stack(tmp_path) as (_, gateway):
+                body = json.dumps({"workload": "toy", "params": params}).encode()
+                status, _, answer = await http_request(
+                    gateway.port, "POST", "/v1/sweeps", body=body
+                )
+                assert status == 400
+                document = json.loads(answer)
+                assert document["code"] == "bad-request"
+                assert "params" in document["error"]
+                assert not gateway._sweeps
+
+        run(scenario())
+
+    def test_absent_params_means_empty(self, tmp_path, toy_workloads):
+        async def scenario():
+            async with running_stack(tmp_path) as (_, gateway):
+                status, _, answer = await http_request(
+                    gateway.port, "POST", "/v1/sweeps", body=b'{"workload": "toy"}'
+                )
+                assert status == 202
+                final = await wait_terminal(gateway.port, json.loads(answer)["id"])
+                assert final["state"] == "completed"
+                assert gateway._sweeps[final["id"]].params == {}
+
+        run(scenario())
+
+    @pytest.mark.parametrize(
+        "field", [{"webhook_url": "http://127.0.0.1:9/done"}, {"priority": 1}]
+    )
+    def test_unknown_submit_field_is_a_typed_400(
+        self, tmp_path, toy_workloads, field
+    ):
+        """Completion callbacks were removed: a submit still asking for one
+        is refused rather than accepted with the callback dropped."""
+
+        async def scenario():
+            async with running_stack(tmp_path) as (_, gateway):
+                body = json.dumps({"workload": "toy", **field}).encode()
+                status, _, answer = await http_request(
+                    gateway.port, "POST", "/v1/sweeps", body=body
+                )
+                assert status == 400
+                document = json.loads(answer)
+                assert document["code"] == "bad-request"
+                assert next(iter(field)) in document["error"]
+                assert not gateway._sweeps
+
+        run(scenario())
+
+    @pytest.mark.parametrize(
+        "flag", [["--webhook-secret", "s"], ["--webhook-attempts", "2"]]
+    )
+    def test_gateway_rejects_the_removed_flags(self, flag, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            cli_main(["gateway", "--service", "127.0.0.1:1", *flag])
+        assert exit_info.value.code == 2
+        assert f"unrecognized arguments: {flag[0]}" in capsys.readouterr().err
 
     def test_unknown_workload_fails_the_sweep(self, tmp_path, toy_workloads):
         async def scenario():
@@ -886,6 +843,38 @@ class TestSse:
 
         run(scenario())
 
+    @pytest.mark.parametrize("past_done", [0, 1000])
+    def test_replay_past_the_end_of_a_finished_sweep_closes(
+        self, tmp_path, toy_workloads, past_done
+    ):
+        """A reconnect whose Last-Event-ID is at or past the `done` frame
+        has nothing left to receive: the stream ends instead of idling on
+        keepalives until the client gives up."""
+
+        async def scenario():
+            async with running_stack(tmp_path) as (_, gateway):
+                accepted = await submit_sweep(gateway.port, "toy", {"n": 3})
+                await wait_terminal(gateway.port, accepted["id"])
+                reader, writer = await open_sse(
+                    gateway.port, accepted["id"],
+                    headers=(("Last-Event-ID", "0"),),
+                )
+                replay = await read_sse_frames(reader)
+                writer.close()
+                done_id = replay[-1][0]
+                assert replay[-1][1] == "done"
+                reader, writer = await open_sse(
+                    gateway.port, accepted["id"],
+                    headers=(("Last-Event-ID", str(done_id + past_done)),),
+                )
+                rest = await asyncio.wait_for(
+                    reader.read(), 5 * gateway.config.sse_keepalive_seconds
+                )
+                writer.close()
+                assert b"event:" not in rest
+
+        run(scenario())
+
     def test_client_disconnect_mid_stream_cancels_cleanly(
         self, tmp_path, toy_workloads
     ):
@@ -912,69 +901,6 @@ class TestSse:
         run(scenario())
         streams_after = streams.value(outcome="disconnected")
         assert streams_after == disconnected_before + 1
-
-
-# ----------------------------------------------------------------------
-# Completion webhooks through the gateway (in-process)
-# ----------------------------------------------------------------------
-class TestGatewayWebhooks:
-    def test_completion_webhook_is_signed_and_delivered(
-        self, tmp_path, toy_workloads
-    ):
-        async def scenario():
-            async with _WebhookReceiver() as receiver:
-                async with running_stack(
-                    tmp_path, webhook_secret="hook-secret"
-                ) as (_, gateway):
-                    accepted = await submit_sweep(
-                        gateway.port, "toy", {"n": 3},
-                        webhook_url=f"http://127.0.0.1:{receiver.port}/done",
-                    )
-                    final = await wait_terminal(gateway.port, accepted["id"])
-                    assert final["state"] == "completed"
-                    record = gateway._sweeps[accepted["id"]]
-                    deadline = asyncio.get_running_loop().time() + TIMEOUT
-                    while record.webhook_delivered is None:
-                        assert asyncio.get_running_loop().time() < deadline
-                        await asyncio.sleep(0.02)
-                    assert record.webhook_delivered is True
-                    (request,) = receiver.deliveries
-                    document = json.loads(request.body)
-                    assert document["id"] == accepted["id"]
-                    assert document["state"] == "completed"
-                    assert verify_signature(
-                        request.body, "hook-secret",
-                        request.headers["x-repro-signature"],
-                    )
-
-        run(scenario())
-
-    def test_webhook_down_exhausts_retries(self, tmp_path, toy_workloads):
-        deliveries = obs.counter(
-            "repro_gateway_webhook_deliveries_total", labels=("outcome",)
-        )
-        exhausted_before = deliveries.value(outcome="exhausted")
-
-        async def scenario():
-            probe = await asyncio.start_server(lambda r, w: None, "127.0.0.1", 0)
-            port = probe.sockets[0].getsockname()[1]
-            probe.close()
-            await probe.wait_closed()
-            async with running_stack(tmp_path, webhook_attempts=2) as (_, gateway):
-                accepted = await submit_sweep(
-                    gateway.port, "toy",
-                    webhook_url=f"http://127.0.0.1:{port}/gone",
-                )
-                record = gateway._sweeps[accepted["id"]]
-                await wait_terminal(gateway.port, accepted["id"])
-                deadline = asyncio.get_running_loop().time() + TIMEOUT
-                while record.webhook_delivered is None:
-                    assert asyncio.get_running_loop().time() < deadline
-                    await asyncio.sleep(0.02)
-                assert record.webhook_delivered is False
-
-        run(scenario())
-        assert deliveries.value(outcome="exhausted") == exhausted_before + 1
 
 
 # ----------------------------------------------------------------------
@@ -1012,12 +938,8 @@ class TestEventsimWorkload:
 
 
 # ----------------------------------------------------------------------
-# Subprocess end-to-end: serve + gateway + REST/SSE/artifact/webhook
+# Subprocess end-to-end: serve + gateway + REST/SSE/artifact/metrics
 # ----------------------------------------------------------------------
-class _ThreadedWebhookSink(http.server.ThreadingHTTPServer):
-    daemon_threads = True
-
-
 class TestSubprocessEndToEnd:
     def _spawn(self, argv, env):
         return subprocess.Popen(
@@ -1028,37 +950,17 @@ class TestSubprocessEndToEnd:
             env=env,
         )
 
-    def test_rest_sse_artifact_webhook_end_to_end(self, tmp_path):
+    def test_rest_sse_artifact_end_to_end(self, tmp_path):
         """The acceptance criterion, driven over real sockets: REST submit
-        -> ordered SSE -> spilled artifact download -> signed webhook,
-        with the downloaded bytes bit-identical to a direct ServiceClient
-        run and repro_gateway_* metrics on the Prometheus endpoint."""
+        -> ordered SSE -> spilled artifact download, with the downloaded
+        bytes bit-identical to a direct ServiceClient run and
+        repro_gateway_* metrics on the Prometheus endpoint."""
         import urllib.request
 
         src_dir = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
         env = dict(os.environ)
         env["PYTHONPATH"] = src_dir + os.pathsep + env.get("PYTHONPATH", "")
         env["PYTHONUNBUFFERED"] = "1"
-
-        received = []
-
-        class Hook(http.server.BaseHTTPRequestHandler):
-            def do_POST(self):
-                length = int(self.headers["Content-Length"])
-                received.append(
-                    (self.rfile.read(length),
-                     self.headers["X-Repro-Signature"])
-                )
-                self.send_response(200)
-                self.send_header("Content-Length", "0")
-                self.end_headers()
-
-            def log_message(self, *args):
-                pass
-
-        sink = _ThreadedWebhookSink(("127.0.0.1", 0), Hook)
-        sink_thread = threading.Thread(target=sink.serve_forever, daemon=True)
-        sink_thread.start()
 
         serve = self._spawn(
             ["serve", "--port", "0", "--cache-dir", str(tmp_path / "cache")],
@@ -1074,7 +976,6 @@ class TestSubprocessEndToEnd:
                     "--port", "0",
                     "--artifact-root", str(tmp_path / "store"),
                     "--spill-bytes", "64",
-                    "--webhook-secret", "e2e-secret",
                     "--metrics-port", "0",
                 ],
                 env,
@@ -1085,12 +986,9 @@ class TestSubprocessEndToEnd:
             metrics_port = int(re.search(r":(\d+)/metrics", metrics_banner).group(1))
             base = f"http://127.0.0.1:{gateway_port}"
 
-            # REST submit with a completion webhook registered.
             body = json.dumps({
                 "workload": "characterize",
                 "params": {"fast": True},
-                "webhook_url":
-                    f"http://127.0.0.1:{sink.server_address[1]}/hook",
             }).encode()
             request = urllib.request.Request(
                 f"{base}/v1/sweeps", data=body,
@@ -1144,16 +1042,6 @@ class TestSubprocessEndToEnd:
             )
             assert downloaded == encode_result(direct.payload)
 
-            # Signed webhook arrived.
-            for _ in range(int(TIMEOUT / 0.1)):
-                if received:
-                    break
-                threading.Event().wait(0.1)
-            assert received, "webhook never arrived"
-            hook_body, signature = received[0]
-            assert verify_signature(hook_body, "e2e-secret", signature)
-            assert json.loads(hook_body)["id"] == sweep_id
-
             # Gateway metrics on the Prometheus endpoint.
             exposition = urllib.request.urlopen(
                 f"http://127.0.0.1:{metrics_port}/metrics", timeout=TIMEOUT
@@ -1163,7 +1051,6 @@ class TestSubprocessEndToEnd:
                 "repro_gateway_sweeps_total",
                 "repro_gateway_sse_frames_total",
                 "repro_gateway_artifact_spills_total",
-                "repro_gateway_webhook_deliveries_total",
             ):
                 assert name in exposition, name
         finally:
@@ -1172,5 +1059,3 @@ class TestSubprocessEndToEnd:
                 gateway.wait(timeout=15)
             serve.terminate()
             serve.wait(timeout=15)
-            sink.shutdown()
-            sink.server_close()

@@ -8,9 +8,9 @@ Covers the serving-tier hardening guarantees end to end:
   only dies when its *last* subscriber cancels; the distributed executor
   forwards the abort to the coordinator, which revokes queued chunks and
   tells workers to drop in-flight ones;
-* **backpressure** — per-connection in-flight, queued-bytes and
-  token-bucket rate limits answer over-budget submits with structured
-  ``busy`` errors (typed client-side), never by queueing unbounded work;
+* **backpressure** — per-connection in-flight and queued-bytes limits
+  answer over-budget submits with structured ``busy`` errors (typed
+  client-side), never by queueing unbounded work;
 * **journal recovery** — a ``python -m repro serve`` subprocess SIGKILLed
   mid-sweep is restarted with ``--resume``; the interrupted job is
   re-enqueued from the journal and the resubmitted request is served from
@@ -45,9 +45,9 @@ from repro.runtime import (
     SweepSpec,
     make_executor,
 )
+from repro.runtime.cli import main as cli_main
 from repro.service import (
     ServiceBadRequestError,
-    ServiceBusyError,
     ServiceCancelledError,
     ServiceClient,
     ServiceError,
@@ -356,35 +356,6 @@ class TestBackpressure:
         assert set(outcomes.values()) == {"busy"}
         assert rejections == 3
 
-    def test_burst_of_clients_rate_limited(self, toy_workloads, tmp_path):
-        """Each client in a burst gets `burst` submits, then typed busy
-        errors with a retry hint."""
-
-        async def scenario():
-            engine = SweepEngine(cache=ArtifactCache(tmp_path))
-            async with running_service(engine, rate=0.5, burst=1) as service:
-                host, port = service.address
-
-                async def hammer():
-                    async with ServiceClient(host, port) as client:
-                        first = await client.submit("quick", {"value": 1})
-                        try:
-                            await client.submit("quick", {"value": 2})
-                        except ServiceBusyError as error:
-                            return first.payload, error
-                        return first.payload, None
-
-                results = await asyncio.gather(*(hammer() for _ in range(4)))
-                return results, service.busy_rejections
-
-        results, rejections = run(scenario())
-        assert rejections == 4
-        for payload, error in results:
-            assert payload == {"echo": 1}, "the first submit per client succeeds"
-            assert isinstance(error, ServiceBusyError)
-            assert error.code == "busy"
-            assert error.retry_after is not None and error.retry_after > 0
-
     def test_queued_bytes_cap(self, toy_workloads, tmp_path):
         """Requests that *could* fit later are `busy` (retryable); a single
         request bigger than the whole budget is `bad-request` (terminal),
@@ -429,7 +400,7 @@ class TestBackpressure:
         async def scenario():
             engine = SweepEngine(cache=ArtifactCache(tmp_path))
             async with running_service(
-                engine, max_inflight=3, rate=2.0, burst=5, max_queued_bytes=10_000
+                engine, max_inflight=3, max_queued_bytes=10_000
             ) as service:
                 host, port = service.address
                 async with ServiceClient(host, port) as client:
@@ -439,11 +410,27 @@ class TestBackpressure:
         assert status["limits"] == {
             "max_inflight": 3,
             "max_queued_bytes": 10_000,
-            "rate": 2.0,
-            "burst": 5,
         }
         assert status["busy_rejections"] == 0
         assert status["jobs_cancelled"] == 0
+
+    @pytest.mark.parametrize(
+        "option", [{"rate": 2.0}, {"burst": 4}, {"max_workers": 8}]
+    )
+    def test_service_has_no_rate_limiter_or_thread_option(self, option):
+        """The in-flight and queued-bytes caps are the only limits; the
+        sweep thread count is the module constant SWEEP_THREADS."""
+        with pytest.raises(TypeError):
+            SweepService(**option)
+
+    @pytest.mark.parametrize(
+        "flag", [["--rate", "2"], ["--burst", "4"], ["--service-workers", "8"]]
+    )
+    def test_serve_rejects_the_removed_flags(self, flag, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            cli_main(["serve", "--port", "0", *flag])
+        assert exit_info.value.code == 2
+        assert f"unrecognized arguments: {flag[0]}" in capsys.readouterr().err
 
 
 # ----------------------------------------------------------------------
