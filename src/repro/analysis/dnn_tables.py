@@ -211,20 +211,21 @@ def evaluate_window(
     """Quantise the trained ``network``; count hits on ``test[lo:hi]``.
 
     ``modes`` are ``"float32"``, ``"int4"`` and corner names of
-    ``backends``.  When ``backends`` is ``None`` the corner modes use
-    :func:`corner_backends` (default technology, ``config.seed``).  The
+    ``backends`` (default: none); a corner mode with no backend is a
+    :class:`ValueError`, so the caller builds the corners once.  The
     INT4 network is calibrated on the first ``config.calibration_samples``
     training images, then :func:`~repro.dnn.evaluation.evaluate_backends`
     evaluates the window.  Returns ``{"samples": hi - lo, "<mode>_top1":
     ..., "<mode>_top5": ...}`` as integers, so window counts add up
     exactly.  Runs on one BLAS thread (:func:`~repro.dnn.blas.one_blas_thread`).
     """
+    backends = backends or {}
+    for mode in modes:
+        if mode not in ("float32", "int4") and mode not in backends:
+            raise ValueError(f"mode {mode!r} has no corner backend")
     with one_blas_thread():
         calibration = dataset.train_images[: config.calibration_samples]
         quantized = quantize_network(network, calibration, QuantizationScheme())
-        if backends is None:
-            corner_modes = [mode for mode in modes if mode not in ("float32", "int4")]
-            backends = corner_backends(seed=config.seed) if corner_modes else {}
         reports = evaluate_backends(
             network, quantized, backends, dataset, modes=modes, window=window
         )

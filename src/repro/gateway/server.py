@@ -433,10 +433,9 @@ class Gateway:
         return 500, httpd.error_response(500, f"unhandled route {route}")
 
     def _submit(self, request: httpd.HttpRequest) -> Tuple[int, bytes]:
-        document = request.json()  # HttpError(400) propagates to _handle
         try:
-            workload, params, trace, sched = _parse_submit(document)
-        except ValueError as error:
+            workload, params, trace, sched = _parse_submit(request.json())
+        except (httpd.HttpError, ValueError) as error:
             return 400, httpd.error_response(400, str(error), code="bad-request")
         sweep_id = f"sw-{uuid.uuid4().hex[:12]}"
         record = SweepRecord(

@@ -338,19 +338,33 @@ def _dnn_network(model: str, quick: bool) -> Any:
     return builders[model]()
 
 
+@functools.lru_cache(maxsize=None)
+def _dnn_backends(seed: int) -> Any:
+    """The ``dnn`` corner backends (calibration + full DSE), built once per process.
+
+    They are deterministic (``stochastic=False``), so every shard shares them.
+    """
+    from repro.analysis.dnn_tables import corner_backends
+
+    return corner_backends(seed=seed)
+
+
 def _evaluate_shard(model: str, modes: tuple, quick: bool, window: tuple, state: Any) -> Dict[str, int]:
     """Module-level shard body: hit counts of the trained model on ``window``.
 
     Only the trained ``state`` travels with the job; the network and the
-    dataset are rebuilt where the shard runs, so a shard's cluster message
-    stays small at any dataset size.
+    dataset are rebuilt where the shard runs (the corner backends are
+    built there once per process), so a shard's cluster message stays
+    small at any dataset size.
     """
     from repro.analysis.dnn_tables import evaluate_window
     from repro.dnn.network import load_network_state
 
+    config = _dnn_config(quick)
     network = _dnn_network(model, quick)
     load_network_state(network, state)
-    return evaluate_window(network, _dnn_dataset(quick), modes, _dnn_config(quick), window)
+    backends = _dnn_backends(config.seed) if set(modes) - {"float32", "int4"} else {}
+    return evaluate_window(network, _dnn_dataset(quick), modes, config, window, backends)
 
 
 @register_workload("dnn")
@@ -381,7 +395,9 @@ def run_dnn(params: Dict[str, Any], engine: SweepEngine) -> Dict[str, Any]:
     host), and the service's peak memory then holds the training (VmHWM
     46 -> 106 MB for one ``quick=False`` VGG16 request).  Only the
     evaluation shards, which carry just the trained state, reach cluster
-    workers.
+    workers.  Corner-mode shards build the corner backends once per
+    worker process: the first such shard in a process pays the
+    calibration plus the design-space exploration, later ones reuse them.
     """
     import numpy as np
 

@@ -632,6 +632,20 @@ class TestGatewayRest:
 
         run(scenario())
 
+    def test_non_json_body_is_a_typed_400(self, tmp_path, toy_workloads):
+        async def scenario():
+            async with running_stack(tmp_path) as (_, gateway):
+                status, _, answer = await http_request(
+                    gateway.port, "POST", "/v1/sweeps", body=b"{nope"
+                )
+                assert status == 400
+                document = json.loads(answer)
+                assert document["code"] == "bad-request"
+                assert "not valid JSON" in document["error"]
+                assert not gateway._sweeps
+
+        run(scenario())
+
     def test_absent_params_means_empty(self, tmp_path, toy_workloads):
         async def scenario():
             async with running_stack(tmp_path) as (_, gateway):

@@ -723,6 +723,58 @@ class TestDnnWorkload:
 
         run(scenario())
 
+    def test_corner_shards_run_the_dse_once_per_process(self, monkeypatch):
+        """Every corner-mode shard in a process shares one set of corner
+        backends: one design-space exploration, however many shards."""
+        from repro.analysis import dnn_tables
+        from repro.dnn.network import network_state
+        from repro.service import workloads
+
+        explorations = []
+        explore = dnn_tables.explore_design_space
+
+        def counting_explore(*args, **kwargs):
+            explorations.append(args)
+            return explore(*args, **kwargs)
+
+        workloads._dnn_backends.cache_clear()
+        # corner_backends calls the name dnn_tables imported from repro.core.dse
+        monkeypatch.setattr(dnn_tables, "explore_design_space", counting_explore)
+        modes = ("float32", "int4", "fom", "power", "variation")
+        config = workloads._dnn_config(True)
+        dataset = workloads._dnn_dataset(True)
+        network = workloads._dnn_network("VGG16", True)
+        dnn_tables.train(network, dataset, config.training())
+        state = network_state(network)
+        total = config.evaluation_size(dataset)
+
+        shards = [
+            workloads._evaluate_shard("VGG16", modes, True, window, state)
+            for window in ((0, 45), (45, total))
+        ]
+        workloads.run_dnn({"model": "VGG16", "modes": list(modes), "shards": 3}, SweepEngine())
+        assert len(explorations) == 1, "five corner-mode shards, one DSE"
+
+        backends = dnn_tables.corner_backends(seed=0)
+        whole = dnn_tables.evaluate_window(network, dataset, modes, config, (0, total), backends)
+        assert {key: sum(shard[key] for shard in shards) for key in whole} == whole
+
+    def test_corner_mode_without_a_backend_is_an_error(self, monkeypatch):
+        """A corner mode needs an explicit backend; no caller can fall back
+        to a hidden calibration plus DSE."""
+        from repro.analysis import dnn_tables
+        from repro.service import workloads
+
+        monkeypatch.setattr(dnn_tables, "explore_design_space", None)
+        config = workloads._dnn_config(True)
+        dataset = workloads._dnn_dataset(True)
+        network = workloads._dnn_network("VGG16", True)
+        for backends in (None, {}, {"power": object()}):
+            with pytest.raises(ValueError, match="'fom'"):
+                dnn_tables.evaluate_window(
+                    network, dataset, ("float32", "fom"), config, (0, 4), backends
+                )
+
 
 # ----------------------------------------------------------------------
 # `run` and `serve` share one workload registry
