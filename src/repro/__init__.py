@@ -48,13 +48,6 @@ The package is organised in layers, bottom-up:
   ``watch`` op, and cross-tier trace ids that follow each submit from
   the service through the engine, coordinator and workers (see
   ``docs/observability.md``).
-* :mod:`repro.sched` — the multi-tenant scheduling vocabulary: job
-  classes (``interactive`` / ``batch``), integer priorities and the
-  priority queue the cluster coordinator dispatches from.  Sweeps are
-  tagged at submit time (CLI flags, service ``sched`` field, gateway
-  ``POST /v1/sweeps``); higher-priority work dispatches first and
-  preempts lower-priority in-flight chunks by revoking their unstarted
-  tails (see ``docs/scheduling.md``).
 * :mod:`repro.lint` — project-aware static analysis (``python -m repro
   lint``): six pure-``ast`` rules enforcing the invariants the layers
   above promise — async tiers never block the event loop, solver paths

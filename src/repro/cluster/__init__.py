@@ -22,7 +22,7 @@ Layout::
 
     protocol.py     cluster wire messages: pickled jobs out, binary results back
     coordinator.py  Coordinator: registration, heartbeats, span queues,
-                    static chunks, work stealing, priority preemption,
+                    static chunks, FIFO backlogs, work stealing,
                     retry-on-worker-death, index merge
     worker.py       Worker: long-lived job runner (python -m repro worker)
     executor.py     DistributedExecutor: the make_executor("distributed")

@@ -85,21 +85,6 @@ def format_status(status: Dict[str, Any]) -> str:
         f"{stats.get('chunks_retried', 0)} retried, "
         f"{stats.get('workers_lost', 0)} workers lost",
     ]
-    sched = status.get("sched")
-    if sched:
-        depths = sched.get("queued_jobs_by_class") or {}
-        sched_stats = sched.get("stats") or {}
-        depth_text = ", ".join(
-            f"{job_class} {depths[job_class]}" for job_class in sorted(depths)
-        )
-        lines.append(
-            f"  sched  : queued jobs by class: {depth_text or '(none)'}; "
-            f"{sched.get('paused_runs', 0)} paused run(s), "
-            f"{sched_stats.get('preemptions', 0)}/"
-            f"{sched_stats.get('preempt_requests', 0)} preemptions granted, "
-            f"{sched_stats.get('resumes', 0)} resumed, "
-            f"{sched_stats.get('jobs_requeued', 0)} jobs requeued"
-        )
     for worker in status.get("workers", []):
         state = "alive" if worker.get("alive") else "dead"
         # Queue depth is reported in *jobs*: since protocol v3 the queues

@@ -16,23 +16,14 @@ sweeps; the full design rationale lives in ``docs/scheduling.md``):
 * each worker holds at most ``slots`` chunks in flight; the scheduler tops
   it up from its own queue first and otherwise **steals half of the
   longest backlog** (by job count) in the cluster, so a fast (or
-  late-joining) worker drains the queue of a slow one;
-* every run carries a :class:`repro.sched.SchedPolicy` (job class +
-  integer priority, larger wins): backlogs are priority queues, dispatch
-  is globally highest-priority-first, and when a higher-priority sweep
-  arrives while every slot is busy the coordinator **preempts** — the
-  lowest-priority in-flight chunks receive a ``split`` frame with
-  ``keep=0`` (protocol v3): the worker keeps the jobs it already started,
-  acks the kept count (``split_ack``), its eventual ``chunk_done`` is a
-  partial-completion ack covering only that prefix, and the unstarted
-  tail is requeued (``preempted`` event).  The paused run is ``resumed``
-  once its spans dispatch again;
+  late-joining) worker drains the queue of a slow one; backlogs are
+  FIFO, so concurrent runs dispatch in arrival order;
 * a worker that dies — its connection drops or its heartbeat goes silent —
   has its queued *and* in-flight work reassigned to the survivors, with a
   bounded retry count so a chunk that kills every worker cannot loop
   forever;
 * results are merged **by global job index**, so whatever the dispatch
-  schedule, chunk sizing, preemption or steal history, the returned list is
+  schedule, chunk sizing or steal history, the returned list is
   bit-identical to a serial run (the same guarantee every in-process
   executor gives);
 * a run whose ``cancel_event`` fires is **revoked**: queued spans are
@@ -58,13 +49,13 @@ import asyncio
 import dataclasses
 import itertools
 import time
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from collections import deque
+from typing import Any, Callable, Deque, Dict, List, Optional, Sequence, Tuple
 
 from repro import obs, wire
 from repro.cluster import protocol
 from repro.runtime.executors import CancelEvent, ProgressCallback, SweepCancelled
 from repro.runtime.jobs import Job, code_version
-from repro.sched import JOB_CLASSES, PriorityQueue, SchedPolicy
 
 #: Help strings of the coordinator counters; each backs a registry metric
 #: ``repro_cluster_<key>_total`` *and* the per-instance ``stats`` view the
@@ -82,16 +73,6 @@ _STAT_HELP = {
     "workers_lost": "Workers declared dead.",
     "duplicate_results": "Duplicate chunk results discarded.",
     "scheduler_errors": "Scheduler/reaper iterations that raised.",
-}
-
-#: Help strings of the multi-tenant scheduler counters (:mod:`repro.sched`);
-#: each backs a registry metric ``repro_sched_<key>_total`` *and* the
-#: ``sched`` section of the ``status`` document.
-_SCHED_STAT_HELP = {
-    "preempt_requests": "Preemption requests (split keep=0) sent to workers.",
-    "preemptions": "Granted preemptions: unstarted tails revoked and requeued.",
-    "resumes": "Preempted runs whose spans were dispatched again.",
-    "jobs_requeued": "Jobs handed back to the queues by preemption.",
 }
 
 _WORKERS_ALIVE = obs.gauge(
@@ -146,7 +127,6 @@ class _Run:
         progress: Optional[ProgressCallback],
         chunksize: int,
         trace: Optional[str] = None,
-        policy: Optional[SchedPolicy] = None,
     ):
         self.id = f"run-{next(self._ids)}"
         self.jobs: List[Job] = list(jobs)
@@ -155,13 +135,6 @@ class _Run:
         #: Observability id of the originating request; stamped on every
         #: chunk frame and event this run produces (``None`` = untraced).
         self.trace = trace
-        #: Scheduling class + priority (:mod:`repro.sched`); the batch
-        #: default keeps untagged runs exactly where FIFO put them.
-        self.policy = policy if policy is not None else SchedPolicy()
-        #: ``True`` between a granted preemption and the next dispatch of
-        #: this run's work — the coordinator emits ``resumed`` (and counts
-        #: the resume) when a paused run's chunk goes out again.
-        self.paused = False
         self.results: List[Any] = [None] * self.total
         self.remaining = self.total
         self.progress = progress
@@ -200,8 +173,8 @@ class _Span:
     """A contiguous, undispatched slice ``[start, stop)`` of one run's jobs.
 
     Queues hold spans, not chunks: the chunk a worker actually receives is
-    cut from a span's front at dispatch time, so stealing and preemption
-    can move work at job granularity.
+    cut from a span's front at dispatch time, so stealing can move work at
+    job granularity.
     """
 
     __slots__ = ("run", "start", "stop", "attempts")
@@ -216,23 +189,10 @@ class _Span:
         return self.stop - self.start
 
 
-def _span_priority(span: _Span) -> int:
-    """Priority key the span queues order by (the owning run's policy)."""
-    return span.run.policy.priority
-
-
 class _Chunk:
     """A dispatched slice of one run's jobs, in flight on one worker."""
 
-    __slots__ = (
-        "run",
-        "id",
-        "start",
-        "stop",
-        "attempts",
-        "dispatched_at",
-        "preempt_requested",
-    )
+    __slots__ = ("run", "id", "start", "stop", "attempts", "dispatched_at")
 
     def __init__(self, run: _Run, chunk_id: str, start: int, stop: int, attempts: int):
         self.run = run
@@ -241,9 +201,6 @@ class _Chunk:
         self.stop = stop
         self.attempts = attempts
         self.dispatched_at = 0.0
-        # One preemption request per chunk: set when the split frame goes
-        # out, cleared if the worker declines (the chunk finished first).
-        self.preempt_requested = False
 
     def __len__(self) -> int:
         return self.stop - self.start
@@ -279,7 +236,7 @@ class _WorkerLink:
         self.alive = True
         self.connected_at = time.time()
         self.last_seen = time.time()
-        self.queue: PriorityQueue = PriorityQueue(key=_span_priority)
+        self.queue: Deque[_Span] = deque()
         self.inflight: Dict[str, _Chunk] = {}
         self.chunks_done = 0
         self.jobs_done = 0
@@ -375,7 +332,7 @@ class Coordinator:
         self.max_chunk_retries = max_chunk_retries
         self.worker_wait_timeout = worker_wait_timeout
         self._links: Dict[str, _WorkerLink] = {}
-        self._orphans: PriorityQueue = PriorityQueue(key=_span_priority)
+        self._orphans: Deque[_Span] = deque()
         self._orphaned_since: Optional[float] = None
         self._runs: Dict[str, _Run] = {}
         self._server: Optional[asyncio.AbstractServer] = None
@@ -396,16 +353,6 @@ class Coordinator:
                 for key, help_text in _STAT_HELP.items()
             }
         )
-        # Preemption counters live in their own group so the ``status``
-        # document (and docs/scheduling.md) can present the multi-tenant
-        # scheduler as one coherent section.
-        self.sched_stats = obs.CounterGroup(
-            {
-                key: obs.counter(f"repro_sched_{key}_total", help_text)
-                for key, help_text in _SCHED_STAT_HELP.items()
-            }
-        )
-
     # ------------------------------------------------------------------
     # Lifecycle
     # ------------------------------------------------------------------
@@ -476,7 +423,6 @@ class Coordinator:
         progress: Optional[ProgressCallback] = None,
         cancel_event: Optional[CancelEvent] = None,
         trace: Optional[str] = None,
-        sched: Optional[Any] = None,
     ) -> List[Any]:
         """Execute ``jobs`` across the cluster; results in submission order.
 
@@ -497,19 +443,11 @@ class Coordinator:
         every chunk frame of this run (protocol v3, optional field) and is
         echoed back on ``chunk_done``, so metrics and ``watch`` events stay
         attributable end to end.
-
-        ``sched`` is anything :meth:`repro.sched.SchedPolicy.parse`
-        accepts (``None`` = the batch default).  A run with a higher
-        priority than queued or in-flight work dispatches first and may
-        preempt: busy workers are asked to hand back the unstarted tails
-        of their lower-priority chunks (``split`` with ``keep=0``), which
-        requeue behind the urgent work and resume afterwards —
-        bit-identity is untouched because results merge by job index.
         """
         jobs = list(jobs)
         if not jobs:
             return []
-        run = _Run(jobs, progress, chunksize, trace=trace, policy=SchedPolicy.parse(sched))
+        run = _Run(jobs, progress, chunksize, trace=trace)
         self._runs[run.id] = run
         self.stats.inc("runs")
         self._distribute(self._initial_spans(run))
@@ -579,7 +517,7 @@ class Coordinator:
         self._kick.set()
 
     # ------------------------------------------------------------------
-    # Scheduling: per-worker span queues + work stealing + preemption
+    # Scheduling: per-worker FIFO span queues + work stealing
     # ------------------------------------------------------------------
     def _alive_links(self) -> List[_WorkerLink]:
         return [link for link in self._links.values() if link.alive]
@@ -598,34 +536,14 @@ class Coordinator:
             target = min(links, key=_WorkerLink.load)
             target.queue.append(span)
 
-    def _waiting_priority(self) -> Optional[int]:
-        """Highest priority queued anywhere (orphan pool + every backlog)."""
-        priorities = [self._orphans.highest_priority()]
-        priorities.extend(link.queue.highest_priority() for link in self._alive_links())
-        present = [p for p in priorities if p is not None]
-        return max(present, default=None)
-
     def _steal_for(self, thief: _WorkerLink) -> Optional[_Span]:
-        """Steal waiting work for an idle-slot worker, most urgent first.
+        """Steal waiting work for an idle-slot worker.
 
-        The orphan pool wins when nothing queued on a peer outranks it.
-        Otherwise the victim is the most-loaded peer whose backlog holds
-        the highest waiting priority, and the thief takes half that
-        priority bucket's jobs off its tail: with every span at one
-        priority this is exactly the classic half-backlog steal (the
-        victim keeps the jobs it would reach next), and with mixed
-        priorities the thief walks away with the *urgent* half — theft
-        can never dispatch low-priority work past a queued high-priority
-        span.
+        Orphaned spans go first.  Otherwise the victim is the most-loaded
+        peer (by queued jobs), and the thief takes half its backlog off
+        the tail: the victim keeps the jobs it would reach next.
         """
-        candidates = [
-            link for link in self._alive_links() if link is not thief and link.queue
-        ]
-        peer_top = max(
-            (link.queue.highest_priority() for link in candidates), default=None
-        )
-        orphan_top = self._orphans.highest_priority()
-        if orphan_top is not None and (peer_top is None or orphan_top >= peer_top):
+        if self._orphans:
             span = self._orphans.popleft()
             if not self._orphans:
                 # Only a fully drained pool disarms the abandonment clock:
@@ -634,25 +552,19 @@ class Coordinator:
                 # worker_wait_timeout.
                 self._orphaned_since = None
             return span
-        if peer_top is None:
+        candidates = [
+            link for link in self._alive_links() if link is not thief and link.queue
+        ]
+        if not candidates:
             return None
-        victim = max(
-            (link for link in candidates if link.queue.highest_priority() == peer_top),
-            key=_WorkerLink.queued_jobs,
-        )
+        victim = max(candidates, key=_WorkerLink.queued_jobs)
         # Spans split at job granularity, so the half is exact even when
-        # the bucket is one big span.
-        bucket_jobs = sum(
-            len(span) for span in victim.queue if _span_priority(span) == peer_top
-        )
-        target = max(1, bucket_jobs // 2)
+        # the backlog is one big span.
+        target = max(1, victim.queued_jobs() // 2)
         taken: List[_Span] = []
         got = 0
-        while got < target:
-            try:
-                span = victim.queue.pop_tail(peer_top)
-            except IndexError:
-                break
+        while got < target and victim.queue:
+            span = victim.queue.pop()
             need = target - got
             if len(span) > need:
                 tail = _Span(span.run, span.stop - need, span.stop, span.attempts)
@@ -663,8 +575,6 @@ class Coordinator:
             else:
                 taken.append(span)
                 got += len(span)
-        if not taken:
-            return None
         self.stats.inc("chunks_stolen", len(taken))
         obs.EVENTS.emit(
             "chunk_stolen",
@@ -680,21 +590,8 @@ class Coordinator:
 
     def _next_chunk(self, link: _WorkerLink) -> Optional[_Chunk]:
         while True:
-            top = self._waiting_priority()
-            if top is None:
-                return None
-            if link.queue.highest_priority() == top:
-                # The own backlog holds (one of) the globally most urgent
-                # spans: locality wins, exactly the pre-sched behaviour.
-                span = link.queue.popleft()
-            else:
-                # Own backlog empty or outranked: bring the most urgent
-                # waiting work here instead (orphans, then priority-aware
-                # steal), falling back to the outranked backlog only when
-                # the urgent spans raced away to other workers.
-                span = self._steal_for(link)
-                if span is None and link.queue:
-                    span = link.queue.popleft()
+            # Locality first: the own backlog, else orphans or a steal.
+            span = link.queue.popleft() if link.queue else self._steal_for(link)
             if span is None:
                 return None
             if span.run.done or not len(span):
@@ -762,18 +659,6 @@ class Coordinator:
                 chunk=chunk.id,
                 jobs=len(chunk),
             )
-            if chunk.run.paused:
-                # First dispatch after a granted preemption: the paused
-                # run is back on a worker.
-                chunk.run.paused = False
-                self.sched_stats.inc("resumes")
-                obs.EVENTS.emit(
-                    "resumed",
-                    trace=chunk.run.trace,
-                    worker=link.id,
-                    chunk=chunk.id,
-                    jobs=len(chunk),
-                )
             if not await link.send_bytes(frame):
                 self._on_worker_death(link)
                 return
@@ -785,7 +670,6 @@ class Coordinator:
             try:
                 for link in self._alive_links():
                     await self._pump(link)
-                await self._maybe_preempt()
             except asyncio.CancelledError:
                 raise
             except Exception:
@@ -794,44 +678,6 @@ class Coordinator:
                 self.stats.inc("scheduler_errors")
                 self._kick.set()
                 await asyncio.sleep(self.heartbeat_interval)
-
-    async def _maybe_preempt(self) -> None:
-        """Revoke low-priority in-flight tails when urgent work waits.
-
-        Runs after every pump pass and on every reaper tick.  The trigger:
-        a span outranking some in-flight chunk is queued while no slot in
-        the cluster is free.  Each fully-busy worker is then asked to hand
-        back the unstarted tail of its lowest-priority in-flight chunk
-        (``split`` with ``keep=0``).  One request per chunk; declines (the
-        chunk finished first) simply clear the mark.
-        """
-        links = self._alive_links()
-        if not links:
-            return
-        top = self._waiting_priority()
-        if top is None:
-            return
-        if any(len(link.inflight) < link.slots for link in links):
-            # A free slot exists, so the urgent span is dispatchable the
-            # regular way (the pump pass just ran): nothing to revoke.
-            return
-        for link in links:
-            victims = [
-                chunk
-                for chunk in link.inflight.values()
-                if not chunk.preempt_requested
-                and not chunk.run.done
-                and len(chunk) >= 2
-                and chunk.run.policy.priority < top
-            ]
-            if not victims:
-                continue
-            victim = min(victims, key=lambda c: (c.run.policy.priority, -len(c)))
-            if victim.id not in link.inflight:
-                continue  # completed while an earlier send awaited
-            victim.preempt_requested = True
-            self.sched_stats.inc("preempt_requests")
-            await link.send(protocol.split_event(victim.id, keep=0))
 
     async def _reaper_loop(self) -> None:
         """Declare silent workers dead; time out permanently orphaned work."""
@@ -845,16 +691,6 @@ class Coordinator:
                     except (ConnectionError, OSError):
                         pass
                     self._on_worker_death(link)
-            # Periodic preemption check: it must fire even when no
-            # completion event has kicked the scheduler for a while.
-            # Guarded like the scheduler loop: a preemption bug must never
-            # kill the reaper, or dead-worker detection silently stops.
-            try:
-                await self._maybe_preempt()
-            except asyncio.CancelledError:
-                raise
-            except Exception:
-                self.stats.inc("scheduler_errors")
             if (
                 self._orphans
                 and not self._alive_links()
@@ -911,11 +747,11 @@ class Coordinator:
 
     def _drop_run_chunks(self, run: _Run) -> None:
         """Purge a finished/failed run's spans from every queue."""
-        self._orphans.retain(lambda span: span.run is not run)
+        self._orphans = deque(span for span in self._orphans if span.run is not run)
         if not self._orphans:
             self._orphaned_since = None
         for link in self._links.values():
-            link.queue.retain(lambda span: span.run is not run)
+            link.queue = deque(span for span in link.queue if span.run is not run)
 
     # ------------------------------------------------------------------
     # Connection handling
@@ -947,9 +783,6 @@ class Coordinator:
                 elif op == "chunk_done" and link is not None:
                     link.last_seen = time.time()
                     self._handle_chunk_done(link, message)
-                elif op == "split_ack" and link is not None:
-                    link.last_seen = time.time()
-                    self._handle_split_ack(link, message)
                 elif op == "chunk_failed" and link is not None:
                     link.last_seen = time.time()
                     self._handle_chunk_failed(link, message)
@@ -1112,9 +945,6 @@ class Coordinator:
             chunk.run.fail(ClusterError(f"undecodable results for {chunk.id}: {error}"))
             return
         if len(results) != len(chunk):
-            # A granted preemption truncated the coordinator-side chunk
-            # via the (stream-ordered) split_ack before this frame, so even
-            # partial completions must match exactly.
             chunk.run.fail(
                 ClusterError(
                     f"chunk {chunk.id} returned {len(results)} results "
@@ -1138,45 +968,6 @@ class Coordinator:
             seconds=seconds,
         )
         chunk.run.complete_chunk(chunk, results)
-        self._kick.set()
-
-    def _handle_split_ack(self, link: _WorkerLink, message: Dict[str, Any]) -> None:
-        """Requeue the tail a worker handed back in answer to ``split``."""
-        chunk = link.inflight.get(str(message.get("chunk")))
-        if chunk is None:
-            return  # raced with chunk_done / reassignment: nothing to take
-        kept = message.get("kept")
-        if kept is None:
-            # Split declined (chunk finished first): the full completion
-            # is on its way — drop the preempt mark.
-            chunk.preempt_requested = False
-            return
-        kept = int(kept)
-        if kept < 0 or kept >= len(chunk):
-            chunk.preempt_requested = False
-            return  # nothing handed back
-        if chunk.run.done:
-            # The run failed/finished while the split was in flight: the
-            # worker's eventual partial completion is discarded anyway, so
-            # neither the stats nor the queues should see this split.
-            return
-        tail = _Span(chunk.run, chunk.start + kept, chunk.stop, chunk.attempts)
-        chunk.stop = chunk.start + kept
-        # Preemption granted: the run is paused until its spans next
-        # dispatch.  The priority queues order the requeued tail behind
-        # the urgent work that triggered the revoke.
-        chunk.run.paused = True
-        self.sched_stats.inc("preemptions")
-        self.sched_stats.inc("jobs_requeued", len(tail))
-        obs.EVENTS.emit(
-            "preempted",
-            trace=chunk.run.trace,
-            worker=link.id,
-            chunk=chunk.id,
-            kept=kept,
-            requeued=len(tail),
-        )
-        self._distribute([tail])
         self._kick.set()
 
     def _handle_chunk_failed(self, link: _WorkerLink, message: Dict[str, Any]) -> None:
@@ -1209,23 +1000,7 @@ class Coordinator:
             "stats": dict(self.stats),
             "heartbeat_interval": self.heartbeat_interval,
             "heartbeat_timeout": self.heartbeat_timeout,
-            "sched": {
-                "queued_jobs_by_class": self._queued_jobs_by_class(),
-                "paused_runs": sum(1 for run in self._runs.values() if run.paused),
-                "stats": dict(self.sched_stats),
-            },
         }
-
-    def _queued_jobs_by_class(self) -> Dict[str, int]:
-        """Undispatched jobs waiting per job class, across every queue."""
-        depths = {job_class: 0 for job_class in JOB_CLASSES}
-        spans: List[_Span] = list(self._orphans)
-        for link in self._links.values():
-            spans.extend(link.queue)
-        for span in spans:
-            if not span.run.done:
-                depths[span.run.policy.job_class] += len(span)
-        return depths
 
     def describe(self) -> str:
         """Short human-readable summary."""

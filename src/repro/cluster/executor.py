@@ -347,7 +347,6 @@ class DistributedExecutor:
         batch_fn: Optional[Callable[[Sequence[Job]], List[Any]]] = None,
         cancel: Optional[CancelEvent] = None,
         trace: Optional[str] = None,
-        sched: Optional[Any] = None,
     ) -> List[Any]:
         """Run ``jobs`` across the cluster; results in submission order.
 
@@ -364,10 +363,6 @@ class DistributedExecutor:
         (the originating request's observability id, see :mod:`repro.obs`)
         rides every chunk frame of the run and is echoed by workers, so
         cross-tier metrics and ``watch`` events stay attributable.
-        ``sched`` (anything :meth:`repro.sched.SchedPolicy.parse` accepts)
-        sets the run's class and priority in the coordinator's
-        multi-tenant scheduler; higher-priority runs dispatch first and
-        may preempt lower-priority in-flight work.
         """
         if len(jobs) <= 1:
             return _serial_fallback(jobs, progress, batch_fn, cancel)
@@ -384,7 +379,6 @@ class DistributedExecutor:
                 progress=progress,
                 cancel_event=cancel,
                 trace=trace,
-                sched=sched,
             ),
             self._loop,
         )

@@ -24,17 +24,8 @@ to a :class:`~repro.cluster.coordinator.Coordinator`:
     result list is packed by :func:`repro.wire.pack_values` — ``values``
     is its JSON skeleton, ``arrays`` the dtype/shape specs of the ``B``
     raw payload bytes that follow the header line — and ``count`` is its
-    length.  After a granted ``split`` this is a **partial-completion
-    ack**: ``count`` equals the ``kept`` value of the preceding
-    ``split_ack`` and the results cover only the kept prefix of the
-    chunk's jobs.  ``trace`` echoes the optional observability id the
-    chunk was dispatched with.
-``{"op": "split_ack", "chunk": <id>, "kept": K}``
-    Answer to a coordinator ``split`` event (protocol v3).  ``K`` is the
-    number of leading jobs the worker keeps (already started jobs can
-    never be handed back, so ``K >= jobs started``); the coordinator
-    reassigns the chunk's unstarted tail.  ``kept: null`` declines the
-    split — the chunk already finished or was never held.
+    length, always the dispatched job count.  ``trace`` echoes the
+    optional observability id the chunk was dispatched with.
 ``{"op": "chunk_failed", "chunk": <id>, "type": <name>, "message": <text>}``
     A job *raised* on the worker (distinct from the worker dying), or the
     chunk's results cannot cross the wire (an unsupported type, or a
@@ -65,12 +56,6 @@ Coordinator -> worker events:
                 observability id (absent when the run has none — old
                 workers simply never see the field, so v3 stays
                 wire-compatible).
-``split``     — give back the unstarted tail of one in-flight chunk
-                (``chunk`` id, ``keep`` floor): the scheduler preempts it
-                for higher-priority work and requeues the tail.  Always
-                answered with ``split_ack``; the
-                worker then finishes only the kept prefix and reports it
-                via a partial ``chunk_done``.
 ``cancel``    — drop one in-flight chunk (``chunk`` id): its run was
                 cancelled.  The worker stops at the next job boundary and
                 reports nothing; a result that still arrives is counted as
@@ -101,20 +86,21 @@ from repro.runtime.jobs import Job
 
 #: Bumped on incompatible cluster-wire changes; checked during ``hello``.
 #: Version 2 added the ``cancel`` event (coordinator -> worker chunk
-#: revocation for cancelled runs).  Version 3 added the chunk-split
-#: frames (today driven by preemption): the ``split`` event, the ``split_ack`` / partial ``chunk_done``
-#: acks, and the ``count`` field on ``chunk_done``.  Version 5 added binary
-#: ``chunk_done`` completions for all-array results.  Version 6 makes every
-#: ``chunk_done`` one pickle-free binary frame (:func:`repro.wire.pack_values`)
-#: and ``chunk_failed`` a typed ``{type, message}`` error.
-CLUSTER_PROTOCOL_VERSION = 6
+#: revocation for cancelled runs).  Version 3 added the ``count`` field on
+#: ``chunk_done``.  Version 5 added binary ``chunk_done`` completions for
+#: all-array results.  Version 6 makes every ``chunk_done`` one pickle-free
+#: binary frame (:func:`repro.wire.pack_values`) and ``chunk_failed`` a typed
+#: ``{type, message}`` error.  Version 7 removes the chunk-split frames
+#: (the ``split`` event, its acknowledgement op and partial ``chunk_done``):
+#: a chunk either completes whole, fails, or is cancelled.
+CLUSTER_PROTOCOL_VERSION = 7
 
 #: Worker -> coordinator ``op`` vocabulary.  Like the service tuples in
 #: :mod:`repro.service.protocol`, these are pinned three ways: documented
 #: frame-by-frame in ``docs/protocol.md`` (checked by
 #: ``tests/test_docs.py``) and enforced at every send/match site by the
 #: ``REPRO-PROTO01`` lint rule — a frame type not listed here cannot ship.
-WORKER_OPS = ("hello", "heartbeat", "chunk_done", "split_ack", "chunk_failed")
+WORKER_OPS = ("hello", "heartbeat", "chunk_done", "chunk_failed")
 
 #: Control-client -> coordinator ``op`` vocabulary (``cluster status``).
 CONTROL_OPS = ("status", "ping", "watch")
@@ -123,7 +109,6 @@ CONTROL_OPS = ("status", "ping", "watch")
 COORDINATOR_EVENTS = (
     "welcome",
     "chunk",
-    "split",
     "cancel",
     "shutdown",
     "error",
@@ -193,9 +178,8 @@ def chunk_done_frame(
 ) -> Tuple[Dict[str, Any], bytes]:
     """Header and payload of one completion (send with :func:`repro.wire.encode_binary`).
 
-    ``count`` < the dispatched job count after a split.  ``trace`` echoes
-    the optional trace id of the ``chunk`` event that dispatched this
-    work (omitted from the frame when ``None``).  Raises
+    ``trace`` echoes the optional trace id of the ``chunk`` event that
+    dispatched this work (omitted from the frame when ``None``).  Raises
     :class:`repro.wire.ProtocolError` for a result the value codec cannot
     carry.
     """
@@ -228,21 +212,6 @@ def chunk_done_results(message: Dict[str, Any]) -> List[Any]:
             f"{len(results) if type(results) is list else 'no'} results"
         )
     return results
-
-
-def split_event(chunk_id: str, keep: int) -> Dict[str, Any]:
-    """Ask a worker to hand back the unstarted tail of an in-flight chunk.
-
-    ``keep`` is the floor on how many leading jobs the worker keeps; a
-    preemption passes ``keep=0`` ("keep only what you already started").
-    """
-    return {"event": "split", "chunk": chunk_id, "keep": int(keep)}
-
-
-def split_ack_request(chunk_id: str, kept: Optional[int]) -> Dict[str, Any]:
-    """Worker's answer to ``split``: ``kept`` jobs retained, or ``None``
-    when the split is declined (chunk finished or unknown)."""
-    return {"op": "split_ack", "chunk": chunk_id, "kept": kept}
 
 
 def chunk_failed_request(chunk_id: str, error: BaseException) -> Dict[str, Any]:

@@ -15,11 +15,6 @@ its pid, slot count and code version, and then loops:
   the *worker survives* and keeps serving other chunks, the *sweep* fails
   at the submitting call site exactly as it would under the serial
   executor;
-* a ``split`` event (protocol v3, the scheduler preempting a chunk for
-  higher-priority work) truncates one in-flight chunk to the jobs already
-  started: the worker answers ``split_ack`` with the kept count, finishes
-  only that prefix and reports it as a partial ``chunk_done`` — the
-  coordinator requeues the tail;
 * a ``cancel`` event revokes one in-flight chunk (its run was cancelled):
   the chunk body stops at its next job boundary and reports nothing —
   the worker stays registered and keeps serving other chunks;
@@ -64,68 +59,19 @@ _CHUNK_SECONDS = obs.histogram(
 )
 
 
-class ChunkProgress:
-    """Thread-shared execution state of one in-flight chunk.
-
-    The chunk body (a worker thread) and the connection's read loop (the
-    asyncio thread) coordinate through this object: the body claims jobs
-    one at a time via :meth:`try_start`, a coordinator ``split`` lands via
-    :meth:`split`, and a ``cancel`` sets :attr:`cancel`.  The lock makes
-    the split decision exact — the acked ``kept`` count is precisely the
-    number of results the eventual (partial) ``chunk_done`` will carry,
-    because a job is either started before the split (and kept) or not
-    (and handed back), never half-way.
-
-    >>> state = ChunkProgress()
-    >>> state.try_start(), state.try_start()   # body starts jobs 0 and 1
-    (True, True)
-    >>> state.split(keep=0)                    # split keeps started jobs only
-    2
-    >>> state.try_start()                      # the tail was handed back
-    False
-    >>> state.split(keep=5)                    # a later split cannot re-grow
-    2
-    """
-
-    def __init__(self) -> None:
-        self.lock = threading.Lock()
-        self.cancel = threading.Event()
-        self.started = 0
-        self.limit: Optional[int] = None  # None: no split yet, run everything
-
-    def try_start(self) -> bool:
-        """Claim the next job for execution; ``False`` past a split limit."""
-        with self.lock:
-            if self.limit is not None and self.started >= self.limit:
-                return False
-            self.started += 1
-            return True
-
-    def split(self, keep: int) -> int:
-        """Truncate to ``max(started, keep)`` jobs; returns the kept count."""
-        with self.lock:
-            kept = max(self.started, int(keep))
-            if self.limit is not None:
-                kept = min(kept, self.limit)
-            self.limit = kept
-            return kept
-
-
 def _run_jobs(
-    jobs: List[Job], state: ChunkProgress, throttle: float = 0.0
+    jobs: List[Job], cancel: threading.Event, throttle: float = 0.0
 ) -> List[Any]:
-    """Chunk body on the worker thread: run jobs, honour splits/revocation.
+    """Chunk body on the worker thread: run every job unless revoked.
 
-    Returns the results of the jobs actually run — the full chunk
-    normally, a prefix after a coordinator ``split``.  ``throttle`` adds a
+    ``cancel`` is the chunk's revocation flag (set by a coordinator
+    ``cancel`` event), checked at every job boundary.  ``throttle`` adds a
     sleep before every job (the chaos knob behind ``--throttle``).
     """
     results: List[Any] = []
     for job in jobs:
-        if state.cancel.is_set():
+        if cancel.is_set():
             raise SweepCancelled("chunk revoked by coordinator")
-        if not state.try_start():
-            break  # split: the tail belongs to another worker now
         if throttle > 0.0:
             time.sleep(throttle)
         results.append(job.run())
@@ -177,9 +123,9 @@ class Worker:
     throttle:
         Artificial per-job delay in seconds (default 0: none).  A chaos
         knob: a throttled worker is a reproducible straggler for
-        exercising work stealing and preemption (see the chaos tests and
-        the mixed-speed pool runbook in ``docs/operations.md``).  Never
-        set it in production pools.
+        exercising work stealing and worker-death retry (see the chaos
+        tests and the mixed-speed pool runbook in ``docs/operations.md``).
+        Never set it in production pools.
     metrics_port:
         When set, serve this worker process's Prometheus metrics
         (``repro_worker_*``) on ``127.0.0.1:metrics_port`` for the
@@ -229,10 +175,9 @@ class Worker:
         loop = asyncio.get_running_loop()
         heartbeat_task: Optional["asyncio.Task"] = None
         chunk_tasks: set = set()
-        # Per-chunk execution state: a coordinator `cancel` event sets the
-        # matching cancel flag (the body stops at its next job boundary)
-        # and a `split` truncates the body's job budget via the same state.
-        chunk_states: Dict[str, ChunkProgress] = {}
+        # Per-chunk revocation flags: a coordinator `cancel` event sets the
+        # matching flag and the body stops at its next job boundary.
+        chunk_cancels: Dict[str, threading.Event] = {}
 
         async def send(message: Dict[str, Any]) -> None:
             async with send_lock:
@@ -261,15 +206,15 @@ class Worker:
             async def run_chunk(
                 chunk_id: str, blob: str, trace: Optional[str] = None
             ) -> None:
-                # The state was registered by the read loop when the chunk
-                # arrived, so a `cancel` or `split` processed before this
-                # task first runs is still seen.
-                state = chunk_states.get(chunk_id) or ChunkProgress()
+                # The flag was registered by the read loop when the chunk
+                # arrived, so a `cancel` processed before this task first
+                # runs is still seen.
+                cancel = chunk_cancels.get(chunk_id) or threading.Event()
                 started = time.monotonic()
                 try:
                     jobs = protocol.unpack_jobs(blob)
                     results = await loop.run_in_executor(
-                        pool, _run_jobs, jobs, state, self.throttle
+                        pool, _run_jobs, jobs, cancel, self.throttle
                     )
                 except asyncio.CancelledError:
                     raise
@@ -278,12 +223,12 @@ class Worker:
                     # so report nothing and stay available for new work.
                     return
                 except BaseException as error:  # job failure -> sweep failure
-                    if not state.cancel.is_set():
+                    if not cancel.is_set():
                         await send(protocol.chunk_failed_request(chunk_id, error))
                     return
                 finally:
-                    chunk_states.pop(chunk_id, None)
-                if state.cancel.is_set():
+                    chunk_cancels.pop(chunk_id, None)
+                if cancel.is_set():
                     # Revocation raced chunk completion; drop the result —
                     # the coordinator would discard it as a duplicate anyway.
                     return
@@ -323,7 +268,7 @@ class Worker:
                     break
                 if message.get("event") == "chunk":
                     chunk_id = str(message.get("chunk"))
-                    chunk_states[chunk_id] = ChunkProgress()
+                    chunk_cancels[chunk_id] = threading.Event()
                     trace = message.get("trace")
                     task = asyncio.ensure_future(
                         run_chunk(
@@ -334,23 +279,10 @@ class Worker:
                     )
                     chunk_tasks.add(task)
                     task.add_done_callback(reap_chunk_task)
-                elif message.get("event") == "split":
-                    # Preemption split: truncate the chunk to the jobs this
-                    # worker already started and ack the kept count — the
-                    # coordinator requeues the tail.  A chunk that already
-                    # finished (or was never ours) declines with kept=null.
-                    chunk_id = str(message.get("chunk"))
-                    state = chunk_states.get(chunk_id)
-                    kept = (
-                        state.split(int(message.get("keep", 0)))
-                        if state is not None
-                        else None
-                    )
-                    await send(protocol.split_ack_request(chunk_id, kept))
                 elif message.get("event") == "cancel":
-                    revoked = chunk_states.get(str(message.get("chunk")))
+                    revoked = chunk_cancels.get(str(message.get("chunk")))
                     if revoked is not None:
-                        revoked.cancel.set()
+                        revoked.set()
                 elif message.get("event") == "error":
                     raise WorkerError(f"coordinator error: {message.get('error')}")
                 # anything else: ignore (forward compatibility)

@@ -40,7 +40,6 @@ from repro.gateway.artifacts import (
 )
 from repro.gateway.config import GatewayConfig
 from repro.gateway.routes import allowed_methods, match_route
-from repro.sched import SchedPolicy
 from repro.service.client import (
     ServiceCancelledError,
     ServiceClient,
@@ -53,7 +52,7 @@ __all__ = ["Gateway", "SWEEP_STATES"]
 SWEEP_STATES = ("running", "completed", "failed", "cancelled")
 
 #: Every field a ``POST /v1/sweeps`` body may carry; any other is a 400.
-SUBMIT_FIELDS = ("workload", "params", "trace", "sched")
+SUBMIT_FIELDS = ("workload", "params", "trace")
 
 _REQUESTS_TOTAL = obs.counter(
     "repro_gateway_requests_total",
@@ -110,9 +109,6 @@ class SweepRecord:
     sweep_id: str
     workload: str
     params: Dict[str, Any]
-    #: Scheduling tag (wire shape, ``{"class": ..., "priority": ...}``)
-    #: the sweep was submitted with; ``None`` = untagged batch default.
-    sched: Optional[Dict[str, Any]] = None
     state: str = "running"
     key: str = ""
     deduplicated: bool = False
@@ -230,7 +226,6 @@ class Gateway:
                 record.params,
                 on_progress=progress,
                 trace=trace,
-                sched=record.sched,
                 on_accepted=accepted,
             )
             record.elapsed_seconds = result.elapsed_seconds
@@ -299,7 +294,6 @@ class Gateway:
             "key": record.key,
             "trace": record.trace,
             "deduplicated": record.deduplicated,
-            "sched": record.sched,
             "progress": {
                 "done": record.done,
                 "total": record.total,
@@ -434,13 +428,11 @@ class Gateway:
 
     def _submit(self, request: httpd.HttpRequest) -> Tuple[int, bytes]:
         try:
-            workload, params, trace, sched = _parse_submit(request.json())
+            workload, params, trace = _parse_submit(request.json())
         except (httpd.HttpError, ValueError) as error:
             return 400, httpd.error_response(400, str(error), code="bad-request")
         sweep_id = f"sw-{uuid.uuid4().hex[:12]}"
-        record = SweepRecord(
-            sweep_id=sweep_id, workload=workload, params=params, sched=sched
-        )
+        record = SweepRecord(sweep_id=sweep_id, workload=workload, params=params)
         self._sweeps[sweep_id] = record
         record.task = asyncio.ensure_future(self._run_sweep(record, trace))
         self._track(record.task)
@@ -599,10 +591,8 @@ class Gateway:
         return cursor
 
 
-def _parse_submit(
-    document: Any,
-) -> Tuple[str, Dict[str, Any], Optional[str], Optional[Dict[str, Any]]]:
-    """``(workload, params, trace, sched)`` of a submit body.
+def _parse_submit(document: Any) -> Tuple[str, Dict[str, Any], Optional[str]]:
+    """``(workload, params, trace)`` of a submit body.
 
     ``ValueError`` names the first problem: a non-object body, a field
     outside :data:`SUBMIT_FIELDS`, or a field of the wrong type.  An
@@ -625,10 +615,4 @@ def _parse_submit(
     trace = document.get("trace")
     if trace is not None and not isinstance(trace, str):
         raise ValueError("'trace' must be a string")
-    sched = document.get("sched")
-    if sched is not None:
-        try:
-            sched = SchedPolicy.parse(sched).to_dict()
-        except ValueError as error:
-            raise ValueError(f"'sched' invalid: {error}") from None
-    return workload, params, trace, sched
+    return workload, params, trace

@@ -62,17 +62,6 @@ JOURNAL_FILENAME = "journal.ndjson"
 #: Statuses that end a job's journal lifecycle.
 TERMINAL_STATUSES = frozenset({"completed", "failed", "cancelled"})
 
-#: Non-terminal scheduler transitions (:mod:`repro.sched`): a sweep whose
-#: in-flight work was preempted for a higher-priority run is ``paused``,
-#: and ``resumed`` once its spans dispatch again.  Either way the sweep
-#: stays *pending* — :meth:`JobJournal.pending` ignores transition
-#: records entirely, so a server killed mid-preemption (``paused`` with
-#: no ``resumed``) still replays the sweep on ``serve --resume``, and the
-#: replay is bit-identical because jobs are deterministic and
-#: content-addressed regardless of where the preemption cut the sweep.
-TRANSITION_STATUSES = frozenset({"paused", "resumed"})
-
-
 def default_journal_path(cache_dir: Optional[PathLike] = None) -> pathlib.Path:
     """Journal location for a given cache root (default: the default cache).
 
@@ -159,32 +148,6 @@ class JobJournal:
             )
         self._append({"record": status, "key": key})
 
-    def record_transition(self, key: str, status: str) -> None:
-        """Record a non-terminal scheduler transition for job ``key``.
-
-        ``status`` must come from :data:`TRANSITION_STATUSES`.  Transition
-        records are pure audit trail: :meth:`pending` skips them (the
-        sweep stays recoverable whether the crash hit before, between or
-        after them) and :meth:`compact` drops them.
-
-        >>> import tempfile, pathlib
-        >>> path = pathlib.Path(tempfile.mkdtemp()) / "journal.ndjson"
-        >>> journal = JobJournal(path)
-        >>> journal.record_submitted("ab" * 32, "montecarlo", {"shards": 4})
-        >>> journal.record_transition("ab" * 32, "paused")
-        >>> [entry.workload for entry in journal.pending()]  # still pending
-        ['montecarlo']
-        >>> journal.record_transition("ab" * 32, "running")
-        Traceback (most recent call last):
-            ...
-        ValueError: status must be one of ['paused', 'resumed'], got 'running'
-        """
-        if status not in TRANSITION_STATUSES:
-            raise ValueError(
-                f"status must be one of {sorted(TRANSITION_STATUSES)}, got {status!r}"
-            )
-        self._append({"record": status, "key": key})
-
     def _append(self, record: Dict[str, Any]) -> None:
         record = {"ts": time.time(), **record}
         data = wire.encode_message(record)
@@ -223,7 +186,9 @@ class JobJournal:
         """Jobs submitted but never finished — the crash-interrupted set.
 
         Entries are deduplicated by key (a job resubmitted across restarts
-        appears once) and returned in first-submission order.
+        appears once) and returned in first-submission order.  Records of
+        any other kind (such as the ``paused`` / ``resumed`` audit lines
+        older servers wrote) are skipped.
         """
         return self._pending_from(self.records())
 

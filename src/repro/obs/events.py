@@ -1,7 +1,7 @@
 """Structured event bus behind the service's ``watch`` op.
 
 Every tier publishes what it *does* — submits accepted, chunks
-dispatched / split / stolen, cache hits and evictions, workers joining
+dispatched / done / stolen, cache hits and evictions, workers joining
 and dying — as small JSON-ready dicts on one process-wide bus
 (:data:`EVENTS`).  Subscribers are plain callables; the service bridges
 them onto asyncio queues to fan events out to ``watch`` clients
@@ -70,9 +70,6 @@ EVENT_TYPES = (
     "chunk_stolen",
     "worker_joined",
     "worker_lost",
-    # multi-tenant scheduler (repro.sched policy, coordinator mechanism)
-    "preempted",
-    "resumed",
 )
 
 _EVENTS_TOTAL = REGISTRY.counter(

@@ -187,11 +187,6 @@ class SweepEngine:
         # serving tier); stamped on every observability event this run
         # emits and forwarded to trace-aware executors.
         self.trace_id: Optional[str] = None
-        # Scheduling policy of the originating request (:mod:`repro.sched`;
-        # set per engine view by the serving tier): forwarded to
-        # sched-aware executors so the coordinator can prioritise and
-        # preempt.  ``None`` = untagged, the batch default.
-        self.sched: Optional[Any] = None
         self.stats = EngineStats()
         # Counter updates are read-modify-write; the serving layer runs
         # sweeps from several worker threads against shallow engine copies
@@ -279,15 +274,13 @@ class SweepEngine:
                     progress(offset + done, total, label)
 
             # Optional keywords are only forwarded when armed, so
-            # third-party executors that predate the cancel / trace /
-            # sched contracts keep working for every plain run.
+            # third-party executors that predate the cancel / trace
+            # contracts keep working for every plain run.
             extra = {}
             if cancel is not None:
                 extra["cancel"] = cancel
             if trace is not None:
                 extra["trace"] = trace
-            if self.sched is not None:
-                extra["sched"] = self.sched
             executor = self.executor
             if self._auto_batch and spec.batch_fn is not None:
                 # Auto mode: a sweep that brought its vectorised inner

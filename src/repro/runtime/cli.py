@@ -106,7 +106,6 @@ import time
 from typing import Any, Dict, List, Optional
 
 from repro.runtime import ArtifactCache, SweepEngine, default_cache_dir, make_executor
-from repro.sched import JOB_CLASSES, SchedPolicy
 
 _SCALE_EPILOG = """\
 running sweeps at scale:
@@ -130,7 +129,7 @@ exposes the same engine to many concurrent clients over TCP (see
 Full documentation lives in docs/: docs/architecture.md (the three-tier
 execution architecture and its data flows), docs/protocol.md (the NDJSON
 wire protocols of both listeners), docs/scheduling.md (cluster chunking,
-work stealing, retries, priorities and preemption), docs/operations.md
+work stealing and retries), docs/operations.md
 (deployment, cache sizing, backpressure tuning, slow/mixed worker pools
 and the journal recovery runbook).
 """
@@ -232,18 +231,7 @@ def build_engine(args: argparse.Namespace) -> SweepEngine:
     # Commands without a --quiet flag (serve) never print a progress line:
     # their progress streams to clients instead of the server console.
     progress = None if getattr(args, "quiet", True) else _progress_printer()
-    engine = SweepEngine(executor, cache=cache, progress=progress)
-    sched_class = getattr(args, "sched_class", None)
-    sched_priority = getattr(args, "sched_priority", None)
-    if sched_class is not None or sched_priority is not None:
-        policy: Dict[str, Any] = {"class": sched_class or "batch"}
-        if sched_priority is not None:
-            policy["priority"] = sched_priority
-        try:
-            engine.sched = SchedPolicy.parse(policy).to_dict()
-        except ValueError as error:
-            raise EngineOptionError(str(error)) from error
-    return engine
+    return SweepEngine(executor, cache=cache, progress=progress)
 
 
 def _add_cache_size_option(group) -> None:
@@ -308,22 +296,6 @@ def _add_engine_options(parser: argparse.ArgumentParser, run_options: bool = Tru
     )
     if not run_options:
         return
-    group.add_argument(
-        "--sched-class",
-        choices=JOB_CLASSES,
-        default=None,
-        help="multi-tenant scheduling class for this sweep; interactive "
-        "outranks batch on the distributed executor (docs/scheduling.md)",
-    )
-    group.add_argument(
-        "--sched-priority",
-        type=int,
-        default=None,
-        metavar="N",
-        help="explicit integer priority (higher dispatches first and may "
-        "preempt lower-priority in-flight work; default: the class's "
-        "built-in priority)",
-    )
     group.add_argument(
         "--fast", action="store_true", help="reduced test-scale presets"
     )
@@ -802,7 +774,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=0.0,
         metavar="SECONDS",
         help="artificial per-job delay: a reproducible straggler for "
-        "exercising work stealing and preemption (chaos tests only)",
+        "exercising work stealing and worker-death retry (chaos tests only)",
     )
     worker_parser.add_argument(
         "--metrics-port",

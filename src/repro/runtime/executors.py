@@ -40,13 +40,6 @@ layer's cross-tier request id, see :mod:`repro.obs`).  The in-process
 strategies run where the engine already emitted the trace-stamped events,
 so they accept and ignore it; the distributed strategy forwards it into
 every chunk frame so worker-side completions stay attributable.
-
-``execute`` likewise accepts an optional ``sched`` policy
-(:mod:`repro.sched`): the in-process strategies have no queue to
-prioritise — a sweep that reached them runs immediately — so they accept
-and ignore it, while the distributed strategy forwards it to the
-coordinator's multi-tenant scheduler for priority dispatch and
-preemption.
 """
 
 from __future__ import annotations
@@ -115,7 +108,6 @@ class SerialExecutor:
         batch_fn: Optional[Callable[[Sequence[Job]], List[Any]]] = None,
         cancel: Optional[CancelEvent] = None,
         trace: Optional[str] = None,
-        sched: Optional[Any] = None,
     ) -> List[Any]:
         results: List[Any] = []
         total = len(jobs)
@@ -179,7 +171,6 @@ class ParallelExecutor:
         batch_fn: Optional[Callable[[Sequence[Job]], List[Any]]] = None,
         cancel: Optional[CancelEvent] = None,
         trace: Optional[str] = None,
-        sched: Optional[Any] = None,
     ) -> List[Any]:
         _check_cancel(cancel, "before dispatch")
         if len(jobs) <= 1 or self.max_workers <= 1:
@@ -245,7 +236,6 @@ class BatchExecutor:
         batch_fn: Optional[Callable[[Sequence[Job]], List[Any]]] = None,
         cancel: Optional[CancelEvent] = None,
         trace: Optional[str] = None,
-        sched: Optional[Any] = None,
     ) -> List[Any]:
         evaluate = batch_fn if batch_fn is not None else _run_chunk
         results: List[Any] = []

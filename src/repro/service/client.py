@@ -224,7 +224,6 @@ class ServiceClient:
         on_progress: Optional[ProgressCallback] = None,
         trace: Optional[str] = None,
         on_accepted: Optional[Callable[[str, bool, str], None]] = None,
-        sched: Optional[Any] = None,
     ) -> SweepResult:
         """Run ``workload`` on the server, streaming progress along the way.
 
@@ -248,11 +247,6 @@ class ServiceClient:
             the result.  The gateway uses this to start bridging ``watch``
             events for a sweep while it is still running; plain callers
             can ignore it and read :attr:`SweepResult.trace` at the end.
-        sched:
-            Optional scheduling tag (protocol v4) — a job-class name
-            (``"interactive"`` / ``"batch"``) or a ``{"class": ...,
-            "priority": ...}`` object; see :mod:`repro.sched`.  A
-            deduplicated submit keeps the first submitter's policy.
 
         Raises
         ------
@@ -275,9 +269,7 @@ class ServiceClient:
         try:
             writer.write(
                 protocol.encode_message(
-                    protocol.submit_request(
-                        request_id, workload, params, trace=trace, sched=sched
-                    )
+                    protocol.submit_request(request_id, workload, params, trace=trace)
                 )
             )
             await writer.drain()
@@ -384,7 +376,6 @@ def run_sweep(
     timeout: Optional[float] = None,
     connect_timeout: Optional[float] = None,
     trace: Optional[str] = None,
-    sched: Optional[Any] = None,
 ) -> SweepResult:
     """Synchronous one-shot submit for scripts: connect, run, disconnect.
 
@@ -420,7 +411,7 @@ def run_sweep(
         await client.connect(timeout=connect_timeout)
         try:
             return await client.submit(
-                workload, params, on_progress=on_progress, trace=trace, sched=sched
+                workload, params, on_progress=on_progress, trace=trace
             )
         finally:
             await client.aclose()

@@ -9,15 +9,10 @@ Client → server messages carry an ``op``:
 
 ``{"op": "submit", "id": <str>, "workload": <name>, "params": {...}}``
     Run a sweep workload.  ``id`` is a client-chosen request id echoed on
-    every event the server emits for this request.  An optional ``sched``
-    field (protocol v4) tags the sweep for the multi-tenant scheduler:
-    either a job-class name (``"interactive"`` / ``"batch"``) or an
-    object ``{"class": ..., "priority": <int>}`` — anything
-    :meth:`repro.sched.SchedPolicy.parse` accepts.  Higher-priority
-    sweeps dispatch first on the distributed executor and may preempt
-    lower-priority in-flight work; an absent field means the batch
-    default, preserving pre-v4 behaviour.  Deduplicated submits keep the
-    first submitter's policy (like ``trace``).
+    every event the server emits for this request.  An optional string
+    ``trace`` proposes the observability id.  Any other field, or a
+    ``trace`` that is not a string, is answered with a ``bad-request``
+    error.
 ``{"op": "cancel", "id": <str>}``
     Abort the in-flight submit with the same ``id`` on this connection.
     The submit terminates with an ``error`` event (``code="cancelled"``);
@@ -101,14 +96,15 @@ from repro.wire import (  # noqa: F401  (re-exports)
 #: and the stable ``code`` field on ``error`` events.  Version 3 added the
 #: ``watch`` op (``watching`` ack + ``obs`` event stream) and the ``trace``
 #: observability id on ``accepted`` events and ``submit`` requests.
-#: Version 4 added the optional ``sched`` field on ``submit`` (job class +
-#: priority for the multi-tenant scheduler, :mod:`repro.sched`).
+#: Version 4 added an optional scheduling-tag field on ``submit``.
 #: Version 5 added binary ``result`` frames for large payloads: the event
 #: header declares ``{"binary": N}`` and the JSON-encoded payload follows
 #: as N raw bytes with its own :data:`repro.wire.MAX_BINARY_BYTES` bound
 #: (the cluster protocol jumped 3 -> 5 in the same release so both tiers
 #: advertise one version for the shared binary-frame substrate).
-PROTOCOL_VERSION = 5
+#: Version 6 removes the scheduling tag: a ``submit`` carries exactly the
+#: fields in :data:`SUBMIT_FIELDS`, and any other is a ``bad-request``.
+PROTOCOL_VERSION = 6
 
 #: Stable machine-readable failure classes carried by ``error`` events.
 ERROR_CODES = ("bad-request", "busy", "cancelled", "failed")
@@ -119,6 +115,9 @@ ERROR_CODES = ("bad-request", "busy", "cancelled", "failed")
 #: lint rule pins every frame-type literal in the codebase against them,
 #: so an op can only be added here, in the docs, and in the code together.
 SERVICE_OPS = ("submit", "cancel", "status", "ping", "watch")
+
+#: Every field a ``submit`` message may carry.
+SUBMIT_FIELDS = ("op", "id", "workload", "params", "trace")
 
 #: Every server -> client ``event`` the service emits.
 SERVICE_EVENTS = (
@@ -142,14 +141,11 @@ def submit_request(
     workload: str,
     params: Optional[Dict[str, Any]] = None,
     trace: Optional[str] = None,
-    sched: Optional[Any] = None,
 ) -> Dict[str, Any]:
     """Submit a workload.  ``trace`` (optional, v3) proposes a client-side
     observability id; the server echoes it on ``accepted`` when the request
     starts a fresh flight, or answers with the first submitter's id when
-    the request deduplicates onto an in-flight sweep.  ``sched`` (optional,
-    v4) is the scheduling tag — a job-class name or a ``{"class": ...,
-    "priority": ...}`` object (:meth:`repro.sched.SchedPolicy.parse`)."""
+    the request deduplicates onto an in-flight sweep."""
     message = {
         "op": "submit",
         "id": request_id,
@@ -158,8 +154,6 @@ def submit_request(
     }
     if trace is not None:
         message["trace"] = trace
-    if sched is not None:
-        message["sched"] = sched
     return message
 
 

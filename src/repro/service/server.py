@@ -58,7 +58,6 @@ from typing import Any, Dict, Optional, Set, Tuple
 from repro import obs
 from repro.journal import JobJournal
 from repro.runtime import ArtifactCache, SweepCancelled, SweepEngine, fingerprint
-from repro.sched import SchedPolicy
 from repro.service import progress as progress_mod
 from repro.service import protocol
 from repro.service.workloads import WorkloadFn, get_workload, workload_names
@@ -228,10 +227,6 @@ class _Flight:
     #: Observability id minted at flight creation (first submitter wins on
     #: dedup); every metric sample and watch event of this sweep carries it.
     trace: str = ""
-    #: Scheduling policy (:mod:`repro.sched`) the sweep was admitted with;
-    #: like ``trace``, the first submitter's policy wins on dedup (the
-    #: single-flight fingerprint covers workload + params only).
-    sched: Optional[SchedPolicy] = None
 
 
 class SweepService:
@@ -310,10 +305,6 @@ class SweepService:
         self._counters = obs.CounterGroup(_COUNTERS)
         self._watch_entries: Set[_PendingRequest] = set()
         self._cluster_status_error: Optional[str] = None
-        # Bridge from the obs bus to the journal: coordinator-side
-        # preempted/resumed events become paused/resumed transition
-        # records for the owning flight (armed in start()).
-        self._sched_bridge: Optional[obs.events.Subscriber] = None
 
     # Read-only attribute views kept for tests and callers that predate the
     # registry-backed counters.
@@ -347,14 +338,6 @@ class SweepService:
             # growing forever across restarts; run off-loop like all
             # journal I/O.
             await self._loop.run_in_executor(self._journal_pool, self.journal.compact)
-        if self.journal is not None and self._sched_bridge is None:
-            # The coordinator emits preempted/resumed on the obs bus with
-            # the flight's trace id; mirroring them into the journal as
-            # paused/resumed transition records gives `serve --resume` a
-            # faithful audit trail of a crash that hit mid-preemption
-            # (recovery itself only needs the submitted record — pending()
-            # ignores transitions).
-            self._sched_bridge = obs.EVENTS.subscribe(self._on_sched_event)
         self._server = await asyncio.start_server(
             self._handle_connection,
             self._host,
@@ -429,9 +412,6 @@ class SweepService:
         mid-solve anyway.
         """
         self._stopping = True
-        if self._sched_bridge is not None:
-            obs.EVENTS.unsubscribe(self._sched_bridge)
-            self._sched_bridge = None
         # End every live watch stream first: a watcher is a request task
         # that never finishes on its own, and the request-task drain below
         # would otherwise wait on it forever.
@@ -723,10 +703,10 @@ class SweepService:
         """Scheduler statistics of a distributed engine executor, or None.
 
         Surfaces the coordinator's status document — per-worker load,
-        dispatch / steal / retry counters, the ``sched`` block — through
-        the service's own ``status`` op, so an
-        operator watching the front door sees the scheduling tier without
-        opening a second connection to the cluster endpoint.
+        dispatch / steal / retry counters — through the service's own
+        ``status`` op, so an operator watching the front door sees the
+        scheduling tier without opening a second connection to the cluster
+        endpoint.
         """
         executor_status = getattr(self.engine.executor, "status", None)
         if not callable(executor_status):
@@ -789,16 +769,7 @@ class SweepService:
             "cluster_status_error": self._cluster_status_error,
             "watchers": len(self._watch_entries),
             "journal": journal_info,
-            "sched": {"in_flight_by_class": self._flights_by_class()},
         }
-
-    def _flights_by_class(self) -> Dict[str, int]:
-        """In-flight sweeps per scheduling class (untagged = batch)."""
-        by_class: Dict[str, int] = {}
-        for flight in list(self._flights.values()):
-            name = flight.sched.job_class if flight.sched is not None else "batch"
-            by_class[name] = by_class.get(name, 0) + 1
-        return by_class
 
     # ------------------------------------------------------------------
     # Submit / single-flight / cancellation
@@ -806,8 +777,27 @@ class SweepService:
     async def _handle_submit(
         self, connection: _Connection, message: Dict[str, Any], request_id: str
     ) -> None:
+        unknown = sorted(set(message) - set(protocol.SUBMIT_FIELDS))
+        if unknown:
+            await connection.send(
+                protocol.error_event(
+                    request_id,
+                    f"unknown submit field(s): {', '.join(unknown)} "
+                    f"(allowed: {', '.join(protocol.SUBMIT_FIELDS)})",
+                    code="bad-request",
+                )
+            )
+            return
         workload_name = message.get("workload")
         params = message.get("params", {})
+        client_trace = message.get("trace")
+        if client_trace is not None and not isinstance(client_trace, str):
+            await connection.send(
+                protocol.error_event(
+                    request_id, "trace must be a string", code="bad-request"
+                )
+            )
+            return
         if not isinstance(workload_name, str):
             await connection.send(
                 protocol.error_event(
@@ -829,23 +819,14 @@ class SweepService:
                 protocol.error_event(request_id, str(error), code="bad-request")
             )
             return
-        try:
-            sched_policy = SchedPolicy.parse(message.get("sched"))
-        except ValueError as error:
-            await connection.send(
-                protocol.error_event(request_id, str(error), code="bad-request")
-            )
-            return
 
-        client_trace = message.get("trace")
         key = fingerprint("service-submit", workload_name, params)
         flight, deduplicated = self._get_or_create_flight(
             key,
             workload_name,
             workload_fn,
             params,
-            trace=client_trace if isinstance(client_trace, str) and client_trace else None,
-            sched=sched_policy,
+            trace=client_trace or None,
         )
         flight.subscribers += 1
         queue = flight.broadcaster.subscribe()
@@ -954,7 +935,6 @@ class SweepService:
         pinned: bool = False,
         journal_record: bool = True,
         trace: Optional[str] = None,
-        sched: Optional[SchedPolicy] = None,
     ) -> Tuple[_Flight, bool]:
         flight = self._flights.get(key)
         if flight is not None:
@@ -962,12 +942,11 @@ class SweepService:
                 flight.pinned = True
             # Single-flight implies single trace: the first submitter's id
             # stays on the sweep; late joiners learn it via `accepted`.
-            # The same rule covers the sched policy.
             return flight, True
         assert self._loop is not None, "service not started"
         broadcaster = progress_mod.ProgressBroadcaster(self._loop)
         # Per-flight engine view: shared executor / cache / stats, private
-        # progress sink, cancel event, trace id and sched policy, so
+        # progress sink, cancel event and trace id, so
         # concurrent sweeps cannot cross their streams and cancelling one
         # never aborts another.
         cancel_event = threading.Event()
@@ -975,7 +954,6 @@ class SweepService:
         engine_view.progress = broadcaster.callback
         engine_view.cancel_event = cancel_event
         engine_view.trace_id = trace or uuid.uuid4().hex
-        engine_view.sched = sched
         flight = _Flight(
             key=key,
             workload=workload_name,
@@ -983,7 +961,6 @@ class SweepService:
             cancel_event=cancel_event,
             pinned=pinned,
             trace=engine_view.trace_id,
-            sched=sched,
         )
         if journal_record:
             self._journal_submitted(key, workload_name, params)
@@ -1036,26 +1013,6 @@ class SweepService:
     def _journal_finished(self, key: str, status: str) -> None:
         self._journal_pending.discard(key)
         self._journal_write("record_finished", key, status)
-
-    def _on_sched_event(self, event: Dict[str, Any]) -> None:
-        """Obs-bus subscriber: journal scheduler transitions per flight.
-
-        Runs on whatever thread emitted (the coordinator loop), so it only
-        reads the flight table and hands the append to the single-writer
-        journal thread.  Events whose trace matches no live flight (e.g. a
-        direct engine user on the same process) are ignored.
-        """
-        kind = event.get("type")
-        if kind not in ("preempted", "resumed"):
-            return
-        trace = event.get("trace")
-        if not trace:
-            return
-        for flight in list(self._flights.values()):
-            if flight.trace == trace:
-                status = "paused" if kind == "preempted" else "resumed"
-                self._journal_write("record_transition", flight.key, status)
-                return
 
     def _journal_write(self, method: str, *args: Any) -> None:
         """Ordered, off-loop journal append that can never break serving."""

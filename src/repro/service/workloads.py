@@ -66,6 +66,22 @@ def workload_names() -> List[str]:
     return sorted(_WORKLOADS)
 
 
+def _bool_param(params: Dict[str, Any], name: str, default: bool) -> bool:
+    """``params[name]`` as a JSON boolean; ``ValueError`` for anything else."""
+    value = params.get(name, default)
+    if not isinstance(value, bool):
+        raise ValueError(f"param {name!r} must be a JSON boolean, got {value!r}")
+    return value
+
+
+def _int_param(params: Dict[str, Any], name: str, default: int) -> int:
+    """``params[name]`` as a JSON integer (a boolean does not count)."""
+    value = params.get(name, default)
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"param {name!r} must be a JSON integer, got {value!r}")
+    return value
+
+
 # ----------------------------------------------------------------------
 # Built-in paper workloads (imports deferred so the service layer stays
 # importable without pulling the whole modelling stack upfront)
@@ -91,7 +107,7 @@ def run_dse(params: Dict[str, Any], engine: SweepEngine) -> Dict[str, Any]:
     from repro.analysis.design_space import corner_summary_rows
     from repro.circuits.technology import tsmc65_like
 
-    fast = bool(params.get("fast", False))
+    fast = _bool_param(params, "fast", False)
     _, result = _calibrated_exploration(tsmc65_like(), fast, engine)
     return {
         "command": "dse",
@@ -108,7 +124,7 @@ def run_characterize(params: Dict[str, Any], engine: SweepEngine) -> Dict[str, A
     from repro.circuits.technology import tsmc65_like
     from repro.core.characterization import CharacterizationPlan, characterize
 
-    fast = bool(params.get("fast", False))
+    fast = _bool_param(params, "fast", False)
     technology = tsmc65_like()
     plan = CharacterizationPlan.quick() if fast else CharacterizationPlan()
     data = characterize(technology, plan, engine=engine)
@@ -145,7 +161,7 @@ def run_pvt(params: Dict[str, Any], engine: SweepEngine) -> Dict[str, Any]:
     from repro.circuits.technology import tsmc65_like
     from repro.core.pvt import analyze_corner_robustness
 
-    fast = bool(params.get("fast", False))
+    fast = _bool_param(params, "fast", False)
     technology = tsmc65_like()
     # The sweeps store their shared time axis under the key "time".
     supply = supply_sweep(technology, engine=engine)
@@ -240,8 +256,8 @@ def run_eventsim(params: Dict[str, Any], engine: SweepEngine) -> Dict[str, Any]:
     from repro.circuits.technology import tsmc65_like
     from repro.runtime import Job, SweepSpec, job_key
 
-    fast = bool(params.get("fast", False))
-    shards = int(params.get("shards", 1))
+    fast = _bool_param(params, "fast", False)
+    shards = _int_param(params, "shards", 1)
     raw_pairs = params.get("pairs")
     if raw_pairs is None:
         corners = (0, 5, 10, 15)
@@ -414,8 +430,8 @@ def run_dnn(params: Dict[str, Any], engine: SweepEngine) -> Dict[str, Any]:
     for mode in modes:
         if mode not in DNN_MODES:
             raise ValueError(f"unknown mode {mode!r}; available: {', '.join(DNN_MODES)}")
-    quick = bool(params.get("quick", True))
-    shards = int(params.get("shards", 1))
+    quick = _bool_param(params, "quick", True)
+    shards = _int_param(params, "shards", 1)
     if shards < 1:
         raise ValueError("shards must be at least 1")
 
@@ -479,7 +495,7 @@ def run_tables(params: Dict[str, Any], engine: SweepEngine) -> Dict[str, Any]:
     from repro.circuits.technology import tsmc65_like
     from repro.core.dse import select_corners
 
-    fast = bool(params.get("fast", False))
+    fast = _bool_param(params, "fast", False)
     technology = tsmc65_like()
     suite, exploration = _calibrated_exploration(technology, fast, engine)
     backends = corner_backends(technology, suite=suite, corners=select_corners(exploration))
@@ -515,9 +531,9 @@ def run_montecarlo(params: Dict[str, Any], engine: SweepEngine) -> Dict[str, Any
     from repro.analysis.pvt_sweeps import mismatch_monte_carlo
     from repro.circuits.technology import tsmc65_like
 
-    samples = int(params.get("samples", 200))
-    seed = int(params.get("seed", 2024))
-    shards = int(params.get("shards", 1))
+    samples = _int_param(params, "samples", 200)
+    seed = _int_param(params, "seed", 2024)
+    shards = _int_param(params, "shards", 1)
     result = mismatch_monte_carlo(
         tsmc65_like(), samples=samples, seed=seed, shards=shards, engine=engine
     )

@@ -105,10 +105,10 @@ class ChaosSchedule:
     Drawn deterministically from a seed, so every trial is reproducible
     from its parametrized id alone.  The base regime (chunk size /
     straggler throttle / worker kill / job count) drives the randomized
-    steal-death schedules of ``test_cluster``; the multi-tenant
-    fields (drawn strictly *after* the base regime, so legacy seeds keep
-    their historical draws) add concurrent mixed-priority sweeps, a
-    mid-run pool resize and preemption pressure for ``test_sched_chaos``.
+    steal-death schedules of ``test_cluster``; the concurrency fields
+    (drawn strictly *after* the base regime, so legacy seeds keep their
+    historical draws) add a second concurrent sweep and a mid-run pool
+    resize for ``test_cluster_chaos``.
     """
 
     seed: int
@@ -120,16 +120,12 @@ class ChaosSchedule:
     kill_one: bool
     #: Jobs in the (batch) sweep.
     count: int
-    # --- multi-tenant chaos (test_sched_chaos) ------------------------
-    #: Jobs in the concurrently submitted interactive sweep.
-    interactive_count: int
-    #: Priority of the interactive sweep (outranks the batch sweep).
-    interactive_priority: int
-    #: Priority of the batch sweep.
-    batch_priority: int
-    #: Batch progress ticks to wait for before submitting the
-    #: interactive sweep (so its spans preempt in-flight batch work).
-    interactive_after_done: int
+    # --- concurrent sweeps (test_cluster_chaos) -----------------------
+    #: Jobs in the concurrently submitted second sweep.
+    second_count: int
+    #: First-sweep progress ticks to wait for before submitting the
+    #: second sweep (so it arrives while the first is in flight).
+    second_after_done: int
     #: Join one extra throttled worker mid-run (a pool resize).
     resize_mid_run: bool
 
@@ -149,16 +145,19 @@ class ChaosSchedule:
         throttle = float(rng.uniform(0.03, 0.12))
         kill_one = bool(rng.random() < 0.5)
         count = int(rng.integers(16, 28))
+        second_count = int(rng.integers(6, 12))
+        # The retired priority draws (second sweep, then first), consumed
+        # and discarded like the adaptive-window draw above.
+        rng.integers(5, 20)
+        rng.integers(-3, 1)
         return cls(
             seed=seed,
             probe=probe,
             throttle=throttle,
             kill_one=kill_one,
             count=count,
-            interactive_count=int(rng.integers(6, 12)),
-            interactive_priority=int(rng.integers(5, 20)),
-            batch_priority=int(rng.integers(-3, 1)),
-            interactive_after_done=int(rng.integers(2, 5)),
+            second_count=second_count,
+            second_after_done=int(rng.integers(2, 5)),
             resize_mid_run=bool(rng.random() < 0.5),
         )
 

