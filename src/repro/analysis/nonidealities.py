@@ -58,17 +58,20 @@ def discharge_vs_time(
     )
     threshold = access.parameters(conditions).threshold_voltage
 
+    # One transient over the whole voltage array; each trace is
+    # bit-identical to simulating its voltage alone.
+    v_wl = np.asarray(wordline_voltages, dtype=float)
+    result = solver.simulate_discharge(v_wl, duration, conditions)
     curves: List[DischargeCurve] = []
-    for v_wl in wordline_voltages:
-        result = solver.simulate_discharge(float(v_wl), duration, conditions)
-        waveform = result.waveform()
-        limit = max(float(v_wl) - threshold, 0.0)
+    for index, voltage in enumerate(v_wl):
+        waveform = result.waveform(index)
+        limit = max(float(voltage) - threshold, 0.0)
         saturation_time = waveform.crossing_time(limit) if limit > 0.0 else None
         curves.append(
             DischargeCurve(
-                wordline_voltage=float(v_wl),
+                wordline_voltage=float(voltage),
                 times=result.times,
-                voltages=np.atleast_1d(result.voltages),
+                voltages=result.voltages[index].copy(),
                 saturation_limit=limit,
                 saturation_time=saturation_time,
             )

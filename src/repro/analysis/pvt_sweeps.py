@@ -7,7 +7,10 @@ plotting.
 
 Every panel submits its reference transients as independent jobs through a
 :class:`repro.runtime.SweepEngine`, so they run concurrently under a
-parallel executor; the default engine is serial with no cache.  Every job is
+parallel executor.  The default engine has no cache and hands panels a-c to
+their ``batch_fn``, which integrates all of a panel's traces in one RK4 loop
+(:meth:`~repro.circuits.transient.TransientSolver.simulate_discharges`);
+the traces are bit-identical to one transient per job.  Every job is
 cached when the engine has an artifact cache: one ``fig5-trace`` artifact per
 operating point of panels a-c (the three panels share the tag, so their
 common nominal point is simulated once) and one ``pvt-montecarlo-shard``
@@ -24,8 +27,13 @@ import numpy as np
 from repro.circuits.conditions import OperatingConditions, celsius_to_kelvin
 from repro.circuits.mismatch import MismatchArrays, MismatchParameters, MismatchSampler
 from repro.circuits.technology import ProcessCorner, TechnologyCard
-from repro.circuits.transient import TransientSolver
+from repro.circuits.transient import DischargeResult, DischargeRun, TransientSolver
 from repro.runtime import Job, SweepEngine, SweepSpec, fingerprint, job_key
+
+
+def _trace_output(result: DischargeResult) -> Dict[str, np.ndarray]:
+    """What one Fig. 5a-c job returns from its transient."""
+    return {"times": result.times, "voltages": np.atleast_1d(result.voltages)}
 
 
 def _discharge_trace(
@@ -36,8 +44,27 @@ def _discharge_trace(
 ) -> Dict[str, np.ndarray]:
     """One reference transient (module-level so executors can pickle it)."""
     solver = TransientSolver(technology)
-    result = solver.simulate_discharge(wordline_voltage, duration, conditions)
-    return {"times": result.times, "voltages": np.atleast_1d(result.voltages)}
+    return _trace_output(solver.simulate_discharge(wordline_voltage, duration, conditions))
+
+
+def _trace_batch(jobs: Sequence[Job]) -> List[Dict[str, np.ndarray]]:
+    """Integrate a batch of :func:`_discharge_trace` jobs in one RK4 loop.
+
+    Jobs are grouped by technology card and window length; each group is
+    one :meth:`~repro.circuits.transient.TransientSolver.simulate_discharges`
+    call, whose per-run traces are bit-identical to the per-job path's.
+    """
+    groups: Dict[tuple, List[int]] = {}
+    for index, job in enumerate(jobs):
+        technology, _, duration, _ = job.args
+        groups.setdefault((id(technology), duration), []).append(index)
+    results: List[Optional[Dict[str, np.ndarray]]] = [None] * len(jobs)
+    for (_, duration), members in groups.items():
+        runs = [DischargeRun(jobs[index].args[1], jobs[index].args[3]) for index in members]
+        solver = TransientSolver(jobs[members[0]].args[0])
+        for index, result in zip(members, solver.simulate_discharges(runs, duration)):
+            results[index] = _trace_output(result)
+    return results
 
 
 def _trace_sweep(
@@ -52,7 +79,9 @@ def _trace_sweep(
 
     With a cache each job is keyed by ``fig5-trace``, the technology, the
     word-line voltage, the duration and its operating point; the shared
-    part of the key is hashed once per sweep.
+    part of the key is hashed once per sweep.  The sweep's ``batch_fn``
+    (:func:`_trace_batch`) integrates the missed points together under the
+    default engine; an explicit executor runs one transient per job.
     """
     engine = engine or SweepEngine()
     digest = (
@@ -69,7 +98,7 @@ def _trace_sweep(
         )
         for index, point in enumerate(conditions)
     ]
-    return engine.run(SweepSpec(name, jobs))
+    return engine.run(SweepSpec(name, jobs, batch_fn=_trace_batch))
 
 
 def supply_sweep(

@@ -30,7 +30,7 @@ from repro.circuits.bitline import BitLine
 from repro.circuits.mismatch import MismatchParameters, MismatchSample, MismatchSampler
 from repro.circuits.sram_cell import CellState, SramCell
 from repro.circuits.sram_array import SramArray, SramColumn, SramWord
-from repro.circuits.transient import DischargeResult, TransientSolver
+from repro.circuits.transient import DischargeResult, DischargeRun, TransientSolver
 from repro.circuits.waveform import Waveform
 from repro.circuits.energy import EnergyBreakdown, EnergyModelReference
 
@@ -38,6 +38,7 @@ __all__ = [
     "BitLine",
     "CellState",
     "DischargeResult",
+    "DischargeRun",
     "EnergyBreakdown",
     "EnergyModelReference",
     "MismatchParameters",

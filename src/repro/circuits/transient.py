@@ -54,12 +54,27 @@ Every cell that is read still passes through the same float operations in
 the same order; only where and when it is computed changes.  That is why
 the waveforms are bit-identical to the direct whole-table evaluation, which
 ``tests/test_transient_oracle.py`` keeps as an oracle.
+
+**One RK4 loop per batch.**  :meth:`TransientSolver.simulate_discharges`
+integrates several runs (each a word-line voltage or voltages, operating
+conditions and mismatch) over one window together.  Each run still builds
+its own current table; the batch stacks the tables' rows, and the start
+voltage and grid step become per-row arrays, while ``dt``, ``top`` and the
+capacitance stay shared.  Most of the loop's cost is fixed per step, not
+per row, so a batch pays it once instead of once per run.  :meth:`~TransientSolver.simulate_discharge` is the one-run case,
+so there is exactly one RK4 loop.
+
+Batching cannot change a bit: inside the loop a per-row value only passes
+through elementwise ``+ - * /``, ``maximum`` / ``minimum``, ``astype(int)``
+and ``take``.  These are exact IEEE operations whatever the vector length
+and whether an operand is a scalar or an array, so every row comes out as
+if its run had been integrated alone (``tests/test_transient_batch.py``).
 """
 
 from __future__ import annotations
 
 import dataclasses
-from typing import Optional, Union
+from typing import List, NamedTuple, Optional, Sequence, Union
 
 import numpy as np
 
@@ -98,6 +113,31 @@ def _stack_at_rows(stack: DischargeStack, shape: tuple, rows: np.ndarray) -> Dis
         return dataclasses.replace(record, **arrays)
 
     return dataclasses.replace(stack, access=gather(stack.access), pulldown=gather(stack.pulldown))
+
+
+class DischargeRun(NamedTuple):
+    """One transient of a :meth:`TransientSolver.simulate_discharges` batch.
+
+    The fields are the per-run arguments of
+    :meth:`TransientSolver.simulate_discharge`, in its order.
+    """
+
+    wordline_voltage: ArrayLike
+    conditions: Optional[OperatingConditions] = None
+    stored_bit: int = 1
+    mismatch: Union[MismatchSample, MismatchArrays, None] = None
+    initial_voltage: Optional[float] = None
+
+
+class _PreparedRun(NamedTuple):
+    """A validated run with its current table, ready to be stacked."""
+
+    conditions: OperatingConditions
+    shape: tuple
+    wordline_voltage: np.ndarray
+    start_voltage: float
+    grid_step: float
+    table: np.ndarray
 
 
 @dataclasses.dataclass
@@ -309,7 +349,7 @@ class TransientSolver:
         return v_grid, table
 
     # ------------------------------------------------------------------
-    # Main entry point
+    # Main entry points
     # ------------------------------------------------------------------
     def simulate_discharge(
         self,
@@ -321,6 +361,8 @@ class TransientSolver:
         initial_voltage: Optional[float] = None,
     ) -> DischargeResult:
         """Integrate the bit-line voltage for ``duration`` seconds.
+
+        The one-run case of :meth:`simulate_discharges`.
 
         Parameters
         ----------
@@ -340,40 +382,51 @@ class TransientSolver:
         initial_voltage:
             Pre-charge voltage of the bit-line; defaults to VDD.
         """
+        run = DischargeRun(wordline_voltage, conditions, stored_bit, mismatch, initial_voltage)
+        return self.simulate_discharges([run], duration)[0]
+
+    def simulate_discharges(
+        self, runs: Sequence[DischargeRun], duration: float
+    ) -> List[DischargeResult]:
+        """Integrate several runs over one ``duration`` window in one RK4 loop.
+
+        Each run is a :class:`DischargeRun` (or a tuple in its field order)
+        and gets its own result, bit-identical to integrating it alone (see
+        the module docstring).
+
+        >>> from repro.circuits.technology import tsmc65_like
+        >>> solver = TransientSolver(tsmc65_like())
+        >>> hot = OperatingConditions(vdd=1.1, temperature=350.0)
+        >>> together = solver.simulate_discharges([(0.9,), ([0.5, 0.7], hot)], 1e-9)
+        >>> alone = [
+        ...     solver.simulate_discharge(0.9, 1e-9),
+        ...     solver.simulate_discharge([0.5, 0.7], 1e-9, hot),
+        ... ]
+        >>> [result.voltages.shape for result in together]
+        [(102,), (2, 102)]
+        >>> all(np.array_equal(a.voltages, b.voltages) for a, b in zip(together, alone))
+        True
+        """
         if duration <= 0.0:
             raise ValueError("duration must be positive")
-        conditions = conditions or OperatingConditions.nominal(self.technology)
-        if stored_bit not in (0, 1):
-            raise ValueError("stored_bit must be 0 or 1")
-
-        v_wl = np.asarray(wordline_voltage, dtype=float)
-        if isinstance(mismatch, MismatchArrays):
-            sample_shape = (len(mismatch),)
-        else:
-            sample_shape = ()
-        shape = np.broadcast_shapes(v_wl.shape, sample_shape)
-
         steps = max(int(np.ceil(duration / self.time_step)), 2)
         times = np.linspace(0.0, duration, steps + 1)
         dt = times[1] - times[0]
-
-        start_voltage = conditions.vdd if initial_voltage is None else float(initial_voltage)
-        if start_voltage <= 0.0:
-            raise ValueError("initial_voltage must be positive")
-
         capacitance = self.bitline.capacitance
-        stack = self._build_stack(conditions, mismatch)
-        v_grid, table = self._current_table(
-            stack, v_wl, stored_bit, start_voltage, shape, steps * dt / capacitance
-        )
-        grid_step = float(v_grid[0] - v_grid[1])
+        prepared = [self._prepare(DischargeRun(*run), steps * dt / capacitance) for run in runs]
+        if not prepared:
+            return []
 
-        # One row per trace.  Interpolation is ``lower + fraction * slope``
-        # at a flat index into the row-major table; the slope table holds
-        # the same ``upper - lower`` subtraction, computed once.  Clamping
-        # the position to grid - 1.000001 caps the cell index at grid - 2,
-        # so ``upper`` never leaves the row and the last slope column is
-        # never read.
+        # One row per trace of every run.  Interpolation is ``lower +
+        # fraction * slope`` at a flat index into the row-major table; the
+        # slope table holds the same ``upper - lower`` subtraction, computed
+        # once.  Clamping the position to grid - 1.000001 caps the cell index
+        # at grid - 2, so ``upper`` never leaves the row and the last slope
+        # column is never read.
+        counts = [run.table.shape[0] for run in prepared]
+        table = np.concatenate([run.table for run in prepared])
+        start_voltage = np.repeat([run.start_voltage for run in prepared], counts)
+        grid_step = np.repeat([run.grid_step for run in prepared], counts)
         rows, grid = table.shape
         slope = np.zeros_like(table)
         slope[:, :-1] = table[:, 1:] - table[:, :-1]
@@ -389,7 +442,7 @@ class TransientSolver:
             current = table.take(flat_index) + fraction * slope.take(flat_index)
             return -current / capacitance
 
-        voltage = np.full(rows, start_voltage)
+        voltage = start_voltage
         traces = np.empty((rows, steps + 1), dtype=float)
         traces[:, 0] = voltage
 
@@ -402,11 +455,51 @@ class TransientSolver:
             voltage = np.maximum(voltage, 0.0)
             traces[:, step] = voltage
 
-        return DischargeResult(
-            times=times,
-            voltages=traces.reshape(shape + (steps + 1,)),
+        # A batch hands every run its own arrays, so no result pins the
+        # stacked buffer or shares a time grid with another result.
+        own = len(prepared) > 1
+        results = []
+        for run, stop in zip(prepared, np.cumsum(counts)):
+            voltages = traces[stop - run.table.shape[0] : stop].copy() if own else traces
+            results.append(
+                DischargeResult(
+                    times=times.copy() if own else times,
+                    voltages=voltages.reshape(run.shape + (steps + 1,)),
+                    conditions=run.conditions,
+                    wordline_voltage=run.wordline_voltage,
+                )
+            )
+        return results
+
+    def _prepare(self, run: DischargeRun, fall_per_amp: float) -> _PreparedRun:
+        """Validate one run and tabulate its current (see :meth:`_current_table`)."""
+        conditions = run.conditions or OperatingConditions.nominal(self.technology)
+        if run.stored_bit not in (0, 1):
+            raise ValueError("stored_bit must be 0 or 1")
+
+        v_wl = np.asarray(run.wordline_voltage, dtype=float)
+        if isinstance(run.mismatch, MismatchArrays):
+            sample_shape = (len(run.mismatch),)
+        else:
+            sample_shape = ()
+        shape = np.broadcast_shapes(v_wl.shape, sample_shape)
+
+        initial = run.initial_voltage
+        start_voltage = conditions.vdd if initial is None else float(initial)
+        if start_voltage <= 0.0:
+            raise ValueError("initial_voltage must be positive")
+
+        stack = self._build_stack(conditions, run.mismatch)
+        v_grid, table = self._current_table(
+            stack, v_wl, run.stored_bit, start_voltage, shape, fall_per_amp
+        )
+        return _PreparedRun(
             conditions=conditions,
+            shape=shape,
             wordline_voltage=np.broadcast_to(v_wl, shape).copy() if shape else v_wl.copy(),
+            start_voltage=start_voltage,
+            grid_step=float(v_grid[0] - v_grid[1]),
+            table=table,
         )
 
     # ------------------------------------------------------------------

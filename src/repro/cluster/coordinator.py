@@ -344,6 +344,7 @@ class Coordinator:
         self._stopping = False
         self._loop: Optional[asyncio.AbstractEventLoop] = None
         self._watch_tasks: "set[asyncio.Task]" = set()
+        self._connection_tasks: "set[asyncio.Task]" = set()
         # Per-instance view over process-wide registry counters: ``status``
         # reports this coordinator's own counts (zero at birth) while the
         # Prometheus endpoint scrapes the process-lifetime totals.
@@ -400,6 +401,12 @@ class Coordinator:
             task.cancel()
         await asyncio.gather(*self._watch_tasks, return_exceptions=True)
         self._watch_tasks.clear()
+        # Connection handlers outlive the closed server; finish them here so
+        # none is left pending when the event loop closes.
+        for task in list(self._connection_tasks):
+            task.cancel()
+        await asyncio.gather(*self._connection_tasks, return_exceptions=True)
+        self._connection_tasks.clear()
         for task in self._tasks:
             task.cancel()
         await asyncio.gather(*self._tasks, return_exceptions=True)
@@ -761,6 +768,8 @@ class Coordinator:
     ) -> None:
         link: Optional[_WorkerLink] = None
         watch_cleanups: List[Callable[[], None]] = []
+        task = asyncio.current_task()
+        self._connection_tasks.add(task)
         try:
             while True:
                 try:
@@ -802,6 +811,7 @@ class Coordinator:
                         writer, protocol.error_event(f"unexpected op {op!r}")
                     )
         finally:
+            self._connection_tasks.discard(task)
             for cleanup in watch_cleanups:
                 cleanup()
             if link is not None:

@@ -33,7 +33,7 @@ from repro.circuits.conditions import OperatingConditions, celsius_to_kelvin
 from repro.circuits.energy import EnergyModelReference
 from repro.circuits.mismatch import MismatchParameters, MismatchSampler
 from repro.circuits.technology import TechnologyCard
-from repro.circuits.transient import TransientSolver
+from repro.circuits.transient import DischargeResult, DischargeRun, TransientSolver
 from repro.runtime import Job, SweepEngine, SweepSpec, job_key
 
 
@@ -169,38 +169,34 @@ class CharacterizationData:
         )
 
 
-def _sample_waveforms(
-    solver: TransientSolver,
-    wordline_voltages: np.ndarray,
-    times: np.ndarray,
-    conditions: OperatingConditions,
-) -> np.ndarray:
-    """Run one transient per word-line voltage and sample it at ``times``.
-
-    Returns an array of shape ``(len(wordline_voltages), len(times))``.
-    """
-    duration = float(times.max())
-    result = solver.simulate_discharge(wordline_voltages, duration, conditions)
-    sampled = np.empty((wordline_voltages.size, times.size))
-    for column, time in enumerate(times):
-        sampled[:, column] = np.atleast_1d(result.voltage_at(float(time)))
-    return sampled
+def _duration(plan: CharacterizationPlan) -> float:
+    """Length of the discharge window every transient of ``plan`` integrates."""
+    return float(max(plan.times))
 
 
 # ----------------------------------------------------------------------
 # Sweep jobs (module-level so the process-pool executor can pickle them)
+#
+# Each transient job is "the run it integrates" plus "rows from its
+# result", so a lone job and a batch of jobs integrated together share the
+# sampling code.
 # ----------------------------------------------------------------------
-def _discharge_rows_job(
-    technology: TechnologyCard,
-    plan: CharacterizationPlan,
-    conditions: OperatingConditions,
-    solver: Optional[TransientSolver] = None,
+def _discharge_run(
+    technology: TechnologyCard, plan: CharacterizationPlan, conditions: OperatingConditions
+) -> DischargeRun:
+    """The transient of one (time x V_WL) discharge sweep."""
+    return DischargeRun(np.asarray(plan.wordline_voltages, dtype=float), conditions)
+
+
+def _discharge_rows(
+    plan: CharacterizationPlan, conditions: OperatingConditions, result: DischargeResult
 ) -> np.ndarray:
-    """One (time x V_WL) discharge sweep at fixed conditions, as a (n, 5) table."""
-    solver = solver or TransientSolver(technology)
+    """The discharge sweep's transient sampled at ``plan.times``, as a (n, 5) table."""
     times = np.asarray(plan.times, dtype=float)
     v_wl = np.asarray(plan.wordline_voltages, dtype=float)
-    sampled = _sample_waveforms(solver, v_wl, times, conditions)
+    sampled = np.empty((v_wl.size, times.size))
+    for column, time in enumerate(times):
+        sampled[:, column] = np.atleast_1d(result.voltage_at(float(time)))
     grid_wl, grid_t = np.meshgrid(v_wl, times, indexing="ij")
     return np.column_stack(
         [
@@ -213,6 +209,48 @@ def _discharge_rows_job(
     )
 
 
+def _mismatch_run(
+    technology: TechnologyCard, plan: CharacterizationPlan, conditions: OperatingConditions
+) -> DischargeRun:
+    """The Monte-Carlo transient: every mismatch V_WL times every sample."""
+    sampler = MismatchSampler(
+        MismatchParameters.from_technology(technology), seed=plan.mismatch_seed
+    )
+    mc_v_wl = np.asarray(plan.mismatch_wordline_voltages, dtype=float)
+    return DischargeRun(
+        mc_v_wl[:, np.newaxis], conditions, mismatch=sampler.sample_arrays(plan.mismatch_samples)
+    )
+
+
+def _mismatch_rows(
+    plan: CharacterizationPlan, conditions: OperatingConditions, result: DischargeResult
+) -> np.ndarray:
+    """The Monte-Carlo sigma of the discharge at ``plan.times``, as a (n, 3) table."""
+    times = np.asarray(plan.times, dtype=float)
+    mc_v_wl = np.asarray(plan.mismatch_wordline_voltages, dtype=float)
+    sigma_table = np.empty((mc_v_wl.size, times.size))
+    for column, time in enumerate(times):
+        voltages = result.voltage_at(float(time))
+        sigma_table[:, column] = np.std(voltages, axis=1)
+    mc_grid_wl, mc_grid_t = np.meshgrid(mc_v_wl, times, indexing="ij")
+    return np.column_stack(
+        [mc_grid_t.ravel(), mc_grid_wl.ravel(), sigma_table.ravel()]
+    )
+
+
+def _discharge_rows_job(
+    technology: TechnologyCard,
+    plan: CharacterizationPlan,
+    conditions: OperatingConditions,
+    solver: Optional[TransientSolver] = None,
+) -> np.ndarray:
+    """One (time x V_WL) discharge sweep at fixed conditions, as a (n, 5) table."""
+    solver = solver or TransientSolver(technology)
+    run = _discharge_run(technology, plan, conditions)
+    (result,) = solver.simulate_discharges([run], _duration(plan))
+    return _discharge_rows(plan, conditions, result)
+
+
 def _mismatch_rows_job(
     technology: TechnologyCard,
     plan: CharacterizationPlan,
@@ -221,24 +259,16 @@ def _mismatch_rows_job(
 ) -> np.ndarray:
     """The mismatch Monte-Carlo sigma sweep, as a (n, 3) table."""
     solver = solver or TransientSolver(technology)
-    times = np.asarray(plan.times, dtype=float)
-    sampler = MismatchSampler(
-        MismatchParameters.from_technology(technology), seed=plan.mismatch_seed
-    )
-    mismatch_arrays = sampler.sample_arrays(plan.mismatch_samples)
-    mc_v_wl = np.asarray(plan.mismatch_wordline_voltages, dtype=float)
-    duration = float(times.max())
-    mc_result = solver.simulate_discharge(
-        mc_v_wl[:, np.newaxis], duration, conditions, mismatch=mismatch_arrays
-    )
-    sigma_table = np.empty((mc_v_wl.size, times.size))
-    for column, time in enumerate(times):
-        voltages = mc_result.voltage_at(float(time))
-        sigma_table[:, column] = np.std(voltages, axis=1)
-    mc_grid_wl, mc_grid_t = np.meshgrid(mc_v_wl, times, indexing="ij")
-    return np.column_stack(
-        [mc_grid_t.ravel(), mc_grid_wl.ravel(), sigma_table.ravel()]
-    )
+    run = _mismatch_run(technology, plan, conditions)
+    (result,) = solver.simulate_discharges([run], _duration(plan))
+    return _mismatch_rows(plan, conditions, result)
+
+
+#: The transient jobs, each with the run it integrates and its sampling.
+_TRANSIENT_JOBS = {
+    _discharge_rows_job: (_discharge_run, _discharge_rows),
+    _mismatch_rows_job: (_mismatch_run, _mismatch_rows),
+}
 
 
 def _write_energy_rows_job(
@@ -299,43 +329,48 @@ def _discharge_energy_rows_job(
 def _characterization_batch(jobs: Sequence[Job]) -> List[np.ndarray]:
     """Whole-group evaluator for the characterisation sweeps.
 
-    Every characterisation job historically constructed its own
-    :class:`~repro.circuits.transient.TransientSolver` /
-    :class:`~repro.circuits.energy.EnergyModelReference`; a batch shares
-    one per technology card instead, amortising the construction across
-    the group.  Both reference engines are deterministic pure functions of
-    the technology card (the mismatch Monte-Carlo seeds its own sampler
-    per job), so sharing them is bit-identical to per-job construction —
-    the same sharing :func:`characterize` already sanctions by accepting
-    injected engines.  Jobs with an injected engine, and jobs this module
-    does not recognise, run unchanged.
+    The transient jobs of a batch (every discharge sweep and the mismatch
+    Monte-Carlo) are grouped by technology card and window length, and
+    each group is integrated in one
+    :meth:`~repro.circuits.transient.TransientSolver.simulate_discharges`
+    call: one RK4 loop instead of one per job.  Every job then samples its
+    own result with the same code as the per-job path, and the solver keeps
+    each run's traces bit-identical to integrating it alone.
+
+    The energy jobs share one
+    :class:`~repro.circuits.energy.EnergyModelReference` per technology
+    card.  Both reference engines are deterministic pure functions of the
+    card (the mismatch Monte-Carlo seeds its own sampler per job), so
+    sharing them is bit-identical to per-job construction — the same
+    sharing :func:`characterize` already sanctions by accepting injected
+    engines.  Jobs with an injected engine, and jobs this module does not
+    recognise, run unchanged.
     """
-    solvers: Dict[int, TransientSolver] = {}
     references: Dict[int, EnergyModelReference] = {}
-    results: List[np.ndarray] = []
-    for job in jobs:
-        kwargs = dict(job.kwargs)
+    groups: Dict[tuple, List[int]] = {}
+    results: List[Optional[np.ndarray]] = [None] * len(jobs)
+    for index, job in enumerate(jobs):
         technology = job.args[0] if job.args else None
-        if (
-            job.fn in (_discharge_rows_job, _mismatch_rows_job)
-            and kwargs.get("solver") is None
-        ):
-            key = id(technology)
-            if key not in solvers:
-                solvers[key] = TransientSolver(technology)
-            kwargs["solver"] = solvers[key]
+        if job.fn in _TRANSIENT_JOBS and job.kwargs.get("solver") is None:
+            groups.setdefault((id(technology), _duration(job.args[1])), []).append(index)
         elif (
             job.fn in (_write_energy_rows_job, _discharge_energy_rows_job)
-            and kwargs.get("energy_reference") is None
+            and job.kwargs.get("energy_reference") is None
         ):
             key = id(technology)
             if key not in references:
                 references[key] = EnergyModelReference(technology)
-            kwargs["energy_reference"] = references[key]
+            kwargs = dict(job.kwargs, energy_reference=references[key])
+            results[index] = job.fn(*job.args, **kwargs)
         else:
-            results.append(job.run())
-            continue
-        results.append(job.fn(*job.args, **kwargs))
+            results[index] = job.run()
+    for (_, duration), members in groups.items():
+        group = [jobs[index] for index in members]
+        runs = [_TRANSIENT_JOBS[job.fn][0](*job.args) for job in group]
+        solved = TransientSolver(group[0].args[0]).simulate_discharges(runs, duration)
+        for index, job, result in zip(members, group, solved):
+            _, plan, conditions = job.args
+            results[index] = _TRANSIENT_JOBS[job.fn][1](plan, conditions, result)
     return results
 
 

@@ -76,7 +76,11 @@ def _bool_param(params: Dict[str, Any], name: str, default: bool) -> bool:
 
 def _int_param(params: Dict[str, Any], name: str, default: int) -> int:
     """``params[name]`` as a JSON integer (a boolean does not count)."""
-    value = params.get(name, default)
+    return _json_int(name, params.get(name, default))
+
+
+def _json_int(name: str, value: Any) -> int:
+    """``value`` of param ``name`` as a JSON integer; ``ValueError`` otherwise."""
     if isinstance(value, bool) or not isinstance(value, int):
         raise ValueError(f"param {name!r} must be a JSON integer, got {value!r}")
     return value
@@ -268,7 +272,7 @@ def run_eventsim(params: Dict[str, Any], engine: SweepEngine) -> Dict[str, Any]:
     for pair in raw_pairs:
         if not isinstance(pair, (list, tuple)) or len(pair) != 2:
             raise ValueError(f"malformed operand pair {pair!r} (expected [x, d])")
-        x, d = int(pair[0]), int(pair[1])
+        x, d = (_json_int("pairs", operand) for operand in pair)
         if not 0 <= x <= 15 or not 0 <= d <= 15:
             raise ValueError(f"operand pair {pair!r} out of range 0..15")
         pairs.append((x, d))

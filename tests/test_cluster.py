@@ -603,6 +603,37 @@ class TestHelloValidation:
         assert current["event"] == "welcome" and alive == 1  # the same hello at v7
 
 
+class TestCoordinatorShutdown:
+    def test_stop_leaves_no_connection_handler_pending(self):
+        """``stop()`` cancels and awaits the handler of every open
+        connection, so no handler is left pending for a closed loop."""
+        import asyncio
+
+        from repro.cluster.coordinator import Coordinator
+
+        async def scenario():
+            coordinator = Coordinator()
+            host, port = await coordinator.start()
+            reader, writer = await wire.open_connection(host, port)
+            writer.write(wire.encode_message({"op": "ping", "id": 1}))
+            await writer.drain()
+            reply = await asyncio.wait_for(wire.read_message(reader), 10)
+            handlers = [
+                task
+                for task in asyncio.all_tasks()
+                if task.get_coro().__qualname__ == "Coordinator._handle_connection"
+            ]
+            await coordinator.stop()
+            pending = [task for task in handlers if not task.done()]
+            writer.close()
+            return reply, handlers, pending
+
+        reply, handlers, pending = asyncio.run(scenario())
+        assert reply["event"] == "pong"
+        assert len(handlers) == 1
+        assert pending == []
+
+
 class TestOrphanAccounting:
     def test_partial_orphan_steal_keeps_timeout_armed(self):
         """Stealing *some* orphaned work must not disarm the abandonment

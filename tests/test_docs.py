@@ -44,6 +44,7 @@ DOCTEST_MODULES = [
     "repro.dnn.imc_injection",
     "repro.dnn.network",
     "repro.circuits.mosfet",
+    "repro.circuits.transient",
 ]
 
 _LINK = re.compile(r"\[[^\]]*\]\(([^)\s]+)\)")

@@ -614,6 +614,9 @@ class TestWorkloadParams:
             ("montecarlo", {"samples": "200"}, "samples"),  # string for an integer
             ("montecarlo", {"seed": True}, "seed"),  # boolean for an integer
             ("eventsim", {"shards": None}, "shards"),  # null for an integer
+            ("eventsim", {"pairs": [[3.7, 5]]}, "pairs"),  # float operand
+            ("eventsim", {"pairs": [[3, "5"]]}, "pairs"),  # string operand
+            ("eventsim", {"pairs": [[True, 5]]}, "pairs"),  # boolean operand
         ],
     )
     def test_wrong_json_type_is_rejected_by_name(self, workload, params, name):
