@@ -1,8 +1,9 @@
-"""Design-space exploration drivers (paper Fig. 7, Table I, Fig. 8).
+"""Design-space exploration drivers (paper Fig. 7, Table I).
 
-The functions here wrap :mod:`repro.core.dse` / :mod:`repro.core.pvt` into
-the exact artefacts the paper reports: the 48-corner sweep slices of Fig. 7,
-the three selected corners of Table I and the robustness curves of Fig. 8.
+The functions here wrap :mod:`repro.core.dse` into the exact artefacts the
+paper reports: the 48-corner sweep slices of Fig. 7 and the three selected
+corners of Table I.  The Fig. 8 robustness curves come from
+:func:`repro.core.pvt.analyze_corner_robustness`.
 """
 
 from __future__ import annotations
@@ -13,7 +14,6 @@ from repro.circuits.technology import TechnologyCard, tsmc65_like
 from repro.core.calibration import calibrated_suite
 from repro.core.dse import DesignSpace, ExplorationResult, explore_design_space
 from repro.core.model_suite import OptimaModelSuite
-from repro.core.pvt import CornerRobustnessReport, analyze_corner_robustness
 from repro.runtime import SweepEngine
 
 
@@ -101,20 +101,6 @@ def format_table1(
             f"{paper.get('energy_fj', float('nan')):>9.1f}"
         )
     return "\n".join(lines)
-
-
-def corner_robustness_reports(
-    result: ExplorationResult,
-    suite: OptimaModelSuite,
-    engine: Optional[SweepEngine] = None,
-) -> Dict[str, CornerRobustnessReport]:
-    """Fig. 8 robustness analysis for every selected corner."""
-    reports: Dict[str, CornerRobustnessReport] = {}
-    for corner in result.selected_corners():
-        reports[corner.name] = analyze_corner_robustness(
-            suite, corner.config, engine=engine
-        )
-    return reports
 
 
 def figure7_slices(result: ExplorationResult) -> Dict[str, List[Dict[str, float]]]:

@@ -202,9 +202,10 @@ def _mismatch_monte_carlo_shard(
     the shard's per-sample voltages are bit-identical to the corresponding
     rows of an unsharded run — which is what makes the merged panel
     independent of shard count, executor and dispatch schedule.  That holds
-    with reach-bounded tables too: a shard solves a different set of cells
-    (and may cross the one-block cut-over where the whole run does not), but
-    each cell's value does not depend on which other cells are solved.
+    with reach-bounded tables too: the solver applies its one-block cut-over
+    to all the cells of a batch, so a small shard is solved whole where the
+    unsharded run is reach-bounded, but each cell's value does not depend on
+    which other cells are solved, or beside which rows.
 
     Module-level (and arguments picklable) so process-pool and cluster
     executors can ship it.

@@ -105,7 +105,9 @@ class DischargeStack:
     pulldown: MosfetParameters
     vdd: float
 
-    def current(self, v_bl: ArrayLike, v_wl: ArrayLike) -> np.ndarray:
+    def current(
+        self, v_bl: ArrayLike, v_wl: ArrayLike, rows: Optional[np.ndarray] = None
+    ) -> np.ndarray:
         """Discharge current drawn from the bit-line at voltage ``v_bl``.
 
         The internal node voltage ``v_x`` (the source of the access device
@@ -128,29 +130,39 @@ class DischargeStack:
         element goes through the same float operations in the same order,
         so the result is bit-identical to evaluating the whole array at once
         with :func:`drain_current_from_parameters` for both devices.
+
+        With ``rows``, the stack describes many rows (one transient trace
+        each): ``v_wl``, ``vdd`` and every array-valued parameter hold one
+        entry per row, ``v_bl`` is flat with one entry per cell, and
+        ``rows`` gives each cell's row.  The per-row values are gathered one
+        block at a time, so no per-cell parameter array outgrows a block.
         """
         v_bl = np.asarray(v_bl, dtype=float)
         v_wl = np.asarray(v_wl, dtype=float)
         records = (self.access, self.pulldown, gate_terms(self.pulldown, self.vdd))
         arrays = [_array_fields(record) for record in records]
-        shape = np.broadcast_shapes(
-            v_bl.shape, v_wl.shape, *(np.shape(a) for fields in arrays for a in fields.values())
-        )
-        flat_bl = np.broadcast_to(v_bl, shape).ravel()
-        flat_wl = np.broadcast_to(v_wl, shape).ravel()
-        arrays = [
-            {name: np.broadcast_to(a, shape).ravel() for name, a in fields.items()}
-            for fields in arrays
-        ]
+        if rows is None:
+            shape = np.broadcast_shapes(
+                v_bl.shape, v_wl.shape, *(np.shape(a) for fields in arrays for a in fields.values())
+            )
+            flat_bl = np.broadcast_to(v_bl, shape).ravel()
+            flat_wl = np.broadcast_to(v_wl, shape).ravel()
+            arrays = [
+                {name: np.broadcast_to(a, shape).ravel() for name, a in fields.items()}
+                for fields in arrays
+            ]
+        else:
+            shape, flat_bl, flat_wl = v_bl.shape, v_bl, v_wl
         currents = np.empty(flat_bl.size)
         for start in range(0, flat_bl.size, BISECTION_BLOCK):
             block = slice(start, start + BISECTION_BLOCK)
+            cells = block if rows is None else rows[block]
             access, pulldown, pulldown_gate = (
-                dataclasses.replace(record, **{name: a[block] for name, a in fields.items()})
+                dataclasses.replace(record, **{name: a[cells] for name, a in fields.items()})
                 for record, fields in zip(records, arrays)
             )
             currents[block] = _solve_stack(
-                access, pulldown, pulldown_gate, flat_bl[block], flat_wl[block]
+                access, pulldown, pulldown_gate, flat_bl[block], flat_wl[cells]
             )
         return currents.reshape(shape) if shape else currents[0]
 

@@ -12,63 +12,77 @@ dependence) shows up in the produced waveforms.
 
 Because the word-line voltage is constant during one discharge window, the
 node equation is autonomous in the bit-line voltage.  The solver therefore
-tabulates the stack current over a dense bit-line-voltage grid once per run
-and interpolates that table inside the RK4 loop.  This keeps the reference
-simulator accurate while making the thousand-sample Monte-Carlo sweeps of
-the characterisation flow practical.  It is still orders of magnitude slower
-than evaluating the fitted OPTIMA polynomials, which is exactly the
-comparison behind the paper's speed-up claim (see :mod:`repro.core.speedup`).
+tabulates the stack current over a dense bit-line-voltage grid once per
+trace and interpolates that table inside the RK4 loop.  This keeps the
+reference simulator accurate while making the thousand-sample Monte-Carlo
+sweeps of the characterisation flow practical.  It is still orders of
+magnitude slower than evaluating the fitted OPTIMA polynomials, which is
+exactly the comparison behind the paper's speed-up claim (see
+:mod:`repro.core.speedup`).
+
+**One batch, one table solve, one RK4 loop.**
+:meth:`TransientSolver.simulate_discharges` integrates several runs (each
+a word-line voltage or voltages, operating conditions, stored bit and
+mismatch) over one window together; :meth:`~TransientSolver.simulate_discharge`
+is the one-run case, so there is exactly one table solve and one RK4 loop.
+Every trace of every run is one row.  Most of the cost of a
+:meth:`~repro.circuits.sram_cell.DischargeStack.current` call (24
+bisection steps, each a few dozen array operations) and of an RK4 step is
+fixed, not per row, so a batch pays it once instead of once per run.
+
+* The stack parameters of all runs are stacked one value per row; a
+  parameter every run shares as one scalar (the technology's ``alpha`` and
+  channel-length modulation) stays a scalar.  Each cell carries its row
+  index, and :meth:`DischargeStack.current` gathers the per-row values one
+  :data:`~repro.circuits.sram_cell.BISECTION_BLOCK` at a time, so no
+  per-cell parameter array outgrows a block.
+* Stored-bit-0 rows hold their run's leakage table; only stored-bit-1 rows
+  are bisected.
+* In the RK4 loop the start voltage and grid step are per-row arrays, while
+  ``dt``, ``top`` and the capacitance stay shared.
 
 **Reach-bounded tables.**  A trace reads only the cells its voltage passes
 through, and a short window leaves most of the grid unvisited.  So the
-table is solved only where each trace can reach:
+batch's table is solved only where each trace can reach, in at most three
+flat :meth:`DischargeStack.current` calls over every stored-bit-1 row:
 
-1. Column 0 (the start voltage) is bisected for every trace, giving ``I0``.
+1. Column 0 (the start voltage) is bisected for every row, giving ``I0``.
 2. Every RK4 stage slope is at most the largest table current the stage
    reads.  If every solved cell of a row is at most ``I0 * (1 + slack)``,
    then by induction over the steps the trace falls by at most
    ``I0 * (1 + slack) * steps * dt / C`` and never leaves its solved cells.
-3. The cells within that reach, plus the next cell the interpolation reads
-   and one cell of margin, are bisected in one flat
-   :meth:`DischargeStack.current` call.
-4. A row with a solved cell above ``I0 * (1 + slack)`` breaks the induction
-   and is solved whole in one more call.  The slack is set above the ~1e-6
-   bisection noise of sub-threshold rows, so this stays rare.
+   The cells within that reach, plus the next cell the interpolation reads
+   and one cell of margin, are bisected in the second call.
+3. A row with a solved cell above ``I0 * (1 + slack)`` breaks the induction
+   and the rest of it is solved in a third call.  The slack is set above
+   the ~1e-6 bisection noise of sub-threshold rows, so this stays rare.
 
 Unsolved cells hold NaN, so a read past the bound would poison its trace
-visibly instead of silently.  A table that fits in one
-:data:`~repro.circuits.sram_cell.BISECTION_BLOCK` is solved whole in one
-pass: a second pass would cost more in fixed overhead than it saves.
+visibly instead of silently.  When all the batch's stored-bit-1 rows fit
+in one ``BISECTION_BLOCK`` of cells (one Fig. 5 panel, a 50-sample
+Monte-Carlo shard), they are solved whole in one call: a second call would
+cost more in fixed overhead than it saves.
 
-Both halves are arranged for speed without changing a single output bit:
+None of this changes a single output bit:
 
-* The table solve computes the pull-down device's gate terms once, since its
-  gate sits at VDD, and bisects the internal node over flat, cache-sized
-  blocks of cells.  Each cell is solved independently of every other, so
-  which cells are solved, and in which call, does not change any value.
-* The RK4 loop keeps one row per trace and interpolates with a flat
-  ``take`` into the table and one into a precomputed slope table
-  (``upper - lower``, the same subtraction the interpolation would do).
+* The table solve computes the pull-down device's gate terms once per row,
+  since its gate sits at VDD, and bisects the internal node over flat,
+  cache-sized blocks of cells.  Each cell is solved independently of every
+  other, so which cells are solved, in which call and beside which run,
+  does not change any value.
+* The RK4 loop interpolates with a flat ``take`` into the table and one
+  into a precomputed slope table (``upper - lower``, the same subtraction
+  the interpolation would do).  Inside the loop a per-row value only passes
+  through elementwise ``+ - * /``, ``maximum`` / ``minimum``,
+  ``astype(int)`` and ``take``.
 
-Every cell that is read still passes through the same float operations in
-the same order; only where and when it is computed changes.  That is why
-the waveforms are bit-identical to the direct whole-table evaluation, which
-``tests/test_transient_oracle.py`` keeps as an oracle.
-
-**One RK4 loop per batch.**  :meth:`TransientSolver.simulate_discharges`
-integrates several runs (each a word-line voltage or voltages, operating
-conditions and mismatch) over one window together.  Each run still builds
-its own current table; the batch stacks the tables' rows, and the start
-voltage and grid step become per-row arrays, while ``dt``, ``top`` and the
-capacitance stay shared.  Most of the loop's cost is fixed per step, not
-per row, so a batch pays it once instead of once per run.  :meth:`~TransientSolver.simulate_discharge` is the one-run case,
-so there is exactly one RK4 loop.
-
-Batching cannot change a bit: inside the loop a per-row value only passes
-through elementwise ``+ - * /``, ``maximum`` / ``minimum``, ``astype(int)``
-and ``take``.  These are exact IEEE operations whatever the vector length
-and whether an operand is a scalar or an array, so every row comes out as
-if its run had been integrated alone (``tests/test_transient_batch.py``).
+These are exact IEEE operations whatever the vector length and whether an
+operand is a scalar or an array, and every cell that is read passes
+through the same float operations in the same order; only where and when
+it is computed changes.  So every row comes out as if its run had been
+integrated alone (``tests/test_transient_batch.py``), and bit-identical to
+the direct whole-table evaluation that ``tests/test_transient_oracle.py``
+keeps as an oracle.
 """
 
 from __future__ import annotations
@@ -95,24 +109,39 @@ ArrayLike = Union[float, np.ndarray]
 _REACH_SLACK = 1e-4
 
 
-def _stack_at_rows(stack: DischargeStack, shape: tuple, rows: np.ndarray) -> DischargeStack:
-    """``stack`` with every array parameter taken at the given trace rows.
+def _per_row(values: Sequence[ArrayLike], shapes: Sequence[tuple]) -> ArrayLike:
+    """One stack parameter of every run of a batch, one entry per trace row.
 
-    Array parameters (Monte-Carlo mismatch) broadcast against ``shape +
-    (grid,)`` with a trailing unit axis.  Flattened to one entry per trace
-    and gathered at ``rows``, they give one parameter set per table cell;
-    scalar parameters stay scalars.
+    A run's array parameters (Monte-Carlo mismatch) broadcast against its
+    ``shape + (grid,)`` with a trailing unit axis, so broadcast to ``shape +
+    (1,)`` and flattened they give one entry per trace.  A parameter every
+    run holds as the same scalar (a technology constant such as ``alpha``)
+    stays a scalar: NumPy computes ``x ** 2.0`` or ``x ** 0.5`` with a
+    scalar exponent through a different, not always bit-equal, routine
+    than with an array of exponents.
     """
+    if all(np.ndim(value) == 0 for value in values) and len(set(map(float, values))) == 1:
+        return values[0]
+    return np.concatenate(
+        [np.broadcast_to(value, shape + (1,)).ravel() for value, shape in zip(values, shapes)]
+    )
 
-    def gather(record):
-        arrays = {
-            field.name: np.broadcast_to(getattr(record, field.name), shape + (1,)).ravel()[rows]
-            for field in dataclasses.fields(record)
-            if np.ndim(getattr(record, field.name)) > 0
+
+def _batch_stack(stacks: Sequence[DischargeStack], shapes: Sequence[tuple]) -> DischargeStack:
+    """The discharge stacks of a batch's runs as one stack of per-row parameters."""
+
+    def merge(records):
+        per_row = {
+            field.name: _per_row([getattr(record, field.name) for record in records], shapes)
+            for field in dataclasses.fields(records[0])
         }
-        return dataclasses.replace(record, **arrays)
+        return dataclasses.replace(records[0], **per_row)
 
-    return dataclasses.replace(stack, access=gather(stack.access), pulldown=gather(stack.pulldown))
+    return DischargeStack(
+        access=merge([stack.access for stack in stacks]),
+        pulldown=merge([stack.pulldown for stack in stacks]),
+        vdd=_per_row([stack.vdd for stack in stacks], shapes),
+    )
 
 
 class DischargeRun(NamedTuple):
@@ -130,14 +159,14 @@ class DischargeRun(NamedTuple):
 
 
 class _PreparedRun(NamedTuple):
-    """A validated run with its current table, ready to be stacked."""
+    """A validated run with its discharge stack and voltage grid."""
 
     conditions: OperatingConditions
     shape: tuple
     wordline_voltage: np.ndarray
-    start_voltage: float
-    grid_step: float
-    table: np.ndarray
+    stored_bit: int
+    stack: DischargeStack
+    v_grid: np.ndarray
 
 
 @dataclasses.dataclass
@@ -290,63 +319,64 @@ class TransientSolver:
         )
         return DischargeStack(access=access, pulldown=pulldown, vdd=conditions.vdd)
 
-    def _current_table(
-        self,
-        stack: DischargeStack,
-        wordline_voltage: np.ndarray,
-        stored_bit: int,
-        start_voltage: float,
-        shape: tuple,
-        fall_per_amp: float,
-    ) -> tuple:
-        """Tabulate the discharge current over a bit-line voltage grid.
+    def _current_tables(
+        self, prepared: Sequence[_PreparedRun], fall_per_amp: float
+    ) -> np.ndarray:
+        """Tabulate the discharge current of every trace of a batch.
 
-        Returns ``(v_grid, table)`` where ``v_grid`` descends from the
-        pre-charge voltage to 0 V and ``table`` has one row per trace.  A
-        trace whose start current is ``I0`` falls by at most
-        ``I0 * fall_per_amp`` volts, so only the cells within that reach are
-        solved; the others stay NaN (see the module docstring).
+        Returns one row per trace, run after run, over the run's voltage
+        grid (its start voltage down to 0 V).  Stored-bit-0 rows hold the
+        leakage.  The stored-bit-1 rows of every run are bisected together in
+        at most three flat :meth:`DischargeStack.current` calls.  A trace
+        whose start current is ``I0`` falls by at most ``I0 * fall_per_amp``
+        volts, so only the cells within that reach are solved; the others
+        stay NaN (see the module docstring).
         """
         grid = self.voltage_grid_points
-        v_grid = np.linspace(start_voltage, 0.0, grid)
-        rows = int(np.prod(shape))
-        if stored_bit == 0:
-            leakage = np.broadcast_to(stack.leakage_current(v_grid), shape + (grid,))
-            return v_grid, np.maximum(leakage, 0.0).reshape(rows, grid)
+        shapes = [run.shape for run in prepared]
+        counts = [int(np.prod(shape)) for shape in shapes]
+        run_of_row = np.repeat(np.arange(len(prepared)), counts)
+        table = np.full((run_of_row.size, grid), np.nan)
+        for run, stop, count in zip(prepared, np.cumsum(counts), counts):
+            if run.stored_bit == 0:
+                leakage = run.stack.leakage_current(run.v_grid)
+                leakage = np.broadcast_to(leakage, run.shape + (grid,)).reshape(count, grid)
+                table[stop - count : stop] = np.maximum(leakage, 0.0)
+        every = np.flatnonzero(np.repeat([run.stored_bit for run in prepared], counts))
+        if not every.size:
+            return table
 
-        v_wl = np.broadcast_to(wordline_voltage, shape)
-        # Within one bisection block a single call over the whole table
-        # costs less than the fixed cost of a second, partial one.
-        if rows * grid <= BISECTION_BLOCK:
-            table = stack.current(np.broadcast_to(v_grid, shape + (grid,)), v_wl[..., np.newaxis])
-            return v_grid, np.maximum(table, 0.0).reshape(rows, grid)
+        stack = _batch_stack([run.stack for run in prepared], shapes)
+        v_wl = np.concatenate([run.wordline_voltage.ravel() for run in prepared])
+        v_grids = np.stack([run.v_grid for run in prepared])
 
-        v_wl = v_wl.reshape(rows)
-        table = np.full((rows, grid), np.nan)
-
-        def solve(cell_rows: np.ndarray, first: ArrayLike, stop: ArrayLike) -> None:
+        def solve(rows: np.ndarray, first: ArrayLike, stop: ArrayLike) -> None:
             """Solve columns ``[first, stop)`` of each row, in one flat call."""
-            first = np.broadcast_to(first, cell_rows.shape)
-            counts = np.broadcast_to(stop, cell_rows.shape) - first
+            first = np.broadcast_to(first, rows.shape)
+            counts = np.broadcast_to(stop, rows.shape) - first
             offsets = first - (np.cumsum(counts) - counts)
-            cell_rows = np.repeat(cell_rows, counts)
+            cell_rows = np.repeat(rows, counts)
             columns = np.arange(counts.sum()) + np.repeat(offsets, counts)
-            cells = _stack_at_rows(stack, shape, cell_rows)
-            currents = cells.current(v_grid[columns], v_wl[cell_rows])
+            currents = stack.current(v_grids[run_of_row[cell_rows], columns], v_wl, cell_rows)
             table[cell_rows, columns] = np.maximum(currents, 0.0)
 
-        every = np.arange(rows)
+        # Within one bisection block a single call over every whole row
+        # costs less than the fixed cost of a second, partial one.
+        if every.size * grid <= BISECTION_BLOCK:
+            solve(every, 0, grid)
+            return table
         solve(every, 0, 1)
-        cap = table[:, 0] * (1.0 + _REACH_SLACK)
-        reach = cap * fall_per_amp / float(v_grid[0] - v_grid[1])
+        cap = table[every, 0] * (1.0 + _REACH_SLACK)
+        grid_step = v_grids[:, 0] - v_grids[:, 1]
+        reach = cap * fall_per_amp / grid_step[run_of_row[every]]
         # RK4 reads the cell under the deepest stage point and the one after
         # it; one more cell absorbs rounding in the voltage updates.
         last = np.minimum(np.ceil(reach) + 2.0, grid - 1).astype(int)
         solve(every, 1, last + 1)
-        over = np.fmax.reduce(table, axis=1) > cap
+        over = np.fmax.reduce(table[every], axis=1) > cap
         if over.any():
             solve(every[over], last[over] + 1, grid)
-        return v_grid, table
+        return table
 
     # ------------------------------------------------------------------
     # Main entry points
@@ -413,9 +443,10 @@ class TransientSolver:
         times = np.linspace(0.0, duration, steps + 1)
         dt = times[1] - times[0]
         capacitance = self.bitline.capacitance
-        prepared = [self._prepare(DischargeRun(*run), steps * dt / capacitance) for run in runs]
+        prepared = [self._prepare(DischargeRun(*run)) for run in runs]
         if not prepared:
             return []
+        table = self._current_tables(prepared, steps * dt / capacitance)
 
         # One row per trace of every run.  Interpolation is ``lower +
         # fraction * slope`` at a flat index into the row-major table; the
@@ -423,10 +454,9 @@ class TransientSolver:
         # once.  Clamping the position to grid - 1.000001 caps the cell index
         # at grid - 2, so ``upper`` never leaves the row and the last slope
         # column is never read.
-        counts = [run.table.shape[0] for run in prepared]
-        table = np.concatenate([run.table for run in prepared])
-        start_voltage = np.repeat([run.start_voltage for run in prepared], counts)
-        grid_step = np.repeat([run.grid_step for run in prepared], counts)
+        counts = [int(np.prod(run.shape)) for run in prepared]
+        start_voltage = np.repeat([run.v_grid[0] for run in prepared], counts)
+        grid_step = np.repeat([float(run.v_grid[0] - run.v_grid[1]) for run in prepared], counts)
         rows, grid = table.shape
         slope = np.zeros_like(table)
         slope[:, :-1] = table[:, 1:] - table[:, :-1]
@@ -459,8 +489,8 @@ class TransientSolver:
         # stacked buffer or shares a time grid with another result.
         own = len(prepared) > 1
         results = []
-        for run, stop in zip(prepared, np.cumsum(counts)):
-            voltages = traces[stop - run.table.shape[0] : stop].copy() if own else traces
+        for run, stop, count in zip(prepared, np.cumsum(counts), counts):
+            voltages = traces[stop - count : stop].copy() if own else traces
             results.append(
                 DischargeResult(
                     times=times.copy() if own else times,
@@ -471,8 +501,8 @@ class TransientSolver:
             )
         return results
 
-    def _prepare(self, run: DischargeRun, fall_per_amp: float) -> _PreparedRun:
-        """Validate one run and tabulate its current (see :meth:`_current_table`)."""
+    def _prepare(self, run: DischargeRun) -> _PreparedRun:
+        """Validate one run and build its discharge stack and voltage grid."""
         conditions = run.conditions or OperatingConditions.nominal(self.technology)
         if run.stored_bit not in (0, 1):
             raise ValueError("stored_bit must be 0 or 1")
@@ -489,17 +519,13 @@ class TransientSolver:
         if start_voltage <= 0.0:
             raise ValueError("initial_voltage must be positive")
 
-        stack = self._build_stack(conditions, run.mismatch)
-        v_grid, table = self._current_table(
-            stack, v_wl, run.stored_bit, start_voltage, shape, fall_per_amp
-        )
         return _PreparedRun(
             conditions=conditions,
             shape=shape,
             wordline_voltage=np.broadcast_to(v_wl, shape).copy() if shape else v_wl.copy(),
-            start_voltage=start_voltage,
-            grid_step=float(v_grid[0] - v_grid[1]),
-            table=table,
+            stored_bit=run.stored_bit,
+            stack=self._build_stack(conditions, run.mismatch),
+            v_grid=np.linspace(start_voltage, 0.0, self.voltage_grid_points),
         )
 
     # ------------------------------------------------------------------

@@ -333,9 +333,11 @@ def _characterization_batch(jobs: Sequence[Job]) -> List[np.ndarray]:
     Monte-Carlo) are grouped by technology card and window length, and
     each group is integrated in one
     :meth:`~repro.circuits.transient.TransientSolver.simulate_discharges`
-    call: one RK4 loop instead of one per job.  Every job then samples its
-    own result with the same code as the per-job path, and the solver keeps
-    each run's traces bit-identical to integrating it alone.
+    call: one current-table solve (at most three bisection calls over every
+    job's reachable cells, instead of up to three per job) and one RK4 loop
+    instead of one per job.  Every job then samples its own result with the
+    same code as the per-job path, and the solver keeps each run's traces
+    bit-identical to integrating it alone.
 
     The energy jobs share one
     :class:`~repro.circuits.energy.EnergyModelReference` per technology

@@ -135,20 +135,3 @@ def evaluate_backends(
             network, images, labels, mode=mode, batch_size=batch_size
         )
     return reports
-
-
-def accuracy_table(reports: Dict[str, Dict[str, AccuracyReport]]) -> str:
-    """Format a {model: {mode: report}} mapping as a fixed-width text table."""
-    if not reports:
-        return "(no results)"
-    modes = list(next(iter(reports.values())).keys())
-    header = f"{'model':<14}" + "".join(f"{mode:>22}" for mode in modes)
-    lines = [header]
-    for model, model_reports in reports.items():
-        cells = []
-        for mode in modes:
-            report = model_reports[mode]
-            cells.append(f"{100 * report.top1:7.1f}/{100 * report.top5:5.1f} %    ")
-        lines.append(f"{model:<14}" + "".join(f"{cell:>22}" for cell in cells))
-    lines.append("(cells are top-1 / top-5 accuracy)")
-    return "\n".join(lines)

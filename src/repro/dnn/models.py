@@ -211,15 +211,3 @@ def build_mlp(
         in_features = width
     layers.append(Dense(in_features, classes, name=f"{name}.out", rng=rng))
     return Network(layers, input_shape=(input_features,), name=name)
-
-
-def paper_model_builders(
-    input_shape: Tuple[int, int, int] = (16, 16, 3), classes: int = 20
-) -> List[Tuple[str, "object"]]:
-    """The four (name, builder) pairs evaluated in paper Tables II/III."""
-    return [
-        ("VGG16", lambda: build_vgg16_like(input_shape, classes)),
-        ("VGG19", lambda: build_vgg19_like(input_shape, classes)),
-        ("ResNet50", lambda: build_resnet50_like(input_shape, classes)),
-        ("ResNet101", lambda: build_resnet101_like(input_shape, classes)),
-    ]

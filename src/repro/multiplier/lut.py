@@ -170,14 +170,3 @@ class ProductLookupTable:
             name=str(data.get("name", "unnamed")),
             max_operand=int(data.get("max_operand", 15)),
         )
-
-
-def build_corner_tables(
-    multipliers: Dict[str, InSramMultiplier],
-    conditions: Optional[OperatingConditions] = None,
-) -> Dict[str, ProductLookupTable]:
-    """Build one lookup table per named multiplier corner."""
-    return {
-        name: ProductLookupTable.from_multiplier(multiplier, conditions)
-        for name, multiplier in multipliers.items()
-    }

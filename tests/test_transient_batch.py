@@ -6,7 +6,8 @@ come back exactly as if it had been integrated alone, and exactly as the
 plain oracle of ``tests/test_transient_oracle.py`` computes it.  The
 callers that batch their transients (``characterize`` and Fig. 5a-c under
 the default engine, Fig. 4a over its voltage array) must match the
-one-transient-per-job path field by field.
+one-transient-per-job path field by field.  The batch solve's call counts
+and block-sized parameter gathers are pinned here too.
 """
 
 import dataclasses
@@ -17,7 +18,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.analysis import nonidealities, pvt_sweeps
+from repro.circuits import sram_cell
+from repro.circuits.conditions import OperatingConditions
 from repro.circuits.mismatch import MismatchSample
+from repro.circuits.sram_cell import BISECTION_BLOCK
+from repro.circuits.technology import ProcessCorner
 from repro.circuits.transient import DischargeRun, TransientSolver
 from repro.core.characterization import CharacterizationPlan, characterize
 from repro.runtime import SweepEngine, make_executor
@@ -25,6 +30,7 @@ from repro.runtime import SweepEngine, make_executor
 from test_transient_oracle import (
     NOMINAL,
     TECHNOLOGY,
+    _count_stack_cells,
     _mismatch_arrays,
     _reference_voltages,
     conditions_strategy,
@@ -172,3 +178,85 @@ class TestBatchedCallersMatchPerJob:
             limit = curve.saturation_limit
             expected = alone.waveform().crossing_time(limit) if limit > 0.0 else None
             assert curve.saturation_time == expected
+
+
+# ----------------------------------------------------------------------
+# One table solve per batch
+# ----------------------------------------------------------------------
+class TestOneTableSolvePerBatch:
+    def test_full_plan_characterize(self, monkeypatch):
+        calls = _count_stack_cells(monkeypatch)
+        characterize(TECHNOLOGY)
+        # One call per run and pass would be 12 calls and 80,922 cells.
+        assert len(calls) <= 3
+        assert sum(calls) < 80922
+
+    def test_fig5a_panel(self, monkeypatch):
+        calls = _count_stack_cells(monkeypatch)
+        pvt_sweeps.supply_sweep(TECHNOLOGY, supply_voltages=(0.9, 1.0, 1.1))
+        assert calls == [3 * 129]
+
+    def test_mixed_twenty_run_batch(self, monkeypatch):
+        corners = list(ProcessCorner)
+        runs = [
+            DischargeRun(
+                0.3 + 0.04 * index,
+                OperatingConditions(
+                    vdd=0.85 + 0.02 * index,
+                    temperature=240.0 + 8.0 * index,
+                    corner=corners[index % len(corners)],
+                ),
+                initial_voltage=None if index % 4 else 0.8,
+            )
+            for index in range(19)
+        ]
+        runs.append(DischargeRun(0.9, NOMINAL, 1, _mismatch_arrays(100, 3)))
+        solver = TransientSolver(TECHNOLOGY)
+        calls = _count_stack_cells(monkeypatch)
+        together = solver.simulate_discharges(runs, 1.0e-9)
+        assert 2 <= len(calls) <= 3
+        monkeypatch.undo()
+        for run, result in zip(runs, together):
+            alone = solver.simulate_discharge(run.wordline_voltage, 1.0e-9, *run[1:])
+            assert np.array_equal(result.voltages, alone.voltages)
+
+    def test_square_law_card_keeps_its_shared_constants_scalar(self):
+        # With alpha == 2 the I-V equation raises to the powers 2 and 1,
+        # which NumPy computes differently for a scalar exponent than for
+        # an array of them; a batch must keep shared constants scalar.
+        technology = dataclasses.replace(TECHNOLOGY, alpha=2.0)
+        solver = TransientSolver(technology)
+        runs = [
+            DischargeRun(np.linspace(0.3, 1.1, 40), OperatingConditions(vdd=1.1)),
+            DischargeRun(0.8, NOMINAL, 1, _mismatch_arrays(200, 4)),
+        ]
+        together = solver.simulate_discharges(runs, 1.0e-9)
+        for run, result in zip(runs, together):
+            alone = solver.simulate_discharge(run.wordline_voltage, 1.0e-9, *run[1:])
+            assert np.array_equal(result.voltages, alone.voltages)
+            oracle = _reference_voltages(
+                solver, run.wordline_voltage, 1.0e-9, run.conditions, mismatch=run.mismatch
+            )
+            assert np.array_equal(result.voltages, oracle)
+
+    def test_parameters_are_gathered_one_block_at_a_time(self, monkeypatch):
+        # Per-cell parameter arrays for a whole pass would grow with the
+        # batch; gathered per block, none reaching the bisection (or the
+        # buffer it views) outgrows a block.
+        sizes = []
+        solve_stack = sram_cell._solve_stack
+
+        def recording(access, pulldown, pulldown_gate, v_bl, v_wl):
+            for record in (access, pulldown, pulldown_gate):
+                for field in dataclasses.fields(record):
+                    value = getattr(record, field.name)
+                    while isinstance(value, np.ndarray) and value.base is not None:
+                        value = value.base
+                    sizes.append(np.size(value))
+            return solve_stack(access, pulldown, pulldown_gate, v_bl, v_wl)
+
+        monkeypatch.setattr(sram_cell, "_solve_stack", recording)
+        calls = _count_stack_cells(monkeypatch)
+        characterize(TECHNOLOGY)
+        assert max(calls) > BISECTION_BLOCK
+        assert 1 < max(sizes) <= BISECTION_BLOCK

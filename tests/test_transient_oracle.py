@@ -31,7 +31,7 @@ from repro.circuits.mosfet import (
 from repro.circuits import transient
 from repro.circuits.sram_cell import BISECTION_BLOCK, DischargeStack
 from repro.circuits.technology import ProcessCorner, tsmc65_like
-from repro.circuits.transient import TransientSolver
+from repro.circuits.transient import DischargeRun, TransientSolver
 from repro.core.characterization import CharacterizationPlan, _mismatch_rows_job
 
 TECHNOLOGY = tsmc65_like()
@@ -329,18 +329,34 @@ class TestReachBoundedTable:
     def test_unreached_cells_stay_nan(self):
         solver = TransientSolver(TECHNOLOGY)
         mismatch = _mismatch_arrays(100, 5)
-        stack = solver._build_stack(NOMINAL, mismatch)
         v_wl = np.array([[0.4], [1.0]])
         fall_per_amp = 0.5e-9 / solver.bitline.capacitance
-        _, table = solver._current_table(stack, v_wl, 1, NOMINAL.vdd, (2, 100), fall_per_amp)
-        solved = ~np.isnan(table)
-        assert solved[:, 0].all() and not solved.all()
-        # Solved cells are a prefix of each row and match the full table.
-        assert np.array_equal(np.sort(solved, axis=1)[:, ::-1], solved)
-        full = np.maximum(_reference_stack_current(
-            stack, np.linspace(NOMINAL.vdd, 0.0, 129), v_wl[..., np.newaxis]
-        ), 0.0).reshape(200, 129)
-        assert np.array_equal(table[solved], full[solved])
+        run = solver._prepare(DischargeRun(v_wl, NOMINAL, 1, mismatch))
+        table = solver._current_tables([run], fall_per_amp)
+        _assert_solved_prefix_matches_oracle(
+            table, solver._build_stack(NOMINAL, mismatch), v_wl, NOMINAL.vdd
+        )
+
+    def test_unreached_cells_stay_nan_across_two_runs(self):
+        # One batch solve covers runs with their own supply (so their own
+        # voltage grid and pull-down gate) and temperature.
+        solver = TransientSolver(TECHNOLOGY)
+        v_wl = np.array([[0.4], [1.0]])
+        fall_per_amp = 0.5e-9 / solver.bitline.capacitance
+        runs = [
+            (NOMINAL, _mismatch_arrays(100, 5)),
+            (OperatingConditions(vdd=0.9, temperature=358.15), _mismatch_arrays(80, 6)),
+        ]
+        prepared = [
+            solver._prepare(DischargeRun(v_wl, conditions, 1, mismatch))
+            for conditions, mismatch in runs
+        ]
+        table = solver._current_tables(prepared, fall_per_amp)
+        assert table.shape == (360, 129)
+        for (conditions, mismatch), rows in zip(runs, (slice(0, 200), slice(200, 360))):
+            _assert_solved_prefix_matches_oracle(
+                table[rows], solver._build_stack(conditions, mismatch), v_wl, conditions.vdd
+            )
 
     def test_characterize_mismatch_job_solves_under_60_percent_of_the_table(
         self, monkeypatch
@@ -353,13 +369,25 @@ class TestReachBoundedTable:
         assert sum(calls) < 0.6 * full
 
 
+def _assert_solved_prefix_matches_oracle(table, stack, v_wl, vdd):
+    """Some cells of every row, but not all, are solved, and they match the oracle."""
+    solved = ~np.isnan(table)
+    assert solved[:, 0].all() and not solved.all()
+    # Solved cells are a prefix of each row and match the full table.
+    assert np.array_equal(np.sort(solved, axis=1)[:, ::-1], solved)
+    full = np.maximum(_reference_stack_current(
+        stack, np.linspace(vdd, 0.0, 129), v_wl[..., np.newaxis]
+    ), 0.0).reshape(table.shape)
+    assert np.array_equal(table[solved], full[solved])
+
+
 def _count_stack_cells(monkeypatch):
     """Record the cell count of every ``DischargeStack.current`` call."""
     calls = []
     current = DischargeStack.current
 
-    def counting(stack, v_bl, v_wl):
-        currents = current(stack, v_bl, v_wl)
+    def counting(stack, v_bl, v_wl, *rows):
+        currents = current(stack, v_bl, v_wl, *rows)
         calls.append(np.size(currents))
         return currents
 
