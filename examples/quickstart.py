@@ -18,7 +18,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.circuits import OperatingConditions, tsmc65_like
-from repro.core import calibrate
+from repro.core.calibration import calibrate
 from repro.multiplier import InSramMultiplier, ReferenceMultiplier
 from repro.multiplier.config import MultiplierConfig
 

@@ -76,6 +76,11 @@ engine that reproduces the historical inline loops bit-for-bit.
 :mod:`repro.service` and :mod:`repro.cluster` sit above: they import the
 runtime unconditionally and the modelling layers only lazily, per
 workload.
+
+What a process imports: package ``__init__`` modules do not re-export
+across layers (import the submodule, e.g. ``repro.core.calibration``), so
+the paper pipeline loads no DNN, serving or ``asyncio`` code.
+``tests/test_import_graph.py`` enforces both rules on a fresh interpreter.
 """
 
 __version__ = "1.10.0"

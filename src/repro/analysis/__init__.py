@@ -16,54 +16,3 @@ one function per artefact.
 | Table II / III (DNN accuracy)           | :mod:`repro.analysis.dnn_tables` |
 | Speed-up claim                           | :mod:`repro.core.speedup` |
 """
-
-from repro.analysis.sota import SotaDesignPoint, sota_design_points, format_sota_table
-from repro.analysis.nonidealities import (
-    discharge_vs_time,
-    discharge_vs_wordline_voltage,
-    saturation_limited_discharge,
-)
-from repro.analysis.pvt_sweeps import (
-    corner_sweep,
-    mismatch_monte_carlo,
-    supply_sweep,
-    temperature_sweep,
-)
-from repro.analysis.model_evaluation import model_rms_report, paper_rms_reference
-from repro.analysis.design_space import (
-    corner_summary_rows,
-    format_table1,
-    paper_table1_reference,
-    run_design_space_exploration,
-)
-from repro.analysis.dnn_tables import (
-    DnnExperimentConfig,
-    format_accuracy_table,
-    paper_table2_reference,
-    paper_table3_reference,
-    run_dnn_accuracy_experiment,
-)
-
-__all__ = [
-    "DnnExperimentConfig",
-    "SotaDesignPoint",
-    "corner_summary_rows",
-    "corner_sweep",
-    "discharge_vs_time",
-    "discharge_vs_wordline_voltage",
-    "format_accuracy_table",
-    "format_sota_table",
-    "format_table1",
-    "mismatch_monte_carlo",
-    "model_rms_report",
-    "paper_rms_reference",
-    "paper_table1_reference",
-    "paper_table2_reference",
-    "paper_table3_reference",
-    "run_design_space_exploration",
-    "run_dnn_accuracy_experiment",
-    "saturation_limited_discharge",
-    "sota_design_points",
-    "supply_sweep",
-    "temperature_sweep",
-]

@@ -42,6 +42,7 @@ from typing import Any, Dict, List, Optional, Tuple
 
 from repro import obs, wire
 from repro.cluster import protocol
+from repro.obs.http import MetricsServer
 from repro.runtime.executors import SweepCancelled
 from repro.runtime.jobs import Job, code_version
 
@@ -159,9 +160,9 @@ class Worker:
 
     async def run(self) -> None:
         """Serve until the coordinator shuts us down or disappears."""
-        metrics_server: Optional[obs.MetricsServer] = None
+        metrics_server: Optional[MetricsServer] = None
         if self.metrics_port is not None:
-            metrics_server = obs.MetricsServer(port=self.metrics_port)
+            metrics_server = MetricsServer(port=self.metrics_port)
             await metrics_server.start()
             print(
                 f"worker metrics on http://127.0.0.1:{metrics_server.port}/metrics",

@@ -22,54 +22,3 @@ This package is the paper's primary contribution:
   selected corners (Fig. 8).
 * :mod:`repro.core.speedup` — OPTIMA-vs-reference runtime comparison.
 """
-
-from repro.core.polynomials import (
-    Polynomial1D,
-    SeparableProductModel,
-    TensorPolynomialModel,
-)
-from repro.core.discharge_model import DischargeModel
-from repro.core.energy_model import DischargeEnergyModel, WriteEnergyModel
-from repro.core.characterization import CharacterizationPlan, CharacterizationData
-from repro.core.fitting import FitReport
-from repro.core.model_suite import OptimaModelSuite
-from repro.core.calibration import CalibrationResult, calibrate
-from repro.core.metrics import lsb_voltage, rms_error, speedup_ratio
-from repro.core.dse import (
-    DesignCorner,
-    DesignPoint,
-    DesignSpace,
-    ExplorationResult,
-    explore_design_space,
-    select_corners,
-)
-from repro.core.pvt import CornerRobustnessReport, analyze_corner_robustness
-from repro.core.speedup import SpeedupReport, measure_speedup
-
-__all__ = [
-    "CalibrationResult",
-    "CharacterizationData",
-    "CharacterizationPlan",
-    "CornerRobustnessReport",
-    "DesignCorner",
-    "DesignPoint",
-    "DesignSpace",
-    "DischargeEnergyModel",
-    "DischargeModel",
-    "ExplorationResult",
-    "FitReport",
-    "OptimaModelSuite",
-    "Polynomial1D",
-    "SeparableProductModel",
-    "SpeedupReport",
-    "TensorPolynomialModel",
-    "WriteEnergyModel",
-    "analyze_corner_robustness",
-    "calibrate",
-    "explore_design_space",
-    "lsb_voltage",
-    "measure_speedup",
-    "rms_error",
-    "select_corners",
-    "speedup_ratio",
-]

@@ -10,8 +10,11 @@ top-1 / top-5 accuracy*.  The generator below produces such a task:
   so convolutional features are meaningful),
 * samples are the prototype plus per-sample brightness/contrast jitter,
   a small spatial shift and additive Gaussian noise,
-* with moderate noise the classes overlap enough that accuracy sits below
-  100 % and degrades gracefully as compute error grows.
+* the noise is meant to make the classes overlap, but at the full
+  experiment config it does not: FLOAT32 top-1 measures 99.5-100 % on all
+  four models, so the task saturates and Tables II / III discriminate the
+  corners less than the paper's.  Recalibrating the difficulty is ROADMAP
+  item 2; it changes every generated sample and so the pinned hit counts.
 
 Two ready-made configurations mirror the paper's datasets in spirit:
 :func:`imagenet_like` (20 classes, used for the Table II reproduction) and

@@ -5,8 +5,10 @@ cluster all publish into it): a dependency-free metrics registry with
 Prometheus text exposition (:mod:`repro.obs.metrics`), a structured
 event bus with monotonic sequence numbers (:mod:`repro.obs.events`), and
 a tiny HTTP endpoint serving ``GET /metrics``
-(:mod:`repro.obs.http`).  Nothing in this package imports the tiers it
-observes, so any module may ``from repro import obs`` without cycles.
+(:mod:`repro.obs.http`, imported by its users only, so ``from repro
+import obs`` loads no HTTP or ``asyncio`` code).  Nothing in this package
+imports the tiers it observes, so any module may ``from repro import
+obs`` without cycles.
 
 One registry, three read paths — all backed by the same counters:
 
@@ -38,7 +40,6 @@ from __future__ import annotations
 from typing import Iterable
 
 from repro.obs.events import EVENT_TYPES, EVENTS, EventBus
-from repro.obs.http import CONTENT_TYPE, MetricsServer
 from repro.obs.metrics import (
     DEFAULT_BUCKETS,
     METRIC_NAME_RE,
@@ -52,7 +53,6 @@ from repro.obs.metrics import (
 )
 
 __all__ = [
-    "CONTENT_TYPE",
     "Counter",
     "CounterGroup",
     "DEFAULT_BUCKETS",
@@ -63,7 +63,6 @@ __all__ = [
     "Histogram",
     "METRIC_NAME_RE",
     "MetricsRegistry",
-    "MetricsServer",
     "REGISTRY",
     "counter",
     "gauge",

@@ -323,8 +323,15 @@ class SweepEngine:
         return self.run(SweepSpec(job.name or "job", [job]))[0]
 
     def describe(self) -> str:
-        """Human-readable engine summary (executor, cache, counters)."""
-        executor_name = getattr(self.executor, "name", type(self.executor).__name__)
+        """Human-readable engine summary (executor, cache, counters).
+
+        The auto engine reads ``SweepEngine[auto]``: it runs ``batch_fn``
+        sweeps batched and the rest serially, so no one executor names it.
+        """
+        if self._auto_batch:
+            executor_name = "auto"
+        else:
+            executor_name = getattr(self.executor, "name", type(self.executor).__name__)
         cache_part = self.cache.describe() if self.cache is not None else "no cache"
         return f"SweepEngine[{executor_name}] — {self.stats.describe()} — {cache_part}"
 

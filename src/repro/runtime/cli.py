@@ -425,7 +425,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     )
 
     async def _serve() -> None:
-        from repro import obs
+        from repro.obs.http import MetricsServer
 
         host, port = await service.start()
         print(
@@ -435,7 +435,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         )
         metrics_server = None
         if args.metrics_port is not None:
-            metrics_server = await obs.MetricsServer(port=args.metrics_port).start()
+            metrics_server = await MetricsServer(port=args.metrics_port).start()
             print(
                 f"metrics on http://127.0.0.1:{metrics_server.port}/metrics",
                 flush=True,
@@ -485,7 +485,7 @@ def _cmd_gateway(args: argparse.Namespace) -> int:
         return 2
 
     async def _serve() -> None:
-        from repro import obs
+        from repro.obs.http import MetricsServer
 
         gateway = await Gateway(config).start()
         print(
@@ -496,7 +496,7 @@ def _cmd_gateway(args: argparse.Namespace) -> int:
         )
         metrics_server = None
         if args.metrics_port is not None:
-            metrics_server = await obs.MetricsServer(port=args.metrics_port).start()
+            metrics_server = await MetricsServer(port=args.metrics_port).start()
             print(
                 f"metrics on http://127.0.0.1:{metrics_server.port}/metrics",
                 flush=True,
@@ -874,9 +874,9 @@ def main(argv: Optional[List[str]] = None) -> int:
             # `run` has no event loop of its own (the distributed executor
             # hides one on a private thread), so the endpoint gets a daemon
             # loop-thread that lives for the duration of the workload.
-            from repro import obs
+            from repro.obs.http import MetricsServer
 
-            metrics_server = obs.MetricsServer(port=args.metrics_port).start_in_thread()
+            metrics_server = MetricsServer(port=args.metrics_port).start_in_thread()
             print(
                 f"metrics on http://127.0.0.1:{metrics_server.port}/metrics",
                 flush=True,

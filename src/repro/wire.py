@@ -47,13 +47,15 @@ compatibility.
 
 from __future__ import annotations
 
-import asyncio
 import dataclasses
 import json
 import sys
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Any, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
+
+if TYPE_CHECKING:  # the coroutines import asyncio themselves: the cache codec needs none
+    import asyncio
 
 #: Hard bound on one framed message.  Generous enough for corner tables and
 #: pickled job chunks (the fast DSE payload is ~10 kB), small enough to stop
@@ -181,6 +183,8 @@ async def read_message(reader: asyncio.StreamReader) -> Optional[Dict[str, Any]]
     payload cut short by a dying peer raises :class:`ProtocolError`
     immediately — malformed binary frames can never hang the reader.
     """
+    import asyncio
+
     try:
         line = await reader.readuntil(b"\n")
     except asyncio.IncompleteReadError as error:
@@ -472,6 +476,8 @@ async def open_connection(
     cluster workers racing their coordinator, test clients racing a
     subprocess ``python -m repro serve`` — without a flaky first connect.
     """
+    import asyncio
+
     if timeout is None:
         return await asyncio.open_connection(host, port, limit=limit)
     loop = asyncio.get_running_loop()

@@ -32,6 +32,8 @@ DOCTEST_MODULES = [
     "repro.runtime.executors",
     "repro.cluster.worker",
     "repro.cluster.control",
+    "repro.cluster.protocol",
+    "repro.wire",
     "repro.obs.metrics",
     "repro.obs.events",
     "repro.lint.core",
@@ -372,3 +374,17 @@ class TestDoctests:
         results = doctest.testmod(module, verbose=False)
         assert results.attempted > 0, f"{module_name} lost its doctest examples"
         assert results.failed == 0
+
+    def test_every_module_with_examples_is_listed(self):
+        """A ``>>>`` example outside :data:`DOCTEST_MODULES` never runs."""
+        source_root = REPO_ROOT / "src"
+        with_examples = set()
+        for path in (source_root / "repro").rglob("*.py"):
+            if ">>>" not in path.read_text(encoding="utf-8"):
+                continue
+            parts = path.relative_to(source_root).with_suffix("").parts
+            if parts[-1] == "__init__":
+                parts = parts[:-1]
+            with_examples.add(".".join(parts))
+        unlisted = sorted(with_examples - set(DOCTEST_MODULES))
+        assert not unlisted, f">>> examples missing from DOCTEST_MODULES: {unlisted}"

@@ -30,6 +30,7 @@ import contextlib
 import pytest
 
 from repro import obs
+from repro.obs.http import CONTENT_TYPE, MetricsServer
 from repro.obs.metrics import LABEL_NAME_RE
 from repro.runtime import Job, SweepEngine, SweepSpec
 from repro.service import (
@@ -254,7 +255,7 @@ class TestMetricsServer:
     def test_scrape_is_valid_exposition(self):
         async def scenario():
             obs.counter("repro_t_scrapeme_total").inc(3)
-            server = await obs.MetricsServer().start()
+            server = await MetricsServer().start()
             try:
                 await _http_get("127.0.0.1", server.port)  # prime the scrape counter
                 return await _http_get("127.0.0.1", server.port)
@@ -263,7 +264,7 @@ class TestMetricsServer:
 
         status, headers, body = run(scenario())
         assert status == 200
-        assert headers["content-type"] == obs.CONTENT_TYPE
+        assert headers["content-type"] == CONTENT_TYPE
         parsed = obs.parse_exposition(body)
         assert parsed["repro_t_scrapeme_total"][()] >= 3.0
         # the endpoint accounts for its own scrapes
@@ -271,7 +272,7 @@ class TestMetricsServer:
 
     def test_unknown_path_and_bad_method(self):
         async def scenario():
-            server = await obs.MetricsServer().start()
+            server = await MetricsServer().start()
             try:
                 missing = await _http_get("127.0.0.1", server.port, path="/nope")
                 posted = await _http_get(
@@ -288,7 +289,7 @@ class TestMetricsServer:
         assert root[0] == 200
 
     def test_start_in_thread_serves_loopless_hosts(self):
-        server = obs.MetricsServer().start_in_thread()
+        server = MetricsServer().start_in_thread()
         try:
             status, _, body = run(_http_get("127.0.0.1", server.port))
             assert status == 200
@@ -429,7 +430,7 @@ class TestServiceObservability:
         async def scenario():
             async with running_service(SweepEngine()) as service:
                 host, port = service.address
-                metrics = await obs.MetricsServer().start()
+                metrics = await MetricsServer().start()
                 try:
                     async with ServiceClient(host, port) as watcher:
                         events = []

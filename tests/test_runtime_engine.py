@@ -29,6 +29,7 @@ from repro.runtime import (
     SerialExecutor,
     SweepEngine,
     SweepSpec,
+    default_engine,
     job_key,
     make_executor,
 )
@@ -187,6 +188,13 @@ class TestSweepEngine:
         assert engine.stats.jobs_submitted == 5
         assert engine.stats.jobs_executed == 5
         assert "5 jobs submitted" in engine.describe()
+
+    def test_describe_names_the_auto_engine(self):
+        # The auto engine runs batch_fn sweeps batched, so it must not
+        # print the serial executor's name; a pinned executor keeps its own.
+        assert default_engine().describe().startswith("SweepEngine[auto] — ")
+        assert default_engine("serial").describe().startswith("SweepEngine[serial] — ")
+        assert default_engine("batch").describe().startswith("SweepEngine[batch] — ")
 
     def test_cacheable_jobs_round_trip(self, tmp_path):
         cache = ArtifactCache(tmp_path)
