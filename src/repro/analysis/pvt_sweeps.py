@@ -10,7 +10,8 @@ Every panel submits its reference transients as independent jobs through a
 parallel executor.  The default engine has no cache and hands panels a-c to
 their ``batch_fn``, which integrates all of a panel's traces in one RK4 loop
 (:meth:`~repro.circuits.transient.TransientSolver.simulate_discharges`);
-the traces are bit-identical to one transient per job.  Every job is
+the traces are bit-identical to one transient per job.  Panel d's shards
+fuse the same way, in one solve per chunk.  Every job is
 cached when the engine has an artifact cache: one ``fig5-trace`` artifact per
 operating point of panels a-c (the three panels share the tag, so their
 common nominal point is simulated once) and one ``pvt-montecarlo-shard``
@@ -81,7 +82,8 @@ def _trace_sweep(
     word-line voltage, the duration and its operating point; the shared
     part of the key is hashed once per sweep.  The sweep's ``batch_fn``
     (:func:`_trace_batch`) integrates the missed points together under the
-    default engine; an explicit executor runs one transient per job.
+    default engine and per chunk under ``parallel`` and ``distributed``;
+    the explicit ``serial`` executor runs one transient per job.
     """
     engine = engine or SweepEngine()
     digest = (
@@ -183,6 +185,47 @@ def corner_sweep(
     return traces
 
 
+def _draw_mismatch(
+    technology: TechnologyCard, samples_total: int, seed: int
+) -> MismatchArrays:
+    """The full Fig. 5d mismatch sample set of one panel."""
+    sampler = MismatchSampler(MismatchParameters.from_technology(technology), seed=seed)
+    return sampler.sample_arrays(samples_total)
+
+
+def _shard_run(
+    technology: TechnologyCard,
+    wordline_voltage: float,
+    full: MismatchArrays,
+    start: int,
+    stop: int,
+) -> DischargeRun:
+    """The transient a Monte-Carlo shard integrates: rows ``[start, stop)``."""
+    shard = MismatchArrays(
+        vth_access=full.vth_access[start:stop],
+        vth_pulldown=full.vth_pulldown[start:stop],
+        beta_access=full.beta_access[start:stop],
+        beta_pulldown=full.beta_pulldown[start:stop],
+    )
+    return DischargeRun(
+        wordline_voltage, OperatingConditions.nominal(technology), mismatch=shard
+    )
+
+
+def _shard_output(
+    result: DischargeResult, sampling_times: Sequence[float]
+) -> Dict[str, np.ndarray]:
+    """What one Monte-Carlo shard returns from its transient."""
+    voltages_at = np.stack(
+        [np.atleast_1d(result.voltage_at(float(t))) for t in sampling_times]
+    )
+    return {
+        "times": result.times,
+        "final_voltages": np.atleast_1d(result.final_voltage),
+        "voltages_at": voltages_at,
+    }
+
+
 def _mismatch_monte_carlo_shard(
     technology: TechnologyCard,
     wordline_voltage: float,
@@ -210,27 +253,44 @@ def _mismatch_monte_carlo_shard(
     Module-level (and arguments picklable) so process-pool and cluster
     executors can ship it.
     """
-    solver = TransientSolver(technology)
-    conditions = OperatingConditions.nominal(technology)
-    sampler = MismatchSampler(MismatchParameters.from_technology(technology), seed=seed)
-    full = sampler.sample_arrays(samples_total)
-    shard = MismatchArrays(
-        vth_access=full.vth_access[start:stop],
-        vth_pulldown=full.vth_pulldown[start:stop],
-        beta_access=full.beta_access[start:stop],
-        beta_pulldown=full.beta_pulldown[start:stop],
-    )
-    result = solver.simulate_discharge(
-        wordline_voltage, duration, conditions, mismatch=shard
-    )
-    voltages_at = np.stack(
-        [np.atleast_1d(result.voltage_at(float(t))) for t in sampling_times]
-    )
-    return {
-        "times": result.times,
-        "final_voltages": np.atleast_1d(result.final_voltage),
-        "voltages_at": voltages_at,
-    }
+    full = _draw_mismatch(technology, samples_total, seed)
+    run = _shard_run(technology, wordline_voltage, full, start, stop)
+    (result,) = TransientSolver(technology).simulate_discharges([run], duration)
+    return _shard_output(result, sampling_times)
+
+
+def _mismatch_monte_carlo_batch(jobs: Sequence[Job]) -> List[Dict[str, np.ndarray]]:
+    """Integrate a batch of :func:`_mismatch_monte_carlo_shard` jobs in one solve.
+
+    The full sample set is drawn once per panel (technology, sample count,
+    seed), and the shards are grouped by technology card and window length;
+    each group is one
+    :meth:`~repro.circuits.transient.TransientSolver.simulate_discharges`
+    call.  Each shard's rows are bit-identical to solving the shard alone,
+    for the reason :func:`_mismatch_monte_carlo_shard` gives.  Any other job
+    runs unchanged.
+    """
+    draws: Dict[tuple, MismatchArrays] = {}
+    groups: Dict[tuple, List[int]] = {}
+    results: List[Optional[Dict[str, np.ndarray]]] = [None] * len(jobs)
+    for index, job in enumerate(jobs):
+        if job.fn is _mismatch_monte_carlo_shard and not job.kwargs:
+            technology, _, duration = job.args[:3]
+            groups.setdefault((id(technology), duration), []).append(index)
+        else:
+            results[index] = job.run()
+    for (_, duration), members in groups.items():
+        runs = []
+        for index in members:
+            technology, wordline, _, samples, seed, start, stop, _ = jobs[index].args
+            panel = (id(technology), samples, seed)
+            if panel not in draws:
+                draws[panel] = _draw_mismatch(technology, samples, seed)
+            runs.append(_shard_run(technology, wordline, draws[panel], start, stop))
+        solver = TransientSolver(jobs[members[0]].args[0])
+        for index, result in zip(members, solver.simulate_discharges(runs, duration)):
+            results[index] = _shard_output(result, jobs[index].args[7])
+    return results
 
 
 def mismatch_monte_carlo(
@@ -250,9 +310,14 @@ def mismatch_monte_carlo(
     that Eq. 6 models).
 
     The sample range is split into ``shards`` contiguous jobs submitted
-    through ``engine``; each job integrates its samples in one vectorised
-    solver call.  This is how the service and the distributed executor
-    spread one large Monte-Carlo batch across cluster workers.  With a
+    through ``engine``.  This is how the service and the distributed
+    executor spread one large Monte-Carlo batch across cluster workers.
+    The sweep's ``batch_fn`` integrates every shard of a chunk in one
+    vectorised solver call: the default engine solves all the shards at
+    once, and under ``parallel`` or ``distributed`` the shards on one
+    worker fuse into one solve, so progress then ticks once per chunk
+    rather than once per shard.  Only the ``serial`` executor runs one
+    solve per shard.  With a
     cache each shard is keyed by its technology, panel parameters and
     sample range, so repeat runs are cache hits resolved engine-side and
     warm shards never reach a worker.
@@ -286,7 +351,11 @@ def mismatch_monte_carlo(
                 ),
             )
         )
-    outputs = engine.run(SweepSpec(f"montecarlo[{samples}x{shards}]", jobs))
+    outputs = engine.run(
+        SweepSpec(
+            f"montecarlo[{samples}x{shards}]", jobs, batch_fn=_mismatch_monte_carlo_batch
+        )
+    )
     voltages_at = np.concatenate([output["voltages_at"] for output in outputs], axis=1)
     sigma_at = np.array([float(np.std(row)) for row in voltages_at])
     return {

@@ -5,7 +5,7 @@ executor.  Long-lived :class:`~repro.cluster.worker.Worker` processes
 connect to it over the shared NDJSON framing (:mod:`repro.wire`), register
 with a ``hello`` (checked for protocol *and* code version — a worker running
 different code must never compute shards) and then receive chunks of pickled
-:class:`~repro.runtime.jobs.Job` units.
+:class:`~repro.runtime.jobs.Job` units, each with its sweep's ``batch_fn``.
 
 Scheduling model (the ARTIQ-style long-lived-worker pattern, adapted to
 sweeps; the full design rationale lives in ``docs/scheduling.md``):
@@ -127,11 +127,15 @@ class _Run:
         progress: Optional[ProgressCallback],
         chunksize: int,
         trace: Optional[str] = None,
+        batch_fn: Optional[protocol.BatchFn] = None,
     ):
         self.id = f"run-{next(self._ids)}"
         self.jobs: List[Job] = list(jobs)
         self.total = len(self.jobs)
         self.chunksize = max(1, int(chunksize))
+        #: The sweep's vectorised evaluator, shipped with every chunk so a
+        #: worker runs the chunk in one call (``None``: job by job).
+        self.batch_fn = batch_fn
         #: Observability id of the originating request; stamped on every
         #: chunk frame and event this run produces (``None`` = untraced).
         self.trace = trace
@@ -430,10 +434,13 @@ class Coordinator:
         progress: Optional[ProgressCallback] = None,
         cancel_event: Optional[CancelEvent] = None,
         trace: Optional[str] = None,
+        batch_fn: Optional[protocol.BatchFn] = None,
     ) -> List[Any]:
         """Execute ``jobs`` across the cluster; results in submission order.
 
-        ``chunksize`` is the number of jobs per dispatched chunk.
+        ``chunksize`` is the number of jobs per dispatched chunk.  A
+        ``batch_fn`` rides every chunk frame of the run, and workers run
+        each chunk through it in one call.
 
         ``progress`` fires on the coordinator's event loop as chunks
         complete, reporting ``(jobs done, jobs total, last job label)`` —
@@ -454,7 +461,7 @@ class Coordinator:
         jobs = list(jobs)
         if not jobs:
             return []
-        run = _Run(jobs, progress, chunksize, trace=trace)
+        run = _Run(jobs, progress, chunksize, trace=trace, batch_fn=batch_fn)
         self._runs[run.id] = run
         self.stats.inc("runs")
         self._distribute(self._initial_spans(run))
@@ -629,7 +636,9 @@ class Coordinator:
                 return
             try:
                 frame = wire.encode_message(
-                    protocol.chunk_event(chunk.id, chunk.jobs, trace=chunk.run.trace)
+                    protocol.chunk_event(
+                        chunk.id, chunk.jobs, trace=chunk.run.trace, batch_fn=chunk.run.batch_fn
+                    )
                 )
             except Exception as error:
                 if len(chunk) > 1:
@@ -652,7 +661,7 @@ class Coordinator:
                 chunk.run.fail(
                     ClusterError(
                         f"cannot dispatch chunk {chunk.id}: {error} "
-                        "(unpicklable job or job too large for one frame)"
+                        "(unpicklable job or batch_fn, or job too large for one frame)"
                     )
                 )
                 continue

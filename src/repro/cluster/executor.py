@@ -56,6 +56,7 @@ from repro.runtime.executors import (
     ProgressCallback,
     SerialExecutor,
     _serial_fallback,
+    default_chunksize,
 )
 from repro.runtime.jobs import Job
 
@@ -129,10 +130,13 @@ class DistributedExecutor:
         loopback with an ephemeral port).  External workers join with
         ``python -m repro worker --connect HOST:PORT``.
     chunksize:
-        Jobs per dispatched chunk.  The default splits a sweep into about
-        four chunks per worker slot — small enough for work stealing and
-        death-retry to matter, large enough to amortise the pickle+frame
-        overhead (see ``docs/scheduling.md``).
+        Jobs per dispatched chunk.  The default
+        (:func:`~repro.runtime.executors.default_chunksize`) gives a sweep
+        with a ``batch_fn`` one chunk per worker slot, capped at
+        :data:`~repro.runtime.executors.AUTO_BATCH_SIZE` jobs, and splits
+        any other sweep into about four chunks per slot — small enough for
+        work stealing and death-retry to matter, large enough to amortise
+        the pickle+frame overhead (see ``docs/scheduling.md``).
     min_workers:
         How many registered workers :meth:`execute` waits for before
         dispatching (default: the spawned count, or 1 when only external
@@ -336,10 +340,6 @@ class DistributedExecutor:
     # ------------------------------------------------------------------
     # Execution
     # ------------------------------------------------------------------
-    def _default_chunksize(self, job_count: int) -> int:
-        slots = self.coordinator.total_slots() if self.coordinator is not None else 1
-        return max(1, job_count // (4 * max(1, slots)))
-
     def execute(
         self,
         jobs: Sequence[Job],
@@ -351,14 +351,14 @@ class DistributedExecutor:
         """Run ``jobs`` across the cluster; results in submission order.
 
         Like the process-pool executor, single-job sweeps run inline (no
-        wire round-trip can pay for itself).  On the cluster path
-        ``batch_fn`` is not shipped to workers — vectorised batching is an
-        in-process strategy — but every in-process degradation (single
-        job, no workers, fallback executor) keeps it, so a sweep with a
-        ``batch_fn`` never silently loses its vectorised inner loop.  A
-        set ``cancel``
-        event is forwarded to the coordinator, which revokes the run's
-        queued chunks and tells workers to drop in-flight ones; the call
+        wire round-trip can pay for itself).  A ``batch_fn`` ships with
+        every chunk and the worker runs the chunk through it in one call;
+        by default such a sweep is cut into one chunk per worker slot, so
+        its shards on one worker fuse into one vectorised pass and progress
+        ticks once per chunk.  Every in-process degradation (single job,
+        no workers, fallback executor) keeps the ``batch_fn`` too.  A set
+        ``cancel`` event is forwarded to the coordinator, which revokes the
+        run's queued chunks and tells workers to drop in-flight ones; the call
         then raises :class:`~repro.runtime.SweepCancelled`.  ``trace``
         (the originating request's observability id, see :mod:`repro.obs`)
         rides every chunk frame of the run and is echoed by workers, so
@@ -371,7 +371,9 @@ class DistributedExecutor:
         if self._fallback is not None:
             return _serial_fallback(jobs, progress, batch_fn, cancel)
         assert self.coordinator is not None and self._loop is not None
-        chunksize = self.chunksize or self._default_chunksize(len(jobs))
+        chunksize = self.chunksize or default_chunksize(
+            len(jobs), self.coordinator.total_slots(), batched=batch_fn is not None
+        )
         future = asyncio.run_coroutine_threadsafe(
             self.coordinator.run(
                 jobs,
@@ -379,6 +381,7 @@ class DistributedExecutor:
                 progress=progress,
                 cancel_event=cancel,
                 trace=trace,
+                batch_fn=batch_fn,
             ),
             self._loop,
         )

@@ -52,7 +52,8 @@ Coordinator -> worker events:
 ``welcome``   — registration accepted; carries ``worker`` (assigned id) and
                 ``heartbeat_seconds``.
 ``chunk``     — one chunk of jobs to run: ``chunk`` (id) plus ``jobs``
-                (:func:`pack_jobs` blob), plus an optional ``trace``
+                (:func:`pack_jobs` blob of the sweep's ``batch_fn``, or
+                ``None``, and the jobs), plus an optional ``trace``
                 observability id (absent when the run has none — old
                 workers simply never see the field, so v3 stays
                 wire-compatible).
@@ -79,10 +80,13 @@ from __future__ import annotations
 import base64
 import builtins
 import pickle
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro import wire
 from repro.runtime.jobs import Job
+
+#: A sweep's vectorised evaluator (see :class:`repro.runtime.SweepSpec`).
+BatchFn = Callable[[Sequence[Job]], List[Any]]
 
 #: Bumped on incompatible cluster-wire changes; checked during ``hello``.
 #: Version 2 added the ``cancel`` event (coordinator -> worker chunk
@@ -92,8 +96,9 @@ from repro.runtime.jobs import Job
 #: binary frame (:func:`repro.wire.pack_values`) and ``chunk_failed`` a typed
 #: ``{type, message}`` error.  Version 7 removes the chunk-split frames
 #: (the ``split`` event, its acknowledgement op and partial ``chunk_done``):
-#: a chunk either completes whole, fails, or is cancelled.
-CLUSTER_PROTOCOL_VERSION = 7
+#: a chunk either completes whole, fails, or is cancelled.  Version 8 packs
+#: the sweep's ``batch_fn`` with the jobs of every ``chunk`` blob.
+CLUSTER_PROTOCOL_VERSION = 8
 
 #: Worker -> coordinator ``op`` vocabulary.  Like the service tuples in
 #: :mod:`repro.service.protocol`, these are pinned three ways: documented
@@ -122,19 +127,20 @@ COORDINATOR_EVENTS = (
 # ----------------------------------------------------------------------
 # Job transport (the one pickle on the wire: coordinator -> worker)
 # ----------------------------------------------------------------------
-def pack_jobs(jobs: Sequence[Job]) -> str:
-    """Serialise a chunk of jobs for the wire.
+def pack_jobs(jobs: Sequence[Job], batch_fn: Optional[BatchFn] = None) -> str:
+    """Serialise a chunk of jobs, and its sweep's ``batch_fn``, for the wire.
 
-    ``fn`` must be a module-level callable, the same constraint the
-    process-pool executor imposes.
+    ``fn`` and ``batch_fn`` must be module-level callables, the same
+    constraint the process-pool executor imposes.
     """
-    blob = pickle.dumps(list(jobs), protocol=pickle.HIGHEST_PROTOCOL)
+    blob = pickle.dumps((batch_fn, list(jobs)), protocol=pickle.HIGHEST_PROTOCOL)
     return base64.b64encode(blob).decode("ascii")
 
 
-def unpack_jobs(blob: str) -> List[Job]:
-    """Deserialise a :func:`pack_jobs` chunk."""
-    return list(pickle.loads(base64.b64decode(blob.encode("ascii"))))
+def unpack_jobs(blob: str) -> Tuple[Optional[BatchFn], List[Job]]:
+    """Deserialise a :func:`pack_jobs` chunk into ``(batch_fn, jobs)``."""
+    batch_fn, jobs = pickle.loads(base64.b64decode(blob.encode("ascii")))
+    return batch_fn, list(jobs)
 
 
 # ----------------------------------------------------------------------
@@ -161,13 +167,18 @@ def heartbeat_request(worker_id: str) -> Dict[str, Any]:
 
 
 def chunk_event(
-    chunk_id: str, jobs: Sequence[Job], trace: Optional[str] = None
+    chunk_id: str,
+    jobs: Sequence[Job],
+    trace: Optional[str] = None,
+    batch_fn: Optional[BatchFn] = None,
 ) -> Dict[str, Any]:
     """One chunk of work.  ``trace`` (optional, protocol v3 stays
     wire-compatible: absent on the wire when ``None``) is the originating
     request's observability id; workers echo it on ``chunk_done`` so a
-    completion stays attributable across tiers."""
-    message = {"event": "chunk", "chunk": chunk_id, "jobs": pack_jobs(jobs)}
+    completion stays attributable across tiers.  ``batch_fn`` is the
+    sweep's vectorised evaluator: the worker runs the whole chunk through
+    it in one call."""
+    message = {"event": "chunk", "chunk": chunk_id, "jobs": pack_jobs(jobs, batch_fn)}
     if trace is not None:
         message["trace"] = trace
     return message

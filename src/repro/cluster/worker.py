@@ -7,7 +7,9 @@ its pid, slot count and code version, and then loops:
 
 * ``chunk`` events are unpacked into :class:`~repro.runtime.jobs.Job`
   lists and executed on a thread pool sized to the worker's ``slots``
-  (one chunk per slot in flight; the coordinator never over-commits);
+  (one chunk per slot in flight; the coordinator never over-commits) —
+  through the sweep's ``batch_fn`` in one call when the chunk carries
+  one, job by job otherwise;
 * results go back as one ``chunk_done`` binary frame per chunk, packed by
   the pickle-free value codec (:func:`repro.wire.pack_values`);
 * a job that raises reports ``chunk_failed`` with the exception's type
@@ -16,7 +18,8 @@ its pid, slot count and code version, and then loops:
   at the submitting call site exactly as it would under the serial
   executor;
 * a ``cancel`` event revokes one in-flight chunk (its run was cancelled):
-  the chunk body stops at its next job boundary and reports nothing —
+  the chunk body stops at its next job boundary (a batch chunk: before
+  its one call) and reports nothing —
   the worker stays registered and keeps serving other chunks;
 * heartbeats are sent at the interval the coordinator's ``welcome``
   announced, so a wedged or killed worker is detected and its chunks are
@@ -43,7 +46,7 @@ from typing import Any, Dict, List, Optional, Tuple
 from repro import obs, wire
 from repro.cluster import protocol
 from repro.obs.http import MetricsServer
-from repro.runtime.executors import SweepCancelled
+from repro.runtime.executors import SweepCancelled, run_batch
 from repro.runtime.jobs import Job, code_version
 
 # Worker-process metrics, scraped from the worker's own --metrics-port
@@ -61,14 +64,26 @@ _CHUNK_SECONDS = obs.histogram(
 
 
 def _run_jobs(
-    jobs: List[Job], cancel: threading.Event, throttle: float = 0.0
+    jobs: List[Job],
+    batch_fn: Optional[protocol.BatchFn],
+    cancel: threading.Event,
+    throttle: float = 0.0,
 ) -> List[Any]:
     """Chunk body on the worker thread: run every job unless revoked.
 
     ``cancel`` is the chunk's revocation flag (set by a coordinator
     ``cancel`` event), checked at every job boundary.  ``throttle`` adds a
-    sleep before every job (the chaos knob behind ``--throttle``).
+    sleep before every job (the chaos knob behind ``--throttle``).  A chunk
+    with a ``batch_fn`` sleeps for all its jobs at once, checks ``cancel``
+    once and runs in one :func:`~repro.runtime.executors.run_batch` call,
+    which fails the chunk on a wrong result count.
     """
+    if batch_fn is not None:
+        if throttle > 0.0:
+            time.sleep(len(jobs) * throttle)
+        if cancel.is_set():
+            raise SweepCancelled("chunk revoked by coordinator")
+        return run_batch(batch_fn, jobs)
     results: List[Any] = []
     for job in jobs:
         if cancel.is_set():
@@ -213,9 +228,9 @@ class Worker:
                 cancel = chunk_cancels.get(chunk_id) or threading.Event()
                 started = time.monotonic()
                 try:
-                    jobs = protocol.unpack_jobs(blob)
+                    batch_fn, jobs = protocol.unpack_jobs(blob)
                     results = await loop.run_in_executor(
-                        pool, _run_jobs, jobs, cancel, self.throttle
+                        pool, _run_jobs, jobs, batch_fn, cancel, self.throttle
                     )
                 except asyncio.CancelledError:
                     raise

@@ -56,6 +56,7 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 from repro import obs
 from repro.runtime.cache import ArtifactCache, CacheStats, default_cache_dir
 from repro.runtime.executors import (
+    AUTO_BATCH_SIZE,
     BatchExecutor,
     CancelEvent,
     ParallelExecutor,
@@ -95,13 +96,6 @@ _JOBS_SUBMITTED = obs.counter("repro_engine_jobs_submitted_total", "Jobs submitt
 _JOBS_EXECUTED = obs.counter("repro_engine_jobs_executed_total", "Jobs actually executed (cache misses).")
 _CACHE_HITS = obs.counter("repro_engine_cache_hits_total", "Jobs served from the artifact cache.")
 _RUN_SECONDS = obs.histogram("repro_engine_run_seconds", "Wall time of completed engine runs.")
-
-#: Jobs per vectorised batch when the engine auto-selects the batch
-#: strategy for a ``batch_fn``-carrying spec.  Large enough to amortise
-#: per-pass Python overhead across a Monte-Carlo / corner-grid group,
-#: small enough that cooperative cancellation still lands within a
-#: reasonable boundary.
-AUTO_BATCH_SIZE = 64
 
 
 @dataclasses.dataclass

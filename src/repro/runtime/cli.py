@@ -42,7 +42,8 @@ The engine options apply to every ``run`` subcommand:
   pool mid-run; ``python -m repro cluster status --connect H:P`` shows
   live worker / dispatch / steal / retry statistics.
 * ``--chunksize K`` tunes how many jobs ride in one pool task or cluster
-  chunk (default: about four chunks per worker), trading scheduling
+  chunk (default: one chunk per worker for a sweep with a vectorised
+  ``batch_fn``, about four chunks per worker otherwise), trading scheduling
   overhead against load balance — on the cluster, idle workers steal
   queued work, so a slow worker never holds more than its in-flight
   chunks (see ``docs/scheduling.md``); ``--executor batch --batch-size

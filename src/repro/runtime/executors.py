@@ -8,7 +8,9 @@ objects and are required to produce bit-identical, order-preserving results:
 * :class:`ParallelExecutor` — fans jobs out over a
   :class:`concurrent.futures.ProcessPoolExecutor` with configurable
   chunking; chunks keep the pickling overhead per job low on fine-grained
-  grids.  Falls back to in-process execution when the pool cannot be
+  grids, and a sweep with a ``batch_fn`` runs each chunk through it in the
+  pool process (:func:`default_chunksize` cuts such a sweep into one chunk
+  per worker).  Falls back to in-process execution when the pool cannot be
   created (single-CPU hosts, sandboxed environments) or when there is
   nothing to parallelise — still through the sweep's ``batch_fn`` when it
   has one, so degraded hosts keep the vectorised inner loop.
@@ -46,7 +48,6 @@ from __future__ import annotations
 
 import os
 import threading
-from concurrent.futures import BrokenExecutor, ProcessPoolExecutor, as_completed
 from typing import Any, Callable, List, Optional, Sequence
 
 from repro.runtime.jobs import Job
@@ -56,6 +57,14 @@ ProgressCallback = Callable[[int, int, str], None]
 
 # cooperative cancellation: executors poll this between work units / chunks
 CancelEvent = threading.Event
+
+#: Jobs per vectorised batch when the engine auto-selects the batch
+#: strategy for a ``batch_fn``-carrying spec, and the cap on a batch
+#: sweep's chunk in the multi-process executors.  Large enough to amortise
+#: per-pass Python overhead across a Monte-Carlo / corner-grid group,
+#: small enough that cooperative cancellation still lands within a
+#: reasonable boundary.
+AUTO_BATCH_SIZE = 64
 
 
 class SweepCancelled(RuntimeError):
@@ -84,6 +93,41 @@ def _notify(progress: Optional[ProgressCallback], done: int, total: int, label: 
 def _run_chunk(jobs: Sequence[Job]) -> List[Any]:
     """Run a chunk of jobs in the current process (process-pool task body)."""
     return [job.run() for job in jobs]
+
+
+def run_batch(
+    batch_fn: Callable[[Sequence[Job]], List[Any]], jobs: Sequence[Job]
+) -> List[Any]:
+    """``batch_fn(jobs)`` as a list, checked to hold one result per job.
+
+    The one place a ``batch_fn`` is called: the batch and process-pool
+    executors and cluster workers all run a batch chunk through here.
+    """
+    results = list(batch_fn(jobs))
+    if len(results) != len(jobs):
+        raise RuntimeError(f"batch_fn returned {len(results)} results for {len(jobs)} jobs")
+    return results
+
+
+def default_chunksize(job_count: int, slots: int, batched: bool) -> int:
+    """Jobs per chunk of a multi-process executor without an explicit chunksize.
+
+    A sweep with a ``batch_fn`` (``batched``) gets one chunk per slot,
+    capped at :data:`AUTO_BATCH_SIZE` so cancellation lands as often as
+    under the in-process auto engine: each chunk is one vectorised call, so
+    fewer, larger chunks mean fewer fixed-cost passes.  Any other sweep
+    gets about four chunks per slot, which balances dispatch overhead
+    against load imbalance on heterogeneous grids.
+
+    >>> default_chunksize(8, 1, batched=True), default_chunksize(3, 2, batched=True)
+    (8, 2)
+    >>> default_chunksize(1000, 2, batched=True), default_chunksize(40, 2, batched=False)
+    (64, 5)
+    """
+    slots = max(1, slots)
+    if batched:
+        return max(1, min(AUTO_BATCH_SIZE, -(-job_count // slots)))
+    return max(1, job_count // (4 * slots))
 
 
 def _chunked(jobs: Sequence[Job], size: int) -> List[List[Job]]:
@@ -146,9 +190,10 @@ class ParallelExecutor:
     max_workers:
         Worker process count; defaults to the host CPU count.
     chunksize:
-        Jobs per pool task.  The default splits the sweep into roughly four
-        chunks per worker, which balances scheduling overhead against load
-        imbalance on heterogeneous grids.
+        Jobs per pool task.  The default (:func:`default_chunksize`) gives a
+        sweep with a ``batch_fn`` one chunk per worker, each run through the
+        ``batch_fn`` in the pool process, and any other sweep roughly four
+        chunks per worker.
     """
 
     name = "parallel"
@@ -161,9 +206,6 @@ class ParallelExecutor:
         self.max_workers = max_workers or os.cpu_count() or 1
         self.chunksize = chunksize
 
-    def _default_chunksize(self, job_count: int) -> int:
-        return max(1, job_count // (4 * self.max_workers))
-
     def execute(
         self,
         jobs: Sequence[Job],
@@ -172,10 +214,16 @@ class ParallelExecutor:
         cancel: Optional[CancelEvent] = None,
         trace: Optional[str] = None,
     ) -> List[Any]:
+        # Imported here: a process that never runs a pool does not load
+        # ``concurrent.futures.process`` and ``multiprocessing``.
+        from concurrent.futures import BrokenExecutor, ProcessPoolExecutor, as_completed
+
         _check_cancel(cancel, "before dispatch")
         if len(jobs) <= 1 or self.max_workers <= 1:
             return _serial_fallback(jobs, progress, batch_fn, cancel)
-        chunksize = self.chunksize or self._default_chunksize(len(jobs))
+        chunksize = self.chunksize or default_chunksize(
+            len(jobs), self.max_workers, batched=batch_fn is not None
+        )
         chunks = _chunked(jobs, chunksize)
         try:
             pool = ProcessPoolExecutor(max_workers=min(self.max_workers, len(chunks)))
@@ -187,7 +235,11 @@ class ParallelExecutor:
         total = len(jobs)
         done = 0
         try:
-            futures = {pool.submit(_run_chunk, chunk): index for index, chunk in enumerate(chunks)}
+            evaluate = batch_fn if batch_fn is not None else _run_chunk
+            futures = {
+                pool.submit(run_batch, evaluate, chunk): index
+                for index, chunk in enumerate(chunks)
+            }
             for future in as_completed(futures):
                 # Checked between completed chunks: a cancelled sweep stops
                 # collecting, revokes the not-yet-started chunks and raises.
@@ -242,12 +294,7 @@ class BatchExecutor:
         total = len(jobs)
         for batch in _chunked(jobs, self.batch_size):
             _check_cancel(cancel, "between batches")
-            batch_results = list(evaluate(batch))
-            if len(batch_results) != len(batch):
-                raise RuntimeError(
-                    f"batch_fn returned {len(batch_results)} results for {len(batch)} jobs"
-                )
-            results.extend(batch_results)
+            results.extend(run_batch(evaluate, batch))
             _notify(progress, len(results), total, batch[-1].name)
         return results
 

@@ -169,8 +169,10 @@ class SweepSpec:
     batch_fn:
         Optional vectorised evaluator: given a sequence of jobs it returns
         their results in order, amortising shared setup across the batch.
-        Used by the batch executor for corner grids; executors without
-        batch support simply run the jobs individually.
+        Every executor but ``serial`` calls it: the batch executor (and
+        the auto engine) per group, the process-pool and distributed
+        executors once per chunk in the worker process.  Like a job's
+        ``fn`` it must therefore be a module-level (picklable) callable.
     """
 
     name: str

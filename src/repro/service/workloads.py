@@ -526,7 +526,8 @@ def run_montecarlo(params: Dict[str, Any], engine: SweepEngine) -> Dict[str, Any
     The per-sample workload splits into ``shards`` (default 1) contiguous
     :func:`numpy.random.SeedSequence`-stable sample ranges submitted through
     the engine.  Under a ``distributed`` executor the shards spread across
-    cluster workers, their progress ticks merge into the request's single
+    cluster workers, the shards on one worker fuse into one solve, their
+    progress ticks (one per chunk) merge into the request's single
     progress stream, and the merged panel is bit-identical to the one-shard
     one.  Each shard is content-addressed, so repeat requests resolve
     engine-side from the artifact cache and warm shards never reach a

@@ -4,8 +4,8 @@ Covers the tentpole guarantees:
 
 * the shared NDJSON framing lives in :mod:`repro.wire` and the service
   protocol re-exports it (one tested implementation);
-* job chunks survive the pickle transport with cache codecs stripped, and
-  job failures come back as typed ``{type, message}`` errors;
+* job chunks and their sweep's ``batch_fn`` survive the pickle transport,
+  and job failures come back as typed ``{type, message}`` errors;
 * ``make_executor("distributed")`` produces **bit-identical** results to
   the serial executor, merged in submission order whatever the dispatch
   schedule or work stealing;
@@ -29,6 +29,7 @@ module importable on the worker side.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import os
 import signal
@@ -41,10 +42,13 @@ import pytest
 
 import repro
 from repro import wire
-from repro.analysis.pvt_sweeps import mismatch_monte_carlo
+from repro.analysis.pvt_sweeps import mismatch_monte_carlo, supply_sweep
 from repro.circuits.technology import tsmc65_like
 from repro.cluster import DistributedExecutor, fetch_status, parse_address
 from repro.cluster import protocol as cluster_protocol
+from repro.core.characterization import CharacterizationPlan, characterize
+from repro.core.dse import DesignSpace, explore_design_space
+from repro.core.pvt import monte_carlo_error_distribution
 from repro.runtime import (
     ArtifactCache,
     Job,
@@ -83,6 +87,16 @@ def _slow_seeded(entropy: int, index: int, seconds: float) -> float:
     """Seeded deterministic float whose wall time is tunable."""
     time.sleep(seconds)
     return _seeded_value(entropy, index)
+
+
+def _square_batch(jobs) -> list:
+    """A ``batch_fn`` over :func:`_square` jobs."""
+    return [job.args[0] * job.args[0] for job in jobs]
+
+
+def _short_batch(jobs) -> list:
+    """A broken ``batch_fn``: one result too few."""
+    return [job.run() for job in jobs][:-1]
 
 
 def _boom(message: str) -> None:
@@ -147,10 +161,18 @@ class TestSharedWire:
 
 class TestJobTransport:
     def test_pack_round_trips_a_keyed_job(self):
+        """A chunk blob is ``(batch_fn, jobs)``: no ``batch_fn`` comes back
+        as ``None``, a module-level one as the same function."""
         job = Job(fn=_square, args=(3,), name="sq", key=job_key("transport-test", 3))
-        [restored] = cluster_protocol.unpack_jobs(cluster_protocol.pack_jobs([job]))
+        batch_fn, [restored] = cluster_protocol.unpack_jobs(cluster_protocol.pack_jobs([job]))
+        assert batch_fn is None
         assert restored.run() == 9
         assert (restored.name, restored.key) == (job.name, job.key)
+        batch_fn, restored_jobs = cluster_protocol.unpack_jobs(
+            cluster_protocol.pack_jobs([job, job], batch_fn=_square_batch)
+        )
+        assert batch_fn is _square_batch
+        assert batch_fn(restored_jobs) == [9, 9]
 
     def test_exception_transport_preserves_type(self):
         """Built-in exception types come back by name, anything else as a
@@ -239,6 +261,14 @@ class TestDistributedExecution:
         done_values = [done for done, _ in ticks]
         assert done_values == sorted(done_values)
         assert all(total == 16 for _, total in ticks)
+
+    def test_batch_fn_result_count_fails_the_run_typed(self, cluster):
+        """A ``batch_fn`` returning the wrong count fails its chunk on the
+        worker (``chunk_failed``), so the run raises the same
+        ``RuntimeError`` the in-process batch executor does."""
+        with pytest.raises(RuntimeError, match="batch_fn returned 0 results for 1 jobs"):
+            cluster.execute(_seeded_jobs(4), batch_fn=_short_batch)
+        assert cluster.execute(_seeded_jobs(4)) == SerialExecutor().execute(_seeded_jobs(4))
 
     def test_job_exception_propagates_and_cluster_survives(self, cluster):
         jobs = [Job(fn=_square, args=(1,), name="ok")] + [
@@ -771,6 +801,53 @@ class TestShardedMonteCarlo:
             reference["final_voltages"], distributed["final_voltages"]
         )
 
+    def test_shards_on_one_slot_fuse_into_one_batch_chunk(self, monkeypatch):
+        """Two shards on a one-slot cluster ship as one chunk, which the
+        worker runs in one call of the Monte-Carlo ``batch_fn``.  The worker
+        runs in this process, on its own thread, so its calls are visible."""
+        import asyncio
+        import socket
+        import threading
+
+        from repro.analysis import pvt_sweeps
+        from repro.cluster import worker as cluster_worker
+
+        calls = []
+        run_batch = cluster_worker.run_batch
+
+        def spy(batch_fn, jobs):
+            calls.append((batch_fn, len(jobs)))
+            return run_batch(batch_fn, jobs)
+
+        monkeypatch.setattr(cluster_worker, "run_batch", spy)
+        with socket.socket() as probe:
+            probe.bind(("127.0.0.1", 0))
+            port = probe.getsockname()[1]
+        worker = cluster_worker.Worker("127.0.0.1", port, connect_timeout=START_TIMEOUT)
+        thread = threading.Thread(target=asyncio.run, args=(worker.run(),), daemon=True)
+        thread.start()
+        executor = DistributedExecutor(
+            workers=0, connect=f"127.0.0.1:{port}", start_timeout=START_TIMEOUT
+        )
+        technology = tsmc65_like()
+        try:
+            executor.start()
+            if executor._fallback is not None:
+                pytest.skip("cluster cannot start in this environment")
+            panel = mismatch_monte_carlo(
+                technology, samples=24, seed=11, shards=2, engine=SweepEngine(executor)
+            )
+            stats = executor.status()["stats"]
+        finally:
+            executor.close()
+            thread.join(START_TIMEOUT)
+        assert not thread.is_alive(), "the worker did not exit with its coordinator"
+        assert stats["chunks_dispatched"] == 1
+        assert calls == [(pvt_sweeps._mismatch_monte_carlo_batch, 2)]
+        reference = mismatch_monte_carlo(technology, samples=24, seed=11, shards=1)
+        for name in ("final_voltages", "sigma_at_sampling_times", "times"):
+            np.testing.assert_array_equal(reference[name], panel[name])
+
     def test_shard_jobs_are_cacheable(self, tmp_path):
         technology = tsmc65_like()
         engine = SweepEngine(cache=ArtifactCache(tmp_path / "cache"))
@@ -794,6 +871,90 @@ class TestShardedMonteCarlo:
         assert sharded["shards"] == 3
         with pytest.raises(ValueError):
             run_montecarlo({"samples": 8, "shards": 0}, engine)
+
+
+def _leaves(value, where="result") -> list:
+    """Every leaf of a sweep result: its path, and dtype, shape and bytes
+    for an array, the type of a container, type and ``repr`` (exact for
+    floats) for anything else."""
+    if isinstance(value, (np.ndarray, np.generic)):
+        return [(where, value.dtype.str, np.shape(value), value.tobytes())]
+    if dataclasses.is_dataclass(value):
+        value = {field.name: getattr(value, field.name) for field in dataclasses.fields(value)}
+    if isinstance(value, (list, tuple, dict)):
+        items = value.items() if isinstance(value, dict) else enumerate(value)
+        return [(where, type(value).__name__)] + [
+            leaf for key, item in items for leaf in _leaves(item, f"{where}[{key!r}]")
+        ]
+    return [(where, type(value).__name__, repr(value))]
+
+
+#: The real sweeps that carry a ``batch_fn``, each a call of
+#: ``(technology, suite, config, engine)``.
+BATCH_SWEEPS = {
+    "characterize": lambda technology, suite, config, engine: characterize(
+        technology, CharacterizationPlan.quick(), engine=engine
+    ),
+    "supply_sweep": lambda technology, suite, config, engine: supply_sweep(
+        technology, engine=engine
+    ),
+    "explore_design_space": lambda technology, suite, config, engine: explore_design_space(
+        suite, DesignSpace.quick(), engine=engine
+    ),
+    "monte_carlo_error_distribution": (
+        lambda technology, suite, config, engine: monte_carlo_error_distribution(
+            suite, config, samples=16, seed=42, engine=engine
+        )
+    ),
+    **{
+        f"mismatch_monte_carlo[shards={shards}]": (
+            lambda technology, suite, config, engine, shards=shards: mismatch_monte_carlo(
+                technology, samples=60, seed=11, shards=shards, engine=engine
+            )
+        )
+        for shards in (1, 2, 3)
+    },
+}
+
+
+@pytest.fixture(scope="module")
+def serial_batch_sweeps(technology, quick_suite, fom_config):
+    """Leaves of every batch sweep under the per-job ``serial`` executor."""
+    engine = SweepEngine(SerialExecutor())
+    return {
+        name: _leaves(sweep(technology, quick_suite, fom_config, engine))
+        for name, sweep in BATCH_SWEEPS.items()
+    }
+
+
+@pytest.fixture(scope="module", params=[1, 2], ids=["1-worker", "2-workers"])
+def default_cluster(request):
+    """A local cluster with the default chunk rule (no explicit chunksize)."""
+    executor = DistributedExecutor(workers=request.param, start_timeout=START_TIMEOUT)
+    executor.start()
+    if executor._fallback is not None:
+        pytest.skip("cluster cannot start in this environment")
+    yield executor
+    executor.close()
+
+
+class TestBatchSweepsMatchSerial:
+    """Every executor but ``serial`` runs a batch sweep's chunks through its
+    ``batch_fn``; the results stay byte-identical to one job at a time."""
+
+    @pytest.mark.parametrize("name", sorted(BATCH_SWEEPS))
+    def test_parallel(self, name, serial_batch_sweeps, technology, quick_suite, fom_config):
+        engine = SweepEngine(make_executor("parallel", max_workers=2))
+        result = BATCH_SWEEPS[name](technology, quick_suite, fom_config, engine)
+        assert _leaves(result) == serial_batch_sweeps[name]
+
+    @pytest.mark.parametrize("name", sorted(BATCH_SWEEPS))
+    def test_distributed(
+        self, name, default_cluster, serial_batch_sweeps, technology, quick_suite, fom_config
+    ):
+        engine = SweepEngine(default_cluster)
+        result = BATCH_SWEEPS[name](technology, quick_suite, fom_config, engine)
+        assert _leaves(result) == serial_batch_sweeps[name]
 
 
 class TestKeyedRobustness:

@@ -54,6 +54,7 @@ def _under(names, packages):
 
 
 def test_paper_pipeline_loads_no_dnn_serving_or_asyncio_code():
+    """Nor the process pool: only ``ParallelExecutor.execute`` imports it."""
     loaded = _loaded_after(PAPER_PIPELINE)
     assert "repro.analysis.pvt_sweeps" in loaded
     forbidden = _under(
@@ -67,6 +68,8 @@ def test_paper_pipeline_loads_no_dnn_serving_or_asyncio_code():
             "repro.cluster",
             "repro.gateway",
             "asyncio",
+            "concurrent.futures.process",
+            "multiprocessing",
         ),
     )
     assert not forbidden, f"the paper pipeline imported {forbidden}"

@@ -490,15 +490,20 @@ class TestJournalRecovery:
             async def submit_and_kill():
                 client = ServiceClient("127.0.0.1", port)
                 await client.connect(timeout=TIMEOUT)
-                ticks = []
+                accepted = []
                 submit = asyncio.create_task(
                     client.submit(
                         "montecarlo",
                         dict(self.PARAMS),
-                        on_progress=lambda d, t, l: ticks.append(d),
+                        on_accepted=lambda *details: accepted.append(details),
                     )
                 )
-                while not ticks:  # first shard landed; 7 more to go
+                # Kill while the sweep still runs: the service has accepted
+                # it and the journal records it pending.  The default engine
+                # solves all 8 shards in one batch, so the first progress
+                # tick only arrives once the sweep is done.
+                journal = JobJournal(default_journal_path(cache_dir))
+                while not (accepted and journal.pending()):
                     await asyncio.sleep(0.005)
                 os.kill(process.pid, signal.SIGKILL)
                 with contextlib.suppress(

@@ -51,6 +51,16 @@ def _square_batch(jobs):
     return list((values * values).tolist())
 
 
+def _pid_batch(jobs):
+    """Batch evaluator that tags each result with the evaluating process."""
+    return [(job.run(), os.getpid()) for job in jobs]
+
+
+def _short_batch(jobs):
+    """A broken batch evaluator: one result too few."""
+    return [job.run() for job in jobs][:-1]
+
+
 class TestExecutors:
     def test_serial_preserves_order(self):
         results = SerialExecutor().execute(_toy_jobs())
@@ -86,6 +96,19 @@ class TestExecutors:
     def test_batch_fn_result_count_is_validated(self):
         with pytest.raises(RuntimeError):
             BatchExecutor(batch_size=4).execute(_toy_jobs(8), batch_fn=lambda jobs: [1])
+
+    def test_parallel_runs_each_chunk_through_the_batch_fn(self):
+        """A batch sweep is one chunk per worker, each one ``batch_fn`` call
+        in the pool process (``_pid_batch`` tags results with its pid)."""
+        results = ParallelExecutor(max_workers=2).execute(_toy_jobs(6), batch_fn=_pid_batch)
+        assert [value for value, _ in results] == [i * i for i in range(6)]
+        pids = [pid for _, pid in results]
+        assert pids[:3] == [pids[0]] * 3 and pids[3:] == [pids[3]] * 3
+        assert os.getpid() not in pids
+
+    def test_parallel_batch_fn_result_count_is_validated(self):
+        with pytest.raises(RuntimeError, match="batch_fn returned"):
+            ParallelExecutor(max_workers=2).execute(_toy_jobs(6), batch_fn=_short_batch)
 
     def test_batch_rejects_bad_batch_size(self):
         with pytest.raises(ValueError):
@@ -140,12 +163,13 @@ class TestFallbackKeepsBatchFn:
         assert sum(calls) == 7
 
     def test_parallel_pool_failure_fallback(self, monkeypatch):
-        import repro.runtime.executors as executors_module
+        import concurrent.futures
 
         def broken_pool(*args, **kwargs):
             raise OSError("no semaphores in this sandbox")
 
-        monkeypatch.setattr(executors_module, "ProcessPoolExecutor", broken_pool)
+        # ParallelExecutor imports the pool class when it runs, from here.
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", broken_pool)
         calls = []
         results = ParallelExecutor(max_workers=4).execute(
             _toy_jobs(9), batch_fn=self._tracking_batch_fn(calls)
