@@ -8,34 +8,54 @@ corners selected by the design-space exploration).  Table II uses the
 replaced 10-class head and brief transfer training on the "cifar10-like"
 dataset, mirroring the paper's transfer-learning setup.
 
-Each model runs through two kinds of engine job:
+Each model runs through three kinds of engine job.  Their arguments are
+names and data, never a live network, dataset or backend:
 
-* **train** (:func:`train`) — trains the network in place; its artifact
-  is the trained :func:`~repro.dnn.network.network_state`.  The key
-  covers the architecture (``Network.summary``), the state the training
-  starts from, the dataset and the :class:`TrainingConfig`; never the
-  builder that made the network.  A Table III transfer training is the
-  same job on a trained network whose classifier head was just replaced,
-  so its key covers the base weights and the new head.
-* **evaluate** (:func:`evaluate_window`) — quantises the trained network
-  and returns integer top-1 / top-5 hit counts of every mode on one
-  window of the test split, so the counts of disjoint windows add up
-  exactly and the accuracy of the union is bit-identical to one call.
+* **train** (:func:`train`) -- builds the model by name (a
+  :class:`ModelSpec`), loads the optional start state, trains it and
+  returns the trained :func:`~repro.dnn.network.network_state`.  Key: the
+  model spec, the start state, the dataset spec and the
+  :class:`TrainingConfig`.  A Table III transfer training is a train job
+  whose start state is the trained base weights plus a fresh head.
+* **quantize** (:func:`quantize`) -- calibrates the trained network once
+  on the first ``calibration_samples`` training images and returns its
+  :func:`~repro.dnn.quantization.quantized_state`.  Key: the model spec,
+  the state, the dataset spec, ``calibration_samples`` and the
+  :data:`INT4` scheme.
+* **evaluate** (:func:`evaluate`) -- rebuilds the float and the INT4
+  network from the two states, with no calibration, and returns integer
+  top-1 / top-5 hit counts of every mode on one window of the test split,
+  so the counts of disjoint windows add up exactly.  Key: the quantize
+  key, the modes in the order given, the window and the corner tables.
 
-Every job goes through a :class:`~repro.runtime.SweepEngine`; without
-one, a plain serial engine with no cache runs them in process, in order,
-and no key is hashed.  With a cache, Table III's base trainings are cache
-hits of Table II's, and a warm re-run trains nothing (and evaluates
-nothing, unless a corner backend is stochastic: its RNG state depends on
-what ran before, so those evaluations are not cached).  The service
-``dnn`` workload (:mod:`repro.service.workloads`) runs the same train job
-once and fans :func:`evaluate_window` out over test-set windows.
+What travels: states as dicts of arrays; a generated dataset as its
+:class:`~repro.dnn.datasets.DatasetSpec` (a hand-built one travels whole);
+the corners as their LUT mean arrays, or as :data:`DSE_CORNERS`, the name
+of the paper's DSE-selected corners.  The process that runs a job
+regenerates a dataset, and builds the named corners, once
+(``functools.lru_cache``).
+
+:func:`run_dnn_accuracy_experiment` submits the trains as one sweep,
+longest first, then the quantisations, then the evaluations; Table III's
+transfer trains are one more sweep.  Results come back in model order.
+Under a multi-process executor the models train concurrently, each job on
+one BLAS thread (:func:`~repro.dnn.blas.one_blas_thread`).  Without an
+engine, a plain serial engine with no cache runs the jobs in process, in
+that order, and no key is hashed.  With a cache, Table III's base
+trainings are cache hits of Table II's, and a warm re-run executes
+nothing.  The service ``dnn`` workload (:mod:`repro.service.workloads`)
+runs the same graph for one model and splits its evaluation into
+test-set windows; that evaluate sweep carries a ``batch_fn``, so the
+windows one worker gets share one rebuild of the networks and one copy
+of the states on the wire.
 """
 
 from __future__ import annotations
 
 import dataclasses
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+import functools
+import itertools
+from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -44,22 +64,52 @@ from repro.core.calibration import calibrated_suite
 from repro.core.dse import explore_design_space, select_corners
 from repro.core.model_suite import OptimaModelSuite
 from repro.dnn.blas import one_blas_thread
-from repro.dnn.datasets import Dataset
+from repro.dnn.datasets import Dataset, DatasetSpec
 from repro.dnn.evaluation import AccuracyReport, evaluate_backends
-from repro.dnn.imc_injection import LutBackend, MultiplierBackend
+from repro.dnn.imc_injection import LutBackend
 from repro.dnn.models import (
     build_resnet101_like,
     build_resnet50_like,
     build_vgg16_like,
     build_vgg19_like,
 )
-from repro.dnn.network import Network, load_network_state, network_state
-from repro.dnn.quantization import QuantizationScheme, quantize_network
+from repro.dnn.network import Network, copy_network, load_network_state, network_state
+from repro.dnn.quantization import (
+    QuantizationScheme,
+    load_quantized_network,
+    quantize_network,
+    quantized_state,
+)
 from repro.dnn.training import TrainingConfig, replace_classifier_head, train_network
 from repro.multiplier.config import MultiplierConfig
 from repro.multiplier.imac import InSramMultiplier
 from repro.multiplier.lut import ProductLookupTable
-from repro.runtime import Job, SweepEngine, job_key
+from repro.runtime import Job, SweepEngine, SweepSpec, job_key
+
+#: The paper's four models by name, in ascending training cost.
+MODELS: Dict[str, Callable[[Tuple[int, int, int], int], Network]] = {
+    "VGG16": build_vgg16_like,
+    "VGG19": build_vgg19_like,
+    "ResNet50": build_resnet50_like,
+    "ResNet101": build_resnet101_like,
+}
+
+#: The execution modes of Tables II / III: FLOAT32, exact INT4 and the
+#: three corners :func:`~repro.core.dse.select_corners` names.
+MODES = ("float32", "int4", "fom", "power", "variation")
+
+#: The quantisation scheme of the paper: INT4 weights and activations.
+INT4 = QuantizationScheme()
+
+#: Corner spec naming the paper's corners: the calibrated tsmc65-like
+#: suite, the full design space and :func:`~repro.core.dse.select_corners`.
+DSE_CORNERS = "dse"
+
+#: What a job receives for a dataset: its spec, or a hand-built dataset.
+DatasetArg = Union[DatasetSpec, Dataset]
+#: What an evaluate job receives for the corners: LUT means by name, or a spec.
+Corners = Union[Mapping[str, np.ndarray], str]
+State = Dict[str, np.ndarray]
 
 
 @dataclasses.dataclass
@@ -112,12 +162,50 @@ class DnnExperimentConfig:
             seed=self.seed + 1,
         )
 
-    def evaluation_size(self, dataset: Dataset) -> int:
+    def evaluation_size(self, dataset: DatasetArg) -> int:
         """Test samples evaluated: the test split, capped at ``max_eval_samples``."""
-        total = int(dataset.test_images.shape[0])
+        total = dataset.test_size
         if self.max_eval_samples is not None:
             total = min(total, self.max_eval_samples)
         return total
+
+
+@dataclasses.dataclass(frozen=True)
+class ModelSpec:
+    """One of the :data:`MODELS` by name: all a job needs to build it.
+
+    ``classes`` is the width the model is built with; a Table III model
+    has ``transfer_classes`` set, its head replaced by one that wide.
+    """
+
+    name: str
+    image_size: int
+    classes: int
+    transfer_classes: Optional[int] = None
+
+    def __post_init__(self) -> None:
+        if self.name not in MODELS:
+            raise ValueError(f"unknown model {self.name!r}; available: {', '.join(MODELS)}")
+
+    def build(self, state: Optional[Mapping[str, np.ndarray]] = None) -> Network:
+        """The network, freshly initialised or holding ``state``."""
+        network = copy_network(_initialised(self.name, self.image_size, self.classes))
+        if self.transfer_classes is not None:
+            network = replace_classifier_head(network, self.transfer_classes)
+        if state is not None:
+            load_network_state(network, state)
+        return network
+
+
+@functools.lru_cache(maxsize=None)
+def _initialised(name: str, image_size: int, classes: int) -> Network:
+    """A paper model freshly initialised, built once per process.
+
+    :meth:`ModelSpec.build` hands out copies (:func:`copy_network`), which
+    cost a third of drawing the initial weights again; this one is never
+    trained.
+    """
+    return MODELS[name]((image_size, image_size, 3), classes)
 
 
 def model_builders(
@@ -125,20 +213,13 @@ def model_builders(
 ) -> List[Tuple[str, Callable[[], Network]]]:
     """The four (name, builder) pairs of paper Tables II / III."""
     shape = (image_size, image_size, 3)
-    return [
-        ("VGG16", lambda: build_vgg16_like(shape, classes)),
-        ("VGG19", lambda: build_vgg19_like(shape, classes)),
-        ("ResNet50", lambda: build_resnet50_like(shape, classes)),
-        ("ResNet101", lambda: build_resnet101_like(shape, classes)),
-    ]
+    return [(name, functools.partial(builder, shape, classes)) for name, builder in MODELS.items()]
 
 
 def corner_backends(
     technology: Optional[TechnologyCard] = None,
     suite: Optional[OptimaModelSuite] = None,
     corners: Optional[Dict[str, MultiplierConfig]] = None,
-    stochastic: bool = False,
-    seed: int = 0,
 ) -> Dict[str, LutBackend]:
     """Build the fom / power / variation LUT backends from the DSE corners."""
     technology = technology or tsmc65_like()
@@ -146,116 +227,251 @@ def corner_backends(
         suite = calibrated_suite(technology).suite
     if corners is None:
         corners = select_corners(explore_design_space(suite))
-    backends: Dict[str, LutBackend] = {}
-    for index, (name, config) in enumerate(corners.items()):
-        table = ProductLookupTable.from_multiplier(InSramMultiplier(suite, config))
-        backends[name] = LutBackend(
-            table,
-            stochastic=stochastic,
-            rng=np.random.default_rng(seed + index),
-            name=name,
-        )
-    return backends
+    return {
+        name: LutBackend(ProductLookupTable.from_multiplier(InSramMultiplier(suite, config)), name=name)
+        for name, config in corners.items()
+    }
 
 
 # ----------------------------------------------------------------------
-# The job graph
+# The job bodies
 # ----------------------------------------------------------------------
-def _trained_state(
-    network: Network, dataset: Dataset, training: TrainingConfig
-) -> Dict[str, np.ndarray]:
-    """Train job body: train ``network`` in place, return its state.
+@functools.lru_cache(maxsize=None)
+def _generated(spec: DatasetSpec) -> Dataset:
+    """The dataset of ``spec``, generated once per process.
 
-    Runs on one BLAS thread (:func:`~repro.dnn.blas.one_blas_thread`).
+    Its arrays are made read-only: every job in the process shares them.
     """
-    with one_blas_thread():
-        train_network(network, dataset, training)
-    return network_state(network)
+    dataset = spec.generate()
+    for array in (dataset.train_images, dataset.train_labels, dataset.test_images, dataset.test_labels):
+        array.setflags(write=False)
+    return dataset
+
+
+def _dataset(dataset: DatasetArg) -> Dataset:
+    return _generated(dataset) if isinstance(dataset, DatasetSpec) else dataset
 
 
 def train(
-    network: Network,
-    dataset: Dataset,
+    model: ModelSpec,
+    start_state: Optional[State],
+    dataset: DatasetArg,
     training: TrainingConfig,
-    engine: Optional[SweepEngine] = None,
-) -> None:
-    """Train ``network`` on ``dataset``, in place, as one engine job.
+) -> State:
+    """Train job: ``model``, from ``start_state`` if given, trained on ``dataset``.
 
-    ``engine`` defaults to a serial engine with no cache.  With a cache,
-    the job is keyed by the architecture, the network's current state
-    (the initial weights, or base weights plus a fresh head for a
-    transfer training), the dataset and ``training``; a hit loads the
-    cached weights instead of training.
+    Returns the trained state.  Runs on one BLAS thread.
     """
-    engine = engine or SweepEngine()
-    key = None
-    if engine.cache is not None:
-        key = job_key("dnn-train", network.summary(), network_state(network), dataset, training)
-    job = Job(
-        fn=_trained_state,
-        args=(network, dataset, training),
-        name=f"train[{network.name}]",
-        key=key,
-    )
-    load_network_state(network, engine.run_one(job))
+    network = model.build(start_state)
+    with one_blas_thread():
+        train_network(network, _dataset(dataset), training)
+    return network_state(network)
 
 
-def evaluate_window(
-    network: Network,
-    dataset: Dataset,
+def quantize(
+    model: ModelSpec, state: State, dataset: DatasetArg, calibration_samples: int
+) -> State:
+    """Quantize job: the :data:`INT4` calibration of the trained ``model``.
+
+    Calibrates on the first ``calibration_samples`` training images and
+    returns the :func:`~repro.dnn.quantization.quantized_state`.  Runs on
+    one BLAS thread.
+    """
+    network = model.build(state)
+    calibration = _dataset(dataset).train_images[:calibration_samples]
+    with one_blas_thread():
+        return quantized_state(quantize_network(network, calibration, INT4))
+
+
+@functools.lru_cache(maxsize=None)
+def _dse_corner_means() -> Dict[str, np.ndarray]:
+    """LUT means of the :data:`DSE_CORNERS`, built once per process.
+
+    The first call pays the calibration plus the full design-space
+    exploration.
+    """
+    return _lut_means(corner_backends())
+
+
+def _lut_means(backends: Mapping[str, Any]) -> Dict[str, np.ndarray]:
+    """The corner tables that travel with evaluate jobs: each LUT's means.
+
+    Only deterministic LUT backends qualify: a stochastic one draws from an
+    RNG whose state would depend on everything evaluated before.
+    """
+    for name, backend in backends.items():
+        if not isinstance(backend, LutBackend) or backend.stochastic:
+            raise ValueError(f"corner {name!r} is not a deterministic LutBackend")
+    return {name: backend.table.mean for name, backend in backends.items()}
+
+
+def _lut_backend(name: str, mean: np.ndarray) -> LutBackend:
+    """The deterministic backend of one corner's LUT means (sigma is unused)."""
+    table = ProductLookupTable(mean, np.zeros_like(mean), name=name, max_operand=len(mean) - 1)
+    return LutBackend(table, name=name)
+
+
+def evaluate(
+    model: ModelSpec,
+    state: State,
+    quantized: State,
+    dataset: DatasetArg,
     modes: Sequence[str],
-    config: DnnExperimentConfig,
     window: Tuple[int, int],
-    backends: Optional[Dict[str, MultiplierBackend]] = None,
+    corners: Corners,
 ) -> Dict[str, int]:
-    """Quantise the trained ``network``; count hits on ``test[lo:hi]``.
+    """Evaluate job: hit counts of every mode on ``test[lo:hi]``.
 
     ``modes`` are ``"float32"``, ``"int4"`` and corner names of
-    ``backends`` (default: none); a corner mode with no backend is a
-    :class:`ValueError`, so the caller builds the corners once.  The
-    INT4 network is calibrated on the first ``config.calibration_samples``
-    training images, then :func:`~repro.dnn.evaluation.evaluate_backends`
-    evaluates the window.  Returns ``{"samples": hi - lo, "<mode>_top1":
-    ..., "<mode>_top5": ...}`` as integers, so window counts add up
-    exactly.  Runs on one BLAS thread (:func:`~repro.dnn.blas.one_blas_thread`).
+    ``corners`` (LUT means by name, or :data:`DSE_CORNERS`); a corner mode
+    with no table is a :class:`ValueError`.  The INT4 network is rebuilt
+    from ``quantized``, with no calibration.  Returns ``{"samples": hi -
+    lo, "<mode>_top1": ..., "<mode>_top5": ...}`` as integers, so window
+    counts add up exactly.  Runs on one BLAS thread.
     """
-    backends = backends or {}
-    for mode in modes:
-        if mode not in ("float32", "int4") and mode not in backends:
-            raise ValueError(f"mode {mode!r} has no corner backend")
+    return _window_counts(model, state, quantized, dataset, modes, corners, [window])[0]
+
+
+def _window_counts(
+    model: ModelSpec,
+    state: State,
+    quantized: State,
+    dataset: DatasetArg,
+    modes: Sequence[str],
+    corners: Corners,
+    windows: Sequence[Tuple[int, int]],
+) -> List[Dict[str, int]]:
+    """:func:`evaluate` of several windows, rebuilding the networks once."""
+    backends = {}
+    corner_modes = [mode for mode in modes if mode not in ("float32", "int4")]
+    if corner_modes:
+        means = _dse_corner_means() if corners == DSE_CORNERS else corners
+        for mode in corner_modes:
+            if mode not in means:
+                raise ValueError(f"mode {mode!r} has no corner table")
+            backends[mode] = _lut_backend(mode, means[mode])
+    network = model.build(state)
+    all_counts = []
     with one_blas_thread():
-        calibration = dataset.train_images[: config.calibration_samples]
-        quantized = quantize_network(network, calibration, QuantizationScheme())
-        reports = evaluate_backends(
-            network, quantized, backends, dataset, modes=modes, window=window
-        )
-    counts = {"samples": int(window[1]) - int(window[0])}
-    for mode, report in reports.items():
-        counts[f"{mode}_top1"] = report.top1_hits
-        counts[f"{mode}_top5"] = report.top5_hits
+        int4 = load_quantized_network(network, quantized, INT4)
+        for window in windows:
+            reports = evaluate_backends(
+                network, int4, backends, _dataset(dataset), modes=modes, window=window
+            )
+            counts = {"samples": int(window[1]) - int(window[0])}
+            for mode, report in reports.items():
+                counts[f"{mode}_top1"] = report.top1_hits
+                counts[f"{mode}_top5"] = report.top5_hits
+            all_counts.append(counts)
+    return all_counts
+
+
+def _all_but_the_window(job: Job) -> List[int]:
+    """Identities of an evaluate job's arguments, its window left out."""
+    return [id(arg) for index, arg in enumerate(job.args) if index != 5]
+
+
+def _evaluate_batch(jobs: Sequence[Job]) -> List[Dict[str, int]]:
+    """``batch_fn`` of a windowed evaluate sweep.
+
+    Consecutive jobs that differ only in their window (the same argument
+    objects, as :func:`window_counts` makes them) share one rebuild of the
+    networks; one chunk of them also ships the states once, since a
+    chunk is pickled whole.  The counts are those of one job at a time.
+    """
+    counts: List[Dict[str, int]] = []
+    for _, group in itertools.groupby(jobs, key=_all_but_the_window):
+        group = list(group)
+        model, state, quantized, dataset, modes, _, corners = group[0].args
+        windows = [job.args[5] for job in group]
+        counts += _window_counts(model, state, quantized, dataset, modes, corners, windows)
     return counts
 
 
-def _lut_tables(backends: Dict[str, MultiplierBackend]) -> Optional[Dict[str, Any]]:
-    """What the corner results depend on, or ``None`` when not cacheable.
+# ----------------------------------------------------------------------
+# The sweeps
+# ----------------------------------------------------------------------
+def trained_states(
+    engine: SweepEngine,
+    models: Sequence[ModelSpec],
+    dataset: DatasetArg,
+    training: TrainingConfig,
+    start_states: Optional[Sequence[Optional[State]]] = None,
+) -> List[State]:
+    """Train every model as one sweep, in the order given; their states."""
+    starts = start_states or [None] * len(models)
+    keyed = engine.cache is not None
+    jobs = [
+        Job(
+            fn=train,
+            args=(model, start, dataset, training),
+            name=f"train[{model.name}]",
+            key=job_key("dnn-train", model, start, dataset, training) if keyed else None,
+        )
+        for model, start in zip(models, starts)
+    ]
+    return engine.run(SweepSpec(f"train[{len(jobs)}]", jobs))
 
-    Only deterministic LUT backends qualify: a stochastic backend draws
-    from an RNG whose state depends on everything evaluated before.
+
+def window_counts(
+    engine: SweepEngine,
+    models: Sequence[ModelSpec],
+    states: Sequence[State],
+    dataset: DatasetArg,
+    calibration_samples: int,
+    modes: Sequence[str],
+    corners: Corners,
+    windows: Sequence[Tuple[int, int]],
+) -> List[List[Dict[str, int]]]:
+    """Quantise every trained model (one sweep), then evaluate every window.
+
+    The evaluations are one sweep too; returns, per model, the hit counts
+    (:func:`evaluate`) of each window.
     """
-    if not all(
-        isinstance(backend, LutBackend) and not backend.stochastic
-        for backend in backends.values()
-    ):
-        return None
-    return {name: backend.table for name, backend in backends.items()}
+    keyed = engine.cache is not None
+    keys = [
+        job_key("dnn-quantize", model, state, dataset, calibration_samples, INT4) if keyed else None
+        for model, state in zip(models, states)
+    ]
+    quantize_jobs = [
+        Job(
+            fn=quantize,
+            args=(model, state, dataset, calibration_samples),
+            name=f"quantize[{model.name}]",
+            key=key,
+        )
+        for model, state, key in zip(models, states, keys)
+    ]
+    quantized = engine.run(SweepSpec(f"quantize[{len(quantize_jobs)}]", quantize_jobs))
+    modes = tuple(modes)
+    jobs = [
+        Job(
+            fn=evaluate,
+            args=(model, state, codes, dataset, modes, window, corners),
+            name=f"evaluate[{model.name}:{window[0]}:{window[1]}]",
+            key=job_key("dnn-evaluate", key, modes, window, corners) if keyed else None,
+        )
+        for model, state, codes, key in zip(models, states, quantized, keys)
+        for window in windows
+    ]
+    # Only the windows of one model have a rebuild to share.
+    batch_fn = _evaluate_batch if len(windows) > 1 else None
+    counts = engine.run(SweepSpec(f"evaluate[{len(jobs)}]", jobs, batch_fn=batch_fn))
+    return [counts[index : index + len(windows)] for index in range(0, len(counts), len(windows))]
+
+
+def _transfer_start(model: ModelSpec, base_state: State) -> State:
+    """Start state of a transfer training: the base weights plus a fresh head."""
+    network = dataclasses.replace(model, transfer_classes=None).build(base_state)
+    return network_state(replace_classifier_head(network, model.transfer_classes))
 
 
 def run_dnn_accuracy_experiment(
-    dataset: Dataset,
+    dataset: DatasetArg,
     backends: Dict[str, LutBackend],
     config: Optional[DnnExperimentConfig] = None,
-    models: Optional[List[Tuple[str, Callable[[], Network]]]] = None,
-    base_dataset: Optional[Dataset] = None,
+    models: Optional[Sequence[Union[str, Tuple[str, Callable[[], Network]]]]] = None,
+    base_dataset: Optional[DatasetArg] = None,
     engine: Optional[SweepEngine] = None,
 ) -> Dict[str, Dict[str, AccuracyReport]]:
     """Train, quantise and evaluate every model on ``dataset``.
@@ -263,76 +479,76 @@ def run_dnn_accuracy_experiment(
     Parameters
     ----------
     dataset:
-        Dataset whose test split is reported.
+        Dataset whose test split is reported (or its spec).
     backends:
-        Corner backends (typically from :func:`corner_backends`).
+        Deterministic corner LUT backends (typically from
+        :func:`corner_backends`); their tables travel as arrays.
     config:
         Effort knobs.
     models:
-        Optional explicit (name, builder) list; defaults to the four paper
-        models.
+        Names of :data:`MODELS` to run, in report order; defaults to all
+        four.  A ``(name, builder)`` pair as :func:`model_builders` returns
+        stands for its name: every job builds its network by name.
     base_dataset:
         When provided, each model is first trained on ``base_dataset`` and
         then transfer-trained on ``dataset`` with a replaced classifier head
         (the paper's CIFAR-10 protocol).  When omitted, models are trained
         directly on ``dataset``.
     engine:
-        Optional :class:`~repro.runtime.SweepEngine` the train and evaluate
-        jobs run through (see the module docstring); by default a serial
-        one with no cache.  The hit counts are the same either way.
+        Optional :class:`~repro.runtime.SweepEngine` the jobs run through
+        (see the module docstring); by default a serial one with no cache.
+        The hit counts are the same either way.
     """
     config = config or DnnExperimentConfig()
     engine = engine or SweepEngine()
-    models = models or model_builders(config.image_size, _head_classes(dataset, base_dataset))
+    names = [model if isinstance(model, str) else model[0] for model in models or MODELS]
+    classes = _head_classes(dataset, base_dataset)
+    specs = [ModelSpec(name, config.image_size, classes) for name in names]
+    # Longest first: under a multi-process executor the slowest training
+    # starts at once instead of last.
+    specs.sort(key=lambda spec: list(MODELS).index(spec.name), reverse=True)
+    corners = _lut_means(backends)
     modes = ("float32", "int4", *backends)
+    travelling = _travelling(dataset)
+    if base_dataset is not None:
+        base_states = trained_states(engine, specs, _travelling(base_dataset), config.training())
+        specs = [dataclasses.replace(spec, transfer_classes=dataset.classes) for spec in specs]
+        starts = [_transfer_start(spec, state) for spec, state in zip(specs, base_states)]
+        states = trained_states(engine, specs, travelling, config.transfer_training(), starts)
+    else:
+        states = trained_states(engine, specs, travelling, config.training())
     window = (0, config.evaluation_size(dataset))
-    tables = _lut_tables(backends) if engine.cache is not None else None
+    counts = window_counts(
+        engine, specs, states, travelling, config.calibration_samples, modes, corners, [window]
+    )
+    by_name = {spec.name: per_window[0] for spec, per_window in zip(specs, counts)}
+    return {name: _reports(name, modes, by_name[name]) for name in names}
 
-    results: Dict[str, Dict[str, AccuracyReport]] = {}
-    for model_name, builder in models:
-        network = builder()
-        if base_dataset is not None:
-            train(network, base_dataset, config.training(), engine)
-            network = replace_classifier_head(network, dataset.classes)
-            train(network, dataset, config.transfer_training(), engine)
-        else:
-            train(network, dataset, config.training(), engine)
-        key = None
-        if tables is not None:
-            key = job_key(
-                "dnn-evaluate",
-                network.summary(),
-                network_state(network),
-                dataset,
-                modes,
-                config.calibration_samples,
-                window,
-                tables,
-            )
-        job = Job(
-            fn=evaluate_window,
-            args=(network, dataset, modes, config, window, backends),
-            name=f"evaluate[{network.name}]",
-            key=key,
+
+def _travelling(dataset: DatasetArg) -> DatasetArg:
+    """What a job receives for ``dataset``: its spec when it has one."""
+    if isinstance(dataset, Dataset) and dataset.spec is not None:
+        return dataset.spec
+    return dataset
+
+
+def _reports(model: str, modes: Sequence[str], counts: Dict[str, int]) -> Dict[str, AccuracyReport]:
+    samples = counts["samples"]
+    return {
+        mode: AccuracyReport(
+            model=model,
+            mode=mode,
+            top1=counts[f"{mode}_top1"] / samples,
+            top5=counts[f"{mode}_top5"] / samples,
+            samples=samples,
+            top1_hits=counts[f"{mode}_top1"],
+            top5_hits=counts[f"{mode}_top5"],
         )
-        counts = engine.run_one(job)
-        samples = counts["samples"]
-        results[model_name] = {
-            mode: AccuracyReport(
-                model=model_name,
-                mode=mode,
-                top1=counts[f"{mode}_top1"] / samples,
-                top5=counts[f"{mode}_top5"] / samples,
-                samples=samples,
-                top1_hits=counts[f"{mode}_top1"],
-                top5_hits=counts[f"{mode}_top5"],
-            )
-            for mode in modes
-        }
-    return results
+        for mode in modes
+    }
 
 
-def _head_classes(dataset: Dataset, base_dataset: Optional[Dataset]) -> int:
+def _head_classes(dataset: DatasetArg, base_dataset: Optional[DatasetArg]) -> int:
     """Classes the freshly built models should output."""
     return base_dataset.classes if base_dataset is not None else dataset.classes
 

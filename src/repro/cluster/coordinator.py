@@ -348,7 +348,7 @@ class Coordinator:
         self._stopping = False
         self._loop: Optional[asyncio.AbstractEventLoop] = None
         self._watch_tasks: "set[asyncio.Task]" = set()
-        self._connection_tasks: "set[asyncio.Task]" = set()
+        self._connection_tasks: "Dict[asyncio.Task, asyncio.StreamWriter]" = {}
         # Per-instance view over process-wide registry counters: ``status``
         # reports this coordinator's own counts (zero at birth) while the
         # Prometheus endpoint scrapes the process-lifetime totals.
@@ -406,10 +406,19 @@ class Coordinator:
         await asyncio.gather(*self._watch_tasks, return_exceptions=True)
         self._watch_tasks.clear()
         # Connection handlers outlive the closed server; finish them here so
-        # none is left pending when the event loop closes.
-        for task in list(self._connection_tasks):
-            task.cancel()
-        await asyncio.gather(*self._connection_tasks, return_exceptions=True)
+        # none is left pending when the event loop closes.  Closing their
+        # transports ends their read loops, so they return normally:
+        # asyncio logs a traceback for a handler task that ends cancelled.
+        handlers = list(self._connection_tasks.items())
+        for _, writer in handlers:
+            writer.close()
+        if handlers:
+            _, stuck = await asyncio.wait(
+                [task for task, _ in handlers], timeout=self.heartbeat_timeout
+            )
+            for task in stuck:
+                task.cancel()
+            await asyncio.gather(*stuck, return_exceptions=True)
         self._connection_tasks.clear()
         for task in self._tasks:
             task.cancel()
@@ -641,11 +650,13 @@ class Coordinator:
                     )
                 )
             except Exception as error:
-                if len(chunk) > 1:
+                if isinstance(error, wire.ProtocolError) and len(chunk) > 1:
                     # The chunk — not any single job — overflows the frame
                     # limit (a chunksize can be set too big for fat jobs).
                     # Halve and requeue: O(log) retries converge on a
-                    # dispatchable size or on single jobs.
+                    # dispatchable size or on single jobs.  Any other
+                    # encode error (an unpicklable job or batch_fn) fails
+                    # every size alike, so it fails the run at once below.
                     run, middle = chunk.run, (chunk.start + chunk.stop) // 2
                     half = len(chunk) // 2
                     if run.max_chunk_jobs is None or half < run.max_chunk_jobs:
@@ -654,8 +665,8 @@ class Coordinator:
                     link.queue.appendleft(_Span(run, middle, chunk.stop, chunk.attempts))
                     link.queue.appendleft(_Span(run, chunk.start, middle, chunk.attempts))
                     continue
-                # A single job that cannot be dispatched (unpicklable, or
-                # alone over the frame limit): that is the *sweep's*
+                # A chunk that cannot be dispatched (unpicklable, or one
+                # job alone over the frame limit): that is the *sweep's*
                 # failure, not the worker's — fail the run and keep the
                 # scheduler alive.
                 chunk.run.fail(
@@ -778,7 +789,7 @@ class Coordinator:
         link: Optional[_WorkerLink] = None
         watch_cleanups: List[Callable[[], None]] = []
         task = asyncio.current_task()
-        self._connection_tasks.add(task)
+        self._connection_tasks[task] = writer
         try:
             while True:
                 try:
@@ -820,7 +831,7 @@ class Coordinator:
                         writer, protocol.error_event(f"unexpected op {op!r}")
                     )
         finally:
-            self._connection_tasks.discard(task)
+            self._connection_tasks.pop(task, None)
             for cleanup in watch_cleanups:
                 cleanup()
             if link is not None:

@@ -19,6 +19,11 @@ top-1 / top-5 accuracy*.  The generator below produces such a task:
 Two ready-made configurations mirror the paper's datasets in spirit:
 :func:`imagenet_like` (20 classes, used for the Table II reproduction) and
 :func:`cifar10_like` (10 classes, Table III).
+
+A generated dataset carries its :class:`DatasetSpec`: the generator's
+arguments, a few numbers that stand for the whole dataset.  An engine job
+ships the spec instead of the arrays, and the process that runs it
+regenerates the same arrays with :meth:`DatasetSpec.generate`.
 """
 
 from __future__ import annotations
@@ -29,12 +34,40 @@ from typing import Optional, Tuple
 import numpy as np
 
 
+@dataclasses.dataclass(frozen=True)
+class DatasetSpec:
+    """The arguments of :func:`make_synthetic_image_dataset`.
+
+    Generation is deterministic, so a spec stands for its dataset bit for
+    bit: :meth:`generate` makes the same arrays in any process.
+    """
+
+    classes: int
+    train_per_class: int
+    test_per_class: int
+    image_size: int
+    channels: int
+    noise: float
+    seed: int
+    name: str
+
+    @property
+    def test_size(self) -> int:
+        """Number of test samples of the generated dataset."""
+        return self.classes * self.test_per_class
+
+    def generate(self) -> "Dataset":
+        """The dataset this spec describes."""
+        return make_synthetic_image_dataset(**dataclasses.asdict(self))
+
+
 @dataclasses.dataclass
 class Dataset:
     """A train/test split of images and integer labels.
 
     Images are float32 NHWC tensors scaled to [0, 1]; labels are integer
-    class indices.
+    class indices.  ``spec`` is set on a generated dataset (``None`` for
+    one built by hand).
     """
 
     train_images: np.ndarray
@@ -43,6 +76,7 @@ class Dataset:
     test_labels: np.ndarray
     classes: int
     name: str = "synthetic"
+    spec: Optional[DatasetSpec] = None
 
     def __post_init__(self) -> None:
         if self.train_images.shape[0] != self.train_labels.shape[0]:
@@ -180,6 +214,28 @@ def make_synthetic_image_dataset(
         test_labels=test_labels,
         classes=classes,
         name=name,
+        spec=DatasetSpec(
+            classes, train_per_class, test_per_class, image_size, channels, noise, seed, name
+        ),
+    )
+
+
+def imagenet_like_spec(
+    image_size: int = 16,
+    train_per_class: int = 80,
+    test_per_class: int = 25,
+    seed: int = 7,
+) -> DatasetSpec:
+    """The spec of :func:`imagenet_like`, without generating a sample."""
+    return DatasetSpec(
+        classes=20,
+        train_per_class=train_per_class,
+        test_per_class=test_per_class,
+        image_size=image_size,
+        channels=3,
+        noise=0.20,
+        seed=seed,
+        name="imagenet-like",
     )
 
 
@@ -194,16 +250,7 @@ def imagenet_like(
     Twenty classes keep top-5 accuracy a meaningful metric (as it is for
     ImageNet's 1000 classes) while staying trainable in seconds on a laptop.
     """
-    return make_synthetic_image_dataset(
-        classes=20,
-        train_per_class=train_per_class,
-        test_per_class=test_per_class,
-        image_size=image_size,
-        channels=3,
-        noise=0.20,
-        seed=seed,
-        name="imagenet-like",
-    )
+    return imagenet_like_spec(image_size, train_per_class, test_per_class, seed).generate()
 
 
 def cifar10_like(

@@ -52,6 +52,15 @@ class Layer:
         """Back-propagate ``grad_output``; returns the gradient w.r.t. input."""
         raise NotImplementedError
 
+    def parameter_backward(self, grad_output: np.ndarray) -> None:
+        """Accumulate the parameter gradients of ``grad_output`` only.
+
+        What a network's first layer runs: nothing needs the gradient with
+        respect to the network input.  Dense and convolution layers skip
+        it; the others run :meth:`backward`.
+        """
+        self.backward(grad_output)
+
     def parameters(self) -> List[Parameter]:
         """Trainable parameters of the layer (empty for stateless layers)."""
         return []
@@ -98,11 +107,14 @@ class Dense(Layer):
             self._inputs = inputs
         return inputs @ self.weight.value + self.bias.value
 
-    def backward(self, grad_output: np.ndarray) -> np.ndarray:
+    def parameter_backward(self, grad_output: np.ndarray) -> None:
         if self._inputs is None:
             raise RuntimeError(f"{self.name}: backward() before forward(training=True)")
         self.weight.grad += self._inputs.T @ grad_output
         self.bias.grad += grad_output.sum(axis=0)
+
+    def backward(self, grad_output: np.ndarray) -> np.ndarray:
+        self.parameter_backward(grad_output)
         return grad_output @ self.weight.value.T
 
     def parameters(self) -> List[Parameter]:
@@ -251,15 +263,18 @@ class Conv2D(Layer):
             self._cache = (inputs.shape, patches, out_h, out_w)
         return output
 
-    def backward(self, grad_output: np.ndarray) -> np.ndarray:
+    def parameter_backward(self, grad_output: np.ndarray) -> None:
         if self._cache is None:
             raise RuntimeError(f"{self.name}: backward() before forward(training=True)")
-        input_shape, patches, out_h, out_w = self._cache
-        batch = input_shape[0]
-        grad_flat = grad_output.reshape(batch * out_h * out_w, self.out_channels)
+        patches = self._cache[1]
+        grad_flat = grad_output.reshape(-1, self.out_channels)
         self.weight.grad += patches.T @ grad_flat
         self.bias.grad += grad_flat.sum(axis=0)
-        grad_patches = grad_flat @ self.weight.value.T
+
+    def backward(self, grad_output: np.ndarray) -> np.ndarray:
+        self.parameter_backward(grad_output)
+        input_shape, _, out_h, out_w = self._cache
+        grad_patches = grad_output.reshape(-1, self.out_channels) @ self.weight.value.T
         return col2im(
             grad_patches,
             input_shape,

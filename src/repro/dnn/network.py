@@ -34,6 +34,7 @@ state does not match the network: missing bn.beta, bn.gamma, bn.running_mean, bn
 
 from __future__ import annotations
 
+import copy
 from typing import Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
@@ -85,12 +86,18 @@ class Network:
             outputs.append(self.forward(inputs[start : start + batch_size], training=False))
         return np.concatenate(outputs, axis=0)
 
-    def backward(self, grad_output: np.ndarray) -> np.ndarray:
-        """Back-propagate through every layer in reverse order."""
+    def backward(self, grad_output: np.ndarray) -> None:
+        """Back-propagate through every layer in reverse order.
+
+        Accumulates every parameter gradient.  The first layer runs
+        :meth:`~repro.dnn.layers.Layer.parameter_backward`: the gradient
+        with respect to the network input is never computed, since
+        training has no use for it.
+        """
         grad = grad_output
-        for layer in reversed(self.layers):
+        for layer in reversed(self.layers[1:]):
             grad = layer.backward(grad)
-        return grad
+        self.layers[0].parameter_backward(grad)
 
     # ------------------------------------------------------------------
     # Parameters
@@ -193,6 +200,29 @@ def network_state(network: Network) -> Dict[str, np.ndarray]:
         name: np.array(getattr(owner, attribute))
         for name, (owner, attribute) in _state_slots(network).items()
     }
+
+
+def copy_network(network: Network) -> Network:
+    """A copy of an untrained ``network`` that shares no parameter with it.
+
+    Every layer is copied, composite layers' sublayers included, and every
+    parameter gets its own value and a zero gradient: training the copy
+    leaves ``network`` as it was.  Much cheaper than building the model
+    again, which draws every initial weight anew.
+    """
+    return Network([_copied(layer) for layer in network.layers], network.input_shape, network.name)
+
+
+def _copied(layer: Layer) -> Layer:
+    clone = copy.copy(layer)
+    for attribute, value in vars(layer).items():
+        if isinstance(value, Layer):
+            setattr(clone, attribute, _copied(value))
+        elif isinstance(value, Parameter):
+            setattr(clone, attribute, Parameter(value.name, value.value.copy(), np.zeros_like(value.grad)))
+        elif isinstance(value, np.ndarray):
+            setattr(clone, attribute, value.copy())
+    return clone
 
 
 def load_network_state(network: Network, state: Mapping[str, np.ndarray]) -> None:

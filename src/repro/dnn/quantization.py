@@ -17,13 +17,18 @@ flow:
   :class:`~repro.dnn.imc_injection.MultiplierBackend`, so the same quantised
   network can be evaluated with exact INT4 products (baseline) or with any
   in-SRAM multiplier corner (Table II/III).
+
+A calibrated network is captured by :func:`quantized_state`, a dict of
+arrays that pairs with :func:`~repro.dnn.network.network_state`:
+:func:`load_quantized_network` rebuilds the same quantised network from the
+float network and that dict, with no calibration pass.
 """
 
 from __future__ import annotations
 
 import copy
 import dataclasses
-from typing import List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Mapping, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -32,10 +37,7 @@ from repro.dnn.layers import (
     BatchNorm,
     Conv2D,
     Dense,
-    Flatten,
-    GlobalAveragePool,
     Layer,
-    MaxPool2D,
     Parameter,
     ReLU,
     ResidualBlock,
@@ -243,14 +245,20 @@ class QuantizedDense:
         """Quantise a (batch-norm-folded) float dense layer."""
         codes, scales = quantize_weights_symmetric(layer.weight.value, scheme)
         quantizer = ActivationQuantizer.calibrate(calibration_inputs, scheme)
-        return cls(
-            weight_codes=codes,
-            weight_scales=scales,
-            bias=layer.bias.value.copy(),
-            quantizer=quantizer,
-            backend=backend,
-            name=f"{layer.name}.q",
-        )
+        return cls.for_layer(layer, codes, scales, layer.bias.value.copy(), quantizer, backend)
+
+    @classmethod
+    def for_layer(
+        cls,
+        layer: Dense,
+        codes: np.ndarray,
+        scales: np.ndarray,
+        bias: np.ndarray,
+        quantizer: ActivationQuantizer,
+        backend: MultiplierBackend,
+    ) -> "QuantizedDense":
+        """The quantised counterpart of ``layer`` with the given calibration."""
+        return cls(codes, scales, bias, quantizer, backend, name=f"{layer.name}.q")
 
     def forward(self, inputs: np.ndarray, training: bool = False) -> np.ndarray:
         """Quantise the input, accumulate integer products, dequantise."""
@@ -312,10 +320,23 @@ class QuantizedConv2D:
         """Quantise a (batch-norm-folded) float convolution layer."""
         codes, scales = quantize_weights_symmetric(layer.weight.value, scheme)
         quantizer = ActivationQuantizer.calibrate(calibration_inputs, scheme)
+        return cls.for_layer(layer, codes, scales, layer.bias.value.copy(), quantizer, backend)
+
+    @classmethod
+    def for_layer(
+        cls,
+        layer: Conv2D,
+        codes: np.ndarray,
+        scales: np.ndarray,
+        bias: np.ndarray,
+        quantizer: ActivationQuantizer,
+        backend: MultiplierBackend,
+    ) -> "QuantizedConv2D":
+        """The quantised counterpart of ``layer`` with the given calibration."""
         return cls(
             weight_codes=codes,
             weight_scales=scales,
-            bias=layer.bias.value.copy(),
+            bias=bias,
             quantizer=quantizer,
             backend=backend,
             kernel=layer.kernel,
@@ -383,6 +404,25 @@ class QuantizedResidualBlock:
                 block.projection, calibration_inputs, scheme, backend
             )
         return cls(conv1=conv1, conv2=conv2, projection=projection, name=f"{block.name}.q")
+
+    @classmethod
+    def from_state(
+        cls,
+        block: ResidualBlock,
+        state: Mapping[str, np.ndarray],
+        scheme: QuantizationScheme,
+        backend: MultiplierBackend,
+    ) -> "QuantizedResidualBlock":
+        """Rebuild a quantised residual block from :func:`quantized_state` arrays."""
+        projection = None
+        if block.projection is not None:
+            projection = _stored(QuantizedConv2D, block.projection, state, scheme, backend)
+        return cls(
+            conv1=_stored(QuantizedConv2D, block.conv1, state, scheme, backend),
+            conv2=_stored(QuantizedConv2D, block.conv2, state, scheme, backend),
+            projection=projection,
+            name=f"{block.name}.q",
+        )
 
     def forward(self, inputs: np.ndarray, training: bool = False) -> np.ndarray:
         """Quantised main path plus float skip connection, then ReLU."""
@@ -497,38 +537,121 @@ def quantize_network(
     """
     scheme = scheme or QuantizationScheme()
     backend = backend or ExactBackend()
-    calibration = np.asarray(calibration_images, dtype=np.float32)
-
-    folded_layers = fold_batchnorm_layers(network.layers)
+    current = np.asarray(calibration_images, dtype=np.float32)
     quantized_layers: List[object] = []
-    current = calibration
-    for layer in folded_layers:
+    for layer in fold_batchnorm_layers(network.layers):
+        quantized: object = layer
         if isinstance(layer, Conv2D):
-            quantized_layers.append(
-                QuantizedConv2D.from_float(layer, current, scheme, backend)
-            )
+            quantized = QuantizedConv2D.from_float(layer, current, scheme, backend)
         elif isinstance(layer, Dense):
-            quantized_layers.append(
-                QuantizedDense.from_float(layer, current, scheme, backend)
-            )
+            quantized = QuantizedDense.from_float(layer, current, scheme, backend)
         elif isinstance(layer, ResidualBlock):
-            quantized_layers.append(
-                QuantizedResidualBlock.from_float(layer, current, scheme, backend)
-            )
-        elif isinstance(layer, BatchNorm):
-            # A batch-norm that was not folded (no conv/dense directly before
-            # it) stays as a float layer.
-            quantized_layers.append(layer)
-        elif isinstance(layer, (ReLU, MaxPool2D, GlobalAveragePool, Flatten)):
-            quantized_layers.append(layer)
-        else:
-            quantized_layers.append(layer)
+            quantized = QuantizedResidualBlock.from_float(layer, current, scheme, backend)
+        # Pooling, activations, flatten and any batch-norm that was not
+        # folded (no conv/dense directly before it) stay float layers.
+        quantized_layers.append(quantized)
         current = layer.forward(current, training=False)
+    return _quantized_network(network, quantized_layers, scheme, backend)
 
+
+def _quantized_network(
+    network: Network,
+    layers: List[object],
+    scheme: QuantizationScheme,
+    backend: MultiplierBackend,
+) -> QuantizedNetwork:
     return QuantizedNetwork(
-        layers=quantized_layers,
+        layers=layers,
         input_shape=network.input_shape,
         name=f"{network.name}-int{scheme.weight_bits}",
         backend=backend,
         multiplication_count=network.multiplication_count(),
     )
+
+
+QuantizedLayer = Union[QuantizedConv2D, QuantizedDense]
+
+
+def _quantized_leaves(layers: Sequence[object]) -> Iterator[QuantizedLayer]:
+    """Every quantised conv / dense layer, descending into residual blocks."""
+    for layer in layers:
+        if isinstance(layer, QuantizedResidualBlock):
+            yield layer.conv1
+            yield layer.conv2
+            if layer.projection is not None:
+                yield layer.projection
+        elif isinstance(layer, (QuantizedConv2D, QuantizedDense)):
+            yield layer
+
+
+def quantized_state(quantized: QuantizedNetwork) -> Dict[str, np.ndarray]:
+    """The calibrated arrays of ``quantized``, keyed ``"<layer>.<array>"``.
+
+    Per quantised layer: ``weight_codes`` (int8: every code of up to 8 bits
+    fits), ``weight_scales``, ``bias``, ``activation_scale`` and
+    ``zero_point`` (0-d arrays).  Together with the float network's
+    :func:`~repro.dnn.network.network_state` they are all
+    :func:`load_quantized_network` needs.
+    """
+    state: Dict[str, np.ndarray] = {}
+    for layer in _quantized_leaves(quantized.layers):
+        state[f"{layer.name}.weight_codes"] = layer.weight_codes.astype(np.int8)
+        state[f"{layer.name}.weight_scales"] = np.array(layer.weight_scales)
+        state[f"{layer.name}.bias"] = np.array(layer.bias)
+        state[f"{layer.name}.activation_scale"] = np.array(layer.quantizer.scale)
+        state[f"{layer.name}.zero_point"] = np.array(layer.quantizer.zero_point)
+    return state
+
+
+def _stored(
+    layer_type: type,
+    layer: Layer,
+    state: Mapping[str, np.ndarray],
+    scheme: QuantizationScheme,
+    backend: MultiplierBackend,
+) -> QuantizedLayer:
+    """``layer``'s quantised counterpart from :func:`quantized_state` arrays."""
+    name = f"{layer.name}.q"
+    # Python scalars, as calibration makes them: a NumPy float64 scale
+    # would promote the float32 activations it divides.
+    quantizer = ActivationQuantizer(
+        scale=float(state[f"{name}.activation_scale"]),
+        zero_point=int(state[f"{name}.zero_point"]),
+        levels=scheme.activation_levels,
+    )
+    return layer_type.for_layer(
+        layer,
+        np.asarray(state[f"{name}.weight_codes"]).astype(np.int32),
+        np.array(state[f"{name}.weight_scales"]),
+        np.array(state[f"{name}.bias"]),
+        quantizer,
+        backend,
+    )
+
+
+def load_quantized_network(
+    network: Network,
+    state: Mapping[str, np.ndarray],
+    scheme: Optional[QuantizationScheme] = None,
+    backend: Optional[MultiplierBackend] = None,
+) -> QuantizedNetwork:
+    """Rebuild ``quantize_network(network, ...)`` from its :func:`quantized_state`.
+
+    ``network`` is the trained float network the state was calibrated on
+    and ``scheme`` the scheme it was quantised with.  No calibration pass
+    runs: the result predicts bit for bit like the network
+    :func:`quantize_network` returned.
+    """
+    scheme = scheme or QuantizationScheme()
+    backend = backend or ExactBackend()
+    layers: List[object] = []
+    for layer in fold_batchnorm_layers(network.layers):
+        if isinstance(layer, Conv2D):
+            layers.append(_stored(QuantizedConv2D, layer, state, scheme, backend))
+        elif isinstance(layer, Dense):
+            layers.append(_stored(QuantizedDense, layer, state, scheme, backend))
+        elif isinstance(layer, ResidualBlock):
+            layers.append(QuantizedResidualBlock.from_state(layer, state, scheme, backend))
+        else:
+            layers.append(layer)
+    return _quantized_network(network, layers, scheme, backend)

@@ -24,7 +24,6 @@ The registry is open: tests and downstream deployments add workloads with
 
 from __future__ import annotations
 
-import functools
 from typing import Any, Callable, Dict, List, Optional
 
 from repro.runtime import SweepEngine
@@ -318,11 +317,6 @@ def run_eventsim(params: Dict[str, Any], engine: SweepEngine) -> Dict[str, Any]:
     }
 
 
-#: Execution modes of the paper's Table II / III protocol the ``dnn``
-#: workload can evaluate (FLOAT32, exact INT4, and the DSE corner LUTs).
-DNN_MODES = ("float32", "int4", "fom", "power", "variation")
-
-
 def _dnn_config(quick: bool) -> Any:
     """The ``dnn`` / ``tables`` workloads' :class:`DnnExperimentConfig` preset."""
     from repro.analysis.dnn_tables import DnnExperimentConfig
@@ -330,134 +324,82 @@ def _dnn_config(quick: bool) -> Any:
     return DnnExperimentConfig.quick() if quick else DnnExperimentConfig()
 
 
-@functools.lru_cache(maxsize=None)
-def _dnn_dataset(quick: bool) -> Any:
-    """The ``dnn`` / ``tables`` workloads' dataset, generated once per process.
+def _dnn_dataset(config: Any) -> Any:
+    """The spec of the ``dnn`` / ``tables`` workloads' imagenet-like dataset."""
+    from repro.dnn.datasets import imagenet_like_spec
 
-    Generating it takes longer than the rest of a warm (all cached)
-    request; its arrays are made read-only since every request shares them.
-    """
-    from repro.dnn.datasets import imagenet_like
-
-    config = _dnn_config(quick)
-    dataset = imagenet_like(
-        image_size=config.image_size,
-        train_per_class=config.train_per_class,
-        test_per_class=config.test_per_class,
-    )
-    for array in (dataset.train_images, dataset.train_labels, dataset.test_images, dataset.test_labels):
-        array.setflags(write=False)
-    return dataset
-
-
-def _dnn_network(model: str, quick: bool) -> Any:
-    """A freshly built (untrained) ``model`` for the ``dnn`` workload."""
-    from repro.analysis.dnn_tables import model_builders
-
-    builders = dict(model_builders(_dnn_config(quick).image_size, _dnn_dataset(quick).classes))
-    return builders[model]()
-
-
-@functools.lru_cache(maxsize=None)
-def _dnn_backends(seed: int) -> Any:
-    """The ``dnn`` corner backends (calibration + full DSE), built once per process.
-
-    They are deterministic (``stochastic=False``), so every shard shares them.
-    """
-    from repro.analysis.dnn_tables import corner_backends
-
-    return corner_backends(seed=seed)
-
-
-def _evaluate_shard(model: str, modes: tuple, quick: bool, window: tuple, state: Any) -> Dict[str, int]:
-    """Module-level shard body: hit counts of the trained model on ``window``.
-
-    Only the trained ``state`` travels with the job; the network and the
-    dataset are rebuilt where the shard runs (the corner backends are
-    built there once per process), so a shard's cluster message stays
-    small at any dataset size.
-    """
-    from repro.analysis.dnn_tables import evaluate_window
-    from repro.dnn.network import load_network_state
-
-    config = _dnn_config(quick)
-    network = _dnn_network(model, quick)
-    load_network_state(network, state)
-    backends = _dnn_backends(config.seed) if set(modes) - {"float32", "int4"} else {}
-    return evaluate_window(network, _dnn_dataset(quick), modes, config, window, backends)
+    return imagenet_like_spec(config.image_size, config.train_per_class, config.test_per_class)
 
 
 @register_workload("dnn")
 def run_dnn(params: Dict[str, Any], engine: SweepEngine) -> Dict[str, Any]:
-    """DNN accuracy pipeline (paper Table II protocol) as a sharded sweep.
+    """DNN accuracy pipeline (paper Table II protocol) for one model, sharded.
 
     Parameters: ``model`` (one of the four Table II backbones, default
-    ``"VGG16"``), ``modes`` (subset of :data:`DNN_MODES`, default
-    ``["float32", "int4"]`` — corner modes pull in the DSE), ``quick``
-    (default true: the test-scale :meth:`DnnExperimentConfig.quick`
-    preset) and ``shards`` (split the test-set evaluation into that many
-    contiguous engine jobs).
+    ``"VGG16"``), ``modes`` (subset of
+    :data:`repro.analysis.dnn_tables.MODES`, default ``["float32",
+    "int4"]`` -- corner modes pull in the DSE), ``quick`` (default true:
+    the test-scale :meth:`DnnExperimentConfig.quick` preset) and
+    ``shards`` (split the test-set evaluation into that many contiguous
+    engine jobs).
 
-    The model's train job (:func:`repro.analysis.dnn_tables.train`) runs
-    once through the engine, so N shards cost one training and a later
-    request for the same model, with any modes, loads the cached weights.
-    Each shard evaluates one window of the effective test set with
-    :func:`~repro.analysis.dnn_tables.evaluate_window`, keyed by the
-    request's modes; the merged top-1 / top-5 accuracies are sums of
+    This is the :mod:`repro.analysis.dnn_tables` job graph for one model:
+    one train job, one quantize job, then one evaluate job per test-set
+    window, keyed by the request's modes in request order.  N shards cost
+    one training and one calibration, and a later request for the same
+    model, with any modes, loads the cached weights and quantisation and
+    only evaluates.  The merged top-1 / top-5 accuracies are sums of
     integer hit counts, bit-identical to one evaluation of the full test
     set for any shard count.
 
-    Placement, a known cost: the train job is a one-job sweep, which
-    every executor (the distributed one included) runs in the calling
-    process.  A cold request therefore trains in the service process, on
-    the thread serving it, while that process also serves every other
-    request: ~0.3 s for a quick VGG16, ~7 s with ``quick=False`` (2-core
-    host), and the service's peak memory then holds the training (VmHWM
-    46 -> 106 MB for one ``quick=False`` VGG16 request).  Only the
-    evaluation shards, which carry just the trained state, reach cluster
-    workers.  Corner-mode shards build the corner backends once per
-    worker process: the first such shard in a process pays the
-    calibration plus the design-space exploration, later ones reuse them.
+    Placement, a known cost: the train and quantize jobs are one-job
+    sweeps, which every executor (the distributed one included) runs in
+    the calling process.  A cold request therefore trains and calibrates
+    in the service process, on the thread serving it, while that process
+    also serves every other request: ~0.3 s for a quick VGG16, ~7 s with
+    ``quick=False`` (2-core host), and the service's peak memory then
+    holds the training (VmHWM 46 -> 106 MB for one ``quick=False`` VGG16
+    request).  Only the evaluation shards, which carry the two
+    states (the trained weights and the quantisation), reach cluster
+    workers, cut into one chunk per worker slot: the shards of one chunk
+    share one rebuild of the networks and one copy of the states.
+    Corner-mode shards build the corner tables once per worker process:
+    the first such shard in a process pays the calibration plus the
+    design-space exploration, later ones reuse them.
     """
     import numpy as np
 
-    from repro.analysis.dnn_tables import train
-    from repro.dnn.network import network_state
-    from repro.runtime import Job, SweepSpec, job_key
+    from repro.analysis.dnn_tables import (
+        DSE_CORNERS,
+        MODES,
+        ModelSpec,
+        trained_states,
+        window_counts,
+    )
 
     model = str(params.get("model", "VGG16"))
-    if model not in ("VGG16", "VGG19", "ResNet50", "ResNet101"):
-        raise ValueError(f"unknown model {model!r}")
     modes = tuple(params.get("modes", ["float32", "int4"]))
     if not modes:
         raise ValueError("modes must be a non-empty list")
     for mode in modes:
-        if mode not in DNN_MODES:
-            raise ValueError(f"unknown mode {mode!r}; available: {', '.join(DNN_MODES)}")
+        if mode not in MODES:
+            raise ValueError(f"unknown mode {mode!r}; available: {', '.join(MODES)}")
     quick = _bool_param(params, "quick", True)
     shards = _int_param(params, "shards", 1)
     if shards < 1:
         raise ValueError("shards must be at least 1")
 
     config = _dnn_config(quick)
-    dataset = _dnn_dataset(quick)
-    network = _dnn_network(model, quick)
-    train(network, dataset, config.training(), engine)
-    state = network_state(network)
+    dataset = _dnn_dataset(config)
+    spec = ModelSpec(model, config.image_size, dataset.classes)
+    states = trained_states(engine, [spec], dataset, config.training())
     total = config.evaluation_size(dataset)
     shards = min(shards, total)
     bounds = np.linspace(0, total, shards + 1, dtype=int)
     windows = [(int(bounds[index]), int(bounds[index + 1])) for index in range(shards)]
-    jobs = [
-        Job(
-            fn=_evaluate_shard,
-            args=(model, modes, quick, window, state),
-            name=f"dnn[{model}:{window[0]}:{window[1]}]",
-            key=job_key("service-dnn", model, modes, quick, window),
-        )
-        for window in windows
-    ]
-    outputs = engine.run(SweepSpec(f"dnn[{model}x{shards}]", jobs))
+    [outputs] = window_counts(
+        engine, [spec], states, dataset, config.calibration_samples, modes, DSE_CORNERS, windows
+    )
     samples = sum(output["samples"] for output in outputs)
     reports = {}
     for mode in modes:
@@ -491,11 +433,7 @@ def run_tables(params: Dict[str, Any], engine: SweepEngine) -> Dict[str, Any]:
     variation corners the design-space exploration selects.
     ``{"fast": true}`` runs VGG16 alone on the quick presets.
     """
-    from repro.analysis.dnn_tables import (
-        corner_backends,
-        model_builders,
-        run_dnn_accuracy_experiment,
-    )
+    from repro.analysis.dnn_tables import corner_backends, run_dnn_accuracy_experiment
     from repro.circuits.technology import tsmc65_like
     from repro.core.dse import select_corners
 
@@ -504,10 +442,12 @@ def run_tables(params: Dict[str, Any], engine: SweepEngine) -> Dict[str, Any]:
     suite, exploration = _calibrated_exploration(technology, fast, engine)
     backends = corner_backends(technology, suite=suite, corners=select_corners(exploration))
     config = _dnn_config(fast)
-    dataset = _dnn_dataset(fast)
-    models = model_builders(config.image_size, dataset.classes)
     results = run_dnn_accuracy_experiment(
-        dataset, backends, config=config, models=models[:1] if fast else models, engine=engine
+        _dnn_dataset(config),
+        backends,
+        config=config,
+        models=["VGG16"] if fast else None,
+        engine=engine,
     )
     return {
         "command": "tables",

@@ -218,7 +218,8 @@ class TestDnnTableDriver:
             return tables, trainings
 
         plain, plain_trainings = both_tables(None)
-        assert plain_trainings == [["imagenet-like"] * 2, ["imagenet-like", "cifar10-like"] * 2]
+        # Table III: the base trains are one sweep, the transfer trains the next
+        assert plain_trainings == [["imagenet-like"] * 2, ["imagenet-like"] * 2 + ["cifar10-like"] * 2]
         assert set(plain[3]["ResNet50"]) == {"float32", "int4", "exact-lut", "shifted"}
 
         cold_engine = SweepEngine(cache=ArtifactCache(tmp_path))

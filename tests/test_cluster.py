@@ -396,6 +396,30 @@ class TestDistributedExecution:
         assert [a.tobytes() for a in small] == [_seeded_array(3, i, 8).tobytes() for i in range(2)]
         assert refitted == 0
 
+    def test_unpicklable_batch_fn_fails_without_refitting(self):
+        """Only a frame-size overflow halves a chunk: a chunk whose
+        ``batch_fn`` cannot be pickled fails its run at once."""
+        import asyncio
+
+        from repro.cluster import worker as cluster_worker
+        from repro.cluster.coordinator import ClusterError, Coordinator
+
+        async def scenario():
+            coordinator = Coordinator(worker_wait_timeout=START_TIMEOUT)
+            host, port = await coordinator.start()
+            worker = asyncio.ensure_future(cluster_worker.Worker(host, port).run())
+            try:
+                with pytest.raises(ClusterError, match="cannot dispatch"):
+                    await coordinator.run(
+                        _seeded_jobs(16), chunksize=16, batch_fn=lambda jobs: [0] * len(jobs)
+                    )
+                return coordinator.stats.get("chunks_refitted")
+            finally:
+                await coordinator.stop()
+                await asyncio.wait_for(worker, START_TIMEOUT)
+
+        assert asyncio.run(scenario()) == 0
+
     def test_single_job_runs_inline(self, cluster):
         before = cluster.status()["stats"]["chunks_dispatched"]
         assert cluster.execute([Job(fn=_square, args=(7,), name="one")]) == [49]
@@ -662,6 +686,29 @@ class TestCoordinatorShutdown:
         assert reply["event"] == "pong"
         assert len(handlers) == 1
         assert pending == []
+
+
+    def test_distributed_run_exits_without_a_cancelled_handler_traceback(self, tmp_path):
+        """Stopping the coordinator ends its connection handlers without a
+        cancelled task, so asyncio logs nothing at exit."""
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            [os.path.dirname(os.path.dirname(repro.__file__)), env.get("PYTHONPATH", "")]
+        )
+        completed = subprocess.run(
+            [
+                sys.executable, "-m", "repro", "run", "characterize", "--fast", "--no-cache",
+                "--executor", "distributed", "--workers", "2", "--quiet",
+            ],
+            env=env,
+            cwd=tmp_path,
+            capture_output=True,
+            text=True,
+            timeout=300,
+        )
+        assert completed.returncode == 0, completed.stderr
+        assert "StreamReaderProtocol.connection_made" not in completed.stderr
+        assert "CancelledError" not in completed.stderr
 
 
 class TestOrphanAccounting:
@@ -955,6 +1002,56 @@ class TestBatchSweepsMatchSerial:
         engine = SweepEngine(default_cluster)
         result = BATCH_SWEEPS[name](technology, quick_suite, fom_config, engine)
         assert _leaves(result) == serial_batch_sweeps[name]
+
+
+class TestDnnGraphAcrossEngines:
+    """Tables II and III, quick config, one VGG and one ResNet: the hit
+    counts are the same under every executor."""
+
+    @staticmethod
+    def _tables(engine):
+        from repro.analysis.dnn_tables import DnnExperimentConfig, run_dnn_accuracy_experiment
+        from repro.dnn.datasets import cifar10_like, imagenet_like
+        from repro.dnn.imc_injection import LutBackend
+        from repro.multiplier.lut import ProductLookupTable
+
+        config = DnnExperimentConfig.quick()
+        sizes = dict(
+            image_size=config.image_size,
+            train_per_class=config.train_per_class,
+            test_per_class=config.test_per_class,
+        )
+        imagenet = imagenet_like(**sizes)
+        exact = ProductLookupTable.exact()
+        shifted = ProductLookupTable(exact.mean + 1.0, exact.sigma, name="shifted")
+        backends = {"exact-lut": LutBackend(exact), "shifted": LutBackend(shifted)}
+        hits = {}
+        for table, (dataset, base) in ((2, (imagenet, None)), (3, (cifar10_like(**sizes), imagenet))):
+            reports = run_dnn_accuracy_experiment(
+                dataset, backends, config=config, models=["VGG16", "ResNet50"],
+                base_dataset=base, engine=engine,
+            )
+            for model, per_mode in reports.items():
+                for mode, report in per_mode.items():
+                    hits[f"table{table}/{model}/{mode}"] = (report.top1_hits, report.top5_hits)
+        return hits
+
+    def test_serial_auto_parallel_and_distributed_agree(self, tmp_path):
+        serial = self._tables(SweepEngine(SerialExecutor()))
+        assert len(serial) == 16
+        assert self._tables(SweepEngine(cache=ArtifactCache(tmp_path / "auto"))) == serial
+        parallel = SweepEngine(make_executor("parallel", max_workers=2))
+        assert self._tables(parallel) == serial
+        executor = DistributedExecutor(workers=2, start_timeout=START_TIMEOUT)
+        executor.start()
+        try:
+            if executor._fallback is not None:
+                pytest.skip("cluster cannot start in this environment")
+            engine = SweepEngine(executor, cache=ArtifactCache(tmp_path / "distributed"))
+            assert self._tables(engine) == serial
+            assert executor.status()["stats"]["chunks_dispatched"] > 0
+        finally:
+            executor.close()
 
 
 class TestKeyedRobustness:

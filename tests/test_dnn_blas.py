@@ -8,11 +8,10 @@ import numpy as np
 import pytest
 
 from repro.analysis import dnn_tables
-from repro.analysis.dnn_tables import DnnExperimentConfig, evaluate_window, model_builders
+from repro.analysis.dnn_tables import DnnExperimentConfig, ModelSpec
 from repro.dnn import blas
 from repro.dnn.blas import one_blas_thread
 from repro.dnn.datasets import imagenet_like
-from repro.dnn.imc_injection import LutBackend
 from repro.multiplier.lut import ProductLookupTable
 
 CONTROLS = blas._thread_controls()
@@ -130,15 +129,15 @@ class TestOneBlasThread:
             calibration_samples=16,
         )
         dataset = imagenet_like(image_size=8, train_per_class=4, test_per_class=2)
-        exact = ProductLookupTable.exact()
-        backends = {"lut": LutBackend(ProductLookupTable(exact.mean + 1.0, exact.sigma))}
+        corners = {"lut": ProductLookupTable.exact().mean + 1.0}
         modes = ("float32", "int4", "lut")
         window = (0, config.evaluation_size(dataset))
+        model = ModelSpec("ResNet50", 8, dataset.classes)
 
         def run():
-            network = dict(model_builders(8, dataset.classes))["ResNet50"]()
-            state = dnn_tables._trained_state(network, dataset, config.training())
-            counts = evaluate_window(network, dataset, modes, config, window, backends)
+            state = dnn_tables.train(model, None, dataset, config.training())
+            quantized = dnn_tables.quantize(model, state, dataset, config.calibration_samples)
+            counts = dnn_tables.evaluate(model, state, quantized, dataset, modes, window, corners)
             return state, counts
 
         state, counts = run()

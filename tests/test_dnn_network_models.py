@@ -11,7 +11,13 @@ from repro.dnn.models import (
     build_vgg16_like,
     build_vgg19_like,
 )
-from repro.dnn.network import Network, NetworkStateError, load_network_state, network_state
+from repro.dnn.network import (
+    Network,
+    NetworkStateError,
+    copy_network,
+    load_network_state,
+    network_state,
+)
 from repro.dnn.training import (
     TrainingConfig,
     classification_accuracy,
@@ -42,6 +48,14 @@ class TestNetwork:
             parameter.grad += 1.0
         net.zero_grad()
         assert all(np.all(p.grad == 0.0) for p in net.parameters())
+
+    def test_backward_skips_the_first_layers_input_gradient(self, monkeypatch):
+        net = build_vgg16_like((8, 8, 3), classes=5)
+        first = net.layers[0]
+        monkeypatch.setattr(first, "backward", lambda grad: pytest.fail("input gradient computed"))
+        net.forward(np.ones((2, 8, 8, 3), dtype=np.float32), training=True)
+        assert net.backward(np.ones((2, 5), dtype=np.float32)) is None
+        assert np.any(first.weight.grad != 0.0) and np.any(first.bias.grad != 0.0)
 
     def test_empty_network_rejected(self):
         with pytest.raises(ValueError):
@@ -137,6 +151,32 @@ class TestTraining:
         with pytest.raises(ValueError):
             replace_classifier_head(net, classes=3)
 
+    @pytest.mark.parametrize("model", ["VGG16", "ResNet50"])
+    def test_skipping_the_input_gradient_leaves_the_trained_state(self, model, monkeypatch):
+        """Training never computes the first layer's input gradient; the
+        trained state (quick config) is bit-identical to back-propagating
+        through every layer, as training did before it was skipped."""
+        from repro.analysis import dnn_tables
+
+        config = dnn_tables.DnnExperimentConfig.quick()
+        dataset = imagenet_like(
+            image_size=config.image_size,
+            train_per_class=config.train_per_class,
+            test_per_class=config.test_per_class,
+        )
+        spec = dnn_tables.ModelSpec(model, config.image_size, dataset.classes)
+        skipped = dnn_tables.train(spec, None, dataset, config.training())
+
+        def full_backward(network, grad):
+            for layer in reversed(network.layers):
+                grad = layer.backward(grad)
+            return grad
+
+        monkeypatch.setattr(Network, "backward", full_backward)
+        full = dnn_tables.train(spec, None, dataset, config.training())
+        assert skipped.keys() == full.keys()
+        assert all(np.array_equal(skipped[name], full[name]) for name in full)
+
     def test_invalid_training_config_rejected(self):
         with pytest.raises(ValueError):
             TrainingConfig(epochs=0)
@@ -155,6 +195,17 @@ BACKBONES = {
 
 
 class TestNetworkState:
+    def test_copy_trains_like_a_fresh_build_and_leaves_the_original(self, tiny_dataset):
+        original = build_resnet50_like((8, 8, 3), tiny_dataset.classes)
+        before = network_state(original)
+        copied = copy_network(original)
+        fresh = build_resnet50_like((8, 8, 3), tiny_dataset.classes)
+        for network in (copied, fresh):
+            train_network(network, tiny_dataset, TrainingConfig(epochs=1, seed=3))
+        trained, after = network_state(copied), network_state(original)
+        assert all(np.array_equal(trained[name], value) for name, value in network_state(fresh).items())
+        assert all(np.array_equal(after[name], value) for name, value in before.items())
+
     @pytest.fixture(scope="class", params=sorted(BACKBONES))
     def trained(self, request, tiny_dataset):
         build = BACKBONES[request.param]

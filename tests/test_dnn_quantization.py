@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.analysis import dnn_tables
 from repro.analysis.dnn_tables import (
     DnnExperimentConfig,
     model_builders,
@@ -16,15 +17,18 @@ from repro.dnn.datasets import cifar10_like, imagenet_like
 from repro.dnn.imc_injection import ExactBackend, LutBackend, backends_for_corners
 from repro.dnn.layers import BatchNorm, Conv2D, Dense, ResidualBlock
 from repro.dnn.models import build_resnet50_like, build_vgg16_like
-from repro.dnn.network import Network
+from repro import wire
+from repro.dnn.network import Network, load_network_state, network_state
 from repro.dnn.quantization import (
     ActivationQuantizer,
     QuantizationScheme,
     QuantizedConv2D,
     QuantizedDense,
     fold_batchnorm_layers,
+    load_quantized_network,
     quantize_network,
     quantize_weights_symmetric,
+    quantized_state,
 )
 from repro.dnn.training import TrainingConfig, train_network
 from repro.multiplier.lut import ProductLookupTable
@@ -321,8 +325,12 @@ class TestLutBackendOracle:
         # The bit-identity argument: integer products sum exactly in float32.
         assert np.array_equal(corner_table.mean, np.rint(corner_table.mean))
 
-    def test_accuracy_tables_equal_with_oracle_backends(self, corner_table):
-        """Tables II and III, one model: real backends == oracle-backed copies."""
+    def test_accuracy_tables_equal_with_oracle_backends(self, corner_table, monkeypatch):
+        """Tables II and III, one model: real backends == oracle-backed copies.
+
+        Corner tables travel to the evaluate jobs as arrays, which rebuild
+        their backends with the ``LutBackend`` name of ``dnn_tables``; the
+        oracle run points that name at the oracle class."""
         config = DnnExperimentConfig(
             image_size=8,
             train_per_class=3,
@@ -344,9 +352,11 @@ class TestLutBackendOracle:
             real = run_dnn_accuracy_experiment(
                 dataset, backends, config=config, models=models, base_dataset=base
             )
-            oracle = run_dnn_accuracy_experiment(
-                dataset, oracles, config=config, models=models, base_dataset=base
-            )
+            with monkeypatch.context() as patch:
+                patch.setattr(dnn_tables, "LutBackend", _OracleBackend)
+                oracle = run_dnn_accuracy_experiment(
+                    dataset, oracles, config=config, models=models, base_dataset=base
+                )
             assert real == oracle
             assert set(real["ResNet50"]) == {"float32", "int4", "fom", "exact-lut"}
 
@@ -357,6 +367,25 @@ class TestQuantizedNetwork:
         net = build_vgg16_like((8, 8, 3), classes=tiny_dataset.classes)
         train_network(net, tiny_dataset, TrainingConfig(epochs=4, learning_rate=0.08, seed=1))
         return net
+
+    @pytest.mark.parametrize("build", [build_vgg16_like, build_resnet50_like])
+    def test_network_rebuilt_from_quantized_state_is_bitwise_equal(self, build, tiny_dataset):
+        """A fresh network plus the two states, through the artifact
+        codec, predicts exactly like ``quantize_network``'s result."""
+        network = build((8, 8, 3), tiny_dataset.classes)
+        train_network(network, tiny_dataset, TrainingConfig(epochs=1, seed=1))
+        quantized = quantize_network(network, tiny_dataset.train_images[:32])
+        state = wire.unpack_values(*wire.pack_values(quantized_state(quantized)))
+        fresh = build((8, 8, 3), tiny_dataset.classes)
+        load_network_state(fresh, network_state(network))
+        rebuilt = load_quantized_network(fresh, state)
+        exact = ProductLookupTable.exact()
+        lut = LutBackend(ProductLookupTable(exact.mean + 1.0, exact.sigma))
+        images = tiny_dataset.test_images
+        assert np.array_equal(rebuilt.predict(images), quantized.predict(images))
+        assert np.array_equal(
+            rebuilt.with_backend(lut).predict(images), quantized.with_backend(lut).predict(images)
+        )
 
     def test_int4_quantisation_close_to_float(self, trained_network, tiny_dataset):
         quantized = quantize_network(trained_network, tiny_dataset.train_images[:64])

@@ -640,12 +640,7 @@ class TestDnnWorkload:
     def test_sharded_dnn_accuracy_is_bit_identical(self, tmp_path):
         """The sharded DNN evaluation merges integer hit counts, so any
         shard count reproduces the unsharded accuracies bit for bit."""
-        from repro.analysis.dnn_tables import (
-            DnnExperimentConfig,
-            evaluate_window,
-            model_builders,
-            train,
-        )
+        from repro.analysis.dnn_tables import DnnExperimentConfig, run_dnn_accuracy_experiment
         from repro.dnn.datasets import imagenet_like
 
         params = {"model": "VGG16", "modes": ["float32", "int4"]}
@@ -663,27 +658,45 @@ class TestDnnWorkload:
         assert whole.payload["shards"] == 1 and sharded.payload["shards"] == 3
         assert sharded.payload["samples"] == whole.payload["samples"]
         assert sharded.payload["reports"] == whole.payload["reports"]
-        # a direct single-window evaluation of an in-process training
-        # anchors the merge arithmetic: summed per-shard hit counts over
-        # samples IS the full-set mean
+        # a direct single-window run of the same graph, in process and
+        # uncached, anchors the merge arithmetic: summed per-shard hit
+        # counts over samples IS the full-set mean
         config = DnnExperimentConfig.quick()
         dataset = imagenet_like(
             image_size=config.image_size,
             train_per_class=config.train_per_class,
             test_per_class=config.test_per_class,
         )
-        network = dict(model_builders(config.image_size, dataset.classes))["VGG16"]()
-        train(network, dataset, config.training())
+        reports = run_dnn_accuracy_experiment(dataset, {}, config=config, models=["VGG16"])["VGG16"]
         samples = config.evaluation_size(dataset)
-        counts = evaluate_window(network, dataset, ("float32", "int4"), config, (0, samples))
-        assert counts["samples"] == samples == whole.payload["samples"]
+        assert samples == whole.payload["samples"]
         for mode in ("float32", "int4"):
             report = whole.payload["reports"][mode]
-            assert report["top1"] == counts[f"{mode}_top1"] / counts["samples"]
-            assert report["top5"] == counts[f"{mode}_top5"] / counts["samples"]
+            assert report["top1"] == reports[mode].top1_hits / samples
+            assert report["top5"] == reports[mode].top5_hits / samples
+
+    def test_payload_is_byte_identical_for_one_two_and_three_shards(self, tmp_path):
+        """Under the auto engine the shards run through the evaluate
+        sweep's batch_fn; the serial engine runs them one job at a time."""
+        from repro.runtime import SerialExecutor
+        from repro.service.workloads import run_dnn
+
+        params = {"model": "VGG16", "modes": ["int4", "fom", "float32"]}
+        documents = set()
+        for shards, engine in (
+            (1, SweepEngine(cache=ArtifactCache(tmp_path))),
+            (2, SweepEngine(cache=ArtifactCache(tmp_path))),
+            (3, SweepEngine(cache=ArtifactCache(tmp_path))),
+            (3, SweepEngine(SerialExecutor())),
+        ):
+            payload = run_dnn({**params, "shards": shards}, engine)
+            assert payload.pop("shards") == shards
+            documents.add(json.dumps(payload, sort_keys=True))
+        assert len(documents) == 1
 
     def test_shards_share_one_cached_training(self, tmp_path, monkeypatch):
-        """N shards cost one training; other modes reuse the cached weights."""
+        """N shards cost one training and one calibration; other modes
+        reuse the cached weights and quantisation."""
         from repro.analysis import dnn_tables
 
         trainings = []
@@ -713,36 +726,69 @@ class TestDnnWorkload:
 
         cold, permuted, whole = run(scenario())
         assert cold[0].payload["shards"] == 3
-        assert cold[1:] == (1, 1 + 3), "one train job + 3 evaluation shards"
-        assert permuted[1:] == (1, 4 + 3), "permuted modes: 3 new shards, no training"
+        assert cold[1:] == (1, 1 + 1 + 3), "one train + one quantize job + 3 evaluation shards"
+        assert permuted[1:] == (1, 5 + 3), "permuted modes: 3 new shards, no training"
         assert whole[1] == 1
         assert permuted[0].payload["reports"] == whole[0].payload["reports"]
         assert permuted[0].payload["reports"] == cold[0].payload["reports"]
 
+    def test_warm_request_with_new_mode_order_only_evaluates(self, tmp_path, monkeypatch):
+        """The shards of a warm request load the cached quantisation: no
+        calibration runs, yet every shard evaluates."""
+        from repro.analysis import dnn_tables
+        from repro.service.workloads import run_dnn
+
+        calibrations, evaluations = [], []
+        quantize_network, evaluate_backends = dnn_tables.quantize_network, dnn_tables.evaluate_backends
+
+        def counting_quantize(*args, **kwargs):
+            calibrations.append(args[0].name)
+            return quantize_network(*args, **kwargs)
+
+        def counting_evaluate(*args, **kwargs):
+            evaluations.append(kwargs["window"])
+            return evaluate_backends(*args, **kwargs)
+
+        monkeypatch.setattr(dnn_tables, "quantize_network", counting_quantize)
+        monkeypatch.setattr(dnn_tables, "evaluate_backends", counting_evaluate)
+        engine = SweepEngine(cache=ArtifactCache(tmp_path))
+        cold = run_dnn({"model": "VGG16", "modes": ["float32", "int4"], "shards": 2}, engine)
+        assert (len(calibrations), len(evaluations)) == (1, 2)
+        warm = run_dnn({"model": "VGG16", "modes": ["int4", "float32"], "shards": 2}, engine)
+        assert (len(calibrations), len(evaluations)) == (1, 4)
+        assert warm["reports"] == cold["reports"]
+
     def test_shard_jobs_carry_only_the_trained_state(self):
-        """A shard ships the trained weights, never the network or the
-        dataset, so its cluster message stays small at any dataset size."""
+        """A shard ships the trained weights and their quantisation, never
+        the network or the dataset, so its cluster message stays small at
+        any dataset size."""
         import pickle
 
+        from repro.analysis.dnn_tables import DSE_CORNERS, ModelSpec
+        from repro.dnn.datasets import DatasetSpec
         from repro.dnn.network import network_state
         from repro.runtime import SerialExecutor
-        from repro.service.workloads import _dnn_network, run_dnn
+        from repro.service.workloads import run_dnn
 
         shard_jobs = []
 
         class Recording(SerialExecutor):
             def execute(self, jobs, *args, **kwargs):
-                shard_jobs.extend(job for job in jobs if job.name.startswith("dnn["))
+                shard_jobs.extend(job for job in jobs if job.name.startswith("evaluate["))
                 return super().execute(jobs, *args, **kwargs)
 
         run_dnn({"model": "VGG16", "shards": 2}, SweepEngine(executor=Recording()))
         assert len(shard_jobs) == 2
-        model, modes, quick, window, state = shard_jobs[0].args
-        assert (model, modes, quick, window) == ("VGG16", ("float32", "int4"), True, (0, 60))
-        assert state.keys() == network_state(_dnn_network("VGG16", True)).keys()
-        state_bytes = sum(value.nbytes for value in state.values())
+        model, state, quantized, dataset, modes, window, corners = shard_jobs[0].args
+        assert model == ModelSpec("VGG16", 8, 20)
+        assert isinstance(dataset, DatasetSpec)
+        assert (modes, window, corners) == (("float32", "int4"), (0, 60), DSE_CORNERS)
+        assert state.keys() == network_state(model.build()).keys()
+        arrays = [*state.values(), *quantized.values()]
+        # the arrays' bytes, plus a bounded pickle overhead per array
+        bound = sum(array.nbytes for array in arrays) + 128 * len(arrays) + 4096
         for job in shard_jobs:
-            assert len(pickle.dumps(job.args)) < state_bytes + 4096
+            assert len(pickle.dumps(job.args)) < bound
 
     def test_dnn_rejects_unknown_model_and_mode(self, tmp_path):
         async def scenario():
@@ -761,9 +807,9 @@ class TestDnnWorkload:
 
     def test_corner_shards_run_the_dse_once_per_process(self, monkeypatch):
         """Every corner-mode shard in a process shares one set of corner
-        backends: one design-space exploration, however many shards."""
+        tables: one design-space exploration, however many shards."""
         from repro.analysis import dnn_tables
-        from repro.dnn.network import network_state
+        from repro.analysis.dnn_tables import DSE_CORNERS, MODES, ModelSpec
         from repro.service import workloads
 
         explorations = []
@@ -773,42 +819,43 @@ class TestDnnWorkload:
             explorations.append(args)
             return explore(*args, **kwargs)
 
-        workloads._dnn_backends.cache_clear()
+        dnn_tables._dse_corner_means.cache_clear()
         # corner_backends calls the name dnn_tables imported from repro.core.dse
         monkeypatch.setattr(dnn_tables, "explore_design_space", counting_explore)
-        modes = ("float32", "int4", "fom", "power", "variation")
         config = workloads._dnn_config(True)
-        dataset = workloads._dnn_dataset(True)
-        network = workloads._dnn_network("VGG16", True)
-        dnn_tables.train(network, dataset, config.training())
-        state = network_state(network)
+        dataset = workloads._dnn_dataset(config)
+        model = ModelSpec("VGG16", config.image_size, dataset.classes)
+        state = dnn_tables.train(model, None, dataset, config.training())
+        quantized = dnn_tables.quantize(model, state, dataset, config.calibration_samples)
         total = config.evaluation_size(dataset)
 
         shards = [
-            workloads._evaluate_shard("VGG16", modes, True, window, state)
+            dnn_tables.evaluate(model, state, quantized, dataset, MODES, window, DSE_CORNERS)
             for window in ((0, 45), (45, total))
         ]
-        workloads.run_dnn({"model": "VGG16", "modes": list(modes), "shards": 3}, SweepEngine())
+        workloads.run_dnn({"model": "VGG16", "modes": list(MODES), "shards": 3}, SweepEngine())
         assert len(explorations) == 1, "five corner-mode shards, one DSE"
 
-        backends = dnn_tables.corner_backends(seed=0)
-        whole = dnn_tables.evaluate_window(network, dataset, modes, config, (0, total), backends)
+        means = dnn_tables._lut_means(dnn_tables.corner_backends())
+        whole = dnn_tables.evaluate(model, state, quantized, dataset, MODES, (0, total), means)
         assert {key: sum(shard[key] for shard in shards) for key in whole} == whole
 
     def test_corner_mode_without_a_backend_is_an_error(self, monkeypatch):
-        """A corner mode needs an explicit backend; no caller can fall back
-        to a hidden calibration plus DSE."""
+        """A corner mode needs its table or the named DSE corners; no
+        caller can fall back to a hidden calibration plus DSE."""
         from repro.analysis import dnn_tables
+        from repro.analysis.dnn_tables import ModelSpec
+        from repro.multiplier.lut import ProductLookupTable
         from repro.service import workloads
 
         monkeypatch.setattr(dnn_tables, "explore_design_space", None)
         config = workloads._dnn_config(True)
-        dataset = workloads._dnn_dataset(True)
-        network = workloads._dnn_network("VGG16", True)
-        for backends in (None, {}, {"power": object()}):
+        dataset = workloads._dnn_dataset(config)
+        model = ModelSpec("VGG16", config.image_size, dataset.classes)
+        for corners in ({}, {"power": ProductLookupTable.exact().mean}):
             with pytest.raises(ValueError, match="'fom'"):
-                dnn_tables.evaluate_window(
-                    network, dataset, ("float32", "fom"), config, (0, 4), backends
+                dnn_tables.evaluate(
+                    model, None, None, dataset, ("float32", "fom"), (0, 4), corners
                 )
 
 
