@@ -8,16 +8,15 @@ the Fig. 8 PVT robustness analysis for each selected corner.
 
 All heavy work (characterisation sweeps, the 48 corner evaluations, the
 robustness sweeps) is submitted through a :class:`repro.runtime.SweepEngine`
-with a process-pool executor and a content-addressed artifact cache, so a
-second run of this example is served from disk in milliseconds.  The same
-flow is available as ``python -m repro run dse``.
+(the auto engine: vectorised batches for every sweep with a ``batch_fn``)
+with a content-addressed artifact cache, so a second run of this example is
+served from disk in milliseconds.  The same flow is available as
+``python -m repro run dse``.
 
 Run with ``python examples/design_space_exploration.py``.
 """
 
 from __future__ import annotations
-
-import os
 
 from repro.analysis.design_space import (
     corner_summary_rows,
@@ -29,14 +28,12 @@ from repro.circuits import tsmc65_like
 from repro.core.calibration import calibrated_suite
 from repro.core.pvt import analyze_corner_robustness
 from repro.core.speedup import measure_speedup
-from repro.runtime import ArtifactCache, ParallelExecutor, SweepEngine
+from repro.runtime import ArtifactCache, SweepEngine
 
 
 def main() -> None:
     technology = tsmc65_like()
-    engine = SweepEngine(
-        ParallelExecutor(max_workers=os.cpu_count()), cache=ArtifactCache()
-    )
+    engine = SweepEngine(cache=ArtifactCache())
     print(f"sweep engine: {engine.describe()}")
     print("calibrating OPTIMA (characterisation sweeps via the engine) ...")
     suite = calibrated_suite(technology, engine=engine).suite

@@ -8,16 +8,14 @@ errors for the selected fom corner (paper Fig. 8, right column) and how the
 event-driven testbench executes one full multiply sequence.
 
 The per-condition reference transients and the model-based sweeps are
-submitted through a :class:`repro.runtime.SweepEngine` (process-pool
-executor + artifact cache); the same flow is available as
+submitted through a :class:`repro.runtime.SweepEngine` (auto engine +
+artifact cache); the same flow is available as
 ``python -m repro run pvt``.
 
 Run with ``python examples/pvt_robustness.py``.
 """
 
 from __future__ import annotations
-
-import os
 
 import numpy as np
 
@@ -32,14 +30,12 @@ from repro.core.calibration import calibrated_suite
 from repro.core.dse import explore_design_space
 from repro.core.pvt import analyze_corner_robustness
 from repro.eventsim import MultiplierTestbench
-from repro.runtime import ArtifactCache, ParallelExecutor, SweepEngine
+from repro.runtime import ArtifactCache, SweepEngine
 
 
 def main() -> None:
     technology = tsmc65_like()
-    engine = SweepEngine(
-        ParallelExecutor(max_workers=os.cpu_count()), cache=ArtifactCache()
-    )
+    engine = SweepEngine(cache=ArtifactCache())
     print(f"sweep engine: {engine.describe()}")
 
     print("Fig. 5a: supply-voltage influence on the discharge (V_WL = 0.9 V, 2 ns)")

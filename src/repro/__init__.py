@@ -18,8 +18,8 @@ The package is organised in layers, bottom-up:
   in-memory-multiplier injection (paper Section VI).
 * :mod:`repro.analysis` — one driver per paper table / figure.
 * :mod:`repro.runtime` — the sweep-execution engine every driver submits
-  its work to: deterministic content-hashed jobs, pluggable executors
-  (serial / process-pool parallel / vectorised batch, all bit-identical)
+  its work to: deterministic content-hashed jobs, pluggable execution
+  (auto vectorised batches / serial / cluster-distributed, all bit-identical)
   and a content-addressed on-disk artifact cache that makes warm re-runs
   of characterisation, DSE and PVT sweeps near-instant.  Also home of the
   unified CLI: ``python -m repro run dse|pvt|characterize|tables`` (see

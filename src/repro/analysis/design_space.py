@@ -56,8 +56,8 @@ def run_design_space_exploration(
     """Calibrate (cached) and explore the default 48-corner design space.
 
     ``engine`` routes both the characterisation sweeps behind the cached
-    calibration and the corner evaluations through the runtime layer, so a
-    parallel executor and an artifact cache accelerate the whole flow.
+    calibration and the corner evaluations through the runtime layer, so
+    cluster workers and an artifact cache accelerate the whole flow.
     """
     technology = technology or tsmc65_like()
     if suite is None:

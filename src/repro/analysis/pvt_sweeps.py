@@ -6,8 +6,8 @@ reproduces one panel and returns flat arrays ready for assertion or
 plotting.
 
 Every panel submits its reference transients as independent jobs through a
-:class:`repro.runtime.SweepEngine`, so they run concurrently under a
-parallel executor.  The default engine has no cache and hands panels a-c to
+:class:`repro.runtime.SweepEngine`, so they run concurrently under the
+distributed executor.  The default engine has no cache and hands panels a-c to
 their ``batch_fn``, which integrates all of a panel's traces in one RK4 loop
 (:meth:`~repro.circuits.transient.TransientSolver.simulate_discharges`);
 the traces are bit-identical to one transient per job.  Panel d's shards
@@ -82,7 +82,7 @@ def _trace_sweep(
     word-line voltage, the duration and its operating point; the shared
     part of the key is hashed once per sweep.  The sweep's ``batch_fn``
     (:func:`_trace_batch`) integrates the missed points together under the
-    default engine and per chunk under ``parallel`` and ``distributed``;
+    default engine and per chunk under ``distributed``;
     the explicit ``serial`` executor runs one transient per job.
     """
     engine = engine or SweepEngine()
@@ -250,8 +250,8 @@ def _mismatch_monte_carlo_shard(
     unsharded run is reach-bounded, but each cell's value does not depend on
     which other cells are solved, or beside which rows.
 
-    Module-level (and arguments picklable) so process-pool and cluster
-    executors can ship it.
+    Module-level (and arguments picklable) so the cluster executor can
+    ship it.
     """
     full = _draw_mismatch(technology, samples_total, seed)
     run = _shard_run(technology, wordline_voltage, full, start, stop)
@@ -314,7 +314,7 @@ def mismatch_monte_carlo(
     executor spread one large Monte-Carlo batch across cluster workers.
     The sweep's ``batch_fn`` integrates every shard of a chunk in one
     vectorised solver call: the default engine solves all the shards at
-    once, and under ``parallel`` or ``distributed`` the shards on one
+    once, and under ``distributed`` the shards on one
     worker fuse into one solve, so progress then ticks once per chunk
     rather than once per shard.  Only the ``serial`` executor runs one
     solve per shard.  With a

@@ -14,17 +14,17 @@ same sweeps (``python -m repro worker --connect HOST:PORT``).  The two
 compose — a laptop can spawn four local workers and accept twenty more
 from the lab machines.
 
-Guarantees, matching every other executor in the registry:
+It is the one multi-process strategy.  Guarantees, matching every other
+executor:
 
 * **bit-identical results** — jobs are deterministic work units, results
-  are merged by submission index, so distributed == parallel == serial
+  are merged by submission index, so distributed == serial == auto
   bit-for-bit;
 * **cache locality** — the engine resolves artifact-cache hits *before*
   the executor runs, so warm shards never cross the wire;
 * **graceful degradation** — a host where sockets or subprocesses are
-  unavailable (sandboxes, restricted CI) falls back to serial execution,
-  the same stance :class:`~repro.runtime.executors.ParallelExecutor`
-  takes when its process pool cannot start;
+  unavailable (sandboxes, restricted CI) falls back to in-process
+  execution, keeping a sweep's ``batch_fn``;
 * **fault tolerance** — killed workers have their chunks reassigned and
   retried (see the coordinator); a *job* exception still propagates to the
   submitting call site unchanged.
@@ -205,10 +205,9 @@ class DistributedExecutor:
     def start(self) -> "DistributedExecutor":
         """Start the cluster (idempotent); degrades to serial on failure.
 
-        The degradation mirrors :class:`~repro.runtime.executors.ParallelExecutor`
-        (sweeps still complete on hosts without sockets / subprocesses) but
-        is *audibly* reported via :mod:`warnings`, so a broken cluster can
-        never masquerade as a working one in CI logs.
+        Sweeps still complete on hosts without sockets / subprocesses, but
+        the degradation is *audibly* reported via :mod:`warnings`, so a
+        broken cluster can never masquerade as a working one in CI logs.
         """
         with self._lock:
             if self._started:
@@ -350,8 +349,8 @@ class DistributedExecutor:
     ) -> List[Any]:
         """Run ``jobs`` across the cluster; results in submission order.
 
-        Like the process-pool executor, single-job sweeps run inline (no
-        wire round-trip can pay for itself).  A ``batch_fn`` ships with
+        Single-job sweeps run inline (no wire round-trip can pay for
+        itself).  A ``batch_fn`` ships with
         every chunk and the worker runs the chunk through it in one call;
         by default such a sweep is cut into one chunk per worker slot, so
         its shards on one worker fuse into one vectorised pass and progress

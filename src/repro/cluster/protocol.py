@@ -130,8 +130,8 @@ COORDINATOR_EVENTS = (
 def pack_jobs(jobs: Sequence[Job], batch_fn: Optional[BatchFn] = None) -> str:
     """Serialise a chunk of jobs, and its sweep's ``batch_fn``, for the wire.
 
-    ``fn`` and ``batch_fn`` must be module-level callables, the same
-    constraint the process-pool executor imposes.
+    ``fn`` and ``batch_fn`` must be module-level callables: pickle
+    carries them by reference.
     """
     blob = pickle.dumps((batch_fn, list(jobs)), protocol=pickle.HIGHEST_PROTOCOL)
     return base64.b64encode(blob).decode("ascii")

@@ -29,8 +29,7 @@ its pid, slot count and code version, and then loops:
   coordinator as orphan processes.
 
 Workers are processes, not threads, so a pool of single-slot workers gives
-the same CPU-level parallelism as the process-pool executor while being
-free to live on other hosts.
+one CPU-level lane per worker, on this host or on others.
 """
 
 from __future__ import annotations
@@ -130,7 +129,7 @@ class Worker:
     slots:
         Chunks this worker runs concurrently (thread pool size).  The
         default of 1 makes a *pool of worker processes* the unit of
-        parallelism, matching the process-pool executor's model.
+        parallelism.
     name:
         Display name reported in ``cluster status``; defaults to
         ``<hostname>-<pid>``.

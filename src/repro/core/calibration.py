@@ -54,7 +54,7 @@ def calibrate(
     """Characterise ``technology`` and fit the full OPTIMA model suite.
 
     ``engine`` routes the characterisation sweeps through the runtime layer
-    (parallel executors, artifact cache); the default stays serial.
+    (distributed executor, artifact cache); the default is the auto engine.
     """
     plan = plan or CharacterizationPlan()
     degrees = degrees or ModelDegrees()

@@ -15,10 +15,10 @@ Every sweep is returned as flat, column-oriented NumPy arrays so the fitting
 code can feed them straight into least-squares solvers.
 
 The sweeps are submitted to a :class:`repro.runtime.SweepEngine` as
-independent jobs (one per operating point / table), so a parallel executor
-runs the per-V_DD and per-temperature reference simulations concurrently and
-an attached artifact cache makes warm re-runs skip the reference solver
-entirely.  The default engine is serial and cache-less, which reproduces the
+independent jobs (one per operating point / table), so the distributed
+executor runs the per-V_DD and per-temperature reference simulations
+concurrently and an attached artifact cache makes warm re-runs skip the
+reference solver entirely.  The default engine is serial and cache-less, which reproduces the
 historical inline behaviour bit-for-bit.
 """
 
@@ -175,7 +175,7 @@ def _duration(plan: CharacterizationPlan) -> float:
 
 
 # ----------------------------------------------------------------------
-# Sweep jobs (module-level so the process-pool executor can pickle them)
+# Sweep jobs (module-level so the distributed executor can pickle them)
 #
 # Each transient job is "the run it integrates" plus "rows from its
 # result", so a lone job and a batch of jobs integrated together share the
@@ -411,8 +411,8 @@ def characterize(
     engine:
         Sweep-execution engine.  The default is a serial, cache-less
         :class:`~repro.runtime.SweepEngine`, which reproduces the historical
-        inline behaviour exactly; a parallel executor runs the per-V_DD /
-        per-temperature sweeps concurrently and an attached cache makes warm
+        inline behaviour exactly; the distributed executor runs the
+        per-V_DD / per-temperature sweeps concurrently and an attached cache makes warm
         re-runs skip the reference solver entirely.
     """
     plan = plan or CharacterizationPlan()

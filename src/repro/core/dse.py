@@ -308,7 +308,7 @@ def explore_design_space(
 
     Each corner is one independent job submitted through ``engine``; the
     default serial engine reproduces the historical inline loop exactly,
-    while a parallel executor evaluates corners concurrently (bit-identical
+    while the distributed executor evaluates corners concurrently (bit-identical
     results) and an attached artifact cache makes repeated explorations of
     the same suite near-instant.
     """

@@ -99,7 +99,7 @@ def _mean_error_at_conditions(
 ) -> float:
     """Mean error of a nominally-calibrated multiplier at off-nominal conditions.
 
-    Module-level so the process-pool executor can pickle it; the multiplier
+    Module-level so the distributed executor can pickle it; the multiplier
     is built once (calibrated at nominal) and shared by every sweep point,
     reproducing the "ADC calibrated once at nominal, then swept" protocol.
     """
@@ -239,7 +239,7 @@ def _monte_carlo_sample(
 
     The sample owns a dedicated :class:`numpy.random.SeedSequence` child, so
     its draws are independent of every other sample and of the execution
-    schedule — serial and parallel runs produce bit-identical values.  The
+    schedule — serial and distributed runs produce bit-identical values.  The
     multiplier is built once by the caller and shared across samples.
     """
     x_grid, d_grid = multiplier.input_space()
@@ -299,8 +299,8 @@ def monte_carlo_error_distribution(
 
     Per-sample seeds are derived with ``np.random.SeedSequence(seed).spawn``
     rather than by drawing from one sequential generator, so the estimate is
-    independent of how the samples are scheduled: a parallel engine returns
-    bit-identical sigma estimates to the serial one (asserted in
+    independent of how the samples are scheduled: a distributed engine
+    returns bit-identical sigma estimates to the serial one (asserted in
     ``tests/test_runtime_engine.py``).
 
     The sample jobs carry no cache key on purpose: a warm hit is no

@@ -3,7 +3,7 @@
 The fifth cross-cutting layer (PR 7): a dependency-free, :mod:`ast`-based
 checker framework that turns the repository's *runtime* invariants into
 *merge-time* gates.  The contracts it guards are the ones every other
-tier is built on — distributed == parallel == serial bit-for-bit, asyncio
+tier is built on — distributed == serial bit-for-bit, asyncio
 tiers never block their loops, pickle stays pinned to the one cluster
 shim awaiting the ``repro.wire`` migration, failures are never silently
 swallowed, metric names obey the registry rule, and wire-frame literals

@@ -1,6 +1,6 @@
 """REPRO-DET01 — unseeded randomness in solver paths.
 
-The repository's core contract is that distributed == parallel == serial
+The repository's core contract is that distributed == serial
 *bit-for-bit*: every job is a deterministic work unit, artifact-cache
 keys assume re-running a plan reproduces its bytes, and the journal
 replays interrupted sweeps expecting identical results.  One call into

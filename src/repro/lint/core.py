@@ -9,8 +9,8 @@ dependency-free — plain :mod:`ast`, no third-party linters — so it runs
 anywhere the repository runs, including CI's bare matrix images.
 
 The point of the subsystem is that the repository's *contracts* are
-machine-checkable before anything executes: distributed == parallel ==
-serial bit-for-bit (so no unseeded randomness in solver paths), the
+machine-checkable before anything executes: distributed == serial
+bit-for-bit (so no unseeded randomness in solver paths), the
 asyncio tiers must never block their event loops, pickle must not leak
 past the one allowlisted cluster shim, failures must never be silently
 swallowed, and wire-frame vocabularies must match the documented

@@ -1,4 +1,4 @@
-"""repro.runtime — parallel sweep execution with content-addressed caching.
+"""repro.runtime — sweep execution with content-addressed caching.
 
 Every heavyweight driver in the repository (reference characterisation, the
 48-corner design-space exploration, PVT / Monte-Carlo batches, DNN table
@@ -6,11 +6,11 @@ evaluations) submits its work to one front door, the :class:`SweepEngine`:
 
 * workloads are decomposed into deterministic :class:`~repro.runtime.jobs.Job`
   units with stable content hashes (:mod:`repro.runtime.jobs`),
-* execution strategy is pluggable — serial, process-pool parallel with
-  configurable chunking, vectorised batches (:mod:`repro.runtime.executors`)
-  or the cluster-backed ``distributed`` strategy (:mod:`repro.cluster`,
-  long-lived worker processes on any host) — and every strategy produces
-  bit-identical results,
+* execution strategy is pluggable — the default auto engine (vectorised
+  batches for a sweep with a ``batch_fn``, serial otherwise), ``serial``
+  (:mod:`repro.runtime.executors`) or the cluster-backed ``distributed``
+  strategy (:mod:`repro.cluster`, long-lived worker processes on any
+  host) — and auto == serial == distributed, bit for bit,
 * results of keyed jobs are persisted as content-addressed artifacts, one
   :mod:`repro.wire` value frame each (:mod:`repro.runtime.cache`);
   ``ArtifactCache(max_bytes=...)`` additionally LRU-evicts cold artifacts
@@ -22,11 +22,13 @@ evaluations) submits its work to one front door, the :class:`SweepEngine`:
 
 Typical use::
 
-    from repro.runtime import ArtifactCache, ParallelExecutor, SweepEngine
+    from repro.runtime import ArtifactCache, SweepEngine, make_executor
 
-    engine = SweepEngine(ParallelExecutor(max_workers=8), cache=ArtifactCache())
-    result = explore_design_space(suite, engine=engine)   # 48 corners, parallel
+    engine = SweepEngine(cache=ArtifactCache())           # auto: vectorised batches
+    result = explore_design_space(suite, engine=engine)   # 48 corners, one solve
     data = characterize(technology, engine=engine)        # warm cache: instant
+
+    cluster = SweepEngine(make_executor("distributed", workers=8))  # 8 worker processes
 
 Long-lived serving (see :mod:`repro.service` for the protocol)::
 
@@ -56,10 +58,8 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 from repro import obs
 from repro.runtime.cache import ArtifactCache, CacheStats, default_cache_dir
 from repro.runtime.executors import (
-    AUTO_BATCH_SIZE,
     BatchExecutor,
     CancelEvent,
-    ParallelExecutor,
     ProgressCallback,
     SerialExecutor,
     SweepCancelled,
@@ -74,7 +74,6 @@ __all__ = [
     "CancelEvent",
     "EngineStats",
     "Job",
-    "ParallelExecutor",
     "ProgressCallback",
     "SerialExecutor",
     "SweepCancelled",
@@ -82,7 +81,6 @@ __all__ = [
     "SweepSpec",
     "code_version",
     "default_cache_dir",
-    "default_engine",
     "fingerprint",
     "job_key",
     "make_executor",
@@ -123,12 +121,12 @@ class SweepEngine:
     executor:
         Execution strategy.  Any object with the executor ``execute``
         contract works — the registry names (:func:`make_executor`) are
-        ``serial``, ``parallel``, ``batch`` and ``distributed``.  When left
-        ``None`` the engine runs in **auto** mode: sweeps whose spec
-        carries a vectorised ``batch_fn`` execute through the batch
-        strategy (the whole-chunk NumPy hot path), everything else runs
-        serially — numerically identical either way, since every strategy
-        is bit-identical by contract.  An explicitly passed executor always
+        ``serial`` and ``distributed``.  When left ``None`` the engine runs
+        in **auto** mode: sweeps whose spec carries a vectorised
+        ``batch_fn`` execute through :class:`BatchExecutor` (the
+        whole-chunk NumPy hot path), everything else runs serially —
+        numerically identical either way, since every strategy is
+        bit-identical by contract.  An explicitly passed executor always
         wins: the engine then never second-guesses the caller's strategy.
     cache:
         Optional :class:`ArtifactCache`.  Jobs that carry a content hash
@@ -172,7 +170,7 @@ class SweepEngine:
     ):
         self.executor = executor if executor is not None else SerialExecutor()
         # Auto-select (engine constructed without an explicit strategy):
-        # specs carrying a batch_fn take the vectorised batch strategy.
+        # specs carrying a batch_fn run through BatchExecutor.
         self._auto_batch = executor is None
         self.cache = cache
         self.progress = progress
@@ -278,11 +276,11 @@ class SweepEngine:
             executor = self.executor
             if self._auto_batch and spec.batch_fn is not None:
                 # Auto mode: a sweep that brought its vectorised inner
-                # loop runs through the batch strategy by default —
-                # whole groups of jobs per NumPy pass instead of one
-                # Python call per job.  Bit-identical by the executor
-                # contract (the differential property suite enforces it).
-                executor = BatchExecutor(batch_size=AUTO_BATCH_SIZE)
+                # loop runs through BatchExecutor by default — whole
+                # groups of jobs per NumPy pass instead of one Python call
+                # per job.  Bit-identical by the executor contract (the
+                # differential property suite enforces it).
+                executor = BatchExecutor()
             executed = executor.execute(
                 pending_jobs,
                 progress=executor_progress,
@@ -329,26 +327,3 @@ class SweepEngine:
         cache_part = self.cache.describe() if self.cache is not None else "no cache"
         return f"SweepEngine[{executor_name}] — {self.stats.describe()} — {cache_part}"
 
-
-def default_engine(
-    executor: Optional[str] = None,
-    cache_dir: Optional[Any] = None,
-    use_cache: bool = False,
-    **executor_kwargs: Any,
-) -> SweepEngine:
-    """Build an engine from CLI-style options.
-
-    ``executor=None`` (the default) builds an **auto** engine: sweeps
-    carrying a ``batch_fn`` run through the vectorised batch strategy,
-    everything else serially.  Passing a registry name pins the strategy.
-    ``use_cache=True`` attaches an :class:`ArtifactCache` rooted at
-    ``cache_dir`` (or the :func:`default_cache_dir`).
-    """
-    cache = ArtifactCache(cache_dir) if use_cache else None
-    if executor is None:
-        if executor_kwargs:
-            raise ValueError(
-                f"executor options {sorted(executor_kwargs)} need an explicit executor"
-            )
-        return SweepEngine(cache=cache)
-    return SweepEngine(make_executor(executor, **executor_kwargs), cache=cache)

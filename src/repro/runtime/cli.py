@@ -28,27 +28,24 @@ The engine options apply to every ``run`` subcommand:
 * Without ``--executor`` the engine runs in **auto** mode: sweeps that
   register a vectorised ``batch_fn`` (PVT Monte-Carlo, characterisation,
   the DSE corner grid) are evaluated as whole NumPy batches — the default
-  hot path — and everything else runs serially.  Results are bit-identical
-  to every explicit strategy.
-* ``--executor parallel --workers N`` fans independent jobs (characterisation
-  operating points, design-space corners, PVT sensitivity points) out over a
-  process pool.  Results are bit-identical to serial execution — jobs are
-  deterministic work units and the engine preserves submission order.
-* ``--executor distributed --workers N`` shards the same jobs across N
+  hot path — and everything else runs serially.  ``--executor serial``
+  pins one job at a time.  Results are bit-identical either way.
+* ``--executor distributed --workers N`` shards the jobs (characterisation
+  operating points, design-space corners, PVT sensitivity points) across N
   long-lived worker *processes* through the cluster coordinator
-  (:mod:`repro.cluster`) — still bit-identical.  Add ``--connect H:P`` to
+  (:mod:`repro.cluster`) — still bit-identical, since jobs are
+  deterministic work units and results merge in submission order.  It is
+  the one multi-process path.  Add ``--connect H:P`` to
   bind the cluster endpoint on a routable address so additional
   ``python -m repro worker --connect H:P`` processes (any host) join the
   pool mid-run; ``python -m repro cluster status --connect H:P`` shows
   live worker / dispatch / steal / retry statistics.
-* ``--chunksize K`` tunes how many jobs ride in one pool task or cluster
-  chunk (default: one chunk per worker for a sweep with a vectorised
+* ``--chunksize K`` tunes how many jobs ride in one cluster chunk
+  (default: one chunk per worker for a sweep with a vectorised
   ``batch_fn``, about four chunks per worker otherwise), trading scheduling
-  overhead against load balance — on the cluster, idle workers steal
-  queued work, so a slow worker never holds more than its in-flight
-  chunks (see ``docs/scheduling.md``); ``--executor batch --batch-size
-  K`` instead evaluates grouped corner batches in-process through the
-  sweep's vectorised batch function.
+  overhead against load balance — idle workers steal queued work, so a
+  slow worker never holds more than its in-flight chunks (see
+  ``docs/scheduling.md``).
 * Artifact caching is on by default (``--cache-dir`` overrides the location,
   ``--no-cache`` disables it).  Artifacts are content-addressed by the sweep
   plan, technology card, operating conditions and code version, so a warm
@@ -112,18 +109,17 @@ _SCALE_EPILOG = """\
 running sweeps at scale:
   (no --executor)                   auto: vectorised batches for sweeps
                                     with a batch_fn, serial otherwise
-  --executor parallel --workers 8   fan jobs out over a process pool
+  --executor serial                 one job at a time
   --executor distributed --workers 8  shard over long-lived cluster workers
-  --executor batch --batch-size 16  vectorised corner-grid batches
-  --chunksize 4                     jobs per pool task / cluster chunk
+  --chunksize 4                     jobs per cluster chunk
   --connect 0.0.0.0:7500            cluster endpoint (external workers join)
   --no-cache / --cache-dir DIR      control the content-addressed artifact cache
   --max-bytes 500M                  LRU-bound the cache (also: cache evict)
   --fast                            reduced test-scale presets
   --metrics-port 9100               serve Prometheus metrics while running
-Serial, parallel, batch and distributed execution produce bit-identical
-results; the cache is keyed by plan + technology + conditions + code version,
-so warm re-runs skip the reference solver entirely.  `python -m repro serve`
+Auto, serial and distributed execution produce bit-identical results; the
+cache is keyed by plan + technology + conditions + code version, so warm
+re-runs skip the reference solver entirely.  `python -m repro serve`
 exposes the same engine to many concurrent clients over TCP (see
 `serve --help`); `python -m repro worker` joins a cluster endpoint.
 
@@ -185,43 +181,26 @@ def build_engine(args: argparse.Namespace) -> SweepEngine:
     """Construct the SweepEngine described by the common CLI options."""
     if args.executor is None:
         # Auto (the default): sweeps that carry a vectorised batch_fn run
-        # through the batch strategy — the whole-chunk NumPy hot path —
-        # and everything else serially.  Bit-identical either way; an
-        # explicit --executor always pins the strategy.
+        # as whole-chunk NumPy batches and everything else serially.
+        # Bit-identical either way; an explicit --executor always pins the
+        # strategy.
         for flag, value in (
             ("--workers", args.workers),
             ("--chunksize", args.chunksize),
-            ("--batch-size", args.batch_size),
             ("--connect", args.connect),
         ):
             if value is not None:
                 raise EngineOptionError(f"{flag} requires an explicit --executor")
         executor = None
-    elif args.executor == "distributed":
-        # The distributed executor names its options differently (worker
-        # *processes*, a cluster endpoint) but rides the same CLI flags.
-        if args.batch_size is not None:
-            raise EngineOptionError(
-                "--batch-size only applies to --executor batch, not 'distributed'"
-            )
-        options = {
-            "workers": args.workers,
-            "chunksize": args.chunksize,
-            "connect": args.connect,
-        }
     else:
-        options = {
-            "max_workers": args.workers,
-            "chunksize": args.chunksize,
-            "batch_size": args.batch_size,
-        }
-        if args.connect is not None:
-            raise EngineOptionError(
-                f"--connect only applies to --executor distributed, not {args.executor!r}"
-            )
-    if args.executor is not None:
+        # make_executor rejects a cluster flag on 'serial'.
         try:
-            executor = make_executor(args.executor, **options)
+            executor = make_executor(
+                args.executor,
+                workers=args.workers,
+                chunksize=args.chunksize,
+                connect=args.connect,
+            )
         except ValueError as error:
             raise EngineOptionError(str(error)) from error
     cache = (
@@ -249,9 +228,9 @@ def _add_engine_options(parser: argparse.ArgumentParser, run_options: bool = Tru
     group = parser.add_argument_group("engine options")
     group.add_argument(
         "--executor",
-        choices=("serial", "parallel", "batch", "distributed"),
+        choices=("serial", "distributed"),
         default=None,
-        help="execution strategy (default: auto — vectorised batch for "
+        help="execution strategy (default: auto — vectorised batches for "
         "sweeps that carry a batch_fn, serial otherwise; all strategies "
         "are bit-identical)",
     )
@@ -259,13 +238,13 @@ def _add_engine_options(parser: argparse.ArgumentParser, run_options: bool = Tru
         "--workers",
         type=int,
         default=None,
-        help="process-pool size / cluster worker processes",
+        help="cluster worker processes (distributed)",
     )
     group.add_argument(
         "--chunksize",
         type=int,
         default=None,
-        help="jobs per pool task (parallel) or dispatched chunk (distributed)",
+        help="jobs per dispatched cluster chunk (distributed)",
     )
     group.add_argument(
         "--connect",
@@ -273,9 +252,6 @@ def _add_engine_options(parser: argparse.ArgumentParser, run_options: bool = Tru
         metavar="HOST:PORT",
         help="cluster endpoint bind address (distributed executor; external "
         "`python -m repro worker` processes join here)",
-    )
-    group.add_argument(
-        "--batch-size", type=int, default=None, help="jobs per vectorised batch (batch)"
     )
     group.add_argument(
         "--cache-dir",
@@ -618,8 +594,8 @@ def build_parser() -> argparse.ArgumentParser:
         prog="python -m repro",
         description=(
             "OPTIMA reproduction runner: every paper figure / table driver "
-            "behind one sweep-execution engine with parallel executors and a "
-            "content-addressed artifact cache."
+            "behind one sweep-execution engine (auto, serial or distributed "
+            "execution) and a content-addressed artifact cache."
         ),
         epilog=_SCALE_EPILOG,
         formatter_class=argparse.RawDescriptionHelpFormatter,

@@ -1,26 +1,20 @@
 """Pluggable sweep executors.
 
-Three strategies run the same list of :class:`~repro.runtime.jobs.Job`
-objects and are required to produce bit-identical, order-preserving results:
+Every strategy runs the same list of :class:`~repro.runtime.jobs.Job`
+objects and is required to produce bit-identical, order-preserving results:
 
 * :class:`SerialExecutor` — runs jobs inline; the reference behaviour every
-  other executor must match and the default of :class:`repro.runtime.SweepEngine`.
-* :class:`ParallelExecutor` — fans jobs out over a
-  :class:`concurrent.futures.ProcessPoolExecutor` with configurable
-  chunking; chunks keep the pickling overhead per job low on fine-grained
-  grids, and a sweep with a ``batch_fn`` runs each chunk through it in the
-  pool process (:func:`default_chunksize` cuts such a sweep into one chunk
-  per worker).  Falls back to in-process execution when the pool cannot be
-  created (single-CPU hosts, sandboxed environments) or when there is
-  nothing to parallelise — still through the sweep's ``batch_fn`` when it
-  has one, so degraded hosts keep the vectorised inner loop.
+  other executor must match.
 * :class:`BatchExecutor` — groups jobs and hands whole groups to a sweep's
   vectorised ``batch_fn`` (when provided), amortising shared setup across a
   corner-grid batch; without a ``batch_fn`` it degrades to a chunked serial
-  loop.
+  loop.  It is not a registry name: the auto engine (a
+  :class:`repro.runtime.SweepEngine` built with no executor) runs every
+  ``batch_fn`` sweep through it, and every in-process fallback keeps a
+  sweep's ``batch_fn`` through it.
 
-A fourth strategy lives one layer up and registers here by name:
-``make_executor("distributed", workers=..., connect=...)`` builds a
+The one multi-process strategy lives one layer up and registers here by
+name: ``make_executor("distributed", workers=..., connect=...)`` builds a
 :class:`repro.cluster.DistributedExecutor`, which shards chunks across
 long-lived worker *processes* (local subprocesses and/or workers on other
 hosts) with heartbeats, work stealing and retry-on-worker-death — same
@@ -46,7 +40,6 @@ every chunk frame so worker-side completions stay attributable.
 
 from __future__ import annotations
 
-import os
 import threading
 from typing import Any, Callable, List, Optional, Sequence
 
@@ -58,12 +51,11 @@ ProgressCallback = Callable[[int, int, str], None]
 # cooperative cancellation: executors poll this between work units / chunks
 CancelEvent = threading.Event
 
-#: Jobs per vectorised batch when the engine auto-selects the batch
-#: strategy for a ``batch_fn``-carrying spec, and the cap on a batch
-#: sweep's chunk in the multi-process executors.  Large enough to amortise
-#: per-pass Python overhead across a Monte-Carlo / corner-grid group,
-#: small enough that cooperative cancellation still lands within a
-#: reasonable boundary.
+#: Jobs per vectorised batch of :class:`BatchExecutor` (the auto engine's
+#: and every in-process fallback's batch size), and the cap on a batch
+#: sweep's chunk on the cluster.  Large enough to amortise per-pass Python
+#: overhead across a Monte-Carlo / corner-grid group, small enough that
+#: cooperative cancellation still lands within a reasonable boundary.
 AUTO_BATCH_SIZE = 64
 
 
@@ -91,7 +83,7 @@ def _notify(progress: Optional[ProgressCallback], done: int, total: int, label: 
 
 
 def _run_chunk(jobs: Sequence[Job]) -> List[Any]:
-    """Run a chunk of jobs in the current process (process-pool task body)."""
+    """Run a chunk of jobs one by one in the current process."""
     return [job.run() for job in jobs]
 
 
@@ -100,8 +92,8 @@ def run_batch(
 ) -> List[Any]:
     """``batch_fn(jobs)`` as a list, checked to hold one result per job.
 
-    The one place a ``batch_fn`` is called: the batch and process-pool
-    executors and cluster workers all run a batch chunk through here.
+    The one place a ``batch_fn`` is called: :class:`BatchExecutor` and
+    cluster workers both run a batch chunk through here.
     """
     results = list(batch_fn(jobs))
     if len(results) != len(jobs):
@@ -110,7 +102,7 @@ def run_batch(
 
 
 def default_chunksize(job_count: int, slots: int, batched: bool) -> int:
-    """Jobs per chunk of a multi-process executor without an explicit chunksize.
+    """Jobs per cluster chunk without an explicit chunksize.
 
     A sweep with a ``batch_fn`` (``batched``) gets one chunk per slot,
     capped at :data:`AUTO_BATCH_SIZE` so cancellation lands as often as
@@ -170,99 +162,15 @@ def _serial_fallback(
 ) -> List[Any]:
     """Degrade to in-process execution without losing the vectorised path.
 
-    Every executor that falls back to running jobs locally (nothing to
-    parallelise, pool creation failed, no cluster workers) routes through
-    here: a sweep that carries a ``batch_fn`` keeps its whole-chunk NumPy
-    inner loop via :class:`BatchExecutor` — so sandboxed single-core hosts
-    still get the vectorised hot path — and only batch-less sweeps drop to
-    the per-job serial loop.
+    The cluster falls back to running jobs locally (nothing to
+    parallelise, no cluster workers) through here: a sweep that carries a
+    ``batch_fn`` keeps its whole-chunk NumPy inner loop via
+    :class:`BatchExecutor` — so sandboxed hosts still get the vectorised
+    hot path — and only batch-less sweeps drop to the per-job serial loop.
     """
     if batch_fn is not None:
         return BatchExecutor().execute(jobs, progress, batch_fn=batch_fn, cancel=cancel)
     return SerialExecutor().execute(jobs, progress, cancel=cancel)
-
-
-class ParallelExecutor:
-    """Process-pool executor with configurable chunking.
-
-    Parameters
-    ----------
-    max_workers:
-        Worker process count; defaults to the host CPU count.
-    chunksize:
-        Jobs per pool task.  The default (:func:`default_chunksize`) gives a
-        sweep with a ``batch_fn`` one chunk per worker, each run through the
-        ``batch_fn`` in the pool process, and any other sweep roughly four
-        chunks per worker.
-    """
-
-    name = "parallel"
-
-    def __init__(self, max_workers: Optional[int] = None, chunksize: Optional[int] = None):
-        if max_workers is not None and max_workers < 1:
-            raise ValueError("max_workers must be at least 1")
-        if chunksize is not None and chunksize < 1:
-            raise ValueError("chunksize must be at least 1")
-        self.max_workers = max_workers or os.cpu_count() or 1
-        self.chunksize = chunksize
-
-    def execute(
-        self,
-        jobs: Sequence[Job],
-        progress: Optional[ProgressCallback] = None,
-        batch_fn: Optional[Callable[[Sequence[Job]], List[Any]]] = None,
-        cancel: Optional[CancelEvent] = None,
-        trace: Optional[str] = None,
-    ) -> List[Any]:
-        # Imported here: a process that never runs a pool does not load
-        # ``concurrent.futures.process`` and ``multiprocessing``.
-        from concurrent.futures import BrokenExecutor, ProcessPoolExecutor, as_completed
-
-        _check_cancel(cancel, "before dispatch")
-        if len(jobs) <= 1 or self.max_workers <= 1:
-            return _serial_fallback(jobs, progress, batch_fn, cancel)
-        chunksize = self.chunksize or default_chunksize(
-            len(jobs), self.max_workers, batched=batch_fn is not None
-        )
-        chunks = _chunked(jobs, chunksize)
-        try:
-            pool = ProcessPoolExecutor(max_workers=min(self.max_workers, len(chunks)))
-        except (OSError, ValueError, PermissionError):
-            # Sandboxes without working semaphores / fork land here; the
-            # sweep still completes, just without the parallel speedup.
-            return _serial_fallback(jobs, progress, batch_fn, cancel)
-        results: List[Any] = [None] * len(jobs)
-        total = len(jobs)
-        done = 0
-        try:
-            evaluate = batch_fn if batch_fn is not None else _run_chunk
-            futures = {
-                pool.submit(run_batch, evaluate, chunk): index
-                for index, chunk in enumerate(chunks)
-            }
-            for future in as_completed(futures):
-                # Checked between completed chunks: a cancelled sweep stops
-                # collecting, revokes the not-yet-started chunks and raises.
-                if cancel is not None and cancel.is_set():
-                    pool.shutdown(wait=False, cancel_futures=True)
-                    raise SweepCancelled("sweep cancelled between parallel chunks")
-                chunk_index = futures[future]
-                chunk = chunks[chunk_index]
-                chunk_results = future.result()
-                offset = chunk_index * chunksize
-                for position, value in enumerate(chunk_results):
-                    results[offset + position] = value
-                done += len(chunk)
-                _notify(progress, done, total, chunk[-1].name)
-        except BrokenExecutor:
-            # Pool construction succeeded but the workers could not start
-            # (process limits, seccomp sandboxes): degrade to serial, same
-            # as when the pool cannot be created at all.
-            pool.shutdown()
-            return _serial_fallback(jobs, progress, batch_fn, cancel)
-        finally:
-            pool.shutdown()
-        return results
 
 
 class BatchExecutor:
@@ -276,7 +184,7 @@ class BatchExecutor:
 
     name = "batch"
 
-    def __init__(self, batch_size: int = 8):
+    def __init__(self, batch_size: int = AUTO_BATCH_SIZE):
         if batch_size < 1:
             raise ValueError("batch_size must be at least 1")
         self.batch_size = batch_size
@@ -309,8 +217,6 @@ def _make_distributed(**kwargs: Any):
 
 _EXECUTOR_SPECS = {
     "serial": (SerialExecutor, frozenset()),
-    "parallel": (ParallelExecutor, frozenset({"max_workers", "chunksize"})),
-    "batch": (BatchExecutor, frozenset({"batch_size"})),
     "distributed": (
         _make_distributed,
         frozenset(
@@ -329,17 +235,17 @@ _EXECUTOR_SPECS = {
 
 
 def make_executor(name: str, **kwargs: Any):
-    """Build an executor by CLI name (``serial``/``parallel``/``batch``/``distributed``).
+    """Build an executor by CLI name (``serial``/``distributed``).
 
     Parameters
     ----------
     name:
-        Registered strategy name.  ``serial`` takes no options; ``parallel``
-        accepts ``max_workers`` / ``chunksize``; ``batch`` accepts
-        ``batch_size``; ``distributed`` accepts ``workers`` / ``connect`` /
-        ``chunksize`` / ``min_workers`` / ``heartbeat_interval`` /
-        ``heartbeat_timeout`` / ``start_timeout`` (see
-        :class:`repro.cluster.DistributedExecutor`).
+        Registered strategy name.  ``serial`` takes no options;
+        ``distributed`` accepts ``workers`` / ``connect`` / ``chunksize`` /
+        ``min_workers`` / ``heartbeat_interval`` / ``heartbeat_timeout`` /
+        ``start_timeout`` (see :class:`repro.cluster.DistributedExecutor`).
+        The auto engine is not a name: build ``SweepEngine()`` with no
+        executor.
     **kwargs:
         Options forwarded to the strategy's constructor.  ``None``-valued
         options mean "not set" (so CLI defaults can always be forwarded).
@@ -348,23 +254,23 @@ def make_executor(name: str, **kwargs: Any):
     ------
     ValueError
         For an unknown strategy name, for an option the chosen executor
-        does not understand (``make_executor("serial", max_workers=8)``
-        raises instead of silently ignoring the flag), and for invalid
-        values (``batch_size=0``, ``max_workers=0``), which propagate the
+        does not understand (``make_executor("serial", workers=8)`` raises
+        instead of silently ignoring the flag), and for invalid values
+        (``workers=-1``, ``chunksize=0``), which propagate the
         constructor's ``ValueError`` instead of being coerced to a default.
 
     Examples
     --------
-    >>> make_executor("serial").name
+    >>> make_executor("serial", workers=None).name  # None = not set
     'serial'
-    >>> make_executor("parallel", max_workers=2).max_workers
-    2
-    >>> make_executor("batch", batch_size=None).batch_size  # None = default
-    8
-    >>> make_executor("serial", max_workers=8)
+    >>> make_executor("serial", workers=8)
     Traceback (most recent call last):
         ...
-    ValueError: executor 'serial' does not accept max_workers (it accepts no options)
+    ValueError: executor 'serial' does not accept workers (it accepts no options)
+    >>> make_executor("parallel")
+    Traceback (most recent call last):
+        ...
+    ValueError: unknown executor 'parallel'; choose from ['distributed', 'serial']
     """
     try:
         factory, accepted = _EXECUTOR_SPECS[name]

@@ -4,7 +4,7 @@ Every driver workload in the repository — characterisation sweeps,
 design-space corner grids, PVT sensitivity scans, Monte-Carlo batches, DNN
 table evaluations — decomposes into independent, deterministic work units.
 A :class:`Job` captures one such unit as a picklable callable plus its
-arguments, so any executor (in-process, process pool, vectorised batch) can
+arguments, so any executor (serial, vectorised batch, cluster worker) can
 run it and every executor produces bit-identical results.
 
 Jobs are *content-addressed*: :func:`fingerprint` reduces the job's inputs
@@ -129,10 +129,10 @@ class Job:
     Attributes
     ----------
     fn:
-        Module-level callable (must be picklable for the process-pool
+        Module-level callable (must be picklable for the distributed
         executor).  Given identical arguments it must return identical
-        results — that determinism is what lets serial, parallel and batch
-        executors produce bit-identical sweeps.
+        results — that determinism is what lets auto, serial and
+        distributed engines produce bit-identical sweeps.
     args, kwargs:
         Arguments passed to ``fn``.
     name:
@@ -169,9 +169,9 @@ class SweepSpec:
     batch_fn:
         Optional vectorised evaluator: given a sequence of jobs it returns
         their results in order, amortising shared setup across the batch.
-        Every executor but ``serial`` calls it: the batch executor (and
-        the auto engine) per group, the process-pool and distributed
-        executors once per chunk in the worker process.  Like a job's
+        Every executor but ``serial`` calls it: the auto engine per group
+        (through :class:`~repro.runtime.executors.BatchExecutor`), the
+        distributed executor once per chunk in the worker process.  Like a job's
         ``fn`` it must therefore be a module-level (picklable) callable.
     """
 

@@ -203,7 +203,7 @@ def run_pvt(params: Dict[str, Any], engine: SweepEngine) -> Dict[str, Any]:
 
 
 def _eventsim_shard(pairs: tuple, fast: bool) -> Dict[str, Any]:
-    """Module-level shard body (picklable for the process-pool executor).
+    """Module-level shard body (picklable for the distributed executor).
 
     Runs one contiguous slice of ``(x, d)`` operand pairs through the
     event-driven :class:`~repro.eventsim.testbench.MultiplierTestbench`

@@ -92,6 +92,24 @@ def tiny_dataset():
     )
 
 
+@pytest.fixture(scope="session")
+def cluster():
+    """A two-worker local cluster (one job per chunk) shared by every test
+    that runs sweeps on the distributed executor without breaking it.
+
+    Tests that need another chunk rule set ``chunksize`` for their own run
+    and restore it.
+    """
+    from repro.cluster import DistributedExecutor
+
+    executor = DistributedExecutor(workers=2, chunksize=1, start_timeout=60.0)
+    executor.start()
+    if executor._fallback is not None:
+        pytest.skip("cluster cannot start in this environment")
+    yield executor
+    executor.close()
+
+
 @pytest.fixture()
 def rng() -> np.random.Generator:
     """Fresh deterministic random generator per test."""

@@ -51,6 +51,7 @@ from repro.core.dse import DesignSpace, explore_design_space
 from repro.core.pvt import monte_carlo_error_distribution
 from repro.runtime import (
     ArtifactCache,
+    BatchExecutor,
     Job,
     SerialExecutor,
     SweepEngine,
@@ -126,17 +127,6 @@ def _seeded_jobs(count: int) -> list:
     return [
         Job(fn=_seeded_value, args=(1234, i), name=f"seeded[{i}]") for i in range(count)
     ]
-
-
-@pytest.fixture(scope="module")
-def cluster():
-    """A two-worker local cluster shared by the non-destructive tests."""
-    executor = DistributedExecutor(workers=2, chunksize=1, start_timeout=START_TIMEOUT)
-    executor.start()
-    if executor._fallback is not None:
-        pytest.skip("cluster cannot start in this environment")
-    yield executor
-    executor.close()
 
 
 # ----------------------------------------------------------------------
@@ -231,10 +221,10 @@ class TestRegistry:
 
     def test_cli_rejects_irrelevant_engine_flags(self, capsys):
         code = cli_main(
-            ["run", "dse", "--fast", "--quiet", "--executor", "distributed", "--batch-size", "4"]
+            ["run", "dse", "--fast", "--quiet", "--executor", "serial", "--connect", "127.0.0.1:7500"]
         )
         assert code == 2
-        assert "--batch-size" in capsys.readouterr().err
+        assert "does not accept connect" in capsys.readouterr().err
         code = cli_main(
             ["run", "dse", "--fast", "--quiet", "--connect", "127.0.0.1:7500"]
         )
@@ -747,7 +737,7 @@ class TestAdaptiveScheduling:
         ``chunk_window``."""
         with pytest.raises(TypeError):
             DistributedExecutor(workers=1, chunk_window=0.5)
-        for engine in ("distributed", "parallel", "serial"):
+        for engine in ("distributed", "serial"):
             with pytest.raises(ValueError, match="does not accept"):
                 make_executor(engine, chunk_window=0.5)
         executor = make_executor("distributed", workers=1)
@@ -990,10 +980,14 @@ class TestBatchSweepsMatchSerial:
     ``batch_fn``; the results stay byte-identical to one job at a time."""
 
     @pytest.mark.parametrize("name", sorted(BATCH_SWEEPS))
-    def test_parallel(self, name, serial_batch_sweeps, technology, quick_suite, fom_config):
-        engine = SweepEngine(make_executor("parallel", max_workers=2))
-        result = BATCH_SWEEPS[name](technology, quick_suite, fom_config, engine)
-        assert _leaves(result) == serial_batch_sweeps[name]
+    def test_parallel(
+        self, name, cluster, serial_batch_sweeps, technology, quick_suite, fom_config
+    ):
+        """The auto engine (one batch in process) and the shared cluster
+        (one job per chunk over two workers)."""
+        for engine in (SweepEngine(), SweepEngine(cluster)):
+            result = BATCH_SWEEPS[name](technology, quick_suite, fom_config, engine)
+            assert _leaves(result) == serial_batch_sweeps[name]
 
     @pytest.mark.parametrize("name", sorted(BATCH_SWEEPS))
     def test_distributed(
@@ -1036,12 +1030,13 @@ class TestDnnGraphAcrossEngines:
                     hits[f"table{table}/{model}/{mode}"] = (report.top1_hits, report.top5_hits)
         return hits
 
-    def test_serial_auto_parallel_and_distributed_agree(self, tmp_path):
+    def test_serial_auto_parallel_and_distributed_agree(self, cluster, tmp_path):
+        """Parallel: the shared cluster, one job per chunk; distributed: a
+        fresh cluster with the default chunk rule and a cache."""
         serial = self._tables(SweepEngine(SerialExecutor()))
         assert len(serial) == 16
         assert self._tables(SweepEngine(cache=ArtifactCache(tmp_path / "auto"))) == serial
-        parallel = SweepEngine(make_executor("parallel", max_workers=2))
-        assert self._tables(parallel) == serial
+        assert self._tables(SweepEngine(cluster)) == serial
         executor = DistributedExecutor(workers=2, start_timeout=START_TIMEOUT)
         executor.start()
         try:
@@ -1078,7 +1073,7 @@ class TestKeyedRobustness:
         outputs = []
         for name, executor in (
             ("serial", SerialExecutor()),
-            ("batch", make_executor("batch", batch_size=2)),
+            ("batch", BatchExecutor(batch_size=2)),
             ("distributed", cluster),
         ):
             engine = SweepEngine(executor, cache=ArtifactCache(tmp_path / name))

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import os
+import pkgutil
 import subprocess
 import sys
 
@@ -54,7 +55,7 @@ def _under(names, packages):
 
 
 def test_paper_pipeline_loads_no_dnn_serving_or_asyncio_code():
-    """Nor the process pool: only ``ParallelExecutor.execute`` imports it."""
+    """Nor the process pool (see the next test)."""
     loaded = _loaded_after(PAPER_PIPELINE)
     assert "repro.analysis.pvt_sweeps" in loaded
     forbidden = _under(
@@ -73,6 +74,24 @@ def test_paper_pipeline_loads_no_dnn_serving_or_asyncio_code():
         ),
     )
     assert not forbidden, f"the paper pipeline imported {forbidden}"
+
+
+def test_no_module_loads_the_process_pool():
+    """The cluster is the one multi-process path: importing every module of
+    the package loads neither ``concurrent.futures.process`` nor
+    ``multiprocessing``, and no module imports them lazily either."""
+    modules = [module.name for module in pkgutil.walk_packages(repro.__path__, "repro.")]
+    loaded = _loaded_after(modules)
+    assert "repro.cluster.executor" in loaded
+    assert not _under(loaded, ("concurrent.futures.process", "multiprocessing"))
+    package = os.path.join(SRC_DIR, "repro")
+    for root, _, files in os.walk(package):
+        for name in files:
+            if name.endswith(".py"):
+                with open(os.path.join(root, name), encoding="utf-8") as handle:
+                    source = handle.read()
+                assert "ProcessPoolExecutor" not in source, name
+                assert "import multiprocessing" not in source, name
 
 
 def test_runtime_imports_no_modelling_layer():

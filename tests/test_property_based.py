@@ -271,19 +271,6 @@ def _assert_same_value(expected, actual, where: str) -> None:
         assert actual == expected, f"value drift at {where}"
 
 
-@pytest.fixture(scope="module")
-def diff_cluster():
-    """A small local cluster shared by the distributed differential tests."""
-    from repro.cluster import DistributedExecutor
-
-    executor = DistributedExecutor(workers=2, chunksize=2, start_timeout=60.0)
-    executor.start()
-    if executor._fallback is not None:
-        pytest.skip("cluster cannot start in this environment")
-    yield executor
-    executor.close()
-
-
 class TestExecutorDifferential:
     """All executor strategies must return byte-identical results at
     identical indices, with and without a vectorised ``batch_fn`` — the
@@ -294,14 +281,13 @@ class TestExecutorDifferential:
         count=st.integers(min_value=1, max_value=24),
         size=st.integers(min_value=1, max_value=64),
         batch_size=st.integers(min_value=1, max_value=16),
-        chunksize=st.integers(min_value=1, max_value=8),
         use_batch_fn=st.booleans(),
     )
     @settings(max_examples=12, deadline=None)
     def test_in_process_executors_byte_identical(
-        self, entropy, count, size, batch_size, chunksize, use_batch_fn
+        self, entropy, count, size, batch_size, use_batch_fn
     ):
-        from repro.runtime import SweepEngine, SweepSpec, make_executor
+        from repro.runtime import BatchExecutor, SweepEngine, SweepSpec, make_executor
 
         batch_fn = _diff_batch if use_batch_fn else None
 
@@ -312,13 +298,7 @@ class TestExecutorDifferential:
 
         reference = run(make_executor("serial"))
         _assert_byte_identical(reference, run(None))  # auto (the default)
-        _assert_byte_identical(
-            reference, run(make_executor("batch", batch_size=batch_size))
-        )
-        _assert_byte_identical(
-            reference,
-            run(make_executor("parallel", max_workers=2, chunksize=chunksize)),
-        )
+        _assert_byte_identical(reference, run(BatchExecutor(batch_size=batch_size)))
 
     @given(
         entropy=st.integers(min_value=0, max_value=2**20),
@@ -334,7 +314,7 @@ class TestExecutorDifferential:
         """A partially warm artifact cache must not perturb a single byte:
         whichever subset of jobs is served from disk, every executor still
         returns the serial cold-run results, for every result shape."""
-        from repro.runtime import ArtifactCache, SweepEngine, SweepSpec, make_executor
+        from repro.runtime import ArtifactCache, BatchExecutor, SweepEngine, SweepSpec, make_executor
 
         warm_indices = sorted({index for index in warm if index < count})
         for shape in _DIFF_BODIES:
@@ -342,7 +322,7 @@ class TestExecutorDifferential:
             reference = SweepEngine(make_executor("serial")).run(
                 SweepSpec("diff", _diff_jobs(entropy, count, size, shape=shape), batch_fn=batch_fn)
             )
-            for executor in (None, make_executor("batch", batch_size=4)):
+            for executor in (None, BatchExecutor(batch_size=4)):
                 with tempfile.TemporaryDirectory() as root:
                     engine = SweepEngine(executor, cache=ArtifactCache(root))
                     if warm_indices:
@@ -367,25 +347,31 @@ class TestExecutorDifferential:
         entropy=st.integers(min_value=0, max_value=2**16),
         count=st.integers(min_value=1, max_value=10),
         size=st.integers(min_value=1, max_value=32),
+        chunksize=st.none() | st.integers(min_value=1, max_value=8),
         use_batch_fn=st.booleans(),
     )
-    @settings(max_examples=4, deadline=None)
+    @settings(max_examples=6, deadline=None)
     def test_distributed_matches_serial_byte_identical(
-        self, diff_cluster, entropy, count, size, use_batch_fn
+        self, cluster, entropy, count, size, chunksize, use_batch_fn
     ):
         """Every result shape the cluster ships — plain arrays, dicts of
         arrays and NumPy scalars, dicts of ints, DSE ``DesignPoint``
-        dataclasses — comes back byte-identical to serial."""
+        dataclasses — comes back byte-identical to serial, whatever the
+        chunk size (``None``: the default chunk rule)."""
         from repro.runtime import SweepEngine, SweepSpec, make_executor
 
-        for shape in _DIFF_BODIES:
-            batch_fn = _diff_batch if use_batch_fn and shape == "array" else None
+        saved, cluster.chunksize = cluster.chunksize, chunksize
+        try:
+            for shape in _DIFF_BODIES:
+                batch_fn = _diff_batch if use_batch_fn and shape == "array" else None
 
-            def run(executor):
-                jobs = _diff_jobs(entropy, count, size, shape=shape)
-                return SweepEngine(executor).run(SweepSpec("diff", jobs, batch_fn=batch_fn))
+                def run(executor):
+                    jobs = _diff_jobs(entropy, count, size, shape=shape)
+                    return SweepEngine(executor).run(SweepSpec("diff", jobs, batch_fn=batch_fn))
 
-            _assert_byte_identical(run(make_executor("serial")), run(diff_cluster))
+                _assert_byte_identical(run(make_executor("serial")), run(cluster))
+        finally:
+            cluster.chunksize = saved
 
 
 class TestDispatchProperties:

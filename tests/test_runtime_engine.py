@@ -1,11 +1,13 @@
-"""Tests for the sweep-execution engine and its three executors.
+"""Tests for the sweep-execution engine and its executors.
 
 The load-bearing guarantees:
 
-* serial, process-pool parallel and vectorised batch executors produce
-  bit-identical, order-preserving results on the same jobs;
+* serial, vectorised batch (the auto engine's) and distributed executors
+  produce bit-identical, order-preserving results on the same jobs;
 * the design-space exploration and Monte-Carlo PVT flows are
-  schedule-independent (parallel == serial, element for element);
+  schedule-independent (parallel == serial, element for element).  The
+  parallel runs go through the one multi-process path, the shared
+  two-worker ``cluster`` fixture (``tests/conftest.py``);
 * cacheable jobs are served from the artifact cache on re-runs;
 * the unified CLI drives a full DSE run end-to-end through the engine.
 """
@@ -14,10 +16,13 @@ from __future__ import annotations
 
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import repro
 from repro.core.characterization import CharacterizationPlan, characterize
 from repro.core.dse import DesignSpace, explore_design_space
 from repro.core.pvt import monte_carlo_error_distribution
@@ -25,19 +30,18 @@ from repro.runtime import (
     ArtifactCache,
     BatchExecutor,
     Job,
-    ParallelExecutor,
     SerialExecutor,
     SweepEngine,
     SweepSpec,
-    default_engine,
     job_key,
     make_executor,
 )
 from repro.runtime.cli import main as cli_main
+from repro.runtime.executors import AUTO_BATCH_SIZE
 
 
 def _square(value: int) -> int:
-    """Toy job body (module-level so the process pool can pickle it)."""
+    """Toy job body (module-level so cluster workers can unpickle it)."""
     return value * value
 
 
@@ -67,20 +71,26 @@ class TestExecutors:
         assert results == [i * i for i in range(10)]
 
     @pytest.mark.parametrize("chunksize", [None, 1, 3, 100])
-    def test_parallel_matches_serial(self, chunksize):
+    def test_parallel_matches_serial(self, cluster, monkeypatch, chunksize):
         jobs = _toy_jobs(17)
         expected = SerialExecutor().execute(jobs)
-        parallel = ParallelExecutor(max_workers=2, chunksize=chunksize)
-        assert parallel.execute(jobs) == expected
+        monkeypatch.setattr(cluster, "chunksize", chunksize)
+        assert cluster.execute(jobs) == expected
 
     def test_parallel_single_job_falls_back_to_serial(self):
-        assert ParallelExecutor(max_workers=4).execute(_toy_jobs(1)) == [0]
+        from repro.cluster import DistributedExecutor
+
+        executor = DistributedExecutor(workers=1)
+        assert executor.execute(_toy_jobs(1)) == [0]
+        assert not executor._started  # one job never starts the cluster
 
     def test_parallel_rejects_bad_arguments(self):
+        from repro.cluster import DistributedExecutor
+
         with pytest.raises(ValueError):
-            ParallelExecutor(max_workers=0)
+            DistributedExecutor(workers=-1)
         with pytest.raises(ValueError):
-            ParallelExecutor(chunksize=0)
+            DistributedExecutor(chunksize=0)
 
     def test_batch_without_batch_fn(self):
         assert BatchExecutor(batch_size=4).execute(_toy_jobs(10)) == [
@@ -97,39 +107,47 @@ class TestExecutors:
         with pytest.raises(RuntimeError):
             BatchExecutor(batch_size=4).execute(_toy_jobs(8), batch_fn=lambda jobs: [1])
 
-    def test_parallel_runs_each_chunk_through_the_batch_fn(self):
-        """A batch sweep is one chunk per worker, each one ``batch_fn`` call
-        in the pool process (``_pid_batch`` tags results with its pid)."""
-        results = ParallelExecutor(max_workers=2).execute(_toy_jobs(6), batch_fn=_pid_batch)
+    def test_parallel_runs_each_chunk_through_the_batch_fn(self, cluster, monkeypatch):
+        """Under the default chunk rule a batch sweep is one chunk per
+        worker slot, each one ``batch_fn`` call in a worker process
+        (``_pid_batch`` tags results with its pid)."""
+        monkeypatch.setattr(cluster, "chunksize", None)
+        results = cluster.execute(_toy_jobs(6), batch_fn=_pid_batch)
         assert [value for value, _ in results] == [i * i for i in range(6)]
         pids = [pid for _, pid in results]
         assert pids[:3] == [pids[0]] * 3 and pids[3:] == [pids[3]] * 3
         assert os.getpid() not in pids
 
-    def test_parallel_batch_fn_result_count_is_validated(self):
+    def test_parallel_batch_fn_result_count_is_validated(self, cluster):
         with pytest.raises(RuntimeError, match="batch_fn returned"):
-            ParallelExecutor(max_workers=2).execute(_toy_jobs(6), batch_fn=_short_batch)
+            cluster.execute(_toy_jobs(6), batch_fn=_short_batch)
 
     def test_batch_rejects_bad_batch_size(self):
         with pytest.raises(ValueError):
             BatchExecutor(batch_size=0)
 
-    def test_progress_callback_reaches_total(self):
+    def test_progress_callback_reaches_total(self, cluster, monkeypatch):
         seen = []
         SerialExecutor().execute(_toy_jobs(5), progress=lambda d, t, n: seen.append((d, t)))
         assert seen == [(i + 1, 5) for i in range(5)]
         seen = []
-        ParallelExecutor(max_workers=2, chunksize=2).execute(
+        BatchExecutor(batch_size=2).execute(
             _toy_jobs(5), progress=lambda d, t, n: seen.append((d, t))
         )
+        assert seen == [(2, 5), (4, 5), (5, 5)]
+        seen = []
+        monkeypatch.setattr(cluster, "chunksize", 2)
+        cluster.execute(_toy_jobs(5), progress=lambda d, t, n: seen.append((d, t)))
         assert seen[-1] == (5, 5)
 
     def test_make_executor(self):
         assert isinstance(make_executor("serial"), SerialExecutor)
-        assert make_executor("parallel", max_workers=3).max_workers == 3
-        assert make_executor("batch", batch_size=5).batch_size == 5
-        with pytest.raises(ValueError):
-            make_executor("quantum")
+        executor = make_executor("distributed", workers=3)
+        assert executor.name == "distributed" and executor.workers == 3
+        executor.close()  # never started: a no-op
+        for name in ("parallel", "batch", "quantum"):
+            with pytest.raises(ValueError, match=r"choose from \['distributed', 'serial'\]"):
+                make_executor(name)
 
 
 class TestFallbackKeepsBatchFn:
@@ -146,37 +164,6 @@ class TestFallbackKeepsBatchFn:
 
         return batch_fn
 
-    def test_parallel_single_job_fallback(self):
-        calls = []
-        results = ParallelExecutor(max_workers=4).execute(
-            _toy_jobs(1), batch_fn=self._tracking_batch_fn(calls)
-        )
-        assert results == [0]
-        assert calls == [1]
-
-    def test_parallel_single_worker_fallback(self):
-        calls = []
-        results = ParallelExecutor(max_workers=1).execute(
-            _toy_jobs(7), batch_fn=self._tracking_batch_fn(calls)
-        )
-        assert results == [i * i for i in range(7)]
-        assert sum(calls) == 7
-
-    def test_parallel_pool_failure_fallback(self, monkeypatch):
-        import concurrent.futures
-
-        def broken_pool(*args, **kwargs):
-            raise OSError("no semaphores in this sandbox")
-
-        # ParallelExecutor imports the pool class when it runs, from here.
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", broken_pool)
-        calls = []
-        results = ParallelExecutor(max_workers=4).execute(
-            _toy_jobs(9), batch_fn=self._tracking_batch_fn(calls)
-        )
-        assert results == [i * i for i in range(9)]
-        assert sum(calls) == 9
-
     def test_distributed_single_job_fallback(self):
         from repro.cluster import DistributedExecutor
 
@@ -189,8 +176,8 @@ class TestFallbackKeepsBatchFn:
 
 
 class TestSweepEngine:
-    def test_run_preserves_submission_order(self):
-        engine = SweepEngine(ParallelExecutor(max_workers=2, chunksize=1))
+    def test_run_preserves_submission_order(self, cluster):
+        engine = SweepEngine(cluster)
         results = engine.run(SweepSpec("toy", _toy_jobs(8)))
         assert results == [i * i for i in range(8)]
 
@@ -216,9 +203,9 @@ class TestSweepEngine:
     def test_describe_names_the_auto_engine(self):
         # The auto engine runs batch_fn sweeps batched, so it must not
         # print the serial executor's name; a pinned executor keeps its own.
-        assert default_engine().describe().startswith("SweepEngine[auto] — ")
-        assert default_engine("serial").describe().startswith("SweepEngine[serial] — ")
-        assert default_engine("batch").describe().startswith("SweepEngine[batch] — ")
+        assert SweepEngine().describe().startswith("SweepEngine[auto] — ")
+        assert SweepEngine(SerialExecutor()).describe().startswith("SweepEngine[serial] — ")
+        assert SweepEngine(BatchExecutor()).describe().startswith("SweepEngine[batch] — ")
 
     def test_cacheable_jobs_round_trip(self, tmp_path):
         cache = ArtifactCache(tmp_path)
@@ -253,16 +240,14 @@ class TestSweepEngine:
 
 
 class TestScheduleIndependence:
-    """Parallel and batch execution must be bit-identical to serial."""
+    """Parallel (the shared cluster) and batch execution must be
+    bit-identical to serial."""
 
-    def test_dse_parallel_and_batch_match_serial(self, quick_suite):
+    def test_dse_parallel_and_batch_match_serial(self, quick_suite, cluster, monkeypatch):
         space = DesignSpace.quick()
         serial = explore_design_space(quick_suite, space)
-        parallel = explore_design_space(
-            quick_suite,
-            space,
-            engine=SweepEngine(ParallelExecutor(max_workers=2, chunksize=2)),
-        )
+        monkeypatch.setattr(cluster, "chunksize", 2)
+        parallel = explore_design_space(quick_suite, space, engine=SweepEngine(cluster))
         batched = explore_design_space(
             quick_suite, space, engine=SweepEngine(BatchExecutor(batch_size=3))
         )
@@ -280,31 +265,26 @@ class TestScheduleIndependence:
                 reference.analysis.results, candidate.analysis.results
             )
 
-    def test_monte_carlo_sigma_is_schedule_independent(self, quick_suite, fom_config):
+    def test_monte_carlo_sigma_is_schedule_independent(
+        self, quick_suite, fom_config, cluster, monkeypatch
+    ):
         """SeedSequence.spawn-derived seeds make serial and parallel runs
         produce bit-identical sigma estimates (satellite requirement)."""
         serial = monte_carlo_error_distribution(
             quick_suite, fom_config, samples=16, seed=42
         )
+        monkeypatch.setattr(cluster, "chunksize", 3)
         parallel = monte_carlo_error_distribution(
-            quick_suite,
-            fom_config,
-            samples=16,
-            seed=42,
-            engine=SweepEngine(ParallelExecutor(max_workers=2, chunksize=3)),
+            quick_suite, fom_config, samples=16, seed=42, engine=SweepEngine(cluster)
         )
         np.testing.assert_array_equal(serial, parallel)
         assert float(np.std(serial)) == float(np.std(parallel))
         assert float(np.std(serial)) > 0.0
 
-    def test_characterization_parallel_matches_serial(self, technology):
+    def test_characterization_parallel_matches_serial(self, technology, cluster):
         plan = CharacterizationPlan.quick()
         serial = characterize(technology, plan)
-        parallel = characterize(
-            technology,
-            plan,
-            engine=SweepEngine(ParallelExecutor(max_workers=2, chunksize=1)),
-        )
+        parallel = characterize(technology, plan, engine=SweepEngine(cluster))
         np.testing.assert_array_equal(
             serial.base.bitline_voltage, parallel.base.bitline_voltage
         )
@@ -363,22 +343,35 @@ class TestCli:
         assert len(ArtifactCache(cache_dir)) == 0
 
     def test_executor_cli_choices(self, tmp_path):
-        for executor in ("serial", "parallel", "batch"):
+        for engine in (["--executor", "serial"], ["--executor", "distributed", "--workers", "1"]):
             assert (
                 cli_main(
-                    [
-                        "run",
-                        "characterize",
-                        "--fast",
-                        "--quiet",
-                        "--executor",
-                        executor,
-                        "--cache-dir",
-                        str(tmp_path / f"cache-{executor}"),
-                    ]
+                    ["run", "characterize", "--fast", "--quiet", *engine]
+                    + ["--cache-dir", str(tmp_path / f"cache-{engine[1]}")]
                 )
                 == 0
             )
+
+    @pytest.mark.parametrize(
+        "flags",
+        [["--executor", "parallel"], ["--executor", "batch"], ["--batch-size", "4"]],
+        ids=["parallel", "batch", "batch-size"],
+    )
+    def test_retired_engine_options_are_usage_errors(self, flags):
+        """``distributed`` is the one multi-process path and ``batch`` is no
+        registry name: each of these spellings is an argparse usage error,
+        not a traceback."""
+        repo_src = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
+        result = subprocess.run(
+            [sys.executable, "-m", "repro", "run", "dse", "--fast", "--quiet", *flags],
+            env={**os.environ, "PYTHONPATH": repo_src},
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        assert result.returncode == 2
+        assert "usage: python -m repro" in result.stderr
+        assert "Traceback" not in result.stderr
 
 
 class TestMakeExecutorValidation:
@@ -386,28 +379,29 @@ class TestMakeExecutorValidation:
 
     def test_irrelevant_options_rejected(self):
         with pytest.raises(ValueError, match="serial"):
-            make_executor("serial", max_workers=8)
-        with pytest.raises(ValueError, match="batch"):
-            make_executor("batch", max_workers=8)
-        with pytest.raises(ValueError, match="parallel"):
-            make_executor("parallel", batch_size=4)
+            make_executor("serial", workers=8)
+        with pytest.raises(ValueError, match="distributed"):
+            make_executor("distributed", max_workers=8)
+        with pytest.raises(ValueError, match="distributed"):
+            make_executor("distributed", batch_size=4)
         with pytest.raises(ValueError, match="typo_option"):
-            make_executor("parallel", typo_option=1)
+            make_executor("distributed", typo_option=1)
 
     def test_none_means_unset_and_is_always_accepted(self):
         assert isinstance(
-            make_executor("serial", max_workers=None, chunksize=None, batch_size=None),
+            make_executor("serial", workers=None, chunksize=None, connect=None),
             SerialExecutor,
         )
-        assert make_executor("batch", batch_size=None).batch_size == 8
+        # The auto engine's batch size is BatchExecutor's default.
+        assert BatchExecutor().batch_size == AUTO_BATCH_SIZE
 
     def test_invalid_values_propagate_instead_of_coercing(self):
         with pytest.raises(ValueError, match="batch_size"):
-            make_executor("batch", batch_size=0)
-        with pytest.raises(ValueError, match="max_workers"):
-            make_executor("parallel", max_workers=0)
+            BatchExecutor(batch_size=0)
+        with pytest.raises(ValueError, match="workers"):
+            make_executor("distributed", workers=-1)
         with pytest.raises(ValueError, match="chunksize"):
-            make_executor("parallel", chunksize=0)
+            make_executor("distributed", chunksize=0)
 
 
 class TestEngineProgressTotals:
