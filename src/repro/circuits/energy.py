@@ -17,45 +17,13 @@ how the paper extracts energies from circuit simulation.
 
 from __future__ import annotations
 
-import dataclasses
 from typing import Union
 
 import numpy as np
 
-from repro.circuits.conditions import OperatingConditions
 from repro.circuits.technology import TechnologyCard
 
 ArrayLike = Union[float, np.ndarray]
-
-
-@dataclasses.dataclass(frozen=True)
-class EnergyBreakdown:
-    """Per-phase energy of one in-SRAM multiply, in joules."""
-
-    write: float
-    wordline: float
-    precharge_restore: float
-    sampling: float
-
-    @property
-    def discharge(self) -> float:
-        """Energy of the discharge phase (everything except the write)."""
-        return self.wordline + self.precharge_restore + self.sampling
-
-    @property
-    def total(self) -> float:
-        """Total energy of write plus discharge phases."""
-        return self.write + self.discharge
-
-    def describe(self) -> str:
-        """Short human-readable description used in reports."""
-        return (
-            f"write={self.write * 1e15:.1f} fJ, "
-            f"wordline={self.wordline * 1e15:.1f} fJ, "
-            f"restore={self.precharge_restore * 1e15:.1f} fJ, "
-            f"sampling={self.sampling * 1e15:.1f} fJ, "
-            f"total={self.total * 1e15:.1f} fJ"
-        )
 
 
 class EnergyModelReference:
@@ -99,25 +67,17 @@ class EnergyModelReference:
     # ------------------------------------------------------------------
     # Write energy (per cell)
     # ------------------------------------------------------------------
-    def write_energy(self, conditions: OperatingConditions) -> float:
-        """Energy to write one bit, independent of the written value.
-
-        The symmetric 6T layout makes the write energy data-independent
-        (paper Section IV-B): one of the two bit-lines is always discharged
-        to ground and re-charged afterwards, and the internal nodes always
-        toggle one full swing in the worst case that sizing is done for.
-        """
-        return float(self.write_energy_table(conditions.vdd, conditions.temperature))
-
     def write_energy_table(
         self, vdd: ArrayLike, temperature: ArrayLike
     ) -> np.ndarray:
         """Write energy over per-record supply / temperature columns.
 
-        ``vdd`` and ``temperature`` broadcast against each other; every
-        element is bit-identical to a scalar :meth:`write_energy` call at
-        that operating point (the accounting is purely elementwise), so a
-        whole characterisation table evaluates as one NumPy pass.
+        ``vdd`` and ``temperature`` broadcast against each other.  The write
+        energy is data-independent (paper Section IV-B): the symmetric 6T
+        layout always discharges and re-charges one of the two bit-lines,
+        and the internal nodes toggle one full swing.  The accounting is
+        purely elementwise, so a whole characterisation table evaluates as
+        one NumPy pass.
         """
         vdd = np.asarray(vdd, dtype=float)
         # Both the BL and the BLB are driven during a write (one of them
@@ -130,12 +90,6 @@ class EnergyModelReference:
         )
         switching = switching * (1.0 + self.write_overhead)
         return switching + self._leakage_energy_table(vdd, temperature)
-
-    def _leakage_energy(self, conditions: OperatingConditions) -> float:
-        """Leakage energy over the write phase; grows exponentially with T."""
-        return float(
-            self._leakage_energy_table(conditions.vdd, conditions.temperature)
-        )
 
     def _leakage_energy_table(
         self, vdd: ArrayLike, temperature: ArrayLike
@@ -155,36 +109,9 @@ class EnergyModelReference:
         )
         return power * self.write_duration
 
-    def word_write_energy(self, conditions: OperatingConditions, bits: int = 4) -> float:
-        """Energy to write a ``bits``-wide word (one cell per column)."""
-        if bits <= 0:
-            raise ValueError("bits must be positive")
-        return bits * self.write_energy(conditions)
-
     # ------------------------------------------------------------------
     # Discharge energy (per bit-line)
     # ------------------------------------------------------------------
-    def discharge_energy(
-        self,
-        delta_v_bl: ArrayLike,
-        wordline_voltage: ArrayLike,
-        conditions: OperatingConditions,
-    ) -> np.ndarray:
-        """Energy of one discharge-and-restore cycle on one bit-line.
-
-        Parameters
-        ----------
-        delta_v_bl:
-            Discharge swing of the bit-line in volts.
-        wordline_voltage:
-            DAC output voltage driven onto the word line.
-        conditions:
-            PVT operating point.
-        """
-        return self.discharge_energy_table(
-            delta_v_bl, wordline_voltage, conditions.vdd, conditions.temperature
-        )
-
     def discharge_energy_table(
         self,
         delta_v_bl: ArrayLike,
@@ -194,12 +121,10 @@ class EnergyModelReference:
     ) -> np.ndarray:
         """Discharge energy over per-record columns, one NumPy pass.
 
-        Accepts whole characterisation columns (``vdd`` / ``temperature``
-        varying per record) instead of a single
-        :class:`~repro.circuits.conditions.OperatingConditions` point; each
-        element is bit-identical to the corresponding scalar
-        :meth:`discharge_energy` call because the accounting is purely
-        elementwise.
+        ``delta_v_bl`` is the discharge swing in volts, ``wordline_voltage``
+        the DAC output on the word line and ``vdd`` / ``temperature`` the
+        per-record operating point; every argument broadcasts, so whole
+        characterisation columns evaluate in one elementwise pass.
         """
         delta_v = np.maximum(np.asarray(delta_v_bl, dtype=float), 0.0)
         del wordline_voltage  # accepted for API symmetry; the word-line /
@@ -219,23 +144,3 @@ class EnergyModelReference:
             np.asarray(temperature, dtype=float) - self.technology.temperature_nominal
         )
         return (restore + restore_loss + sampling) * temperature_factor
-
-    def breakdown(
-        self,
-        delta_v_bl: float,
-        wordline_voltage: float,
-        conditions: OperatingConditions,
-        bits: int = 4,
-    ) -> EnergyBreakdown:
-        """Full per-phase energy breakdown of one multiply on one bit-line."""
-        vdd = conditions.vdd
-        delta_v = max(float(delta_v_bl), 0.0)
-        return EnergyBreakdown(
-            write=self.word_write_energy(conditions, bits=bits),
-            wordline=float(self.technology.wordline_capacitance * wordline_voltage**2),
-            precharge_restore=float(
-                self._bitline_capacitance * vdd * delta_v
-                + 0.5 * self._bitline_capacitance * delta_v**2
-            ),
-            sampling=float(self.technology.sampling_capacitance * vdd * delta_v),
-        )

@@ -13,7 +13,7 @@ behaviour.
 from __future__ import annotations
 
 import dataclasses
-from typing import Iterator, List, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -56,21 +56,6 @@ class MismatchParameters:
             ),
         )
 
-    def scaled(self, factor: float) -> "MismatchParameters":
-        """Return a copy with all sigmas multiplied by ``factor``.
-
-        Useful for sensitivity studies (e.g. "what if the layout doubled the
-        device area?").
-        """
-        if factor < 0.0:
-            raise ValueError("factor must be non-negative")
-        return MismatchParameters(
-            sigma_vth_access=self.sigma_vth_access * factor,
-            sigma_vth_pulldown=self.sigma_vth_pulldown * factor,
-            sigma_beta_access=self.sigma_beta_access * factor,
-            sigma_beta_pulldown=self.sigma_beta_pulldown * factor,
-        )
-
 
 @dataclasses.dataclass(frozen=True)
 class MismatchSample:
@@ -89,15 +74,6 @@ class MismatchSample:
     def nominal(cls) -> "MismatchSample":
         """A perfectly matched (zero-offset) sample."""
         return cls()
-
-    def describe(self) -> str:
-        """Short human-readable description used in reports."""
-        return (
-            f"dVth(acc)={self.vth_access * 1e3:+.2f} mV, "
-            f"dVth(pd)={self.vth_pulldown * 1e3:+.2f} mV, "
-            f"dbeta(acc)={self.beta_access * 1e2:+.2f} %, "
-            f"dbeta(pd)={self.beta_pulldown * 1e2:+.2f} %"
-        )
 
 
 class MismatchSampler:
@@ -118,22 +94,6 @@ class MismatchSampler:
         self.parameters = parameters
         self._rng = np.random.default_rng(seed)
 
-    def sample(self) -> MismatchSample:
-        """Draw one mismatch sample."""
-        p = self.parameters
-        return MismatchSample(
-            vth_access=float(self._rng.normal(0.0, p.sigma_vth_access)),
-            vth_pulldown=float(self._rng.normal(0.0, p.sigma_vth_pulldown)),
-            beta_access=float(self._rng.normal(0.0, p.sigma_beta_access)),
-            beta_pulldown=float(self._rng.normal(0.0, p.sigma_beta_pulldown)),
-        )
-
-    def samples(self, count: int) -> List[MismatchSample]:
-        """Draw ``count`` mismatch samples as a list."""
-        if count < 0:
-            raise ValueError("count must be non-negative")
-        return [self.sample() for _ in range(count)]
-
     def sample_arrays(self, count: int) -> "MismatchArrays":
         """Draw ``count`` samples as parallel arrays (for vectorised solves)."""
         if count < 0:
@@ -145,11 +105,6 @@ class MismatchSampler:
             beta_access=self._rng.normal(0.0, p.sigma_beta_access, size=count),
             beta_pulldown=self._rng.normal(0.0, p.sigma_beta_pulldown, size=count),
         )
-
-    def stream(self) -> Iterator[MismatchSample]:
-        """Infinite iterator of mismatch samples."""
-        while True:
-            yield self.sample()
 
 
 @dataclasses.dataclass
@@ -173,15 +128,3 @@ class MismatchArrays:
 
     def __len__(self) -> int:
         return len(self.vth_access)
-
-    def __getitem__(self, index: int) -> MismatchSample:
-        return MismatchSample(
-            vth_access=float(self.vth_access[index]),
-            vth_pulldown=float(self.vth_pulldown[index]),
-            beta_access=float(self.beta_access[index]),
-            beta_pulldown=float(self.beta_pulldown[index]),
-        )
-
-    def __iter__(self) -> Iterator[MismatchSample]:
-        for index in range(len(self)):
-            yield self[index]

@@ -29,7 +29,7 @@ from typing import Union
 import numpy as np
 
 from repro.circuits.conditions import OperatingConditions
-from repro.circuits.technology import ProcessCorner, TechnologyCard
+from repro.circuits.technology import TechnologyCard
 
 ArrayLike = Union[float, np.ndarray]
 
@@ -108,12 +108,6 @@ class NmosDevice:
         self.gain_offset = gain_offset
         self.name = name
 
-    def __repr__(self) -> str:  # pragma: no cover - debugging helper
-        return (
-            f"NmosDevice(name={self.name!r}, W={self.width * 1e9:.0f}n, "
-            f"L={self.length * 1e9:.0f}n, dVth={self.vth_offset * 1e3:+.2f}mV)"
-        )
-
     # ------------------------------------------------------------------
     # Parameter extraction
     # ------------------------------------------------------------------
@@ -147,40 +141,6 @@ class NmosDevice:
             leak_current=leak,
             thermal_voltage=tech.thermal_voltage(conditions.temperature),
         )
-
-    # ------------------------------------------------------------------
-    # I-V characteristics
-    # ------------------------------------------------------------------
-    def drain_current(
-        self,
-        vgs: ArrayLike,
-        vds: ArrayLike,
-        conditions: OperatingConditions,
-    ) -> np.ndarray:
-        """Drain current for gate-source voltage ``vgs`` and drain-source ``vds``.
-
-        The model pieces together three operating regions and keeps the
-        transitions continuous:
-
-        * sub-threshold (``vgs < vth``): exponential in the gate underdrive
-          with a ``1 - exp(-vds / vt)`` drain saturation factor,
-        * saturation (``vds >= vdsat``): ``K * (vgs - vth) ** alpha`` with
-          channel-length modulation,
-        * triode (``vds < vdsat``): the Sakurai-Newton quadratic blending
-          ``Isat * (2 - vds/vdsat) * (vds/vdsat)``.
-
-        All arguments broadcast; the return value is a NumPy array.
-        """
-        params = self.parameters(conditions)
-        return drain_current_from_parameters(params, vgs, vds)
-
-    def saturation_drain_voltage(
-        self, vgs: ArrayLike, conditions: OperatingConditions
-    ) -> np.ndarray:
-        """Drain saturation voltage ``V_dsat`` for the given gate voltage."""
-        params = self.parameters(conditions)
-        overdrive = np.maximum(np.asarray(vgs, dtype=float) - params.threshold_voltage, 0.0)
-        return saturation_voltage(overdrive, params.alpha)
 
 
 def saturation_voltage(overdrive: ArrayLike, alpha: float) -> np.ndarray:
@@ -244,8 +204,17 @@ def drain_current_from_gate(
 ) -> np.ndarray:
     """Finish the drain current from precomputed :class:`GateTerms`.
 
-    The three operating regions (sub-threshold, saturation, triode) are
-    those of :meth:`NmosDevice.drain_current`.
+    The model pieces together three operating regions and keeps the
+    transitions continuous:
+
+    * sub-threshold (``vgs < vth``): exponential in the gate underdrive
+      with a ``1 - exp(-vds / vt)`` drain saturation factor,
+    * saturation (``vds >= vdsat``): ``K * (vgs - vth) ** alpha`` with
+      channel-length modulation,
+    * triode (``vds < vdsat``): the Sakurai-Newton quadratic blending
+      ``Isat * (2 - vds/vdsat) * (vds/vdsat)``.
+
+    All arguments broadcast; the return value is a NumPy array.
     """
     vds_clipped = np.maximum(np.asarray(vds, dtype=float), 0.0)
     i_sub = gate.subthreshold_current * (
@@ -276,44 +245,12 @@ def drain_current_from_parameters(
     the composition of :func:`gate_terms` and :func:`drain_current_from_gate`:
 
     >>> from repro.circuits import OperatingConditions, tsmc65_like
-    >>> from repro.circuits.mosfet import access_device
     >>> technology = tsmc65_like()
-    >>> params = access_device(technology).parameters(
-    ...     OperatingConditions.nominal(technology))
+    >>> device = NmosDevice(technology, technology.access_width, technology.access_length)
+    >>> params = device.parameters(OperatingConditions.nominal(technology))
     >>> vgs, vds = np.array([0.2, 0.5, 0.9]), np.array([0.05, 0.3, 1.0])
     >>> split = drain_current_from_gate(params, gate_terms(params, vgs), vds)
     >>> bool(np.array_equal(split, drain_current_from_parameters(params, vgs, vds)))
     True
     """
     return drain_current_from_gate(params, gate_terms(params, vgs), vds)
-
-
-def access_device(technology: TechnologyCard, **mismatch: float) -> NmosDevice:
-    """Construct the 6T access transistor (M5/M6) for a technology card."""
-    return NmosDevice(
-        technology,
-        width=technology.access_width,
-        length=technology.access_length,
-        name="M_access",
-        **mismatch,
-    )
-
-
-def pulldown_device(technology: TechnologyCard, **mismatch: float) -> NmosDevice:
-    """Construct the 6T pull-down transistor (M2/M4) for a technology card."""
-    return NmosDevice(
-        technology,
-        width=technology.pulldown_width,
-        length=technology.pulldown_length,
-        name="M_pulldown",
-        **mismatch,
-    )
-
-
-def corner_description(corner: ProcessCorner) -> str:
-    """Human-readable description of a process corner for reports."""
-    if corner is ProcessCorner.FAST:
-        return "fast (low Vth, high mobility)"
-    if corner is ProcessCorner.SLOW:
-        return "slow (high Vth, low mobility)"
-    return "typical"

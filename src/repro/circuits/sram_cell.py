@@ -9,15 +9,14 @@ For the in-memory multiplication of Fig. 3 only the *discharge path* matters:
 when the stored bit is '1' (Q = VDD, Q-bar = 0 V) and an analogue voltage is
 applied to the word line, the BLB discharges through the series stack of the
 access transistor M6 (gate at ``V_WL``) and the pull-down transistor M4 (gate
-at ``VDD``).  The cell class therefore exposes a vectorised
-:meth:`SramCell.discharge_current` that solves this two-transistor stack, and
-the digital read/write behaviour needed by the array model.
+at ``VDD``).  The cell class therefore extracts the parameters of this
+two-transistor stack (:meth:`SramCell.discharge_stack`), and
+:class:`DischargeStack` solves it, vectorised.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import enum
 from typing import Optional, Union
 
 import numpy as np
@@ -71,25 +70,6 @@ def _solve_stack(
         high = np.where(positive, high, mid)
     v_x = 0.5 * (low + high)
     return drain_current_from_parameters(access, v_wl - v_x, v_bl - v_x)
-
-
-class CellState(enum.Enum):
-    """Logical content of one 6T cell."""
-
-    ZERO = 0
-    ONE = 1
-
-    @classmethod
-    def from_bit(cls, bit: int) -> "CellState":
-        """Convert an integer bit (0 or 1) into a cell state."""
-        if bit not in (0, 1):
-            raise ValueError(f"a cell stores a single bit, got {bit!r}")
-        return cls.ONE if bit else cls.ZERO
-
-    @property
-    def bit(self) -> int:
-        """The stored bit as an integer."""
-        return self.value
 
 
 @dataclasses.dataclass(frozen=True)
@@ -172,7 +152,7 @@ class DischargeStack:
         When the stored bit is '0', the BLB-side internal node sits at VDD
         and only the access device's sub-threshold/junction leakage loads the
         line.  It is orders of magnitude below the selected-cell current but
-        non-zero, which the array model uses to account for column leakage.
+        non-zero; the transient solver tabulates it for stored-bit-0 traces.
         """
         v_bl = np.asarray(v_bl, dtype=float)
         return drain_current_from_parameters(self.access, 0.0, np.maximum(v_bl - self.vdd, 0.0))
@@ -185,8 +165,6 @@ class SramCell:
     ----------
     technology:
         Technology card providing device geometries and process constants.
-    state:
-        Initial stored bit.
     mismatch:
         Optional per-device mismatch offsets for the discharge stack.  A
         ``None`` value means a perfectly matched cell.
@@ -195,11 +173,9 @@ class SramCell:
     def __init__(
         self,
         technology: TechnologyCard,
-        state: CellState = CellState.ZERO,
         mismatch: Optional[MismatchSample] = None,
     ) -> None:
         self.technology = technology
-        self.state = state
         self.mismatch = mismatch or MismatchSample.nominal()
         self._access = NmosDevice(
             technology,
@@ -218,25 +194,6 @@ class SramCell:
             name="M4",
         )
 
-    # ------------------------------------------------------------------
-    # Digital behaviour
-    # ------------------------------------------------------------------
-    def write(self, bit: int) -> None:
-        """Overwrite the stored bit (models the full-swing BL write)."""
-        self.state = CellState.from_bit(bit)
-
-    def read(self) -> int:
-        """Return the stored bit (models a standard differential read)."""
-        return self.state.bit
-
-    @property
-    def stored_bit(self) -> int:
-        """The stored bit as an integer."""
-        return self.state.bit
-
-    # ------------------------------------------------------------------
-    # Analogue behaviour
-    # ------------------------------------------------------------------
     def discharge_stack(self, conditions: OperatingConditions) -> DischargeStack:
         """Extract the discharge-path parameters for one operating point."""
         return DischargeStack(
@@ -244,34 +201,3 @@ class SramCell:
             pulldown=self._pulldown.parameters(conditions),
             vdd=conditions.vdd,
         )
-
-    def discharge_current(
-        self,
-        v_bl: ArrayLike,
-        v_wl: ArrayLike,
-        conditions: OperatingConditions,
-    ) -> np.ndarray:
-        """Current the cell draws from the BLB at voltage ``v_bl``.
-
-        When the stored bit is '0' the BLB-side node is held at VDD and only
-        leakage flows; when it is '1' the full series-stack current flows and
-        its magnitude depends on the word-line voltage, which is exactly the
-        multiplication mechanism of paper Eq. 1.
-        """
-        stack = self.discharge_stack(conditions)
-        if self.state is CellState.ZERO:
-            return stack.leakage_current(v_bl)
-        return stack.current(v_bl, v_wl)
-
-    def saturation_limit(self, v_wl: float, conditions: OperatingConditions) -> float:
-        """Bit-line voltage below which the access device leaves saturation.
-
-        This is the right-hand side of paper Eq. 2: ``V_BL >= V_WL - V_th``.
-        The ADC sampling time of a well-designed multiplier keeps the
-        discharge above this limit.
-        """
-        params = self._access.parameters(conditions)
-        return max(v_wl - params.threshold_voltage, 0.0)
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging helper
-        return f"SramCell(state={self.state.name}, mismatch={self.mismatch.describe()})"

@@ -95,8 +95,7 @@ import numpy as np
 from repro.circuits.bitline import BitLine
 from repro.circuits.conditions import OperatingConditions
 from repro.circuits.mismatch import MismatchArrays, MismatchSample
-from repro.circuits.mosfet import NmosDevice
-from repro.circuits.sram_cell import BISECTION_BLOCK, CellState, DischargeStack, SramCell
+from repro.circuits.sram_cell import BISECTION_BLOCK, DischargeStack, SramCell
 from repro.circuits.technology import TechnologyCard
 from repro.circuits.waveform import Waveform
 
@@ -230,23 +229,12 @@ class DischargeResult:
             return sampled[0]
         return sampled.reshape(self.voltages.shape[:-1])
 
-    def delta_at(self, time: float) -> np.ndarray:
-        """Discharge ``VDD - V_BLB(time)``."""
-        return self.conditions.vdd - self.voltage_at(time)
-
     def waveform(self, index: int = 0) -> Waveform:
         """Extract one trace as a :class:`Waveform`."""
         flat = self.voltages.reshape(-1, self.times.shape[0])
         if not 0 <= index < flat.shape[0]:
             raise IndexError(f"trace index {index} out of range (have {flat.shape[0]})")
         return Waveform(times=self.times, values=flat[index], name="v(blb)")
-
-    @property
-    def trace_count(self) -> int:
-        """Number of independent traces contained in the result."""
-        if self.voltages.ndim == 1:
-            return 1
-        return int(np.prod(self.voltages.shape[:-1]))
 
 
 class TransientSolver:
@@ -292,14 +280,14 @@ class TransientSolver:
     ) -> DischargeStack:
         """Build the discharge stack, possibly with vectorised mismatch."""
         if mismatch is None or isinstance(mismatch, MismatchSample):
-            cell = SramCell(self.technology, CellState.ONE, mismatch)
+            cell = SramCell(self.technology, mismatch)
             return cell.discharge_stack(conditions)
 
         # Vectorised Monte-Carlo: the threshold and gain offsets become
         # arrays inside the parameter set; the MOSFET equations broadcast.
         # Each offset gets a trailing axis so it broadcasts against the
         # voltage-grid axis the current table appends to the trace shape.
-        base_cell = SramCell(self.technology, CellState.ONE)
+        base_cell = SramCell(self.technology)
         stack = base_cell.discharge_stack(conditions)
         vth_access = mismatch.vth_access[:, np.newaxis]
         beta_access = mismatch.beta_access[:, np.newaxis]
@@ -552,22 +540,3 @@ class TransientSolver:
             mismatch=mismatch,
         )
         return np.asarray(result.conditions.vdd - result.final_voltage)
-
-    def saturation_time(
-        self,
-        wordline_voltage: float,
-        conditions: Optional[OperatingConditions] = None,
-        horizon: float = 4e-9,
-    ) -> Optional[float]:
-        """Time at which the access device leaves saturation (paper Eq. 2)."""
-        conditions = conditions or OperatingConditions.nominal(self.technology)
-        access = NmosDevice(
-            self.technology,
-            width=self.technology.access_width,
-            length=self.technology.access_length,
-        )
-        limit = wordline_voltage - access.parameters(conditions).threshold_voltage
-        if limit <= 0.0:
-            return None
-        result = self.simulate_discharge(wordline_voltage, horizon, conditions)
-        return result.waveform().crossing_time(limit)

@@ -27,9 +27,7 @@ Layout::
     worker.py       Worker: long-lived job runner (python -m repro worker)
     executor.py     DistributedExecutor: the make_executor("distributed")
                     strategy owning the coordinator + local worker pool
-    control.py      status/ping/watch helpers (python -m repro cluster
-                    status [--watch]); ClusterWatchView folds the live
-                    repro.obs event stream into the per-worker table
+    control.py      status/ping helpers (python -m repro cluster status)
 
 The scheduling policy is documented in ``docs/scheduling.md``.
 
@@ -63,12 +61,9 @@ contribute a shard computed by different model physics.
 from __future__ import annotations
 
 from repro.cluster.control import (
-    ClusterWatchView,
     ControlError,
     fetch_status,
     format_status,
-    ping,
-    watch_status,
 )
 from repro.cluster.coordinator import ClusterError, Coordinator, WorkerInfo
 from repro.cluster.executor import DistributedExecutor
@@ -78,7 +73,6 @@ from repro.cluster.worker import Worker, WorkerError, parse_address, run_worker
 __all__ = [
     "CLUSTER_PROTOCOL_VERSION",
     "ClusterError",
-    "ClusterWatchView",
     "ControlError",
     "Coordinator",
     "DistributedExecutor",
@@ -88,7 +82,5 @@ __all__ = [
     "fetch_status",
     "format_status",
     "parse_address",
-    "ping",
     "run_worker",
-    "watch_status",
 ]

@@ -50,7 +50,7 @@ import dataclasses
 import itertools
 import time
 from collections import deque
-from typing import Any, Callable, Deque, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Deque, Dict, List, Optional, Sequence, Tuple
 
 from repro import obs, wire
 from repro.cluster import protocol
@@ -346,8 +346,6 @@ class Coordinator:
         self._chunk_ids = itertools.count(1)
         self._code_version = code_version()
         self._stopping = False
-        self._loop: Optional[asyncio.AbstractEventLoop] = None
-        self._watch_tasks: "set[asyncio.Task]" = set()
         self._connection_tasks: "Dict[asyncio.Task, asyncio.StreamWriter]" = {}
         # Per-instance view over process-wide registry counters: ``status``
         # reports this coordinator's own counts (zero at birth) while the
@@ -377,7 +375,6 @@ class Coordinator:
             limit=wire.MAX_MESSAGE_BYTES,
         )
         self._port = self._server.sockets[0].getsockname()[1]
-        self._loop = asyncio.get_running_loop()
         self._tasks.append(asyncio.ensure_future(self._scheduler_loop()))
         self._tasks.append(asyncio.ensure_future(self._reaper_loop()))
         return self.address
@@ -399,12 +396,6 @@ class Coordinator:
         for run in list(self._runs.values()):
             run.fail(ClusterError("coordinator stopped"))
         self._runs.clear()
-        # Watch streams never end on their own; cancel them before the
-        # regular background tasks so shutdown cannot block on a watcher.
-        for task in list(self._watch_tasks):
-            task.cancel()
-        await asyncio.gather(*self._watch_tasks, return_exceptions=True)
-        self._watch_tasks.clear()
         # Connection handlers outlive the closed server; finish them here so
         # none is left pending when the event loop closes.  Closing their
         # transports ends their read loops, so they return normally:
@@ -787,7 +778,6 @@ class Coordinator:
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> None:
         link: Optional[_WorkerLink] = None
-        watch_cleanups: List[Callable[[], None]] = []
         task = asyncio.current_task()
         self._connection_tasks[task] = writer
         try:
@@ -819,21 +809,12 @@ class Coordinator:
                     await self._send_raw(writer, self.status_event(message.get("id")))
                 elif op == "ping":
                     await self._send_raw(writer, {"event": "pong", "id": message.get("id")})
-                elif op == "watch":
-                    await self._send_raw(
-                        writer, {"event": "watching", "id": message.get("id")}
-                    )
-                    watch_cleanups.append(
-                        self._start_watch(writer, message.get("id"))
-                    )
                 else:
                     await self._send_raw(
                         writer, protocol.error_event(f"unexpected op {op!r}")
                     )
         finally:
             self._connection_tasks.pop(task, None)
-            for cleanup in watch_cleanups:
-                cleanup()
             if link is not None:
                 self._on_worker_death(link)
             try:
@@ -849,65 +830,6 @@ class Coordinator:
             await writer.drain()
         except (ConnectionError, RuntimeError, OSError):
             pass
-
-    def _start_watch(
-        self, writer: asyncio.StreamWriter, request_id: Any
-    ) -> Callable[[], None]:
-        """Stream :mod:`repro.obs` events to one control client.
-
-        The bus delivers synchronously on whatever thread emitted, so a
-        subscriber bridges onto the coordinator loop and into a bounded
-        queue; a slow watcher drops its *oldest* frames (live views want
-        the present, not a complete history) and can never stall the
-        coordinator.  Returns the cleanup closure the connection handler
-        runs on disconnect.
-        """
-        loop = self._loop or asyncio.get_running_loop()
-        queue: "asyncio.Queue[Dict[str, Any]]" = asyncio.Queue(maxsize=1024)
-
-        def enqueue(event: Dict[str, Any]) -> None:
-            while True:
-                try:
-                    queue.put_nowait(event)
-                    return
-                except asyncio.QueueFull:
-                    try:
-                        queue.get_nowait()
-                    except asyncio.QueueEmpty:
-                        pass
-
-        def bridge(event: Dict[str, Any]) -> None:
-            loop.call_soon_threadsafe(enqueue, event)
-
-        obs.EVENTS.subscribe(bridge)
-
-        async def pump() -> None:
-            while True:
-                event = await queue.get()
-                # Frames are single write() calls, so interleaving with
-                # reply frames from the read loop stays well-formed.
-                writer.write(
-                    wire.encode_message(
-                        {"event": "obs", "id": request_id, "data": event}
-                    )
-                )
-                await writer.drain()
-
-        task = asyncio.ensure_future(pump())
-        self._watch_tasks.add(task)
-
-        def _done(finished: "asyncio.Task") -> None:
-            self._watch_tasks.discard(finished)
-            if not finished.cancelled():
-                finished.exception()  # connection died mid-write: consumed
-
-        task.add_done_callback(_done)
-
-        def cleanup() -> None:
-            obs.EVENTS.unsubscribe(bridge)
-            task.cancel()
-
-        return cleanup
 
     async def _handle_hello(
         self, message: Dict[str, Any], writer: asyncio.StreamWriter
@@ -1031,13 +953,3 @@ class Coordinator:
             "heartbeat_interval": self.heartbeat_interval,
             "heartbeat_timeout": self.heartbeat_timeout,
         }
-
-    def describe(self) -> str:
-        """Short human-readable summary."""
-        host, port = self.address
-        return (
-            f"Coordinator[{host}:{port}] — {self.worker_count()} workers, "
-            f"{self.stats['jobs_done']} jobs done, "
-            f"{self.stats['chunks_stolen']} chunks stolen, "
-            f"{self.stats['chunks_retried']} retried"
-        )

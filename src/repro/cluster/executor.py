@@ -273,28 +273,6 @@ class DistributedExecutor:
         if self.coordinator.worker_count() == 0:
             raise ClusterError("no workers registered within the start timeout")
 
-    def wait_for_workers(self, count: int, timeout: Optional[float] = None) -> None:
-        """Block until ``count`` workers are registered on the endpoint.
-
-        For callers joining *external* workers after :meth:`start` —
-        benchmarks and tests spawning throttled stragglers, operators
-        scripting pool bring-up.  Raises :class:`ClusterError` when the
-        pool has not reached ``count`` within ``timeout`` (default:
-        ``start_timeout``).
-        """
-        if self.coordinator is None:
-            raise ClusterError("executor not started")
-        deadline = time.monotonic() + (
-            self.start_timeout if timeout is None else timeout
-        )
-        while self.coordinator.worker_count() < count:
-            if time.monotonic() > deadline:
-                raise ClusterError(
-                    f"only {self.coordinator.worker_count()} of {count} workers "
-                    "registered within the timeout"
-                )
-            time.sleep(0.02)
-
     def close(self) -> None:
         """Stop the coordinator, terminate spawned workers, join the loop."""
         with self._lock:
@@ -410,10 +388,3 @@ class DistributedExecutor:
     async def _status_async(self) -> dict:
         assert self.coordinator is not None
         return self.coordinator.status_event()
-
-    def describe(self) -> str:
-        if self._fallback is not None:
-            return "DistributedExecutor[fallback=serial]"
-        if self.coordinator is None:
-            return f"DistributedExecutor[{self.workers} workers, not started]"
-        return self.coordinator.describe()

@@ -40,12 +40,6 @@ to a :class:`~repro.cluster.coordinator.Coordinator`:
     steal / retry counters.
 ``{"op": "ping", "id": ...}``
     Answered with ``pong``.
-``{"op": "watch", "id": ...}``
-    Answered with ``{"event": "watching", "id": ...}`` and then a live
-    stream of ``{"event": "obs", "id": ..., "data": {...}}`` frames, one
-    per :mod:`repro.obs` event (``python -m repro cluster status
-    --watch`` drives its table from this stream).  The stream ends when
-    the client disconnects or the coordinator shuts down.
 
 Coordinator -> worker events:
 
@@ -108,7 +102,7 @@ CLUSTER_PROTOCOL_VERSION = 8
 WORKER_OPS = ("hello", "heartbeat", "chunk_done", "chunk_failed")
 
 #: Control-client -> coordinator ``op`` vocabulary (``cluster status``).
-CONTROL_OPS = ("status", "ping", "watch")
+CONTROL_OPS = ("status", "ping")
 
 #: Coordinator -> peer ``event`` vocabulary (workers and control clients).
 COORDINATOR_EVENTS = (
@@ -119,8 +113,6 @@ COORDINATOR_EVENTS = (
     "error",
     "status",
     "pong",
-    "watching",
-    "obs",
 )
 
 

@@ -17,7 +17,7 @@ benchmarks can quantify its benefit.
 from __future__ import annotations
 
 import dataclasses
-from typing import Callable, Union
+from typing import Union
 
 import numpy as np
 
@@ -74,12 +74,6 @@ class LinearDac:
         code = np.clip(np.asarray(code, dtype=float), 0, self.max_code)
         return self.v_zero + code * self.step
 
-    def code_for_voltage(self, voltage: ArrayLike) -> np.ndarray:
-        """Nearest input code that produces ``voltage`` (inverse transfer)."""
-        voltage = np.asarray(voltage, dtype=float)
-        code = np.rint((voltage - self.v_zero) / self.step)
-        return np.clip(code, 0, self.max_code).astype(int)
-
     def conversion_energy(self, code: ArrayLike) -> np.ndarray:
         """Energy to drive the word line to the output voltage of ``code``."""
         voltage = self.voltage(code)
@@ -111,11 +105,6 @@ class NonlinearCompensatingDac:
     def __post_init__(self) -> None:
         if self.exponent <= 0.0:
             raise ValueError("exponent must be positive")
-
-    @property
-    def bits(self) -> int:
-        """Resolution in bits."""
-        return self.linear.bits
 
     @property
     def max_code(self) -> int:

@@ -101,10 +101,6 @@ class DischargeSweep:
     def __len__(self) -> int:
         return int(self.time.size)
 
-    def discharge(self) -> np.ndarray:
-        """Discharge ``V_DD - V_BLB`` of every record."""
-        return self.vdd - self.bitline_voltage
-
 
 @dataclasses.dataclass
 class MismatchSweep:

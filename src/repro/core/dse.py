@@ -48,15 +48,6 @@ class DesignSpace:
         if any(t <= 0.0 for t in self.tau0_values):
             raise ValueError("tau0 values must be positive")
 
-    @property
-    def corner_count(self) -> int:
-        """Number of design corners in the grid."""
-        return (
-            len(self.tau0_values)
-            * len(self.v_dac_zero_values)
-            * len(self.v_dac_full_scale_values)
-        )
-
     def configurations(self) -> Iterable[MultiplierConfig]:
         """Yield one :class:`MultiplierConfig` per corner.
 

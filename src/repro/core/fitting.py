@@ -75,16 +75,6 @@ class FitReport:
         ]
         return "\n".join(lines)
 
-    @property
-    def worst_voltage_rms(self) -> float:
-        """Largest voltage-model residual (the paper's headline 0.88 mV)."""
-        return max(
-            self.rms_base_discharge,
-            self.rms_supply,
-            self.rms_temperature,
-            self.rms_mismatch_sigma,
-        )
-
 
 # ----------------------------------------------------------------------
 # Individual model fits

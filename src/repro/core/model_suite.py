@@ -4,15 +4,11 @@
 event-driven testbench, the in-SRAM multiplier model, the design-space
 exploration and the DNN injection all query discharges, sigmas and energies
 exclusively through this object, never through the slow reference simulator.
-The suite is JSON-serialisable so a calibration can be stored next to the
-technology it was fitted for and reloaded without re-running the sweeps.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import json
-import pathlib
 from typing import Dict, Optional, Sequence, Union
 
 import numpy as np
@@ -61,24 +57,6 @@ class OptimaModelSuite:
     def temperature_nominal(self) -> float:
         """Nominal temperature of the calibration in kelvin."""
         return self.discharge.temperature_nominal
-
-    @property
-    def threshold_voltage(self) -> float:
-        """Threshold voltage used for the overdrive transformation."""
-        return self.discharge.threshold_voltage
-
-    def bitline_voltage(
-        self,
-        time: ArrayLike,
-        wordline_voltage: ArrayLike,
-        conditions: Optional[OperatingConditions] = None,
-        stored_bit: int = 1,
-    ) -> np.ndarray:
-        """Deterministic bit-line voltage under the given conditions."""
-        vdd, temperature = self._split_conditions(conditions)
-        return self.discharge.bitline_voltage(
-            time, wordline_voltage, vdd=vdd, temperature=temperature, stored_bit=stored_bit
-        )
 
     def discharge_voltage(
         self,
@@ -141,13 +119,6 @@ class OptimaModelSuite:
         """Mismatch sigma of the discharge (paper Eq. 6)."""
         return self.discharge.mismatch_sigma(time, wordline_voltage)
 
-    def write_energy_per_bit(
-        self, conditions: Optional[OperatingConditions] = None
-    ) -> float:
-        """Write energy per bit under the given conditions."""
-        vdd, temperature = self._split_conditions(conditions)
-        return float(self.write_energy.energy(vdd, temperature))
-
     def word_write_energy(
         self, conditions: Optional[OperatingConditions] = None, bits: int = 4
     ) -> float:
@@ -183,27 +154,3 @@ class OptimaModelSuite:
             "technology_name": self.technology_name,
             "metadata": self.metadata,
         }
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, object]) -> "OptimaModelSuite":
-        """Inverse of :meth:`to_dict`."""
-        return cls(
-            discharge=DischargeModel.from_dict(data["discharge"]),
-            write_energy=WriteEnergyModel.from_dict(data["write_energy"]),
-            discharge_energy=DischargeEnergyModel.from_dict(data["discharge_energy"]),
-            technology_name=str(data.get("technology_name", "unknown")),
-            metadata=dict(data.get("metadata", {})),
-        )
-
-    def save(self, path: Union[str, pathlib.Path]) -> pathlib.Path:
-        """Write the suite to a JSON file and return the path."""
-        path = pathlib.Path(path)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(json.dumps(self.to_dict(), indent=2))
-        return path
-
-    @classmethod
-    def load(cls, path: Union[str, pathlib.Path]) -> "OptimaModelSuite":
-        """Load a suite previously written with :meth:`save`."""
-        path = pathlib.Path(path)
-        return cls.from_dict(json.loads(path.read_text()))

@@ -5,8 +5,8 @@ polynomials ``p_n(X)`` combined either as products (e.g.
 ``p4(V_od) * p2(t)``) or as additive correction terms.  Three fitting
 primitives cover all of them:
 
-* :class:`Polynomial1D` — a plain 1-D polynomial with linear least-squares
-  fitting.
+* :class:`Polynomial1D` — a plain 1-D polynomial (one factor of a product
+  model).
 * :class:`SeparableProductModel` — a product of per-variable polynomials
   ``p_{n_1}(x_1) * p_{n_2}(x_2) * ...`` fitted with alternating least
   squares (each factor is linear in its own coefficients when the others are
@@ -52,47 +52,10 @@ class Polynomial1D:
         if self.coefficients.size == 0:
             raise ValueError("a polynomial needs at least one coefficient")
 
-    @property
-    def degree(self) -> int:
-        """Polynomial degree ``n``."""
-        return int(self.coefficients.size - 1)
-
     def __call__(self, values: ArrayLike) -> np.ndarray:
         """Evaluate the polynomial (broadcasts over array inputs)."""
         values = np.asarray(values, dtype=float)
         return np.polynomial.polynomial.polyval(values, self.coefficients)
-
-    def derivative(self) -> "Polynomial1D":
-        """Return the first derivative as a new polynomial."""
-        if self.degree == 0:
-            return Polynomial1D(np.zeros(1), variable=self.variable)
-        deriv = np.polynomial.polynomial.polyder(self.coefficients)
-        return Polynomial1D(deriv, variable=self.variable)
-
-    def scaled(self, factor: float) -> "Polynomial1D":
-        """Return ``factor * p(x)`` as a new polynomial."""
-        return Polynomial1D(self.coefficients * factor, variable=self.variable)
-
-    @classmethod
-    def fit(
-        cls,
-        inputs: ArrayLike,
-        targets: ArrayLike,
-        degree: int,
-        variable: str = "x",
-    ) -> "Polynomial1D":
-        """Least-squares fit of a degree-``degree`` polynomial."""
-        inputs = np.asarray(inputs, dtype=float).ravel()
-        targets = np.asarray(targets, dtype=float).ravel()
-        if inputs.shape != targets.shape:
-            raise ValueError("inputs and targets must have the same length")
-        if inputs.size <= degree:
-            raise ValueError(
-                f"need more than {degree} samples to fit a degree-{degree} polynomial"
-            )
-        design = vandermonde(inputs, degree)
-        coefficients, *_ = np.linalg.lstsq(design, targets, rcond=None)
-        return cls(coefficients, variable=variable)
 
     def to_dict(self) -> Dict[str, object]:
         """JSON-serialisable representation."""
@@ -100,18 +63,6 @@ class Polynomial1D:
             "variable": self.variable,
             "coefficients": self.coefficients.tolist(),
         }
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, object]) -> "Polynomial1D":
-        """Inverse of :meth:`to_dict`."""
-        return cls(
-            np.asarray(data["coefficients"], dtype=float),
-            variable=str(data.get("variable", "x")),
-        )
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging helper
-        terms = ", ".join(f"{c:.4g}" for c in self.coefficients)
-        return f"Polynomial1D(degree={self.degree}, {self.variable}: [{terms}])"
 
 
 class SeparableProductModel:
@@ -257,9 +208,6 @@ class SeparableProductModel:
         prediction = self(*[np.asarray(x, dtype=float).ravel() for x in inputs])
         return float(np.sqrt(np.mean((prediction - targets) ** 2)))
 
-    # ------------------------------------------------------------------
-    # Serialisation
-    # ------------------------------------------------------------------
     def to_dict(self) -> Dict[str, object]:
         """JSON-serialisable representation."""
         return {
@@ -268,20 +216,6 @@ class SeparableProductModel:
             "factors": [factor.to_dict() for factor in self.factors],
             "fitted": self.fitted,
         }
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, object]) -> "SeparableProductModel":
-        """Inverse of :meth:`to_dict`."""
-        model = cls(degrees=list(data["degrees"]), variables=list(data["variables"]))
-        model.factors = [Polynomial1D.from_dict(d) for d in data["factors"]]
-        model.fitted = bool(data.get("fitted", False))
-        return model
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging helper
-        description = " * ".join(
-            f"p{degree}({name})" for degree, name in zip(self.degrees, self.variables)
-        )
-        return f"SeparableProductModel({description}, fitted={self.fitted})"
 
 
 class TensorPolynomialModel:
@@ -339,25 +273,3 @@ class TensorPolynomialModel:
         targets = np.asarray(targets, dtype=float).ravel()
         prediction = self(np.asarray(x, dtype=float).ravel(), np.asarray(y, dtype=float).ravel())
         return float(np.sqrt(np.mean((prediction - targets) ** 2)))
-
-    def to_dict(self) -> Dict[str, object]:
-        """JSON-serialisable representation."""
-        return {
-            "degree_x": self.degree_x,
-            "degree_y": self.degree_y,
-            "variables": list(self.variables),
-            "coefficients": self.coefficients.tolist(),
-            "fitted": self.fitted,
-        }
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, object]) -> "TensorPolynomialModel":
-        """Inverse of :meth:`to_dict`."""
-        model = cls(
-            degree_x=int(data["degree_x"]),
-            degree_y=int(data["degree_y"]),
-            variables=tuple(data.get("variables", ("x", "y"))),
-        )
-        model.coefficients = np.asarray(data["coefficients"], dtype=float)
-        model.fitted = bool(data.get("fitted", False))
-        return model

@@ -21,7 +21,7 @@ no cheaper than recomputing the sample.
 from __future__ import annotations
 
 import dataclasses
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -58,10 +58,6 @@ class SensitivitySweep:
     values: np.ndarray
     mean_error_lsb: np.ndarray
     axis: str
-
-    def error_span(self) -> float:
-        """Spread of the mean error across the sweep."""
-        return float(np.max(self.mean_error_lsb) - np.min(self.mean_error_lsb))
 
     def worst_case(self) -> Tuple[float, float]:
         """(axis value, error) of the worst point of the sweep."""
@@ -216,18 +212,6 @@ def analyze_corner_robustness(
         nominal_energy_per_multiplication=nominal_analysis.energy_per_multiplication,
         small_operand_error_lsb=nominal_analysis.small_operand_error(),
     )
-
-
-def analyze_corners(
-    suite: OptimaModelSuite,
-    configs: Dict[str, MultiplierConfig],
-    **kwargs: object,
-) -> Dict[str, CornerRobustnessReport]:
-    """Run :func:`analyze_corner_robustness` for every named corner."""
-    return {
-        name: analyze_corner_robustness(suite, config, **kwargs)
-        for name, config in configs.items()
-    }
 
 
 def _monte_carlo_sample(

@@ -39,23 +39,6 @@ class AccuracyReport:
     top1_hits: Optional[int] = None
     top5_hits: Optional[int] = None
 
-    def as_row(self) -> Dict[str, object]:
-        """Row representation used by the table benchmarks."""
-        return {
-            "model": self.model,
-            "mode": self.mode,
-            "top1_percent": 100.0 * self.top1,
-            "top5_percent": 100.0 * self.top5,
-            "samples": self.samples,
-        }
-
-    def describe(self) -> str:
-        """Short human-readable description used in reports."""
-        return (
-            f"{self.model:<14} {self.mode:<12} "
-            f"top-1 {100.0 * self.top1:5.1f} %  top-5 {100.0 * self.top5:5.1f} %"
-        )
-
 
 def evaluate_accuracy(
     network: NetworkLike,

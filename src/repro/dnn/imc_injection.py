@@ -97,9 +97,6 @@ class ExactBackend:
         weights = np.asarray(weight_codes, dtype=np.float32)
         return activations @ weights
 
-    def __repr__(self) -> str:  # pragma: no cover - debugging helper
-        return "ExactBackend()"
-
 
 class LutBackend:
     """In-SRAM multiplier backend driven by a product lookup table.
@@ -208,9 +205,6 @@ class LutBackend:
             noise = self.rng.normal(0.0, 1.0, size=accumulated.shape).astype(np.float32)
             accumulated = accumulated + noise * np.sqrt(np.maximum(variance, 0.0))
         return accumulated
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging helper
-        return f"LutBackend(name={self.name!r}, stochastic={self.stochastic})"
 
 
 def backends_for_corners(

@@ -35,7 +35,7 @@ state does not match the network: missing bn.beta, bn.gamma, bn.running_mean, bn
 from __future__ import annotations
 
 import copy
-from typing import Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Mapping, Sequence, Tuple
 
 import numpy as np
 
@@ -113,55 +113,6 @@ class Network:
         """Reset every parameter gradient."""
         for parameter in self.parameters():
             parameter.zero_grad()
-
-    def parameter_count(self) -> int:
-        """Total number of trainable scalar parameters."""
-        return int(sum(parameter.value.size for parameter in self.parameters()))
-
-    # ------------------------------------------------------------------
-    # Introspection
-    # ------------------------------------------------------------------
-    def output_shape(self) -> Tuple[int, ...]:
-        """Shape of one output sample."""
-        shape = self.input_shape
-        for layer in self.layers:
-            shape = layer.output_shape(shape)
-        return shape
-
-    def multiplication_count(self) -> int:
-        """Scalar multiplications needed for one single-sample inference.
-
-        This is the quantity reported in the "Number of Multiplications"
-        column of paper Table II — every one of these multiplications is
-        what the in-SRAM multiplier replaces.
-        """
-        shape = self.input_shape
-        total = 0
-        for layer in self.layers:
-            total += layer.multiplication_count(shape)
-            shape = layer.output_shape(shape)
-        return total
-
-    def summary(self) -> str:
-        """Multi-line human-readable summary of the topology."""
-        lines = [f"{self.name}: input {self.input_shape}"]
-        shape = self.input_shape
-        for layer in self.layers:
-            out_shape = layer.output_shape(shape)
-            parameter_count = sum(p.value.size for p in layer.parameters())
-            lines.append(
-                f"  {type(layer).__name__:<18} {layer.name:<22} "
-                f"{str(shape):<15} -> {str(out_shape):<15} params={parameter_count}"
-            )
-            shape = out_shape
-        lines.append(
-            f"  total parameters: {self.parameter_count()}, "
-            f"multiplications/inference: {self.multiplication_count()}"
-        )
-        return "\n".join(lines)
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging helper
-        return f"Network(name={self.name!r}, layers={len(self.layers)})"
 
 
 class NetworkStateError(ValueError):

@@ -74,11 +74,6 @@ class TrainingHistory:
 
     losses: List[float]
 
-    @property
-    def final_loss(self) -> float:
-        """Training loss after the last epoch."""
-        return self.losses[-1] if self.losses else float("inf")
-
 
 class SgdOptimizer:
     """Plain SGD with momentum and decoupled weight decay."""

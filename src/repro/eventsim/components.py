@@ -29,9 +29,6 @@ class Component:
         self.kernel = kernel
         self.name = name
 
-    def __repr__(self) -> str:  # pragma: no cover - debugging helper
-        return f"{type(self).__name__}({self.name!r})"
-
 
 class PrechargeUnit(Component):
     """Pre-charges a set of bit-lines to VDD.

@@ -29,11 +29,6 @@ class Event:
     sequence: int
     callback: Callable[[], None] = dataclasses.field(compare=False)
     label: str = dataclasses.field(compare=False, default="")
-    cancelled: bool = dataclasses.field(compare=False, default=False)
-
-    def cancel(self) -> None:
-        """Mark the event as cancelled; the kernel will skip it."""
-        self.cancelled = True
 
 
 class SimulationKernel:
@@ -107,8 +102,6 @@ class SimulationKernel:
         """Execute the next pending event; return it, or ``None`` if idle."""
         while self._queue:
             event = heapq.heappop(self._queue)
-            if event.cancelled:
-                continue
             self._now = event.time
             event.callback()
             self._executed_events += 1
@@ -125,9 +118,6 @@ class SimulationKernel:
         executed = 0
         while self._queue and executed < max_events:
             next_event = self._queue[0]
-            if next_event.cancelled:
-                heapq.heappop(self._queue)
-                continue
             if until is not None and next_event.time > until:
                 break
             if self.step() is not None:
@@ -136,18 +126,6 @@ class SimulationKernel:
             self._now = max(self._now, self._quantise(until))
         return executed
 
-    @property
-    def pending_events(self) -> int:
-        """Number of events still waiting in the queue."""
-        return sum(1 for event in self._queue if not event.cancelled)
-
     def event_log(self) -> List[str]:
         """Human-readable log of the labelled events executed so far."""
         return list(self._log)
-
-    def reset(self) -> None:
-        """Drop all pending events and rewind time to zero."""
-        self._queue.clear()
-        self._log.clear()
-        self._now = 0.0
-        self._executed_events = 0

@@ -1,20 +1,15 @@
 """Signals for the event-driven simulation framework.
 
-A signal is a named value with a change history and optional change
-callbacks.  Components communicate exclusively through signals, which gives
-the testbench a waveform-style view of the simulation (every transition is
-timestamped) — the same observability an HDL simulator provides.
+A signal is a named value that is driven forward in simulation time.
+Components communicate exclusively through signals, which keeps every
+interaction between them a timestamped transition, as in an HDL simulator.
 """
 
 from __future__ import annotations
 
-from typing import Callable, List, Optional, Tuple
-
-import numpy as np
-
 
 class Signal:
-    """A named value with change history.
+    """A named value that only moves forward in simulation time.
 
     Parameters
     ----------
@@ -27,50 +22,17 @@ class Signal:
     def __init__(self, name: str, initial: object = None) -> None:
         self.name = name
         self._value = initial
-        self._history: List[Tuple[float, object]] = [(0.0, initial)]
-        self._listeners: List[Callable[["Signal", float], None]] = []
-
-    @property
-    def value(self) -> object:
-        """Current value of the signal."""
-        return self._value
+        self._changed_at = 0.0
 
     def set(self, value: object, time: float) -> None:
         """Drive a new value at simulation time ``time``."""
-        if time < self._history[-1][0]:
+        if time < self._changed_at:
             raise ValueError(
                 f"signal {self.name}: cannot drive value at {time:.3e} s, "
-                f"earlier than last change {self._history[-1][0]:.3e} s"
+                f"earlier than last change {self._changed_at:.3e} s"
             )
         self._value = value
-        self._history.append((time, value))
-        for listener in list(self._listeners):
-            listener(self, time)
-
-    def on_change(self, listener: Callable[["Signal", float], None]) -> None:
-        """Register a callback invoked after every :meth:`set`."""
-        self._listeners.append(listener)
-
-    def history(self) -> List[Tuple[float, object]]:
-        """All (time, value) transitions, including the initial value."""
-        return list(self._history)
-
-    def value_at(self, time: float) -> object:
-        """Value the signal held at simulation time ``time``."""
-        result = self._history[0][1]
-        for change_time, value in self._history:
-            if change_time <= time:
-                result = value
-            else:
-                break
-        return result
-
-    def change_count(self) -> int:
-        """Number of value changes after initialisation."""
-        return len(self._history) - 1
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging helper
-        return f"Signal({self.name!r}, value={self._value!r})"
+        self._changed_at = time
 
 
 class DigitalSignal(Signal):
@@ -103,17 +65,3 @@ class AnalogSignal(Signal):
     def value(self) -> float:
         """Current voltage."""
         return float(self._value)
-
-    def as_waveform(self) -> Tuple[np.ndarray, np.ndarray]:
-        """History as (times, values) arrays for plotting or assertions."""
-        times = np.array([entry[0] for entry in self._history], dtype=float)
-        values = np.array([entry[1] for entry in self._history], dtype=float)
-        return times, values
-
-    def max_value(self) -> float:
-        """Largest voltage the signal ever held."""
-        return float(max(entry[1] for entry in self._history))
-
-    def min_value(self) -> float:
-        """Smallest voltage the signal ever held."""
-        return float(min(entry[1] for entry in self._history))

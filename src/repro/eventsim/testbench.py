@@ -52,11 +52,6 @@ class TestbenchResult:
     executed_events: int
     event_log: List[str]
 
-    @property
-    def error(self) -> int:
-        """Signed error of the digital result."""
-        return self.product - self.expected
-
 
 class MultiplierTestbench:
     """Event-driven testbench of the IMAC-style multiplier.

@@ -68,8 +68,7 @@ def default_journal_path(cache_dir: Optional[PathLike] = None) -> pathlib.Path:
     The journal lives *inside* the cache directory — the artifacts it
     refers to and the record of how they came to be travel together, and
     ``cache clear`` keeps its hands off it (the cache only removes the
-    artifact, tmp and legacy ``.npz`` files in its key-prefix
-    subdirectories).
+    artifact and tmp files in its key-prefix subdirectories).
     """
     from repro.runtime.cache import default_cache_dir
 
@@ -85,9 +84,6 @@ class JournalEntry:
     workload: str
     params: Dict[str, Any]
     submitted_at: float
-
-    def to_dict(self) -> Dict[str, Any]:
-        return dataclasses.asdict(self)
 
 
 class JobJournal:

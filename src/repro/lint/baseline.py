@@ -91,8 +91,6 @@ class Baseline:
     # ------------------------------------------------------------------
     # Matching
     # ------------------------------------------------------------------
-    def __len__(self) -> int:
-        return sum(self._entries.values())
 
     def filter(
         self, findings: Sequence[Finding]

@@ -21,7 +21,7 @@ import argparse
 import json
 import pathlib
 import sys
-from typing import List, Optional
+from typing import List
 
 from repro.lint.baseline import DEFAULT_BASELINE_NAME, Baseline
 from repro.lint.checkers import ALL_CHECKERS, RULES
@@ -153,17 +153,3 @@ def run_lint_command(args: argparse.Namespace) -> int:
             summary += f", {result.suppressed} suppressed"
         print(summary, file=sys.stderr)
     return 1 if fresh else 0
-
-
-def main(argv: Optional[List[str]] = None) -> int:
-    """Standalone entry point (``python -m repro.lint.cli``)."""
-    parser = argparse.ArgumentParser(
-        prog="python -m repro lint",
-        description="Project-aware static analysis over the repro contracts.",
-    )
-    add_lint_arguments(parser)
-    return run_lint_command(parser.parse_args(argv))
-
-
-if __name__ == "__main__":  # pragma: no cover
-    sys.exit(main())

@@ -133,12 +133,6 @@ class LintResult:
     files_checked: int
     suppressed: int
 
-    def by_rule(self) -> Dict[str, int]:
-        counts: Dict[str, int] = {}
-        for finding in self.findings:
-            counts[finding.rule] = counts.get(finding.rule, 0) + 1
-        return dict(sorted(counts.items()))
-
 
 def dotted_name(node: ast.AST) -> Optional[str]:
     """Flatten ``a.b.c`` attribute chains to ``"a.b.c"`` (else ``None``).

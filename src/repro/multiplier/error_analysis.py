@@ -12,16 +12,13 @@ input-space evaluation.
 from __future__ import annotations
 
 import dataclasses
-from typing import Dict, Optional, Tuple, Union
+from typing import Optional, Tuple
 
 import numpy as np
 
 from repro.circuits.conditions import OperatingConditions
 from repro.multiplier.config import MultiplierConfig
 from repro.multiplier.imac import InSramMultiplier
-from repro.multiplier.reference import ReferenceMultiplier
-
-MultiplierLike = Union[InSramMultiplier, ReferenceMultiplier]
 
 
 @dataclasses.dataclass
@@ -70,23 +67,6 @@ class InputSpaceAnalysis:
         return float(np.mean(self.errors))
 
     @property
-    def max_error_lsb(self) -> float:
-        """Worst-case multiplication error in LSB."""
-        return float(np.max(self.errors))
-
-    @property
-    def rms_error_lsb(self) -> float:
-        """Root-mean-square multiplication error in LSB."""
-        return float(np.sqrt(np.mean(self.errors**2)))
-
-    @property
-    def mean_sigma_lsb(self) -> float:
-        """Average analogue sigma expressed in ADC LSB units."""
-        if self.adc_lsb <= 0.0:
-            return 0.0
-        return float(np.mean(self.analog_sigma) / self.adc_lsb)
-
-    @property
     def sigma_at_max_discharge(self) -> float:
         """Analogue sigma (volts) at the maximum-product input pair."""
         return float(self.analog_sigma[-1, -1])
@@ -112,11 +92,6 @@ class InputSpaceAnalysis:
         return self.sigma_at_max_discharge / full_scale
 
     @property
-    def worst_sigma_mv(self) -> float:
-        """Worst-case analogue standard deviation in millivolts."""
-        return float(np.max(self.analog_sigma) * 1e3)
-
-    @property
     def figure_of_merit(self) -> float:
         """Paper Eq. 9: ``1 / (eps_mul * E_mul)``."""
         error = max(self.mean_error_lsb, 1e-9)
@@ -134,50 +109,16 @@ class InputSpaceAnalysis:
         mask = (codes[:, np.newaxis] < threshold) | (codes[np.newaxis, :] < threshold)
         return float(np.mean(self.errors[mask]))
 
-    def summary(self) -> Dict[str, float]:
-        """Scalar metrics as a dictionary (used by the DSE and reports)."""
-        return {
-            "mean_error_lsb": self.mean_error_lsb,
-            "max_error_lsb": self.max_error_lsb,
-            "rms_error_lsb": self.rms_error_lsb,
-            "mean_sigma_lsb": self.mean_sigma_lsb,
-            "sigma_at_max_discharge_lsb": self.sigma_at_max_discharge_lsb,
-            "worst_sigma_mv": self.worst_sigma_mv,
-            "energy_per_multiplication_fj": self.energy_per_multiplication * 1e15,
-            "energy_per_operation_pj": self.energy_per_operation * 1e12,
-            "figure_of_merit": self.figure_of_merit,
-            "small_operand_error_lsb": self.small_operand_error(),
-        }
-
-    def describe(self) -> str:
-        """Short human-readable description used in reports."""
-        return (
-            f"{self.config.name}: eps_mul={self.mean_error_lsb:.2f} LSB, "
-            f"E_mul={self.energy_per_multiplication * 1e15:.1f} fJ, "
-            f"E_op={self.energy_per_operation * 1e12:.2f} pJ, "
-            f"sigma_max={self.worst_sigma_mv:.2f} mV"
-        )
-
 
 def analyze_input_space(
-    multiplier: MultiplierLike,
+    multiplier: InSramMultiplier,
     conditions: Optional[OperatingConditions] = None,
 ) -> InputSpaceAnalysis:
-    """Evaluate one multiplier over its full input space.
-
-    Works with both the OPTIMA-backed multiplier and the reference
-    (circuit-simulation) multiplier; the latter reports zero analogue sigma
-    because its mismatch handling is Monte-Carlo-based.
-    """
+    """Evaluate one OPTIMA-backed multiplier over its full input space."""
     x_grid, d_grid = multiplier.input_space()
     expected = (x_grid * d_grid).astype(float)
-
-    if isinstance(multiplier, ReferenceMultiplier):
-        results = multiplier.multiply_table(conditions).astype(float)
-        analog_sigma = np.zeros_like(expected)
-    else:
-        results = multiplier.multiply(x_grid, d_grid, conditions=conditions).astype(float)
-        analog_sigma = multiplier.combined_sigma(x_grid, d_grid)
+    results = multiplier.multiply(x_grid, d_grid, conditions=conditions).astype(float)
+    analog_sigma = multiplier.combined_sigma(x_grid, d_grid)
 
     errors = np.abs(results - expected)
     multiplication_energy = multiplier.multiplication_energy(

@@ -291,19 +291,6 @@ class InSramMultiplier:
         voltage = self.combiner.combine_discharges(discharge * bits)
         return self._decode_voltage(voltage)
 
-    def multiplication_error(
-        self,
-        x: ArrayLike,
-        d: ArrayLike,
-        conditions: Optional[OperatingConditions] = None,
-        rng: Optional[np.random.Generator] = None,
-    ) -> np.ndarray:
-        """Absolute error of the digital result in LSB (product code) units."""
-        x_arr = np.asarray(x, dtype=int)
-        d_arr = np.asarray(d, dtype=int)
-        result = self.multiply(x_arr, d_arr, conditions=conditions, rng=rng)
-        return np.abs(result.astype(float) - (x_arr * d_arr).astype(float))
-
     # ------------------------------------------------------------------
     # Energy accounting
     # ------------------------------------------------------------------
@@ -349,6 +336,3 @@ class InSramMultiplier:
         """Meshgrid of every (x, d) operand combination."""
         operands = np.arange(self.config.max_operand + 1)
         return np.meshgrid(operands, operands, indexing="ij")
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging helper
-        return f"InSramMultiplier({self.config.describe()})"

@@ -15,16 +15,12 @@ standard arrangement for this class of accelerator.
 from __future__ import annotations
 
 import dataclasses
-from typing import Dict, Optional, Union
+from typing import Optional
 
 import numpy as np
 
 from repro.circuits.conditions import OperatingConditions
-from repro.multiplier.config import MultiplierConfig
 from repro.multiplier.imac import InSramMultiplier
-
-ArrayLike = Union[int, np.ndarray]
-
 
 @dataclasses.dataclass
 class ProductLookupTable:
@@ -94,46 +90,6 @@ class ProductLookupTable:
         )
 
     # ------------------------------------------------------------------
-    # Lookup
-    # ------------------------------------------------------------------
-    def lookup_unsigned(self, x: ArrayLike, d: ArrayLike) -> np.ndarray:
-        """Mean result for unsigned operands (vectorised)."""
-        x = np.asarray(x, dtype=int)
-        d = np.asarray(d, dtype=int)
-        if np.any((x < 0) | (x > self.max_operand)):
-            raise ValueError(f"x out of range 0..{self.max_operand}")
-        if np.any((d < 0) | (d > self.max_operand)):
-            raise ValueError(f"d out of range 0..{self.max_operand}")
-        return self.mean[x, d]
-
-    def lookup_signed(self, a: ArrayLike, b: ArrayLike) -> np.ndarray:
-        """Mean result for signed operands (sign-magnitude execution).
-
-        Magnitudes are clipped to the representable range, which mirrors the
-        saturating behaviour of the INT4 quantiser feeding the array.
-        """
-        a = np.asarray(a, dtype=int)
-        b = np.asarray(b, dtype=int)
-        magnitude_a = np.clip(np.abs(a), 0, self.max_operand)
-        magnitude_b = np.clip(np.abs(b), 0, self.max_operand)
-        sign = np.sign(a) * np.sign(b)
-        return sign * self.mean[magnitude_a, magnitude_b]
-
-    def sample_signed(
-        self, a: ArrayLike, b: ArrayLike, rng: np.random.Generator
-    ) -> np.ndarray:
-        """Signed lookup with per-product Gaussian mismatch noise added."""
-        a = np.asarray(a, dtype=int)
-        b = np.asarray(b, dtype=int)
-        magnitude_a = np.clip(np.abs(a), 0, self.max_operand)
-        magnitude_b = np.clip(np.abs(b), 0, self.max_operand)
-        sign = np.sign(a) * np.sign(b)
-        mean = self.mean[magnitude_a, magnitude_b]
-        sigma = self.sigma[magnitude_a, magnitude_b]
-        noisy = mean + rng.normal(0.0, 1.0, size=np.shape(mean)) * sigma
-        return sign * noisy
-
-    # ------------------------------------------------------------------
     # Quality metrics
     # ------------------------------------------------------------------
     def mean_error_lsb(self) -> float:
@@ -148,25 +104,3 @@ class ProductLookupTable:
         exact = np.outer(codes, codes).astype(float)
         mask = (codes[:, np.newaxis] < threshold) | (codes[np.newaxis, :] < threshold)
         return float(np.mean(np.abs(self.mean - exact)[mask]))
-
-    # ------------------------------------------------------------------
-    # Serialisation
-    # ------------------------------------------------------------------
-    def to_dict(self) -> Dict[str, object]:
-        """JSON-serialisable representation."""
-        return {
-            "mean": self.mean.tolist(),
-            "sigma": self.sigma.tolist(),
-            "name": self.name,
-            "max_operand": self.max_operand,
-        }
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, object]) -> "ProductLookupTable":
-        """Inverse of :meth:`to_dict`."""
-        return cls(
-            mean=np.asarray(data["mean"], dtype=float),
-            sigma=np.asarray(data["sigma"], dtype=float),
-            name=str(data.get("name", "unnamed")),
-            max_operand=int(data.get("max_operand", 15)),
-        )

@@ -8,8 +8,8 @@ with transient circuit simulation — and it serves two purposes:
   space and Monte-Carlo mismatch sampling, reference vs. OPTIMA).
 
 The public API mirrors :class:`repro.multiplier.imac.InSramMultiplier` where
-it matters (``multiply``, ``combined_discharge``, ``multiplication_energy``)
-but every analogue number comes from the ODE-based
+it matters (``multiply``, ``combined_discharge``) but every analogue number
+comes from the ODE-based
 :class:`~repro.circuits.transient.TransientSolver`.
 """
 
@@ -20,7 +20,6 @@ from typing import Optional, Tuple, Union
 import numpy as np
 
 from repro.circuits.conditions import OperatingConditions
-from repro.circuits.energy import EnergyModelReference
 from repro.circuits.mismatch import MismatchParameters, MismatchSampler
 from repro.circuits.technology import TechnologyCard
 from repro.circuits.transient import TransientSolver
@@ -55,7 +54,6 @@ class ReferenceMultiplier:
         self.config = config
         self.conditions = conditions or OperatingConditions.nominal(technology)
         self.solver = TransientSolver(technology)
-        self.energy_reference = EnergyModelReference(technology)
         self.dac: DacLike = build_dac(
             v_zero=config.v_dac_zero,
             v_full_scale=config.v_dac_full_scale,
@@ -175,24 +173,10 @@ class ReferenceMultiplier:
             self._readout = (scale, 0.0)
         return self._readout
 
-    @property
-    def product_lsb_voltage(self) -> float:
-        """Analogue voltage corresponding to one product code step."""
-        scale, _ = self._ensure_readout()
-        return self.config.adc_lsb_voltage / scale
-
     def _codes_to_products(self, adc_codes: np.ndarray) -> np.ndarray:
         scale, offset = self._ensure_readout()
         products = np.rint(scale * adc_codes.astype(float) + offset)
         return np.clip(products, 0, self.config.product_levels).astype(int)
-
-    def multiply_table(
-        self, conditions: Optional[OperatingConditions] = None
-    ) -> np.ndarray:
-        """Digital results for the full input space, shape ``(codes, codes)``."""
-        self._ensure_readout()
-        combined = self.combined_discharge_table(conditions)
-        return self._codes_to_products(self.adc.quantize(combined))
 
     def multiply(
         self,
@@ -214,66 +198,3 @@ class ReferenceMultiplier:
             )
         combined = self.combiner.combine_discharges(discharges * bits)
         return self._codes_to_products(self.adc.quantize(combined))
-
-    # ------------------------------------------------------------------
-    # Energy
-    # ------------------------------------------------------------------
-    def multiplication_energy(
-        self,
-        x: ArrayLike,
-        d: ArrayLike,
-        conditions: Optional[OperatingConditions] = None,
-    ) -> np.ndarray:
-        """Reference energy of one multiply (discharge + DAC + sampling + ADC)."""
-        conditions = conditions or self.conditions
-        x_arr = np.asarray(x, dtype=int)
-        d_arr = np.asarray(d, dtype=int)
-        bits = self._weight_bits(d_arr)
-        v_wl = np.asarray(self.dac.voltage(x_arr), dtype=float)
-        discharges = np.empty(np.shape(x_arr) + (self.config.bits,))
-        for bit_index, duration in enumerate(self._discharge_times):
-            discharges[..., bit_index] = self.solver.discharge_at(
-                v_wl, float(duration), conditions
-            )
-        discharges = discharges * bits
-        restore = np.sum(
-            np.stack(
-                [
-                    self.energy_reference.discharge_energy(
-                        discharges[..., i], v_wl, conditions
-                    )
-                    for i in range(self.config.bits)
-                ],
-                axis=-1,
-            ),
-            axis=-1,
-        )
-        dac_energy = self.dac.conversion_energy(x_arr)
-        sampling = self.combiner.sampling_energy(
-            conditions.vdd - discharges, conditions.vdd
-        )
-        return restore + dac_energy + sampling + self.config.adc_conversion_energy
-
-    def operation_energy(
-        self,
-        x: ArrayLike,
-        d: ArrayLike,
-        conditions: Optional[OperatingConditions] = None,
-    ) -> np.ndarray:
-        """Reference energy of a full operation including the operand write."""
-        conditions = conditions or self.conditions
-        write = self.energy_reference.word_write_energy(
-            conditions, bits=self.config.bits
-        )
-        return self.multiplication_energy(x, d, conditions=conditions) + write
-
-    # ------------------------------------------------------------------
-    # Convenience
-    # ------------------------------------------------------------------
-    def input_space(self) -> Tuple[np.ndarray, np.ndarray]:
-        """Meshgrid of every (x, d) operand combination."""
-        operands = np.arange(self.config.max_operand + 1)
-        return np.meshgrid(operands, operands, indexing="ij")
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging helper
-        return f"ReferenceMultiplier({self.config.describe()})"

@@ -5,8 +5,7 @@ dispatched / done / stolen, cache hits and evictions, workers joining
 and dying — as small JSON-ready dicts on one process-wide bus
 (:data:`EVENTS`).  Subscribers are plain callables; the service bridges
 them onto asyncio queues to fan events out to ``watch`` clients
-(NDJSON), and the coordinator does the same for
-``python -m repro cluster status --watch``.
+(NDJSON), and the gateway bridges that stream into Server-Sent Events.
 
 Ordering is a guarantee, not an accident: :meth:`EventBus.emit` assigns
 a monotonically increasing ``seq`` and delivers to all subscribers under
@@ -109,10 +108,6 @@ class EventBus:
                 self._subscribers.remove(callback)
             except ValueError:
                 pass
-
-    def subscriber_count(self) -> int:
-        with self._lock:
-            return len(self._subscribers)
 
     def emit(self, type: str, trace: Optional[str] = None, **fields: Any) -> Dict[str, Any]:
         """Publish one event; returns the dict that subscribers saw.

@@ -46,7 +46,7 @@ from __future__ import annotations
 
 import re
 import threading
-from typing import Any, Callable, Dict, Iterable, Iterator, List, Optional, Tuple
+from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple
 
 __all__ = [
     "METRIC_NAME_RE",
@@ -493,9 +493,8 @@ class CounterGroup:
     ``busy_rejections`` even when an earlier service in the same process
     rejected requests, and ``/metrics`` still sees the monotonic truth.
 
-    The mapping protocol (``keys`` / ``__getitem__`` / ``items``) is
-    implemented so existing ``dict(stats)`` status snapshots keep working
-    unchanged.
+    ``keys`` and ``__getitem__`` are what ``dict(stats)`` status
+    snapshots need.
 
     >>> registry = MetricsRegistry()
     >>> counter = registry.counter("repro_demo_rejects_total")
@@ -520,22 +519,5 @@ class CounterGroup:
     def __getitem__(self, key: str) -> int:
         return int(round(self._counters[key].value() - self._baselines[key]))
 
-    def __iter__(self) -> Iterator[str]:
-        return iter(self._counters)
-
-    def __len__(self) -> int:
-        return len(self._counters)
-
-    def __contains__(self, key: str) -> bool:
-        return key in self._counters
-
     def keys(self):
         return self._counters.keys()
-
-    def items(self):
-        return [(key, self[key]) for key in self._counters]
-
-    def get(self, key: str, default: Optional[int] = None) -> Optional[int]:
-        if key not in self._counters:
-            return default
-        return self[key]

@@ -147,9 +147,9 @@ class SweepEngine:
     Raises
     ------
     SweepCancelled
-        From :meth:`run` / :meth:`run_one` when the effective
-        cancel event is set before the sweep completes.  No partial results
-        are returned and nothing is written to the cache.
+        From :meth:`run` when the effective cancel event is set before the
+        sweep completes.  No partial results are returned and nothing is
+        written to the cache.
 
     Examples
     --------
@@ -310,10 +310,6 @@ class SweepEngine:
         )
         return results
 
-    def run_one(self, job: Job) -> Any:
-        """Execute a single job through the engine (cache included)."""
-        return self.run(SweepSpec(job.name or "job", [job]))[0]
-
     def describe(self) -> str:
         """Human-readable engine summary (executor, cache, counters).
 
@@ -326,4 +322,3 @@ class SweepEngine:
             executor_name = getattr(self.executor, "name", type(self.executor).__name__)
         cache_part = self.cache.describe() if self.cache is not None else "no cache"
         return f"SweepEngine[{executor_name}] — {self.stats.describe()} — {cache_part}"
-

@@ -15,7 +15,6 @@ plus ``elapsed_seconds``::
     python -m repro gateway          # HTTP/SSE front door over a service (repro.gateway)
     python -m repro worker           # long-lived cluster worker (repro.cluster)
     python -m repro cluster status   # live coordinator / worker statistics
-    python -m repro cluster status --watch   # follow the live event stream
     python -m repro cache info       # artifact-cache statistics (--json for tools)
     python -m repro cache clear      # drop every cached artifact
     python -m repro cache evict --max-bytes 500M   # LRU-trim the cache
@@ -86,11 +85,8 @@ Observability
 ``--metrics-port N`` (on ``run``, ``serve`` and ``worker``) serves the
 process-wide Prometheus metrics (:mod:`repro.obs`) on
 ``http://127.0.0.1:N/metrics`` for the lifetime of the command; ``0``
-binds an ephemeral port, printed on start.  ``python -m repro cluster
-status --watch`` follows the coordinator's live event stream and redraws
-the per-worker table on every change (``--duration`` bounds the session).
-See ``docs/observability.md`` for the metric reference and the trace-id
-propagation model.
+binds an ephemeral port, printed on start.  See ``docs/observability.md``
+for the metric reference and the trace-id propagation model.
 """
 
 from __future__ import annotations
@@ -509,28 +505,8 @@ def _cmd_worker(args: argparse.Namespace) -> int:
 
 
 def _cmd_cluster(args: argparse.Namespace) -> int:
-    from repro.cluster import ControlError, fetch_status, format_status, watch_status
+    from repro.cluster import ControlError, fetch_status, format_status
 
-    if args.watch:
-        if args.json:
-            print("error: --json does not apply to --watch", file=sys.stderr)
-            return 2
-        try:
-            watch_status(
-                args.connect, duration=args.duration, timeout=args.connect_timeout
-            )
-        except KeyboardInterrupt:
-            print("", file=sys.stderr)
-        except (ControlError, OSError, ValueError) as error:
-            print(
-                f"error: cannot watch cluster at {args.connect}: {error}",
-                file=sys.stderr,
-            )
-            return 2
-        return 0
-    if args.duration is not None:
-        print("error: --duration only applies with --watch", file=sys.stderr)
-        return 2
     try:
         status = fetch_status(args.connect, timeout=args.connect_timeout)
     except (ControlError, OSError, ValueError) as error:
@@ -771,19 +747,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     cluster_parser.add_argument(
         "--json", action="store_true", help="print the raw status document as JSON"
-    )
-    cluster_parser.add_argument(
-        "--watch",
-        action="store_true",
-        help="follow the live event stream and redraw the worker table "
-        "on every change (Ctrl-C to stop)",
-    )
-    cluster_parser.add_argument(
-        "--duration",
-        type=float,
-        default=None,
-        metavar="SECONDS",
-        help="bound a --watch session (default: until interrupted)",
     )
     cluster_parser.add_argument(
         "--connect-timeout",

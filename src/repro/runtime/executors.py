@@ -82,11 +82,6 @@ def _notify(progress: Optional[ProgressCallback], done: int, total: int, label: 
         progress(done, total, label)
 
 
-def _run_chunk(jobs: Sequence[Job]) -> List[Any]:
-    """Run a chunk of jobs one by one in the current process."""
-    return [job.run() for job in jobs]
-
-
 def run_batch(
     batch_fn: Callable[[Sequence[Job]], List[Any]], jobs: Sequence[Job]
 ) -> List[Any]:
@@ -179,7 +174,7 @@ class BatchExecutor:
     Jobs are split into groups of ``batch_size`` and each group is handed to
     the sweep's ``batch_fn`` in one call, letting the sweep amortise shared
     setup (model tables, operating-condition objects) across the whole
-    batch.  A sweep without a ``batch_fn`` runs as a chunked serial loop.
+    batch.  A sweep without a ``batch_fn`` runs through :class:`SerialExecutor`.
     """
 
     name = "batch"
@@ -197,12 +192,13 @@ class BatchExecutor:
         cancel: Optional[CancelEvent] = None,
         trace: Optional[str] = None,
     ) -> List[Any]:
-        evaluate = batch_fn if batch_fn is not None else _run_chunk
+        if batch_fn is None:
+            return SerialExecutor().execute(jobs, progress, cancel=cancel)
         results: List[Any] = []
         total = len(jobs)
         for batch in _chunked(jobs, self.batch_size):
             _check_cancel(cancel, "between batches")
-            results.extend(run_batch(evaluate, batch))
+            results.extend(run_batch(batch_fn, batch))
             _notify(progress, len(results), total, batch[-1].name)
         return results
 

@@ -178,6 +178,3 @@ class SweepSpec:
     name: str
     jobs: List[Job]
     batch_fn: Optional[Callable[[Sequence[Job]], List[Any]]] = None
-
-    def __len__(self) -> int:
-        return len(self.jobs)

@@ -21,7 +21,7 @@ the correct ``done``/``total``.
 from __future__ import annotations
 
 import asyncio
-from typing import Dict, List, Set
+from typing import Dict, Set
 
 #: Terminal sentinel delivered to every subscriber queue when the sweep ends.
 CLOSED = object()
@@ -69,13 +69,3 @@ class ProgressBroadcaster:
     def close(self) -> None:
         """Publish :data:`CLOSED` to every subscriber (any thread)."""
         self._loop.call_soon_threadsafe(self._close_now)
-
-
-async def drain(queue: "asyncio.Queue") -> List[Dict[str, object]]:
-    """Collect ticks from ``queue`` until :data:`CLOSED`; test/debug helper."""
-    ticks: List[Dict[str, object]] = []
-    while True:
-        item = await queue.get()
-        if item is CLOSED:
-            return ticks
-        ticks.append(item)  # type: ignore[arg-type]

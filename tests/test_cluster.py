@@ -377,7 +377,7 @@ class TestDistributedExecution:
                         [Job(fn=_seeded_array, args=(3, i, 129), name=f"b[{i}]") for i in range(2)],
                         chunksize=2,
                     )
-                return small, coordinator.stats.get("chunks_refitted")
+                return small, coordinator.stats["chunks_refitted"]
             finally:
                 await coordinator.stop()
                 await asyncio.wait_for(worker, START_TIMEOUT)
@@ -403,7 +403,7 @@ class TestDistributedExecution:
                     await coordinator.run(
                         _seeded_jobs(16), chunksize=16, batch_fn=lambda jobs: [0] * len(jobs)
                     )
-                return coordinator.stats.get("chunks_refitted")
+                return coordinator.stats["chunks_refitted"]
             finally:
                 await coordinator.stop()
                 await asyncio.wait_for(worker, START_TIMEOUT)
@@ -585,7 +585,10 @@ def _spawn_throttled_worker(address, throttle: float, name: str = "throttled"):
 
 
 def _await_workers(executor: DistributedExecutor, count: int) -> None:
-    executor.wait_for_workers(count, timeout=START_TIMEOUT)
+    deadline = time.monotonic() + START_TIMEOUT
+    while executor.coordinator.worker_count() < count:
+        assert time.monotonic() < deadline, f"{count} workers never registered"
+        time.sleep(0.02)
 
 
 class TestHelloValidation:
@@ -1123,7 +1126,7 @@ class TestCacheInfoJson:
 
 
 # ----------------------------------------------------------------------
-# Observability: trace ids, cluster status --watch
+# Observability: trace ids
 # ----------------------------------------------------------------------
 class TestTraceAcrossCluster:
     def test_bit_identity_with_trace_and_round_trip(self, cluster):
@@ -1147,51 +1150,3 @@ class TestTraceAcrossCluster:
         assert "chunk_done" in types
         seqs = [e["seq"] for e in mine]
         assert seqs == sorted(seqs)
-
-
-class TestClusterWatch:
-    def test_watch_cli_follows_live_events(self, cluster, capsys):
-        import threading
-
-        host, port = cluster.address
-        jobs = [Job(fn=_nap, args=(0.05, i), name=f"w[{i}]") for i in range(20)]
-        results = []
-        runner = threading.Thread(
-            target=lambda: results.append(cluster.execute(jobs, trace="trace-watch-cli"))
-        )
-        runner.start()
-        try:
-            code = cli_main(
-                [
-                    "cluster",
-                    "status",
-                    "--connect",
-                    f"{host}:{port}",
-                    "--watch",
-                    "--duration",
-                    "2.5",
-                ]
-            )
-        finally:
-            runner.join(timeout=START_TIMEOUT)
-        assert code == 0
-        out = capsys.readouterr().out
-        assert "cluster at" in out and "live" in out
-        assert results and results[0] == list(range(20))
-        assert "trace-watch-cli" in out, "the watch table never saw the run's trace"
-
-    def test_watch_rejects_json_and_requires_watch_for_duration(self, capsys):
-        assert (
-            cli_main(
-                ["cluster", "status", "--connect", "127.0.0.1:1", "--watch", "--json"]
-            )
-            == 2
-        )
-        assert "--json" in capsys.readouterr().err
-        assert (
-            cli_main(
-                ["cluster", "status", "--connect", "127.0.0.1:1", "--duration", "1"]
-            )
-            == 2
-        )
-        assert "--duration" in capsys.readouterr().err

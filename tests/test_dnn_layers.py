@@ -115,9 +115,6 @@ class TestDense:
         numeric = numerical_gradient(loss, layer.weight.value.astype(np.float64).copy())
         assert np.allclose(analytic, numeric, atol=1e-2)
 
-    def test_multiplication_count(self):
-        assert Dense(10, 4).multiplication_count((10,)) == 40
-
 
 class TestConv2D:
     def test_forward_shape_same_padding(self):
@@ -153,11 +150,6 @@ class TestConv2D:
         layer = Conv2D(3, 4, kernel=3, stride=2)
         output = layer.forward(np.zeros((1, 8, 8, 3), dtype=np.float32))
         assert output.shape == (1, 4, 4, 4)
-        assert layer.output_shape((8, 8, 3)) == (4, 4, 4)
-
-    def test_multiplication_count(self):
-        layer = Conv2D(3, 8, kernel=3)
-        assert layer.multiplication_count((8, 8, 3)) == 8 * 8 * 9 * 3 * 8
 
     def test_im2col_shape(self):
         patches, out_h, out_w = im2col(np.zeros((2, 6, 6, 3), dtype=np.float32), 3, 1, 1)
@@ -355,9 +347,7 @@ class TestResidualBlock:
         output = block.forward(inputs, training=True)
         assert output.shape == (1, 4, 4, 8)
         assert block.projection is not None
-        assert block.output_shape((8, 8, 4)) == (4, 4, 8)
 
     def test_parameters_and_multiplications(self):
         block = ResidualBlock(4, 8, stride=2)
         assert len(block.parameters()) == 10  # 3 convs * 2 + 2 bn * 2
-        assert block.multiplication_count((8, 8, 4)) > 0

@@ -336,6 +336,45 @@ class TestDocsTree:
         stale = [f"{doc}: run {name}" for doc, name in named if name not in choices]
         assert not stale, f"docs name workloads `run` does not offer: {stale}"
 
+    def test_documented_command_flags_exist(self):
+        """Every ``--flag`` on a ``python -m repro <subcommand>`` command in
+        the docs is an option of that subcommand's parser, so a doc cannot
+        keep advertising a flag the CLI no longer has.  A command ends at
+        its closing backtick, a ``#`` comment or the end of the line
+        (backslash continuations are joined)."""
+        import argparse
+
+        from repro.runtime.cli import build_parser
+
+        subparsers = next(
+            action
+            for action in build_parser()._actions
+            if isinstance(action, argparse._SubParsersAction)
+        )
+        checked, stale = 0, []
+        for path in DOC_FILES:
+            text = path.read_text(encoding="utf-8").replace("\\\n", " ")
+            for line in text.splitlines():
+                for match in re.finditer(r"python -m repro\s+([a-z][\w-]*)", line):
+                    command = line[match.end():]
+                    if line[: match.start()].count("`") % 2:
+                        command = command.split("`", 1)[0]
+                    command = command.split(" #", 1)[0]
+                    name = match.group(1)
+                    parser = subparsers.choices.get(name)
+                    if parser is None:
+                        stale.append(f"{path.name}: no subcommand {name!r}")
+                        continue
+                    options = {
+                        option for action in parser._actions for option in action.option_strings
+                    }
+                    for flag in re.findall(r"(?<![\w-])--[a-z][\w-]*", command):
+                        checked += 1
+                        if flag not in options:
+                            stale.append(f"{path.name}: {name} {flag}")
+        assert checked, "no `python -m repro <subcommand> --flag` found in the docs"
+        assert not stale, f"docs advertise options the CLI does not have: {stale}"
+
     def test_observability_doc_matches_the_registry(self):
         """docs/observability.md is a *reference*: every metric any tier
         registers and every event type must be documented, and the naming

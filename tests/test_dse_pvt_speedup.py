@@ -4,11 +4,7 @@ import numpy as np
 import pytest
 
 from repro.core.dse import DesignSpace, explore_design_space, select_corners
-from repro.core.pvt import (
-    analyze_corner_robustness,
-    analyze_corners,
-    monte_carlo_error_distribution,
-)
+from repro.core.pvt import analyze_corner_robustness, monte_carlo_error_distribution
 from repro.core.speedup import measure_speedup
 from repro.multiplier.config import MultiplierConfig
 
@@ -25,7 +21,6 @@ def full_exploration(suite):
 
 class TestDesignSpace:
     def test_default_grid_has_48_corners(self):
-        assert DesignSpace().corner_count == 48
         assert len(list(DesignSpace().configurations())) == 48
 
     def test_invalid_space_rejected(self):
@@ -46,7 +41,9 @@ class TestDesignSpace:
 
 class TestExploration:
     def test_every_corner_evaluated(self, quick_exploration):
-        assert len(quick_exploration.points) == quick_exploration.space.corner_count
+        assert len(quick_exploration.points) == len(
+            list(quick_exploration.space.configurations())
+        )
 
     def test_selected_corners_have_expected_names(self, quick_exploration):
         corners = quick_exploration.selected_corners()
@@ -152,18 +149,8 @@ class TestCornerRobustness:
         nominal_error = report.nominal_error_lsb
         assert max(report.supply_sweep.mean_error_lsb) >= nominal_error
         assert max(report.temperature_sweep.mean_error_lsb) >= nominal_error
-        assert report.supply_sweep.error_span() >= 0.0
         worst_value, worst_error = report.temperature_sweep.worst_case()
         assert worst_error == pytest.approx(max(report.temperature_sweep.mean_error_lsb))
-
-    def test_analyze_corners_mapping(self, suite, fom_config):
-        reports = analyze_corners(
-            suite,
-            {"a": fom_config, "b": fom_config.renamed("b")},
-            supply_voltages=(1.0,),
-            temperatures_celsius=(27.0,),
-        )
-        assert set(reports) == {"a", "b"}
 
     def test_monte_carlo_error_distribution(self, suite, fom_config):
         errors = monte_carlo_error_distribution(suite, fom_config, samples=20, seed=1)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.circuits.conditions import OperatingConditions
+from repro.dnn.imc_injection import LutBackend
 from repro.multiplier.config import MultiplierConfig
 from repro.multiplier.imac import InSramMultiplier
 from repro.multiplier.lut import ProductLookupTable
@@ -28,7 +29,7 @@ class TestFastMultiplier:
 
     def test_reasonable_accuracy_for_accurate_corner(self, multiplier):
         x_grid, d_grid = multiplier.input_space()
-        errors = multiplier.multiplication_error(x_grid, d_grid)
+        errors = np.abs(multiplier.multiply(x_grid, d_grid) - x_grid * d_grid)
         assert float(np.mean(errors)) < 10.0
         # Large products are reproduced within a modest relative error.
         assert float(np.asarray(multiplier.multiply(15, 15))) == pytest.approx(225, abs=30)
@@ -110,8 +111,8 @@ class TestReferenceMultiplier:
         """The OPTIMA-backed multiplier must track the circuit-level one."""
         reference = ReferenceMultiplier(technology, fom_config)
         fast = InSramMultiplier(suite, fom_config)
-        reference_table = reference.multiply_table().astype(float)
         x_grid, d_grid = fast.input_space()
+        reference_table = reference.multiply(x_grid, d_grid).astype(float)
         fast_table = fast.multiply(x_grid, d_grid).astype(float)
         differences = np.abs(reference_table - fast_table)
         assert float(np.mean(differences)) < 6.0
@@ -135,42 +136,38 @@ class TestReferenceMultiplier:
         reference = ReferenceMultiplier(technology, fom_config)
         result = int(np.asarray(reference.multiply(9, 11)))
         assert result == pytest.approx(99, abs=25)
-        assert float(np.asarray(reference.multiplication_energy(9, 11))) > 0.0
-        assert float(np.asarray(reference.operation_energy(9, 11))) > float(
-            np.asarray(reference.multiplication_energy(9, 11))
-        )
 
 
 class TestProductLookupTable:
     def test_exact_table_has_zero_error(self):
         table = ProductLookupTable.exact()
         assert table.mean_error_lsb() == pytest.approx(0.0)
-        assert float(table.lookup_unsigned(7, 9)) == pytest.approx(63.0)
+        assert float(table.mean[7, 9]) == pytest.approx(63.0)
 
     def test_from_multiplier_matches_multiplier(self, multiplier):
         table = ProductLookupTable.from_multiplier(multiplier)
-        assert float(table.lookup_unsigned(11, 13)) == pytest.approx(
+        assert float(table.mean[11, 13]) == pytest.approx(
             float(np.asarray(multiplier.multiply(11, 13)))
         )
         assert table.name == multiplier.config.name
 
     def test_signed_lookup_applies_sign_digitally(self, multiplier):
-        table = ProductLookupTable.from_multiplier(multiplier)
-        positive = float(table.lookup_signed(5, 6))
-        assert float(table.lookup_signed(-5, 6)) == pytest.approx(-positive)
-        assert float(table.lookup_signed(-5, -6)) == pytest.approx(positive)
-        assert float(table.lookup_signed(0, 6)) == pytest.approx(0.0, abs=1e-9)
+        backend = LutBackend(ProductLookupTable.from_multiplier(multiplier))
+        positive = float(backend.matmul(np.array([[5]]), np.array([[6]]))[0, 0])
+        assert positive == pytest.approx(float(backend.table.mean[5, 6]))
+        assert float(backend.matmul(np.array([[5]]), np.array([[-6]]))[0, 0]) == pytest.approx(
+            -positive
+        )
+        assert float(backend.matmul(np.array([[0]]), np.array([[6]]))[0, 0]) == pytest.approx(
+            float(backend.table.mean[0, 6])
+        )
 
     def test_sample_signed_statistics(self, multiplier, rng):
         table = ProductLookupTable.from_multiplier(multiplier)
-        samples = table.sample_signed(np.full(500, 9), np.full(500, -8), rng)
-        assert float(np.mean(samples)) == pytest.approx(float(table.lookup_signed(9, -8)), abs=5.0)
-
-    def test_serialisation_roundtrip(self, multiplier):
-        table = ProductLookupTable.from_multiplier(multiplier)
-        clone = ProductLookupTable.from_dict(table.to_dict())
-        assert np.allclose(clone.mean, table.mean)
-        assert np.allclose(clone.sigma, table.sigma)
+        backend = LutBackend(table, stochastic=True, rng=rng)
+        samples = backend.matmul(np.full((500, 1), 9), np.full((1, 1), -8))
+        assert float(np.mean(samples)) == pytest.approx(-float(table.mean[9, 8]), abs=5.0)
+        assert float(np.std(samples)) > 0.0
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -179,6 +176,3 @@ class TestProductLookupTable:
             ProductLookupTable(
                 mean=np.zeros((16, 16)), sigma=-np.ones((16, 16)), max_operand=15
             )
-        table = ProductLookupTable.exact()
-        with pytest.raises(ValueError):
-            table.lookup_unsigned(20, 3)

@@ -151,8 +151,6 @@ class TestRegistry:
         assert group["rejects"] == 2
         assert rejects.value() == 9.0  # the scrape keeps the monotonic truth
         assert dict(group) == {"rejects": 2}
-        assert group.get("rejects") == 2 and group.get("missing") is None
-        assert "rejects" in group and len(group) == 1
 
 
 class TestNamingLint:
@@ -222,11 +220,12 @@ class TestEventBus:
         bus = obs.EventBus()
         seen = []
         callback = bus.subscribe(seen.append)
-        assert bus.subscriber_count() == 1
+        bus.emit("worker_joined", worker="w1")
+        assert len(seen) == 1
         bus.unsubscribe(callback)
         bus.unsubscribe(callback)  # idempotent
         bus.emit("worker_lost", worker="w1")
-        assert seen == [] and bus.subscriber_count() == 0
+        assert len(seen) == 1
 
 
 # ----------------------------------------------------------------------

@@ -2,13 +2,14 @@
 
 Covers hash stability across processes, invalidation when the technology
 card / operating conditions / plan / code version change, corrupt-artifact
-recovery (fuzzed over random, truncated and bit-flipped files), leftover
-``.npz`` files of older builds, and warm characterisation runs that never
-touch the reference solver.
+recovery (fuzzed over random, truncated and bit-flipped files), stray
+tmp files, and warm characterisation runs that never touch the reference
+solver.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import os
 import subprocess
@@ -69,8 +70,8 @@ class TestFingerprint:
 
     def test_technology_change_invalidates(self):
         base = tsmc65_like()
-        assert fingerprint(base) != fingerprint(base.scaled(vth_nominal=0.36))
-        assert fingerprint(base) != fingerprint(base.scaled(bitline_capacitance=51e-15))
+        assert fingerprint(base) != fingerprint(dataclasses.replace(base, vth_nominal=0.36))
+        assert fingerprint(base) != fingerprint(dataclasses.replace(base, bitline_capacitance=51e-15))
 
     def test_plan_change_invalidates(self):
         quick = CharacterizationPlan.quick()
@@ -90,7 +91,7 @@ class TestFingerprint:
         assert fingerprint(nominal) != fingerprint(nominal.with_vdd(1.05))
         assert fingerprint(nominal) != fingerprint(nominal.with_temperature(310.0))
         assert fingerprint(nominal) != fingerprint(
-            nominal.with_corner(ProcessCorner.FAST)
+            dataclasses.replace(nominal, corner=ProcessCorner.FAST)
         )
 
     def test_code_version_change_invalidates(self, monkeypatch):
@@ -235,7 +236,7 @@ class TestArtifactCache:
         }
         path = cache.put(key, value)
         assert path.exists() and path.suffix == ".frame"
-        assert cache.has(key)
+        assert cache.path_for(key).exists()
         loaded = cache.get(key)
         assert list(loaded) == list(value)
         for name in ("x", "y"):
@@ -348,7 +349,7 @@ class TestCharacterizationCaching:
         writes_before = cache.stats.writes
         assert writes_before > 0
         characterize(
-            technology.scaled(vth_nominal=0.36, name="shifted"),
+            dataclasses.replace(technology, vth_nominal=0.36, name="shifted"),
             plan,
             engine=SweepEngine(cache=cache),
         )
@@ -380,51 +381,6 @@ class TestFingerprintKeyTypes:
     def test_mixed_key_types_are_stable(self):
         mixed = {1: "a", "1": "b", 2.5: "c"}
         assert fingerprint(mixed) == fingerprint(dict(reversed(list(mixed.items()))))
-
-
-class TestLegacyNpzFiles:
-    """``.npz`` files an older build wrote are never read, but they count
-    against the footprint and are removed by clear() and evict()."""
-
-    @staticmethod
-    def _plant(cache, name, size=4096):
-        shard = cache.root / "cd"
-        shard.mkdir(parents=True, exist_ok=True)
-        path = shard / name
-        path.write_bytes(b"\0" * size)
-        return path
-
-    def test_counted_never_read_and_cleared(self, tmp_path):
-        cache = ArtifactCache(tmp_path)
-        key = job_key("legacy", 0)
-        cache.put(key, np.arange(4.0))
-        clean_size = cache.size_bytes()
-        old = self._plant(cache, "cd" * 32 + ".npz")
-        old_tmp = self._plant(cache, "crashed.npz.tmp", size=1024)
-        assert cache.size_bytes() == clean_size + 4096 + 1024
-        assert len(cache) == 1 and cache.get("cd" * 32) is None
-        assert old.exists() and cache.stats.corrupt_dropped == 0
-        assert cache.clear() == 3
-        assert not old.exists() and not old_tmp.exists()
-        assert cache.size_bytes() == 0
-
-    def test_evict_removes_legacy_files_first(self, tmp_path):
-        cache = ArtifactCache(tmp_path)
-        key = job_key("legacy", 1)
-        cache.put(key, np.arange(4.0))
-        old = self._plant(cache, "cd" * 32 + ".npz")
-        old_tmp = self._plant(cache, "in-flight.npz.tmp", size=512)
-        assert cache.evict(max_bytes=10**9) == 2
-        assert not old.exists() and not old_tmp.exists()
-        assert cache.has(key) and cache.stats.evictions == 0
-
-    def test_put_over_max_bytes_drops_legacy_bytes(self, tmp_path):
-        cache = ArtifactCache(tmp_path, max_bytes=4000)
-        old = self._plant(cache, "cd" * 32 + ".npz")
-        key = job_key("legacy", 2)
-        cache.put(key, np.arange(4.0))
-        assert not old.exists() and cache.has(key)
-        assert cache.size_bytes() <= 4000
 
 
 class TestStrayTmpFiles:
@@ -487,8 +443,8 @@ class TestLruEviction:
         per_artifact = cache.size_bytes() // 3
         removed = cache.evict(max_bytes=2 * per_artifact)
         assert removed == 1
-        assert not cache.has(oldest)
-        assert cache.has(middle) and cache.has(newest)
+        assert not cache.path_for(oldest).exists()
+        assert cache.path_for(middle).exists() and cache.path_for(newest).exists()
         assert cache.stats.evictions == 1
 
     def test_get_bumps_recency(self, tmp_path):
@@ -498,16 +454,16 @@ class TestLruEviction:
         assert cache.get(touched) is not None  # refreshes atime+mtime
         per_artifact = cache.size_bytes() // 2
         cache.evict(max_bytes=per_artifact)
-        assert cache.has(touched), "a cache hit must protect against eviction"
-        assert not cache.has(untouched)
+        assert cache.path_for(touched).exists(), "a cache hit must protect against eviction"
+        assert not cache.path_for(untouched).exists()
 
     def test_put_auto_evicts_over_max_bytes(self, tmp_path):
         cache = ArtifactCache(tmp_path, max_bytes=1)  # every put overflows
         first = self._put(cache, "auto", 0, age_seconds=100)
         second_key = job_key("auto", 1)
         cache.put(second_key, np.zeros(256))
-        assert cache.has(second_key), "the artifact just written must survive"
-        assert not cache.has(first)
+        assert cache.path_for(second_key).exists(), "the artifact just written must survive"
+        assert not cache.path_for(first).exists()
         assert cache.stats.evictions == 1
 
     def test_max_bytes_enforced_after_put(self, tmp_path):
@@ -519,7 +475,7 @@ class TestLruEviction:
             stamp = time.time() - (100 - index)  # strictly increasing recency
             os.utime(path, (stamp, stamp))
             assert cache.size_bytes() <= 6500
-        assert cache.has(keys[-1])
+        assert cache.path_for(keys[-1]).exists()
         survivors = set(cache.keys())
         assert survivors == set(keys[-len(survivors):]), "eviction is LRU-ordered"
 
@@ -543,9 +499,9 @@ class TestLruEviction:
             name="warm",
             key=survivor,
         )
-        engine.run_one(job)
+        engine.run([job])
         assert executions == [], "surviving artifact must serve the warm run"
-        assert not cache.has(evicted)
+        assert not cache.path_for(evicted).exists()
 
     def test_evict_without_limit_raises(self, tmp_path):
         cache = ArtifactCache(tmp_path)

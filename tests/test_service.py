@@ -156,6 +156,16 @@ class TestProtocol:
         assert protocol.error_event(None, "boom")["id"] is None
 
 
+async def _drain(queue):
+    """Collect ticks from a subscriber queue until ``CLOSED``."""
+    ticks = []
+    while True:
+        item = await queue.get()
+        if item is progress_mod.CLOSED:
+            return ticks
+        ticks.append(item)
+
+
 class TestProgressBroadcaster:
     def test_fan_out_and_close(self):
         async def scenario():
@@ -166,7 +176,7 @@ class TestProgressBroadcaster:
             await loop.run_in_executor(None, broadcaster.callback, 1, 2, "tick")
             await loop.run_in_executor(None, broadcaster.close)
             return await asyncio.gather(
-                progress_mod.drain(first), progress_mod.drain(second)
+                _drain(first), _drain(second)
             )
 
         ticks_a, ticks_b = run(scenario())
@@ -177,7 +187,7 @@ class TestProgressBroadcaster:
             broadcaster = progress_mod.ProgressBroadcaster(asyncio.get_running_loop())
             broadcaster.close()
             await asyncio.sleep(0)  # let the scheduled close run
-            return await progress_mod.drain(broadcaster.subscribe())
+            return await _drain(broadcaster.subscribe())
 
         assert run(scenario()) == []
 

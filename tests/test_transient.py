@@ -1,13 +1,16 @@
 """Unit tests for the reference transient discharge solver."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from repro.circuits.conditions import OperatingConditions
-from repro.circuits.mismatch import MismatchParameters, MismatchSampler
+from repro.analysis.nonidealities import discharge_vs_time
+from repro.circuits.conditions import OperatingConditions, celsius_to_kelvin
+from repro.circuits.mismatch import MismatchParameters, MismatchSample, MismatchSampler
 from repro.circuits.technology import ProcessCorner, tsmc65_like
 from repro.circuits.transient import DischargeResult, TransientSolver
 
@@ -79,7 +82,7 @@ class TestPvtAndMismatch:
     def test_corner_ordering(self, solver, nominal_conditions):
         deltas = {
             corner: float(
-                solver.discharge_at(0.9, 1.28e-9, nominal_conditions.with_corner(corner))
+                solver.discharge_at(0.9, 1.28e-9, dataclasses.replace(nominal_conditions, corner=corner))
             )
             for corner in ProcessCorner
         }
@@ -92,10 +95,10 @@ class TestPvtAndMismatch:
 
     def test_heating_slows_discharge(self, solver, nominal_conditions):
         cold = float(
-            solver.discharge_at(0.9, 1.28e-9, nominal_conditions.with_temperature_celsius(0.0))
+            solver.discharge_at(0.9, 1.28e-9, nominal_conditions.with_temperature(celsius_to_kelvin(0.0)))
         )
         hot = float(
-            solver.discharge_at(0.9, 1.28e-9, nominal_conditions.with_temperature_celsius(70.0))
+            solver.discharge_at(0.9, 1.28e-9, nominal_conditions.with_temperature(celsius_to_kelvin(70.0)))
         )
         assert hot < cold
 
@@ -109,8 +112,7 @@ class TestPvtAndMismatch:
         assert np.std(deltas[1]) > np.std(deltas[0])
 
     def test_mismatch_broadcasting_single_sample(self, solver, nominal_conditions, technology):
-        sampler = MismatchSampler(MismatchParameters.from_technology(technology), seed=4)
-        sample = sampler.sample()
+        sample = MismatchSample(vth_access=0.01, beta_pulldown=-0.02)
         delta = solver.discharge_at(0.9, 1.0e-9, nominal_conditions, mismatch=sample)
         assert np.shape(delta) == ()
 
@@ -162,14 +164,18 @@ class TestResultContainer:
 
     def test_waveform_extraction(self, solver, nominal_conditions):
         result = solver.simulate_discharge(np.array([0.6, 0.9]), 1.0e-9, nominal_conditions)
-        assert result.trace_count == 2
         wave = result.waveform(1)
-        assert wave.initial_value == pytest.approx(nominal_conditions.vdd)
+        assert float(wave.values[0]) == pytest.approx(nominal_conditions.vdd)
+        assert np.array_equal(wave.values, result.voltages[1])
         with pytest.raises(IndexError):
             result.waveform(5)
 
-    def test_saturation_time_only_above_threshold(self, solver, nominal_conditions, technology):
-        below = solver.saturation_time(technology.vth_nominal - 0.05, nominal_conditions)
-        above = solver.saturation_time(1.0, nominal_conditions, horizon=6e-9)
-        assert below is None
-        assert above is not None and above > 0.0
+    def test_saturation_time_only_above_threshold(self, nominal_conditions, technology):
+        below, above = discharge_vs_time(
+            technology,
+            wordline_voltages=(technology.vth_nominal - 0.05, 1.0),
+            duration=6e-9,
+            conditions=nominal_conditions,
+        )
+        assert below.saturation_time is None
+        assert above.saturation_time is not None and above.saturation_time > 0.0
