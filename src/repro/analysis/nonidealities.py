@@ -111,3 +111,24 @@ def discharge_vs_wordline_voltage(
         "discharge": discharge,
         "nonlinearity": bitline_voltage - ideal,
     }
+
+
+def saturation_limited_discharge(
+    technology: TechnologyCard,
+    wordline_voltage: float = 1.0,
+    duration: float = 2.0e-9,
+    conditions: Optional[OperatingConditions] = None,
+) -> Dict[str, float]:
+    """Quantify the saturation-to-triode transition of Eq. 2 for one trace."""
+    curves = discharge_vs_time(
+        technology, wordline_voltages=(wordline_voltage,), duration=duration, conditions=conditions
+    )
+    curve = curves[0]
+    return {
+        "wordline_voltage": curve.wordline_voltage,
+        "saturation_limit_voltage": curve.saturation_limit,
+        "saturation_time_ns": (
+            curve.saturation_time * 1e9 if curve.saturation_time is not None else float("nan")
+        ),
+        "final_bitline_voltage": curve.final_voltage,
+    }

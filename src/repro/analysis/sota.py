@@ -26,6 +26,17 @@ class SotaDesignPoint:
     bit_width: int
     technology_nm: int
 
+    def mac_energy_reduction_potential(self, baseline_pj: float = 3.7) -> float:
+        """Energy-reduction factor versus a digital MAC baseline.
+
+        The default baseline is a representative 65 nm digital 8-bit MAC
+        energy (a few picojoule); the factor is only used for the
+        qualitative "reduction potential" bars of Fig. 1.
+        """
+        if baseline_pj <= 0.0:
+            raise ValueError("baseline_pj must be positive")
+        return baseline_pj / self.energy_pj_per_mac
+
 
 def sota_design_points() -> List[SotaDesignPoint]:
     """Published design points of the paper's Fig. 1 comparison."""

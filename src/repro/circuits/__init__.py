@@ -7,13 +7,14 @@ by the OPTIMA paper.  It provides:
 * PVT operating conditions (:mod:`repro.circuits.conditions`),
 * an alpha-power-law MOSFET model with sub-threshold conduction
   (:mod:`repro.circuits.mosfet`),
-* the 6T SRAM cell (:mod:`repro.circuits.sram_cell`),
+* the 6T SRAM cell and array abstractions (:mod:`repro.circuits.sram_cell`,
+  :mod:`repro.circuits.sram_array`),
 * bit-line parasitics (:mod:`repro.circuits.bitline`),
 * Pelgrom-style mismatch sampling (:mod:`repro.circuits.mismatch`),
 * a transient bit-line discharge solver (:mod:`repro.circuits.transient`),
-* a waveform container with its crossing-time measurement
+* waveform containers and measurement helpers
   (:mod:`repro.circuits.waveform`),
-* energy accounting of the write and discharge phases
+* energy accounting of the pre-charge / write / discharge phases
   (:mod:`repro.circuits.energy`).
 
 The numerical values are calibrated to publicly known 65 nm-class numbers so
@@ -22,20 +23,23 @@ paper reports, but the purpose of this package is to be a *golden reference*
 against which the fast OPTIMA behavioural models are fitted and validated.
 """
 
-from repro.circuits.conditions import OperatingConditions
+from repro.circuits.conditions import OperatingConditions, PVTCorner
 from repro.circuits.technology import ProcessCorner, TechnologyCard, tsmc65_like
 from repro.circuits.mosfet import MosfetParameters, NmosDevice
 from repro.circuits.bitline import BitLine
 from repro.circuits.mismatch import MismatchParameters, MismatchSample, MismatchSampler
-from repro.circuits.sram_cell import SramCell
+from repro.circuits.sram_cell import CellState, SramCell
+from repro.circuits.sram_array import SramArray, SramColumn, SramWord
 from repro.circuits.transient import DischargeResult, DischargeRun, TransientSolver
 from repro.circuits.waveform import Waveform
-from repro.circuits.energy import EnergyModelReference
+from repro.circuits.energy import EnergyBreakdown, EnergyModelReference
 
 __all__ = [
     "BitLine",
+    "CellState",
     "DischargeResult",
     "DischargeRun",
+    "EnergyBreakdown",
     "EnergyModelReference",
     "MismatchParameters",
     "MismatchSample",
@@ -44,7 +48,11 @@ __all__ = [
     "NmosDevice",
     "OperatingConditions",
     "ProcessCorner",
+    "PVTCorner",
+    "SramArray",
     "SramCell",
+    "SramColumn",
+    "SramWord",
     "TechnologyCard",
     "TransientSolver",
     "Waveform",

@@ -1,13 +1,17 @@
-"""Bit-line parasitics.
+"""Bit-line parasitics and pre-charge behaviour.
 
 Discharge-based in-SRAM computing stores its analogue intermediate result as
 charge removed from the bit-line capacitance, so the bit-line is a
-first-class circuit element here rather than an implicit wire.
+first-class circuit element here rather than an implicit wire.  The class
+below also provides the pre-charge/restore energy book-keeping that feeds the
+energy models of paper Eq. 7/8.
 """
 
 from __future__ import annotations
 
 import dataclasses
+
+import numpy as np
 
 from repro.circuits.technology import TechnologyCard
 
@@ -50,3 +54,43 @@ class BitLine:
         """
         capacitance = technology.bitline_capacitance * (rows / 64.0)
         return cls(capacitance=capacitance, rows=rows, name=name)
+
+    # ------------------------------------------------------------------
+    # Charge / energy book-keeping
+    # ------------------------------------------------------------------
+    def charge_for_swing(self, delta_v: float) -> float:
+        """Charge (coulomb) removed from the line for a ``delta_v`` discharge."""
+        if delta_v < 0.0:
+            raise ValueError("delta_v must be non-negative")
+        return self.capacitance * delta_v
+
+    def precharge_energy(self, vdd: float, delta_v: float) -> float:
+        """Energy drawn from the supply to restore a ``delta_v`` discharge.
+
+        Re-charging a capacitor from ``VDD - delta_v`` back to ``VDD``
+        through the pre-charge PMOS draws ``C * VDD * delta_v`` from the
+        supply (half stored, half dissipated in the switch).
+        """
+        if vdd <= 0.0:
+            raise ValueError("vdd must be positive")
+        return self.capacitance * vdd * float(np.maximum(delta_v, 0.0))
+
+    def full_swing_energy(self, vdd: float) -> float:
+        """Energy to re-charge the line after a full rail-to-rail discharge."""
+        return self.precharge_energy(vdd, vdd)
+
+    def voltage_after_charge_removal(self, vdd: float, charge: float) -> float:
+        """Line voltage after removing ``charge`` coulombs, clipped at 0 V."""
+        if charge < 0.0:
+            raise ValueError("charge must be non-negative")
+        return float(np.maximum(vdd - charge / self.capacitance, 0.0))
+
+    def discharge_time_constant(self, equivalent_resistance: float) -> float:
+        """RC time constant for a given equivalent discharge resistance."""
+        if equivalent_resistance <= 0.0:
+            raise ValueError("equivalent_resistance must be positive")
+        return self.capacitance * equivalent_resistance
+
+    def per_cell_capacitance(self) -> float:
+        """Average capacitance contributed per attached cell."""
+        return self.capacitance / self.rows

@@ -10,6 +10,7 @@ re-use the same containers, so they live in one small module.
 from __future__ import annotations
 
 import dataclasses
+from typing import Iterable, Iterator, List, Sequence
 
 from repro.circuits.technology import ProcessCorner, TechnologyCard
 
@@ -17,6 +18,11 @@ from repro.circuits.technology import ProcessCorner, TechnologyCard
 def celsius_to_kelvin(temperature_celsius: float) -> float:
     """Convert degrees Celsius to kelvin."""
     return temperature_celsius + 273.15
+
+
+def kelvin_to_celsius(temperature_kelvin: float) -> float:
+    """Convert kelvin to degrees Celsius."""
+    return temperature_kelvin - 273.15
 
 
 @dataclasses.dataclass(frozen=True)
@@ -52,6 +58,11 @@ class OperatingConditions:
             corner=ProcessCorner.TYPICAL,
         )
 
+    @property
+    def temperature_celsius(self) -> float:
+        """Junction temperature in degrees Celsius."""
+        return kelvin_to_celsius(self.temperature)
+
     def with_vdd(self, vdd: float) -> "OperatingConditions":
         """Copy of the conditions with a different supply voltage."""
         return dataclasses.replace(self, vdd=vdd)
@@ -60,4 +71,75 @@ class OperatingConditions:
         """Copy of the conditions with a different temperature (kelvin)."""
         return dataclasses.replace(self, temperature=temperature)
 
+    def with_temperature_celsius(self, temperature_celsius: float) -> "OperatingConditions":
+        """Copy of the conditions with a different temperature (Celsius)."""
+        return dataclasses.replace(
+            self, temperature=celsius_to_kelvin(temperature_celsius)
+        )
 
+    def with_corner(self, corner: ProcessCorner) -> "OperatingConditions":
+        """Copy of the conditions with a different process corner."""
+        return dataclasses.replace(self, corner=corner)
+
+    def describe(self) -> str:
+        """Short human-readable description used in reports."""
+        return (
+            f"VDD={self.vdd:.3f} V, T={self.temperature_celsius:.1f} degC, "
+            f"corner={self.corner.value}"
+        )
+
+
+@dataclasses.dataclass(frozen=True)
+class PVTCorner:
+    """A named PVT corner used for multi-corner characterisation sweeps."""
+
+    name: str
+    conditions: OperatingConditions
+
+    def describe(self) -> str:
+        """Short human-readable description used in reports."""
+        return f"{self.name}: {self.conditions.describe()}"
+
+
+def standard_pvt_corners(technology: TechnologyCard) -> List[PVTCorner]:
+    """Return the canonical multi-corner characterisation set.
+
+    The set spans the supply range +/-10 %, the industrial temperature range
+    0..70 degC and the three global process corners, mirroring the
+    multi-corner circuit simulations the paper describes in Section IV.
+    """
+    nominal = OperatingConditions.nominal(technology)
+    corners: List[PVTCorner] = [PVTCorner("nominal", nominal)]
+    for label, vdd_scale in (("low-vdd", 0.9), ("high-vdd", 1.1)):
+        corners.append(
+            PVTCorner(label, nominal.with_vdd(technology.vdd_nominal * vdd_scale))
+        )
+    for label, temp_c in (("cold", 0.0), ("hot", 70.0)):
+        corners.append(PVTCorner(label, nominal.with_temperature_celsius(temp_c)))
+    for process in (ProcessCorner.FAST, ProcessCorner.SLOW):
+        corners.append(PVTCorner(process.value, nominal.with_corner(process)))
+    return corners
+
+
+def condition_grid(
+    vdd_values: Sequence[float],
+    temperatures: Sequence[float],
+    corners: Iterable[ProcessCorner] = (ProcessCorner.TYPICAL,),
+) -> Iterator[OperatingConditions]:
+    """Yield the cartesian product of supply, temperature and corner values.
+
+    Parameters
+    ----------
+    vdd_values:
+        Supply voltages in volts.
+    temperatures:
+        Junction temperatures in kelvin.
+    corners:
+        Process corners to include.
+    """
+    for corner in corners:
+        for vdd in vdd_values:
+            for temperature in temperatures:
+                yield OperatingConditions(
+                    vdd=vdd, temperature=temperature, corner=corner
+                )

@@ -17,13 +17,45 @@ how the paper extracts energies from circuit simulation.
 
 from __future__ import annotations
 
+import dataclasses
 from typing import Union
 
 import numpy as np
 
+from repro.circuits.conditions import OperatingConditions
 from repro.circuits.technology import TechnologyCard
 
 ArrayLike = Union[float, np.ndarray]
+
+
+@dataclasses.dataclass(frozen=True)
+class EnergyBreakdown:
+    """Per-phase energy of one in-SRAM multiply, in joules."""
+
+    write: float
+    wordline: float
+    precharge_restore: float
+    sampling: float
+
+    @property
+    def discharge(self) -> float:
+        """Energy of the discharge phase (everything except the write)."""
+        return self.wordline + self.precharge_restore + self.sampling
+
+    @property
+    def total(self) -> float:
+        """Total energy of write plus discharge phases."""
+        return self.write + self.discharge
+
+    def describe(self) -> str:
+        """Short human-readable description used in reports."""
+        return (
+            f"write={self.write * 1e15:.1f} fJ, "
+            f"wordline={self.wordline * 1e15:.1f} fJ, "
+            f"restore={self.precharge_restore * 1e15:.1f} fJ, "
+            f"sampling={self.sampling * 1e15:.1f} fJ, "
+            f"total={self.total * 1e15:.1f} fJ"
+        )
 
 
 class EnergyModelReference:
@@ -67,17 +99,25 @@ class EnergyModelReference:
     # ------------------------------------------------------------------
     # Write energy (per cell)
     # ------------------------------------------------------------------
+    def write_energy(self, conditions: OperatingConditions) -> float:
+        """Energy to write one bit, independent of the written value.
+
+        The symmetric 6T layout makes the write energy data-independent
+        (paper Section IV-B): one of the two bit-lines is always discharged
+        to ground and re-charged afterwards, and the internal nodes always
+        toggle one full swing in the worst case that sizing is done for.
+        """
+        return float(self.write_energy_table(conditions.vdd, conditions.temperature))
+
     def write_energy_table(
         self, vdd: ArrayLike, temperature: ArrayLike
     ) -> np.ndarray:
         """Write energy over per-record supply / temperature columns.
 
-        ``vdd`` and ``temperature`` broadcast against each other.  The write
-        energy is data-independent (paper Section IV-B): the symmetric 6T
-        layout always discharges and re-charges one of the two bit-lines,
-        and the internal nodes toggle one full swing.  The accounting is
-        purely elementwise, so a whole characterisation table evaluates as
-        one NumPy pass.
+        ``vdd`` and ``temperature`` broadcast against each other; every
+        element is bit-identical to a scalar :meth:`write_energy` call at
+        that operating point (the accounting is purely elementwise), so a
+        whole characterisation table evaluates as one NumPy pass.
         """
         vdd = np.asarray(vdd, dtype=float)
         # Both the BL and the BLB are driven during a write (one of them
@@ -108,6 +148,12 @@ class EnergyModelReference:
             * vdd_factor
         )
         return power * self.write_duration
+
+    def word_write_energy(self, conditions: OperatingConditions, bits: int = 4) -> float:
+        """Energy to write a ``bits``-wide word (one cell per column)."""
+        if bits <= 0:
+            raise ValueError("bits must be positive")
+        return bits * self.write_energy(conditions)
 
     # ------------------------------------------------------------------
     # Discharge energy (per bit-line)
@@ -144,3 +190,23 @@ class EnergyModelReference:
             np.asarray(temperature, dtype=float) - self.technology.temperature_nominal
         )
         return (restore + restore_loss + sampling) * temperature_factor
+
+    def breakdown(
+        self,
+        delta_v_bl: float,
+        wordline_voltage: float,
+        conditions: OperatingConditions,
+        bits: int = 4,
+    ) -> EnergyBreakdown:
+        """Full per-phase energy breakdown of one multiply on one bit-line."""
+        vdd = conditions.vdd
+        delta_v = max(float(delta_v_bl), 0.0)
+        return EnergyBreakdown(
+            write=self.word_write_energy(conditions, bits=bits),
+            wordline=float(self.technology.wordline_capacitance * wordline_voltage**2),
+            precharge_restore=float(
+                self._bitline_capacitance * vdd * delta_v
+                + 0.5 * self._bitline_capacitance * delta_v**2
+            ),
+            sampling=float(self.technology.sampling_capacitance * vdd * delta_v),
+        )

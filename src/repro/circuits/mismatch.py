@@ -56,6 +56,21 @@ class MismatchParameters:
             ),
         )
 
+    def scaled(self, factor: float) -> "MismatchParameters":
+        """Return a copy with all sigmas multiplied by ``factor``.
+
+        Useful for sensitivity studies (e.g. "what if the layout doubled the
+        device area?").
+        """
+        if factor < 0.0:
+            raise ValueError("factor must be non-negative")
+        return MismatchParameters(
+            sigma_vth_access=self.sigma_vth_access * factor,
+            sigma_vth_pulldown=self.sigma_vth_pulldown * factor,
+            sigma_beta_access=self.sigma_beta_access * factor,
+            sigma_beta_pulldown=self.sigma_beta_pulldown * factor,
+        )
+
 
 @dataclasses.dataclass(frozen=True)
 class MismatchSample:
@@ -93,6 +108,16 @@ class MismatchSampler:
     def __init__(self, parameters: MismatchParameters, seed: Optional[int] = 0) -> None:
         self.parameters = parameters
         self._rng = np.random.default_rng(seed)
+
+    def sample(self) -> MismatchSample:
+        """Draw one mismatch sample."""
+        p = self.parameters
+        return MismatchSample(
+            vth_access=float(self._rng.normal(0.0, p.sigma_vth_access)),
+            vth_pulldown=float(self._rng.normal(0.0, p.sigma_vth_pulldown)),
+            beta_access=float(self._rng.normal(0.0, p.sigma_beta_access)),
+            beta_pulldown=float(self._rng.normal(0.0, p.sigma_beta_pulldown)),
+        )
 
     def sample_arrays(self, count: int) -> "MismatchArrays":
         """Draw ``count`` samples as parallel arrays (for vectorised solves)."""

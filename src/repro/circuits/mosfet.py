@@ -29,7 +29,7 @@ from typing import Union
 import numpy as np
 
 from repro.circuits.conditions import OperatingConditions
-from repro.circuits.technology import TechnologyCard
+from repro.circuits.technology import ProcessCorner, TechnologyCard
 
 ArrayLike = Union[float, np.ndarray]
 
@@ -254,3 +254,34 @@ def drain_current_from_parameters(
     True
     """
     return drain_current_from_gate(params, gate_terms(params, vgs), vds)
+
+
+def access_device(technology: TechnologyCard, **mismatch: float) -> NmosDevice:
+    """Construct the 6T access transistor (M5/M6) for a technology card."""
+    return NmosDevice(
+        technology,
+        width=technology.access_width,
+        length=technology.access_length,
+        name="M_access",
+        **mismatch,
+    )
+
+
+def pulldown_device(technology: TechnologyCard, **mismatch: float) -> NmosDevice:
+    """Construct the 6T pull-down transistor (M2/M4) for a technology card."""
+    return NmosDevice(
+        technology,
+        width=technology.pulldown_width,
+        length=technology.pulldown_length,
+        name="M_pulldown",
+        **mismatch,
+    )
+
+
+def corner_description(corner: ProcessCorner) -> str:
+    """Human-readable description of a process corner for reports."""
+    if corner is ProcessCorner.FAST:
+        return "fast (low Vth, high mobility)"
+    if corner is ProcessCorner.SLOW:
+        return "slow (high Vth, low mobility)"
+    return "typical"

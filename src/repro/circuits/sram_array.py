@@ -229,9 +229,3 @@ class SramArray:
     def dump(self) -> np.ndarray:
         """Return the stored contents as an integer array (one entry per row)."""
         return np.array([self.read_word(row) for row in range(self.words)], dtype=int)
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging helper
-        return (
-            f"SramArray(words={self.words}, bits_per_word={self.bits_per_word}, "
-            f"technology={self.technology.name!r})"
-        )

@@ -11,12 +11,14 @@ applied to the word line, the BLB discharges through the series stack of the
 access transistor M6 (gate at ``V_WL``) and the pull-down transistor M4 (gate
 at ``VDD``).  The cell class therefore extracts the parameters of this
 two-transistor stack (:meth:`SramCell.discharge_stack`), and
-:class:`DischargeStack` solves it, vectorised.
+:class:`DischargeStack` solves it, vectorised.  The cell also keeps the
+digital read/write behaviour the array model uses.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import enum
 from typing import Optional, Union
 
 import numpy as np
@@ -70,6 +72,25 @@ def _solve_stack(
         high = np.where(positive, high, mid)
     v_x = 0.5 * (low + high)
     return drain_current_from_parameters(access, v_wl - v_x, v_bl - v_x)
+
+
+class CellState(enum.Enum):
+    """Logical content of one 6T cell."""
+
+    ZERO = 0
+    ONE = 1
+
+    @classmethod
+    def from_bit(cls, bit: int) -> "CellState":
+        """Convert an integer bit (0 or 1) into a cell state."""
+        if bit not in (0, 1):
+            raise ValueError(f"a cell stores a single bit, got {bit!r}")
+        return cls.ONE if bit else cls.ZERO
+
+    @property
+    def bit(self) -> int:
+        """The stored bit as an integer."""
+        return self.value
 
 
 @dataclasses.dataclass(frozen=True)
@@ -165,6 +186,8 @@ class SramCell:
     ----------
     technology:
         Technology card providing device geometries and process constants.
+    state:
+        Initial stored bit.
     mismatch:
         Optional per-device mismatch offsets for the discharge stack.  A
         ``None`` value means a perfectly matched cell.
@@ -173,9 +196,11 @@ class SramCell:
     def __init__(
         self,
         technology: TechnologyCard,
+        state: CellState = CellState.ZERO,
         mismatch: Optional[MismatchSample] = None,
     ) -> None:
         self.technology = technology
+        self.state = state
         self.mismatch = mismatch or MismatchSample.nominal()
         self._access = NmosDevice(
             technology,
@@ -194,6 +219,25 @@ class SramCell:
             name="M4",
         )
 
+    # ------------------------------------------------------------------
+    # Digital behaviour
+    # ------------------------------------------------------------------
+    def write(self, bit: int) -> None:
+        """Overwrite the stored bit (models the full-swing BL write)."""
+        self.state = CellState.from_bit(bit)
+
+    def read(self) -> int:
+        """Return the stored bit (models a standard differential read)."""
+        return self.state.bit
+
+    @property
+    def stored_bit(self) -> int:
+        """The stored bit as an integer."""
+        return self.state.bit
+
+    # ------------------------------------------------------------------
+    # Analogue behaviour
+    # ------------------------------------------------------------------
     def discharge_stack(self, conditions: OperatingConditions) -> DischargeStack:
         """Extract the discharge-path parameters for one operating point."""
         return DischargeStack(
@@ -201,3 +245,13 @@ class SramCell:
             pulldown=self._pulldown.parameters(conditions),
             vdd=conditions.vdd,
         )
+
+    def saturation_limit(self, v_wl: float, conditions: OperatingConditions) -> float:
+        """Bit-line voltage below which the access device leaves saturation.
+
+        This is the right-hand side of paper Eq. 2: ``V_BL >= V_WL - V_th``.
+        The ADC sampling time of a well-designed multiplier keeps the
+        discharge above this limit.
+        """
+        params = self._access.parameters(conditions)
+        return max(v_wl - params.threshold_voltage, 0.0)

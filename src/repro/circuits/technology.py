@@ -206,6 +206,10 @@ class TechnologyCard:
             raise ValueError("device dimensions must be positive")
         return self.pelgrom_abeta / math.sqrt(width * length)
 
+    def scaled(self, **overrides: float) -> "TechnologyCard":
+        """Return a copy of the card with selected fields overridden."""
+        return dataclasses.replace(self, **overrides)
+
 
 def tsmc65_like() -> TechnologyCard:
     """Return the default 65 nm-class technology card used by the paper repro.

@@ -95,7 +95,7 @@ import numpy as np
 from repro.circuits.bitline import BitLine
 from repro.circuits.conditions import OperatingConditions
 from repro.circuits.mismatch import MismatchArrays, MismatchSample
-from repro.circuits.sram_cell import BISECTION_BLOCK, DischargeStack, SramCell
+from repro.circuits.sram_cell import BISECTION_BLOCK, CellState, DischargeStack, SramCell
 from repro.circuits.technology import TechnologyCard
 from repro.circuits.waveform import Waveform
 
@@ -280,14 +280,14 @@ class TransientSolver:
     ) -> DischargeStack:
         """Build the discharge stack, possibly with vectorised mismatch."""
         if mismatch is None or isinstance(mismatch, MismatchSample):
-            cell = SramCell(self.technology, mismatch)
+            cell = SramCell(self.technology, CellState.ONE, mismatch)
             return cell.discharge_stack(conditions)
 
         # Vectorised Monte-Carlo: the threshold and gain offsets become
         # arrays inside the parameter set; the MOSFET equations broadcast.
         # Each offset gets a trailing axis so it broadcasts against the
         # voltage-grid axis the current table appends to the trace shape.
-        base_cell = SramCell(self.technology)
+        base_cell = SramCell(self.technology, CellState.ONE)
         stack = base_cell.discharge_stack(conditions)
         vth_access = mismatch.vth_access[:, np.newaxis]
         beta_access = mismatch.beta_access[:, np.newaxis]

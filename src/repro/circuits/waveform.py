@@ -1,14 +1,15 @@
-"""Waveform container.
+"""Waveform container and measurement helpers.
 
-The transient solver produces voltage-versus-time traces; the Fig. 4a
-analysis reads off the time at which a trace crosses the saturation limit of
-paper Eq. 2 (:meth:`Waveform.crossing_time`).
+The transient solver produces voltage-versus-time traces; the OPTIMA fitting
+flow then measures them (value at the ADC sampling instant, total discharge,
+crossing times).  :class:`Waveform` provides those measurements in one place
+so the analysis code never re-implements interpolation.
 """
 
 from __future__ import annotations
 
 import dataclasses
-from typing import Optional
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -45,8 +46,56 @@ class Waveform:
             raise ValueError("times must be strictly increasing")
 
     # ------------------------------------------------------------------
+    # Basic properties
+    # ------------------------------------------------------------------
+    def __len__(self) -> int:
+        return int(self.times.shape[0])
+
+    @property
+    def duration(self) -> float:
+        """Total simulated time span in seconds."""
+        return float(self.times[-1] - self.times[0])
+
+    @property
+    def initial_value(self) -> float:
+        """Signal value at the first sample."""
+        return float(np.atleast_1d(self.values[..., 0]).flat[0])
+
+    @property
+    def final_value(self) -> float:
+        """Signal value at the last sample."""
+        return float(np.atleast_1d(self.values[..., -1]).flat[0])
+
+    # ------------------------------------------------------------------
     # Measurements
     # ------------------------------------------------------------------
+    def value_at(self, time: float) -> float:
+        """Linearly interpolated signal value at ``time`` seconds.
+
+        Raises
+        ------
+        ValueError
+            If ``time`` lies outside the simulated span.
+        """
+        if time < self.times[0] or time > self.times[-1]:
+            raise ValueError(
+                f"time {time:.3e} s outside waveform span "
+                f"[{self.times[0]:.3e}, {self.times[-1]:.3e}] s"
+            )
+        flat = np.atleast_2d(self.values)
+        interpolated = np.array([np.interp(time, self.times, row) for row in flat])
+        if self.values.ndim == 1:
+            return float(interpolated[0])
+        return float(interpolated.mean())
+
+    def delta_at(self, time: float) -> float:
+        """Discharge (initial value minus value at ``time``)."""
+        return self.initial_value - self.value_at(time)
+
+    def total_delta(self) -> float:
+        """Discharge over the whole simulated span."""
+        return self.initial_value - self.final_value
+
     def crossing_time(self, level: float) -> Optional[float]:
         """First time the waveform crosses ``level`` (falling), or ``None``."""
         values = np.atleast_1d(self.values if self.values.ndim == 1 else self.values[0])
@@ -62,3 +111,27 @@ class Waveform:
             return float(t1)
         fraction = (v0 - level) / (v0 - v1)
         return float(t0 + fraction * (t1 - t0))
+
+    def resampled(self, times: Sequence[float]) -> "Waveform":
+        """Return a copy interpolated onto a new time grid."""
+        times = np.asarray(times, dtype=float)
+        values = np.interp(times, self.times, np.atleast_1d(self.values))
+        return Waveform(times=times, values=values, name=self.name)
+
+    def slope_at(self, time: float, window: Optional[float] = None) -> float:
+        """Finite-difference slope (V/s) around ``time``.
+
+        Parameters
+        ----------
+        time:
+            Centre of the differentiation window.
+        window:
+            Width of the window; defaults to two simulation steps.
+        """
+        if window is None:
+            window = 2.0 * float(np.median(np.diff(self.times)))
+        t_lo = max(self.times[0], time - window / 2.0)
+        t_hi = min(self.times[-1], time + window / 2.0)
+        if t_hi <= t_lo:
+            raise ValueError("slope window collapsed to zero width")
+        return (self.value_at(t_hi) - self.value_at(t_lo)) / (t_hi - t_lo)

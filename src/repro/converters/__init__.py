@@ -5,8 +5,8 @@ small amount of mixed-signal circuitry:
 
 * a word-line DAC that converts the digital input operand into an analogue
   word-line voltage (:mod:`repro.converters.dac`),
-* a charge-sharing combiner that captures and averages the per-bit-line
-  discharges (:mod:`repro.converters.sampling`),
+* a switch/capacitor sampling network that captures and combines the
+  per-bit-line discharges (:mod:`repro.converters.sampling`),
 * an ADC that digitises the combined discharge
   (:mod:`repro.converters.adc`).
 
@@ -17,11 +17,12 @@ at which the OPTIMA design-space exploration reasons about them.
 
 from repro.converters.adc import Adc
 from repro.converters.dac import LinearDac, NonlinearCompensatingDac
-from repro.converters.sampling import ChargeSharingCombiner
+from repro.converters.sampling import ChargeSharingCombiner, SamplingNetwork
 
 __all__ = [
     "Adc",
     "ChargeSharingCombiner",
     "LinearDac",
     "NonlinearCompensatingDac",
+    "SamplingNetwork",
 ]

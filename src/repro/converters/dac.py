@@ -74,6 +74,12 @@ class LinearDac:
         code = np.clip(np.asarray(code, dtype=float), 0, self.max_code)
         return self.v_zero + code * self.step
 
+    def code_for_voltage(self, voltage: ArrayLike) -> np.ndarray:
+        """Nearest input code that produces ``voltage`` (inverse transfer)."""
+        voltage = np.asarray(voltage, dtype=float)
+        code = np.rint((voltage - self.v_zero) / self.step)
+        return np.clip(code, 0, self.max_code).astype(int)
+
     def conversion_energy(self, code: ArrayLike) -> np.ndarray:
         """Energy to drive the word line to the output voltage of ``code``."""
         voltage = self.voltage(code)

@@ -245,3 +245,17 @@ class DischargeModel:
             "temperature_nominal": self.temperature_nominal,
             "supply_mode": self.supply_mode,
         }
+
+    @classmethod
+    def from_dict(cls, data: Dict[str, object]) -> "DischargeModel":
+        """Inverse of :meth:`to_dict`."""
+        return cls(
+            base=SeparableProductModel.from_dict(data["base"]),
+            supply=Polynomial1D.from_dict(data["supply"]),
+            temperature_coefficient=Polynomial1D.from_dict(data["temperature_coefficient"]),
+            mismatch_sigma_model=SeparableProductModel.from_dict(data["mismatch_sigma_model"]),
+            threshold_voltage=float(data["threshold_voltage"]),
+            vdd_nominal=float(data["vdd_nominal"]),
+            temperature_nominal=float(data["temperature_nominal"]),
+            supply_mode=str(data.get("supply_mode", "discharge")),
+        )

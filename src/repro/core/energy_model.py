@@ -31,6 +31,13 @@ class WriteEnergyModel:
 
     model: SeparableProductModel
 
+    @classmethod
+    def with_default_degrees(cls) -> "WriteEnergyModel":
+        """Unfitted model with the paper's polynomial degrees (2 and 1)."""
+        return cls(
+            SeparableProductModel(degrees=(2, 1), variables=("vdd", "temperature"))
+        )
+
     def energy(self, vdd: ArrayLike, temperature: ArrayLike) -> np.ndarray:
         """Write energy in joules per bit (non-negative)."""
         return np.maximum(
@@ -47,12 +54,26 @@ class WriteEnergyModel:
         """JSON-serialisable representation."""
         return {"model": self.model.to_dict()}
 
+    @classmethod
+    def from_dict(cls, data: Dict[str, object]) -> "WriteEnergyModel":
+        """Inverse of :meth:`to_dict`."""
+        return cls(model=SeparableProductModel.from_dict(data["model"]))
+
 
 @dataclasses.dataclass
 class DischargeEnergyModel:
     """Paper Eq. 8: ``E_dc = p1(V_DD) * p3(dV_BL) * p1(T)`` (per bit-line event)."""
 
     model: SeparableProductModel
+
+    @classmethod
+    def with_default_degrees(cls) -> "DischargeEnergyModel":
+        """Unfitted model with the paper's polynomial degrees (1, 3 and 1)."""
+        return cls(
+            SeparableProductModel(
+                degrees=(1, 3, 1), variables=("vdd", "delta_v_bl", "temperature")
+            )
+        )
 
     def energy(
         self,
@@ -69,3 +90,8 @@ class DischargeEnergyModel:
     def to_dict(self) -> Dict[str, object]:
         """JSON-serialisable representation."""
         return {"model": self.model.to_dict()}
+
+    @classmethod
+    def from_dict(cls, data: Dict[str, object]) -> "DischargeEnergyModel":
+        """Inverse of :meth:`to_dict`."""
+        return cls(model=SeparableProductModel.from_dict(data["model"]))

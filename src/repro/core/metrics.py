@@ -23,6 +23,52 @@ def rms_error(predicted: ArrayLike, reference: ArrayLike) -> float:
     return float(np.sqrt(np.mean(difference**2)))
 
 
+def mean_absolute_error(predicted: ArrayLike, reference: ArrayLike) -> float:
+    """Mean absolute error between two arrays."""
+    predicted = np.asarray(predicted, dtype=float)
+    reference = np.asarray(reference, dtype=float)
+    return float(np.mean(np.abs(predicted - reference)))
+
+
+def max_absolute_error(predicted: ArrayLike, reference: ArrayLike) -> float:
+    """Worst-case absolute error between two arrays."""
+    predicted = np.asarray(predicted, dtype=float)
+    reference = np.asarray(reference, dtype=float)
+    return float(np.max(np.abs(predicted - reference)))
+
+
+def lsb_voltage(full_scale_voltage: float, levels: int) -> float:
+    """Voltage of one ADC least-significant bit.
+
+    Parameters
+    ----------
+    full_scale_voltage:
+        Analogue full-scale range captured by the converter, in volts.
+    levels:
+        Number of quantisation *steps* (e.g. ``2**bits - 1`` for a classic
+        ADC, or 225 for the multiplier's 0..15*15 product range).
+    """
+    if full_scale_voltage <= 0.0:
+        raise ValueError("full_scale_voltage must be positive")
+    if levels <= 0:
+        raise ValueError("levels must be positive")
+    return full_scale_voltage / levels
+
+
+def voltage_to_lsb(voltage: ArrayLike, lsb: float) -> np.ndarray:
+    """Convert a voltage (or voltage error) to LSB units."""
+    if lsb <= 0.0:
+        raise ValueError("lsb must be positive")
+    return np.asarray(voltage, dtype=float) / lsb
+
+
+def error_in_lsb(measured_codes: ArrayLike, expected_codes: ArrayLike) -> np.ndarray:
+    """Absolute code error in LSB units (codes are already integers)."""
+    measured = np.asarray(measured_codes, dtype=float)
+    expected = np.asarray(expected_codes, dtype=float)
+    return np.abs(measured - expected)
+
+
 def speedup_ratio(reference_runtime: float, fast_runtime: float) -> float:
     """Speed-up of the fast flow over the reference flow.
 
@@ -36,12 +82,33 @@ def speedup_ratio(reference_runtime: float, fast_runtime: float) -> float:
     return reference_runtime / fast_runtime
 
 
+def signal_to_noise_ratio_db(signal_rms: float, noise_rms: float) -> float:
+    """SNR in decibels for a given signal and noise RMS amplitude."""
+    if signal_rms <= 0.0:
+        raise ValueError("signal_rms must be positive")
+    if noise_rms <= 0.0:
+        raise ValueError("noise_rms must be positive")
+    return 20.0 * float(np.log10(signal_rms / noise_rms))
+
+
+def figure_of_merit(mean_error_lsb: float, energy_per_op: float) -> float:
+    """Paper Eq. 9: ``FOM = 1 / (eps_mul * E_mul)``.
+
+    Larger is better; the ``fom`` design corner of Table I maximises this.
+    """
+    if mean_error_lsb <= 0.0:
+        raise ValueError("mean_error_lsb must be positive")
+    if energy_per_op <= 0.0:
+        raise ValueError("energy_per_op must be positive")
+    return 1.0 / (mean_error_lsb * energy_per_op)
+
+
 def top_k_hits(scores: np.ndarray, labels: np.ndarray, k: int = 1) -> int:
     """Number of samples whose label is among their ``k`` highest scores.
 
     Integer counts of disjoint sample windows add up exactly, so a sharded
-    evaluation's ``sum(hits) / samples`` equals the accuracy of the whole
-    set bit for bit.
+    evaluation's ``sum(hits) / samples`` equals :func:`top_k_accuracy` of
+    the whole set bit for bit.
 
     Parameters
     ----------

@@ -4,11 +4,15 @@
 event-driven testbench, the in-SRAM multiplier model, the design-space
 exploration and the DNN injection all query discharges, sigmas and energies
 exclusively through this object, never through the slow reference simulator.
+The suite is JSON-serialisable so a calibration can be stored next to the
+technology it was fitted for and reloaded without re-running the sweeps.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import json
+import pathlib
 from typing import Dict, Optional, Sequence, Union
 
 import numpy as np
@@ -154,3 +158,27 @@ class OptimaModelSuite:
             "technology_name": self.technology_name,
             "metadata": self.metadata,
         }
+
+    @classmethod
+    def from_dict(cls, data: Dict[str, object]) -> "OptimaModelSuite":
+        """Inverse of :meth:`to_dict`."""
+        return cls(
+            discharge=DischargeModel.from_dict(data["discharge"]),
+            write_energy=WriteEnergyModel.from_dict(data["write_energy"]),
+            discharge_energy=DischargeEnergyModel.from_dict(data["discharge_energy"]),
+            technology_name=str(data.get("technology_name", "unknown")),
+            metadata=dict(data.get("metadata", {})),
+        )
+
+    def save(self, path: Union[str, pathlib.Path]) -> pathlib.Path:
+        """Write the suite to a JSON file and return the path."""
+        path = pathlib.Path(path)
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text(json.dumps(self.to_dict(), indent=2))
+        return path
+
+    @classmethod
+    def load(cls, path: Union[str, pathlib.Path]) -> "OptimaModelSuite":
+        """Load a suite previously written with :meth:`save`."""
+        path = pathlib.Path(path)
+        return cls.from_dict(json.loads(path.read_text()))

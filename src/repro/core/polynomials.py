@@ -52,10 +52,26 @@ class Polynomial1D:
         if self.coefficients.size == 0:
             raise ValueError("a polynomial needs at least one coefficient")
 
+    @property
+    def degree(self) -> int:
+        """Polynomial degree ``n``."""
+        return int(self.coefficients.size - 1)
+
     def __call__(self, values: ArrayLike) -> np.ndarray:
         """Evaluate the polynomial (broadcasts over array inputs)."""
         values = np.asarray(values, dtype=float)
         return np.polynomial.polynomial.polyval(values, self.coefficients)
+
+    def derivative(self) -> "Polynomial1D":
+        """Return the first derivative as a new polynomial."""
+        if self.degree == 0:
+            return Polynomial1D(np.zeros(1), variable=self.variable)
+        deriv = np.polynomial.polynomial.polyder(self.coefficients)
+        return Polynomial1D(deriv, variable=self.variable)
+
+    def scaled(self, factor: float) -> "Polynomial1D":
+        """Return ``factor * p(x)`` as a new polynomial."""
+        return Polynomial1D(self.coefficients * factor, variable=self.variable)
 
     def to_dict(self) -> Dict[str, object]:
         """JSON-serialisable representation."""
@@ -63,6 +79,14 @@ class Polynomial1D:
             "variable": self.variable,
             "coefficients": self.coefficients.tolist(),
         }
+
+    @classmethod
+    def from_dict(cls, data: Dict[str, object]) -> "Polynomial1D":
+        """Inverse of :meth:`to_dict`."""
+        return cls(
+            np.asarray(data["coefficients"], dtype=float),
+            variable=str(data.get("variable", "x")),
+        )
 
 
 class SeparableProductModel:
@@ -217,6 +241,14 @@ class SeparableProductModel:
             "fitted": self.fitted,
         }
 
+    @classmethod
+    def from_dict(cls, data: Dict[str, object]) -> "SeparableProductModel":
+        """Inverse of :meth:`to_dict`."""
+        model = cls(degrees=list(data["degrees"]), variables=list(data["variables"]))
+        model.factors = [Polynomial1D.from_dict(d) for d in data["factors"]]
+        model.fitted = bool(data.get("fitted", False))
+        return model
+
 
 class TensorPolynomialModel:
     """Bivariate polynomial with all cross terms, fitted by linear least squares.
@@ -273,3 +305,25 @@ class TensorPolynomialModel:
         targets = np.asarray(targets, dtype=float).ravel()
         prediction = self(np.asarray(x, dtype=float).ravel(), np.asarray(y, dtype=float).ravel())
         return float(np.sqrt(np.mean((prediction - targets) ** 2)))
+
+    def to_dict(self) -> Dict[str, object]:
+        """JSON-serialisable representation."""
+        return {
+            "degree_x": self.degree_x,
+            "degree_y": self.degree_y,
+            "variables": list(self.variables),
+            "coefficients": self.coefficients.tolist(),
+            "fitted": self.fitted,
+        }
+
+    @classmethod
+    def from_dict(cls, data: Dict[str, object]) -> "TensorPolynomialModel":
+        """Inverse of :meth:`to_dict`."""
+        model = cls(
+            degree_x=int(data["degree_x"]),
+            degree_y=int(data["degree_y"]),
+            variables=tuple(data.get("variables", ("x", "y"))),
+        )
+        model.coefficients = np.asarray(data["coefficients"], dtype=float)
+        model.fitted = bool(data.get("fitted", False))
+        return model

@@ -21,7 +21,7 @@ no cheaper than recomputing the sample.
 from __future__ import annotations
 
 import dataclasses
-from typing import List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -212,6 +212,18 @@ def analyze_corner_robustness(
         nominal_energy_per_multiplication=nominal_analysis.energy_per_multiplication,
         small_operand_error_lsb=nominal_analysis.small_operand_error(),
     )
+
+
+def analyze_corners(
+    suite: OptimaModelSuite,
+    configs: Dict[str, MultiplierConfig],
+    **kwargs: object,
+) -> Dict[str, CornerRobustnessReport]:
+    """Run :func:`analyze_corner_robustness` for every named corner."""
+    return {
+        name: analyze_corner_robustness(suite, config, **kwargs)
+        for name, config in configs.items()
+    }
 
 
 def _monte_carlo_sample(

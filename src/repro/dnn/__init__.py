@@ -44,6 +44,7 @@ from repro.dnn.quantization import QuantizationScheme, QuantizedNetwork, quantiz
 from repro.dnn.imc_injection import ExactBackend, LutBackend, MultiplierBackend
 from repro.dnn.evaluation import AccuracyReport, evaluate_accuracy, evaluate_backends
 from repro.dnn.models import (
+    build_mlp,
     build_resnet50_like,
     build_resnet101_like,
     build_vgg16_like,
@@ -71,6 +72,7 @@ __all__ = [
     "ResidualBlock",
     "TrainingConfig",
     "TrainingHistory",
+    "build_mlp",
     "build_resnet101_like",
     "build_resnet50_like",
     "build_vgg16_like",

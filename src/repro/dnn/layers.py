@@ -65,6 +65,14 @@ class Layer:
         """Trainable parameters of the layer (empty for stateless layers)."""
         return []
 
+    def output_shape(self, input_shape: Tuple[int, ...]) -> Tuple[int, ...]:
+        """Shape of the output for a given input shape (excluding batch)."""
+        return input_shape
+
+    def multiplication_count(self, input_shape: Tuple[int, ...]) -> int:
+        """Number of scalar multiplications per single-sample inference."""
+        return 0
+
 
 # ----------------------------------------------------------------------
 # Dense
@@ -108,6 +116,12 @@ class Dense(Layer):
 
     def parameters(self) -> List[Parameter]:
         return [self.weight, self.bias]
+
+    def output_shape(self, input_shape: Tuple[int, ...]) -> Tuple[int, ...]:
+        return (self.out_features,)
+
+    def multiplication_count(self, input_shape: Tuple[int, ...]) -> int:
+        return self.in_features * self.out_features
 
 
 # ----------------------------------------------------------------------
@@ -271,6 +285,16 @@ class Conv2D(Layer):
     def parameters(self) -> List[Parameter]:
         return [self.weight, self.bias]
 
+    def output_shape(self, input_shape: Tuple[int, ...]) -> Tuple[int, ...]:
+        height, width, _ = input_shape
+        out_h = (height + 2 * self.padding - self.kernel) // self.stride + 1
+        out_w = (width + 2 * self.padding - self.kernel) // self.stride + 1
+        return (out_h, out_w, self.out_channels)
+
+    def multiplication_count(self, input_shape: Tuple[int, ...]) -> int:
+        out_h, out_w, _ = self.output_shape(input_shape)
+        return out_h * out_w * self.kernel * self.kernel * self.in_channels * self.out_channels
+
 
 # ----------------------------------------------------------------------
 # Normalisation and activations
@@ -403,6 +427,10 @@ class MaxPool2D(Layer):
         expanded = grad_output[:, :, np.newaxis, :, np.newaxis, :] * mask
         return expanded.reshape(input_shape)
 
+    def output_shape(self, input_shape: Tuple[int, ...]) -> Tuple[int, ...]:
+        height, width, channels = input_shape
+        return (height // self.size, width // self.size, channels)
+
 
 class GlobalAveragePool(Layer):
     """Average over the spatial dimensions, producing (batch, channels)."""
@@ -429,6 +457,9 @@ class GlobalAveragePool(Layer):
             * scale
         )
 
+    def output_shape(self, input_shape: Tuple[int, ...]) -> Tuple[int, ...]:
+        return (input_shape[2],)
+
 
 class Flatten(Layer):
     """Flatten everything except the batch dimension."""
@@ -447,6 +478,9 @@ class Flatten(Layer):
         if self._input_shape is None:
             raise RuntimeError(f"{self.name}: backward() before forward(training=True)")
         return grad_output.reshape(self._input_shape)
+
+    def output_shape(self, input_shape: Tuple[int, ...]) -> Tuple[int, ...]:
+        return (int(np.prod(input_shape)),)
 
 
 # ----------------------------------------------------------------------
@@ -534,3 +568,14 @@ class ResidualBlock(Layer):
         for layer in self.sublayers():
             params.extend(layer.parameters())
         return params
+
+    def output_shape(self, input_shape: Tuple[int, ...]) -> Tuple[int, ...]:
+        return self.conv1.output_shape(input_shape)
+
+    def multiplication_count(self, input_shape: Tuple[int, ...]) -> int:
+        count = self.conv1.multiplication_count(input_shape)
+        intermediate = self.conv1.output_shape(input_shape)
+        count += self.conv2.multiplication_count(intermediate)
+        if self.projection is not None:
+            count += self.projection.multiplication_count(input_shape)
+        return count

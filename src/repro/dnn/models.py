@@ -192,3 +192,22 @@ def build_resnet101_like(
         name="resnet101-like",
         seed=seed,
     )
+
+
+def build_mlp(
+    input_features: int,
+    classes: int,
+    hidden: Sequence[int] = (64, 32),
+    name: str = "mlp",
+    seed: int = 4,
+) -> Network:
+    """A small fully connected network (used by tests and the quickstart)."""
+    rng = np.random.default_rng(seed)
+    layers: List[Layer] = []
+    in_features = input_features
+    for index, width in enumerate(hidden):
+        layers.append(Dense(in_features, width, name=f"{name}.fc{index}", rng=rng))
+        layers.append(ReLU(name=f"{name}.relu{index}"))
+        in_features = width
+    layers.append(Dense(in_features, classes, name=f"{name}.out", rng=rng))
+    return Network(layers, input_shape=(input_features,), name=name)

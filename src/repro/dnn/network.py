@@ -114,6 +114,30 @@ class Network:
         for parameter in self.parameters():
             parameter.zero_grad()
 
+    # ------------------------------------------------------------------
+    # Introspection
+    # ------------------------------------------------------------------
+    def output_shape(self) -> Tuple[int, ...]:
+        """Shape of one output sample."""
+        shape = self.input_shape
+        for layer in self.layers:
+            shape = layer.output_shape(shape)
+        return shape
+
+    def multiplication_count(self) -> int:
+        """Scalar multiplications needed for one single-sample inference.
+
+        This is the quantity reported in the "Number of Multiplications"
+        column of paper Table II — every one of these multiplications is
+        what the in-SRAM multiplier replaces.
+        """
+        shape = self.input_shape
+        total = 0
+        for layer in self.layers:
+            total += layer.multiplication_count(shape)
+            shape = layer.output_shape(shape)
+        return total
+
 
 class NetworkStateError(ValueError):
     """A state does not fit the network it is loaded into."""

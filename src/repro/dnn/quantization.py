@@ -455,11 +455,13 @@ class QuantizedNetwork:
         input_shape: Tuple[int, ...],
         name: str,
         backend: MultiplierBackend,
+        multiplication_count: int = 0,
     ) -> None:
         self.layers = list(layers)
         self.input_shape = tuple(input_shape)
         self.name = name
         self.backend = backend
+        self._multiplication_count = multiplication_count
 
     def forward(self, inputs: np.ndarray, training: bool = False) -> np.ndarray:
         """Forward pass through the mixed quantised / float layer stack."""
@@ -476,6 +478,10 @@ class QuantizedNetwork:
         for start in range(0, inputs.shape[0], batch_size):
             outputs.append(self.forward(inputs[start : start + batch_size]))
         return np.concatenate(outputs, axis=0)
+
+    def multiplication_count(self) -> int:
+        """Multiplications per single-sample inference (from the float model)."""
+        return self._multiplication_count
 
     def with_backend(self, backend: MultiplierBackend, name_suffix: str = "") -> "QuantizedNetwork":
         """Clone the network with every quantised layer bound to ``backend``.
@@ -494,6 +500,7 @@ class QuantizedNetwork:
             input_shape=self.input_shape,
             name=self.name + name_suffix,
             backend=backend,
+            multiplication_count=self._multiplication_count,
         )
 
 
@@ -548,6 +555,7 @@ def _quantized_network(
         input_shape=network.input_shape,
         name=f"{network.name}-int{scheme.weight_bits}",
         backend=backend,
+        multiplication_count=network.multiplication_count(),
     )
 
 

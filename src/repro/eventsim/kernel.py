@@ -29,6 +29,11 @@ class Event:
     sequence: int
     callback: Callable[[], None] = dataclasses.field(compare=False)
     label: str = dataclasses.field(compare=False, default="")
+    cancelled: bool = dataclasses.field(compare=False, default=False)
+
+    def cancel(self) -> None:
+        """Mark the event as cancelled; the kernel will skip it."""
+        self.cancelled = True
 
 
 class SimulationKernel:
@@ -102,6 +107,8 @@ class SimulationKernel:
         """Execute the next pending event; return it, or ``None`` if idle."""
         while self._queue:
             event = heapq.heappop(self._queue)
+            if event.cancelled:
+                continue
             self._now = event.time
             event.callback()
             self._executed_events += 1
@@ -118,6 +125,9 @@ class SimulationKernel:
         executed = 0
         while self._queue and executed < max_events:
             next_event = self._queue[0]
+            if next_event.cancelled:
+                heapq.heappop(self._queue)
+                continue
             if until is not None and next_event.time > until:
                 break
             if self.step() is not None:

@@ -1,15 +1,20 @@
 """Signals for the event-driven simulation framework.
 
-A signal is a named value that is driven forward in simulation time.
-Components communicate exclusively through signals, which keeps every
-interaction between them a timestamped transition, as in an HDL simulator.
+A signal is a named value with a change history and optional change
+callbacks.  Components communicate exclusively through signals, which gives
+the testbench a waveform-style view of the simulation (every transition is
+timestamped) — the same observability an HDL simulator provides.
 """
 
 from __future__ import annotations
 
+from typing import Callable, List, Tuple
+
+import numpy as np
+
 
 class Signal:
-    """A named value that only moves forward in simulation time.
+    """A named value with change history.
 
     Parameters
     ----------
@@ -22,17 +27,24 @@ class Signal:
     def __init__(self, name: str, initial: object = None) -> None:
         self.name = name
         self._value = initial
-        self._changed_at = 0.0
+        self._history: List[Tuple[float, object]] = [(0.0, initial)]
+        self._listeners: List[Callable[["Signal", float], None]] = []
 
     def set(self, value: object, time: float) -> None:
         """Drive a new value at simulation time ``time``."""
-        if time < self._changed_at:
+        if time < self._history[-1][0]:
             raise ValueError(
                 f"signal {self.name}: cannot drive value at {time:.3e} s, "
-                f"earlier than last change {self._changed_at:.3e} s"
+                f"earlier than last change {self._history[-1][0]:.3e} s"
             )
         self._value = value
-        self._changed_at = time
+        self._history.append((time, value))
+        for listener in list(self._listeners):
+            listener(self, time)
+
+    def on_change(self, listener: Callable[["Signal", float], None]) -> None:
+        """Register a callback invoked after every :meth:`set`."""
+        self._listeners.append(listener)
 
 
 class DigitalSignal(Signal):
@@ -65,3 +77,17 @@ class AnalogSignal(Signal):
     def value(self) -> float:
         """Current voltage."""
         return float(self._value)
+
+    def as_waveform(self) -> Tuple[np.ndarray, np.ndarray]:
+        """History as (times, values) arrays for plotting or assertions."""
+        times = np.array([entry[0] for entry in self._history], dtype=float)
+        values = np.array([entry[1] for entry in self._history], dtype=float)
+        return times, values
+
+    def max_value(self) -> float:
+        """Largest voltage the signal ever held."""
+        return float(max(entry[1] for entry in self._history))
+
+    def min_value(self) -> float:
+        """Smallest voltage the signal ever held."""
+        return float(min(entry[1] for entry in self._history))

@@ -121,6 +121,40 @@ class MultiplierConfig:
         """Copy of the configuration with a different corner name."""
         return dataclasses.replace(self, name=name)
 
+    def describe(self) -> str:
+        """Short human-readable description used in reports."""
+        return (
+            f"{self.name}: tau0={self.tau0 * 1e9:.2f} ns, "
+            f"V_DAC,0={self.v_dac_zero:.2f} V, "
+            f"V_DAC,FS={self.v_dac_full_scale:.2f} V"
+        )
+
     def to_dict(self) -> Dict[str, object]:
         """JSON-serialisable representation."""
         return dataclasses.asdict(self)
+
+    @classmethod
+    def from_dict(cls, data: Dict[str, object]) -> "MultiplierConfig":
+        """Inverse of :meth:`to_dict`."""
+        return cls(**data)
+
+
+def paper_corner_fom() -> MultiplierConfig:
+    """The ``fom`` corner of paper Table I (tau0 = 0.16 ns, 0.3 V, 1.0 V)."""
+    return MultiplierConfig(
+        tau0=0.16e-9, v_dac_zero=0.3, v_dac_full_scale=1.0, name="fom"
+    )
+
+
+def paper_corner_power() -> MultiplierConfig:
+    """The ``power`` corner of paper Table I (tau0 = 0.16 ns, 0.3 V, 0.7 V)."""
+    return MultiplierConfig(
+        tau0=0.16e-9, v_dac_zero=0.3, v_dac_full_scale=0.7, name="power"
+    )
+
+
+def paper_corner_variation() -> MultiplierConfig:
+    """The ``variation`` corner of paper Table I (tau0 = 0.24 ns, 0.4 V, 1.0 V)."""
+    return MultiplierConfig(
+        tau0=0.24e-9, v_dac_zero=0.4, v_dac_full_scale=1.0, name="variation"
+    )

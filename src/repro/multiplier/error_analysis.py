@@ -12,7 +12,7 @@ input-space evaluation.
 from __future__ import annotations
 
 import dataclasses
-from typing import Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 import numpy as np
 
@@ -67,6 +67,23 @@ class InputSpaceAnalysis:
         return float(np.mean(self.errors))
 
     @property
+    def max_error_lsb(self) -> float:
+        """Worst-case multiplication error in LSB."""
+        return float(np.max(self.errors))
+
+    @property
+    def rms_error_lsb(self) -> float:
+        """Root-mean-square multiplication error in LSB."""
+        return float(np.sqrt(np.mean(self.errors**2)))
+
+    @property
+    def mean_sigma_lsb(self) -> float:
+        """Average analogue sigma expressed in ADC LSB units."""
+        if self.adc_lsb <= 0.0:
+            return 0.0
+        return float(np.mean(self.analog_sigma) / self.adc_lsb)
+
+    @property
     def sigma_at_max_discharge(self) -> float:
         """Analogue sigma (volts) at the maximum-product input pair."""
         return float(self.analog_sigma[-1, -1])
@@ -92,6 +109,11 @@ class InputSpaceAnalysis:
         return self.sigma_at_max_discharge / full_scale
 
     @property
+    def worst_sigma_mv(self) -> float:
+        """Worst-case analogue standard deviation in millivolts."""
+        return float(np.max(self.analog_sigma) * 1e3)
+
+    @property
     def figure_of_merit(self) -> float:
         """Paper Eq. 9: ``1 / (eps_mul * E_mul)``."""
         error = max(self.mean_error_lsb, 1e-9)
@@ -108,6 +130,30 @@ class InputSpaceAnalysis:
         codes = np.arange(self.expected.shape[0])
         mask = (codes[:, np.newaxis] < threshold) | (codes[np.newaxis, :] < threshold)
         return float(np.mean(self.errors[mask]))
+
+    def summary(self) -> Dict[str, float]:
+        """Scalar metrics as a dictionary (used by reports)."""
+        return {
+            "mean_error_lsb": self.mean_error_lsb,
+            "max_error_lsb": self.max_error_lsb,
+            "rms_error_lsb": self.rms_error_lsb,
+            "mean_sigma_lsb": self.mean_sigma_lsb,
+            "sigma_at_max_discharge_lsb": self.sigma_at_max_discharge_lsb,
+            "worst_sigma_mv": self.worst_sigma_mv,
+            "energy_per_multiplication_fj": self.energy_per_multiplication * 1e15,
+            "energy_per_operation_pj": self.energy_per_operation * 1e12,
+            "figure_of_merit": self.figure_of_merit,
+            "small_operand_error_lsb": self.small_operand_error(),
+        }
+
+    def describe(self) -> str:
+        """Short human-readable description used in reports."""
+        return (
+            f"{self.config.name}: eps_mul={self.mean_error_lsb:.2f} LSB, "
+            f"E_mul={self.energy_per_multiplication * 1e15:.1f} fJ, "
+            f"E_op={self.energy_per_operation * 1e12:.2f} pJ, "
+            f"sigma_max={self.worst_sigma_mv:.2f} mV"
+        )
 
 
 def analyze_input_space(

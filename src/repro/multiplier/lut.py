@@ -15,7 +15,7 @@ standard arrangement for this class of accelerator.
 from __future__ import annotations
 
 import dataclasses
-from typing import Optional
+from typing import Dict, Optional
 
 import numpy as np
 
@@ -104,3 +104,25 @@ class ProductLookupTable:
         exact = np.outer(codes, codes).astype(float)
         mask = (codes[:, np.newaxis] < threshold) | (codes[np.newaxis, :] < threshold)
         return float(np.mean(np.abs(self.mean - exact)[mask]))
+
+    # ------------------------------------------------------------------
+    # Serialisation
+    # ------------------------------------------------------------------
+    def to_dict(self) -> Dict[str, object]:
+        """JSON-serialisable representation."""
+        return {
+            "mean": self.mean.tolist(),
+            "sigma": self.sigma.tolist(),
+            "name": self.name,
+            "max_operand": self.max_operand,
+        }
+
+    @classmethod
+    def from_dict(cls, data: Dict[str, object]) -> "ProductLookupTable":
+        """Inverse of :meth:`to_dict`."""
+        return cls(
+            mean=np.asarray(data["mean"], dtype=float),
+            sigma=np.asarray(data["sigma"], dtype=float),
+            name=str(data.get("name", "unnamed")),
+            max_operand=int(data.get("max_operand", 15)),
+        )

@@ -147,9 +147,9 @@ class SweepEngine:
     Raises
     ------
     SweepCancelled
-        From :meth:`run` when the effective cancel event is set before the
-        sweep completes.  No partial results are returned and nothing is
-        written to the cache.
+        From :meth:`run` / :meth:`run_one` when the effective
+        cancel event is set before the sweep completes.  No partial results
+        are returned and nothing is written to the cache.
 
     Examples
     --------
@@ -309,6 +309,10 @@ class SweepEngine:
             seconds=elapsed,
         )
         return results
+
+    def run_one(self, job: Job) -> Any:
+        """Execute a single job through the engine (cache included)."""
+        return self.run(SweepSpec(job.name or "job", [job]))[0]
 
     def describe(self) -> str:
         """Human-readable engine summary (executor, cache, counters).

@@ -29,7 +29,8 @@ Robustness properties the tests assert:
   artifact under a live key.  Temporary files orphaned by a crashed
   ``put`` still occupy disk, so :meth:`ArtifactCache.size_bytes` counts
   them and :meth:`ArtifactCache.clear` / :meth:`ArtifactCache.evict`
-  sweep them;
+  sweep them.  So do the ``.npz`` artifacts (and their tmp files) that
+  older builds wrote: they are never read again;
 * **size-bounded LRU eviction** — a cache built with ``max_bytes`` evicts
   least-recently-used artifacts whenever a ``put`` pushes it over the
   limit (never the artifact just written).  Recency is tracked through
@@ -65,6 +66,10 @@ _CACHE_SIZE = obs.gauge(
 
 #: Artifact file suffix; a write goes to a ``.frame.tmp`` file first.
 _SUFFIX = ".frame"
+
+#: Files of the ``.npz`` format older builds wrote: never read, but
+#: counted by size_bytes() and removed by clear() and evict().
+_LEGACY_PATTERNS = ("*/*.npz", "*/*.npz.tmp")
 
 # A tmp file this old cannot belong to an in-flight put(); evict() treats it
 # as garbage from a crashed writer.  clear() sweeps tmp files regardless.
@@ -165,6 +170,10 @@ class ArtifactCache:
         if not key or any(c not in "0123456789abcdef" for c in key):
             raise ValueError(f"cache keys must be lowercase hex digests, got {key!r}")
         return self.root / key[:2] / f"{key}{_SUFFIX}"
+
+    def has(self, key: str) -> bool:
+        """Whether an artifact (possibly corrupt) exists for ``key``."""
+        return self.path_for(key).exists()
 
     # ------------------------------------------------------------------
     # Read / write
@@ -274,6 +283,10 @@ class ArtifactCache:
         """Temporary files orphaned by a ``put`` that crashed mid-write."""
         return self._paths(f"*/*{_SUFFIX}.tmp")
 
+    def _legacy_paths(self) -> List[pathlib.Path]:
+        """``.npz`` artifacts and tmp files an older build left behind."""
+        return self._paths(*_LEGACY_PATTERNS)
+
     def keys(self) -> Iterator[str]:
         """Iterate over every stored artifact key."""
         for path in self._artifact_paths():
@@ -283,9 +296,9 @@ class ArtifactCache:
         return sum(1 for _ in self.keys())
 
     def size_bytes(self) -> int:
-        """Total on-disk footprint in bytes, stray tmp files included."""
+        """Total on-disk footprint in bytes, stray tmp and legacy files included."""
         total = 0
-        for path in self._artifact_paths() + self._tmp_paths():
+        for path in self._artifact_paths() + self._tmp_paths() + self._legacy_paths():
             try:
                 total += path.stat().st_size
             except OSError:
@@ -293,9 +306,9 @@ class ArtifactCache:
         return total
 
     def clear(self) -> int:
-        """Delete every artifact and stray tmp file; returns files removed."""
+        """Delete every artifact, stray tmp and legacy file; returns files removed."""
         removed = 0
-        for path in self._artifact_paths() + self._tmp_paths():
+        for path in self._artifact_paths() + self._tmp_paths() + self._legacy_paths():
             try:
                 path.unlink()
                 removed += 1
@@ -323,9 +336,10 @@ class ArtifactCache:
             ``put`` uses it so eviction never drops the artifact just
             written.
 
-        Returns the number of files removed.  Stale tmp files (older than
-        one hour, i.e. certainly not an in-flight write) are swept first;
-        artifacts are then removed oldest-first, where age is the newest of
+        Returns the number of files removed.  Legacy ``.npz`` files (and
+        their tmp files) and stale tmp files (older than one hour, i.e.
+        certainly not an in-flight write) are swept first; artifacts are
+        then removed oldest-first, where age is the newest of
         ``st_atime`` / ``st_mtime`` (every cache hit bumps both).
         """
         limit = self.max_bytes if max_bytes is None else max_bytes
@@ -333,10 +347,12 @@ class ArtifactCache:
             raise ValueError("evict() needs max_bytes (argument or constructor)")
         removed = 0
         stale_before = time.time() - _STALE_TMP_SECONDS
-        for stray in self._tmp_paths():
+        legacy = set(self._legacy_paths())
+        for stray in sorted(legacy) + self._tmp_paths():
             try:
-                # A fresh tmp file may belong to an in-flight put().
-                if stray.stat().st_mtime < stale_before:
+                # Legacy files are never read again; a fresh tmp file may
+                # belong to an in-flight put().
+                if stray in legacy or stray.stat().st_mtime < stale_before:
                     stray.unlink()
                     removed += 1
             except OSError:

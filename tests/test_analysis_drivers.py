@@ -19,7 +19,11 @@ from repro.analysis.dnn_tables import (
     run_dnn_accuracy_experiment,
 )
 from repro.analysis.model_evaluation import format_rms_table, paper_rms_reference
-from repro.analysis.nonidealities import discharge_vs_time, discharge_vs_wordline_voltage
+from repro.analysis.nonidealities import (
+    discharge_vs_time,
+    discharge_vs_wordline_voltage,
+    saturation_limited_discharge,
+)
 from repro.analysis.pvt_sweeps import (
     corner_sweep,
     mismatch_monte_carlo,
@@ -47,6 +51,12 @@ class TestSota:
         assert min(widths) == 4
         assert max(widths) == 8
 
+    def test_energy_reduction_potential(self):
+        point = sota_design_points()[0]
+        assert point.mac_energy_reduction_potential() > 1.0
+        with pytest.raises(ValueError):
+            point.mac_energy_reduction_potential(baseline_pj=0.0)
+
     def test_table_formatting(self):
         text = format_sota_table(sota_design_points())
         assert "clock" in text
@@ -69,6 +79,11 @@ class TestNonidealities:
         assert np.all(np.diff(sweep["discharge"]) >= -1e-6)
         # The transfer is visibly nonlinear (the paper's Fig. 4b point).
         assert float(np.max(np.abs(sweep["nonlinearity"]))) > 5e-3
+
+    def test_saturation_limited_discharge(self, technology):
+        info = saturation_limited_discharge(technology, wordline_voltage=1.0)
+        assert info["saturation_limit_voltage"] > 0.0
+        assert info["final_bitline_voltage"] < 1.0
 
 
 class TestPvtSweeps:

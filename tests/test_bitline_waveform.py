@@ -19,16 +19,74 @@ class TestBitLine:
         with pytest.raises(ValueError):
             BitLine(capacitance=0.0)
 
+    def test_charge_for_swing(self):
+        line = BitLine(capacitance=50e-15)
+        assert line.charge_for_swing(0.2) == pytest.approx(1e-14)
+        with pytest.raises(ValueError):
+            line.charge_for_swing(-0.1)
+
+    def test_precharge_energy_linear_in_swing(self):
+        line = BitLine(capacitance=50e-15)
+        assert line.precharge_energy(1.0, 0.4) == pytest.approx(2.0 * line.precharge_energy(1.0, 0.2))
+
+    def test_full_swing_energy(self):
+        line = BitLine(capacitance=50e-15)
+        assert line.full_swing_energy(1.0) == pytest.approx(50e-15)
+
+    def test_voltage_after_charge_removal_clips_at_zero(self):
+        line = BitLine(capacitance=50e-15)
+        assert line.voltage_after_charge_removal(1.0, 1e-13) == pytest.approx(0.0)
+        assert line.voltage_after_charge_removal(1.0, 1e-14) == pytest.approx(0.8)
+
+    def test_time_constant(self):
+        line = BitLine(capacitance=50e-15)
+        assert line.discharge_time_constant(10e3) == pytest.approx(5e-10)
+
+    def test_per_cell_capacitance(self):
+        line = BitLine(capacitance=64e-15, rows=64)
+        assert line.per_cell_capacitance() == pytest.approx(1e-15)
+
 class TestWaveform:
     def _ramp(self):
         times = np.linspace(0.0, 1e-9, 11)
         values = 1.0 - times / 1e-9 * 0.5
         return Waveform(times=times, values=values)
 
+    def test_basic_properties(self):
+        wave = self._ramp()
+        assert len(wave) == 11
+        assert wave.duration == pytest.approx(1e-9)
+        assert wave.initial_value == pytest.approx(1.0)
+        assert wave.final_value == pytest.approx(0.5)
+
+    def test_value_at_interpolates(self):
+        wave = self._ramp()
+        assert wave.value_at(0.5e-9) == pytest.approx(0.75)
+
+    def test_value_at_outside_span_rejected(self):
+        wave = self._ramp()
+        with pytest.raises(ValueError):
+            wave.value_at(2e-9)
+
+    def test_delta_and_total_delta(self):
+        wave = self._ramp()
+        assert wave.delta_at(1e-9) == pytest.approx(0.5)
+        assert wave.total_delta() == pytest.approx(0.5)
+
     def test_crossing_time(self):
         wave = self._ramp()
         assert wave.crossing_time(0.75) == pytest.approx(0.5e-9, rel=1e-6)
         assert wave.crossing_time(0.2) is None
+
+    def test_resample(self):
+        wave = self._ramp()
+        resampled = wave.resampled(np.linspace(0.0, 1e-9, 5))
+        assert len(resampled) == 5
+        assert resampled.final_value == pytest.approx(0.5)
+
+    def test_slope(self):
+        wave = self._ramp()
+        assert wave.slope_at(0.5e-9) == pytest.approx(-0.5 / 1e-9, rel=1e-3)
 
     def test_non_monotonic_times_rejected(self):
         with pytest.raises(ValueError):

@@ -462,6 +462,19 @@ class TestDistributedExecution:
         text = capsys.readouterr().out
         assert "2 alive" in text and "jobs done" in text
 
+    def test_retired_watch_op_is_refused_and_status_still_served(self, cluster):
+        """A client that still asks for the removed ``watch`` stream gets an
+        error reply instead of a hang, and the coordinator keeps serving."""
+        import asyncio
+
+        from repro.cluster.control import ControlError, _request
+
+        host, port = cluster.address
+        assert "watch" not in cluster_protocol.CONTROL_OPS
+        with pytest.raises(ControlError, match="unexpected op 'watch'"):
+            asyncio.run(_request(host, port, {"op": "watch", "id": "old-client"}, 10.0))
+        assert fetch_status(f"{host}:{port}", timeout=10.0)["alive_workers"] == 2
+
     def test_status_unreachable_endpoint_fails_cleanly(self, capsys):
         assert (
             cli_main(

@@ -2,7 +2,14 @@
 
 import pytest
 
-from repro.circuits.conditions import OperatingConditions, celsius_to_kelvin
+from repro.circuits.conditions import (
+    OperatingConditions,
+    PVTCorner,
+    celsius_to_kelvin,
+    condition_grid,
+    kelvin_to_celsius,
+    standard_pvt_corners,
+)
 from repro.circuits.technology import ProcessCorner, tsmc65_like
 
 
@@ -10,6 +17,9 @@ class TestTemperatureConversions:
     def test_celsius_to_kelvin(self):
         assert celsius_to_kelvin(0.0) == pytest.approx(273.15)
         assert celsius_to_kelvin(27.0) == pytest.approx(300.15)
+
+    def test_roundtrip(self):
+        assert kelvin_to_celsius(celsius_to_kelvin(42.0)) == pytest.approx(42.0)
 
 
 class TestOperatingConditions:
@@ -36,3 +46,31 @@ class TestOperatingConditions:
         assert modified.vdd == pytest.approx(0.9)
         assert modified.temperature == pytest.approx(celsius_to_kelvin(70.0))
         assert modified.corner is base.corner
+
+    def test_describe_mentions_all_axes(self):
+        text = OperatingConditions(vdd=1.05, temperature=300.15).describe()
+        assert "1.050" in text
+        assert "27.0" in text
+        assert "typical" in text
+
+
+class TestCornersAndGrids:
+    def test_standard_corner_set_covers_axes(self):
+        corners = standard_pvt_corners(tsmc65_like())
+        names = {corner.name for corner in corners}
+        assert {"nominal", "low-vdd", "high-vdd", "cold", "hot", "fast", "slow"} <= names
+
+    def test_pvt_corner_describe(self):
+        corner = PVTCorner("hot", OperatingConditions(temperature=celsius_to_kelvin(70)))
+        assert "hot" in corner.describe()
+
+    def test_condition_grid_size(self):
+        grid = list(
+            condition_grid(
+                [0.9, 1.0],
+                [300.0, 350.0],
+                corners=[ProcessCorner.TYPICAL, ProcessCorner.FAST],
+            )
+        )
+        assert len(grid) == 8
+        assert all(isinstance(item, OperatingConditions) for item in grid)

@@ -3,9 +3,9 @@
 import numpy as np
 import pytest
 
-from repro.converters.adc import Adc
+from repro.converters.adc import Adc, effective_number_of_bits, required_adc_levels
 from repro.converters.dac import LinearDac, NonlinearCompensatingDac, build_dac
-from repro.converters.sampling import ChargeSharingCombiner
+from repro.converters.sampling import ChargeSharingCombiner, SamplingNetwork
 
 
 class TestLinearDac:
@@ -25,6 +25,11 @@ class TestLinearDac:
         dac = LinearDac()
         assert float(dac.voltage(100)) == pytest.approx(dac.v_full_scale)
         assert float(dac.voltage(-3)) == pytest.approx(dac.v_zero)
+
+    def test_inverse_transfer(self):
+        dac = LinearDac(bits=4, v_zero=0.3, v_full_scale=1.0)
+        codes = np.arange(16)
+        assert np.array_equal(dac.code_for_voltage(dac.voltage(codes)), codes)
 
     def test_conversion_energy_grows_with_code(self):
         dac = LinearDac()
@@ -80,11 +85,32 @@ class TestAdc:
         errors = adc.offset + adc.quantize(voltages) * adc.gain - voltages
         assert float(np.max(np.abs(errors))) <= adc.gain / 2.0 + 1e-12
 
+    def test_calibrated_fit(self):
+        codes = np.arange(226, dtype=float)
+        voltages = 2e-3 * codes + 5e-3
+        adc = Adc.calibrated(voltages, codes, levels=225)
+        assert adc.gain == pytest.approx(2e-3, rel=1e-6)
+        assert adc.offset == pytest.approx(5e-3, abs=1e-9)
+        assert np.array_equal(adc.quantize(voltages), codes.astype(int))
+
+    def test_calibrated_degenerate_input(self):
+        adc = Adc.calibrated(np.zeros(10), np.arange(10), levels=9)
+        assert adc.gain > 0.0
+
     def test_invalid_configuration_rejected(self):
         with pytest.raises(ValueError):
             Adc(levels=0)
         with pytest.raises(ValueError):
             Adc(gain=0.0)
+
+    def test_helpers(self):
+        assert required_adc_levels((4, 4)) == 225
+        assert effective_number_of_bits(1.0, 1.0 / 2**8) > 7.0
+        with pytest.raises(ValueError):
+            required_adc_levels((0, 4))
+
+    def test_describe(self):
+        assert "levels" in Adc().describe()
 
 class TestSamplingNetworks:
     def test_charge_sharing_is_average(self):
@@ -106,6 +132,22 @@ class TestSamplingNetworks:
         combiner = ChargeSharingCombiner(branches=4)
         with pytest.raises(ValueError):
             combiner.combine(np.ones(3))
+
+    def test_weighted_network_matches_equal_case(self):
+        equal = SamplingNetwork.equal(4)
+        combiner = ChargeSharingCombiner(branches=4)
+        voltages = np.array([0.9, 0.85, 0.8, 0.75])
+        assert float(equal.combine(voltages)) == pytest.approx(float(combiner.combine(voltages)))
+
+    def test_weighted_network_weights_normalised(self):
+        network = SamplingNetwork(capacitances=(1e-15, 3e-15))
+        assert np.allclose(network.weights, [0.25, 0.75])
+
+    def test_mismatched_network_stays_close_to_nominal(self):
+        rng = np.random.default_rng(0)
+        network = SamplingNetwork.with_mismatch(4, 8e-15, relative_sigma=0.02, rng=rng)
+        voltages = np.array([0.9, 0.8, 0.7, 0.6])
+        assert float(network.combine(voltages)) == pytest.approx(0.75, abs=0.01)
 
     def test_invalid_networks_rejected(self):
         with pytest.raises(ValueError):

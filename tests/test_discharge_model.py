@@ -87,6 +87,19 @@ class TestMismatchModel:
 
 
 class TestSerialization:
+    def test_roundtrip_preserves_predictions(self, suite):
+        model = suite.discharge
+        clone = DischargeModel.from_dict(model.to_dict())
+        times = np.linspace(0.2e-9, 1.8e-9, 5)
+        voltages = np.linspace(0.4, 1.0, 5)
+        assert np.allclose(
+            clone.bitline_voltage(times, voltages), model.bitline_voltage(times, voltages)
+        )
+        assert np.allclose(
+            clone.mismatch_sigma(times, voltages), model.mismatch_sigma(times, voltages)
+        )
+        assert clone.supply_mode == model.supply_mode
+
     def test_invalid_supply_mode_rejected(self, suite):
         model = suite.discharge
         with pytest.raises(ValueError):

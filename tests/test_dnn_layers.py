@@ -115,6 +115,9 @@ class TestDense:
         numeric = numerical_gradient(loss, layer.weight.value.astype(np.float64).copy())
         assert np.allclose(analytic, numeric, atol=1e-2)
 
+    def test_multiplication_count(self):
+        assert Dense(10, 4).multiplication_count((10,)) == 40
+
 
 class TestConv2D:
     def test_forward_shape_same_padding(self):
@@ -150,6 +153,10 @@ class TestConv2D:
         layer = Conv2D(3, 4, kernel=3, stride=2)
         output = layer.forward(np.zeros((1, 8, 8, 3), dtype=np.float32))
         assert output.shape == (1, 4, 4, 4)
+
+    def test_multiplication_count(self):
+        layer = Conv2D(3, 8, kernel=3)
+        assert layer.multiplication_count((8, 8, 3)) == 8 * 8 * 9 * 3 * 8
 
     def test_im2col_shape(self):
         patches, out_h, out_w = im2col(np.zeros((2, 6, 6, 3), dtype=np.float32), 3, 1, 1)

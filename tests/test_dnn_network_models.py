@@ -6,6 +6,7 @@ import pytest
 from repro.dnn.datasets import cifar10_like, imagenet_like, make_synthetic_image_dataset
 from repro.dnn.layers import Dense, ReLU
 from repro.dnn.models import (
+    build_mlp,
     build_resnet101_like,
     build_resnet50_like,
     build_vgg16_like,
@@ -73,6 +74,18 @@ class TestModelBuilders:
             net = builder((8, 8, 3), classes=7)
             output = net.forward(np.zeros((1, 8, 8, 3), dtype=np.float32))
             assert output.shape == (1, 7)
+
+    def test_deeper_variants_have_more_multiplications(self):
+        vgg16 = build_vgg16_like((16, 16, 3), classes=10)
+        vgg19 = build_vgg19_like((16, 16, 3), classes=10)
+        resnet50 = build_resnet50_like((16, 16, 3), classes=10)
+        resnet101 = build_resnet101_like((16, 16, 3), classes=10)
+        assert vgg19.multiplication_count() > vgg16.multiplication_count()
+        assert resnet101.multiplication_count() > resnet50.multiplication_count()
+
+    def test_mlp_builder(self):
+        net = build_mlp(20, 4, hidden=(16,))
+        assert net.forward(np.zeros((3, 20), dtype=np.float32)).shape == (3, 4)
 
 
 class TestDatasets:

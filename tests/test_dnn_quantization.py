@@ -414,3 +414,7 @@ class TestQuantizedNetwork:
             quantized.predict(tiny_dataset.test_images[:16]),
             atol=1e-4,
         )
+
+    def test_multiplication_count_carried_over(self, trained_network, tiny_dataset):
+        quantized = quantize_network(trained_network, tiny_dataset.train_images[:32])
+        assert quantized.multiplication_count() == trained_network.multiplication_count()

@@ -4,7 +4,11 @@ import numpy as np
 import pytest
 
 from repro.core.dse import DesignSpace, explore_design_space, select_corners
-from repro.core.pvt import analyze_corner_robustness, monte_carlo_error_distribution
+from repro.core.pvt import (
+    analyze_corner_robustness,
+    analyze_corners,
+    monte_carlo_error_distribution,
+)
 from repro.core.speedup import measure_speedup
 from repro.multiplier.config import MultiplierConfig
 
@@ -151,6 +155,15 @@ class TestCornerRobustness:
         assert max(report.temperature_sweep.mean_error_lsb) >= nominal_error
         worst_value, worst_error = report.temperature_sweep.worst_case()
         assert worst_error == pytest.approx(max(report.temperature_sweep.mean_error_lsb))
+
+    def test_analyze_corners_mapping(self, suite, fom_config):
+        reports = analyze_corners(
+            suite,
+            {"a": fom_config, "b": fom_config.renamed("b")},
+            supply_voltages=(1.0,),
+            temperatures_celsius=(27.0,),
+        )
+        assert set(reports) == {"a", "b"}
 
     def test_monte_carlo_error_distribution(self, suite, fom_config):
         errors = monte_carlo_error_distribution(suite, fom_config, samples=20, seed=1)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.circuits.conditions import OperatingConditions, celsius_to_kelvin
-from repro.circuits.energy import EnergyModelReference
+from repro.circuits.energy import EnergyBreakdown, EnergyModelReference
 from repro.circuits.technology import tsmc65_like
 
 
@@ -32,9 +32,12 @@ class TestWriteEnergy:
         cold, hot = energy_model.write_energy_table(conditions.vdd, temperatures)
         assert hot > cold
 
-    def test_invalid_construction(self):
+    def test_word_write_energy_scales_with_bits(self, energy_model, conditions):
+        one_bit = energy_model.write_energy(conditions)
+        word = energy_model.word_write_energy(conditions, bits=4)
+        assert word == pytest.approx(4.0 * one_bit)
         with pytest.raises(ValueError):
-            EnergyModelReference(tsmc65_like(), write_overhead=-0.1)
+            energy_model.word_write_energy(conditions, bits=0)
 
 
 class TestDischargeEnergy:
@@ -63,3 +66,18 @@ class TestDischargeEnergy:
 
     def test_negative_swing_clipped(self, energy):
         assert float(energy(-0.1)) == pytest.approx(0.0)
+
+
+class TestBreakdown:
+    def test_breakdown_totals(self, energy_model, conditions):
+        breakdown = energy_model.breakdown(0.3, 0.8, conditions)
+        assert isinstance(breakdown, EnergyBreakdown)
+        assert breakdown.total == pytest.approx(breakdown.write + breakdown.discharge)
+        assert breakdown.discharge == pytest.approx(
+            breakdown.wordline + breakdown.precharge_restore + breakdown.sampling
+        )
+        assert "fJ" in breakdown.describe()
+
+    def test_invalid_construction(self):
+        with pytest.raises(ValueError):
+            EnergyModelReference(tsmc65_like(), write_overhead=-0.1)

@@ -40,6 +40,19 @@ class TestInputSpaceAnalysis:
         # The metric only looks at a subset, so it differs from the mean.
         assert small != pytest.approx(full, rel=1e-12) or small == 0.0
 
+    def test_summary_keys(self, analysis):
+        summary = analysis.summary()
+        for key in (
+            "mean_error_lsb",
+            "energy_per_multiplication_fj",
+            "figure_of_merit",
+            "small_operand_error_lsb",
+        ):
+            assert key in summary
+
+    def test_describe(self, analysis):
+        assert "eps_mul" in analysis.describe()
+
 
 class TestGroupByExpectedProduct:
     def test_grouping_covers_all_products(self, analysis):

@@ -51,6 +51,15 @@ class TestKernel:
         with pytest.raises(ValueError):
             kernel.schedule_at(0.5e-9, lambda: None)
 
+    def test_cancelled_events_are_skipped(self):
+        kernel = SimulationKernel()
+        seen = []
+        event = kernel.schedule_at(1e-9, lambda: seen.append("cancelled"))
+        kernel.schedule_at(2e-9, lambda: seen.append("kept"))
+        event.cancel()
+        kernel.run()
+        assert seen == ["kept"]
+
     def test_run_until_stops_early(self):
         kernel = SimulationKernel()
         seen = []
@@ -83,6 +92,22 @@ class TestSignals:
         signal.set(1, 1e-9)
         with pytest.raises(ValueError):
             signal.set(2, 0.5e-9)
+
+    def test_listeners_invoked(self):
+        signal = DigitalSignal("flag")
+        seen = []
+        signal.on_change(lambda sig, time: seen.append((sig.value, time)))
+        signal.set(1, 3e-9)
+        assert seen == [(1, 3e-9)]
+
+    def test_analog_signal_waveform(self):
+        signal = AnalogSignal("v", initial=1.0)
+        signal.set(0.8, 1e-9)
+        signal.set(0.6, 2e-9)
+        times, values = signal.as_waveform()
+        assert times.shape == values.shape == (3,)
+        assert signal.max_value() == pytest.approx(1.0)
+        assert signal.min_value() == pytest.approx(0.6)
 
 
 class TestComponents:

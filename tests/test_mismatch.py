@@ -19,6 +19,13 @@ class TestMismatchParameters:
         params = MismatchParameters.from_technology(tsmc65_like())
         assert params.sigma_vth_access > params.sigma_vth_pulldown
 
+    def test_scaled(self):
+        params = MismatchParameters.from_technology(tsmc65_like())
+        doubled = params.scaled(2.0)
+        assert doubled.sigma_vth_access == pytest.approx(2.0 * params.sigma_vth_access)
+        with pytest.raises(ValueError):
+            params.scaled(-1.0)
+
 
 class TestMismatchSampler:
     def test_same_seed_same_samples(self):

@@ -8,7 +8,10 @@ import pytest
 from repro.circuits.conditions import OperatingConditions
 from repro.circuits.mosfet import (
     NmosDevice,
+    access_device,
+    corner_description,
     drain_current_from_parameters,
+    pulldown_device,
     saturation_voltage,
 )
 from repro.circuits.technology import ProcessCorner, tsmc65_like
@@ -109,9 +112,21 @@ class TestHelpers:
     def test_saturation_voltage_clamps_negative_overdrive(self):
         assert float(saturation_voltage(-0.2, 1.3)) == pytest.approx(0.0)
 
+    def test_device_factories_use_card_geometry(self):
+        tech = tsmc65_like()
+        access = access_device(tech)
+        pulldown = pulldown_device(tech)
+        assert access.width == pytest.approx(tech.access_width)
+        assert pulldown.width == pytest.approx(tech.pulldown_width)
+
     def test_invalid_geometry_rejected(self):
         with pytest.raises(ValueError):
             NmosDevice(tsmc65_like(), width=0.0, length=65e-9)
+
+    def test_corner_description_strings(self):
+        assert "fast" in corner_description(ProcessCorner.FAST)
+        assert "slow" in corner_description(ProcessCorner.SLOW)
+        assert corner_description(ProcessCorner.TYPICAL) == "typical"
 
     def test_parameters_from_conditions(self, device, conditions):
         params = device.parameters(conditions)

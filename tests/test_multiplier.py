@@ -169,6 +169,12 @@ class TestProductLookupTable:
         assert float(np.mean(samples)) == pytest.approx(-float(table.mean[9, 8]), abs=5.0)
         assert float(np.std(samples)) > 0.0
 
+    def test_serialisation_roundtrip(self, multiplier):
+        table = ProductLookupTable.from_multiplier(multiplier)
+        clone = ProductLookupTable.from_dict(table.to_dict())
+        assert np.allclose(clone.mean, table.mean)
+        assert np.allclose(clone.sigma, table.sigma)
+
     def test_validation(self):
         with pytest.raises(ValueError):
             ProductLookupTable(mean=np.zeros((4, 4)), sigma=np.zeros((4, 4)), max_operand=15)

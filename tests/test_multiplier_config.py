@@ -2,7 +2,12 @@
 
 import pytest
 
-from repro.multiplier.config import MultiplierConfig
+from repro.multiplier.config import (
+    MultiplierConfig,
+    paper_corner_fom,
+    paper_corner_power,
+    paper_corner_variation,
+)
 
 
 class TestMultiplierConfig:
@@ -45,3 +50,30 @@ class TestMultiplierConfig:
     def test_renamed(self):
         config = MultiplierConfig(name="a").renamed("b")
         assert config.name == "b"
+
+    def test_dict_roundtrip(self):
+        config = MultiplierConfig(tau0=0.22e-9, v_dac_zero=0.35, name="roundtrip")
+        clone = MultiplierConfig.from_dict(config.to_dict())
+        assert clone == config
+
+    def test_describe_contains_parameters(self):
+        text = MultiplierConfig(name="fom").describe()
+        assert "fom" in text
+        assert "ns" in text
+
+
+class TestPaperCorners:
+    def test_paper_corner_parameters(self):
+        fom = paper_corner_fom()
+        power = paper_corner_power()
+        variation = paper_corner_variation()
+        assert fom.tau0 == pytest.approx(0.16e-9)
+        assert fom.v_dac_full_scale == pytest.approx(1.0)
+        assert power.v_dac_full_scale == pytest.approx(0.7)
+        assert variation.tau0 == pytest.approx(0.24e-9)
+        assert variation.v_dac_zero == pytest.approx(0.4)
+
+    def test_paper_corner_names(self):
+        assert paper_corner_fom().name == "fom"
+        assert paper_corner_power().name == "power"
+        assert paper_corner_variation().name == "variation"

@@ -27,6 +27,9 @@ class TestPolynomial1D:
         poly = Polynomial1D([1.0, 2.0, 3.0])
         assert float(poly(2.0)) == pytest.approx(1.0 + 4.0 + 12.0)
 
+    def test_degree(self):
+        assert Polynomial1D([1.0, 0.0, 5.0]).degree == 2
+
     def test_fit_recovers_coefficients(self):
         x = np.linspace(-1.0, 1.0, 40)
         y = 0.5 - 1.5 * x + 2.0 * x**2
@@ -36,6 +39,22 @@ class TestPolynomial1D:
     def test_fit_insufficient_samples_rejected(self):
         with pytest.raises(ValueError):
             SeparableProductModel(degrees=(3,)).fit([[1.0, 2.0]], [1.0, 2.0])
+
+    def test_derivative(self):
+        poly = Polynomial1D([1.0, 2.0, 3.0])
+        derivative = poly.derivative()
+        assert np.allclose(derivative.coefficients, [2.0, 6.0])
+        assert Polynomial1D([4.0]).derivative().coefficients[0] == 0.0
+
+    def test_scaled(self):
+        poly = Polynomial1D([1.0, 2.0]).scaled(3.0)
+        assert np.allclose(poly.coefficients, [3.0, 6.0])
+
+    def test_serialisation_roundtrip(self):
+        poly = Polynomial1D([0.1, -0.2, 0.3], variable="vdd")
+        clone = Polynomial1D.from_dict(poly.to_dict())
+        assert clone.variable == "vdd"
+        assert np.allclose(clone.coefficients, poly.coefficients)
 
     def test_empty_coefficients_rejected(self):
         with pytest.raises(ValueError):
@@ -70,6 +89,16 @@ class TestSeparableProductModel:
         with pytest.raises(ValueError):
             model.fit([[1.0, 2.0, 3.0]], [1.0, 2.0, 3.0])
 
+    def test_serialisation_roundtrip(self):
+        rng = np.random.default_rng(2)
+        x = rng.uniform(-1, 1, 100)
+        y = rng.uniform(-1, 1, 100)
+        target = (1 + x) * (2 + y)
+        model = SeparableProductModel(degrees=(1, 1), variables=("a", "b"))
+        model.fit([x, y], target)
+        clone = SeparableProductModel.from_dict(model.to_dict())
+        assert np.allclose(clone(x, y), model(x, y))
+
     def test_invalid_degrees_rejected(self):
         with pytest.raises(ValueError):
             SeparableProductModel(degrees=())
@@ -93,6 +122,14 @@ class TestTensorPolynomialModel:
 
     def test_parameter_count(self):
         assert TensorPolynomialModel(4, 2).parameter_count == 15
+
+    def test_serialisation_roundtrip(self):
+        rng = np.random.default_rng(4)
+        x, y = rng.uniform(-1, 1, (2, 120))
+        tensor = TensorPolynomialModel(1, 1)
+        tensor.fit(x, y, 1 + x + 2 * y + 3 * x * y)
+        clone = TensorPolynomialModel.from_dict(tensor.to_dict())
+        assert np.allclose(clone(x, y), tensor(x, y))
 
     def test_dimension_mismatch_rejected(self):
         tensor = TensorPolynomialModel(1, 1)

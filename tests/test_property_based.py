@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from repro.converters.adc import Adc
 from repro.converters.dac import LinearDac
 from repro.core.metrics import rms_error, speedup_ratio
-from repro.core.polynomials import SeparableProductModel
+from repro.core.polynomials import Polynomial1D, SeparableProductModel
 from repro.dnn.imc_injection import ExactBackend, LutBackend
 from repro.dnn.quantization import ActivationQuantizer, QuantizationScheme, quantize_weights_symmetric
 from repro.eventsim.kernel import SimulationKernel
@@ -18,6 +18,18 @@ from repro.multiplier.lut import ProductLookupTable
 
 
 class TestPolynomialProperties:
+    @given(
+        coefficients=st.lists(
+            st.floats(min_value=-5.0, max_value=5.0, allow_nan=False), min_size=1, max_size=6
+        ),
+        scale=st.floats(min_value=-3.0, max_value=3.0, allow_nan=False),
+        x=st.floats(min_value=-2.0, max_value=2.0, allow_nan=False),
+    )
+    def test_scaling_is_linear(self, coefficients, scale, x):
+        poly = Polynomial1D(np.array(coefficients))
+        scaled = poly.scaled(scale)
+        assert float(scaled(x)) == pytest.approx(scale * float(poly(x)), rel=1e-9, abs=1e-9)
+
     @given(
         degree_x=st.integers(min_value=0, max_value=3),
         degree_y=st.integers(min_value=0, max_value=2),
@@ -48,6 +60,11 @@ class TestConverterProperties:
         dac = LinearDac(bits=4, v_zero=v_zero, v_full_scale=v_zero + span)
         voltage = float(dac.voltage(code))
         assert v_zero - 1e-12 <= voltage <= v_zero + span + 1e-12
+
+    @given(code=st.integers(min_value=0, max_value=15))
+    def test_dac_inverse_is_exact_on_codes(self, code):
+        dac = LinearDac(bits=4, v_zero=0.3, v_full_scale=1.0)
+        assert int(dac.code_for_voltage(dac.voltage(code))) == code
 
     @given(
         voltage=st.floats(min_value=0.0, max_value=0.2, allow_nan=False),

@@ -3,8 +3,8 @@
 Covers hash stability across processes, invalidation when the technology
 card / operating conditions / plan / code version change, corrupt-artifact
 recovery (fuzzed over random, truncated and bit-flipped files), stray
-tmp files, and warm characterisation runs that never touch the reference
-solver.
+tmp files, leftover ``.npz`` files of older builds, and warm
+characterisation runs that never touch the reference solver.
 """
 
 from __future__ import annotations
@@ -381,6 +381,51 @@ class TestFingerprintKeyTypes:
     def test_mixed_key_types_are_stable(self):
         mixed = {1: "a", "1": "b", 2.5: "c"}
         assert fingerprint(mixed) == fingerprint(dict(reversed(list(mixed.items()))))
+
+
+class TestLegacyNpzFiles:
+    """``.npz`` files an older build wrote are never read, but they count
+    against the footprint and are removed by clear() and evict()."""
+
+    @staticmethod
+    def _plant(cache, name, size=4096):
+        shard = cache.root / "cd"
+        shard.mkdir(parents=True, exist_ok=True)
+        path = shard / name
+        path.write_bytes(b"\0" * size)
+        return path
+
+    def test_counted_never_read_and_cleared(self, tmp_path):
+        cache = ArtifactCache(tmp_path)
+        key = job_key("legacy", 0)
+        cache.put(key, np.arange(4.0))
+        clean_size = cache.size_bytes()
+        old = self._plant(cache, "cd" * 32 + ".npz")
+        old_tmp = self._plant(cache, "crashed.npz.tmp", size=1024)
+        assert cache.size_bytes() == clean_size + 4096 + 1024
+        assert len(cache) == 1 and cache.get("cd" * 32) is None
+        assert old.exists() and cache.stats.corrupt_dropped == 0
+        assert cache.clear() == 3
+        assert not old.exists() and not old_tmp.exists()
+        assert cache.size_bytes() == 0
+
+    def test_evict_removes_legacy_files_first(self, tmp_path):
+        cache = ArtifactCache(tmp_path)
+        key = job_key("legacy", 1)
+        cache.put(key, np.arange(4.0))
+        old = self._plant(cache, "cd" * 32 + ".npz")
+        old_tmp = self._plant(cache, "in-flight.npz.tmp", size=512)
+        assert cache.evict(max_bytes=10**9) == 2
+        assert not old.exists() and not old_tmp.exists()
+        assert cache.has(key) and cache.stats.evictions == 0
+
+    def test_put_over_max_bytes_drops_legacy_bytes(self, tmp_path):
+        cache = ArtifactCache(tmp_path, max_bytes=4000)
+        old = self._plant(cache, "cd" * 32 + ".npz")
+        key = job_key("legacy", 2)
+        cache.put(key, np.arange(4.0))
+        assert not old.exists() and cache.has(key)
+        assert cache.size_bytes() <= 4000
 
 
 class TestStrayTmpFiles:

@@ -188,6 +188,9 @@ class TestSweepEngine:
         assert engine.run(jobs) == [0, 1, 4, 9]
         assert engine.stats.sweeps == 2
 
+    def test_run_one(self):
+        assert SweepEngine().run_one(Job(fn=_square, args=(7,))) == 49
+
     def test_stats_accumulate(self):
         engine = SweepEngine()
         engine.run(SweepSpec("toy", _toy_jobs(3)))

@@ -6,7 +6,7 @@ import pytest
 from repro.circuits.conditions import OperatingConditions
 from repro.circuits.mismatch import MismatchSample
 from repro.circuits.mosfet import NmosDevice, drain_current_from_parameters
-from repro.circuits.sram_cell import SramCell
+from repro.circuits.sram_cell import CellState, SramCell
 from repro.circuits.technology import tsmc65_like
 
 
@@ -18,6 +18,34 @@ def tech():
 @pytest.fixture(scope="module")
 def conditions(tech):
     return OperatingConditions.nominal(tech)
+
+
+class TestCellState:
+    def test_from_bit(self):
+        assert CellState.from_bit(0) is CellState.ZERO
+        assert CellState.from_bit(1) is CellState.ONE
+
+    def test_invalid_bit_rejected(self):
+        with pytest.raises(ValueError):
+            CellState.from_bit(2)
+
+    def test_bit_property(self):
+        assert CellState.ONE.bit == 1
+        assert CellState.ZERO.bit == 0
+
+
+class TestDigitalBehaviour:
+    def test_write_then_read(self, tech):
+        cell = SramCell(tech)
+        assert cell.read() == 0
+        cell.write(1)
+        assert cell.read() == 1
+        assert cell.stored_bit == 1
+
+    def test_invalid_write_rejected(self, tech):
+        cell = SramCell(tech)
+        with pytest.raises(ValueError):
+            cell.write(3)
 
 
 class TestDischargeCurrent:
@@ -44,8 +72,15 @@ class TestDischargeCurrent:
 
     def test_mismatch_shifts_current(self, tech, conditions):
         nominal = SramCell(tech).discharge_stack(conditions)
-        weak = SramCell(tech, MismatchSample(vth_access=+0.06)).discharge_stack(conditions)
+        weak = SramCell(tech, mismatch=MismatchSample(vth_access=+0.06)).discharge_stack(conditions)
         assert float(weak.current(1.0, 0.8)) < float(nominal.current(1.0, 0.8))
+
+    def test_saturation_limit_follows_eq2(self, tech, conditions):
+        cell = SramCell(tech, CellState.ONE)
+        limit = cell.saturation_limit(0.9, conditions)
+        params_vth = tech.threshold_voltage(conditions.temperature)
+        assert limit == pytest.approx(0.9 - params_vth, abs=1e-9)
+        assert cell.saturation_limit(0.1, conditions) == 0.0
 
     def test_stack_current_vectorises_over_bitline_voltage(self, tech, conditions):
         stack = SramCell(tech).discharge_stack(conditions)

@@ -58,6 +58,12 @@ class TestTechnologyCard:
         large = card.mismatch_sigma_vth(400e-9, 260e-9)
         assert small == pytest.approx(4.0 * large)
 
+    def test_scaled_returns_modified_copy(self):
+        card = tsmc65_like()
+        scaled = card.scaled(vdd_nominal=1.2)
+        assert scaled.vdd_nominal == pytest.approx(1.2)
+        assert card.vdd_nominal == pytest.approx(1.0)
+
 
 class TestProcessCorner:
     def test_fast_corner_lowers_threshold(self):
