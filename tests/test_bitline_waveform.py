@@ -46,6 +46,7 @@ class TestBitLine:
         line = BitLine(capacitance=64e-15, rows=64)
         assert line.per_cell_capacitance() == pytest.approx(1e-15)
 
+
 class TestWaveform:
     def _ramp(self):
         times = np.linspace(0.0, 1e-9, 11)

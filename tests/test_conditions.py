@@ -40,12 +40,11 @@ class TestOperatingConditions:
 
     def test_with_methods_return_copies(self):
         base = OperatingConditions(vdd=1.0, temperature=300.0)
-        modified = base.with_vdd(0.9).with_temperature(celsius_to_kelvin(70.0))
+        modified = base.with_vdd(0.9).with_temperature_celsius(70.0).with_corner(ProcessCorner.SLOW)
         assert base.vdd == pytest.approx(1.0)
-        assert base.temperature == pytest.approx(300.0)
         assert modified.vdd == pytest.approx(0.9)
         assert modified.temperature == pytest.approx(celsius_to_kelvin(70.0))
-        assert modified.corner is base.corner
+        assert modified.corner is ProcessCorner.SLOW
 
     def test_describe_mentions_all_axes(self):
         text = OperatingConditions(vdd=1.05, temperature=300.15).describe()

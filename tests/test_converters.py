@@ -1,4 +1,4 @@
-"""Tests for the DAC / ADC / charge-sharing periphery."""
+"""Tests for the DAC / ADC / sampling-network periphery."""
 
 import numpy as np
 import pytest
@@ -83,7 +83,7 @@ class TestAdc:
         adc = Adc(levels=225, gain=1e-3)
         voltages = np.linspace(0.0, 0.2, 333)
         errors = adc.offset + adc.quantize(voltages) * adc.gain - voltages
-        assert float(np.max(np.abs(errors))) <= adc.gain / 2.0 + 1e-12
+        assert float(np.max(np.abs(errors))) <= adc.lsb / 2.0 + 1e-12
 
     def test_calibrated_fit(self):
         codes = np.arange(226, dtype=float)
@@ -111,6 +111,7 @@ class TestAdc:
 
     def test_describe(self):
         assert "levels" in Adc().describe()
+
 
 class TestSamplingNetworks:
     def test_charge_sharing_is_average(self):
@@ -150,6 +151,10 @@ class TestSamplingNetworks:
         assert float(network.combine(voltages)) == pytest.approx(0.75, abs=0.01)
 
     def test_invalid_networks_rejected(self):
+        with pytest.raises(ValueError):
+            SamplingNetwork(capacitances=())
+        with pytest.raises(ValueError):
+            SamplingNetwork(capacitances=(1e-15, -1e-15))
         with pytest.raises(ValueError):
             ChargeSharingCombiner(branches=0)
         with pytest.raises(ValueError):

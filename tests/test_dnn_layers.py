@@ -153,6 +153,7 @@ class TestConv2D:
         layer = Conv2D(3, 4, kernel=3, stride=2)
         output = layer.forward(np.zeros((1, 8, 8, 3), dtype=np.float32))
         assert output.shape == (1, 4, 4, 4)
+        assert layer.output_shape((8, 8, 3)) == (4, 4, 4)
 
     def test_multiplication_count(self):
         layer = Conv2D(3, 8, kernel=3)
@@ -354,7 +355,9 @@ class TestResidualBlock:
         output = block.forward(inputs, training=True)
         assert output.shape == (1, 4, 4, 8)
         assert block.projection is not None
+        assert block.output_shape((8, 8, 4)) == (4, 4, 8)
 
     def test_parameters_and_multiplications(self):
         block = ResidualBlock(4, 8, stride=2)
         assert len(block.parameters()) == 10  # 3 convs * 2 + 2 bn * 2
+        assert block.multiplication_count((8, 8, 4)) > 0

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from repro.dnn.datasets import cifar10_like, imagenet_like, make_synthetic_image_dataset
-from repro.dnn.layers import Dense, ReLU
 from repro.dnn.models import (
     build_mlp,
     build_resnet101_like,
@@ -29,27 +28,22 @@ from repro.dnn.training import (
 )
 
 
-def mlp(input_features, classes):
-    rng = np.random.default_rng(4)
-    layers = [Dense(input_features, 16, rng=rng), ReLU(), Dense(16, classes, rng=rng)]
-    return Network(layers, input_shape=(input_features,))
-
-
 class TestNetwork:
     def test_forward_shape_and_summary(self):
         net = build_vgg16_like((8, 8, 3), classes=5)
         output = net.forward(np.zeros((2, 8, 8, 3), dtype=np.float32))
         assert output.shape == (2, 5)
+        assert net.output_shape() == (5,)
         assert net.name == "vgg16-like"
         assert net.parameters()
 
     def test_predict_batches_match_forward(self):
-        net = mlp(12, 3)
+        net = build_mlp(12, 3)
         inputs = np.random.default_rng(0).normal(size=(10, 12)).astype(np.float32)
         assert np.allclose(net.predict(inputs, batch_size=3), net.forward(inputs), atol=1e-6)
 
     def test_zero_grad(self):
-        net = mlp(6, 2)
+        net = build_mlp(6, 2)
         for parameter in net.parameters():
             parameter.grad += 1.0
         net.zero_grad()
@@ -143,14 +137,16 @@ class TestTraining:
         assert classification_accuracy(net, tiny_dataset.test_images, tiny_dataset.test_labels) > 0.6
 
     def test_replace_classifier_head(self, tiny_dataset):
-        net = mlp(8 * 8 * 3, tiny_dataset.classes)
+        net = build_mlp(8 * 8 * 3, tiny_dataset.classes)
         new_net = replace_classifier_head(net, classes=7)
-        assert new_net.forward(np.zeros((2, 8 * 8 * 3), dtype=np.float32)).shape == (2, 7)
+        assert new_net.output_shape() == (7,)
         # The backbone layers are shared, only the head is new.
         assert new_net.layers[0] is net.layers[0]
         assert new_net.layers[-1] is not net.layers[-1]
 
     def test_replace_head_requires_dense_tail(self):
+        from repro.dnn.layers import ReLU
+
         net = Network([ReLU()], input_shape=(4,))
         with pytest.raises(ValueError):
             replace_classifier_head(net, classes=3)

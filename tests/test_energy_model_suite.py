@@ -35,6 +35,7 @@ class TestWriteEnergyModel:
         model = WriteEnergyModel.with_default_degrees()
         assert model.model.degrees == [2, 1]
 
+
 class TestDischargeEnergyModel:
     def test_tracks_reference(self, quick_calibration):
         sweep = quick_calibration.data.discharge_energy
@@ -61,6 +62,7 @@ class TestDischargeEnergyModel:
     def test_default_degrees_factory(self):
         model = DischargeEnergyModel.with_default_degrees()
         assert model.model.degrees == [1, 3, 1]
+
 
 class TestModelSuite:
     def test_conditions_defaults(self, suite):

@@ -22,6 +22,8 @@ class TestInputSpaceAnalysis:
 
     def test_scalar_metrics_consistent(self, analysis):
         assert analysis.mean_error_lsb == pytest.approx(float(np.mean(analysis.errors)))
+        assert analysis.max_error_lsb >= analysis.mean_error_lsb
+        assert analysis.rms_error_lsb >= analysis.mean_error_lsb * 0.5
         assert analysis.energy_per_operation > analysis.energy_per_multiplication
         assert analysis.adc_lsb > 0.0
 
@@ -30,7 +32,7 @@ class TestInputSpaceAnalysis:
 
     def test_sigma_metrics(self, analysis):
         assert analysis.sigma_at_max_discharge >= 0.0
-        assert analysis.sigma_at_max_discharge_lsb >= 0.0
+        assert analysis.worst_sigma_mv >= analysis.sigma_at_max_discharge * 1e3 - 1e-9
         assert 0.0 <= analysis.relative_sigma_at_max_discharge < 1.0
 
     def test_small_operand_error(self, analysis):

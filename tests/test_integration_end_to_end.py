@@ -9,7 +9,6 @@ reports (orderings and collapse behaviour, not absolute numbers).
 import numpy as np
 import pytest
 
-from repro.circuits.conditions import celsius_to_kelvin
 from repro.core.dse import DesignSpace, explore_design_space, select_corners
 from repro.dnn.datasets import make_synthetic_image_dataset
 from repro.dnn.evaluation import evaluate_backends
@@ -28,7 +27,7 @@ class TestModelAgainstReference:
         test_points = [
             (0.4e-9, 0.6, nominal_conditions),
             (1.2e-9, 0.85, nominal_conditions.with_vdd(0.95)),
-            (0.8e-9, 0.7, nominal_conditions.with_temperature(celsius_to_kelvin(60.0))),
+            (0.8e-9, 0.7, nominal_conditions.with_temperature_celsius(60.0)),
         ]
         for time, v_wl, conditions in test_points:
             reference = float(solver.discharge_at(v_wl, time, conditions))

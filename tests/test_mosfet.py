@@ -1,7 +1,5 @@
 """Unit tests for the alpha-power-law MOSFET model."""
 
-import dataclasses
-
 import numpy as np
 import pytest
 
@@ -19,8 +17,7 @@ from repro.circuits.technology import ProcessCorner, tsmc65_like
 
 @pytest.fixture(scope="module")
 def device():
-    tech = tsmc65_like()
-    return NmosDevice(tech, tech.access_width, tech.access_length)
+    return access_device(tsmc65_like())
 
 
 @pytest.fixture(scope="module")
@@ -76,8 +73,8 @@ class TestPvtDependence:
     def test_fast_corner_gives_more_current(self, device):
         tech = tsmc65_like()
         nominal = OperatingConditions.nominal(tech)
-        fast = dataclasses.replace(nominal, corner=ProcessCorner.FAST)
-        slow = dataclasses.replace(nominal, corner=ProcessCorner.SLOW)
+        fast = nominal.with_corner(ProcessCorner.FAST)
+        slow = nominal.with_corner(ProcessCorner.SLOW)
         i_fast = float(drain_current_from_parameters(device.parameters(fast), 0.8, 0.8))
         i_nom = float(drain_current_from_parameters(device.parameters(nominal), 0.8, 0.8))
         i_slow = float(drain_current_from_parameters(device.parameters(slow), 0.8, 0.8))

@@ -74,7 +74,7 @@ class TestConverterProperties:
         adc = Adc(levels=levels, gain=0.25 / levels)
         if voltage <= adc.gain * adc.levels:
             error = abs(float(adc.offset + adc.quantize(voltage) * adc.gain - voltage))
-            assert error <= adc.gain / 2.0 + 1e-12
+            assert error <= adc.lsb / 2.0 + 1e-12
 
 
 class TestQuantizationProperties:

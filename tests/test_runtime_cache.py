@@ -2,14 +2,13 @@
 
 Covers hash stability across processes, invalidation when the technology
 card / operating conditions / plan / code version change, corrupt-artifact
-recovery (fuzzed over random, truncated and bit-flipped files), stray
-tmp files, leftover ``.npz`` files of older builds, and warm
-characterisation runs that never touch the reference solver.
+recovery (fuzzed over random, truncated and bit-flipped files), leftover
+``.npz`` files of older builds, and warm characterisation runs that never
+touch the reference solver.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import json
 import os
 import subprocess
@@ -70,8 +69,8 @@ class TestFingerprint:
 
     def test_technology_change_invalidates(self):
         base = tsmc65_like()
-        assert fingerprint(base) != fingerprint(dataclasses.replace(base, vth_nominal=0.36))
-        assert fingerprint(base) != fingerprint(dataclasses.replace(base, bitline_capacitance=51e-15))
+        assert fingerprint(base) != fingerprint(base.scaled(vth_nominal=0.36))
+        assert fingerprint(base) != fingerprint(base.scaled(bitline_capacitance=51e-15))
 
     def test_plan_change_invalidates(self):
         quick = CharacterizationPlan.quick()
@@ -91,7 +90,7 @@ class TestFingerprint:
         assert fingerprint(nominal) != fingerprint(nominal.with_vdd(1.05))
         assert fingerprint(nominal) != fingerprint(nominal.with_temperature(310.0))
         assert fingerprint(nominal) != fingerprint(
-            dataclasses.replace(nominal, corner=ProcessCorner.FAST)
+            nominal.with_corner(ProcessCorner.FAST)
         )
 
     def test_code_version_change_invalidates(self, monkeypatch):
@@ -236,7 +235,7 @@ class TestArtifactCache:
         }
         path = cache.put(key, value)
         assert path.exists() and path.suffix == ".frame"
-        assert cache.path_for(key).exists()
+        assert cache.has(key)
         loaded = cache.get(key)
         assert list(loaded) == list(value)
         for name in ("x", "y"):
@@ -349,7 +348,7 @@ class TestCharacterizationCaching:
         writes_before = cache.stats.writes
         assert writes_before > 0
         characterize(
-            dataclasses.replace(technology, vth_nominal=0.36, name="shifted"),
+            technology.scaled(vth_nominal=0.36, name="shifted"),
             plan,
             engine=SweepEngine(cache=cache),
         )
@@ -488,8 +487,8 @@ class TestLruEviction:
         per_artifact = cache.size_bytes() // 3
         removed = cache.evict(max_bytes=2 * per_artifact)
         assert removed == 1
-        assert not cache.path_for(oldest).exists()
-        assert cache.path_for(middle).exists() and cache.path_for(newest).exists()
+        assert not cache.has(oldest)
+        assert cache.has(middle) and cache.has(newest)
         assert cache.stats.evictions == 1
 
     def test_get_bumps_recency(self, tmp_path):
@@ -499,16 +498,16 @@ class TestLruEviction:
         assert cache.get(touched) is not None  # refreshes atime+mtime
         per_artifact = cache.size_bytes() // 2
         cache.evict(max_bytes=per_artifact)
-        assert cache.path_for(touched).exists(), "a cache hit must protect against eviction"
-        assert not cache.path_for(untouched).exists()
+        assert cache.has(touched), "a cache hit must protect against eviction"
+        assert not cache.has(untouched)
 
     def test_put_auto_evicts_over_max_bytes(self, tmp_path):
         cache = ArtifactCache(tmp_path, max_bytes=1)  # every put overflows
         first = self._put(cache, "auto", 0, age_seconds=100)
         second_key = job_key("auto", 1)
         cache.put(second_key, np.zeros(256))
-        assert cache.path_for(second_key).exists(), "the artifact just written must survive"
-        assert not cache.path_for(first).exists()
+        assert cache.has(second_key), "the artifact just written must survive"
+        assert not cache.has(first)
         assert cache.stats.evictions == 1
 
     def test_max_bytes_enforced_after_put(self, tmp_path):
@@ -520,7 +519,7 @@ class TestLruEviction:
             stamp = time.time() - (100 - index)  # strictly increasing recency
             os.utime(path, (stamp, stamp))
             assert cache.size_bytes() <= 6500
-        assert cache.path_for(keys[-1]).exists()
+        assert cache.has(keys[-1])
         survivors = set(cache.keys())
         assert survivors == set(keys[-len(survivors):]), "eviction is LRU-ordered"
 
@@ -544,9 +543,9 @@ class TestLruEviction:
             name="warm",
             key=survivor,
         )
-        engine.run([job])
+        engine.run_one(job)
         assert executions == [], "surviving artifact must serve the warm run"
-        assert not cache.path_for(evicted).exists()
+        assert not cache.has(evicted)
 
     def test_evict_without_limit_raises(self, tmp_path):
         cache = ArtifactCache(tmp_path)

@@ -5,7 +5,7 @@ import pytest
 
 from repro.circuits.conditions import OperatingConditions
 from repro.circuits.mismatch import MismatchSample
-from repro.circuits.mosfet import NmosDevice, drain_current_from_parameters
+from repro.circuits.mosfet import access_device, drain_current_from_parameters
 from repro.circuits.sram_cell import CellState, SramCell
 from repro.circuits.technology import tsmc65_like
 
@@ -64,10 +64,8 @@ class TestDischargeCurrent:
     def test_current_is_stack_limited(self, tech, conditions):
         """The series stack must conduct less than the access device alone."""
         stack_current = float(SramCell(tech).discharge_stack(conditions).current(1.0, 0.9))
-        access = NmosDevice(tech, tech.access_width, tech.access_length)
-        access_only = float(
-            drain_current_from_parameters(access.parameters(conditions), 0.9, 1.0)
-        )
+        access = access_device(tech).parameters(conditions)
+        access_only = float(drain_current_from_parameters(access, 0.9, 1.0))
         assert 0.0 < stack_current < access_only
 
     def test_mismatch_shifts_current(self, tech, conditions):

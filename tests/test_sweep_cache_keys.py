@@ -17,7 +17,7 @@ from repro.analysis.pvt_sweeps import (
     temperature_sweep,
 )
 from repro.core.dse import DesignSpace, explore_design_space
-from repro.core.polynomials import Polynomial1D
+from repro.core.model_suite import OptimaModelSuite
 from repro.core.pvt import CornerRobustnessReport, analyze_corner_robustness
 from repro.runtime import ArtifactCache, SweepEngine
 
@@ -119,16 +119,9 @@ def test_fig5_keys_change_with_each_input(tmp_path, technology):
 def test_robustness_and_dse_keys_change_with_config_and_suite(
     tmp_path, quick_suite, fom_config
 ):
-    coefficient = quick_suite.discharge.temperature_coefficient
-    coefficients = coefficient.coefficients.copy()
-    coefficients[0] *= 1.0 + 1e-12
-    perturbed = dataclasses.replace(
-        quick_suite,
-        discharge=dataclasses.replace(
-            quick_suite.discharge,
-            temperature_coefficient=Polynomial1D(coefficients, variable=coefficient.variable),
-        ),
-    )
+    data = quick_suite.to_dict()
+    data["discharge"]["temperature_coefficient"]["coefficients"][0] *= 1.0 + 1e-12
+    perturbed = OptimaModelSuite.from_dict(data)
     retuned = dataclasses.replace(fom_config, tau0=fom_config.tau0 * 1.01)
 
     def robustness(suite, config):

@@ -1,7 +1,5 @@
 """Unit tests for the reference transient discharge solver."""
 
-import dataclasses
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -9,8 +7,8 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from repro.analysis.nonidealities import discharge_vs_time
-from repro.circuits.conditions import OperatingConditions, celsius_to_kelvin
-from repro.circuits.mismatch import MismatchParameters, MismatchSample, MismatchSampler
+from repro.circuits.conditions import OperatingConditions
+from repro.circuits.mismatch import MismatchParameters, MismatchSampler
 from repro.circuits.technology import ProcessCorner, tsmc65_like
 from repro.circuits.transient import DischargeResult, TransientSolver
 
@@ -82,7 +80,7 @@ class TestPvtAndMismatch:
     def test_corner_ordering(self, solver, nominal_conditions):
         deltas = {
             corner: float(
-                solver.discharge_at(0.9, 1.28e-9, dataclasses.replace(nominal_conditions, corner=corner))
+                solver.discharge_at(0.9, 1.28e-9, nominal_conditions.with_corner(corner))
             )
             for corner in ProcessCorner
         }
@@ -95,10 +93,10 @@ class TestPvtAndMismatch:
 
     def test_heating_slows_discharge(self, solver, nominal_conditions):
         cold = float(
-            solver.discharge_at(0.9, 1.28e-9, nominal_conditions.with_temperature(celsius_to_kelvin(0.0)))
+            solver.discharge_at(0.9, 1.28e-9, nominal_conditions.with_temperature_celsius(0.0))
         )
         hot = float(
-            solver.discharge_at(0.9, 1.28e-9, nominal_conditions.with_temperature(celsius_to_kelvin(70.0)))
+            solver.discharge_at(0.9, 1.28e-9, nominal_conditions.with_temperature_celsius(70.0))
         )
         assert hot < cold
 
@@ -112,7 +110,8 @@ class TestPvtAndMismatch:
         assert np.std(deltas[1]) > np.std(deltas[0])
 
     def test_mismatch_broadcasting_single_sample(self, solver, nominal_conditions, technology):
-        sample = MismatchSample(vth_access=0.01, beta_pulldown=-0.02)
+        sampler = MismatchSampler(MismatchParameters.from_technology(technology), seed=4)
+        sample = sampler.sample()
         delta = solver.discharge_at(0.9, 1.0e-9, nominal_conditions, mismatch=sample)
         assert np.shape(delta) == ()
 
@@ -165,7 +164,7 @@ class TestResultContainer:
     def test_waveform_extraction(self, solver, nominal_conditions):
         result = solver.simulate_discharge(np.array([0.6, 0.9]), 1.0e-9, nominal_conditions)
         wave = result.waveform(1)
-        assert float(wave.values[0]) == pytest.approx(nominal_conditions.vdd)
+        assert wave.initial_value == pytest.approx(nominal_conditions.vdd)
         assert np.array_equal(wave.values, result.voltages[1])
         with pytest.raises(IndexError):
             result.waveform(5)

@@ -9,8 +9,6 @@ bisection over the full broadcast array, and a ``take_along_axis``
 interpolation inside the same RK4 loop.
 """
 
-import dataclasses
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -24,10 +22,11 @@ from repro.circuits.mismatch import (
     MismatchSampler,
 )
 from repro.circuits.mosfet import (
-    NmosDevice,
+    access_device,
     drain_current_from_gate,
     drain_current_from_parameters,
     gate_terms,
+    pulldown_device,
 )
 from repro.circuits import transient
 from repro.circuits.sram_cell import BISECTION_BLOCK, DischargeStack
@@ -258,7 +257,7 @@ class TestSolverMatchesOracle:
     def test_current_tables_straddling_the_block_size(self, traces, grid_points):
         assert traces * grid_points in (BISECTION_BLOCK + 1, 3 * BISECTION_BLOCK - 1)
         solver = TransientSolver(TECHNOLOGY, voltage_grid_points=grid_points)
-        conditions = dataclasses.replace(NOMINAL, corner=ProcessCorner.SLOW)
+        conditions = NOMINAL.with_corner(ProcessCorner.SLOW)
         _assert_same_traces(
             solver, np.linspace(0.2, 1.1, traces), 0.3e-9, conditions
         )
@@ -310,7 +309,7 @@ class TestReachBoundedTable:
         # reach covers every cell.
         calls = _count_stack_cells(monkeypatch)
         _assert_same_traces(
-            TransientSolver(TECHNOLOGY), v_wl, duration, dataclasses.replace(NOMINAL, corner=ProcessCorner.FAST),
+            TransientSolver(TECHNOLOGY), v_wl, duration, NOMINAL.with_corner(ProcessCorner.FAST),
             mismatch=_mismatch_arrays(samples, 11),
         )
         assert len(calls) == passes
@@ -436,16 +435,10 @@ class TestGateDrainSplit:
     @staticmethod
     def _devices(conditions):
         return [
-            NmosDevice(
-                TECHNOLOGY, TECHNOLOGY.access_width, TECHNOLOGY.access_length
-            ).parameters(conditions),
-            NmosDevice(
-                TECHNOLOGY,
-                TECHNOLOGY.pulldown_width,
-                TECHNOLOGY.pulldown_length,
-                vth_offset=0.03,
-                gain_offset=-0.02,
-            ).parameters(conditions),
+            access_device(TECHNOLOGY).parameters(conditions),
+            pulldown_device(TECHNOLOGY, vth_offset=0.03, gain_offset=-0.02).parameters(
+                conditions
+            ),
         ]
 
     @given(
