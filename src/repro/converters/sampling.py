@@ -118,15 +118,6 @@ class SamplingNetwork:
             )
         return np.sum(voltages * self.weights, axis=-1)
 
-    def combined_sigma(self, sigmas: ArrayLike) -> np.ndarray:
-        """Standard deviation of the combined node for independent branches."""
-        sigmas = np.asarray(sigmas, dtype=float)
-        if sigmas.shape[-1] != self.branches:
-            raise ValueError(
-                f"expected {self.branches} branch sigmas, got {sigmas.shape[-1]}"
-            )
-        return np.sqrt(np.sum((sigmas * self.weights) ** 2, axis=-1))
-
     @classmethod
     def equal(cls, branches: int, capacitance: float = 8e-15) -> "SamplingNetwork":
         """Equal-capacitor network with ``branches`` branches."""
