@@ -95,7 +95,8 @@ def test_cluster_scaling_monte_carlo(benchmark):
         f"  1 worker           : {single_seconds:.3f} s "
         f"({single_stats['chunks_dispatched']} chunks)",
         f"  4 workers          : {pooled_seconds:.3f} s "
-        f"({pooled_stats['chunks_stolen']} chunks stolen)",
+        f"({pooled_stats['chunks_dispatched']} chunks, "
+        f"{pooled_stats['chunks_retried']} retried)",
         f"  speedup (1 -> 4)   : {speedup:.2f}x (bit-identical results)",
     ]
     print("\n" + "\n".join(lines))

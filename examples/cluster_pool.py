@@ -87,7 +87,7 @@ def main() -> None:
                 print(
                     f"cluster status: {status['alive_workers']} workers alive, "
                     f"{stats['chunks_dispatched']} chunks dispatched, "
-                    f"{stats['chunks_stolen']} stolen, {stats['chunks_retried']} retried"
+                    f"{stats['chunks_retried']} retried"
                 )
     print("workers terminated; done")
 

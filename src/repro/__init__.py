@@ -34,8 +34,8 @@ The package is organised in layers, bottom-up:
   (``python -m repro worker`` / ``make_executor("distributed")``): a
   coordinator that shards content-hashed job chunks across long-lived
   worker processes (local or on other hosts) with registration,
-  heartbeats, work stealing, retry-on-worker-death and chunk revocation
-  for cancelled runs — still bit-identical to serial execution, merged in
+  heartbeats, one FIFO queue that free worker slots pull chunks from,
+  retry-on-worker-death and chunk revocation for cancelled runs — still bit-identical to serial execution, merged in
   submission order.
 * :mod:`repro.journal` — the persistent append-only job journal behind
   ``python -m repro serve --resume``: jobs a killed server (or its

@@ -16,13 +16,13 @@ workers=..., connect=...)``), every driver in the repository — the
 table runs, every service workload — gains multi-process / multi-host
 execution without a single driver change, and keeps the executor
 contract: **bit-identical results in submission order**, whatever the
-dispatch schedule, work stealing or worker deaths along the way.
+dispatch schedule or worker deaths along the way.
 
 Layout::
 
     protocol.py     cluster wire messages: pickled jobs out, binary results back
-    coordinator.py  Coordinator: registration, heartbeats, span queues,
-                    static chunks, FIFO backlogs, work stealing,
+    coordinator.py  Coordinator: registration, heartbeats, one FIFO
+                    span queue pulled in static chunks,
                     retry-on-worker-death, index merge
     worker.py       Worker: long-lived job runner (python -m repro worker)
     executor.py     DistributedExecutor: the make_executor("distributed")

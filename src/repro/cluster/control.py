@@ -63,9 +63,9 @@ def format_status(status: Dict[str, Any]) -> str:
     ...     "workers": [{"id": "w1", "name": "local-0", "pid": 42, "alive": True,
     ...                  "slots": 2, "jobs_done": 4}]}))
     cluster at 127.0.0.1:7465 — protocol 8, repro 0.1
-      workers: 1 alive, 2 slots, 0 runs in flight, 0 orphaned chunks
-      totals : 4 jobs done, 1/1 chunks, 0 stolen, 0 retried, 0 workers lost
-      worker w1 (local-0, pid 42): alive, 2 slot(s), 4 jobs done, 0 in flight, 0 queued
+      workers: 1 alive, 2 slots, 0 runs in flight, 0 jobs queued
+      totals : 4 jobs done, 1/1 chunks, 0 retried, 0 workers lost
+      worker w1 (local-0, pid 42): alive, 2 slot(s), 4 jobs done, 0 in flight
     """
     host, port = status.get("address", ["?", "?"])
     stats = status.get("stats", {})
@@ -75,23 +75,18 @@ def format_status(status: Dict[str, Any]) -> str:
         f"  workers: {status.get('alive_workers', 0)} alive, "
         f"{status.get('total_slots', 0)} slots, "
         f"{status.get('runs_in_flight', 0)} runs in flight, "
-        f"{status.get('orphaned_chunks', 0)} orphaned chunks",
+        f"{status.get('queued_jobs', 0)} jobs queued",
         f"  totals : {stats.get('jobs_done', 0)} jobs done, "
         f"{stats.get('chunks_completed', 0)}/{stats.get('chunks_dispatched', 0)} chunks, "
-        f"{stats.get('chunks_stolen', 0)} stolen, "
         f"{stats.get('chunks_retried', 0)} retried, "
         f"{stats.get('workers_lost', 0)} workers lost",
     ]
     for worker in status.get("workers", []):
         state = "alive" if worker.get("alive") else "dead"
-        # Queue depth is reported in *jobs*: since protocol v3 the queues
-        # hold spans (arbitrarily large reservoirs), so a span count would
-        # say nothing about load.
         lines.append(
             f"  worker {worker.get('id')} ({worker.get('name')}, pid {worker.get('pid')}): "
             f"{state}, {worker.get('slots')} slot(s), "
             f"{worker.get('jobs_done', 0)} jobs done, "
-            f"{worker.get('inflight_jobs', 0)} in flight, "
-            f"{worker.get('queued_jobs', 0)} queued"
+            f"{worker.get('inflight_jobs', 0)} in flight"
         )
     return "\n".join(lines)

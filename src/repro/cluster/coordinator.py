@@ -10,20 +10,20 @@ different code must never compute shards) and then receive chunks of pickled
 Scheduling model (the ARTIQ-style long-lived-worker pattern, adapted to
 sweeps; the full design rationale lives in ``docs/scheduling.md``):
 
-* every :meth:`run` splits its job list into contiguous **spans** of
-  undispatched work, dealt into per-worker queues; chunks of the run's
-  static ``chunksize`` are cut from a span's front at dispatch time;
-* each worker holds at most ``slots`` chunks in flight; the scheduler tops
-  it up from its own queue first and otherwise **steals half of the
-  longest backlog** (by job count) in the cluster, so a fast (or
-  late-joining) worker drains the queue of a slow one; backlogs are
-  FIFO, so concurrent runs dispatch in arrival order;
+* every :meth:`run` appends one **span** ``[0, total)`` of undispatched
+  work to a single cluster-wide FIFO queue, so concurrent runs dispatch
+  in arrival order;
+* each worker holds at most ``slots`` chunks in flight; whenever it has a
+  free slot the scheduler cuts the run's static ``chunksize`` jobs off the
+  front span and sends them (pull dispatch), so a fast (or late-joining)
+  worker simply takes more chunks and a straggler holds at most its
+  in-flight ones;
 * a worker that dies — its connection drops or its heartbeat goes silent —
-  has its queued *and* in-flight work reassigned to the survivors, with a
-  bounded retry count so a chunk that kills every worker cannot loop
-  forever;
+  has its in-flight chunks put back on the queue's front, with a bounded
+  retry count (:data:`MAX_CHUNK_RETRIES`) so a chunk that kills every
+  worker cannot loop forever;
 * results are merged **by global job index**, so whatever the dispatch
-  schedule, chunk sizing or steal history, the returned list is
+  schedule, chunk sizing or retry history, the returned list is
   bit-identical to a serial run (the same guarantee every in-process
   executor gives);
 * a run whose ``cancel_event`` fires is **revoked**: queued spans are
@@ -65,8 +65,7 @@ _STAT_HELP = {
     "runs_cancelled": "Runs revoked by cooperative cancellation.",
     "chunks_dispatched": "Chunks sent to workers.",
     "chunks_completed": "Chunks completed by workers.",
-    "chunks_stolen": "Spans moved by work stealing.",
-    "chunks_retried": "Spans reassigned after a worker death.",
+    "chunks_retried": "In-flight chunks requeued after a worker death.",
     "chunks_cancelled": "In-flight chunks revoked by run cancellation.",
     "chunks_refitted": "Chunks halved to fit the wire frame limit.",
     "jobs_done": "Jobs completed across all runs.",
@@ -82,6 +81,10 @@ _CHUNK_SECONDS = obs.histogram(
     "repro_cluster_chunk_seconds",
     "Dispatch-to-completion wall time of cluster chunks.",
 )
+
+#: How many worker deaths one chunk may survive before its run fails
+#: (guards against a poison chunk that crashes every worker it lands on).
+MAX_CHUNK_RETRIES = 3
 
 
 class ClusterError(RuntimeError):
@@ -99,16 +102,9 @@ class WorkerInfo:
     alive: bool
     connected_at: float
     last_seen: float
-    #: Spans (re-chunkable job ranges) in this worker's queue.  Protocol
-    #: v3 renamed the old ``queued_chunks`` field: queues no longer hold
-    #: chunks, and a span count says nothing about backlog — read
-    #: ``queued_jobs`` for load.
-    queued_spans: int
     inflight_chunks: int
     chunks_done: int
     jobs_done: int
-    #: Undispatched jobs waiting in this worker's queue — the load signal.
-    queued_jobs: int = 0
     #: Jobs currently dispatched to the worker (in-flight chunks).
     inflight_jobs: int = 0
 
@@ -176,9 +172,9 @@ class _Run:
 class _Span:
     """A contiguous, undispatched slice ``[start, stop)`` of one run's jobs.
 
-    Queues hold spans, not chunks: the chunk a worker actually receives is
-    cut from a span's front at dispatch time, so stealing can move work at
-    job granularity.
+    The queue holds spans, not chunks: the chunk a worker actually receives
+    is cut from the front span at dispatch time.  ``attempts`` counts the
+    worker deaths its jobs have already been through.
     """
 
     __slots__ = ("run", "start", "stop", "attempts")
@@ -217,9 +213,6 @@ class _Chunk:
     def indices(self) -> range:
         return range(self.start, self.stop)
 
-    def to_span(self) -> _Span:
-        return _Span(self.run, self.start, self.stop, self.attempts)
-
 
 class _WorkerLink:
     """Coordinator-side state of one connected worker."""
@@ -240,21 +233,13 @@ class _WorkerLink:
         self.alive = True
         self.connected_at = time.time()
         self.last_seen = time.time()
-        self.queue: Deque[_Span] = deque()
         self.inflight: Dict[str, _Chunk] = {}
         self.chunks_done = 0
         self.jobs_done = 0
         self._send_lock = asyncio.Lock()
 
-    def queued_jobs(self) -> int:
-        return sum(len(span) for span in self.queue)
-
     def inflight_jobs(self) -> int:
         return sum(len(chunk) for chunk in self.inflight.values())
-
-    def load(self) -> int:
-        """Jobs this worker is responsible for (queued + in flight)."""
-        return self.queued_jobs() + self.inflight_jobs()
 
     async def send(self, message: Dict[str, Any]) -> bool:
         """Write one message; ``False`` once the peer is gone."""
@@ -283,11 +268,9 @@ class _WorkerLink:
             alive=self.alive,
             connected_at=self.connected_at,
             last_seen=self.last_seen,
-            queued_spans=len(self.queue),
             inflight_chunks=len(self.inflight),
             chunks_done=self.chunks_done,
             jobs_done=self.jobs_done,
-            queued_jobs=self.queued_jobs(),
             inflight_jobs=self.inflight_jobs(),
         )
 
@@ -305,15 +288,12 @@ class Coordinator:
         Interval workers are told to beacon at.
     heartbeat_timeout:
         Silence threshold after which a worker is declared dead and its
-        chunks are reassigned.
-    max_chunk_retries:
-        How many times one chunk may be reassigned after worker deaths
-        before the run fails (guards against a poison chunk that crashes
-        every worker it lands on).
+        chunks are put back on the queue.
     worker_wait_timeout:
-        How long dispatched work may sit orphaned with *no* connected
-        worker before the owning runs fail (covers workers that never
-        start, e.g. a typo'd ``--connect`` address).
+        How long queued work may wait with *no* alive worker before the
+        owning runs fail (covers workers that never start, e.g. a typo'd
+        ``--connect`` address).  The reaper checks it once per
+        ``heartbeat_interval``.
     """
 
     def __init__(
@@ -322,7 +302,6 @@ class Coordinator:
         port: int = 0,
         heartbeat_interval: float = 1.0,
         heartbeat_timeout: float = 5.0,
-        max_chunk_retries: int = 3,
         worker_wait_timeout: float = 30.0,
     ):
         if heartbeat_interval <= 0 or heartbeat_timeout <= 0:
@@ -333,11 +312,13 @@ class Coordinator:
         self._port = port
         self.heartbeat_interval = heartbeat_interval
         self.heartbeat_timeout = heartbeat_timeout
-        self.max_chunk_retries = max_chunk_retries
         self.worker_wait_timeout = worker_wait_timeout
         self._links: Dict[str, _WorkerLink] = {}
-        self._orphans: Deque[_Span] = deque()
-        self._orphaned_since: Optional[float] = None
+        #: The one cluster-wide FIFO of undispatched work.
+        self._queue: Deque[_Span] = deque()
+        #: When queued work began waiting with no alive worker (``None``:
+        #: not stalled); armed and disarmed by :meth:`_check_stall`.
+        self._stalled_since: Optional[float] = None
         self._runs: Dict[str, _Run] = {}
         self._server: Optional[asyncio.AbstractServer] = None
         self._tasks: List["asyncio.Task"] = []
@@ -464,7 +445,7 @@ class Coordinator:
         run = _Run(jobs, progress, chunksize, trace=trace, batch_fn=batch_fn)
         self._runs[run.id] = run
         self.stats.inc("runs")
-        self._distribute(self._initial_spans(run))
+        self._queue.append(_Span(run, 0, run.total))
         self._kick.set()
         watcher: Optional["asyncio.Task"] = None
         if cancel_event is not None:
@@ -478,24 +459,6 @@ class Coordinator:
             self._runs.pop(run.id, None)
             self._drop_run_chunks(run)
 
-    def _initial_spans(self, run: _Run) -> List[_Span]:
-        """Deal a fresh run as contiguous near-equal spans, one per worker.
-
-        Contiguity matters: dispatch cuts chunks off a span's front, so a
-        span is an arbitrarily re-chunkable reservoir, and the index-based
-        merge keeps the result order independent of how it was carved up.
-        """
-        parts = max(1, min(self.worker_count(), run.total))
-        spans: List[_Span] = []
-        base, extra = divmod(run.total, parts)
-        start = 0
-        for index in range(parts):
-            size = base + (1 if index < extra else 0)
-            if size:
-                spans.append(_Span(run, start, start + size))
-                start += size
-        return spans
-
     async def _watch_cancel(self, run: _Run, cancel_event: CancelEvent) -> None:
         """Poll ``cancel_event``; revoke the run's work once it fires."""
         while not run.done:
@@ -507,7 +470,7 @@ class Coordinator:
     async def cancel_run(self, run: _Run) -> None:
         """Abort one run: revoke queued spans, drop in-flight chunks.
 
-        Queued spans (per-worker backlogs and the orphan pool) are purged;
+        The run's queued spans are purged;
         every worker holding an in-flight chunk of this run receives a
         ``cancel`` event and stops at its next job boundary.  The run's
         future fails with :class:`~repro.runtime.SweepCancelled`, which
@@ -531,84 +494,17 @@ class Coordinator:
         self._kick.set()
 
     # ------------------------------------------------------------------
-    # Scheduling: per-worker FIFO span queues + work stealing
+    # Scheduling: one cluster-wide FIFO of spans, pulled by free slots
     # ------------------------------------------------------------------
     def _alive_links(self) -> List[_WorkerLink]:
         return [link for link in self._links.values() if link.alive]
 
-    def _distribute(self, spans: Sequence[_Span]) -> None:
-        """Deal spans onto the least-loaded workers (by job count)."""
-        links = self._alive_links()
-        if not links:
-            self._orphans.extend(span for span in spans if len(span))
-            if self._orphans and self._orphaned_since is None:
-                self._orphaned_since = time.time()
-            return
-        for span in spans:
-            if not len(span):
-                continue
-            target = min(links, key=_WorkerLink.load)
-            target.queue.append(span)
-
-    def _steal_for(self, thief: _WorkerLink) -> Optional[_Span]:
-        """Steal waiting work for an idle-slot worker.
-
-        Orphaned spans go first.  Otherwise the victim is the most-loaded
-        peer (by queued jobs), and the thief takes half its backlog off
-        the tail: the victim keeps the jobs it would reach next.
-        """
-        if self._orphans:
-            span = self._orphans.popleft()
-            if not self._orphans:
-                # Only a fully drained pool disarms the abandonment clock:
-                # spans still waiting keep their original deadline, so a
-                # partial steal can never let a still-orphaned run evade
-                # worker_wait_timeout.
-                self._orphaned_since = None
-            return span
-        candidates = [
-            link for link in self._alive_links() if link is not thief and link.queue
-        ]
-        if not candidates:
-            return None
-        victim = max(candidates, key=_WorkerLink.queued_jobs)
-        # Spans split at job granularity, so the half is exact even when
-        # the backlog is one big span.
-        target = max(1, victim.queued_jobs() // 2)
-        taken: List[_Span] = []
-        got = 0
-        while got < target and victim.queue:
-            span = victim.queue.pop()
-            need = target - got
-            if len(span) > need:
-                tail = _Span(span.run, span.stop - need, span.stop, span.attempts)
-                span.stop -= need
-                victim.queue.append(span)
-                taken.append(tail)
-                got += need
-            else:
-                taken.append(span)
-                got += len(span)
-        self.stats.inc("chunks_stolen", len(taken))
-        obs.EVENTS.emit(
-            "chunk_stolen",
-            trace=taken[0].run.trace,
-            thief=thief.id,
-            victim=victim.id,
-            spans=len(taken),
-            jobs=got,
-        )
-        first, rest = taken[0], taken[1:]
-        thief.queue.extend(reversed(rest))
-        return first
-
-    def _next_chunk(self, link: _WorkerLink) -> Optional[_Chunk]:
-        while True:
-            # Locality first: the own backlog, else orphans or a steal.
-            span = link.queue.popleft() if link.queue else self._steal_for(link)
-            if span is None:
-                return None
-            if span.run.done or not len(span):
+    def _next_chunk(self) -> Optional[_Chunk]:
+        """Cut the next chunk off the front span (``None``: queue empty)."""
+        while self._queue:
+            span = self._queue[0]
+            if span.run.done:
+                self._queue.popleft()
                 continue  # run already failed/finished; drop silently
             take = min(len(span), span.run.chunksize)
             if span.run.max_chunk_jobs is not None:
@@ -623,15 +519,16 @@ class Coordinator:
                 span.start + take,
                 span.attempts,
             )
-            if take < len(span):
-                span.start += take
-                link.queue.appendleft(span)
+            span.start += take
+            if not len(span):
+                self._queue.popleft()
             return chunk
+        return None
 
     async def _pump(self, link: _WorkerLink) -> None:
         """Top the worker up to its slot count with dispatchable chunks."""
         while link.alive and len(link.inflight) < link.slots:
-            chunk = self._next_chunk(link)
+            chunk = self._next_chunk()
             if chunk is None:
                 return
             try:
@@ -653,8 +550,8 @@ class Coordinator:
                     if run.max_chunk_jobs is None or half < run.max_chunk_jobs:
                         run.max_chunk_jobs = half
                     self.stats.inc("chunks_refitted")
-                    link.queue.appendleft(_Span(run, middle, chunk.stop, chunk.attempts))
-                    link.queue.appendleft(_Span(run, chunk.start, middle, chunk.attempts))
+                    self._queue.appendleft(_Span(run, middle, chunk.stop, chunk.attempts))
+                    self._queue.appendleft(_Span(run, chunk.start, middle, chunk.attempts))
                     continue
                 # A chunk that cannot be dispatched (unpicklable, or one
                 # job alone over the frame limit): that is the *sweep's*
@@ -698,7 +595,7 @@ class Coordinator:
                 await asyncio.sleep(self.heartbeat_interval)
 
     async def _reaper_loop(self) -> None:
-        """Declare silent workers dead; time out permanently orphaned work."""
+        """Declare silent workers dead; time out work no worker can take."""
         while True:
             await asyncio.sleep(self.heartbeat_interval)
             now = time.time()
@@ -709,25 +606,35 @@ class Coordinator:
                     except (ConnectionError, OSError):
                         pass
                     self._on_worker_death(link)
-            if (
-                self._orphans
-                and not self._alive_links()
-                and self._orphaned_since is not None
-                and now - self._orphaned_since > self.worker_wait_timeout
-            ):
-                failed = {span.run for span in self._orphans}
-                self._orphans.clear()
-                self._orphaned_since = None
-                for run in failed:
-                    run.fail(
-                        ClusterError(
-                            "no workers joined within "
-                            f"{self.worker_wait_timeout:.0f} s; sweep abandoned"
-                        )
+            self._check_stall(now)
+
+    def _check_stall(self, now: float) -> None:
+        """Run the stall clock while work is queued and no worker is alive.
+
+        A worker joining disarms it; once it has run past
+        ``worker_wait_timeout`` every queued run fails.
+        """
+        if not self._queue or self._alive_links():
+            self._stalled_since = None
+        elif self._stalled_since is None:
+            self._stalled_since = now
+        elif now - self._stalled_since > self.worker_wait_timeout:
+            failed = {span.run for span in self._queue}
+            self._queue.clear()
+            self._stalled_since = None
+            for run in failed:
+                run.fail(
+                    ClusterError(
+                        "no workers joined within "
+                        f"{self.worker_wait_timeout:.0f} s; sweep abandoned"
                     )
+                )
 
     def _on_worker_death(self, link: _WorkerLink) -> None:
-        """Reassign a dead worker's queued and in-flight work."""
+        """Put a dead worker's in-flight chunks back on the queue's front.
+
+        Only those chunks ran on the worker, so only they count an attempt.
+        """
         if not link.alive:
             return
         link.alive = False
@@ -739,37 +646,29 @@ class Coordinator:
             name=link.name,
             stranded_chunks=len(link.inflight),
         )
-        stranded = [chunk.to_span() for chunk in link.inflight.values()]
-        stranded.extend(link.queue)
+        stranded = list(link.inflight.values())
         link.inflight.clear()
-        link.queue.clear()
-        reassign: List[_Span] = []
-        for span in stranded:
-            if span.run.done or not len(span):
+        # Reversed, so the earliest-dispatched chunk ends up in front.
+        for chunk in reversed(stranded):
+            if chunk.run.done:
                 continue
-            span.attempts += 1
-            if span.attempts > self.max_chunk_retries:
-                span.run.fail(
+            attempts = chunk.attempts + 1
+            if attempts > MAX_CHUNK_RETRIES:
+                chunk.run.fail(
                     ClusterError(
-                        f"work [{span.start}:{span.stop}) of {span.run.id} lost "
-                        f"{span.attempts} workers (retry limit "
-                        f"{self.max_chunk_retries}); sweep abandoned"
+                        f"work [{chunk.start}:{chunk.stop}) of {chunk.run.id} lost "
+                        f"{attempts} workers (retry limit {MAX_CHUNK_RETRIES}); "
+                        "sweep abandoned"
                     )
                 )
                 continue
             self.stats.inc("chunks_retried")
-            reassign.append(span)
-        if reassign:
-            self._distribute(reassign)
+            self._queue.appendleft(_Span(chunk.run, chunk.start, chunk.stop, attempts))
         self._kick.set()
 
     def _drop_run_chunks(self, run: _Run) -> None:
-        """Purge a finished/failed run's spans from every queue."""
-        self._orphans = deque(span for span in self._orphans if span.run is not run)
-        if not self._orphans:
-            self._orphaned_since = None
-        for link in self._links.values():
-            link.queue = deque(span for span in link.queue if span.run is not run)
+        """Purge a finished/failed run's spans from the queue."""
+        self._queue = deque(span for span in self._queue if span.run is not run)
 
     # ------------------------------------------------------------------
     # Connection handling
@@ -879,7 +778,7 @@ class Coordinator:
             "worker_joined", worker=worker_id, name=link.name, slots=link.slots
         )
         await link.send(protocol.welcome_event(worker_id, self.heartbeat_interval))
-        self._kick.set()  # a fresh worker immediately steals backlog
+        self._kick.set()  # a fresh worker immediately pulls queued work
         return link
 
     def _handle_chunk_done(self, link: _WorkerLink, message: Dict[str, Any]) -> None:
@@ -948,7 +847,7 @@ class Coordinator:
             "alive_workers": self.worker_count(),
             "total_slots": self.total_slots(),
             "runs_in_flight": len(self._runs),
-            "orphaned_chunks": len(self._orphans),
+            "queued_jobs": sum(len(span) for span in self._queue),
             "stats": dict(self.stats),
             "heartbeat_interval": self.heartbeat_interval,
             "heartbeat_timeout": self.heartbeat_timeout,

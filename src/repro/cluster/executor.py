@@ -135,12 +135,9 @@ class DistributedExecutor:
         with a ``batch_fn`` one chunk per worker slot, capped at
         :data:`~repro.runtime.executors.AUTO_BATCH_SIZE` jobs, and splits
         any other sweep into about four chunks per slot — small enough for
-        work stealing and death-retry to matter, large enough to amortise
-        the pickle+frame overhead (see ``docs/scheduling.md``).
-    min_workers:
-        How many registered workers :meth:`execute` waits for before
-        dispatching (default: the spawned count, or 1 when only external
-        workers are expected).
+        a fast worker to pull more of them than a slow one and for
+        death-retry to matter, large enough to amortise the pickle+frame
+        overhead (see ``docs/scheduling.md``).
     heartbeat_interval, heartbeat_timeout:
         Liveness beacon cadence and the silence threshold after which a
         worker is declared dead.
@@ -156,7 +153,6 @@ class DistributedExecutor:
         workers: Optional[int] = None,
         connect: Optional[str] = None,
         chunksize: Optional[int] = None,
-        min_workers: Optional[int] = None,
         heartbeat_interval: float = 1.0,
         heartbeat_timeout: float = 5.0,
         start_timeout: float = 30.0,
@@ -165,8 +161,6 @@ class DistributedExecutor:
             raise ValueError("workers must be non-negative")
         if chunksize is not None and chunksize < 1:
             raise ValueError("chunksize must be at least 1")
-        if min_workers is not None and min_workers < 1:
-            raise ValueError("min_workers must be at least 1")
         if connect is not None:
             parse_address(connect)  # validate eagerly: CLI errors beat hangs
         self.workers = (os.cpu_count() or 1) if workers is None else workers
@@ -174,7 +168,6 @@ class DistributedExecutor:
             raise ValueError("workers=0 needs connect= so external workers can join")
         self.connect = connect
         self.chunksize = chunksize
-        self.min_workers = min_workers if min_workers is not None else max(1, self.workers)
         self.heartbeat_interval = heartbeat_interval
         self.heartbeat_timeout = heartbeat_timeout
         self.start_timeout = start_timeout
@@ -257,9 +250,10 @@ class DistributedExecutor:
         self._await_workers()
 
     def _await_workers(self) -> None:
-        """Block until ``min_workers`` registered (capped by start_timeout)."""
+        """Block until every spawned worker (at least one) registered,
+        capped by start_timeout."""
         assert self.coordinator is not None
-        wanted = self.min_workers
+        wanted = max(1, self.workers)
         deadline = time.monotonic() + self.start_timeout
         while time.monotonic() < deadline:
             alive = self.coordinator.worker_count()

@@ -36,8 +36,8 @@ to a :class:`~repro.cluster.coordinator.Coordinator`:
 **Control clients** (``python -m repro cluster status``):
 
 ``{"op": "status", "id": ...}``
-    Answered with a ``status`` event: workers, queue depths, dispatch /
-    steal / retry counters.
+    Answered with a ``status`` event: workers, queued jobs, dispatch /
+    retry counters.
 ``{"op": "ping", "id": ...}``
     Answered with ``pong``.
 

@@ -138,7 +138,7 @@ class Worker:
     throttle:
         Artificial per-job delay in seconds (default 0: none).  A chaos
         knob: a throttled worker is a reproducible straggler for
-        exercising work stealing and worker-death retry (see the chaos
+        exercising pull dispatch and worker-death retry (see the chaos
         tests and the mixed-speed pool runbook in ``docs/operations.md``).
         Never set it in production pools.
     metrics_port:

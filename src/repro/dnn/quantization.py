@@ -166,22 +166,36 @@ def _fold_pair(layer: Layer, bn: BatchNorm) -> Layer:
     )
 
 
-def fold_batchnorm_layers(layers: Sequence[Layer]) -> List[Layer]:
-    """Return a new layer list with every Conv/Dense + BatchNorm pair folded."""
-    folded: List[Layer] = []
+def _folding_pairs(
+    layers: Sequence[Layer],
+) -> Iterator[Tuple[Layer, Optional[BatchNorm]]]:
+    """Each layer with the BatchNorm that folds into it (``None``: none).
+
+    The one pairing rule of batch-norm folding: a BatchNorm directly after
+    a Conv2D or Dense folds into it and is not yielded on its own.
+    """
     index = 0
     while index < len(layers):
         layer = layers[index]
         next_layer = layers[index + 1] if index + 1 < len(layers) else None
         if isinstance(layer, (Conv2D, Dense)) and isinstance(next_layer, BatchNorm):
-            folded.append(_fold_pair(layer, next_layer))
+            yield layer, next_layer
             index += 2
+        else:
+            yield layer, None
+            index += 1
+
+
+def fold_batchnorm_layers(layers: Sequence[Layer]) -> List[Layer]:
+    """Return a new layer list with every Conv/Dense + BatchNorm pair folded."""
+    folded: List[Layer] = []
+    for layer, bn in _folding_pairs(layers):
+        if bn is not None:
+            folded.append(_fold_pair(layer, bn))
         elif isinstance(layer, ResidualBlock):
             folded.append(_fold_residual_block(layer))
-            index += 1
         else:
             folded.append(layer)
-            index += 1
     return folded
 
 
@@ -630,12 +644,14 @@ def load_quantized_network(
     ``network`` is the trained float network the state was calibrated on
     and ``scheme`` the scheme it was quantised with.  No calibration pass
     runs: the result predicts bit for bit like the network
-    :func:`quantize_network` returned.
+    :func:`quantize_network` returned.  Nothing is folded either: the
+    stored arrays already hold the folded weights, so the unfolded layers
+    supply only names and shapes.
     """
     scheme = scheme or QuantizationScheme()
     backend = backend or ExactBackend()
     layers: List[object] = []
-    for layer in fold_batchnorm_layers(network.layers):
+    for layer, _ in _folding_pairs(network.layers):
         if isinstance(layer, Conv2D):
             layers.append(_stored(QuantizedConv2D, layer, state, scheme, backend))
         elif isinstance(layer, Dense):

@@ -1,7 +1,7 @@
 """Structured event bus behind the service's ``watch`` op.
 
 Every tier publishes what it *does* — submits accepted, chunks
-dispatched / done / stolen, cache hits and evictions, workers joining
+dispatched / done, cache hits and evictions, workers joining
 and dying — as small JSON-ready dicts on one process-wide bus
 (:data:`EVENTS`).  Subscribers are plain callables; the service bridges
 them onto asyncio queues to fan events out to ``watch`` clients
@@ -66,7 +66,6 @@ EVENT_TYPES = (
     # cluster tier
     "chunk_dispatched",
     "chunk_done",
-    "chunk_stolen",
     "worker_joined",
     "worker_lost",
 )

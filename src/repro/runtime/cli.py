@@ -38,12 +38,12 @@ The engine options apply to every ``run`` subcommand:
   bind the cluster endpoint on a routable address so additional
   ``python -m repro worker --connect H:P`` processes (any host) join the
   pool mid-run; ``python -m repro cluster status --connect H:P`` shows
-  live worker / dispatch / steal / retry statistics.
+  live worker / queue / dispatch / retry statistics.
 * ``--chunksize K`` tunes how many jobs ride in one cluster chunk
   (default: one chunk per worker for a sweep with a vectorised
   ``batch_fn``, about four chunks per worker otherwise), trading scheduling
-  overhead against load balance — idle workers steal queued work, so a
-  slow worker never holds more than its in-flight chunks (see
+  overhead against load balance — free worker slots pull chunks from one
+  queue, so a slow worker never holds more than its in-flight chunks (see
   ``docs/scheduling.md``).
 * Artifact caching is on by default (``--cache-dir`` overrides the location,
   ``--no-cache`` disables it).  Artifacts are content-addressed by the sweep
@@ -122,7 +122,7 @@ exposes the same engine to many concurrent clients over TCP (see
 Full documentation lives in docs/: docs/architecture.md (the three-tier
 execution architecture and its data flows), docs/protocol.md (the NDJSON
 wire protocols of both listeners), docs/scheduling.md (cluster chunking,
-work stealing and retries), docs/operations.md
+the dispatch queue and retries), docs/operations.md
 (deployment, cache sizing, backpressure tuning, slow/mixed worker pools
 and the journal recovery runbook).
 """
@@ -727,7 +727,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=0.0,
         metavar="SECONDS",
         help="artificial per-job delay: a reproducible straggler for "
-        "exercising work stealing and worker-death retry (chaos tests only)",
+        "exercising pull dispatch and worker-death retry (chaos tests only)",
     )
     worker_parser.add_argument(
         "--metrics-port",

@@ -17,7 +17,7 @@ The one multi-process strategy lives one layer up and registers here by
 name: ``make_executor("distributed", workers=..., connect=...)`` builds a
 :class:`repro.cluster.DistributedExecutor`, which shards chunks across
 long-lived worker *processes* (local subprocesses and/or workers on other
-hosts) with heartbeats, work stealing and retry-on-worker-death — same
+hosts) with heartbeats, pull dispatch and retry-on-worker-death — same
 contract, same bit-identical results.
 
 Executors never reorder results: job ``i``'s result is always at index
@@ -220,7 +220,6 @@ _EXECUTOR_SPECS = {
                 "workers",
                 "connect",
                 "chunksize",
-                "min_workers",
                 "heartbeat_interval",
                 "heartbeat_timeout",
                 "start_timeout",
@@ -238,8 +237,7 @@ def make_executor(name: str, **kwargs: Any):
     name:
         Registered strategy name.  ``serial`` takes no options;
         ``distributed`` accepts ``workers`` / ``connect`` / ``chunksize`` /
-        ``min_workers`` / ``heartbeat_interval`` / ``heartbeat_timeout`` /
-        ``start_timeout`` (see :class:`repro.cluster.DistributedExecutor`).
+        ``heartbeat_interval`` / ``heartbeat_timeout`` / ``start_timeout`` (see :class:`repro.cluster.DistributedExecutor`).
         The auto engine is not a name: build ``SweepEngine()`` with no
         executor.
     **kwargs:

@@ -28,7 +28,7 @@ Client → server messages carry an ``op``:
     Subscribe to the live :mod:`repro.obs` event stream (protocol v3).
     Answered with ``watching`` and then one ``obs`` event per
     observability event — submits, cache hits/misses/evictions, chunk
-    dispatch/split/steal, cancellations, journal replays — until the
+    dispatch/done, cancellations, journal replays — until the
     client cancels the id, disconnects, or the server stops.  A slow
     watcher drops its oldest frames rather than stalling the server.
 

@@ -703,7 +703,7 @@ class SweepService:
         """Scheduler statistics of a distributed engine executor, or None.
 
         Surfaces the coordinator's status document — per-worker load,
-        dispatch / steal / retry counters — through the service's own
+        queued jobs, dispatch / retry counters — through the service's own
         ``status`` op, so an operator watching the front door sees the
         scheduling tier without opening a second connection to the cluster
         endpoint.

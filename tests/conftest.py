@@ -9,6 +9,7 @@ the reference sweeps.
 from __future__ import annotations
 
 import dataclasses
+import warnings
 
 import numpy as np
 import pytest
@@ -93,7 +94,28 @@ def tiny_dataset():
 
 
 @pytest.fixture(scope="session")
-def cluster():
+def start_cluster():
+    """Start a :class:`~repro.cluster.DistributedExecutor`, failing the test
+    if it fell back to serial.
+
+    A cluster that cannot start must show as a failure that names the
+    fallback reason, not pass its distributed coverage as a skip.
+    """
+
+    def start(executor):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            executor.start()
+        if executor._fallback is not None:
+            reasons = "; ".join(str(warning.message) for warning in caught)
+            pytest.fail(f"cluster fell back to serial: {reasons or 'no warning raised'}")
+        return executor
+
+    return start
+
+
+@pytest.fixture(scope="session")
+def cluster(start_cluster):
     """A two-worker local cluster (one job per chunk) shared by every test
     that runs sweeps on the distributed executor without breaking it.
 
@@ -102,10 +124,7 @@ def cluster():
     """
     from repro.cluster import DistributedExecutor
 
-    executor = DistributedExecutor(workers=2, chunksize=1, start_timeout=60.0)
-    executor.start()
-    if executor._fallback is not None:
-        pytest.skip("cluster cannot start in this environment")
+    executor = start_cluster(DistributedExecutor(workers=2, chunksize=1, start_timeout=60.0))
     yield executor
     executor.close()
 
@@ -123,7 +142,7 @@ class ChaosSchedule:
     Drawn deterministically from a seed, so every trial is reproducible
     from its parametrized id alone.  The base regime (chunk size /
     straggler throttle / worker kill / job count) drives the randomized
-    steal-death schedules of ``test_cluster``; the concurrency fields
+    dispatch/death schedules of ``test_cluster``; the concurrency fields
     (drawn strictly *after* the base regime, so legacy seeds keep their
     historical draws) add a second concurrent sweep and a mid-run pool
     resize for ``test_cluster_chaos``.

@@ -8,7 +8,7 @@ Covers the tentpole guarantees:
   and job failures come back as typed ``{type, message}`` errors;
 * ``make_executor("distributed")`` produces **bit-identical** results to
   the serial executor, merged in submission order whatever the dispatch
-  schedule or work stealing;
+  schedule;
 * a worker killed mid-sweep has its chunks reassigned, the sweep completes
   bit-identically and progress totals stay correct;
 * a *job* exception propagates to the submitting call site (the worker
@@ -17,7 +17,7 @@ Covers the tentpole guarantees:
   reach a worker;
 * the sharded Monte-Carlo panel equals the one-shard panel bit-for-bit,
   serial or distributed, directly and through the service workload;
-* the determinism tentpole: randomized steal/death schedules on
+* the determinism tentpole: randomized dispatch/death schedules on
   heterogeneous (throttled) pools still merging bit-identically to
   serial;
 * the ``cluster status`` / ``cache info --json`` CLI surfaces work.
@@ -312,13 +312,11 @@ class TestDistributedExecution:
         assert cluster.execute(_seeded_jobs(4)) == SerialExecutor().execute(_seeded_jobs(4))
         assert cluster.status()["alive_workers"] == 2
 
-    def test_oversized_chunk_refits_instead_of_failing(self):
+    def test_oversized_chunk_refits_instead_of_failing(self, start_cluster):
         """A multi-job chunk over the frame limit is halved and requeued:
         the sweep completes as long as each single job fits."""
         executor = DistributedExecutor(workers=1, chunksize=2, start_timeout=START_TIMEOUT)
-        executor.start()
-        if executor._fallback is not None:
-            pytest.skip("cluster cannot start in this environment")
+        start_cluster(executor)
         try:
             # One job's array pickles+base64s to ~5.3 MB (fits the 8 MiB
             # frame); the 2-job chunk the chunksize asks for does not.
@@ -331,13 +329,11 @@ class TestDistributedExecution:
         finally:
             executor.close()
 
-    def test_multi_job_dict_results_ship_without_refit(self):
+    def test_multi_job_dict_results_ship_without_refit(self, start_cluster):
         """A multi-job chunk of large dict results ships as one binary
         frame: equal to serial, and nothing is refitted."""
         executor = DistributedExecutor(workers=1, chunksize=2, start_timeout=START_TIMEOUT)
-        executor.start()
-        if executor._fallback is not None:
-            pytest.skip("cluster cannot start in this environment")
+        start_cluster(executor)
         jobs = [Job(fn=_seeded_dict, args=(8, i, 500_000), name=f"out[{i}]") for i in range(4)]
         try:
             results = executor.execute(jobs)
@@ -438,6 +434,8 @@ class TestDistributedExecution:
         host, port = cluster.address
         status = fetch_status(f"{host}:{port}", timeout=10.0)
         assert status["alive_workers"] == 2
+        # one cluster-wide queue, drained between sweeps
+        assert status["queued_jobs"] == 0 and "orphaned_chunks" not in status
         assert status["protocol"] == cluster_protocol.CLUSTER_PROTOCOL_VERSION
         assert status["version"] == repro.__version__
         assert len([w for w in status["workers"] if w["alive"]]) == 2
@@ -450,8 +448,10 @@ class TestDistributedExecution:
         for key in ("chunks_split", "splits_requested"):
             assert key not in status["stats"]
         for worker in status["workers"]:
-            for key in ("inflight_chunks", "chunks_done", "jobs_done", "queued_jobs", "last_seen"):
+            for key in ("inflight_chunks", "chunks_done", "jobs_done", "last_seen"):
                 assert key in worker
+            for key in ("queued_jobs", "queued_spans"):
+                assert key not in worker
             for key in ("throughput_jobs_per_s", "ewma_chunk_seconds", "ewma_heartbeat_gap"):
                 assert key not in worker
 
@@ -489,16 +489,14 @@ class TestDistributedExecution:
 # Worker failure: kill a worker mid-sweep (satellite)
 # ----------------------------------------------------------------------
 class TestWorkerFailure:
-    def test_killed_worker_chunks_are_reassigned(self):
+    def test_killed_worker_chunks_are_reassigned(self, start_cluster):
         executor = DistributedExecutor(
             workers=2,
             chunksize=1,
             heartbeat_timeout=2.5,
             start_timeout=START_TIMEOUT,
         )
-        executor.start()
-        if executor._fallback is not None:
-            pytest.skip("cluster cannot start in this environment")
+        start_cluster(executor)
         try:
             count = 24
             victim = executor.worker_pids[0]
@@ -531,11 +529,11 @@ class TestWorkerFailure:
         finally:
             executor.close()
 
-    def test_failed_start_warns_and_fallback_resets_on_restart(self):
+    def test_failed_start_warns_and_fallback_resets_on_restart(self, start_cluster):
         """An unavailable cluster warns audibly and degrades to serial; a
         later successful restart routes sweeps to real workers again."""
         executor = DistributedExecutor(
-            workers=0, connect="127.0.0.1:65413", min_workers=1, start_timeout=1.0
+            workers=0, connect="127.0.0.1:65413", start_timeout=1.0
         )
         with pytest.warns(RuntimeWarning, match="falling back to serial"):
             executor.start()
@@ -547,9 +545,7 @@ class TestWorkerFailure:
         executor.workers = 1
         executor.connect = None
         executor.start_timeout = START_TIMEOUT
-        executor.start()
-        if executor._fallback is not None:
-            pytest.skip("cluster cannot start in this environment")
+        start_cluster(executor)
         try:
             assert executor.execute(_seeded_jobs(4)) == SerialExecutor().execute(
                 _seeded_jobs(4)
@@ -558,16 +554,14 @@ class TestWorkerFailure:
         finally:
             executor.close()
 
-    def test_all_workers_dead_fails_instead_of_hanging(self):
+    def test_all_workers_dead_fails_instead_of_hanging(self, start_cluster):
         executor = DistributedExecutor(
             workers=1,
             chunksize=1,
             heartbeat_timeout=2.0,
             start_timeout=START_TIMEOUT,
         )
-        executor.start()
-        if executor._fallback is not None:
-            pytest.skip("cluster cannot start in this environment")
+        start_cluster(executor)
         # A chunk that kills its (only) worker exhausts the retry budget.
         executor.coordinator.worker_wait_timeout = 1.0
         try:
@@ -717,36 +711,111 @@ class TestCoordinatorShutdown:
         assert "CancelledError" not in completed.stderr
 
 
-class TestOrphanAccounting:
-    def test_partial_orphan_steal_keeps_timeout_armed(self):
-        """Stealing *some* orphaned work must not disarm the abandonment
-        clock while other runs' spans still wait for a worker."""
+class TestQueueAccounting:
+    """The coordinator's one FIFO queue, driven socketlessly: workers are
+    registered by hand and sweeps are submitted through ``run``."""
+
+    @staticmethod
+    def _join(coordinator, worker_id):
+        """Register a link the way ``hello`` does, without a socket."""
+        from repro.cluster.coordinator import _WORKERS_ALIVE, _WorkerLink
+
+        link = _WorkerLink(worker_id, "w", 0, 1, writer=None)
+        coordinator._links[worker_id] = link
+        _WORKERS_ALIVE.inc()
+        return link
+
+    @staticmethod
+    async def _submit(coordinator, count):
+        """Start one ``run`` of ``count`` jobs; return once it is queued."""
         import asyncio
 
-        from repro.cluster.coordinator import Coordinator, _Run, _Span, _WorkerLink
+        jobs = [Job(fn=_square, args=(i,), name=f"sq[{i}]") for i in range(count)]
+        task = asyncio.ensure_future(coordinator.run(jobs, chunksize=1))
+        await asyncio.sleep(0)
+        return task
+
+    def test_stall_clock_runs_only_while_no_worker_is_alive(self):
+        """Queued work with no alive worker arms the clock, a worker joining
+        disarms it, the last worker's death re-arms it, and the queued run
+        fails once the clock passes ``worker_wait_timeout``."""
+        import asyncio
+
+        from repro.cluster.coordinator import ClusterError, Coordinator
+
+        async def scenario():
+            coordinator = Coordinator(worker_wait_timeout=10.0)
+            task = await self._submit(coordinator, 1)
+            coordinator._check_stall(100.0)
+            assert coordinator._stalled_since == 100.0
+            link = self._join(coordinator, "w1")
+            coordinator._check_stall(105.0)
+            assert coordinator._stalled_since is None
+            coordinator._on_worker_death(link)
+            coordinator._check_stall(200.0)
+            assert coordinator._stalled_since == 200.0
+            coordinator._check_stall(209.0)
+            await asyncio.sleep(0)
+            assert not task.done()
+            coordinator._check_stall(211.0)
+            with pytest.raises(ClusterError, match="no workers joined"):
+                await task
+
+        asyncio.run(scenario())
+
+    def test_queued_work_is_not_charged_for_worker_deaths(self):
+        """Workers that die without ever holding a run's chunks charge it
+        nothing: more than ``MAX_CHUNK_RETRIES`` such deaths leave the run
+        intact, and it completes on the next worker."""
+        import asyncio
+
+        from repro.cluster.coordinator import MAX_CHUNK_RETRIES, Coordinator
 
         async def scenario():
             coordinator = Coordinator()
-            run_a = _Run([Job(fn=_square, args=(1,), name="a")], None, 1)
-            run_b = _Run([Job(fn=_square, args=(2,), name="b")], None, 1)
-            coordinator._distribute([_Span(run_a, 0, 1), _Span(run_b, 0, 1)])
-            assert coordinator._orphaned_since is not None  # no workers: orphaned
-            thief = _WorkerLink("w1", "w", 0, 1, writer=None)
-            coordinator._links["w1"] = thief
-            assert coordinator._steal_for(thief) is not None
-            # one span is still orphaned: the clock must stay armed
-            assert coordinator._orphans
-            assert coordinator._orphaned_since is not None
-            assert coordinator._steal_for(thief) is not None
-            assert not coordinator._orphans
-            assert coordinator._orphaned_since is None
+            link = self._join(coordinator, "w0")
+            task = await self._submit(coordinator, 4)
+            for index in range(1, MAX_CHUNK_RETRIES + 3):
+                successor = self._join(coordinator, f"w{index}")
+                coordinator._on_worker_death(link)
+                link = successor
+            await asyncio.sleep(0)  # a failed run's task would finish here
+            assert not task.done()
+            assert coordinator.stats["chunks_retried"] == 0
+            while (chunk := coordinator._next_chunk()) is not None:
+                assert chunk.attempts == 0
+                chunk.run.complete_chunk(chunk, [_square(i) for i in chunk.indices])
+            assert await task == [0, 1, 4, 9]
+
+        asyncio.run(scenario())
+
+    def test_inflight_chunk_counts_one_attempt_per_death(self):
+        """A chunk in flight on a dying worker goes back on the queue's
+        front with one more attempt; past ``MAX_CHUNK_RETRIES`` its run
+        fails, as a poison chunk must."""
+        import asyncio
+
+        from repro.cluster.coordinator import MAX_CHUNK_RETRIES, ClusterError, Coordinator
+
+        async def scenario():
+            coordinator = Coordinator()
+            task = await self._submit(coordinator, 3)
+            for attempt in range(MAX_CHUNK_RETRIES + 1):
+                link = self._join(coordinator, f"w{attempt}")
+                chunk = coordinator._next_chunk()
+                assert (chunk.start, chunk.attempts) == (0, attempt)
+                link.inflight[chunk.id] = chunk
+                coordinator._on_worker_death(link)
+            assert coordinator.stats["chunks_retried"] == MAX_CHUNK_RETRIES
+            with pytest.raises(ClusterError, match="retry limit"):
+                await task
 
         asyncio.run(scenario())
 
 
 class TestAdaptiveScheduling:
     """The cluster adapting to hostile pools with static chunks alone:
-    work stealing around throttled stragglers and death-retry."""
+    pull dispatch around throttled stragglers and death-retry."""
 
     def test_chunk_window_validation(self):
         """Static chunks are the only dispatch policy: no engine takes a
@@ -771,8 +840,10 @@ class TestAdaptiveScheduling:
             assert "unrecognized arguments: --chunk-window" in capsys.readouterr().err
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
-    def test_adversarial_schedules_merge_bit_identical(self, seed, chaos_schedule):
-        """Randomized steal/death sequences on a throttled pool vs serial.
+    def test_adversarial_schedules_merge_bit_identical(
+        self, seed, chaos_schedule, start_cluster
+    ):
+        """Randomized dispatch/death sequences on a throttled pool vs serial.
 
         Each trial draws a scheduling regime (:class:`ChaosSchedule` from
         ``conftest``) — chunk size, straggler slowness, and whether a
@@ -788,9 +859,7 @@ class TestAdaptiveScheduling:
             heartbeat_timeout=2.0,
             start_timeout=START_TIMEOUT,
         )
-        executor.start()
-        if executor._fallback is not None:
-            pytest.skip("cluster cannot start in this environment")
+        start_cluster(executor)
         straggler = None
         try:
             straggler = _spawn_throttled_worker(executor.address, throttle=plan.throttle)
@@ -854,7 +923,9 @@ class TestShardedMonteCarlo:
             reference["final_voltages"], distributed["final_voltages"]
         )
 
-    def test_shards_on_one_slot_fuse_into_one_batch_chunk(self, monkeypatch):
+    def test_shards_on_one_slot_fuse_into_one_batch_chunk(
+        self, monkeypatch, start_cluster
+    ):
         """Two shards on a one-slot cluster ship as one chunk, which the
         worker runs in one call of the Monte-Carlo ``batch_fn``.  The worker
         runs in this process, on its own thread, so its calls are visible."""
@@ -884,9 +955,7 @@ class TestShardedMonteCarlo:
         )
         technology = tsmc65_like()
         try:
-            executor.start()
-            if executor._fallback is not None:
-                pytest.skip("cluster cannot start in this environment")
+            start_cluster(executor)
             panel = mismatch_monte_carlo(
                 technology, samples=24, seed=11, shards=2, engine=SweepEngine(executor)
             )
@@ -981,12 +1050,10 @@ def serial_batch_sweeps(technology, quick_suite, fom_config):
 
 
 @pytest.fixture(scope="module", params=[1, 2], ids=["1-worker", "2-workers"])
-def default_cluster(request):
+def default_cluster(request, start_cluster):
     """A local cluster with the default chunk rule (no explicit chunksize)."""
     executor = DistributedExecutor(workers=request.param, start_timeout=START_TIMEOUT)
-    executor.start()
-    if executor._fallback is not None:
-        pytest.skip("cluster cannot start in this environment")
+    start_cluster(executor)
     yield executor
     executor.close()
 
@@ -1046,7 +1113,9 @@ class TestDnnGraphAcrossEngines:
                     hits[f"table{table}/{model}/{mode}"] = (report.top1_hits, report.top5_hits)
         return hits
 
-    def test_serial_auto_parallel_and_distributed_agree(self, cluster, tmp_path):
+    def test_serial_auto_parallel_and_distributed_agree(
+        self, cluster, tmp_path, start_cluster
+    ):
         """Parallel: the shared cluster, one job per chunk; distributed: a
         fresh cluster with the default chunk rule and a cache."""
         serial = self._tables(SweepEngine(SerialExecutor()))
@@ -1054,10 +1123,8 @@ class TestDnnGraphAcrossEngines:
         assert self._tables(SweepEngine(cache=ArtifactCache(tmp_path / "auto"))) == serial
         assert self._tables(SweepEngine(cluster)) == serial
         executor = DistributedExecutor(workers=2, start_timeout=START_TIMEOUT)
-        executor.start()
+        start_cluster(executor)
         try:
-            if executor._fallback is not None:
-                pytest.skip("cluster cannot start in this environment")
             engine = SweepEngine(executor, cache=ArtifactCache(tmp_path / "distributed"))
             assert self._tables(engine) == serial
             assert executor.status()["stats"]["chunks_dispatched"] > 0

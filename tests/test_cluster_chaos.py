@@ -1,8 +1,8 @@
 """Adversarial scheduling harness for the cluster coordinator.
 
 Runs two concurrent sweeps against one live cluster while a seeded
-:class:`ChaosSchedule` (``tests/conftest.py``) interleaves steals, a
-throttled straggler, a mid-run pool resize and a SIGKILLed worker, and
+:class:`ChaosSchedule` (``tests/conftest.py``) adds a throttled
+straggler, a mid-run pool resize and a SIGKILLed worker, and
 asserts the two invariants that make the coordinator safe to ship:
 
 * **bit-identity** — every sweep's merged result equals its serial
@@ -54,7 +54,7 @@ class TestChaosSchedules:
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_concurrent_sweeps_bit_identical_with_exact_progress(
-        self, seed, chaos_schedule
+        self, seed, chaos_schedule, start_cluster
     ):
         plan = chaos_schedule(seed)
         executor = DistributedExecutor(
@@ -64,9 +64,7 @@ class TestChaosSchedules:
             heartbeat_timeout=2.0,
             start_timeout=START_TIMEOUT,
         )
-        executor.start()
-        if executor._fallback is not None:
-            pytest.skip("cluster cannot start in this environment")
+        start_cluster(executor)
         first_serial = _serial(plan.entropy, plan.count, "first")
         second_serial = _serial(
             plan.entropy + _SECOND_ENTROPY, plan.second_count, "second"
@@ -142,10 +140,7 @@ class TestChaosSchedules:
                 assert dones[-1] == total
 
             status = executor.status()
-            assert all(
-                worker["queued_jobs"] == 0 for worker in status["workers"]
-            ), "queues must be drained after both sweeps completed"
-            assert status["orphaned_chunks"] == 0
+            assert status["queued_jobs"] == 0, "the queue must be drained after both sweeps"
             if plan.kill_one:
                 assert killed, "the victim worker was never killed"
                 assert status["stats"]["workers_lost"] >= 1

@@ -388,6 +388,24 @@ class TestQuantizedNetwork:
             rebuilt.with_backend(lut).predict(images), quantized.with_backend(lut).predict(images)
         )
 
+    @pytest.mark.parametrize("build", [build_vgg16_like, build_resnet50_like])
+    def test_rebuild_from_state_folds_nothing(self, build, tiny_dataset, monkeypatch):
+        """The stored state already holds the folded weights: rebuilding
+        reads only layer names and shapes, so it never calls ``_fold_pair``."""
+        from repro.dnn import quantization
+
+        network = build((8, 8, 3), tiny_dataset.classes)
+        quantized = quantize_network(network, tiny_dataset.train_images[:16])
+        state = quantized_state(quantized)
+
+        def refuse(*_args):
+            raise AssertionError("load_quantized_network folded a batch norm")
+
+        monkeypatch.setattr(quantization, "_fold_pair", refuse)
+        rebuilt = load_quantized_network(network, state)
+        images = tiny_dataset.test_images[:8]
+        assert np.array_equal(rebuilt.predict(images), quantized.predict(images))
+
     def test_int4_quantisation_close_to_float(self, trained_network, tiny_dataset):
         quantized = quantize_network(trained_network, tiny_dataset.train_images[:64])
         float_scores = trained_network.predict(tiny_dataset.test_images)

@@ -258,7 +258,7 @@ class TestDocsTree:
         text = (REPO_ROOT / "docs" / "scheduling.md").read_text(encoding="utf-8")
         for needle in (
             "--chunksize",
-            "chunks_stolen",
+            "queued_jobs",
             "chunks_retried",
             "chunks_refitted",
             "--throttle",

@@ -375,9 +375,8 @@ class TestExecutorDifferential:
 
 
 class TestDispatchProperties:
-    """Invariants of the cluster coordinator's FIFO span queues and
-    half-backlog stealing, checked socketlessly against its real
-    dispatch code path."""
+    """Invariants of the cluster coordinator's one FIFO span queue, checked
+    socketlessly against its real dispatch code path."""
 
     @given(
         workers=st.integers(min_value=1, max_value=3),
@@ -390,11 +389,10 @@ class TestDispatchProperties:
         self, workers, chunksize, counts, seed
     ):
         """Whatever worker asks next, every job of every run is dispatched
-        exactly once.  A lone worker never steals, so its chunks leave in
-        submission order: run by run, job by job (FIFO)."""
+        exactly once, in submission order: run by run, job by job (FIFO)."""
         import asyncio
 
-        from repro.cluster.coordinator import Coordinator, _Run, _WorkerLink
+        from repro.cluster.coordinator import Coordinator, _WorkerLink
         from repro.runtime import Job
 
         async def scenario():
@@ -404,26 +402,39 @@ class TestDispatchProperties:
                 link = _WorkerLink(f"w{index}", "w", 0, 1, writer=None)
                 coordinator._links[link.id] = link
                 links.append(link)
-            runs = []
-            for count in counts:
-                run = _Run(
-                    [Job(fn=_dispatch_index, args=(i,)) for i in range(count)],
-                    None,
-                    chunksize,
+            submitted = [
+                asyncio.ensure_future(
+                    coordinator.run(
+                        [Job(fn=_dispatch_index, args=(i,)) for i in range(count)],
+                        chunksize,
+                    )
                 )
-                coordinator._distribute(coordinator._initial_spans(run))
-                runs.append(run)
+                for count in counts
+            ]
+            await asyncio.sleep(0)
+            runs = [span.run for span in coordinator._queue]
+            assert [run.total for run in runs] == counts
             rng = np.random.default_rng(seed)
             order = []
-            while any(link.queue for link in links):
-                thief = links[int(rng.integers(0, workers))]
-                chunk = coordinator._next_chunk(thief)
-                assert chunk is not None, "queued work but nothing dispatchable"
+
+            def finish(link):
+                for chunk in link.inflight.values():
+                    chunk.run.complete_chunk(chunk, list(chunk.indices))
+                link.inflight.clear()
+
+            while coordinator._queue:
+                # A random worker finishes its chunk, freeing its one slot,
+                # and pulls the next one.
+                link = links[int(rng.integers(0, workers))]
+                finish(link)
+                chunk = coordinator._next_chunk()
                 assert 1 <= len(chunk) <= chunksize
+                link.inflight[chunk.id] = chunk
                 order.extend((runs.index(chunk.run), i) for i in chunk.indices)
+            for link in links:
+                finish(link)
             expected = [(r, i) for r, run in enumerate(runs) for i in range(run.total)]
-            assert sorted(order) == expected
-            if workers == 1:
-                assert order == expected
+            assert order == expected
+            assert await asyncio.gather(*submitted) == [list(range(c)) for c in counts]
 
         asyncio.run(scenario())
