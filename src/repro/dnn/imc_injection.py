@@ -21,6 +21,13 @@ weight magnitudes, and a single dense matrix product against the signed
 one-hot encoding of the weight magnitudes adds them up.  This is what keeps
 the Table II/III experiments tractable.
 
+That one-hot selector depends only on the weights, so it lives with them:
+:class:`PreparedWeights` validates a weight-code matrix once, keeps its
+float32 form and builds its selector on first use.  Each quantised layer holds one
+and shares it with every backend-rebound copy, so the corners of a table and
+every batch they evaluate read the same selector; it is freed with the
+layer.  A raw code matrix passed to ``matmul`` is prepared on the spot.
+
 The gather-and-multiply form changes the order of the float32 additions,
 not their result: every corner table's ``mean`` (and
 :meth:`ProductLookupTable.exact`) holds integer ADC codes, the one-hot
@@ -41,7 +48,7 @@ True
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Protocol, Tuple
+from typing import Dict, Optional, Protocol, Tuple, Union
 
 import numpy as np
 
@@ -52,6 +59,58 @@ from repro.multiplier.lut import ProductLookupTable
 WEIGHT_MAGNITUDES = np.arange(1, 9)
 
 
+class PreparedWeights:
+    """A signed INT4 weight-code matrix, validated once, with its derived forms.
+
+    ``codes`` are the integer codes (2-D, -8..7), ``matrix`` their float32
+    form, ``column_sum`` the float32 per-column sum that the zero-point
+    correction of a quantised layer subtracts, and :attr:`selector` the
+    one-hot matrix of :meth:`LutBackend.matmul`, built on first use.
+    ``np.asarray`` of the value yields ``codes``.
+    """
+
+    def __init__(self, codes: np.ndarray) -> None:
+        codes = np.asarray(codes)
+        if codes.ndim != 2:
+            raise ValueError("weight codes must form a 2-D matrix")
+        if codes.min() < -8 or codes.max() > 7:
+            raise ValueError("weight codes out of the 4-bit signed range")
+        self.codes = codes
+        self.matrix = codes.astype(np.float32)
+        self.column_sum = codes.sum(axis=0).astype(np.float32)
+        self._selector: Optional[np.ndarray] = None
+
+    def __array__(self, dtype=None, copy=None) -> np.ndarray:
+        return np.array(self.codes, dtype=dtype, copy=copy)
+
+    @property
+    def selector(self) -> np.ndarray:
+        """``selector[k * 8 + j - 1, n] = sign(w[k, n]) * (|w[k, n]| == j)``, float32."""
+        if self._selector is None:
+            self._selector = _signed_one_hot(self.codes)
+        return self._selector
+
+
+def _signed_one_hot(codes: np.ndarray) -> np.ndarray:
+    """The ``(k * 8, n)`` selector of ``codes``: ``sign(w)`` at magnitude ``|w|``."""
+    inner, columns = codes.shape
+    selector = np.zeros((inner, WEIGHT_MAGNITUDES.size, columns), dtype=np.float32)
+    rows, cols = np.nonzero(codes)
+    values = codes[rows, cols]
+    selector[rows, np.abs(values) - 1, cols] = np.sign(values)
+    return selector.reshape(inner * WEIGHT_MAGNITUDES.size, columns)
+
+
+WeightCodes = Union[np.ndarray, PreparedWeights]
+
+
+def prepare_weights(weight_codes: WeightCodes) -> PreparedWeights:
+    """``weight_codes`` as :class:`PreparedWeights` (itself, if it already is)."""
+    if isinstance(weight_codes, PreparedWeights):
+        return weight_codes
+    return PreparedWeights(weight_codes)
+
+
 class MultiplierBackend(Protocol):
     """Protocol every multiplier backend implements."""
 
@@ -60,7 +119,7 @@ class MultiplierBackend(Protocol):
     def matmul(
         self,
         activation_codes: np.ndarray,
-        weight_codes: np.ndarray,
+        weight_codes: WeightCodes,
         activation_zero_point: int = 0,
     ) -> np.ndarray:
         """Accumulated products ``sum_k product(a[m, k], w[k, n])``.
@@ -70,7 +129,8 @@ class MultiplierBackend(Protocol):
         activation_codes:
             Unsigned activation codes, shape ``(m, k)``, values 0..15.
         weight_codes:
-            Signed weight codes, shape ``(k, n)``, values -8..7.
+            Signed weight codes, shape ``(k, n)``, values -8..7, raw or
+            as the :class:`PreparedWeights` a quantised layer holds.
         activation_zero_point:
             Activation code whose dequantised value is exactly zero.  An
             accelerator skips those analogue operations (zero-skipping), so
@@ -88,14 +148,13 @@ class ExactBackend:
     def matmul(
         self,
         activation_codes: np.ndarray,
-        weight_codes: np.ndarray,
+        weight_codes: WeightCodes,
         activation_zero_point: int = 0,
     ) -> np.ndarray:
         """Exact integer products accumulated in float32."""
         del activation_zero_point  # exact products need no special casing
         activations = np.asarray(activation_codes, dtype=np.float32)
-        weights = np.asarray(weight_codes, dtype=np.float32)
-        return activations @ weights
+        return activations @ prepare_weights(weight_codes).matrix
 
 
 class LutBackend:
@@ -156,7 +215,7 @@ class LutBackend:
     def matmul(
         self,
         activation_codes: np.ndarray,
-        weight_codes: np.ndarray,
+        weight_codes: WeightCodes,
         activation_zero_point: int = 0,
     ) -> np.ndarray:
         """Accumulate in-SRAM products: one gather by activation code, one GEMM.
@@ -175,28 +234,27 @@ class LutBackend:
         contribution is the exact product ``zero_point * w`` (which the
         quantised layer's zero-point correction then cancels) instead of an
         analogue result.
+
+        The selector is :attr:`PreparedWeights.selector`: a quantised layer
+        passes the prepared weights it holds, so the selector is built once
+        per layer, not per call, and the weight codes were range-checked
+        when the layer was built.
         """
         activations = np.asarray(activation_codes)
-        weights = np.asarray(weight_codes)
-        if activations.ndim != 2 or weights.ndim != 2:
+        weights = prepare_weights(weight_codes)
+        if activations.ndim != 2:
             raise ValueError("matmul expects 2-D code matrices")
-        if activations.shape[1] != weights.shape[0]:
+        if activations.shape[1] != weights.codes.shape[0]:
             raise ValueError(
-                f"inner dimensions do not match: {activations.shape} vs {weights.shape}"
+                f"inner dimensions do not match: {activations.shape} vs {weights.codes.shape}"
             )
         if activations.min() < 0 or activations.max() > self.table.max_operand:
             raise ValueError("activation codes out of the 4-bit unsigned range")
-        if weights.min() < -8 or weights.max() > 7:
-            raise ValueError("weight codes out of the 4-bit signed range")
 
         product_table, variance_table = self.code_tables(activation_zero_point)
-        rows, inner = activations.shape
+        rows = activations.shape[0]
         codes = activations.astype(np.intp, copy=False)
-        weights = weights.astype(np.intp)
-        selector = (
-            (np.abs(weights)[:, np.newaxis, :] == WEIGHT_MAGNITUDES[:, np.newaxis])
-            * np.sign(weights)[:, np.newaxis, :]
-        ).astype(np.float32).reshape(inner * WEIGHT_MAGNITUDES.size, -1)
+        selector = weights.selector
         gathered = np.take(product_table, codes, axis=0).reshape(rows, -1)
         accumulated = gathered @ selector
         if self.stochastic:

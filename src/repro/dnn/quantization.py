@@ -32,7 +32,12 @@ from typing import Dict, Iterator, List, Mapping, Optional, Sequence, Tuple, Uni
 
 import numpy as np
 
-from repro.dnn.imc_injection import ExactBackend, MultiplierBackend
+from repro.dnn.imc_injection import (
+    ExactBackend,
+    MultiplierBackend,
+    WeightCodes,
+    prepare_weights,
+)
 from repro.dnn.layers import (
     BatchNorm,
     Conv2D,
@@ -227,22 +232,20 @@ class QuantizedDense:
 
     def __init__(
         self,
-        weight_codes: np.ndarray,
+        weight_codes: WeightCodes,
         weight_scales: np.ndarray,
         bias: np.ndarray,
         quantizer: ActivationQuantizer,
         backend: MultiplierBackend,
         name: str = "qdense",
     ) -> None:
-        self.weight_codes = weight_codes
+        # Validated once; backend-rebound copies share it (and its selector).
+        self.weights = prepare_weights(weight_codes)
         self.weight_scales = weight_scales
         self.bias = bias
         self.quantizer = quantizer
         self.backend = backend
         self.name = name
-        # Per-output-channel sum of weight codes, needed for the zero-point
-        # correction term of affine activation quantisation.
-        self._weight_column_sum = weight_codes.sum(axis=0).astype(np.float32)
 
     @classmethod
     def from_float(
@@ -267,7 +270,11 @@ class QuantizedDense:
         quantizer: ActivationQuantizer,
         backend: MultiplierBackend,
     ) -> "QuantizedDense":
-        """The quantised counterpart of ``layer`` with the given calibration."""
+        """The quantised counterpart of ``layer`` with the given calibration.
+
+        ``codes`` become the layer's :class:`~repro.dnn.imc_injection.PreparedWeights`
+        here, so codes outside -8..7 raise :class:`ValueError`.
+        """
         return cls(codes, scales, bias, quantizer, backend, name=f"{layer.name}.q")
 
     def forward(self, inputs: np.ndarray, training: bool = False) -> np.ndarray:
@@ -275,9 +282,10 @@ class QuantizedDense:
         del training
         codes = self.quantizer.quantize(inputs)
         accumulated = self.backend.matmul(
-            codes, self.weight_codes, activation_zero_point=self.quantizer.zero_point
+            codes, self.weights, activation_zero_point=self.quantizer.zero_point
         )
-        corrected = accumulated - self.quantizer.zero_point * self._weight_column_sum
+        # The zero-point correction of affine activation quantisation.
+        corrected = accumulated - self.quantizer.zero_point * self.weights.column_sum
         return (
             corrected * (self.quantizer.scale * self.weight_scales) + self.bias
         ).astype(np.float32)
@@ -294,7 +302,7 @@ class QuantizedConv2D:
 
     def __init__(
         self,
-        weight_codes: np.ndarray,
+        weight_codes: WeightCodes,
         weight_scales: np.ndarray,
         bias: np.ndarray,
         quantizer: ActivationQuantizer,
@@ -306,7 +314,7 @@ class QuantizedConv2D:
         out_channels: int,
         name: str = "qconv",
     ) -> None:
-        self.weight_codes = weight_codes
+        self.weights = prepare_weights(weight_codes)
         self.weight_scales = weight_scales
         self.bias = bias
         self.quantizer = quantizer
@@ -317,7 +325,6 @@ class QuantizedConv2D:
         self.in_channels = in_channels
         self.out_channels = out_channels
         self.name = name
-        self._weight_column_sum = weight_codes.sum(axis=0).astype(np.float32)
 
     @classmethod
     def from_float(
@@ -342,7 +349,11 @@ class QuantizedConv2D:
         quantizer: ActivationQuantizer,
         backend: MultiplierBackend,
     ) -> "QuantizedConv2D":
-        """The quantised counterpart of ``layer`` with the given calibration."""
+        """The quantised counterpart of ``layer`` with the given calibration.
+
+        ``codes`` become the layer's :class:`~repro.dnn.imc_injection.PreparedWeights`
+        here, so codes outside -8..7 raise :class:`ValueError`.
+        """
         return cls(
             weight_codes=codes,
             weight_scales=scales,
@@ -365,9 +376,9 @@ class QuantizedConv2D:
         )
         patches, out_h, out_w = im2col(codes, self.kernel, self.stride, padding=0)
         accumulated = self.backend.matmul(
-            patches, self.weight_codes, activation_zero_point=self.quantizer.zero_point
+            patches, self.weights, activation_zero_point=self.quantizer.zero_point
         )
-        corrected = accumulated - self.quantizer.zero_point * self._weight_column_sum
+        corrected = accumulated - self.quantizer.zero_point * self.weights.column_sum
         output = corrected * (self.quantizer.scale * self.weight_scales) + self.bias
         batch = inputs.shape[0]
         return output.reshape(batch, out_h, out_w, self.out_channels).astype(np.float32)
@@ -401,19 +412,29 @@ class QuantizedResidualBlock:
         calibration_inputs: np.ndarray,
         scheme: QuantizationScheme,
         backend: MultiplierBackend,
-    ) -> "QuantizedResidualBlock":
-        """Quantise a (batch-norm-folded) residual block."""
+    ) -> Tuple["QuantizedResidualBlock", np.ndarray]:
+        """Quantise a (batch-norm-folded) residual block.
+
+        Returns the quantised block and the float block's output on
+        ``calibration_inputs``, finished from the intermediate that
+        calibrates ``conv2`` in :meth:`ResidualBlock.forward`'s op order, so
+        the first stage runs once.
+        """
         conv1 = QuantizedConv2D.from_float(block.conv1, calibration_inputs, scheme, backend)
         intermediate = block.relu1.forward(
             block.bn1.forward(block.conv1.forward(calibration_inputs))
         )
         conv2 = QuantizedConv2D.from_float(block.conv2, intermediate, scheme, backend)
+        main = block.bn2.forward(block.conv2.forward(intermediate))
         projection = None
+        skip = calibration_inputs
         if block.projection is not None:
             projection = QuantizedConv2D.from_float(
                 block.projection, calibration_inputs, scheme, backend
             )
-        return cls(conv1=conv1, conv2=conv2, projection=projection, name=f"{block.name}.q")
+            skip = block.projection.forward(calibration_inputs)
+        quantized = cls(conv1=conv1, conv2=conv2, projection=projection, name=f"{block.name}.q")
+        return quantized, block.relu_out.forward(main + skip)
 
     @classmethod
     def from_state(
@@ -544,13 +565,15 @@ def quantize_network(
     current = np.asarray(calibration_images, dtype=np.float32)
     quantized_layers: List[object] = []
     for layer in fold_batchnorm_layers(network.layers):
+        if isinstance(layer, ResidualBlock):
+            block, current = QuantizedResidualBlock.from_float(layer, current, scheme, backend)
+            quantized_layers.append(block)
+            continue
         quantized: object = layer
         if isinstance(layer, Conv2D):
             quantized = QuantizedConv2D.from_float(layer, current, scheme, backend)
         elif isinstance(layer, Dense):
             quantized = QuantizedDense.from_float(layer, current, scheme, backend)
-        elif isinstance(layer, ResidualBlock):
-            quantized = QuantizedResidualBlock.from_float(layer, current, scheme, backend)
         # Pooling, activations, flatten and any batch-norm that was not
         # folded (no conv/dense directly before it) stay float layers.
         quantized_layers.append(quantized)
@@ -599,7 +622,7 @@ def quantized_state(quantized: QuantizedNetwork) -> Dict[str, np.ndarray]:
     """
     state: Dict[str, np.ndarray] = {}
     for layer in _quantized_leaves(quantized.layers):
-        state[f"{layer.name}.weight_codes"] = layer.weight_codes.astype(np.int8)
+        state[f"{layer.name}.weight_codes"] = layer.weights.codes.astype(np.int8)
         state[f"{layer.name}.weight_scales"] = np.array(layer.weight_scales)
         state[f"{layer.name}.bias"] = np.array(layer.bias)
         state[f"{layer.name}.activation_scale"] = np.array(layer.quantizer.scale)

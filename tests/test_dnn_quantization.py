@@ -1,6 +1,8 @@
 """Tests for INT4 quantisation, batch-norm folding and the IMC backends."""
 
 import copy
+import gc
+import weakref
 
 import numpy as np
 import pytest
@@ -13,12 +15,20 @@ from repro.analysis.dnn_tables import (
     model_builders,
     run_dnn_accuracy_experiment,
 )
+from repro.dnn import imc_injection
 from repro.dnn.datasets import cifar10_like, imagenet_like
-from repro.dnn.imc_injection import ExactBackend, LutBackend, backends_for_corners
+from repro.dnn.evaluation import evaluate_backends
+from repro.dnn.imc_injection import (
+    ExactBackend,
+    LutBackend,
+    PreparedWeights,
+    backends_for_corners,
+)
 from repro.dnn.layers import BatchNorm, Conv2D, Dense, ResidualBlock
 from repro.dnn.models import build_resnet50_like, build_vgg16_like
 from repro import wire
 from repro.dnn.network import Network, load_network_state, network_state
+from repro.dnn import quantization
 from repro.dnn.quantization import (
     ActivationQuantizer,
     QuantizationScheme,
@@ -322,6 +332,35 @@ class TestLutBackendOracle:
         assert noisy.rng.bit_generator.state == oracle.rng.bit_generator.state
         assert np.all(sampled[:, 0] == 0.0)
 
+    @settings(max_examples=40, deadline=None)
+    @given(
+        rows=st.integers(1, 48),
+        inner=st.integers(1, 48),
+        cols=st.integers(2, 48),
+        zero_points=st.lists(st.integers(-1, 16), min_size=2, max_size=2),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_prepared_weights_match_reference(
+        self, corner_table, rows, inner, cols, zero_points, seed
+    ):
+        """One prepared weights value, two calls on each of two tables."""
+        rng = np.random.default_rng(seed)
+        weights = rng.integers(-8, 8, size=(inner, cols)).astype(np.int32)
+        weights[:, 0] = 0
+        weights[:, 1] = -8
+        prepared = PreparedWeights(weights)
+        assert np.array_equal(np.asarray(prepared), weights)
+        for table in (ProductLookupTable.exact(), corner_table):
+            backend = LutBackend(table)
+            for zero_point in zero_points:
+                activations = rng.integers(0, 16, size=(rows, inner)).astype(np.int32)
+                activations[rng.random(activations.shape) < 0.3] = min(max(zero_point, 0), 15)
+                result = backend.matmul(activations, prepared, zero_point)
+                expected = _reference_matmul(backend, activations, prepared, zero_point)
+                assert result.dtype == expected.dtype == np.float32
+                assert np.array_equal(result, expected)
+                assert np.all(result[:, 0] == 0.0)
+
     def test_corner_table_holds_integer_codes(self, corner_table):
         # The bit-identity argument: integer products sum exactly in float32.
         assert np.array_equal(corner_table.mean, np.rint(corner_table.mean))
@@ -392,8 +431,6 @@ class TestQuantizedNetwork:
     def test_rebuild_from_state_folds_nothing(self, build, tiny_dataset, monkeypatch):
         """The stored state already holds the folded weights: rebuilding
         reads only layer names and shapes, so it never calls ``_fold_pair``."""
-        from repro.dnn import quantization
-
         network = build((8, 8, 3), tiny_dataset.classes)
         quantized = quantize_network(network, tiny_dataset.train_images[:16])
         state = quantized_state(quantized)
@@ -405,6 +442,15 @@ class TestQuantizedNetwork:
         rebuilt = load_quantized_network(network, state)
         images = tiny_dataset.test_images[:8]
         assert np.array_equal(rebuilt.predict(images), quantized.predict(images))
+
+    def test_out_of_range_weight_code_in_state_rejected(self, trained_network, tiny_dataset):
+        quantized = quantize_network(trained_network, tiny_dataset.train_images[:16])
+        state = quantized_state(quantized)
+        key = next(key for key in state if key.endswith(".weight_codes"))
+        state[key] = state[key].copy()
+        state[key][0, 0] = 9
+        with pytest.raises(ValueError, match="4-bit signed range"):
+            load_quantized_network(trained_network, state)
 
     def test_int4_quantisation_close_to_float(self, trained_network, tiny_dataset):
         quantized = quantize_network(trained_network, tiny_dataset.train_images[:64])
@@ -436,3 +482,48 @@ class TestQuantizedNetwork:
     def test_multiplication_count_carried_over(self, trained_network, tiny_dataset):
         quantized = quantize_network(trained_network, tiny_dataset.train_images[:32])
         assert quantized.multiplication_count() == trained_network.multiplication_count()
+
+
+class TestPreparedWeightsSharing:
+    """Every corner and every predict batch reads one selector per layer."""
+
+    @staticmethod
+    def _run(corner_table, dataset, monkeypatch):
+        """Evaluate three corners, four predict batches each; return what to check."""
+        network = build_resnet50_like((8, 8, 3), classes=dataset.classes)
+        quantized = quantize_network(network, dataset.train_images[:16])
+        exact = ProductLookupTable.exact()
+        tables = {
+            "fom": corner_table,
+            "exact-lut": exact,
+            "offset": ProductLookupTable(exact.mean + 1.0, exact.sigma),
+        }
+        built = []
+        build = imc_injection._signed_one_hot
+
+        def counting(codes):
+            built.append(codes.shape)
+            return build(codes)
+
+        monkeypatch.setattr(imc_injection, "_signed_one_hot", counting)
+        batch = dataset.test_size // 4
+        real = evaluate_backends(
+            network, quantized, backends_for_corners(tables), dataset, batch_size=batch
+        )
+        oracles = {name: _OracleBackend(table, name=name) for name, table in tables.items()}
+        oracle = evaluate_backends(network, quantized, oracles, dataset, batch_size=batch)
+        leaves = list(quantization._quantized_leaves(quantized.layers))
+        selector = weakref.ref(leaves[0].weights.selector)
+        return real, oracle, built, [leaf.weights.codes.shape for leaf in leaves], selector
+
+    def test_selector_built_once_per_layer_and_freed_with_it(
+        self, corner_table, tiny_dataset, monkeypatch
+    ):
+        real, oracle, built, leaf_shapes, selector = self._run(
+            corner_table, tiny_dataset, monkeypatch
+        )
+        assert sorted(built) == sorted(leaf_shapes)
+        assert real == oracle
+        assert set(real) == {"float32", "int4", "fom", "exact-lut", "offset"}
+        gc.collect()
+        assert selector() is None
