@@ -19,6 +19,7 @@ from repro.dnn import (
     build_vgg16_like,
     evaluate_backends,
     imagenet_like,
+    load_quantized_network,
     quantize_network,
     train_network,
 )
@@ -50,7 +51,8 @@ def main() -> None:
     print()
 
     print("post-training INT4 quantisation ...")
-    quantized = quantize_network(network, dataset.train_images[:128])
+    state = quantize_network(network, dataset.train_images[:128])
+    quantized = load_quantized_network(network, state)
 
     print("evaluating all execution modes on the test split ...")
     reports = evaluate_backends(network, quantized, backends, dataset)

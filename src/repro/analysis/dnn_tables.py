@@ -18,12 +18,14 @@ names and data, never a live network, dataset or backend:
   :class:`TrainingConfig`.  A Table III transfer training is a train job
   whose start state is the trained base weights plus a fresh head.
 * **quantize** (:func:`quantize`) -- calibrates the trained network once
-  on the first ``calibration_samples`` training images and returns its
-  :func:`~repro.dnn.quantization.quantized_state`.  Key: the model spec,
+  on the first ``calibration_samples`` training images and returns the
+  state :func:`~repro.dnn.quantization.quantize_network` makes, a dict of
+  arrays per quantised layer.  Key: the model spec,
   the state, the dataset spec, ``calibration_samples`` and the
   :data:`INT4` scheme.
-* **evaluate** (:func:`evaluate`) -- rebuilds the float and the INT4
-  network from the two states, with no calibration, and returns integer
+* **evaluate** (:func:`evaluate`) -- builds the float network and, with
+  :func:`~repro.dnn.quantization.load_quantized_network`, the INT4 network
+  from the two states, with no calibration, and returns integer
   top-1 / top-5 hit counts of every mode on one window of the test split,
   so the counts of disjoint windows add up exactly.  Key: the quantize
   key, the modes in the order given, the window and the corner tables.
@@ -78,7 +80,6 @@ from repro.dnn.quantization import (
     QuantizationScheme,
     load_quantized_network,
     quantize_network,
-    quantized_state,
 )
 from repro.dnn.training import TrainingConfig, replace_classifier_head, train_network
 from repro.multiplier.config import MultiplierConfig
@@ -98,7 +99,7 @@ MODELS: Dict[str, Callable[[Tuple[int, int, int], int], Network]] = {
 #: three corners :func:`~repro.core.dse.select_corners` names.
 MODES = ("float32", "int4", "fom", "power", "variation")
 
-#: The quantisation scheme of the paper: INT4 weights and activations.
+#: The quantisation scheme of the paper (the bit widths are INT4, fixed).
 INT4 = QuantizationScheme()
 
 #: Corner spec naming the paper's corners: the calibrated tsmc65-like
@@ -274,13 +275,13 @@ def quantize(
     """Quantize job: the :data:`INT4` calibration of the trained ``model``.
 
     Calibrates on the first ``calibration_samples`` training images and
-    returns the :func:`~repro.dnn.quantization.quantized_state`.  Runs on
-    one BLAS thread.
+    returns the :func:`~repro.dnn.quantization.quantize_network` state.
+    Runs on one BLAS thread.
     """
     network = model.build(state)
     calibration = _dataset(dataset).train_images[:calibration_samples]
     with one_blas_thread():
-        return quantized_state(quantize_network(network, calibration, INT4))
+        return quantize_network(network, calibration, INT4)
 
 
 @functools.lru_cache(maxsize=None)
@@ -353,7 +354,7 @@ def _window_counts(
     network = model.build(state)
     all_counts = []
     with one_blas_thread():
-        int4 = load_quantized_network(network, quantized, INT4)
+        int4 = load_quantized_network(network, quantized)
         for window in windows:
             reports = evaluate_backends(
                 network, int4, backends, _dataset(dataset), modes=modes, window=window

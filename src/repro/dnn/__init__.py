@@ -40,7 +40,12 @@ from repro.dnn.layers import (
 from repro.dnn.network import Network
 from repro.dnn.datasets import Dataset, cifar10_like, imagenet_like, make_synthetic_image_dataset
 from repro.dnn.training import TrainingConfig, TrainingHistory, train_network
-from repro.dnn.quantization import QuantizationScheme, QuantizedNetwork, quantize_network
+from repro.dnn.quantization import (
+    QuantizationScheme,
+    QuantizedNetwork,
+    load_quantized_network,
+    quantize_network,
+)
 from repro.dnn.imc_injection import ExactBackend, LutBackend, MultiplierBackend
 from repro.dnn.evaluation import AccuracyReport, evaluate_accuracy, evaluate_backends
 from repro.dnn.models import (
@@ -81,6 +86,7 @@ __all__ = [
     "evaluate_accuracy",
     "evaluate_backends",
     "imagenet_like",
+    "load_quantized_network",
     "make_synthetic_image_dataset",
     "quantize_network",
     "train_network",

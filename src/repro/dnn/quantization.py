@@ -18,17 +18,38 @@ flow:
   network can be evaluated with exact INT4 products (baseline) or with any
   in-SRAM multiplier corner (Table II/III).
 
-A calibrated network is captured by :func:`quantized_state`, a dict of
-arrays that pairs with :func:`~repro.dnn.network.network_state`:
-:func:`load_quantized_network` rebuilds the same quantised network from the
-float network and that dict, with no calibration pass.
+There is one way to build a quantised network.  :func:`quantize_network` is
+the calibration pass: it returns a dict of arrays per quantised layer (the
+state the artifact cache stores next to the float network's
+:func:`~repro.dnn.network.network_state`).  :func:`load_quantized_network`
+builds the INT4 network from the float network and that dict, with no
+calibration pass, and is the only code that constructs quantised layers.
+Bit widths are fixed at INT4 (:data:`WEIGHT_LEVEL`, :data:`ACTIVATION_LEVELS`).
+
+>>> from repro.dnn.imc_injection import LutBackend
+>>> from repro.dnn.models import build_mlp
+>>> from repro.multiplier.lut import ProductLookupTable
+>>> network = build_mlp(12, 3, hidden=(8,))
+>>> images = np.random.default_rng(0).normal(size=(16, 12)).astype(np.float32)
+>>> state = quantize_network(network, images)
+>>> sorted(state)  # doctest: +NORMALIZE_WHITESPACE
+['mlp.fc0.q.activation_scale', 'mlp.fc0.q.bias', 'mlp.fc0.q.weight_codes',
+ 'mlp.fc0.q.weight_scales', 'mlp.fc0.q.zero_point',
+ 'mlp.out.q.activation_scale', 'mlp.out.q.bias', 'mlp.out.q.weight_codes',
+ 'mlp.out.q.weight_scales', 'mlp.out.q.zero_point']
+>>> int4 = load_quantized_network(network, state)
+>>> int4.name == "mlp-int4"
+True
+>>> exact_lut = int4.with_backend(LutBackend(ProductLookupTable.exact()))
+>>> bool(np.array_equal(exact_lut.predict(images), int4.predict(images)))
+True
 """
 
 from __future__ import annotations
 
 import copy
 import dataclasses
-from typing import Dict, Iterator, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -52,14 +73,19 @@ from repro.dnn.layers import (
 from repro.dnn.network import Network
 
 
+#: Largest positive weight code: INT4 weights are signed, -8..7.
+WEIGHT_LEVEL = 7
+
+#: Largest activation code: INT4 activations are unsigned, 0..15.
+ACTIVATION_LEVELS = 15
+
+
 @dataclasses.dataclass(frozen=True)
 class QuantizationScheme:
-    """Quantisation hyper-parameters.
+    """Quantisation hyper-parameters (the bit widths are INT4, fixed).
 
     Attributes
     ----------
-    weight_bits, activation_bits:
-        Bit widths; the paper uses 4 for both.
     per_channel_weights:
         Quantise weights with one scale per output channel (True, the
         TFLite default for convolutions) or one scale per tensor.
@@ -69,28 +95,12 @@ class QuantizationScheme:
         noticeably helps 4-bit activations.
     """
 
-    weight_bits: int = 4
-    activation_bits: int = 4
     per_channel_weights: bool = True
     calibration_percentile: float = 99.9
 
     def __post_init__(self) -> None:
-        if not 2 <= self.weight_bits <= 8:
-            raise ValueError("weight_bits must lie in [2, 8]")
-        if not 2 <= self.activation_bits <= 8:
-            raise ValueError("activation_bits must lie in [2, 8]")
         if not 50.0 < self.calibration_percentile <= 100.0:
             raise ValueError("calibration_percentile must lie in (50, 100]")
-
-    @property
-    def weight_level(self) -> int:
-        """Largest positive weight code (symmetric range)."""
-        return (1 << (self.weight_bits - 1)) - 1
-
-    @property
-    def activation_levels(self) -> int:
-        """Largest activation code (unsigned range)."""
-        return (1 << self.activation_bits) - 1
 
 
 @dataclasses.dataclass
@@ -99,7 +109,6 @@ class ActivationQuantizer:
 
     scale: float
     zero_point: int
-    levels: int
 
     @classmethod
     def calibrate(
@@ -111,15 +120,14 @@ class ActivationQuantizer:
         high = float(np.percentile(values, scheme.calibration_percentile))
         low = min(low, 0.0)
         high = max(high, low + 1e-6)
-        levels = scheme.activation_levels
-        scale = (high - low) / levels
-        zero_point = int(np.clip(round(-low / scale), 0, levels))
-        return cls(scale=scale, zero_point=zero_point, levels=levels)
+        scale = (high - low) / ACTIVATION_LEVELS
+        zero_point = int(np.clip(round(-low / scale), 0, ACTIVATION_LEVELS))
+        return cls(scale=scale, zero_point=zero_point)
 
     def quantize(self, values: np.ndarray) -> np.ndarray:
         """Float values to unsigned integer codes."""
         codes = np.rint(np.asarray(values, dtype=np.float32) / self.scale) + self.zero_point
-        return np.clip(codes, 0, self.levels).astype(np.int32)
+        return np.clip(codes, 0, ACTIVATION_LEVELS).astype(np.int32)
 
 
 def quantize_weights_symmetric(
@@ -131,13 +139,12 @@ def quantize_weights_symmetric(
     channel (or a single entry for per-tensor mode).
     """
     weights = np.asarray(weights, dtype=np.float32)
-    level = scheme.weight_level
     if scheme.per_channel_weights:
         magnitudes = np.max(np.abs(weights), axis=0)
     else:
         magnitudes = np.full(weights.shape[1], float(np.max(np.abs(weights))))
-    scales = np.maximum(magnitudes / level, 1e-12)
-    codes = np.clip(np.rint(weights / scales), -level - 1, level).astype(np.int32)
+    scales = np.maximum(magnitudes / WEIGHT_LEVEL, 1e-12)
+    codes = np.clip(np.rint(weights / scales), -WEIGHT_LEVEL - 1, WEIGHT_LEVEL).astype(np.int32)
     return codes, scales.astype(np.float32)
 
 
@@ -237,9 +244,10 @@ class QuantizedDense:
         bias: np.ndarray,
         quantizer: ActivationQuantizer,
         backend: MultiplierBackend,
-        name: str = "qdense",
+        name: str,
     ) -> None:
-        # Validated once; backend-rebound copies share it (and its selector).
+        # Validated once (codes outside -8..7 raise ValueError);
+        # backend-rebound copies share it (and its selector).
         self.weights = prepare_weights(weight_codes)
         self.weight_scales = weight_scales
         self.bias = bias
@@ -247,40 +255,13 @@ class QuantizedDense:
         self.backend = backend
         self.name = name
 
-    @classmethod
-    def from_float(
-        cls,
-        layer: Dense,
-        calibration_inputs: np.ndarray,
-        scheme: QuantizationScheme,
-        backend: MultiplierBackend,
-    ) -> "QuantizedDense":
-        """Quantise a (batch-norm-folded) float dense layer."""
-        codes, scales = quantize_weights_symmetric(layer.weight.value, scheme)
-        quantizer = ActivationQuantizer.calibrate(calibration_inputs, scheme)
-        return cls.for_layer(layer, codes, scales, layer.bias.value.copy(), quantizer, backend)
-
-    @classmethod
-    def for_layer(
-        cls,
-        layer: Dense,
-        codes: np.ndarray,
-        scales: np.ndarray,
-        bias: np.ndarray,
-        quantizer: ActivationQuantizer,
-        backend: MultiplierBackend,
-    ) -> "QuantizedDense":
-        """The quantised counterpart of ``layer`` with the given calibration.
-
-        ``codes`` become the layer's :class:`~repro.dnn.imc_injection.PreparedWeights`
-        here, so codes outside -8..7 raise :class:`ValueError`.
-        """
-        return cls(codes, scales, bias, quantizer, backend, name=f"{layer.name}.q")
-
     def forward(self, inputs: np.ndarray, training: bool = False) -> np.ndarray:
         """Quantise the input, accumulate integer products, dequantise."""
         del training
-        codes = self.quantizer.quantize(inputs)
+        return self._dequantized_products(self.quantizer.quantize(inputs))
+
+    def _dequantized_products(self, codes: np.ndarray) -> np.ndarray:
+        """``codes`` (rows of activation codes) times the weights, in float32."""
         accumulated = self.backend.matmul(
             codes, self.weights, activation_zero_point=self.quantizer.zero_point
         )
@@ -297,8 +278,8 @@ class QuantizedDense:
         return clone
 
 
-class QuantizedConv2D:
-    """INT4 convolution executing its products through a multiplier backend."""
+class QuantizedConv2D(QuantizedDense):
+    """INT4 convolution: the dense step applied to im2col patches of codes."""
 
     def __init__(
         self,
@@ -307,66 +288,17 @@ class QuantizedConv2D:
         bias: np.ndarray,
         quantizer: ActivationQuantizer,
         backend: MultiplierBackend,
+        name: str,
         kernel: int,
         stride: int,
         padding: int,
-        in_channels: int,
         out_channels: int,
-        name: str = "qconv",
     ) -> None:
-        self.weights = prepare_weights(weight_codes)
-        self.weight_scales = weight_scales
-        self.bias = bias
-        self.quantizer = quantizer
-        self.backend = backend
+        super().__init__(weight_codes, weight_scales, bias, quantizer, backend, name)
         self.kernel = kernel
         self.stride = stride
         self.padding = padding
-        self.in_channels = in_channels
         self.out_channels = out_channels
-        self.name = name
-
-    @classmethod
-    def from_float(
-        cls,
-        layer: Conv2D,
-        calibration_inputs: np.ndarray,
-        scheme: QuantizationScheme,
-        backend: MultiplierBackend,
-    ) -> "QuantizedConv2D":
-        """Quantise a (batch-norm-folded) float convolution layer."""
-        codes, scales = quantize_weights_symmetric(layer.weight.value, scheme)
-        quantizer = ActivationQuantizer.calibrate(calibration_inputs, scheme)
-        return cls.for_layer(layer, codes, scales, layer.bias.value.copy(), quantizer, backend)
-
-    @classmethod
-    def for_layer(
-        cls,
-        layer: Conv2D,
-        codes: np.ndarray,
-        scales: np.ndarray,
-        bias: np.ndarray,
-        quantizer: ActivationQuantizer,
-        backend: MultiplierBackend,
-    ) -> "QuantizedConv2D":
-        """The quantised counterpart of ``layer`` with the given calibration.
-
-        ``codes`` become the layer's :class:`~repro.dnn.imc_injection.PreparedWeights`
-        here, so codes outside -8..7 raise :class:`ValueError`.
-        """
-        return cls(
-            weight_codes=codes,
-            weight_scales=scales,
-            bias=bias,
-            quantizer=quantizer,
-            backend=backend,
-            kernel=layer.kernel,
-            stride=layer.stride,
-            padding=layer.padding,
-            in_channels=layer.in_channels,
-            out_channels=layer.out_channels,
-            name=f"{layer.name}.q",
-        )
 
     def forward(self, inputs: np.ndarray, training: bool = False) -> np.ndarray:
         """Quantise, im2col in code space, accumulate, dequantise."""
@@ -375,19 +307,8 @@ class QuantizedConv2D:
             self.quantizer.quantize(inputs), self.padding, self.quantizer.zero_point
         )
         patches, out_h, out_w = im2col(codes, self.kernel, self.stride, padding=0)
-        accumulated = self.backend.matmul(
-            patches, self.weights, activation_zero_point=self.quantizer.zero_point
-        )
-        corrected = accumulated - self.quantizer.zero_point * self.weights.column_sum
-        output = corrected * (self.quantizer.scale * self.weight_scales) + self.bias
-        batch = inputs.shape[0]
-        return output.reshape(batch, out_h, out_w, self.out_channels).astype(np.float32)
-
-    def with_backend(self, backend: MultiplierBackend) -> "QuantizedConv2D":
-        """Copy of the layer bound to a different multiplier backend."""
-        clone = copy.copy(self)
-        clone.backend = backend
-        return clone
+        output = self._dequantized_products(patches)
+        return output.reshape(inputs.shape[0], out_h, out_w, self.out_channels)
 
 
 class QuantizedResidualBlock:
@@ -398,62 +319,12 @@ class QuantizedResidualBlock:
         conv1: QuantizedConv2D,
         conv2: QuantizedConv2D,
         projection: Optional[QuantizedConv2D],
-        name: str = "qresblock",
+        name: str,
     ) -> None:
         self.conv1 = conv1
         self.conv2 = conv2
         self.projection = projection
         self.name = name
-
-    @classmethod
-    def from_float(
-        cls,
-        block: ResidualBlock,
-        calibration_inputs: np.ndarray,
-        scheme: QuantizationScheme,
-        backend: MultiplierBackend,
-    ) -> Tuple["QuantizedResidualBlock", np.ndarray]:
-        """Quantise a (batch-norm-folded) residual block.
-
-        Returns the quantised block and the float block's output on
-        ``calibration_inputs``, finished from the intermediate that
-        calibrates ``conv2`` in :meth:`ResidualBlock.forward`'s op order, so
-        the first stage runs once.
-        """
-        conv1 = QuantizedConv2D.from_float(block.conv1, calibration_inputs, scheme, backend)
-        intermediate = block.relu1.forward(
-            block.bn1.forward(block.conv1.forward(calibration_inputs))
-        )
-        conv2 = QuantizedConv2D.from_float(block.conv2, intermediate, scheme, backend)
-        main = block.bn2.forward(block.conv2.forward(intermediate))
-        projection = None
-        skip = calibration_inputs
-        if block.projection is not None:
-            projection = QuantizedConv2D.from_float(
-                block.projection, calibration_inputs, scheme, backend
-            )
-            skip = block.projection.forward(calibration_inputs)
-        quantized = cls(conv1=conv1, conv2=conv2, projection=projection, name=f"{block.name}.q")
-        return quantized, block.relu_out.forward(main + skip)
-
-    @classmethod
-    def from_state(
-        cls,
-        block: ResidualBlock,
-        state: Mapping[str, np.ndarray],
-        scheme: QuantizationScheme,
-        backend: MultiplierBackend,
-    ) -> "QuantizedResidualBlock":
-        """Rebuild a quantised residual block from :func:`quantized_state` arrays."""
-        projection = None
-        if block.projection is not None:
-            projection = _stored(QuantizedConv2D, block.projection, state, scheme, backend)
-        return cls(
-            conv1=_stored(QuantizedConv2D, block.conv1, state, scheme, backend),
-            conv2=_stored(QuantizedConv2D, block.conv2, state, scheme, backend),
-            projection=projection,
-            name=f"{block.name}.q",
-        )
 
     def forward(self, inputs: np.ndarray, training: bool = False) -> np.ndarray:
         """Quantised main path plus float skip connection, then ReLU."""
@@ -468,14 +339,12 @@ class QuantizedResidualBlock:
 
     def with_backend(self, backend: MultiplierBackend) -> "QuantizedResidualBlock":
         """Copy of the block bound to a different multiplier backend."""
-        return QuantizedResidualBlock(
-            conv1=self.conv1.with_backend(backend),
-            conv2=self.conv2.with_backend(backend),
-            projection=(
-                self.projection.with_backend(backend) if self.projection is not None else None
-            ),
-            name=self.name,
-        )
+        clone = copy.copy(self)
+        clone.conv1 = self.conv1.with_backend(backend)
+        clone.conv2 = self.conv2.with_backend(backend)
+        if self.projection is not None:
+            clone.projection = self.projection.with_backend(backend)
+        return clone
 
 
 # ----------------------------------------------------------------------
@@ -490,7 +359,7 @@ class QuantizedNetwork:
         input_shape: Tuple[int, ...],
         name: str,
         backend: MultiplierBackend,
-        multiplication_count: int = 0,
+        multiplication_count: int,
     ) -> None:
         self.layers = list(layers)
         self.input_shape = tuple(input_shape)
@@ -524,82 +393,67 @@ class QuantizedNetwork:
         Calibration is reused, so evaluating several multiplier corners only
         costs inference time, not re-quantisation.
         """
-        new_layers: List[object] = []
-        for layer in self.layers:
-            if hasattr(layer, "with_backend"):
-                new_layers.append(layer.with_backend(backend))
-            else:
-                new_layers.append(layer)
-        return QuantizedNetwork(
-            layers=new_layers,
-            input_shape=self.input_shape,
-            name=self.name + name_suffix,
-            backend=backend,
-            multiplication_count=self._multiplication_count,
-        )
+        clone = copy.copy(self)
+        clone.layers = [
+            layer.with_backend(backend) if hasattr(layer, "with_backend") else layer
+            for layer in self.layers
+        ]
+        clone.name = self.name + name_suffix
+        clone.backend = backend
+        return clone
 
 
 def quantize_network(
     network: Network,
     calibration_images: np.ndarray,
     scheme: Optional[QuantizationScheme] = None,
-    backend: Optional[MultiplierBackend] = None,
-) -> QuantizedNetwork:
-    """Post-training quantisation of a float network.
+) -> Dict[str, np.ndarray]:
+    """Post-training quantisation of a float network: its calibration state.
 
-    Parameters
-    ----------
-    network:
-        Trained float network.
-    calibration_images:
-        A representative batch used to calibrate activation quantisers.
-    scheme:
-        Quantisation hyper-parameters (INT4 defaults).
-    backend:
-        Multiplier backend the quantised layers are initially bound to
-        (exact INT4 by default); use
-        :meth:`QuantizedNetwork.with_backend` to evaluate other corners.
+    Folds the batch norms, quantises every conv / dense layer's weights and
+    calibrates its activation quantiser on the float tensor that enters the
+    layer when ``calibration_images`` run through the folded network.
+    Returns the arrays keyed ``"<layer>.q.<array>"``; per quantised layer:
+    ``weight_codes`` (int8), ``weight_scales`` and ``bias`` (float32),
+    ``activation_scale`` (float64) and ``zero_point`` (int64), the last two
+    0-d.  :func:`load_quantized_network` builds the INT4 network from them.
     """
     scheme = scheme or QuantizationScheme()
-    backend = backend or ExactBackend()
+    state: Dict[str, np.ndarray] = {}
+
+    def calibrate(layer: Layer, inputs: np.ndarray) -> None:
+        codes, scales = quantize_weights_symmetric(layer.weight.value, scheme)
+        quantizer = ActivationQuantizer.calibrate(inputs, scheme)
+        name = f"{layer.name}.q"
+        state[f"{name}.weight_codes"] = codes.astype(np.int8)
+        state[f"{name}.weight_scales"] = scales
+        state[f"{name}.bias"] = layer.bias.value.copy()
+        state[f"{name}.activation_scale"] = np.array(quantizer.scale)
+        state[f"{name}.zero_point"] = np.array(quantizer.zero_point)
+
     current = np.asarray(calibration_images, dtype=np.float32)
-    quantized_layers: List[object] = []
     for layer in fold_batchnorm_layers(network.layers):
         if isinstance(layer, ResidualBlock):
-            block, current = QuantizedResidualBlock.from_float(layer, current, scheme, backend)
-            quantized_layers.append(block)
+            # ResidualBlock.forward's op order, each conv calibrated on its input.
+            calibrate(layer.conv1, current)
+            intermediate = layer.relu1.forward(layer.bn1.forward(layer.conv1.forward(current)))
+            calibrate(layer.conv2, intermediate)
+            main = layer.bn2.forward(layer.conv2.forward(intermediate))
+            skip = current
+            if layer.projection is not None:
+                calibrate(layer.projection, current)
+                skip = layer.projection.forward(current)
+            current = layer.relu_out.forward(main + skip)
             continue
-        quantized: object = layer
-        if isinstance(layer, Conv2D):
-            quantized = QuantizedConv2D.from_float(layer, current, scheme, backend)
-        elif isinstance(layer, Dense):
-            quantized = QuantizedDense.from_float(layer, current, scheme, backend)
+        if isinstance(layer, (Conv2D, Dense)):
+            calibrate(layer, current)
         # Pooling, activations, flatten and any batch-norm that was not
         # folded (no conv/dense directly before it) stay float layers.
-        quantized_layers.append(quantized)
         current = layer.forward(current, training=False)
-    return _quantized_network(network, quantized_layers, scheme, backend)
+    return state
 
 
-def _quantized_network(
-    network: Network,
-    layers: List[object],
-    scheme: QuantizationScheme,
-    backend: MultiplierBackend,
-) -> QuantizedNetwork:
-    return QuantizedNetwork(
-        layers=layers,
-        input_shape=network.input_shape,
-        name=f"{network.name}-int{scheme.weight_bits}",
-        backend=backend,
-        multiplication_count=network.multiplication_count(),
-    )
-
-
-QuantizedLayer = Union[QuantizedConv2D, QuantizedDense]
-
-
-def _quantized_leaves(layers: Sequence[object]) -> Iterator[QuantizedLayer]:
+def _quantized_leaves(layers: Sequence[object]) -> Iterator[QuantizedDense]:
     """Every quantised conv / dense layer, descending into residual blocks."""
     for layer in layers:
         if isinstance(layer, QuantizedResidualBlock):
@@ -607,80 +461,71 @@ def _quantized_leaves(layers: Sequence[object]) -> Iterator[QuantizedLayer]:
             yield layer.conv2
             if layer.projection is not None:
                 yield layer.projection
-        elif isinstance(layer, (QuantizedConv2D, QuantizedDense)):
+        elif isinstance(layer, QuantizedDense):
             yield layer
-
-
-def quantized_state(quantized: QuantizedNetwork) -> Dict[str, np.ndarray]:
-    """The calibrated arrays of ``quantized``, keyed ``"<layer>.<array>"``.
-
-    Per quantised layer: ``weight_codes`` (int8: every code of up to 8 bits
-    fits), ``weight_scales``, ``bias``, ``activation_scale`` and
-    ``zero_point`` (0-d arrays).  Together with the float network's
-    :func:`~repro.dnn.network.network_state` they are all
-    :func:`load_quantized_network` needs.
-    """
-    state: Dict[str, np.ndarray] = {}
-    for layer in _quantized_leaves(quantized.layers):
-        state[f"{layer.name}.weight_codes"] = layer.weights.codes.astype(np.int8)
-        state[f"{layer.name}.weight_scales"] = np.array(layer.weight_scales)
-        state[f"{layer.name}.bias"] = np.array(layer.bias)
-        state[f"{layer.name}.activation_scale"] = np.array(layer.quantizer.scale)
-        state[f"{layer.name}.zero_point"] = np.array(layer.quantizer.zero_point)
-    return state
-
-
-def _stored(
-    layer_type: type,
-    layer: Layer,
-    state: Mapping[str, np.ndarray],
-    scheme: QuantizationScheme,
-    backend: MultiplierBackend,
-) -> QuantizedLayer:
-    """``layer``'s quantised counterpart from :func:`quantized_state` arrays."""
-    name = f"{layer.name}.q"
-    # Python scalars, as calibration makes them: a NumPy float64 scale
-    # would promote the float32 activations it divides.
-    quantizer = ActivationQuantizer(
-        scale=float(state[f"{name}.activation_scale"]),
-        zero_point=int(state[f"{name}.zero_point"]),
-        levels=scheme.activation_levels,
-    )
-    return layer_type.for_layer(
-        layer,
-        np.asarray(state[f"{name}.weight_codes"]).astype(np.int32),
-        np.array(state[f"{name}.weight_scales"]),
-        np.array(state[f"{name}.bias"]),
-        quantizer,
-        backend,
-    )
 
 
 def load_quantized_network(
     network: Network,
     state: Mapping[str, np.ndarray],
-    scheme: Optional[QuantizationScheme] = None,
     backend: Optional[MultiplierBackend] = None,
 ) -> QuantizedNetwork:
-    """Rebuild ``quantize_network(network, ...)`` from its :func:`quantized_state`.
+    """The INT4 network of ``network`` and its :func:`quantize_network` state.
 
-    ``network`` is the trained float network the state was calibrated on
-    and ``scheme`` the scheme it was quantised with.  No calibration pass
-    runs: the result predicts bit for bit like the network
-    :func:`quantize_network` returned.  Nothing is folded either: the
-    stored arrays already hold the folded weights, so the unfolded layers
-    supply only names and shapes.
+    ``network`` is the trained float network the state was calibrated on.
+    No calibration pass runs, and nothing is folded: the stored arrays
+    already hold the folded weights, so the unfolded layers supply only
+    names and shapes.  Its products run through ``backend`` (exact INT4 by
+    default); :meth:`QuantizedNetwork.with_backend` rebinds them.
     """
-    scheme = scheme or QuantizationScheme()
     backend = backend or ExactBackend()
+
+    def quantized(layer: Layer) -> QuantizedDense:
+        name = f"{layer.name}.q"
+        # Python scalars, as calibration makes them: a NumPy float64 scale
+        # would promote the float32 activations it divides.
+        quantizer = ActivationQuantizer(
+            scale=float(state[f"{name}.activation_scale"]),
+            zero_point=int(state[f"{name}.zero_point"]),
+        )
+        arrays = (
+            np.asarray(state[f"{name}.weight_codes"]).astype(np.int32),
+            np.array(state[f"{name}.weight_scales"]),
+            np.array(state[f"{name}.bias"]),
+        )
+        if isinstance(layer, Conv2D):
+            return QuantizedConv2D(
+                *arrays,
+                quantizer,
+                backend,
+                name,
+                kernel=layer.kernel,
+                stride=layer.stride,
+                padding=layer.padding,
+                out_channels=layer.out_channels,
+            )
+        return QuantizedDense(*arrays, quantizer, backend, name)
+
     layers: List[object] = []
     for layer, _ in _folding_pairs(network.layers):
-        if isinstance(layer, Conv2D):
-            layers.append(_stored(QuantizedConv2D, layer, state, scheme, backend))
-        elif isinstance(layer, Dense):
-            layers.append(_stored(QuantizedDense, layer, state, scheme, backend))
+        if isinstance(layer, (Conv2D, Dense)):
+            layers.append(quantized(layer))
         elif isinstance(layer, ResidualBlock):
-            layers.append(QuantizedResidualBlock.from_state(layer, state, scheme, backend))
+            projection = layer.projection
+            layers.append(
+                QuantizedResidualBlock(
+                    conv1=quantized(layer.conv1),
+                    conv2=quantized(layer.conv2),
+                    projection=quantized(projection) if projection is not None else None,
+                    name=f"{layer.name}.q",
+                )
+            )
         else:
             layers.append(layer)
-    return _quantized_network(network, layers, scheme, backend)
+    return QuantizedNetwork(
+        layers=layers,
+        input_shape=network.input_shape,
+        name=f"{network.name}-int4",
+        backend=backend,
+        multiplication_count=network.multiplication_count(),
+    )

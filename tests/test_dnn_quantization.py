@@ -38,7 +38,6 @@ from repro.dnn.quantization import (
     load_quantized_network,
     quantize_network,
     quantize_weights_symmetric,
-    quantized_state,
 )
 from repro.dnn.training import TrainingConfig, train_network
 from repro.multiplier.lut import ProductLookupTable
@@ -129,8 +128,6 @@ class TestQuantizationPrimitives:
         assert np.allclose(scales, scales[0])
 
     def test_invalid_scheme_rejected(self):
-        with pytest.raises(ValueError):
-            QuantizationScheme(weight_bits=1)
         with pytest.raises(ValueError):
             QuantizationScheme(calibration_percentile=40.0)
 
@@ -411,11 +408,12 @@ class TestQuantizedNetwork:
     @pytest.mark.parametrize("build", [build_vgg16_like, build_resnet50_like])
     def test_network_rebuilt_from_quantized_state_is_bitwise_equal(self, build, tiny_dataset):
         """A fresh network plus the two states, through the artifact
-        codec, predicts exactly like ``quantize_network``'s result."""
+        codec, predicts exactly like the network the state was made on."""
         network = build((8, 8, 3), tiny_dataset.classes)
         train_network(network, tiny_dataset, TrainingConfig(epochs=1, seed=1))
-        quantized = quantize_network(network, tiny_dataset.train_images[:32])
-        state = wire.unpack_values(*wire.pack_values(quantized_state(quantized)))
+        calibrated = quantize_network(network, tiny_dataset.train_images[:32])
+        quantized = load_quantized_network(network, calibrated)
+        state = wire.unpack_values(*wire.pack_values(calibrated))
         fresh = build((8, 8, 3), tiny_dataset.classes)
         load_network_state(fresh, network_state(network))
         rebuilt = load_quantized_network(fresh, state)
@@ -432,8 +430,8 @@ class TestQuantizedNetwork:
         """The stored state already holds the folded weights: rebuilding
         reads only layer names and shapes, so it never calls ``_fold_pair``."""
         network = build((8, 8, 3), tiny_dataset.classes)
-        quantized = quantize_network(network, tiny_dataset.train_images[:16])
-        state = quantized_state(quantized)
+        state = quantize_network(network, tiny_dataset.train_images[:16])
+        quantized = load_quantized_network(network, state)
 
         def refuse(*_args):
             raise AssertionError("load_quantized_network folded a batch norm")
@@ -444,8 +442,7 @@ class TestQuantizedNetwork:
         assert np.array_equal(rebuilt.predict(images), quantized.predict(images))
 
     def test_out_of_range_weight_code_in_state_rejected(self, trained_network, tiny_dataset):
-        quantized = quantize_network(trained_network, tiny_dataset.train_images[:16])
-        state = quantized_state(quantized)
+        state = quantize_network(trained_network, tiny_dataset.train_images[:16])
         key = next(key for key in state if key.endswith(".weight_codes"))
         state[key] = state[key].copy()
         state[key][0, 0] = 9
@@ -453,7 +450,9 @@ class TestQuantizedNetwork:
             load_quantized_network(trained_network, state)
 
     def test_int4_quantisation_close_to_float(self, trained_network, tiny_dataset):
-        quantized = quantize_network(trained_network, tiny_dataset.train_images[:64])
+        quantized = load_quantized_network(
+            trained_network, quantize_network(trained_network, tiny_dataset.train_images[:64])
+        )
         float_scores = trained_network.predict(tiny_dataset.test_images)
         int4_scores = quantized.predict(tiny_dataset.test_images)
         float_top1 = np.mean(np.argmax(float_scores, axis=1) == tiny_dataset.test_labels)
@@ -461,14 +460,19 @@ class TestQuantizedNetwork:
         assert int4_top1 >= float_top1 - 0.2
 
     def test_quantized_layer_types(self, trained_network, tiny_dataset):
-        quantized = quantize_network(trained_network, tiny_dataset.train_images[:64])
+        quantized = load_quantized_network(
+            trained_network, quantize_network(trained_network, tiny_dataset.train_images[:64])
+        )
         assert any(isinstance(layer, QuantizedConv2D) for layer in quantized.layers)
-        assert any(isinstance(layer, QuantizedDense) for layer in quantized.layers)
+        # QuantizedConv2D is a QuantizedDense on patches: look for the dense head itself.
+        assert any(type(layer) is QuantizedDense for layer in quantized.layers)
         # Batch norms are folded away.
         assert not any(isinstance(layer, BatchNorm) for layer in quantized.layers)
 
     def test_with_backend_rebinds_all_quantized_layers(self, trained_network, tiny_dataset, multiplier):
-        quantized = quantize_network(trained_network, tiny_dataset.train_images[:64])
+        quantized = load_quantized_network(
+            trained_network, quantize_network(trained_network, tiny_dataset.train_images[:64])
+        )
         table = ProductLookupTable.exact()
         rebound = quantized.with_backend(LutBackend(table, name="exact-lut"))
         assert rebound.backend.name == "exact-lut"
@@ -480,8 +484,105 @@ class TestQuantizedNetwork:
         )
 
     def test_multiplication_count_carried_over(self, trained_network, tiny_dataset):
-        quantized = quantize_network(trained_network, tiny_dataset.train_images[:32])
+        quantized = load_quantized_network(
+            trained_network, quantize_network(trained_network, tiny_dataset.train_images[:32])
+        )
         assert quantized.multiplication_count() == trained_network.multiplication_count()
+
+
+def _quantizable(layers):
+    """The conv / dense layers of an unfolded network, in calibration order."""
+    for layer in layers:
+        if isinstance(layer, ResidualBlock):
+            yield from (
+                sub for sub in (layer.conv1, layer.conv2, layer.projection) if sub is not None
+            )
+        elif isinstance(layer, (Conv2D, Dense)):
+            yield layer
+
+
+def _folded_layer_inputs(network, images):
+    """(folded conv / dense layer, the float tensor entering it), in order.
+
+    The folded float network runs ``images`` through its own ``forward``
+    methods, residual blocks included, with each conv / dense layer's
+    ``forward`` wrapped to record its input.
+    """
+    seen = []
+
+    def record(layer):
+        forward = layer.forward
+
+        def recording(inputs, training=False):
+            seen.append((layer, np.array(inputs)))
+            return forward(inputs, training)
+
+        layer.forward = recording
+
+    folded = fold_batchnorm_layers(network.layers)
+    for layer in _quantizable(folded):
+        record(layer)
+    Network(folded, input_shape=network.input_shape, name="folded").forward(images)
+    return seen
+
+
+#: The stored arrays of one quantised layer and their dtypes.
+STATE_FORMAT = {
+    "weight_codes": np.int8,
+    "weight_scales": np.float32,
+    "bias": np.float32,
+    "activation_scale": np.float64,
+    "zero_point": np.int64,
+}
+
+
+class TestCalibrationState:
+    """``quantize_network``'s state: its format and an independent calibration."""
+
+    @pytest.fixture(scope="class", params=[build_vgg16_like, build_resnet50_like])
+    def calibrated(self, request, tiny_dataset):
+        network = request.param((8, 8, 3), tiny_dataset.classes)
+        train_network(network, tiny_dataset, TrainingConfig(epochs=1, seed=1))
+        images = tiny_dataset.train_images[:32]
+        return network, images, quantize_network(network, images)
+
+    def test_state_matches_calibration_of_each_layer_input(self, calibrated):
+        """Each layer's quantiser is calibrated on the tensor that enters it
+        (for a residual ``conv2``, the ``relu1`` output; for a projection,
+        the block input) and its codes quantise the folded weights."""
+        network, images, state = calibrated
+        scheme = QuantizationScheme()
+        seen = _folded_layer_inputs(network, images)
+        assert [layer.name for layer, _ in seen] == [
+            layer.name for layer in _quantizable(network.layers)
+        ]
+        for layer, inputs in seen:
+            name = f"{layer.name}.q"
+            expected = ActivationQuantizer.calibrate(inputs, scheme)
+            assert float(state[f"{name}.activation_scale"]) == expected.scale
+            assert int(state[f"{name}.zero_point"]) == expected.zero_point
+            codes, scales = quantize_weights_symmetric(layer.weight.value, scheme)
+            assert np.array_equal(state[f"{name}.weight_codes"], codes)
+            assert np.array_equal(state[f"{name}.weight_scales"], scales)
+            assert np.array_equal(state[f"{name}.bias"], layer.bias.value)
+
+    def test_state_format(self, calibrated):
+        """The artifact cache stores this dict: exact keys, dtypes and shapes."""
+        network, _, state = calibrated
+        expected = {
+            f"{layer.name}.q.{array}": np.dtype(dtype)
+            for layer in _quantizable(network.layers)
+            for array, dtype in STATE_FORMAT.items()
+        }
+        assert {key: value.dtype for key, value in state.items()} == expected
+        for layer in _quantizable(network.layers):
+            name = f"{layer.name}.q"
+            out_features = layer.weight.value.shape[1]
+            assert state[f"{name}.weight_codes"].shape == layer.weight.value.shape
+            assert state[f"{name}.weight_scales"].shape == (out_features,)
+            assert state[f"{name}.bias"].shape == (out_features,)
+            assert state[f"{name}.activation_scale"].shape == ()
+            assert state[f"{name}.zero_point"].shape == ()
 
 
 class TestPreparedWeightsSharing:
@@ -491,7 +592,9 @@ class TestPreparedWeightsSharing:
     def _run(corner_table, dataset, monkeypatch):
         """Evaluate three corners, four predict batches each; return what to check."""
         network = build_resnet50_like((8, 8, 3), classes=dataset.classes)
-        quantized = quantize_network(network, dataset.train_images[:16])
+        quantized = load_quantized_network(
+            network, quantize_network(network, dataset.train_images[:16])
+        )
         exact = ProductLookupTable.exact()
         tables = {
             "fom": corner_table,

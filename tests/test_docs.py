@@ -45,6 +45,7 @@ DOCTEST_MODULES = [
     "repro.gateway.artifacts",
     "repro.dnn.imc_injection",
     "repro.dnn.network",
+    "repro.dnn.quantization",
     "repro.circuits.mosfet",
     "repro.circuits.transient",
 ]

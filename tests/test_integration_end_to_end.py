@@ -14,7 +14,7 @@ from repro.dnn.datasets import make_synthetic_image_dataset
 from repro.dnn.evaluation import evaluate_backends
 from repro.dnn.imc_injection import LutBackend
 from repro.dnn.models import build_vgg16_like
-from repro.dnn.quantization import quantize_network
+from repro.dnn.quantization import load_quantized_network, quantize_network
 from repro.dnn.training import TrainingConfig, train_network
 from repro.multiplier.imac import InSramMultiplier
 from repro.multiplier.lut import ProductLookupTable
@@ -82,7 +82,9 @@ class TestDnnStory:
         train_network(
             network, dataset, TrainingConfig(epochs=7, batch_size=32, learning_rate=0.1, seed=2)
         )
-        quantized = quantize_network(network, dataset.train_images[:96])
+        quantized = load_quantized_network(
+            network, quantize_network(network, dataset.train_images[:96])
+        )
 
         corners = select_corners(explore_design_space(suite))
         backends = {
